@@ -29,7 +29,7 @@ from .mechanism import (AllocationResult, AllocationSlopes, DeviationEvaluator,
                         TaxBreakdown, VARIANT_SBB, VARIANT_WBB, allocate,
                         allocation_slopes, evaluate, group_prices,
                         outcome_to_json, profile_from_json, profile_to_json,
-                        tax_sbb, tax_wbb, utilities, utility, zero_message)
+                        utilities, utility, zero_message)
 from .equilibrium import (BestResponseResult, CandidateNE,
                           CertificationReport, CurvatureReport,
                           DynamicsResult, LemmaReport, best_response,
@@ -51,7 +51,7 @@ __all__ = [
     "MechanismParams", "Message", "Profile", "Outcome", "TaxBreakdown",
     "AllocationResult", "AllocationSlopes", "DeviationEvaluator",
     "VARIANT_WBB", "VARIANT_SBB", "allocate", "allocation_slopes",
-    "evaluate", "group_prices", "tax_wbb", "tax_sbb", "utility",
+    "evaluate", "group_prices", "utility",
     "utilities", "zero_message", "profile_to_json", "profile_from_json",
     "outcome_to_json",
     "CandidateNE", "BestResponseResult", "CertificationReport",

@@ -131,7 +131,8 @@ def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) 
         if not (msg.y >= 0.0 and math.isfinite(msg.y)):
             raise MessageShapeError(f"agent {ki.label}: demand {msg.y} invalid")
         for lid, pair in msg.q.items():
-            if len(pair) != 2 or not all(v >= 0.0 and math.isfinite(v) for v in pair):
+            if len(pair) != 2 or not (pair[0] >= 0.0 and math.isfinite(pair[0])
+                                      and pair[1] >= 0.0 and math.isfinite(pair[1])):
                 raise MessageShapeError(f"agent {ki.label}: bad quote pair on {lid}")
         if variant == VARIANT_SBB:
             if msg.rho is None or not (msg.rho >= 0.0 and math.isfinite(msg.rho)):
@@ -170,15 +171,22 @@ def group_maxima(instance: NetworkInstance, y: Dict[AgentId, float]):
 
 def link_scaling(instance: NetworkInstance, peaks, active, lid: str) -> float:
     """Scale offered by one link; NO_BOUND when nothing is demanded on it."""
-    demanding = active[lid]
-    if not demanding:
+    return _offer(instance.capacity[lid],
+                  (peaks[(k, lid)] for k in instance.groups_on_link[lid]),
+                  len(active[lid]))
+
+
+def _offer(capacity: float, peaks, n_demanding: int) -> float:
+    """A link's offer from its groups' peaks (in group order) and the number
+    of groups demanding on it."""
+    if not n_demanding:
         return NO_BOUND
     total = 0.0
-    for k in instance.groups_on_link[lid]:
-        total += peaks[(k, lid)]
-    if len(demanding) >= 2:
-        return instance.capacity[lid] / total
-    return instance.capacity[lid] / (total + 1.0)
+    for p in peaks:
+        total += p
+    if n_demanding >= 2:
+        return capacity / total
+    return capacity / (total + 1.0)
 
 
 def allocate(instance: NetworkInstance, y: Dict[AgentId, float]) -> AllocationResult:
@@ -226,58 +234,75 @@ def _price_factor(instance: NetworkInstance, profile: Profile,
     return w_bar[(ki.group, lid)]
 
 
+def _pool_total(entries) -> float:
+    """Sum of a link's rebate-pool entries, added in agent order."""
+    total = 0.0
+    for c in entries:
+        total += c
+    return total
+
+
 def _rebate_pool(instance: NetworkInstance, profile: Profile, lid: str):
     """Per-link SBB rebate pool: each agent's self-quoted payment
     alpha * q1 * y, and their sum. An agent's rebate is the sum minus its
     own entry, so it depends only on the other agents' messages."""
-    contrib = {}
-    total = 0.0
-    for b in instance.agents_on_link[lid]:
-        c = instance.alpha[(b, lid)] * profile[b].q[lid][0] * profile[b].y
-        contrib[b] = c
-        total += c
-    return contrib, total
+    contrib = {b: instance.alpha[(b, lid)] * profile[b].q[lid][0] * profile[b].y
+               for b in instance.agents_on_link[lid]}
+    return contrib, _pool_total(contrib.values())
+
+
+def _link_slots(params: MechanismParams, a: float, y: float, x: float, r: float,
+                q1: float, q2: float, pf: float, q1_succ: Optional[float],
+                m_k: float, wk: float, wb: float, slack: float,
+                rho_bar: Optional[float], n_l: int, others_pay: float):
+    """The six tax slots of one agent on one link (see the module docstring).
+
+    pf is the agent's price factor, q1_succ its successor's first quote
+    (None when it is alone in its group on the link), rho_bar its rival
+    rho mean (None under WBB) and others_pay the other agents' entries in
+    the link's rebate pool. evaluate() and DeviationEvaluator both price
+    through here, so their results agree bit for bit."""
+    # = x * alpha * pf, multiplied in this order so outputs stay byte-stable
+    t1 = r * (a * pf * y)
+    t2 = 0.0 if q1_succ is None else (q2 - q1_succ) ** 2
+    t3 = (wk - wb) ** 2
+    t4 = params.eta * pf * (q1 - pf) * (m_k - a * x)
+    t5 = params.xi * wb * (wk - wb) * slack
+    t6 = 0.0 if rho_bar is None else -(rho_bar / (n_l - 1)) * others_pay
+    return t1, t2, t3, t4, t5, t6
 
 
 def agent_tax(instance: NetworkInstance, profile: Profile, params: MechanismParams,
               ki: AgentId, alloc: AllocationResult, w, w_bar,
               m_sum: Dict[str, float], rho_bar_ki: Optional[float],
               pools: Dict[str, Tuple[Dict[AgentId, float], float]]) -> TaxBreakdown:
-    sbb = params.variant == VARIANT_SBB
     k = ki.group
+    msg = profile[ki]
+    y, x, r = msg.y, alloc.x[ki], alloc.r
     per_link = {}
     total = 0.0
-    x_ki = alloc.x[ki]
     for lid in instance.links_of[ki]:
-        a = instance.alpha[(ki, lid)]
-        m_k = alloc.m[(k, lid)]
-        wk = w[(k, lid)]
+        q1, q2 = msg.q[lid]
         wb = w_bar[(k, lid)]
-        slack = instance.capacity[lid] - m_sum[lid]
-        q1_own, q2_own = profile[ki].q[lid]
-        singleton = len(instance.members_on_link[(k, lid)]) == 1
-        if singleton:
-            pf = wb
-            t2 = 0.0
+        if len(instance.members_on_link[(k, lid)]) == 1:
+            pf, q1_succ = wb, None
         else:
             pf = profile[instance.pred_on_link[(ki, lid)]].q[lid][1]
-            succ = instance.succ_on_link[(ki, lid)]
-            t2 = (q2_own - profile[succ].q[lid][0]) ** 2
-        # = x * alpha * pf, multiplied in this order so outputs stay byte-stable
-        t1 = alloc.r * (a * pf * profile[ki].y)
-        t3 = (wk - wb) ** 2
-        t4 = params.eta * pf * (q1_own - pf) * (m_k - a * x_ki)
-        t5 = params.xi * wb * (wk - wb) * slack
-        t6 = 0.0
-        if sbb:
+            q1_succ = profile[instance.succ_on_link[(ki, lid)]].q[lid][0]
+        n_l = others_pay = 0
+        if rho_bar_ki is not None:
             contrib, pool_total = pools[lid]
             n_l = len(instance.agents_on_link[lid])
-            t6 = -(rho_bar_ki / (n_l - 1)) * (pool_total - contrib[ki])
-        per_link[lid] = (t1, t2, t3, t4, t5, t6)
+            others_pay = pool_total - contrib[ki]
+        slots = _link_slots(params, instance.alpha[(ki, lid)], y, x, r, q1, q2, pf, q1_succ,
+                            alloc.m[(k, lid)], w[(k, lid)], wb,
+                            instance.capacity[lid] - m_sum[lid], rho_bar_ki, n_l, others_pay)
+        per_link[lid] = slots
+        t1, t2, t3, t4, t5, t6 = slots
         total += t1 + t2 + t3 + t4 + t5 + t6
     zeta_term = 0.0
-    if sbb:
-        zeta_term = params.zeta * (profile[ki].rho - alloc.r) ** 2
+    if params.variant == VARIANT_SBB:
+        zeta_term = params.zeta * (msg.rho - alloc.r) ** 2
         total += zeta_term
     return TaxBreakdown(per_link, zeta_term, total)
 
@@ -317,30 +342,11 @@ def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParam
                    w, w_bar, rho_bar, taxes, total_tax)
 
 
-def tax_wbb(instance: NetworkInstance, profile: Profile,
-            params: MechanismParams) -> Dict[AgentId, TaxBreakdown]:
-    if params.variant != VARIANT_WBB:
-        raise MessageShapeError("tax_wbb called with non-WBB params")
-    return evaluate(instance, profile, params).taxes
-
-
-def tax_sbb(instance: NetworkInstance, profile: Profile,
-            params: MechanismParams) -> Dict[AgentId, TaxBreakdown]:
-    if params.variant != VARIANT_SBB:
-        raise MessageShapeError("tax_sbb called with non-SBB params")
-    return evaluate(instance, profile, params).taxes
-
-
 def utility(instance: NetworkInstance, profile: Profile, params: MechanismParams,
             ki: AgentId, check: bool = True) -> float:
     if check:
         validate_profile(instance, profile, params.variant)
-    y = {b: profile[b].y for b in instance.agents}
-    alloc = allocate(instance, y)
-    w, w_bar, m_sum, pools, rho_bar = _tax_context(instance, profile, params, alloc)
-    tb = agent_tax(instance, profile, params, ki, alloc, w, w_bar, m_sum,
-                   rho_bar.get(ki), pools)
-    return instance.valuation(ki).value(alloc.x[ki]) - tb.total
+    return DeviationEvaluator(instance, profile, params, ki).utility(profile[ki])
 
 
 def utilities(instance: NetworkInstance, profile: Profile,
@@ -352,33 +358,130 @@ def utilities(instance: NetworkInstance, profile: Profile,
             for ki in instance.agents}
 
 
+class _RouteLink:
+    """What the other agents fix on one link of the deviator's route.
+
+    The lists hold one entry per group (peaks, ws), per group member
+    (q1s) or per agent on the link (pays), in the order evaluate() sums
+    them; the deviator's slot (gpos, mpos, apos) is rewritten on every
+    evaluation and the others are never touched."""
+
+    __slots__ = ("lid", "a", "capacity", "peak_mates", "mates_demand",
+                 "others_demanding", "peaks", "gpos", "q1s", "mpos", "ws",
+                 "n_rivals", "pred_q2", "q1_succ", "pays", "apos", "n_l")
+
+    def __init__(self, instance: NetworkInstance, profile: Profile, ki: AgentId,
+                 lid: str, peaks, active, w, sbb: bool):
+        k = ki.group
+        groups = instance.groups_on_link[lid]
+        members = instance.members_on_link[(k, lid)]
+        self.lid = lid
+        self.a = instance.alpha[(ki, lid)]
+        self.capacity = instance.capacity[lid]
+        mates = [AgentId(k, i) for i in members if i != ki.member]
+        self.peak_mates = 0.0
+        for b in mates:
+            v = instance.alpha[(b, lid)] * profile[b].y
+            if v > self.peak_mates:
+                self.peak_mates = v
+        self.mates_demand = any(profile[b].y > 0.0 for b in mates)
+        self.others_demanding = len(active[lid] - {k})
+        self.peaks = [peaks[(g, lid)] for g in groups]
+        self.gpos = groups.index(k)
+        self.q1s = [profile[AgentId(k, i)].q[lid][0] for i in members]
+        self.mpos = members.index(ki.member)
+        self.ws = [w[(g, lid)] for g in groups]
+        self.n_rivals = len(groups) - 1
+        self.pred_q2 = self.q1_succ = None
+        if mates:
+            self.pred_q2 = profile[instance.pred_on_link[(ki, lid)]].q[lid][1]
+            self.q1_succ = profile[instance.succ_on_link[(ki, lid)]].q[lid][0]
+        self.n_l = len(instance.agents_on_link[lid])
+        self.pays = self.apos = None
+        if sbb:
+            self.pays = list(_rebate_pool(instance, profile, lid)[0].values())
+            self.apos = instance.agents_on_link[lid].index(ki)
+
+
 class DeviationEvaluator:
-    """Counts utility evaluations of one agent's candidate messages while
-    the rest of the profile stays fixed. Single source of truth: it runs the
-    same allocation and tax arithmetic as evaluate(), restricted to the one
-    agent whose utility is needed."""
+    """Utility of one agent's candidate messages while the rest of the
+    profile stays fixed, with a count of evaluations in `evals`.
+
+    The constructor snapshots everything the other agents' messages fix:
+    the smallest finite offer among links off ki's route and, per route
+    link, the other groups' peaks and price sums, the group-mates' peaks,
+    first quotes and demands, the predecessor's second and the successor's
+    first quote, and under SBB the others' rebate-pool entries and rhos.
+    Later edits to the profile dict or to the other agents' Message objects
+    do not reach the evaluator. utility(msg) re-prices only ki's route
+    links, in the operation order of evaluate(), so it equals
+    utilities(instance, patched, params)[ki] bit for bit, where patched is
+    the snapshot profile with ki's message replaced by msg."""
 
     def __init__(self, instance: NetworkInstance, profile: Profile,
                  params: MechanismParams, ki: AgentId):
-        self.instance = instance
         self.params = params
         self.ki = ki
-        self.profile: Profile = dict(profile)
-        self.y = {b: profile[b].y for b in instance.agents}
         self.evals = 0
+        self._value = instance.valuation(ki).value
+        sbb = params.variant == VARIANT_SBB
+        peaks, active = group_maxima(instance, {b: profile[b].y for b in instance.agents})
+        w, _ = group_prices(instance, profile)
+        route = instance.links_of[ki]
+        off = [link_scaling(instance, peaks, active, lid)
+               for lid in instance.link_ids if lid not in route]
+        self._r_off = min([v for v in off if v != NO_BOUND], default=NO_BOUND)
+        self._route = [_RouteLink(instance, profile, ki, lid, peaks, active, w, sbb)
+                       for lid in route]
+        self._rhos = None
+        if sbb:
+            self._rhos = [profile[b].rho for b in instance.agents]
+            self._rho_pos = instance.agents.index(ki)
 
     def utility(self, msg: Message) -> float:
         self.evals += 1
-        inst = self.instance
-        ki = self.ki
-        self.profile[ki] = msg
-        self.y[ki] = msg.y
-        alloc = allocate(inst, self.y)
-        w, w_bar, m_sum, pools, rho_bar = _tax_context(
-            inst, self.profile, self.params, alloc)
-        tb = agent_tax(inst, self.profile, self.params, ki, alloc, w, w_bar,
-                       m_sum, rho_bar.get(ki), pools)
-        return inst.valuation(ki).value(alloc.x[ki]) - tb.total
+        y = msg.y
+        r = self._r_off
+        for L in self._route:
+            peak = L.peak_mates
+            own = L.a * y
+            if own > peak:
+                peak = own
+            L.peaks[L.gpos] = peak
+            offer = _offer(L.capacity, L.peaks,
+                           L.others_demanding + (L.mates_demand or y > 0.0))
+            if offer < r:
+                r = offer
+        if r == NO_BOUND:
+            r = 0.0  # all-zero demand collapses to x = 0
+        x = r * y
+        rho_bar = None
+        rhos = self._rhos
+        if rhos is not None:
+            rhos[self._rho_pos] = msg.rho
+            rho_bar = (sum(rhos) - msg.rho) / (len(rhos) - 1)
+        total = 0.0
+        for L in self._route:
+            q1, q2 = msg.q[L.lid]
+            L.q1s[L.mpos] = q1
+            wk = sum(L.q1s)
+            L.ws[L.gpos] = wk
+            wb = (sum(L.ws) - wk) / L.n_rivals
+            others_pay = 0.0
+            if rhos is not None:
+                own_pay = L.a * q1 * y
+                L.pays[L.apos] = own_pay
+                others_pay = _pool_total(L.pays) - own_pay
+            t1, t2, t3, t4, t5, t6 = _link_slots(
+                self.params, L.a, y, x, r, q1, q2,
+                wb if L.pred_q2 is None else L.pred_q2, L.q1_succ,
+                r * L.peaks[L.gpos], wk, wb,
+                L.capacity - sum([r * p for p in L.peaks]),
+                rho_bar, L.n_l, others_pay)
+            total += t1 + t2 + t3 + t4 + t5 + t6
+        if rhos is not None:
+            total += self.params.zeta * (msg.rho - r) ** 2
+        return self._value(x) - total
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,17 @@ import sys
 
 import pytest
 
+import mcastmech
 from mcastmech import instance_to_json
 
+# The CLI runs in a child process; point it at the package these tests import.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(mcastmech.__file__))
 
 
 def run_cli(*args, threads="1"):
     env = dict(os.environ)
     env["MECH_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "mcastmech.cli", *args],
         capture_output=True,

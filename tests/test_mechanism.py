@@ -22,8 +22,6 @@ from mcastmech import (
     profile_from_json,
     profile_to_json,
     random_instance,
-    tax_sbb,
-    tax_wbb,
     utilities,
     utility,
     zero_message,
@@ -335,15 +333,6 @@ def test_taxes_match_oracle(variant, two_member_instance, chain_instance):
                 assert tb.total == pytest.approx(totals[ki], abs=1e-11)
 
 
-def test_tax_entry_points_check_variant(symmetric_instance):
-    profile = {ki: zero_message(symmetric_instance, ki, "wbb") for ki in symmetric_instance.agents}
-    assert tax_wbb(symmetric_instance, profile, WBB)
-    with pytest.raises(MessageShapeError):
-        tax_wbb(symmetric_instance, profile, SBB)
-    with pytest.raises(MessageShapeError):
-        tax_sbb(symmetric_instance, profile, WBB)
-
-
 def test_quote_mismatch_term_example(two_member_instance):
     # group of two: agent 1.1's second quote 3 vs successor 1.2's first quote 1
     profile = {
@@ -463,10 +452,133 @@ def test_deviation_evaluator_agrees_with_evaluate(chain_instance):
         trial = random_profile(chain_instance, rng, "wbb")[ki]
         patched = dict(profile)
         patched[ki] = trial
-        assert ev.utility(trial) == pytest.approx(
-            utility(chain_instance, patched, WBB, ki), abs=1e-12
-        )
+        assert ev.utility(trial) == utilities(chain_instance, patched, WBB)[ki]
     assert ev.evals == 25
+
+
+FIXTURES = ("symmetric_instance", "oracle_instance", "slack_instance",
+            "two_member_instance", "chain_instance", "three_group_instance",
+            "a4_fail_instance", "saturated_instance")
+DEMAND = st.one_of(st.just(0.0), st.floats(1e-3, 20.0))
+QUOTE = st.floats(0.0, 3.0)
+
+
+def _draw_message(draw, inst, ki, variant, idle=False):
+    y = 0.0 if idle else draw(DEMAND)
+    q = {lid: (draw(QUOTE), draw(QUOTE)) for lid in inst.links_of[ki]}
+    rho = draw(st.floats(0.0, 2.0)) if variant == "sbb" else None
+    return Message(y, q, rho)
+
+
+def _assert_bit_identical(inst, profile, params, ki, deviations):
+    """One evaluator, several deviations in turn: each must equal the
+    whole-profile evaluation exactly, so no deviation leaks into the next."""
+    ev = DeviationEvaluator(inst, profile, params, ki)
+    for msg in deviations:
+        patched = dict(profile)
+        patched[ki] = msg
+        assert ev.utility(msg) == utilities(inst, patched, params)[ki]
+    assert ev.evals == len(deviations)
+
+
+@pytest.mark.parametrize("variant", ["wbb", "sbb"])
+@pytest.mark.parametrize("name", FIXTURES + ("random",))
+def test_deviation_evaluator_bit_identical(name, variant, request):
+    """Random profiles and deviations on every fixture (and a random
+    instance with multi-member groups on several links): the evaluator's
+    utility equals utilities() of the patched profile with exact ==.
+    Demands are zero often enough to reach the idle-link, lone-group and
+    all-idle branches; `idle` forces the rival groups' demand to zero."""
+    inst = (random_instance(31, n_groups=3, max_group_size=3, n_links=3)
+            if name == "random" else request.getfixturevalue(name))
+    params = MechanismParams(variant=variant)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def check(data):
+        ki = data.draw(st.sampled_from(inst.agents))
+        idle = data.draw(st.booleans())
+        profile = {b: _draw_message(data.draw, inst, b, variant,
+                                    idle=idle and b.group != ki.group)
+                   for b in inst.agents}
+        deviations = [profile[ki]] + [_draw_message(data.draw, inst, ki, variant)
+                                      for _ in range(3)]
+        _assert_bit_identical(inst, profile, params, ki, deviations)
+
+    check()
+
+
+def _fixed_profile(inst, variant, y, q=0.5):
+    return {b: Message(y.get(b.label, 1.0), {lid: (q, 0.7 * q) for lid in inst.links_of[b]},
+                       0.9 if variant == "sbb" else None)
+            for b in inst.agents}
+
+
+@pytest.mark.parametrize("variant", ["wbb", "sbb"])
+def test_deviation_evaluator_branches(variant, symmetric_instance, two_member_instance,
+                                      chain_instance):
+    """Each allocation branch, reached on purpose, is priced bit-identically."""
+    params = MechanismParams(variant=variant)
+    rho = 0.4 if variant == "sbb" else None
+
+    def dev(inst, ki, y):
+        return Message(y, {lid: (0.3, 0.2) for lid in inst.links_of[ki]}, rho)
+
+    # own y = 0 while the rivals demand; singleton groups on one link
+    inst, ki = symmetric_instance, AgentId(1, 1)
+    profile = _fixed_profile(inst, variant, {})
+    _assert_bit_identical(inst, profile, params, ki, [dev(inst, ki, 0.0), dev(inst, ki, 2.0)])
+
+    # all-zero demand: r = 0
+    profile = _fixed_profile(inst, variant, {"1.1": 0.0, "2.1": 0.0})
+    assert allocate(inst, {b: 0.0 for b in inst.agents}).r == 0.0
+    _assert_bit_identical(inst, profile, params, ki, [dev(inst, ki, 0.0)])
+
+    # a lone demanding group offers c / (n + 1); its group-mate deviates
+    inst, ki = two_member_instance, AgentId(1, 2)
+    profile = _fixed_profile(inst, variant, {"1.1": 3.0, "2.1": 0.0})
+    assert allocate(inst, {AgentId(1, 1): 3.0, ki: 1.0, AgentId(2, 1): 0.0}).r == 10.0 / 4.0
+    _assert_bit_identical(inst, profile, params, ki,
+                          [dev(inst, ki, 1.0), dev(inst, ki, 5.0), dev(inst, ki, 0.0)])
+
+    # the deviation moves the binding link: l1 offers 10/(4+y), l2 8/(2+y)
+    inst, ki = chain_instance, AgentId(2, 1)
+    profile = _fixed_profile(inst, variant, {"1.1": 4.0, "3.1": 2.0})
+    binding = []
+    for y in (1.0, 10.0):
+        ys = {AgentId(1, 1): 4.0, ki: y, AgentId(3, 1): 2.0}
+        offers = allocate(inst, ys).r_per_link
+        binding.append(min(offers, key=offers.get))
+    assert binding == ["l1", "l2"]
+    _assert_bit_identical(inst, profile, params, ki, [dev(inst, ki, 1.0), dev(inst, ki, 10.0)])
+
+
+def test_deviation_evaluator_snapshots_the_other_agents(two_member_instance):
+    """The evaluator copies what the other agents fix when it is built:
+    later edits to the profile dict, or to the other agents' Message
+    objects in place, do not change its values; evals counts calls."""
+    inst = two_member_instance
+    rng = np.random.default_rng(4)
+    profile = random_profile(inst, rng, "sbb")
+    ki = AgentId(1, 1)
+    frozen = {b: m.copy() for b, m in profile.items()}
+    ev = DeviationEvaluator(inst, profile, SBB, ki)
+    trials = [random_profile(inst, rng, "sbb")[ki] for _ in range(3)]
+    before = [ev.utility(m) for m in trials]
+    assert ev.evals == 3
+
+    mate, rival = AgentId(1, 2), AgentId(2, 1)
+    profile[mate].y = 9.0
+    profile[mate].q["l1"] = (2.5, 2.5)
+    profile[mate].rho = 1.7
+    profile[rival] = Message(0.0, {"l1": (0.0, 0.0)}, 0.0)
+    del profile[ki]
+    assert [ev.utility(m) for m in trials] == before
+    assert ev.evals == 6
+    for m, u in zip(trials, before):
+        patched = dict(frozen)
+        patched[ki] = m
+        assert u == utilities(inst, patched, SBB)[ki]
 
 
 def test_profile_round_trip_byte_stable(chain_instance):
