@@ -184,9 +184,6 @@ class NetworkInstance:
     def valuation(self, ki: AgentId) -> Valuation:
         return self.valuations[ki]
 
-    def group_size_on(self, k: int, lid: str) -> int:
-        return len(self.members_on_link.get((k, lid), ()))
-
 
 def validate(instance: NetworkInstance) -> ValidationReport:
     """Check the soft assumptions: valuation params, positivity, link sharing.
@@ -221,34 +218,6 @@ def require_valid(instance: NetworkInstance) -> None:
         raise ValidationFailure(
             "; ".join(f"[{c}] {m}" for c, m in report.violations),
             violations=report.violations)
-
-
-def group_link_order(instance: NetworkInstance, k: int, lid: str) -> Tuple[int, ...]:
-    """Members of group k on a link, in the fixed ascending order."""
-    try:
-        return instance.members_on_link[(k, lid)]
-    except KeyError:
-        raise KeyError(f"group {k} does not cross link {lid!r}") from None
-
-
-def successor_on_link(instance: NetworkInstance, ki: AgentId, lid: str) -> AgentId:
-    """Cyclic successor of ki within its group on a link.
-
-    Raises ValueError for a singleton group: there is no distinct neighbour,
-    and callers that rely on the self-cyclic convention must opt in via
-    instance.succ_on_link directly.
-    """
-    order = group_link_order(instance, ki.group, lid)
-    if len(order) == 1:
-        raise ValueError(f"singleton group on link: {ki.label} alone on {lid}")
-    return instance.succ_on_link[(ki, lid)]
-
-
-def predecessor_on_link(instance: NetworkInstance, ki: AgentId, lid: str) -> AgentId:
-    order = group_link_order(instance, ki.group, lid)
-    if len(order) == 1:
-        raise ValueError(f"singleton group on link: {ki.label} alone on {lid}")
-    return instance.pred_on_link[(ki, lid)]
 
 
 def welfare(instance: NetworkInstance, x: Dict[AgentId, float]) -> float:

@@ -37,6 +37,18 @@ def make_instance(caps, agents):
     return NetworkInstance(links, routes, valuations)
 
 
+def batch_shape(seed):
+    """Instance shape for one acceptance batch seed: 2-4 groups of up to 3
+    members on up to six links (so at most 12 agents), with varying route
+    density."""
+    rng = np.random.default_rng(seed)
+    groups = int(rng.integers(2, 5))
+    members = int(rng.integers(1, 4))
+    links = int(rng.integers(1, 7))
+    density = float(rng.uniform(0.5, 1.0))
+    return groups, members, links, density
+
+
 def coherent_quotes(inst, profile, rng):
     """Equilibrium-shaped quotes on top of a profile's demands: each link
     gets one price, split at random among each group's members, and every

@@ -43,7 +43,7 @@ from mcastmech import (
 from mcastmech.errors import SolverError, ValidationFailure
 from mcastmech.mechanism import DeviationEvaluator
 
-from conftest import coherent_quotes
+from conftest import batch_shape, coherent_quotes
 
 WBB = MechanismParams(variant="wbb")
 
@@ -91,21 +91,10 @@ class SeedRecord:
     sbb: VariantRecord
 
 
-def _batch_shape(seed):
-    """Instance shape for one batch seed: 2-4 groups of up to 3 members on
-    up to six links (so at most 12 agents), with varying route density."""
-    rng = np.random.default_rng(seed)
-    groups = int(rng.integers(2, 5))
-    members = int(rng.integers(1, 4))
-    links = int(rng.integers(1, 7))
-    density = float(rng.uniform(0.5, 1.0))
-    return groups, members, links, density
-
-
 def _sample_sharing_instance(seed):
     """Draw instances at derived sub-seeds until one both solves and has at
     least two groups active on every link at the optimum."""
-    groups, members, links, density = _batch_shape(seed)
+    groups, members, links, density = batch_shape(seed)
     for attempt in range(_RESAMPLE_TRIES):
         instance_seed = seed * 1009 + attempt
         try:

@@ -8,6 +8,7 @@ import pytest
 from mcastmech import (
     AgentId,
     PrimalSolution,
+    allocate,
     check_a4,
     constraint_violation,
     kkt_residuals,
@@ -17,6 +18,8 @@ from mcastmech import (
     welfare,
 )
 from mcastmech.errors import SolverError
+
+from conftest import batch_shape
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +116,52 @@ def test_random_instances_solve_to_tolerance():
         report = kkt_residuals(inst, primal, dual.lam, dual.mu)
         assert report.max_residual <= 1e-8, f"seed {seed}"
         assert constraint_violation(inst, primal.x, primal.m) <= 1e-8
+
+
+def _acceptance_draw(instance_seed):
+    """The acceptance batch's draw at an instance seed (batch seed * 1009 +
+    attempt)."""
+    groups, members, links, density = batch_shape(instance_seed // 1009)
+    return random_instance(instance_seed, n_groups=groups, max_group_size=members,
+                           n_links=links, density=density)
+
+
+@pytest.mark.parametrize("instance", [
+    pytest.param(lambda: _acceptance_draw(1009), id="acceptance-1009"),
+    pytest.param(lambda: _acceptance_draw(16144), id="acceptance-16144"),
+    pytest.param(lambda: _acceptance_draw(41369), id="acceptance-41369"),
+    pytest.param(lambda: random_instance(109981, n_groups=8, max_group_size=3, n_links=8),
+                 id="large-109981"),
+    pytest.param(lambda: random_instance(131172, n_groups=12, max_group_size=3, n_links=12),
+                 id="large-131172"),
+])
+def test_degenerate_draws_solve_to_the_residual_floor(instance):
+    # On the first four a primal log-barrier's extracted duals stall: one
+    # link's shadow price is orders of magnitude below another's. On 131172
+    # a starved agent's x >= 0 multiplier holds the residual at 1.8 for
+    # seventeen steps while the gap keeps falling, which must not read as a
+    # stall.
+    inst = instance()
+    primal, dual = solve_cp(inst, tol=1e-9)
+    assert dual.residuals.max_residual <= 1e-12
+    assert check_a4(inst, primal).holds
+
+
+def test_saturated_draw_replays_exactly():
+    # Every dual is below 5e-8 here, so an interior iterate leaves the binding
+    # link slack by gap / lambda; the finishing step must make it bind.
+    inst = _acceptance_draw(32288)
+    primal, dual = solve_cp(inst, tol=1e-9)
+    assert max(dual.lam.values()) < 1e-7
+    alloc = allocate(inst, primal.x)
+    assert abs(alloc.r - 1.0) <= 1e-12
+    assert max(abs(alloc.x[ki] - primal.x[ki]) for ki in inst.agents) <= 1e-12
+
+
+def test_stall_raises_instead_of_returning():
+    # No solve reaches a max residual of 1e-16 in double precision.
+    with pytest.raises(SolverError, match="stalled"):
+        solve_cp(random_instance(1, 3, 2, 2), tol=1e-16)
 
 
 def test_perturbed_multiplier_shows_in_comp_slack(slack_instance, solved_slack):

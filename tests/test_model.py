@@ -18,7 +18,6 @@ from mcastmech import (
     validate,
     welfare,
 )
-from mcastmech.model import group_link_order, predecessor_on_link, successor_on_link
 
 from conftest import make_instance
 
@@ -102,32 +101,20 @@ def sparse_group_instance():
 
 
 def test_group_link_order_ascending(sparse_group_instance):
-    assert group_link_order(sparse_group_instance, 1, "l1") == (2, 5, 9)
+    assert sparse_group_instance.members_on_link[(1, "l1")] == (2, 5, 9)
 
 
 def test_successor_wraps_cyclically(sparse_group_instance):
     inst = sparse_group_instance
-    assert successor_on_link(inst, AgentId(1, 9), "l1") == AgentId(1, 2)
-    assert successor_on_link(inst, AgentId(1, 2), "l1") == AgentId(1, 5)
-    assert predecessor_on_link(inst, AgentId(1, 2), "l1") == AgentId(1, 9)
+    assert inst.succ_on_link[(AgentId(1, 9), "l1")] == AgentId(1, 2)
+    assert inst.succ_on_link[(AgentId(1, 2), "l1")] == AgentId(1, 5)
+    assert inst.pred_on_link[(AgentId(1, 2), "l1")] == AgentId(1, 9)
 
 
 def test_two_member_wraparound(two_member_instance):
     inst = two_member_instance
-    assert predecessor_on_link(inst, AgentId(1, 1), "l1") == AgentId(1, 2)
-    assert successor_on_link(inst, AgentId(1, 2), "l1") == AgentId(1, 1)
-
-
-def test_singleton_group_neighbor_query_raises(sparse_group_instance):
-    with pytest.raises(ValueError):
-        successor_on_link(sparse_group_instance, AgentId(2, 7), "l1")
-    with pytest.raises(ValueError):
-        predecessor_on_link(sparse_group_instance, AgentId(2, 7), "l1")
-
-
-def test_group_link_order_unknown_pair(sparse_group_instance):
-    with pytest.raises(KeyError):
-        group_link_order(sparse_group_instance, 3, "l1")
+    assert inst.pred_on_link[(AgentId(1, 1), "l1")] == AgentId(1, 2)
+    assert inst.succ_on_link[(AgentId(1, 2), "l1")] == AgentId(1, 1)
 
 
 # ---------------------------------------------------------------------------
