@@ -9,7 +9,7 @@ The package exposes three layers:
   dual certificate and KKT residual report;
 * :mod:`mcastmech.mechanism` / :mod:`mcastmech.equilibrium` — message
   spaces, allocation and tax maps for the two budget variants, candidate
-  equilibrium construction, deviation search, dynamics, and the lemma and
+  equilibrium construction, exact best responses, dynamics, and the lemma and
   curvature checks.
 """
 
@@ -34,6 +34,7 @@ from .equilibrium import (BestResponseResult, CandidateNE,
                           CertificationReport, CurvatureReport,
                           DynamicsResult, LemmaReport, best_response,
                           br_dynamics, certify_ne, construct_ne,
+                          exact_best_response,
                           curvature_check, default_epsilon, lemma_suite,
                           tune_params, utility_y_slope)
 
@@ -56,7 +57,8 @@ __all__ = [
     "outcome_to_json",
     "CandidateNE", "BestResponseResult", "CertificationReport",
     "LemmaReport", "CurvatureReport", "DynamicsResult",
-    "construct_ne", "best_response", "certify_ne", "br_dynamics",
+    "construct_ne", "best_response", "exact_best_response", "certify_ne",
+    "br_dynamics",
     "lemma_suite", "curvature_check", "tune_params", "default_epsilon",
     "utility_y_slope",
     "MechError", "InstanceFormatError", "ValidationFailure",

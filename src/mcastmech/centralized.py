@@ -268,8 +268,7 @@ def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
         thresh = RATE_ATOL * instance.capacity[lid]
         count = 0
         for k in instance.groups_on_link[lid]:
-            if any(primal.x[AgentId(k, i)] > thresh
-                   for i in instance.members_on_link[(k, lid)]):
+            if any(primal.x[b] > thresh for b in instance.member_agents_on_link[(k, lid)]):
                 count += 1
         sizes[lid] = count
     return A4Report(sizes, all(c >= 2 for c in sizes.values()))
@@ -311,8 +310,7 @@ def kkt_residuals(instance: NetworkInstance, primal: PrimalSolution,
             stat = max(stat, resid)  # only overpricing is allowed at zero
     for lid in instance.link_ids:
         for k in instance.groups_on_link[lid]:
-            total = sum(mu[(AgentId(k, i), lid)]
-                        for i in instance.members_on_link[(k, lid)])
+            total = sum(mu[(b, lid)] for b in instance.member_agents_on_link[(k, lid)])
             stat = max(stat, abs(lam[lid] - total))
     a4 = check_a4(instance, primal)
     return KKTReport(primal_feas, dual_feas, comp, stat, a4.holds, a4.s_sizes)

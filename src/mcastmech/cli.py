@@ -401,9 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certification threshold (default 1e-6 * max "
                             "valuation at the optimum)")
         p.add_argument("--budget", type=int, default=1000,
-                       help="utility evaluations per agent search")
-        p.add_argument("--restarts", type=int, default=8)
-        p.add_argument("--seed", type=int, default=0)
+                       help="cap on utility evaluations per agent best response")
+        p.add_argument("--restarts", type=int, default=8,
+                       help="recorded in the reports; no longer steers anything")
+        p.add_argument("--seed", type=int, default=0,
+                       help="recorded in the reports; no longer steers anything")
 
     p_solve = sub.add_parser("solve", help="welfare optimum + dual certificate")
     common(p_solve)
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify",
                             help="construct the candidate equilibrium and "
-                                 "search for profitable deviations")
+                                 "compute every agent's best response")
     p_cert.add_argument("--instance", help="instance JSON file")
     p_cert.add_argument("--seeds", help="sweep seeds: '7', '1..50', or '1,4,9'")
     p_cert.add_argument("--tol", type=_positive("tol"), default=DEFAULT_TOL)

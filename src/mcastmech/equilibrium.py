@@ -8,22 +8,25 @@ estimate equals the realized scale. With at least two groups demanding on
 every link the realized scale is 1, so the mechanism reproduces the
 welfare-optimal rates exactly.
 
-Certification is search based and derivative free: per agent, multi-start
-coordinate descent with golden-section line searches (plus one-sided
-probes in the demand coordinate, whose slope is only piecewise defined)
-hunts for a profitable unilateral deviation within an evaluation budget.
-The candidate is an epsilon equilibrium when no search beats epsilon.
+Certification computes each agent's best response. For a fixed own demand
+the allocation is fixed and the best quotes and rho are closed forms, so
+the best response is a one-dimensional maximum over the demand, whose
+kinks are known in closed form: a log grid through them plus golden
+section on the best local maxima finds it. The candidate is an epsilon
+equilibrium when no agent's best response gains more than epsilon (Kakhbod
+and Teneketzis, IEEE JSAC 30(11), 2012, build their multicast game form
+on the same separation of the deviation).
 
 The agents share a read-only profile during certification, so per-agent
-searches are independent; this module runs them sequentially and leaves
-process-level parallelism to sweep drivers.
+best responses are independent; this module runs them sequentially and
+leaves process-level parallelism to sweep drivers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +34,8 @@ from .centralized import DualCertificate, PrimalSolution, check_a4
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
 from .mechanism import (DeviationEvaluator, MechanismParams, Message, Profile,
                         VARIANT_SBB, allocate, allocation_slopes, evaluate,
-                        group_prices, _price_factor, utilities, zero_message)
+                        group_prices, _price_factor, utilities)
 from .model import AgentId, NetworkInstance, RATE_ATOL, constraint_violation
-
-GAIN_REL_TOL = 1e-14  # a move must beat this (relative) to count as improvement
 
 
 @dataclass
@@ -185,205 +186,113 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
 
 
 # ---------------------------------------------------------------------------
-# Best response search
-
-_COORD_Y = "y"
-_COORD_Q1 = "q1"
-_COORD_Q2 = "q2"
-_COORD_RHO = "rho"
-
-
-def _coords_for(instance: NetworkInstance, ki: AgentId, variant: str):
-    coords = [(_COORD_Y, None)]
-    for lid in instance.links_of[ki]:
-        coords.append((_COORD_Q1, lid))
-    for lid in instance.links_of[ki]:
-        if len(instance.members_on_link[(ki.group, lid)]) >= 2:
-            coords.append((_COORD_Q2, lid))
-    if variant == VARIANT_SBB:
-        coords.append((_COORD_RHO, None))
-    return coords
-
-
-def _get(msg: Message, coord) -> float:
-    kind, lid = coord
-    if kind == _COORD_Y:
-        return msg.y
-    if kind == _COORD_RHO:
-        return msg.rho
-    q1, q2 = msg.q[lid]
-    return q1 if kind == _COORD_Q1 else q2
-
-
-def _set(msg: Message, coord, value: float) -> None:
-    kind, lid = coord
-    if kind == _COORD_Y:
-        msg.y = value
-    elif kind == _COORD_RHO:
-        msg.rho = value
-    else:
-        q1, q2 = msg.q[lid]
-        msg.q[lid] = (value, q2) if kind == _COORD_Q1 else (q1, value)
-
-
-def _coord_scales(instance: NetworkInstance, profile: Profile, ki: AgentId,
-                  variant: str) -> Dict[Tuple[str, Optional[str]], float]:
-    val = instance.valuation(ki)
-    w, w_bar = group_prices(instance, profile)
-    y_cap = max(instance.capacity[lid] / instance.alpha[(ki, lid)]
-                for lid in instance.links_of[ki])
-    scales = {(_COORD_Y, None): max(1.0, y_cap)}
-    for lid in instance.links_of[ki]:
-        q_ref = max(1.0, val.deriv(0.0), 2.0 * w_bar[(ki.group, lid)])
-        scales[(_COORD_Q1, lid)] = q_ref
-        scales[(_COORD_Q2, lid)] = q_ref
-    if variant == VARIANT_SBB:
-        y = {b: profile[b].y for b in instance.agents}
-        scales[(_COORD_RHO, None)] = max(1.0, 2.0 * allocate(instance, y).r)
-    return scales
-
+# Best response
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 40  # log-spaced demands across the scales of g, 1e3 beyond each end
+_TAIL = (1e3, 1e6, 1e9, 1e12)  # sparse demands beyond both ends, where g is monotone
+_REFINE = 3  # best local maxima of the samples refined by golden section
+_WIDTH_TOL = 1e-8  # relative bracket width at which golden section stops
 
 
-def _line_search(ev: DeviationEvaluator, msg: Message, coord, f_cur: float,
-                 scale: float, budget: int) -> Tuple[float, float]:
-    """Maximize utility along one coordinate. Returns (best_value, best_theta).
+def _demand_grid(y0: float, kinks: List[float], knees: List[float]) -> List[float]:
+    """Sorted demands at which g is sampled: 0, the incumbent y0, the
+    kinks, a log grid across the scales (knees, kinks, y0) and sparse
+    tails out to 1e15 times past them (x is then saturated to a share
+    1e-15 on every route link). Points closer than rounding noise in g
+    would fake local maxima, so each cluster keeps one (y0 if in it)."""
+    scales = [*knees, *kinks] + ([y0] if y0 > 0.0 else [])
+    lo = max(min(scales) / 1e3, 1e-300)
+    hi = max(min(max(scales) * 1e3, 1e300), lo)
+    step = (hi / lo) ** (1.0 / (_GRID_POINTS - 1))
+    points = {0.0, y0, *kinks, *(lo * step ** j for j in range(_GRID_POINTS))}
+    points.update(p for t in _TAIL for p in (lo / t, hi * t))
+    grid: List[float] = []
+    for y in sorted(p for p in points if p <= 1e300):
+        if grid and y - grid[-1] <= 1e-9 * y:
+            if y == y0:
+                grid[-1] = y
+            continue
+        grid.append(y)
+    return grid
 
-    A coarse scan (with one-sided probes around the incumbent to respect
-    piecewise-defined slopes) brackets the optimum, then golden-section
-    narrows it. Never exceeds the evaluation budget."""
-    theta0 = _get(msg, coord)
-    best_t, best_f = theta0, f_cur
 
-    def probe(theta: float) -> float:
-        nonlocal best_t, best_f
-        trial = msg.copy()
-        _set(trial, coord, theta)
-        v = ev.utility(trial)
-        if v > best_f:
-            best_t, best_f = theta, v
+def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId,
+                        params: MechanismParams, budget: int = 1000
+                        ) -> BestResponseResult:
+    """Agent ki's best response to the rest of the profile.
+
+    For a fixed own demand y the best quotes and rho are closed forms
+    (DeviationEvaluator.best_message), so the best response maximizes
+    g(y), the utility of the best message at demand y. g is smooth except
+    at y = 0 and at the kinks of the allocation, all known in closed form
+    (DeviationEvaluator.demand_kinks). g is sampled at those points, at
+    the incumbent demand and on a log grid (_demand_grid); the best local
+    maxima of the samples are refined by golden section. Every value is a
+    DeviationEvaluator.utility call, and `budget` caps their number. The
+    incumbent message is one of the candidates, so the gain is never
+    negative."""
+    if budget <= 0:
+        raise ValueError(f"evaluation budget must be positive, got {budget}")
+    ev = DeviationEvaluator(instance, profile, params, ki)
+    current = profile[ki].copy()
+    base = ev.utility(current)
+    best = [base, current]
+
+    def g(y: float) -> float:
+        msg = ev.best_message(y, current)
+        v = ev.utility(msg)
+        if v > best[0]:
+            best[:] = [v, msg]
         return v
 
-    hi = max(2.0 * theta0, scale)
-    eps_probe = 1e-7 * max(1.0, abs(theta0))
-    pts = {0.0, theta0 + eps_probe}
-    if theta0 - eps_probe > 0.0:
-        pts.add(theta0 - eps_probe)
-    pts.update(theta0 + (hi - theta0) * j / 7.0 for j in range(1, 8))
-    pts.update(theta0 * j / 3.0 for j in range(1, 3))
-    grid = sorted(pts)
-    vals = {}
-    for t in grid:
-        if ev.evals >= budget:
-            return best_f, best_t
-        vals[t] = probe(t)
-    # expand upward while the right edge keeps winning
-    for _ in range(3):
-        top = max(vals, key=vals.get)
-        if top != grid[-1] or ev.evals >= budget:
+    grid = _demand_grid(current.y, *ev.demand_kinks())[:max(0, budget - ev.evals)]
+    vals = [g(y) for y in grid]
+    peaks = [j for j in range(1, len(grid)) if vals[j] >= vals[j - 1]
+             and (j + 1 == len(grid) or vals[j] >= vals[j + 1])]
+    for j in sorted(peaks, key=lambda j: -vals[j])[:_REFINE]:
+        a, b = grid[j - 1], grid[min(j + 1, len(grid) - 1)]
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        if ev.evals + 2 > budget:
             break
-        nxt = grid[-1] * 2.0 + scale
-        vals[nxt] = probe(nxt)
-        grid.append(nxt)
-    top = max(vals, key=vals.get)
-    pos = grid.index(top)
-    lo = grid[pos - 1] if pos > 0 else top
-    hi = grid[pos + 1] if pos + 1 < len(grid) else top
-    if hi <= lo:
-        return best_f, best_t
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = probe(c) if ev.evals < budget else None
-    fd = probe(d) if ev.evals < budget else None
-    width_tol = 1e-10 * max(1.0, abs(b))
-    while fc is not None and fd is not None and (b - a) > width_tol:
-        if ev.evals >= budget:
-            break
-        if fc >= fd:
-            b, d = d, c
-            fd = fc
-            c = b - _GOLDEN * (b - a)
-            fc = probe(c)
-        else:
-            a, c = c, d
-            fc = fd
-            d = a + _GOLDEN * (b - a)
-            fd = probe(d)
-    return best_f, best_t
-
-
-def _descend(ev: DeviationEvaluator, start: Message, coords, scales,
-             budget: int, max_sweeps: int = 10) -> Tuple[Message, float]:
-    msg = start.copy()
-    if ev.evals >= budget:
-        return msg, -math.inf
-    cur = ev.utility(msg)
-    for _ in range(max_sweeps):
-        improved = False
-        for coord in coords:
-            if ev.evals >= budget:
-                return msg, cur
-            theta0 = _get(msg, coord)
-            scale = max(scales[coord], 2.0 * theta0)
-            val, theta = _line_search(ev, msg, coord, cur, scale, budget)
-            if val > cur + GAIN_REL_TOL * (1.0 + abs(cur)):
-                _set(msg, coord, theta)
-                cur = val
-                improved = True
-        if not improved:
-            break
-    return msg, cur
+        fc, fd = g(c), g(d)
+        while b - a > _WIDTH_TOL * b and ev.evals < budget:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = g(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = g(d)
+    best_val, best_msg = best
+    return BestResponseResult(best_msg, best_val - base, ev.evals, base, best_val)
 
 
 def best_response(instance: NetworkInstance, profile: Profile, ki: AgentId,
                   params: MechanismParams, budget: int = 1000,
                   restarts: int = 8, seed: int = 0) -> BestResponseResult:
-    """Multi-start coordinate-descent search for a profitable deviation."""
-    if budget <= 0:
-        raise ValueError(f"search budget must be positive, got {budget}")
-    ev = DeviationEvaluator(instance, profile, params, ki)
-    current = profile[ki].copy()
-    base = ev.utility(current)
-    coords = _coords_for(instance, ki, params.variant)
-    scales = _coord_scales(instance, profile, ki, params.variant)
-    rng = np.random.default_rng(seed)
-    starts: List[Message] = [current.copy(), zero_message(instance, ki, params.variant)]
-    while len(starts) < max(restarts, 2):
-        y = float(rng.uniform(0.0, scales[(_COORD_Y, None)]))
-        q = {lid: (float(rng.uniform(0.0, scales[(_COORD_Q1, lid)])),
-                   float(rng.uniform(0.0, scales[(_COORD_Q2, lid)])))
-             for lid in instance.links_of[ki]}
-        rho = None
-        if params.variant == VARIANT_SBB:
-            rho = float(rng.uniform(0.0, scales[(_COORD_RHO, None)]))
-        starts.append(Message(y, q, rho))
-
-    best_msg, best_val = current.copy(), base
-    for start in starts:
-        if ev.evals >= budget:
-            break
-        msg, val = _descend(ev, start, coords, scales, budget)
-        if val > best_val:
-            best_msg, best_val = msg, val
-    return BestResponseResult(best_msg, best_val - base, ev.evals, base, best_val)
+    """exact_best_response under its earlier signature: `restarts` and
+    `seed` are accepted and no longer steer anything."""
+    return exact_best_response(instance, profile, ki, params, budget)
 
 
 def certify_ne(instance: NetworkInstance, candidate: CandidateNE, epsilon: float,
                budget: int = 1000, restarts: int = 8, seed: int = 0
                ) -> CertificationReport:
-    """Epsilon-equilibrium check: no agent's search may gain more than epsilon.
+    """Epsilon-equilibrium check: no agent's best response may gain more
+    than epsilon over its candidate message.
 
-    Deterministic given the seed (per-agent sub-seeds are derived from it).
-    """
+    Each gain is exact_best_response's, so the verdict rests on a maximum
+    of the deviation gain, not on a search that found nothing. `budget`
+    caps the utility evaluations per agent; `restarts` and `seed` are
+    recorded in the report and no longer steer anything."""
     gains: Dict[AgentId, float] = {}
     evals: Dict[AgentId, int] = {}
     deviations: Dict[AgentId, Message] = {}
-    for j, ki in enumerate(instance.agents):
-        br = best_response(instance, candidate.profile, ki, candidate.params,
-                           budget=budget, restarts=restarts,
-                           seed=seed * 100003 + j)
+    for ki in instance.agents:
+        br = exact_best_response(instance, candidate.profile, ki, candidate.params,
+                                 budget)
         gains[ki] = br.gain
         evals[ki] = br.evals
         deviations[ki] = br.message
@@ -402,10 +311,11 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
                 ) -> DynamicsResult:
     """Iterated best response; convergence is observed, never presumed.
 
-    One row per (round, agent) records demand, rate, tax, and the round's
-    search gain; the feasible flag certifies the shared constraints after
-    the round's updates (the allocation map keeps it true by construction).
-    """
+    Each update is exact_best_response with `budget` evaluations; `restarts`
+    and `seed` are accepted and no longer steer anything. One row per
+    (round, agent) records demand, rate, tax, and the round's best-response
+    gain; the feasible flag certifies the shared constraints after the
+    round's updates (the allocation map keeps it true by construction)."""
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     if schedule not in ("gauss-seidel", "jacobi"):
@@ -419,16 +329,14 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
         round_gains: Dict[AgentId, float] = {}
         if schedule == "jacobi":
             responses = {}
-            for j, ki in enumerate(instance.agents):
-                br = best_response(instance, profile, ki, params, budget=budget,
-                                   restarts=restarts, seed=seed * 7919 + rnd * 131 + j)
+            for ki in instance.agents:
+                br = exact_best_response(instance, profile, ki, params, budget)
                 round_gains[ki] = br.gain
                 responses[ki] = br.message if br.gain > 0.0 else profile[ki]
             profile = {ki: responses[ki].copy() for ki in instance.agents}
         else:
-            for j, ki in enumerate(instance.agents):
-                br = best_response(instance, profile, ki, params, budget=budget,
-                                   restarts=restarts, seed=seed * 7919 + rnd * 131 + j)
+            for ki in instance.agents:
+                br = exact_best_response(instance, profile, ki, params, budget)
                 round_gains[ki] = br.gain
                 if br.gain > 0.0:
                     profile[ki] = br.message.copy()
@@ -504,6 +412,45 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
 
 # ---------------------------------------------------------------------------
 # Local curvature (finite-difference Hessians of own utility)
+
+_COORD_Y = "y"
+_COORD_Q1 = "q1"
+_COORD_Q2 = "q2"
+_COORD_RHO = "rho"
+
+
+def _coords_for(instance: NetworkInstance, ki: AgentId, variant: str):
+    coords = [(_COORD_Y, None)]
+    for lid in instance.links_of[ki]:
+        coords.append((_COORD_Q1, lid))
+    for lid in instance.links_of[ki]:
+        if len(instance.members_on_link[(ki.group, lid)]) >= 2:
+            coords.append((_COORD_Q2, lid))
+    if variant == VARIANT_SBB:
+        coords.append((_COORD_RHO, None))
+    return coords
+
+
+def _get(msg: Message, coord) -> float:
+    kind, lid = coord
+    if kind == _COORD_Y:
+        return msg.y
+    if kind == _COORD_RHO:
+        return msg.rho
+    q1, q2 = msg.q[lid]
+    return q1 if kind == _COORD_Q1 else q2
+
+
+def _set(msg: Message, coord, value: float) -> None:
+    kind, lid = coord
+    if kind == _COORD_Y:
+        msg.y = value
+    elif kind == _COORD_RHO:
+        msg.rho = value
+    else:
+        q1, q2 = msg.q[lid]
+        msg.q[lid] = (value, q2) if kind == _COORD_Q1 else (q1, value)
+
 
 def _displaced(msg: Message, deltas) -> Message:
     out = msg.copy()
@@ -668,7 +615,7 @@ def tune_params(instance: NetworkInstance, primal: PrimalSolution,
 
 
 # ---------------------------------------------------------------------------
-# Analytic demand slope of own utility (for cross-checking the search)
+# Analytic demand slope of own utility (cross-checked by finite differences)
 
 def utility_y_slope(instance: NetworkInstance, profile: Profile,
                     params: MechanismParams, ki: AgentId, side: int

@@ -152,11 +152,10 @@ def group_maxima(instance: NetworkInstance, y: Dict[AgentId, float]):
     """Weighted per-(group, link) peaks and the demanding-group sets."""
     peaks: Dict[Tuple[int, str], float] = {}
     active: Dict[str, set] = {lid: set() for lid in instance.link_ids}
-    for (k, lid), members in instance.members_on_link.items():
+    for (k, lid), members in instance.member_agents_on_link.items():
         best = 0.0
         demanding = False
-        for i in members:
-            ki = AgentId(k, i)
+        for ki in members:
             yv = y[ki]
             if yv > 0.0:
                 demanding = True
@@ -206,8 +205,8 @@ def allocate(instance: NetworkInstance, y: Dict[AgentId, float]) -> AllocationRe
 def group_prices(instance: NetworkInstance, profile: Profile):
     """Group price sums w and leave-one-group-out means w_bar, per link."""
     w: Dict[Tuple[int, str], float] = {}
-    for (k, lid), members in instance.members_on_link.items():
-        w[(k, lid)] = sum(profile[AgentId(k, i)].q[lid][0] for i in members)
+    for (k, lid), members in instance.member_agents_on_link.items():
+        w[(k, lid)] = sum(profile[b].q[lid][0] for b in members)
     w_bar: Dict[Tuple[int, str], float] = {}
     for lid in instance.link_ids:
         groups = instance.groups_on_link[lid]
@@ -234,21 +233,20 @@ def _price_factor(instance: NetworkInstance, profile: Profile,
     return w_bar[(ki.group, lid)]
 
 
-def _pool_total(entries) -> float:
-    """Sum of a link's rebate-pool entries, added in agent order."""
-    total = 0.0
-    for c in entries:
-        total += c
-    return total
-
-
-def _rebate_pool(instance: NetworkInstance, profile: Profile, lid: str):
+def _rebate_pool(instance: NetworkInstance, profile: Profile, lid: str) -> Dict[AgentId, float]:
     """Per-link SBB rebate pool: each agent's self-quoted payment
-    alpha * q1 * y, and their sum. An agent's rebate is the sum minus its
-    own entry, so it depends only on the other agents' messages."""
-    contrib = {b: instance.alpha[(b, lid)] * profile[b].q[lid][0] * profile[b].y
-               for b in instance.agents_on_link[lid]}
-    return contrib, _pool_total(contrib.values())
+    alpha * q1 * y. Returns, per agent on the link, the sum of the other
+    agents' entries: the entries before it added in agent order plus those
+    after it added in reverse. The agent's own entry never enters, so its
+    rebate is independent of its own messages bit for bit (the pool total
+    minus its entry would carry a rounding error of the size of that entry)."""
+    agents = instance.agents_on_link[lid]
+    entries = [instance.alpha[(b, lid)] * profile[b].q[lid][0] * profile[b].y for b in agents]
+    before, after = [0.0] * len(entries), [0.0] * len(entries)
+    for j in range(1, len(entries)):
+        before[j] = before[j - 1] + entries[j - 1]
+        after[-j - 1] = after[-j] + entries[-j]
+    return {b: before[j] + after[j] for j, b in enumerate(agents)}
 
 
 def _link_slots(params: MechanismParams, a: float, y: float, x: float, r: float,
@@ -275,7 +273,7 @@ def _link_slots(params: MechanismParams, a: float, y: float, x: float, r: float,
 def agent_tax(instance: NetworkInstance, profile: Profile, params: MechanismParams,
               ki: AgentId, alloc: AllocationResult, w, w_bar,
               m_sum: Dict[str, float], rho_bar_ki: Optional[float],
-              pools: Dict[str, Tuple[Dict[AgentId, float], float]]) -> TaxBreakdown:
+              pools: Dict[str, Dict[AgentId, float]]) -> TaxBreakdown:
     k = ki.group
     msg = profile[ki]
     y, x, r = msg.y, alloc.x[ki], alloc.r
@@ -291,9 +289,8 @@ def agent_tax(instance: NetworkInstance, profile: Profile, params: MechanismPara
             q1_succ = profile[instance.succ_on_link[(ki, lid)]].q[lid][0]
         n_l = others_pay = 0
         if rho_bar_ki is not None:
-            contrib, pool_total = pools[lid]
             n_l = len(instance.agents_on_link[lid])
-            others_pay = pool_total - contrib[ki]
+            others_pay = pools[lid][ki]
         slots = _link_slots(params, instance.alpha[(ki, lid)], y, x, r, q1, q2, pf, q1_succ,
                             alloc.m[(k, lid)], w[(k, lid)], wb,
                             instance.capacity[lid] - m_sum[lid], rho_bar_ki, n_l, others_pay)
@@ -361,24 +358,27 @@ def utilities(instance: NetworkInstance, profile: Profile,
 class _RouteLink:
     """What the other agents fix on one link of the deviator's route.
 
-    The lists hold one entry per group (peaks, ws), per group member
-    (q1s) or per agent on the link (pays), in the order evaluate() sums
-    them; the deviator's slot (gpos, mpos, apos) is rewritten on every
-    evaluation and the others are never touched."""
+    The lists hold one entry per group (peaks, ws) or per group member
+    (q1s), in the order evaluate() sums them; the deviator's slot (gpos,
+    mpos) is rewritten on every evaluation and the others are never
+    touched. s_mates is the sum of the group-mates' first quotes, wb the
+    rival groups' mean price and others_pay the other agents' entries in
+    the SBB rebate pool."""
 
     __slots__ = ("lid", "a", "capacity", "peak_mates", "mates_demand",
                  "others_demanding", "peaks", "gpos", "q1s", "mpos", "ws",
-                 "n_rivals", "pred_q2", "q1_succ", "pays", "apos", "n_l")
+                 "n_rivals", "pred_q2", "q1_succ", "others_pay", "n_l",
+                 "s_mates", "wb")
 
     def __init__(self, instance: NetworkInstance, profile: Profile, ki: AgentId,
                  lid: str, peaks, active, w, sbb: bool):
         k = ki.group
         groups = instance.groups_on_link[lid]
-        members = instance.members_on_link[(k, lid)]
+        members = instance.member_agents_on_link[(k, lid)]
         self.lid = lid
         self.a = instance.alpha[(ki, lid)]
         self.capacity = instance.capacity[lid]
-        mates = [AgentId(k, i) for i in members if i != ki.member]
+        mates = [b for b in members if b != ki]
         self.peak_mates = 0.0
         for b in mates:
             v = instance.alpha[(b, lid)] * profile[b].y
@@ -388,19 +388,18 @@ class _RouteLink:
         self.others_demanding = len(active[lid] - {k})
         self.peaks = [peaks[(g, lid)] for g in groups]
         self.gpos = groups.index(k)
-        self.q1s = [profile[AgentId(k, i)].q[lid][0] for i in members]
-        self.mpos = members.index(ki.member)
+        self.q1s = [profile[b].q[lid][0] for b in members]
+        self.mpos = members.index(ki)
+        self.s_mates = sum(profile[b].q[lid][0] for b in mates)
         self.ws = [w[(g, lid)] for g in groups]
         self.n_rivals = len(groups) - 1
+        self.wb = sum(w[(g, lid)] for g in groups if g != k) / self.n_rivals
         self.pred_q2 = self.q1_succ = None
         if mates:
             self.pred_q2 = profile[instance.pred_on_link[(ki, lid)]].q[lid][1]
             self.q1_succ = profile[instance.succ_on_link[(ki, lid)]].q[lid][0]
         self.n_l = len(instance.agents_on_link[lid])
-        self.pays = self.apos = None
-        if sbb:
-            self.pays = list(_rebate_pool(instance, profile, lid)[0].values())
-            self.apos = instance.agents_on_link[lid].index(ki)
+        self.others_pay = _rebate_pool(instance, profile, lid)[ki] if sbb else 0.0
 
 
 class DeviationEvaluator:
@@ -411,7 +410,8 @@ class DeviationEvaluator:
     the smallest finite offer among links off ki's route and, per route
     link, the other groups' peaks and price sums, the group-mates' peaks,
     first quotes and demands, the predecessor's second and the successor's
-    first quote, and under SBB the others' rebate-pool entries and rhos.
+    first quote, and under SBB the sum of the others' rebate-pool entries
+    and the others' rhos.
     Later edits to the profile dict or to the other agents' Message objects
     do not reach the evaluator. utility(msg) re-prices only ki's route
     links, in the operation order of evaluate(), so it equals
@@ -438,9 +438,9 @@ class DeviationEvaluator:
             self._rhos = [profile[b].rho for b in instance.agents]
             self._rho_pos = instance.agents.index(ki)
 
-    def utility(self, msg: Message) -> float:
-        self.evals += 1
-        y = msg.y
+    def _scale(self, y: float) -> float:
+        """The realized scale when ki demands y; leaves ki's group peak in
+        each route link's peaks."""
         r = self._r_off
         for L in self._route:
             peak = L.peak_mates
@@ -454,6 +454,12 @@ class DeviationEvaluator:
                 r = offer
         if r == NO_BOUND:
             r = 0.0  # all-zero demand collapses to x = 0
+        return r
+
+    def utility(self, msg: Message) -> float:
+        self.evals += 1
+        y = msg.y
+        r = self._scale(y)
         x = r * y
         rho_bar = None
         rhos = self._rhos
@@ -467,21 +473,69 @@ class DeviationEvaluator:
             wk = sum(L.q1s)
             L.ws[L.gpos] = wk
             wb = (sum(L.ws) - wk) / L.n_rivals
-            others_pay = 0.0
-            if rhos is not None:
-                own_pay = L.a * q1 * y
-                L.pays[L.apos] = own_pay
-                others_pay = _pool_total(L.pays) - own_pay
             t1, t2, t3, t4, t5, t6 = _link_slots(
                 self.params, L.a, y, x, r, q1, q2,
                 wb if L.pred_q2 is None else L.pred_q2, L.q1_succ,
                 r * L.peaks[L.gpos], wk, wb,
                 L.capacity - sum([r * p for p in L.peaks]),
-                rho_bar, L.n_l, others_pay)
+                rho_bar, L.n_l, L.others_pay)
             total += t1 + t2 + t3 + t4 + t5 + t6
         if rhos is not None:
             total += self.params.zeta * (msg.rho - r) ** 2
         return self._value(x) - total
+
+    def best_message(self, y: float, msg: Message) -> Message:
+        """ki's best message among those that demand y.
+
+        A fixed demand fixes r, x, m and the slack, and the tax slots then
+        separate by message: slots 1 and 6 hold no quote or rho of ki, q2
+        enters only slot 2 (best: the successor's first quote), rho only
+        the consensus term (best: r), and q1 on each link only slots 3-5, a
+        convex quadratic with curvature 2 whose minimum over q1 >= 0 is
+        max(0, wb - s_mates - (eta*pf*(m_k - a*x) + xi*wb*slack) / 2).
+        A q2 that enters no slot (ki alone in its group) is copied from msg."""
+        r = self._scale(y)
+        x = r * y
+        eta, xi = self.params.eta, self.params.xi
+        q = {}
+        for L in self._route:
+            pf = L.wb if L.pred_q2 is None else L.pred_q2
+            gap = r * L.peaks[L.gpos] - L.a * x
+            slack = L.capacity - sum([r * p for p in L.peaks])
+            q1 = max(0.0, L.wb - L.s_mates - 0.5 * (eta * pf * gap + xi * L.wb * slack))
+            q[L.lid] = (q1, msg.q[L.lid][1] if L.q1_succ is None else L.q1_succ)
+        return Message(y, q, None if self._rhos is None else r)
+
+    def demand_kinks(self) -> Tuple[List[float], List[float]]:
+        """Where ki's own demand bends the allocation, and where it saturates.
+
+        For y > 0, route link l offers c / (B + max(pm, a*y)): pm is the
+        group-mates' peak and B the other groups' peaks, plus 1 when no
+        other group demands there (the lone-group offer). r is the smallest
+        offer (and the offer off the route). Returns the kinks of r and of
+        the group peaks in y > 0 (pm/a, and the demands where two offers
+        cross at the minimum), and per route link the knee B/a: x = r*y
+        lies within a share B/(B + a*y) of its limit c/a on that link."""
+        forms = [] if self._r_off == NO_BOUND else [(self._r_off, 1.0, 0.0)]
+        kinks, knees = [], []
+        for L in self._route:
+            base = sum(p for j, p in enumerate(L.peaks) if j != L.gpos) \
+                + (L.others_demanding == 0)
+            knees.append(base / L.a)
+            forms.append((L.capacity, base, L.a))  # own peak a*y
+            if L.peak_mates > 0.0:
+                kinks.append(L.peak_mates / L.a)
+                forms.append((L.capacity, base + L.peak_mates, 0.0))  # mates' peak
+        for i, (c1, p1, a1) in enumerate(forms):
+            for c2, p2, a2 in forms[:i]:
+                den = c1 * a2 - c2 * a1
+                y = (c2 * p1 - c1 * p2) / den if den else 0.0
+                if not 0.0 < y < math.inf:
+                    continue
+                r = min(c / (p + a * y) for c, p, a in forms)
+                if max(c1 / (p1 + a1 * y), c2 / (p2 + a2 * y)) <= r * (1.0 + 1e-9):
+                    kinks.append(y)
+        return kinks, knees
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +576,7 @@ def allocation_slopes(instance: NetworkInstance, y: Dict[AgentId, float],
     peak_others = {}
     for lid in route:
         best = 0.0
-        for i in instance.members_on_link[(k, lid)]:
-            b = AgentId(k, i)
+        for b in instance.member_agents_on_link[(k, lid)]:
             if b == ki:
                 continue
             v = instance.alpha[(b, lid)] * y[b]
@@ -546,8 +599,7 @@ def allocation_slopes(instance: NetworkInstance, y: Dict[AgentId, float],
     for lid in route:
         others_demanding = set(active[lid])
         group_others_demand = any(
-            y[AgentId(k, i)] > 0.0
-            for i in instance.members_on_link[(k, lid)] if AgentId(k, i) != ki)
+            y[b] > 0.0 for b in instance.member_agents_on_link[(k, lid)] if b != ki)
         own_side_active = group_others_demand or (y[ki] > 0.0) or side == +1
         side_set = set(a for a in others_demanding if a != k)
         if own_side_active:

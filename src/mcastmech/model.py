@@ -162,24 +162,26 @@ class NetworkInstance:
                 members.setdefault((ki.group, lid), []).append(ki.member)
         self.members_on_link: Dict[Tuple[int, str], Tuple[int, ...]] = {
             key: tuple(sorted(v)) for key, v in members.items()}
+        # The same members as AgentIds, so hot loops need not build them.
+        self.member_agents_on_link: Dict[Tuple[int, str], Tuple[AgentId, ...]] = {
+            (k, lid): tuple(AgentId(k, i) for i in mem)
+            for (k, lid), mem in self.members_on_link.items()}
         self.groups_on_link: Dict[str, Tuple[int, ...]] = {
             lid: tuple(sorted({k for (k, l2) in self.members_on_link if l2 == lid}))
             for lid in self.link_ids}
         self.agents_on_link: Dict[str, Tuple[AgentId, ...]] = {
-            lid: tuple(AgentId(k, i)
-                       for k in self.groups_on_link[lid]
-                       for i in self.members_on_link[(k, lid)])
+            lid: tuple(b for k in self.groups_on_link[lid]
+                       for b in self.member_agents_on_link[(k, lid)])
             for lid in self.link_ids}
 
         # Cyclic neighbours within a group on a link; singleton maps to itself.
         self.succ_on_link: Dict[Tuple[AgentId, str], AgentId] = {}
         self.pred_on_link: Dict[Tuple[AgentId, str], AgentId] = {}
-        for (k, lid), mem in self.members_on_link.items():
+        for (k, lid), mem in self.member_agents_on_link.items():
             g = len(mem)
-            for pos, i in enumerate(mem):
-                ki = AgentId(k, i)
-                self.succ_on_link[(ki, lid)] = AgentId(k, mem[(pos + 1) % g])
-                self.pred_on_link[(ki, lid)] = AgentId(k, mem[(pos - 1) % g])
+            for pos, ki in enumerate(mem):
+                self.succ_on_link[(ki, lid)] = mem[(pos + 1) % g]
+                self.pred_on_link[(ki, lid)] = mem[(pos - 1) % g]
 
     def valuation(self, ki: AgentId) -> Valuation:
         return self.valuations[ki]
@@ -238,8 +240,7 @@ def constraint_violation(instance: NetworkInstance, x: Dict[AgentId, float],
         total = sum(m[(k, lid)] for k in instance.groups_on_link[lid])
         worst = max(worst, total - instance.capacity[lid])
         for k in instance.groups_on_link[lid]:
-            for i in instance.members_on_link[(k, lid)]:
-                ki = AgentId(k, i)
+            for ki in instance.member_agents_on_link[(k, lid)]:
                 worst = max(worst, instance.alpha[(ki, lid)] * x[ki] - m[(k, lid)])
     return worst
 

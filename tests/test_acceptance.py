@@ -2,15 +2,15 @@
 
 Each test prints one ``[criterion N] <label>: PASS/FAIL`` line on the real
 stdout (bypassing capture) so a plain pytest run shows the scoreboard.  The
-batch of fifty solved-and-searched random instances is built once per module
-and shared by criteria 3, 4, 5 and 7.
+batch of fifty solved-and-certified random instances is built once per
+module and shared by criteria 3, 4, 5 and 7.
 
 The SBB half of criterion 3 guards the redistribution rebate: an agent's
 rebate is priced only by the other agents' messages (their own first quotes
 and the leave-one-out consensus scale), so no quote of its own can raise
 it.  A rebate priced by the receiver's quotes makes raising a quote a
 first-order profitable deviation at every constructed candidate, which the
-search finds.
+exact best response finds.
 """
 
 import math
@@ -48,7 +48,7 @@ from conftest import batch_shape, coherent_quotes
 WBB = MechanismParams(variant="wbb")
 
 N_BATCH = 50
-CERT_BUDGET = 1000  # utility evaluations per agent
+CERT_BUDGET = 1000  # cap on utility evaluations per agent
 CERT_RESTARTS = 8
 SOLVE_TOL = 1e-9
 _RESAMPLE_TRIES = 40
@@ -337,7 +337,7 @@ def test_criterion_6_closed_form_deviations(capsys, two_member_instance,
                                             solved_two_member,
                                             slack_instance, solved_slack):
     # (a) mismatching the successor quote costs exactly the squared gap:
-    # perturbing q2 by 0.5 and searching must recover gain 0.25
+    # perturbing q2 by 0.5, the best response must recover gain 0.25
     primal, dual = solved_two_member
     cand = construct_ne(two_member_instance, primal, dual, WBB)
     ki = AgentId(1, 1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcastmech import (
     AgentId,
@@ -17,15 +19,20 @@ from mcastmech import (
     curvature_check,
     default_epsilon,
     evaluate,
+    exact_best_response,
     lemma_suite,
+    random_instance,
     solve_cp,
     tune_params,
+    utilities,
     utility,
     utility_y_slope,
     zero_message,
 )
 from mcastmech.errors import SharingAssumptionError
 from mcastmech.mechanism import DeviationEvaluator
+
+from search import search_best_response
 
 WBB = MechanismParams(variant="wbb")
 SBB = MechanismParams(variant="sbb")
@@ -133,7 +140,7 @@ def test_ir_holds_at_constructed(two_member_instance, solved_two_member):
 
 
 # ---------------------------------------------------------------------------
-# deviation search
+# best responses
 
 
 def test_best_response_rejects_empty_budget(symmetric_instance, solved_symmetric):
@@ -209,6 +216,179 @@ def test_zero_profile_not_an_equilibrium(symmetric_instance):
     assert report.max_gain > 0.1  # demanding is free at zero prices
 
 
+def test_closed_form_gains_to_rounding(two_member_instance, solved_two_member,
+                                       slack_instance, solved_slack,
+                                       symmetric_instance, solved_symmetric):
+    """The exact best response recovers each closed-form gain to rounding:
+    a second quote 0.5 off the successor's first quote (0.5^2), a first
+    quote 0.1 above a zero rival price on a slack link (0.1^2), and under
+    SBB a first quote raised by 2.5 (2.5^2)."""
+    def planted(inst, solved, params, ki, lid, dq1, dq2):
+        profile = {b: m.copy() for b, m in constructed(inst, solved, params).profile.items()}
+        q = dict(profile[ki].q)
+        q[lid] = (q[lid][0] + dq1, q[lid][1] + dq2)
+        profile[ki] = Message(profile[ki].y, q, profile[ki].rho)
+        return exact_best_response(inst, profile, ki, params).gain
+
+    ki = AgentId(1, 1)
+    assert abs(planted(two_member_instance, solved_two_member, WBB, ki, "l1", 0.0, 0.5)
+               - 0.25) <= 1e-12
+    assert abs(planted(slack_instance, solved_slack, WBB, ki, "l2", 0.1, 0.0)
+               - 0.01) <= 1e-12
+    assert abs(planted(symmetric_instance, solved_symmetric, SBB, ki, "l1", 2.5, 0.0)
+               - 6.25) <= 1e-12
+
+
+def _replayed(inst, params):
+    """The candidate profile read off the solution as construct_ne does,
+    without its checks, so the instance that fails A4 gets one too."""
+    primal, dual = solve_cp(inst, tol=1e-10)
+    r = allocate(inst, primal.x).r
+    return {ki: Message(primal.x[ki],
+                        {lid: (dual.mu[(ki, lid)], dual.mu[(inst.succ_on_link[(ki, lid)], lid)])
+                         for lid in inst.links_of[ki]},
+                        r if params.variant == "sbb" else None)
+            for ki in inst.agents}
+
+
+def _closed_form_message(inst, profile, params, ki, msg):
+    """The best quotes and rho at msg.y, recomputed from evaluate() on the
+    profile with ki's message replaced by msg: q2 is the successor's q1
+    (kept for a singleton), rho is r, and q1 the clipped stationary point
+    of slots 3-5. Returns the message and, per link, whether q1 is clipped."""
+    patched = dict(profile)
+    patched[ki] = msg
+    out = evaluate(inst, patched, params)
+    k, x = ki.group, out.x[ki]
+    q, clipped = {}, {}
+    for lid in inst.links_of[ki]:
+        mates = [b for b in inst.member_agents_on_link[(k, lid)] if b != ki]
+        wb = out.w_bar[(k, lid)]
+        pf = profile[inst.pred_on_link[(ki, lid)]].q[lid][1] if mates else wb
+        slack = inst.capacity[lid] - sum(out.m[(g, lid)] for g in inst.groups_on_link[lid])
+        raw = (wb - sum(profile[b].q[lid][0] for b in mates)
+               - (params.eta * pf * (out.m[(k, lid)] - inst.alpha[(ki, lid)] * x)
+                  + params.xi * wb * slack) / 2.0)
+        clipped[lid] = raw < 0.0
+        q2 = profile[inst.succ_on_link[(ki, lid)]].q[lid][0] if mates else msg.q[lid][1]
+        q[lid] = (max(0.0, raw), q2)
+    return Message(msg.y, q, out.r if params.variant == "sbb" else None), clipped
+
+
+def test_best_message_matches_closed_forms(two_member_instance):
+    """Both branches of q1: a rival price above the group-mate's quote
+    leaves an interior optimum, one below it clips q1 at zero. Each
+    quote and rho is a maximum: moving it either way lowers utility."""
+    inst, ki, mate = two_member_instance, AgentId(1, 1), AgentId(1, 2)
+    for params in (WBB, SBB):
+        rho = 0.7 if params.variant == "sbb" else None
+        seen = set()
+        for mate_q1 in (0.05, 0.9):
+            profile = {ki: Message(2.0, {"l1": (0.3, 0.4)}, rho),
+                       mate: Message(3.0, {"l1": (mate_q1, 0.2)}, rho),
+                       AgentId(2, 1): Message(4.0, {"l1": (0.5, 0.1)}, rho)}
+            ev = DeviationEvaluator(inst, profile, params, ki)
+            for y in (0.0, 1.0, 2.0, 6.0):
+                best = ev.best_message(y, profile[ki])
+                want, clipped = _closed_form_message(inst, profile, params, ki, best)
+                seen.add(clipped["l1"])
+                q1, q2 = best.q["l1"]
+                assert q1 == pytest.approx(want.q["l1"][0], abs=1e-14)
+                assert q2 == want.q["l1"][1] == profile[mate].q["l1"][0]
+                assert best.rho == want.rho
+                u = ev.utility(best)
+                for h in (-1e-3, 1e-3):
+                    moves = [Message(y, {"l1": (q1 + h, q2)}, best.rho),
+                             Message(y, {"l1": (q1, q2 + h)}, best.rho)]
+                    if rho is not None:
+                        moves.append(Message(y, {"l1": (q1, q2)}, best.rho + h))
+                    for m in moves:
+                        if min(m.q["l1"]) >= 0.0:
+                            assert ev.utility(m) < u
+        assert seen == {False, True}
+
+
+def test_best_demand_at_an_offer_crossing():
+    """On this seeded off-equilibrium profile agent 1.3's best demand is
+    where its route's offer crosses the offer of a link off its route, a
+    kink of g where golden section
+    alone stops about 3e-12 short; the kink is one of the samples, so the
+    best response sits on it exactly."""
+    inst = random_instance(245, n_groups=3, max_group_size=3, n_links=3)
+    rng = np.random.default_rng(245)
+    cap = max(inst.capacity.values())
+    profile = {}
+    for b in inst.agents:
+        q = {lid: (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+             for lid in inst.links_of[b]}
+        profile[b] = Message(0.0 if rng.random() < 0.15 else float(rng.uniform(0, 2 * cap)), q)
+    ki = AgentId(1, 3)
+    res = exact_best_response(inst, profile, ki, WBB)
+    ev = DeviationEvaluator(inst, profile, WBB, ki)
+    kinks, _ = ev.demand_kinks()
+    assert res.message.y in kinks
+    offers = sorted(allocate(inst, {**{b: m.y for b, m in profile.items()},
+                                    ki: res.message.y}).r_per_link.values())
+    assert offers[1] == pytest.approx(offers[0], rel=1e-12)  # two links bind
+    for y in (res.message.y * (1 - 1e-9), res.message.y * (1 + 1e-9)):
+        assert ev.utility(ev.best_message(y, profile[ki])) < res.best_utility
+
+
+XCHECK_INSTANCES = ("symmetric_instance", "oracle_instance", "slack_instance",
+                    "two_member_instance", "chain_instance", "three_group_instance",
+                    "a4_fail_instance", "saturated_instance", "random-5", "random-11")
+
+
+@pytest.mark.parametrize("variant", ["wbb", "sbb"])
+@pytest.mark.parametrize("name", XCHECK_INSTANCES)
+def test_exact_best_response_cross_check(name, variant, request):
+    """At the candidate and at perturbed profiles: (1) the multi-start
+    coordinate search never beats exact_best_response by more than
+    1e-12 * (1 + |u|); (2) the returned message, re-evaluated through
+    utilities() on the patched profile, gives best_utility exactly, and
+    the gain is best_utility - base_utility; (3) when the gain is
+    positive, its quotes and rho are the closed forms at its demand."""
+    if name.startswith("random"):
+        inst = random_instance(int(name.split("-")[1]), n_groups=3, max_group_size=3,
+                               n_links=3)
+    else:
+        inst = request.getfixturevalue(name)
+    params = MechanismParams(variant=variant)
+    candidate = _replayed(inst, params)
+    factor = st.one_of(st.just(1.0), st.just(0.0), st.floats(0.5, 2.0))
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def check(data):
+        ki = data.draw(st.sampled_from(inst.agents))
+        profile = {b: m.copy() for b, m in candidate.items()}
+        if data.draw(st.booleans()):  # perturb: demands, quotes and rhos
+            for b in inst.agents:
+                m = profile[b]
+                q = {lid: (data.draw(factor) * q1 + data.draw(st.floats(0.0, 0.2)),
+                           data.draw(factor) * q2)
+                     for lid, (q1, q2) in m.q.items()}
+                rho = None if m.rho is None else data.draw(factor) * m.rho
+                profile[b] = Message(data.draw(factor) * m.y, q, rho)
+        res = exact_best_response(inst, profile, ki, params)
+        assert res.gain >= 0.0
+        assert res.gain == res.best_utility - res.base_utility
+        patched = dict(profile)
+        patched[ki] = res.message
+        assert utilities(inst, patched, params)[ki] == res.best_utility
+        if res.gain > 0.0:
+            want, _ = _closed_form_message(inst, profile, params, ki, res.message)
+            for lid, (q1, q2) in res.message.q.items():
+                assert q1 == pytest.approx(want.q[lid][0], abs=1e-12 * (1.0 + abs(q1)))
+                assert q2 == want.q[lid][1]
+            assert res.message.rho == want.rho
+        found = search_best_response(inst, profile, ki, params, budget=600, restarts=4,
+                                     seed=data.draw(st.integers(0, 2**16)))
+        assert found.best_utility <= res.best_utility + 1e-12 * (1.0 + abs(res.best_utility))
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # the SBB redistribution rebate is priced by the other agents only
 
@@ -231,9 +411,9 @@ def test_sbb_rebate_leak_closed_form(symmetric_instance, solved_symmetric):
 
 
 def test_sbb_certification_finds_the_leak(symmetric_instance, solved_symmetric):
-    """The SBB candidate is certified, and the same search does find a
-    planted deviation: after agent 1.1 raises q1 by 2.5, returning to the
-    candidate quote gains exactly 2.5^2."""
+    """The SBB candidate is certified, and the same best response does
+    find a planted deviation: after agent 1.1 raises q1 by 2.5, returning
+    to the candidate quote gains exactly 2.5^2."""
     primal, _ = solved_symmetric
     cand = constructed(symmetric_instance, solved_symmetric, SBB)
     eps = default_epsilon(symmetric_instance, primal)

@@ -419,6 +419,23 @@ def test_sbb_brute_force_double_sum(three_group_instance):
         assert out.taxes[ki].per_link["l1"][5] == pytest.approx(expect, rel=1e-9)
 
 
+def test_sbb_rebate_ignores_own_messages_bitwise(chain_instance, oracle_instance):
+    """An agent's own entry never enters its rebate, not even at rounding
+    level: with rho fixed, slot 6 keeps every bit while the agent's own
+    demand and first quotes range over many orders of magnitude."""
+    rng = np.random.default_rng(17)
+    for inst in (chain_instance, oracle_instance):
+        profile = random_profile(inst, rng, "sbb")
+        for ki in inst.agents:
+            slot6 = set()
+            for y in (0.0, 1e-3, 2.0, 1e6, 1e12):
+                patched = dict(profile)
+                patched[ki] = Message(y, {lid: (3.0 * y + 0.1, 0.2) for lid in inst.links_of[ki]},
+                                      profile[ki].rho)
+                slot6.add(tuple(t[5] for t in evaluate(inst, patched, SBB).taxes[ki].per_link.values()))
+            assert len(slot6) == 1
+
+
 # ---------------------------------------------------------------------------
 # utility and evaluation plumbing
 
