@@ -24,17 +24,16 @@ from .model import (EXP_SAT, LOG_SAT, AgentId, Link, NetworkInstance, Route,
 from .centralized import (A4Report, DualCertificate, KKTReport,
                           PrimalSolution, argmax_ties, check_a4,
                           kkt_residuals, solution_to_json, solve_cp)
-from .mechanism import (AllocationResult, AllocationSlopes, DeviationEvaluator,
+from .mechanism import (AllocationResult, DeviationEvaluator,
                         MechanismParams, Message, Outcome, Profile,
                         TaxBreakdown, VARIANT_SBB, VARIANT_WBB, allocate,
-                        allocation_slopes, evaluate, group_prices,
+                        evaluate, group_prices,
                         outcome_to_json, profile_from_json, profile_to_json,
                         utilities, utility, zero_message)
 from .equilibrium import (BestResponseResult, CandidateNE,
                           CertificationReport, CurvatureReport,
-                          DynamicsResult, LemmaReport, best_response,
-                          br_dynamics, certify_ne, construct_ne,
-                          exact_best_response,
+                          DynamicsResult, LemmaReport, br_dynamics,
+                          certify_ne, construct_ne, exact_best_response,
                           curvature_check, default_epsilon, lemma_suite,
                           tune_params, utility_y_slope)
 
@@ -50,14 +49,14 @@ __all__ = [
     "solve_cp", "kkt_residuals", "check_a4", "argmax_ties",
     "solution_to_json",
     "MechanismParams", "Message", "Profile", "Outcome", "TaxBreakdown",
-    "AllocationResult", "AllocationSlopes", "DeviationEvaluator",
-    "VARIANT_WBB", "VARIANT_SBB", "allocate", "allocation_slopes",
+    "AllocationResult", "DeviationEvaluator",
+    "VARIANT_WBB", "VARIANT_SBB", "allocate",
     "evaluate", "group_prices", "utility",
     "utilities", "zero_message", "profile_to_json", "profile_from_json",
     "outcome_to_json",
     "CandidateNE", "BestResponseResult", "CertificationReport",
     "LemmaReport", "CurvatureReport", "DynamicsResult",
-    "construct_ne", "best_response", "exact_best_response", "certify_ne",
+    "construct_ne", "exact_best_response", "certify_ne",
     "br_dynamics",
     "lemma_suite", "curvature_check", "tune_params", "default_epsilon",
     "utility_y_slope",

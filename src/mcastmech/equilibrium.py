@@ -32,9 +32,9 @@ import numpy as np
 
 from .centralized import DualCertificate, PrimalSolution, check_a4
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
-from .mechanism import (DeviationEvaluator, MechanismParams, Message, Profile,
-                        VARIANT_SBB, allocate, allocation_slopes, evaluate,
-                        group_prices, _price_factor, utilities)
+from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
+                        MechanismParams, Message, Profile, VARIANT_SBB, allocate,
+                        evaluate, utilities)
 from .model import AgentId, NetworkInstance, RATE_ATOL, constraint_violation
 
 
@@ -193,6 +193,7 @@ _GRID_POINTS = 40  # log-spaced demands across the scales of g, 1e3 beyond each 
 _TAIL = (1e3, 1e6, 1e9, 1e12)  # sparse demands beyond both ends, where g is monotone
 _REFINE = 3  # best local maxima of the samples refined by golden section
 _WIDTH_TOL = 1e-8  # relative bracket width at which golden section stops
+DEMAND_CAP = 1e300  # largest demand sampled; a best response there is cut off
 
 
 def _demand_grid(y0: float, kinks: List[float], knees: List[float]) -> List[float]:
@@ -203,13 +204,13 @@ def _demand_grid(y0: float, kinks: List[float], knees: List[float]) -> List[floa
     would fake local maxima, so each cluster keeps one (y0 if in it)."""
     scales = [*knees, *kinks] + ([y0] if y0 > 0.0 else [])
     lo = max(min(scales) / 1e3, 1e-300)
-    hi = max(min(max(scales) * 1e3, 1e300), lo)
+    hi = max(min(max(scales) * 1e3, DEMAND_CAP), lo)
     step = (hi / lo) ** (1.0 / (_GRID_POINTS - 1))
     points = {0.0, y0, *kinks, *(lo * step ** j for j in range(_GRID_POINTS))}
     points.update(p for t in _TAIL for p in (lo / t, hi * t))
     grid: List[float] = []
-    for y in sorted(p for p in points if p <= 1e300):
-        if grid and y - grid[-1] <= 1e-9 * y:
+    for y in sorted(p for p in points if p <= DEMAND_CAP):
+        if grid and y - grid[-1] <= KINK_TOL * y:
             if y == y0:
                 grid[-1] = y
             continue
@@ -269,14 +270,6 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
     return BestResponseResult(best_msg, best_val - base, ev.evals, base, best_val)
 
 
-def best_response(instance: NetworkInstance, profile: Profile, ki: AgentId,
-                  params: MechanismParams, budget: int = 1000,
-                  restarts: int = 8, seed: int = 0) -> BestResponseResult:
-    """exact_best_response under its earlier signature: `restarts` and
-    `seed` are accepted and no longer steer anything."""
-    return exact_best_response(instance, profile, ki, params, budget)
-
-
 def certify_ne(instance: NetworkInstance, candidate: CandidateNE, epsilon: float,
                budget: int = 1000, restarts: int = 8, seed: int = 0
                ) -> CertificationReport:
@@ -315,7 +308,10 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
     and `seed` are accepted and no longer steer anything. One row per
     (round, agent) records demand, rate, tax, and the round's best-response
     gain; the feasible flag certifies the shared constraints after the
-    round's updates (the allocation map keeps it true by construction)."""
+    round's updates (the allocation map keeps it true by construction).
+    The run stops once no gain exceeds epsilon. That is a fixed point
+    only while every demand stays below the grid cap: the best response
+    of an agent at the cap is cut off there, not a maximum."""
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     if schedule not in ("gauss-seidel", "jacobi"):
@@ -353,7 +349,8 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
                 "feasible": feasible,
             })
         if max(round_gains.values()) <= epsilon:
-            fixed_point = True
+            fixed_point = all(profile[ki].y < DEMAND_CAP * (1.0 - KINK_TOL)
+                              for ki in instance.agents)
             break
     return DynamicsResult(rows, fixed_point, rounds_run, profile)
 
@@ -411,188 +408,47 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
 
 
 # ---------------------------------------------------------------------------
-# Local curvature (finite-difference Hessians of own utility)
+# Local curvature (exact one-sided Hessians of own utility)
 
-_COORD_Y = "y"
-_COORD_Q1 = "q1"
-_COORD_Q2 = "q2"
-_COORD_RHO = "rho"
+_EPS = float(np.finfo(float).eps)
 
-
-def _coords_for(instance: NetworkInstance, ki: AgentId, variant: str):
-    coords = [(_COORD_Y, None)]
-    for lid in instance.links_of[ki]:
-        coords.append((_COORD_Q1, lid))
-    for lid in instance.links_of[ki]:
-        if len(instance.members_on_link[(ki.group, lid)]) >= 2:
-            coords.append((_COORD_Q2, lid))
-    if variant == VARIANT_SBB:
-        coords.append((_COORD_RHO, None))
-    return coords
-
-
-def _get(msg: Message, coord) -> float:
-    kind, lid = coord
-    if kind == _COORD_Y:
-        return msg.y
-    if kind == _COORD_RHO:
-        return msg.rho
-    q1, q2 = msg.q[lid]
-    return q1 if kind == _COORD_Q1 else q2
-
-
-def _set(msg: Message, coord, value: float) -> None:
-    kind, lid = coord
-    if kind == _COORD_Y:
-        msg.y = value
-    elif kind == _COORD_RHO:
-        msg.rho = value
-    else:
-        q1, q2 = msg.q[lid]
-        msg.q[lid] = (value, q2) if kind == _COORD_Q1 else (q1, value)
-
-
-def _displaced(msg: Message, deltas) -> Message:
-    out = msg.copy()
-    for coord, d in deltas:
-        _set(out, coord, _get(out, coord) + d)
-    return out
-
-
-def _agent_hessian(ev: DeviationEvaluator, msg0: Message, coords, h_of,
-                   dirs) -> np.ndarray:
-    """FD Hessian with per-coordinate direction: 0 central, +-1 one-sided."""
-    f0 = ev.utility(msg0)
-    n = len(coords)
-    H = np.zeros((n, n))
-    singles: Dict[Tuple[int, int], float] = {}
-
-    def single(i: int, steps: int) -> float:
-        key = (i, steps)
-        if key not in singles:
-            singles[key] = ev.utility(_displaced(msg0, [(coords[i], steps * h_of[i])]))
-        return singles[key]
-
-    for i in range(n):
-        h = h_of[i]
-        if dirs[i] == 0:
-            H[i, i] = (single(i, 1) - 2.0 * f0 + single(i, -1)) / h ** 2
-        else:
-            s = dirs[i]
-            H[i, i] = (2.0 * f0 - 5.0 * single(i, s) + 4.0 * single(i, 2 * s)
-                       - single(i, 3 * s)) / h ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            hi, hj = h_of[i], h_of[j]
-            di, dj = dirs[i], dirs[j]
-            if di == 0 and dj == 0:
-                v = (ev.utility(_displaced(msg0, [(coords[i], hi), (coords[j], hj)]))
-                     - ev.utility(_displaced(msg0, [(coords[i], hi), (coords[j], -hj)]))
-                     - ev.utility(_displaced(msg0, [(coords[i], -hi), (coords[j], hj)]))
-                     + ev.utility(_displaced(msg0, [(coords[i], -hi), (coords[j], -hj)]))
-                     ) / (4.0 * hi * hj)
-            elif di != 0 and dj == 0:
-                v = (ev.utility(_displaced(msg0, [(coords[i], di * hi), (coords[j], hj)]))
-                     - ev.utility(_displaced(msg0, [(coords[i], di * hi), (coords[j], -hj)]))
-                     - single(j, 1) + single(j, -1)) / (2.0 * di * hi * hj)
-            elif di == 0 and dj != 0:
-                v = (ev.utility(_displaced(msg0, [(coords[i], hi), (coords[j], dj * hj)]))
-                     - ev.utility(_displaced(msg0, [(coords[i], -hi), (coords[j], dj * hj)]))
-                     - single(i, 1) + single(i, -1)) / (2.0 * dj * hj * hi)
-            else:
-                v = (ev.utility(_displaced(msg0, [(coords[i], di * hi), (coords[j], dj * hj)]))
-                     - single(i, di) - single(j, dj) + f0) / (di * hi * dj * hj)
-            H[i, j] = H[j, i] = v
-    return H
-
-
-def curvature_check(instance: NetworkInstance, candidate: CandidateNE,
-                    h_scale: float = 1e-4) -> CurvatureReport:
+def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> CurvatureReport:
     """Negative definiteness of every agent's own-utility Hessian.
 
-    The demand coordinate is only piecewise smooth: when its one-sided
-    allocation slopes disagree, both one-sided Hessians are required to be
-    negative definite. Coordinates pinned at zero whose one-sided slope is
-    strictly negative are boundary maxima in that direction and are
-    excluded from the matrix.
-
-    The verdict is measured at finite-difference resolution: eigenvalues
-    are compared against a noise floor of 1e-7 * max(1, |utility|), the
-    roundoff scale of a second difference with the default step. A
-    saturated agent (marginal value below 1e-10, so zero prices and a
-    utility exactly flat in its demand at machine precision) yields a zero
-    eigenvalue that no coupling-weight shrink can move; that direction is
-    flat within measurement, not indefinite, and passes."""
-    params = candidate.params
-    profile = candidate.profile
+    Each Hessian is DeviationEvaluator.local_model's, exact on each side
+    of the demand. At y > 0 both one-sided Hessians are read and the agent
+    is kinked when they differ; at y = 0 only the right one exists. A
+    coordinate at exactly 0 whose exact one-sided derivative is negative
+    is a boundary maximum in that direction: it is locked and leaves the
+    matrix. An agent passes when the largest eigenvalue of each remaining
+    one-sided Hessian is at most n * eps * max|H_ij|, the rounding bound
+    of an eigenvalue of an n x n matrix. So a direction flat to rounding
+    (a saturated agent's demand) passes, and no coupling-weight shrink is
+    spent on it."""
     agents_out: Dict[AgentId, AgentCurvature] = {}
-    y_full = {b: profile[b].y for b in instance.agents}
     for ki in instance.agents:
-        ev = DeviationEvaluator(instance, profile, params, ki)
-        msg0 = profile[ki].copy()
-        f0 = ev.utility(msg0)
-        coords_all = _coords_for(instance, ki, params.variant)
-        h_all = [h_scale * max(1.0, abs(_get(msg0, c))) for c in coords_all]
-
-        kinked = False
-        if msg0.y > 0.0:
-            sp = allocation_slopes(instance, y_full, ki, +1)
-            sm = allocation_slopes(instance, y_full, ki, -1)
-            if sp.jumped or sm.jumped or \
-                    abs(sp.dx - sm.dx) > 1e-9 * (1.0 + abs(sp.dx)):
-                kinked = True
-
-        locked: List[str] = []
-        coords: List = []
-        h_of: List[float] = []
-        boundary: List[bool] = []
-        for c, h in zip(coords_all, h_all):
-            th = _get(msg0, c)
-            at_zero = th < h
-            if at_zero:
-                f1 = ev.utility(_displaced(msg0, [(c, h)]))
-                f2 = ev.utility(_displaced(msg0, [(c, 2.0 * h)]))
-                slope = (4.0 * f1 - f2 - 3.0 * f0) / (2.0 * h)
-                if slope < -1e-6 * (1.0 + abs(f0)):
-                    locked.append(f"{c[0]}|{c[1]}" if c[1] else c[0])
-                    continue
-            coords.append(c)
-            h_of.append(h)
-            boundary.append(at_zero)
-
-        def dirs_for(y_dir: int) -> List[int]:
-            out = []
-            for c, at_zero in zip(coords, boundary):
-                if c[0] == _COORD_Y:
-                    out.append(+1 if (at_zero or _get(msg0, c) < 3.0 * h_scale)
-                               else y_dir)
-                else:
-                    out.append(+1 if at_zero else 0)
-            return out
-
-        sides = [+1, -1] if (kinked and msg0.y > 3.0 * h_scale) else [0]
-        max_eig = -math.inf
-        passed = True
-        price_diag: Dict[str, float] = {}
-        if coords:
-            for side in sides:
-                dirs = dirs_for(side if side != 0 else 0)
-                if side == 0:
-                    dirs = [d if coords[j][0] != _COORD_Y else
-                            (+1 if boundary[j] else 0)
-                            for j, d in enumerate(dirs)]
-                H = _agent_hessian(ev, msg0, coords, h_of, dirs)
-                eigs = np.linalg.eigvalsh((H + H.T) / 2.0)
-                max_eig = max(max_eig, float(eigs[-1]))
-                for j, c in enumerate(coords):
-                    if c[0] in (_COORD_Q1, _COORD_Q2):
-                        price_diag[f"{c[0]}|{c[1]}"] = float(H[j, j])
-            passed = max_eig < 1e-7 * max(1.0, abs(f0))
-        else:
-            max_eig = 0.0
-            passed = True  # every direction is a strict boundary descent
+        ev = DeviationEvaluator(instance, candidate.profile, candidate.params, ki)
+        msg = candidate.profile[ki]
+        models = [ev.local_model(msg, +1)]
+        if msg.y > 0.0:
+            models.append(ev.local_model(msg, -1))
+        kinked = len(models) == 2 and not np.array_equal(models[0].hess, models[1].hess)
+        right = models[0]
+        keep = [j for j, v in enumerate(right.point) if not (v == 0.0 and right.grad[j] < 0.0)]
+        labels = [f"{kind}|{lid}" if lid else kind for kind, lid in ev.coords]
+        locked = [labels[j] for j in range(len(labels)) if j not in keep]
+        price_diag = {labels[j]: float(right.hess[j, j]) for j in keep
+                      if ev.coords[j][0] in (COORD_Q1, COORD_Q2)}
+        max_eig, passed = 0.0, True  # no coordinate left: every direction descends
+        if keep:
+            max_eig = -math.inf
+            for m in models:
+                H = m.hess[np.ix_(keep, keep)]
+                top = float(np.linalg.eigvalsh(H)[-1])
+                max_eig = max(max_eig, top)
+                passed = passed and top <= len(keep) * _EPS * float(np.abs(H).max())
         agents_out[ki] = AgentCurvature(ki, passed, max_eig, price_diag,
-                                        kinked, locked, len(coords))
+                                        kinked, locked, len(keep))
     return CurvatureReport(agents_out)
 
 
@@ -614,33 +470,13 @@ def tune_params(instance: NetworkInstance, primal: PrimalSolution,
         shrinks += 1
 
 
-# ---------------------------------------------------------------------------
-# Analytic demand slope of own utility (cross-checked by finite differences)
-
 def utility_y_slope(instance: NetworkInstance, profile: Profile,
                     params: MechanismParams, ki: AgentId, side: int
                     ) -> Tuple[float, bool]:
-    """One-sided d(own utility)/d(own demand). Returns (slope, jumped).
+    """One-sided d(own utility)/d(own demand), the demand entry of
+    DeviationEvaluator.local_model's gradient. Returns (slope, jumped).
 
     jumped means the scale itself is discontinuous on that side (a demand
-    branch boundary), where no one-sided derivative exists."""
-    y = {b: profile[b].y for b in instance.agents}
-    slopes = allocation_slopes(instance, y, ki, side)
-    if slopes.jumped:
-        return math.nan, True
-    w, w_bar = group_prices(instance, profile)
-    k = ki.group
-    x_ki = slopes.r * y[ki]
-    total = instance.valuation(ki).deriv(x_ki) * slopes.dx
-    for lid in instance.links_of[ki]:
-        a = instance.alpha[(ki, lid)]
-        pf = _price_factor(instance, profile, w_bar, ki, lid)
-        q1_own = profile[ki].q[lid][0]
-        wk = w[(k, lid)]
-        wb = w_bar[(k, lid)]
-        total -= (a * pf * slopes.dx
-                  + params.eta * pf * (q1_own - pf) * (slopes.dm[(k, lid)] - a * slopes.dx)
-                  - params.xi * wb * (wk - wb) * slopes.dm_sum[lid])
-    if params.variant == VARIANT_SBB:
-        total += 2.0 * params.zeta * (profile[ki].rho - slopes.r) * slopes.dr
-    return total, False
+    branch boundary, only at y = 0), where no one-sided derivative exists."""
+    model = DeviationEvaluator(instance, profile, params, ki).local_model(profile[ki], side)
+    return (math.nan, True) if model.jumped else (float(model.grad[0]), False)

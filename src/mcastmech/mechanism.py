@@ -35,7 +35,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .errors import MessageShapeError
 from .model import AgentId, NetworkInstance
@@ -45,6 +47,11 @@ VARIANT_SBB = "sbb"
 VARIANTS = (VARIANT_WBB, VARIANT_SBB)
 
 NO_BOUND = math.inf  # per-link sentinel: nothing on the link constrains r
+# Relative distance within which two demands, two peaks or two offers count
+# as one kink of the allocation in ki's demand.
+KINK_TOL = 1e-9
+
+COORD_Y, COORD_Q1, COORD_Q2, COORD_RHO = "y", "q1", "q2", "rho"
 
 
 @dataclass(frozen=True)
@@ -223,30 +230,31 @@ def group_prices(instance: NetworkInstance, profile: Profile):
 # ---------------------------------------------------------------------------
 # Taxes
 
-def _price_factor(instance: NetworkInstance, profile: Profile,
-                  w_bar, ki: AgentId, lid: str) -> float:
-    """Price applied to ki's allocation on a link: predecessor's second
-    quote, or the rival group mean when ki is alone in its group there."""
-    if len(instance.members_on_link[(ki.group, lid)]) >= 2:
-        pred = instance.pred_on_link[(ki, lid)]
-        return profile[pred].q[lid][1]
-    return w_bar[(ki.group, lid)]
+def _others_sums(entries: List[float]) -> List[float]:
+    """Per entry, the sum of the other entries: the entries before it added
+    in order plus those after it added in reverse. An entry never enters
+    its own sum, so that sum is independent of it bit for bit (the total
+    minus the entry would carry a rounding error of the size of the entry)."""
+    before, after = [0.0] * len(entries), [0.0] * len(entries)
+    for j in range(1, len(entries)):
+        before[j] = before[j - 1] + entries[j - 1]
+        after[-j - 1] = after[-j] + entries[-j]
+    return [b + a for b, a in zip(before, after)]
 
 
 def _rebate_pool(instance: NetworkInstance, profile: Profile, lid: str) -> Dict[AgentId, float]:
     """Per-link SBB rebate pool: each agent's self-quoted payment
     alpha * q1 * y. Returns, per agent on the link, the sum of the other
-    agents' entries: the entries before it added in agent order plus those
-    after it added in reverse. The agent's own entry never enters, so its
-    rebate is independent of its own messages bit for bit (the pool total
-    minus its entry would carry a rounding error of the size of that entry)."""
+    agents' entries."""
     agents = instance.agents_on_link[lid]
     entries = [instance.alpha[(b, lid)] * profile[b].q[lid][0] * profile[b].y for b in agents]
-    before, after = [0.0] * len(entries), [0.0] * len(entries)
-    for j in range(1, len(entries)):
-        before[j] = before[j - 1] + entries[j - 1]
-        after[-j - 1] = after[-j] + entries[-j]
-    return {b: before[j] + after[j] for j, b in enumerate(agents)}
+    return dict(zip(agents, _others_sums(entries)))
+
+
+def _rho_bars(instance: NetworkInstance, profile: Profile) -> Dict[AgentId, float]:
+    """SBB: per agent, the mean of the other agents' rhos."""
+    sums = _others_sums([profile[b].rho for b in instance.agents])
+    return {b: s / (len(sums) - 1) for b, s in zip(instance.agents, sums)}
 
 
 def _link_slots(params: MechanismParams, a: float, y: float, x: float, r: float,
@@ -313,10 +321,7 @@ def _tax_context(instance: NetworkInstance, profile: Profile, params: MechanismP
     rho_bar: Dict[AgentId, float] = {}
     if params.variant == VARIANT_SBB:
         pools = {lid: _rebate_pool(instance, profile, lid) for lid in instance.link_ids}
-        n_agents = len(instance.agents)
-        rho_total = sum(profile[b].rho for b in instance.agents)
-        rho_bar = {b: (rho_total - profile[b].rho) / (n_agents - 1)
-                   for b in instance.agents}
+        rho_bar = _rho_bars(instance, profile)
     return w, w_bar, m_sum, pools, rho_bar
 
 
@@ -402,6 +407,18 @@ class _RouteLink:
         self.others_pay = _rebate_pool(instance, profile, lid)[ki] if sbb else 0.0
 
 
+class LocalModel(NamedTuple):
+    """ki's own utility to second order on one side of its demand, over
+    DeviationEvaluator.coords: the coordinate values, the exact one-sided
+    gradient and Hessian, and whether r jumps there (then both are those
+    of the one-sided limit)."""
+
+    point: List[float]
+    grad: np.ndarray
+    hess: np.ndarray
+    jumped: bool
+
+
 class DeviationEvaluator:
     """Utility of one agent's candidate messages while the rest of the
     profile stays fixed, with a count of evaluations in `evals`.
@@ -411,19 +428,24 @@ class DeviationEvaluator:
     link, the other groups' peaks and price sums, the group-mates' peaks,
     first quotes and demands, the predecessor's second and the successor's
     first quote, and under SBB the sum of the others' rebate-pool entries
-    and the others' rhos.
+    and the mean of the others' rhos.
     Later edits to the profile dict or to the other agents' Message objects
     do not reach the evaluator. utility(msg) re-prices only ki's route
     links, in the operation order of evaluate(), so it equals
     utilities(instance, patched, params)[ki] bit for bit, where patched is
-    the snapshot profile with ki's message replaced by msg."""
+    the snapshot profile with ki's message replaced by msg.
+
+    `coords` lists ki's message coordinates as (kind, link) pairs: the
+    demand, q1 on each route link, q2 on each route link it shares with
+    group-mates (elsewhere q2 enters no tax) and, under SBB, rho."""
 
     def __init__(self, instance: NetworkInstance, profile: Profile,
                  params: MechanismParams, ki: AgentId):
         self.params = params
         self.ki = ki
         self.evals = 0
-        self._value = instance.valuation(ki).value
+        val = instance.valuation(ki)
+        self._value, self._deriv, self._second = val.value, val.deriv, val.second
         sbb = params.variant == VARIANT_SBB
         peaks, active = group_maxima(instance, {b: profile[b].y for b in instance.agents})
         w, _ = group_prices(instance, profile)
@@ -433,14 +455,18 @@ class DeviationEvaluator:
         self._r_off = min([v for v in off if v != NO_BOUND], default=NO_BOUND)
         self._route = [_RouteLink(instance, profile, ki, lid, peaks, active, w, sbb)
                        for lid in route]
-        self._rhos = None
-        if sbb:
-            self._rhos = [profile[b].rho for b in instance.agents]
-            self._rho_pos = instance.agents.index(ki)
+        self._rho_bar = _rho_bars(instance, profile)[ki] if sbb else None
+        self._scaled = (math.nan, 0.0)  # the last (y, r) of _scale
+        self.coords = ([(COORD_Y, None)] + [(COORD_Q1, L.lid) for L in self._route]
+                       + [(COORD_Q2, L.lid) for L in self._route if L.q1_succ is not None]
+                       + ([(COORD_RHO, None)] if sbb else []))
 
     def _scale(self, y: float) -> float:
         """The realized scale when ki demands y; leaves ki's group peak in
-        each route link's peaks."""
+        each route link's peaks. A repeat of the last demand returns the
+        last scale (the peaks already hold it)."""
+        if y == self._scaled[0]:
+            return self._scaled[1]
         r = self._r_off
         for L in self._route:
             peak = L.peak_mates
@@ -454,6 +480,7 @@ class DeviationEvaluator:
                 r = offer
         if r == NO_BOUND:
             r = 0.0  # all-zero demand collapses to x = 0
+        self._scaled = (y, r)
         return r
 
     def utility(self, msg: Message) -> float:
@@ -461,11 +488,7 @@ class DeviationEvaluator:
         y = msg.y
         r = self._scale(y)
         x = r * y
-        rho_bar = None
-        rhos = self._rhos
-        if rhos is not None:
-            rhos[self._rho_pos] = msg.rho
-            rho_bar = (sum(rhos) - msg.rho) / (len(rhos) - 1)
+        rho_bar = self._rho_bar
         total = 0.0
         for L in self._route:
             q1, q2 = msg.q[L.lid]
@@ -480,7 +503,7 @@ class DeviationEvaluator:
                 L.capacity - sum([r * p for p in L.peaks]),
                 rho_bar, L.n_l, L.others_pay)
             total += t1 + t2 + t3 + t4 + t5 + t6
-        if rhos is not None:
+        if rho_bar is not None:
             total += self.params.zeta * (msg.rho - r) ** 2
         return self._value(x) - total
 
@@ -504,7 +527,105 @@ class DeviationEvaluator:
             slack = L.capacity - sum([r * p for p in L.peaks])
             q1 = max(0.0, L.wb - L.s_mates - 0.5 * (eta * pf * gap + xi * L.wb * slack))
             q[L.lid] = (q1, msg.q[L.lid][1] if L.q1_succ is None else L.q1_succ)
-        return Message(y, q, None if self._rhos is None else r)
+        return Message(y, q, None if self._rho_bar is None else r)
+
+    @staticmethod
+    def _own_peak(L: _RouteLink, y: float, side: int) -> bool:
+        """Whether ki's own peak a*y sets its group's peak on L just to
+        `side` of y; at a tie with the mates' peak it does on the right."""
+        own = L.a * y
+        if abs(own - L.peak_mates) <= KINK_TOL * own:
+            return side > 0
+        return own > L.peak_mates
+
+    def scale_slopes(self, y: float, side: int) -> Tuple[float, float, float, bool]:
+        """The realized scale r at demand y, its one-sided first and second
+        derivatives in y on `side` (+1 right, -1 left), and whether r jumps
+        there (only at y = 0; r is then the right-hand limit).
+
+        Just to one side of y > 0, route link l offers c / (D + a_e*(y' - y))
+        with D = B + max(pm, a*y) (demand_kinks): a_e = a where ki's own peak
+        sets its group's peak on that side, else 0. r is the smallest offer,
+        and of the offers tied at it the one falling fastest (right) or
+        slowest (left) binds. Peaks and offers within KINK_TOL of each other
+        are ties, the tolerance at which the demand grid merges kinks."""
+        if side not in (+1, -1):
+            raise ValueError("side must be +1 or -1")
+        if side == -1 and y <= 0.0:
+            raise ValueError("left slope undefined at y = 0")
+        r = self._scale(y)
+        forms = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, 0.0)]
+        for L in self._route:
+            a = L.a if self._own_peak(L, y, side) else 0.0
+            den = sum(L.peaks) + (L.others_demanding == 0)
+            offer = L.capacity / den
+            forms.append((offer, -a * offer / den, 2.0 * a * a * offer / den ** 2))
+        r_lim = min(f[0] for f in forms)
+        _, dr, d2r = min((f for f in forms if f[0] <= r_lim * (1.0 + KINK_TOL)),
+                         key=lambda f: side * f[1])
+        jumped = abs(r_lim - r) > KINK_TOL * r_lim
+        return (r_lim if jumped else r), dr, d2r, jumped
+
+    def local_model(self, msg: Message, side: int) -> LocalModel:
+        """ki's own utility at msg to second order on `side` of its demand.
+
+        Gradient and Hessian are exact: with r', r'' from scale_slopes,
+        x = r*y, the group reservation m_k = r*max(pm, a*y) and the slack
+        c - r*sum(peaks) are closed forms in y on each side. The quote
+        block is -2 on each q1 and q2 (slots 3 and 2) and -2*zeta on rho;
+        y couples to q1 by -(eta*pf*(m_k - a*x)' + xi*wb*slack') (slots 4
+        and 5) and to rho by 2*zeta*r', and the yy entry is
+        V''*x'^2 + V'*x'' - sum_l [a*pf*x'' + eta*pf*(q1 - pf)*(m_k - a*x)''
+        + xi*wb*(w_k - wb)*slack''] + 2*zeta*((rho - r)*r'' - r'^2).
+        No other entry couples: slots 1 and 6 and every rival price hold no
+        quote or rho of ki."""
+        y = msg.y
+        r, dr, d2r, jumped = self.scale_slopes(y, side)
+        x, dx, d2x = r * y, r + y * dr, 2.0 * dr + y * d2r
+        eta, xi = self.params.eta, self.params.xi
+        n = len(self.coords)
+        point, grad, hess = [y], np.zeros(n), np.zeros((n, n))
+        v1 = self._deriv(x)
+        gy = v1 * dx
+        hyy = self._second(x) * dx * dx + v1 * d2x
+        j = 1
+        for L in self._route:
+            q1 = msg.q[L.lid][0]
+            pf = L.wb if L.pred_q2 is None else L.pred_q2
+            peak, total = L.peaks[L.gpos], sum(L.peaks)
+            dpeak = L.a if self._own_peak(L, y, side) else 0.0
+            gap = (r * peak - L.a * x,
+                   dr * peak + r * dpeak - L.a * dx,
+                   d2r * peak + 2.0 * dr * dpeak - L.a * d2x)
+            slack = (L.capacity - r * total,
+                     -(dr * total + r * dpeak),
+                     -(d2r * total + 2.0 * dr * dpeak))
+            dw = L.s_mates + q1 - L.wb
+            t4, t5 = eta * pf * (q1 - pf), xi * L.wb * dw
+            gy -= L.a * pf * dx + t4 * gap[1] + t5 * slack[1]
+            hyy -= L.a * pf * d2x + t4 * gap[2] + t5 * slack[2]
+            point.append(q1)
+            grad[j] = -(2.0 * dw + eta * pf * gap[0] + xi * L.wb * slack[0])
+            hess[0, j] = hess[j, 0] = -(eta * pf * gap[1] + xi * L.wb * slack[1])
+            hess[j, j] = -2.0
+            j += 1
+        for L in self._route:
+            if L.q1_succ is not None:
+                q2 = msg.q[L.lid][1]
+                point.append(q2)
+                grad[j] = -2.0 * (q2 - L.q1_succ)
+                hess[j, j] = -2.0
+                j += 1
+        if self._rho_bar is not None:
+            zeta, dev = self.params.zeta, msg.rho - r
+            gy += 2.0 * zeta * dev * dr
+            hyy += 2.0 * zeta * (dev * d2r - dr * dr)
+            point.append(msg.rho)
+            grad[j] = -2.0 * zeta * dev
+            hess[0, j] = hess[j, 0] = 2.0 * zeta * dr
+            hess[j, j] = -2.0 * zeta
+        grad[0], hess[0, 0] = gy, hyy
+        return LocalModel(point, grad, hess, jumped)
 
     def demand_kinks(self) -> Tuple[List[float], List[float]]:
         """Where ki's own demand bends the allocation, and where it saturates.
@@ -533,119 +654,9 @@ class DeviationEvaluator:
                 if not 0.0 < y < math.inf:
                     continue
                 r = min(c / (p + a * y) for c, p, a in forms)
-                if max(c1 / (p1 + a1 * y), c2 / (p2 + a2 * y)) <= r * (1.0 + 1e-9):
+                if max(c1 / (p1 + a1 * y), c2 / (p2 + a2 * y)) <= r * (1.0 + KINK_TOL):
                     kinks.append(y)
         return kinks, knees
-
-
-# ---------------------------------------------------------------------------
-# One-sided allocation sensitivities (piecewise structure aware)
-
-@dataclass
-class AllocationSlopes:
-    """One-sided sensitivities of the allocation to one agent's demand.
-
-    Conventional one-sided partial derivatives in y_ki for the requested
-    side (+1 right, -1 left): dr, dx (own rate), dn (own group peak per
-    route link), dm[(k', l)] for every group on every route link, and
-    dm_sum[l]. `jumped` marks a branch change (the scale itself is
-    discontinuous there and no derivative is reported)."""
-
-    side: int
-    r: float
-    dr: float
-    dx: float
-    dn: Dict[str, float]
-    dm: Dict[Tuple[int, str], float]
-    dm_sum: Dict[str, float]
-    jumped: bool
-
-
-def allocation_slopes(instance: NetworkInstance, y: Dict[AgentId, float],
-                      ki: AgentId, side: int) -> AllocationSlopes:
-    if side not in (+1, -1):
-        raise ValueError("side must be +1 or -1")
-    if side == -1 and y[ki] <= 0.0:
-        raise ValueError("left slope undefined at y = 0")
-    peaks, active = group_maxima(instance, y)
-    k = ki.group
-    route = instance.links_of[ki]
-
-    # Directional slope of the own-group peak on each route link.
-    a_own = {lid: instance.alpha[(ki, lid)] for lid in route}
-    peak_others = {}
-    for lid in route:
-        best = 0.0
-        for b in instance.member_agents_on_link[(k, lid)]:
-            if b == ki:
-                continue
-            v = instance.alpha[(b, lid)] * y[b]
-            if v > best:
-                best = v
-        peak_others[lid] = best
-    d_peak = {}
-    for lid in route:
-        own = a_own[lid] * y[ki]
-        if side == +1:
-            d_peak[lid] = a_own[lid] if own >= peak_others[lid] else 0.0
-        else:
-            d_peak[lid] = -a_own[lid] if own > peak_others[lid] else 0.0
-
-    # Side-limit value and directional slope of each link's offer.
-    cur = {lid: link_scaling(instance, peaks, active, lid)
-           for lid in instance.link_ids}
-    limit = dict(cur)
-    slope = {lid: 0.0 for lid in instance.link_ids}
-    for lid in route:
-        others_demanding = set(active[lid])
-        group_others_demand = any(
-            y[b] > 0.0 for b in instance.member_agents_on_link[(k, lid)] if b != ki)
-        own_side_active = group_others_demand or (y[ki] > 0.0) or side == +1
-        side_set = set(a for a in others_demanding if a != k)
-        if own_side_active:
-            side_set.add(k)
-        total = sum(peaks[(g, lid)] for g in instance.groups_on_link[lid])
-        c = instance.capacity[lid]
-        if not side_set:
-            limit[lid] = NO_BOUND
-            slope[lid] = 0.0
-        elif len(side_set) >= 2:
-            limit[lid] = c / total
-            slope[lid] = -c / total ** 2 * d_peak[lid]
-        else:
-            limit[lid] = c / (total + 1.0)
-            slope[lid] = -c / (total + 1.0) ** 2 * d_peak[lid]
-
-    finite_cur = [v for v in cur.values() if v != NO_BOUND]
-    r_cur = min(finite_cur) if finite_cur else 0.0
-    finite_lim = [v for v in limit.values() if v != NO_BOUND]
-    r_lim = min(finite_lim) if finite_lim else 0.0
-    jumped = abs(r_lim - r_cur) > 1e-12 * max(1.0, abs(r_cur), abs(r_lim))
-
-    if r_lim <= 0.0:
-        d_r_dir = 0.0
-    else:
-        tol = 1e-12 * max(1.0, r_lim)
-        argmin = [lid for lid in instance.link_ids
-                  if limit[lid] != NO_BOUND and limit[lid] <= r_lim + tol]
-        d_r_dir = min(slope[lid] for lid in argmin)
-
-    # Convert directional slopes to conventional one-sided partials.
-    dr = side * d_r_dir
-    dx = r_lim + y[ki] * dr
-    dn = {lid: side * d_peak[lid] for lid in route}
-    dm = {}
-    dm_sum = {}
-    for lid in route:
-        s = 0.0
-        for g in instance.groups_on_link[lid]:
-            v = dr * peaks[(g, lid)]
-            if g == k:
-                v += r_lim * dn[lid]
-            dm[(g, lid)] = v
-            s += v
-        dm_sum[lid] = s
-    return AllocationSlopes(side, r_lim, dr, dx, dn, dm, dm_sum, jumped)
 
 
 # ---------------------------------------------------------------------------

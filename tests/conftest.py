@@ -187,7 +187,7 @@ def saturated_instance():
     with group 2 on the roomy l2, where its exponential valuation flattens
     out (v' ~ 1e-10) before capacity matters.  Its equilibrium prices are
     ~1e-10 and its utility is flat in its own demand at machine precision.
-    Regression guard for the curvature noise floor.
+    Regression guard for the curvature check's rounding bound.
     """
     return make_instance(
         {"l1": 10.0, "l2": 100.0},

@@ -15,12 +15,33 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from mcastmech import Message, allocate, group_prices, zero_message
-from mcastmech.equilibrium import (BestResponseResult, _COORD_Q1, _COORD_Q2,
-                                   _COORD_RHO, _COORD_Y, _coords_for, _get, _set)
-from mcastmech.mechanism import VARIANT_SBB, DeviationEvaluator
+from mcastmech.equilibrium import BestResponseResult
+from mcastmech.mechanism import (COORD_Q1, COORD_Q2, COORD_RHO, COORD_Y, VARIANT_SBB,
+                                 DeviationEvaluator)
 
 GAIN_REL_TOL = 1e-14  # a move must beat this (relative) to count as improvement
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _get(msg: Message, coord) -> float:
+    kind, lid = coord
+    if kind == COORD_Y:
+        return msg.y
+    if kind == COORD_RHO:
+        return msg.rho
+    q1, q2 = msg.q[lid]
+    return q1 if kind == COORD_Q1 else q2
+
+
+def _set(msg: Message, coord, value: float) -> None:
+    kind, lid = coord
+    if kind == COORD_Y:
+        msg.y = value
+    elif kind == COORD_RHO:
+        msg.rho = value
+    else:
+        q1, q2 = msg.q[lid]
+        msg.q[lid] = (value, q2) if kind == COORD_Q1 else (q1, value)
 
 
 def _coord_scales(instance, profile, ki, variant) -> Dict[Tuple[str, Optional[str]], float]:
@@ -28,14 +49,14 @@ def _coord_scales(instance, profile, ki, variant) -> Dict[Tuple[str, Optional[st
     w, w_bar = group_prices(instance, profile)
     y_cap = max(instance.capacity[lid] / instance.alpha[(ki, lid)]
                 for lid in instance.links_of[ki])
-    scales = {(_COORD_Y, None): max(1.0, y_cap)}
+    scales = {(COORD_Y, None): max(1.0, y_cap)}
     for lid in instance.links_of[ki]:
         q_ref = max(1.0, val.deriv(0.0), 2.0 * w_bar[(ki.group, lid)])
-        scales[(_COORD_Q1, lid)] = q_ref
-        scales[(_COORD_Q2, lid)] = q_ref
+        scales[(COORD_Q1, lid)] = q_ref
+        scales[(COORD_Q2, lid)] = q_ref
     if variant == VARIANT_SBB:
         y = {b: profile[b].y for b in instance.agents}
-        scales[(_COORD_RHO, None)] = max(1.0, 2.0 * allocate(instance, y).r)
+        scales[(COORD_RHO, None)] = max(1.0, 2.0 * allocate(instance, y).r)
     return scales
 
 
@@ -134,18 +155,18 @@ def search_best_response(instance, profile, ki, params, budget: int = 1000,
     ev = DeviationEvaluator(instance, profile, params, ki)
     current = profile[ki].copy()
     base = ev.utility(current)
-    coords = _coords_for(instance, ki, params.variant)
+    coords = ev.coords
     scales = _coord_scales(instance, profile, ki, params.variant)
     rng = np.random.default_rng(seed)
     starts: List[Message] = [current.copy(), zero_message(instance, ki, params.variant)]
     while len(starts) < max(restarts, 2):
-        y = float(rng.uniform(0.0, scales[(_COORD_Y, None)]))
-        q = {lid: (float(rng.uniform(0.0, scales[(_COORD_Q1, lid)])),
-                   float(rng.uniform(0.0, scales[(_COORD_Q2, lid)])))
+        y = float(rng.uniform(0.0, scales[(COORD_Y, None)]))
+        q = {lid: (float(rng.uniform(0.0, scales[(COORD_Q1, lid)])),
+                   float(rng.uniform(0.0, scales[(COORD_Q2, lid)])))
              for lid in instance.links_of[ki]}
         rho = None
         if params.variant == VARIANT_SBB:
-            rho = float(rng.uniform(0.0, scales[(_COORD_RHO, None)]))
+            rho = float(rng.uniform(0.0, scales[(COORD_RHO, None)]))
         starts.append(Message(y, q, rho))
 
     best_msg, best_val = current.copy(), base

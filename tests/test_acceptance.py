@@ -26,13 +26,13 @@ from mcastmech import (
     MechanismParams,
     Message,
     allocate,
-    best_response,
     certify_ne,
     check_a4,
     constraint_violation,
     construct_ne,
     default_epsilon,
     evaluate,
+    exact_best_response,
     lemma_suite,
     random_instance,
     solve_cp,
@@ -344,8 +344,7 @@ def test_criterion_6_closed_form_deviations(capsys, two_member_instance,
     profile = {b: m.copy() for b, m in cand.profile.items()}
     q1, q2 = profile[ki].q["l1"]
     profile[ki] = Message(profile[ki].y, {"l1": (q1, q2 + 0.5)})
-    res = best_response(two_member_instance, profile, ki, WBB,
-                        budget=1500, seed=4)
+    res = exact_best_response(two_member_instance, profile, ki, WBB, budget=1500)
     gain_match = res.gain
 
     # (b) overpricing a slack link costs the squared coherence gap:
@@ -358,7 +357,7 @@ def test_criterion_6_closed_form_deviations(capsys, two_member_instance,
     assert q["l2"][0] == pytest.approx(0.0, abs=1e-9)
     q["l2"] = (0.1, q["l2"][1])
     profile[ki] = Message(profile[ki].y, q)
-    res = best_response(slack_instance, profile, ki, WBB, budget=1500, seed=4)
+    res = exact_best_response(slack_instance, profile, ki, WBB, budget=1500)
     gain_slack = res.gain
 
     ok = abs(gain_match - 0.25) <= 1e-6 and abs(gain_slack - 0.01) <= 1e-6

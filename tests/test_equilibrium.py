@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcastmech import (
@@ -11,8 +11,6 @@ from mcastmech import (
     MechanismParams,
     Message,
     allocate,
-    allocation_slopes,
-    best_response,
     br_dynamics,
     certify_ne,
     construct_ne,
@@ -30,8 +28,9 @@ from mcastmech import (
     zero_message,
 )
 from mcastmech.errors import SharingAssumptionError
-from mcastmech.mechanism import DeviationEvaluator
+from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
 
+from finite_diff import displaced, fd_hessian
 from search import search_best_response
 
 WBB = MechanismParams(variant="wbb")
@@ -146,7 +145,7 @@ def test_ir_holds_at_constructed(two_member_instance, solved_two_member):
 def test_best_response_rejects_empty_budget(symmetric_instance, solved_symmetric):
     cand = constructed(symmetric_instance, solved_symmetric)
     with pytest.raises(ValueError):
-        best_response(symmetric_instance, cand.profile, AgentId(1, 1), WBB, budget=0)
+        exact_best_response(symmetric_instance, cand.profile, AgentId(1, 1), WBB, budget=0)
 
 
 def test_quote_mismatch_deviation_gain(two_member_instance, solved_two_member):
@@ -156,7 +155,7 @@ def test_quote_mismatch_deviation_gain(two_member_instance, solved_two_member):
     profile = {b: m.copy() for b, m in cand.profile.items()}
     q1, q2 = profile[ki].q["l1"]
     profile[ki] = Message(profile[ki].y, {"l1": (q1, q2 + 0.5)})
-    res = best_response(two_member_instance, profile, ki, WBB, budget=1500, seed=4)
+    res = exact_best_response(two_member_instance, profile, ki, WBB, budget=1500)
     assert res.gain == pytest.approx(0.25, abs=1e-6)
     succ_quote = profile[AgentId(1, 2)].q["l1"][0]
     assert res.message.q["l1"][1] == pytest.approx(succ_quote, abs=1e-4)
@@ -171,7 +170,7 @@ def test_slack_link_price_deviation_gain(slack_instance, solved_slack):
     assert q["l2"][0] == pytest.approx(0.0, abs=1e-9)  # slack dual is zero
     q["l2"] = (0.1, q["l2"][1])
     profile[ki] = Message(profile[ki].y, q)
-    res = best_response(slack_instance, profile, ki, WBB, budget=1500, seed=4)
+    res = exact_best_response(slack_instance, profile, ki, WBB, budget=1500)
     assert res.gain == pytest.approx(0.01, abs=1e-6)
     assert res.message.q["l2"][0] == pytest.approx(0.0, abs=1e-4)
 
@@ -334,6 +333,21 @@ def test_best_demand_at_an_offer_crossing():
         assert ev.utility(ev.best_message(y, profile[ki])) < res.best_utility
 
 
+def _drawn_profile(data, candidate):
+    """The candidate or, half the time, a copy with every demand, quote and
+    rho scaled by 1, 0 or U[0.5, 2] and every first quote raised by U[0, 0.2]."""
+    profile = {b: m.copy() for b, m in candidate.items()}
+    if data.draw(st.booleans()):
+        factor = st.one_of(st.just(1.0), st.just(0.0), st.floats(0.5, 2.0))
+        for b, m in candidate.items():
+            q = {lid: (data.draw(factor) * q1 + data.draw(st.floats(0.0, 0.2)),
+                       data.draw(factor) * q2)
+                 for lid, (q1, q2) in m.q.items()}
+            rho = None if m.rho is None else data.draw(factor) * m.rho
+            profile[b] = Message(data.draw(factor) * m.y, q, rho)
+    return profile
+
+
 XCHECK_INSTANCES = ("symmetric_instance", "oracle_instance", "slack_instance",
                     "two_member_instance", "chain_instance", "three_group_instance",
                     "a4_fail_instance", "saturated_instance", "random-5", "random-11")
@@ -355,21 +369,12 @@ def test_exact_best_response_cross_check(name, variant, request):
         inst = request.getfixturevalue(name)
     params = MechanismParams(variant=variant)
     candidate = _replayed(inst, params)
-    factor = st.one_of(st.just(1.0), st.just(0.0), st.floats(0.5, 2.0))
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def check(data):
         ki = data.draw(st.sampled_from(inst.agents))
-        profile = {b: m.copy() for b, m in candidate.items()}
-        if data.draw(st.booleans()):  # perturb: demands, quotes and rhos
-            for b in inst.agents:
-                m = profile[b]
-                q = {lid: (data.draw(factor) * q1 + data.draw(st.floats(0.0, 0.2)),
-                           data.draw(factor) * q2)
-                     for lid, (q1, q2) in m.q.items()}
-                rho = None if m.rho is None else data.draw(factor) * m.rho
-                profile[b] = Message(data.draw(factor) * m.y, q, rho)
+        profile = _drawn_profile(data, candidate)
         res = exact_best_response(inst, profile, ki, params)
         assert res.gain >= 0.0
         assert res.gain == res.best_utility - res.base_utility
@@ -385,6 +390,48 @@ def test_exact_best_response_cross_check(name, variant, request):
         found = search_best_response(inst, profile, ki, params, budget=600, restarts=4,
                                      seed=data.draw(st.integers(0, 2**16)))
         assert found.best_utility <= res.best_utility + 1e-12 * (1.0 + abs(res.best_utility))
+
+    check()
+
+
+@pytest.mark.parametrize("variant", ["wbb", "sbb"])
+@pytest.mark.parametrize("name", XCHECK_INSTANCES)
+def test_local_model_matches_finite_differences(name, variant, request):
+    """At the candidate and at perturbed profiles, on each side of the
+    demand, local_model's gradient and Hessian match finite differences
+    of DeviationEvaluator.utility (one-sided in the demand, central in
+    the quotes and rho), wherever no kink of the allocation lies within
+    the demand stencil."""
+    if name.startswith("random"):
+        inst = random_instance(int(name.split("-")[1]), n_groups=3, max_group_size=3,
+                               n_links=3)
+    else:
+        inst = request.getfixturevalue(name)
+    params = MechanismParams(variant=variant)
+    candidate = _replayed(inst, params)
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def check(data):
+        ki = data.draw(st.sampled_from(inst.agents))
+        side = data.draw(st.sampled_from([+1, -1]))
+        profile = _drawn_profile(data, candidate)
+        msg = profile[ki]
+        if side < 0 and msg.y == 0.0:
+            side = +1
+        ev = DeviationEvaluator(inst, profile, params, ki)
+        model = ev.local_model(msg, side)
+        h = [1e-4 * max(1.0, abs(v)) for v in model.point]
+        kinks = [0.0, *ev.demand_kinks()[0]]
+        assume(not model.jumped)
+        assume(not any(KINK_TOL * msg.y < side * (k - msg.y) <= 4.0 * h[0] for k in kinks))
+        f0 = ev.utility(msg)
+        H = fd_hessian(ev, msg, ev.coords, h, [side] + [0] * (len(h) - 1))
+        assert np.allclose(model.hess, H, rtol=1e-4, atol=1e-5 * (1.0 + abs(f0)))
+        grad = [(4.0 * ev.utility(displaced(msg, [(c, side * hj)]))
+                 - ev.utility(displaced(msg, [(c, 2.0 * side * hj)])) - 3.0 * f0)
+                / (2.0 * side * hj) for c, hj in zip(ev.coords, h)]
+        assert np.allclose(model.grad, grad, rtol=1e-5, atol=1e-7 * (1.0 + abs(f0)))
 
     check()
 
@@ -425,8 +472,24 @@ def test_sbb_certification_finds_the_leak(symmetric_instance, solved_symmetric):
     profile = {b: m.copy() for b, m in cand.profile.items()}
     q1, q2 = profile[ki].q["l1"]
     profile[ki] = Message(profile[ki].y, {"l1": (q1 + 2.5, q2)}, profile[ki].rho)
-    res = best_response(symmetric_instance, profile, ki, SBB, budget=1000, restarts=8, seed=0)
+    res = exact_best_response(symmetric_instance, profile, ki, SBB, budget=1000)
     assert res.gain == pytest.approx(6.25, abs=1e-6)
+
+
+def test_sbb_rho_bar_holds_no_own_rho(three_group_instance):
+    """Agent 1.1's rival rho mean is the other two rhos' mean bit for bit,
+    whatever its own rho (the total minus its own rho lost digits at
+    1e8 and read 0 at 1e16), and the evaluator agrees with utilities()."""
+    inst, ki = three_group_instance, AgentId(1, 1)
+    seen = set()
+    for rho in (1.0, 1e8, 1e16):
+        profile = {ki: Message(1.0, {"l1": (0.3, 0.2)}, rho),
+                   AgentId(2, 1): Message(2.0, {"l1": (0.2, 0.1)}, 0.3),
+                   AgentId(3, 1): Message(3.0, {"l1": (0.4, 0.3)}, 0.5)}
+        seen.add(evaluate(inst, profile, SBB).rho_bar[ki])
+        ev = DeviationEvaluator(inst, profile, SBB, ki)
+        assert ev.utility(profile[ki]) == utilities(inst, profile, SBB)[ki]
+    assert seen == {(0.5 + 0.3) / 2}
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +534,19 @@ def test_dynamics_jacobi_schedule(symmetric_instance):
     assert set(result.final_profile) == set(symmetric_instance.agents)
 
 
+@pytest.mark.parametrize("schedule", ["gauss-seidel", "jacobi"])
+@pytest.mark.parametrize("name", ["symmetric_instance", "chain_instance"])
+def test_dynamics_at_the_demand_cap_is_no_fixed_point(name, schedule, request):
+    """From the zero profile the demands drift up to the demand grid's cap,
+    where every best response is cut off by the grid: the gains vanish
+    there, but that is no fixed point."""
+    inst = request.getfixturevalue(name)
+    start = {ki: zero_message(inst, ki, "wbb") for ki in inst.agents}
+    result = br_dynamics(inst, start, WBB, rounds=30, schedule=schedule)
+    assert min(m.y for m in result.final_profile.values()) > 1e299
+    assert not result.fixed_point
+
+
 # ---------------------------------------------------------------------------
 # curvature
 
@@ -482,6 +558,20 @@ def test_curvature_passes_with_default_params(symmetric_instance, solved_symmetr
     for ki, agent in report.agents.items():
         for label, diag in agent.price_diag.items():
             assert diag == pytest.approx(-2.0, abs=1e-4), (ki, label)
+
+
+def test_curvature_reads_each_side_of_a_peak_tie(oracle_instance, solved_oracle):
+    """Agent 1.1 rides its group's peak at the oracle optimum, so its
+    demand sits on a kink. Right of it r = 6/(1 + y): x' = 1/6,
+    x'' = -1/18, and with q1 = pf and w = w_bar the yy entry is
+    V''x'^2 + V'x'' - pf*x'' = -1/1296 while y decouples from the quotes,
+    so the right-hand Hessian's top eigenvalue is -1/1296 (a central
+    difference averages it with the left side's -1/36)."""
+    cand = constructed(oracle_instance, solved_oracle)
+    agent = curvature_check(oracle_instance, cand).agents[AgentId(1, 1)]
+    assert agent.kinked
+    assert agent.passed
+    assert agent.max_eig == pytest.approx(-1.0 / 1296.0, rel=1e-9)
 
 
 def test_curvature_handles_peak_tie_kinks(two_member_instance, solved_two_member):
@@ -533,15 +623,19 @@ def _random_wbb_profile(inst, rng, y_hi=3.0):
 
 
 def test_allocation_slope_positive_everywhere(chain_instance, two_member_instance):
+    """The own rate rises with the own demand on both sides: the
+    evaluator's one-sided x' = r + y*r' is positive."""
     count = 0
     rng = np.random.default_rng(23)
     for inst in (chain_instance, two_member_instance):
         for _ in range(170):
             y = {ki: float(rng.uniform(0.05, 5.0)) for ki in inst.agents}
+            profile = {ki: Message(y[ki], zero_message(inst, ki, "wbb").q) for ki in inst.agents}
             for ki in inst.agents:
+                ev = DeviationEvaluator(inst, profile, WBB, ki)
                 for side in (+1, -1):
-                    slopes = allocation_slopes(inst, y, ki, side)
-                    assert slopes.dx > 0.0, (ki, side)
+                    r, dr, _, jumped = ev.scale_slopes(y[ki], side)
+                    assert not jumped and r + y[ki] * dr > 0.0, (ki, side)
                     count += 1
     assert count >= 1000
 
