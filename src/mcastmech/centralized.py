@@ -22,8 +22,10 @@ by the mechanism's own scale r = min_l c_l / sum_k max_i alpha * x, which
 makes the tightest link bind exactly, and each m is refit under its link.
 Without it an iterate leaves a binding link slack by about gap / lambda,
 which on saturated instances (lambda near 1e-8) shows as allocation drift
-when the mechanism replays x. The loop keeps the best iterate by KKT
-residual and stops at RESIDUAL_FLOOR or once it stops improving; the solve
+when the mechanism replays x. The loop measures each iterate by the KKT
+residual of its arrays (the `_residual` behind kkt_residuals), keeps the
+best and stops at RESIDUAL_FLOOR or once it stops improving. Only the
+returned iterate becomes dicts, a KKTReport and a sharing count; the solve
 fails with SolverError only when that best iterate misses tol.
 
 Stationarity ties the duals together: for every positive rate
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -105,7 +107,12 @@ class A4Report:
 
 class _Workspace:
     """Index bookkeeping for the stacked variable vector z = [x..., m...] and
-    the stacked slack vector s = [x..., capacity slacks..., bounding slacks...]."""
+    the stacked slack vector s = [x..., capacity slacks..., bounding slacks...].
+
+    Bounding rows run agent-major with each agent's links sorted, m runs
+    link-major in groups_on_link order. Agents are sorted too, so a
+    bincount over bounding rows or m adds in the order of a loop over
+    links_of, member_agents_on_link or groups_on_link."""
 
     def __init__(self, inst: NetworkInstance):
         self.inst = inst
@@ -117,25 +124,26 @@ class _Workspace:
         self.nx = len(self.agents)
         self.nm = len(self.mpairs)
         self.n = self.nx + self.nm
-        # Bounding constraints, one per (agent, link on its route).
-        self.bnd: List[Tuple[AgentId, str, int, int, float]] = []
-        for ki in self.agents:
-            for lid in inst.links_of[ki]:
-                self.bnd.append((ki, lid, self.aidx[ki],
-                                 self.midx[(ki.group, lid)], inst.alpha[(ki, lid)]))
-        self.b_ix = np.array([b[2] for b in self.bnd], dtype=int)
-        # global indices into z for the m component of each bounding constraint
-        self.b_im = np.array([b[3] + self.nx for b in self.bnd], dtype=int)
-        self.b_al = np.array([b[4] for b in self.bnd])
-        self.link_midx = {lid: np.array([self.midx[(k, lid)]
-                                         for k in inst.groups_on_link[lid]], dtype=int)
-                          for lid in inst.link_ids}
         self.nl = len(inst.link_ids)
+        # Bounding constraints, one per (agent, link on its route).
+        self.bnd: List[Tuple[AgentId, str]] = [
+            (ki, lid) for ki in self.agents for lid in inst.links_of[ki]]
+        self.b_ix = np.array([self.aidx[ki] for ki, _ in self.bnd], dtype=int)
+        self.b_m = np.array([self.midx[(ki.group, lid)] for ki, lid in self.bnd], dtype=int)
+        # global indices into z for the m component of each bounding constraint
+        self.b_im = self.b_m + self.nx
+        self.b_al = np.array([inst.alpha[p] for p in self.bnd])
         lpos = {lid: j for j, lid in enumerate(inst.link_ids)}
         self.m_link = np.array([lpos[lid] for _, lid in self.mpairs], dtype=int)
+        # Every (m, m') pair on one link, each once: the capacity block of N.
+        mr, mc = np.nonzero(self.m_link[:, None] == self.m_link[None, :])
+        self.mm_row, self.mm_col, self.mm_link = mr + self.nx, mc + self.nx, self.m_link[mr]
         self.caps = np.array([inst.capacity[lid] for lid in inst.link_ids])
         self.offset = np.concatenate((np.zeros(self.nx), self.caps,
                                       np.zeros(len(self.bnd))))
+        # Rates at or below this count as zero in the stationarity block.
+        self.thresh = RATE_ATOL * np.array(
+            [max(inst.capacity[lid] for lid in inst.links_of[ki]) for ki in self.agents])
 
     def dvalue(self, x: np.ndarray) -> np.ndarray:
         return np.array([self.inst.valuation(ki).deriv(x[j])
@@ -166,18 +174,15 @@ class _Workspace:
 
 
 def _interior_start(ws: _Workspace, seed: Optional[int]) -> np.ndarray:
-    inst = ws.inst
+    """Each m at a share of its link's capacity split evenly among the
+    groups on it, each x at a share of its tightest bound."""
     rng = np.random.default_rng(seed) if seed is not None else None
-    z = np.zeros(ws.n)
-    for (k, lid), j in ws.midx.items():
-        frac = 0.5 if rng is None else float(rng.uniform(0.35, 0.65))
-        z[ws.nx + j] = inst.capacity[lid] * frac / len(inst.groups_on_link[lid])
-    for ki, j in ws.aidx.items():
-        lo = min(z[ws.nx + ws.midx[(ki.group, lid)]] / inst.alpha[(ki, lid)]
-                 for lid in inst.links_of[ki])
-        frac = 0.5 if rng is None else float(rng.uniform(0.3, 0.7))
-        z[j] = lo * frac
-    return z
+    frac = np.full(ws.nm, 0.5) if rng is None else rng.uniform(0.35, 0.65, ws.nm)
+    m = ws.caps[ws.m_link] * frac / np.bincount(ws.m_link, minlength=ws.nl)[ws.m_link]
+    lo = np.full(ws.nx, math.inf)
+    np.minimum.at(lo, ws.b_ix, m[ws.b_m] / ws.b_al)
+    frac = np.full(ws.nx, 0.5) if rng is None else rng.uniform(0.3, 0.7, ws.nx)
+    return np.concatenate((lo * frac, m))
 
 
 def _normal_matrix(ws: _Workspace, x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -190,9 +195,7 @@ def _normal_matrix(ws: _Workspace, x: np.ndarray, d: np.ndarray) -> np.ndarray:
     np.add.at(N, (ws.b_im, ws.b_im), d_b)
     np.add.at(N, (ws.b_ix, ws.b_im), -d_b * ws.b_al)
     np.add.at(N, (ws.b_im, ws.b_ix), -d_b * ws.b_al)
-    for j, lid in enumerate(ws.inst.link_ids):
-        idx = ws.link_midx[lid] + nx
-        N[np.ix_(idx, idx)] += d[nx + j]
+    N[ws.mm_row, ws.mm_col] += d[nx + ws.mm_link]
     return N
 
 
@@ -234,8 +237,8 @@ def _mehrotra_step(ws: _Workspace, z: np.ndarray, s: np.ndarray, y: np.ndarray):
     return z + step * dz, s + step * ds, y + step * dy
 
 
-def _finish(ws: _Workspace, z: np.ndarray, y: np.ndarray):
-    """Scale an iterate onto the mechanism's allocation and read off duals.
+def _finish(ws: _Workspace, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Scale an iterate's (x, m) onto the mechanism's allocation.
 
     x is scaled by r = min_l c_l / sum_k peak_{k,l}, which makes the
     tightest link binding exactly; each m keeps the scaled peak plus the
@@ -244,21 +247,35 @@ def _finish(ws: _Workspace, z: np.ndarray, y: np.ndarray):
     nx, nl = ws.nx, ws.nl
     x, m = z[:nx], z[nx:]
     peak = np.zeros(ws.nm)
-    np.maximum.at(peak, ws.b_im - nx, ws.b_al * x[ws.b_ix])
+    np.maximum.at(peak, ws.b_m, ws.b_al * x[ws.b_ix])
     load = ws.link_sums(peak)
     r = float(np.min(ws.caps / load))
     excess = m - peak
     room = ws.link_sums(excess)
     t = np.clip(np.divide(ws.caps - r * load, room, out=np.ones(nl), where=room > 0.0),
                 0.0, 1.0)
-    x = r * x
-    m = r * peak + t[ws.m_link] * excess
-    primal = PrimalSolution(
-        x={ki: float(x[j]) for ki, j in ws.aidx.items()},
-        m={p: float(m[j]) for p, j in ws.midx.items()})
-    lam = {lid: float(y[nx + j]) for j, lid in enumerate(ws.inst.link_ids)}
-    mu = {(b[0], b[1]): float(y[nx + nl + j]) for j, b in enumerate(ws.bnd)}
-    return primal, lam, mu
+    return r * x, r * peak + t[ws.m_link] * excess
+
+
+def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
+              mu: np.ndarray) -> Tuple[float, float, float, float]:
+    """Max-norm residual of the primal feasibility, dual feasibility,
+    complementary slackness and stationarity blocks, in that order, for
+    arrays in workspace order (mu per bounding row). A NaN block, which a
+    non-finite entry leaves, reads as infinite."""
+    slack = ws.caps - ws.link_sums(m)
+    gap = ws.b_al * x[ws.b_ix] - m[ws.b_m]
+    resid = ws.dvalue(x) - np.bincount(ws.b_ix, mu * ws.b_al, ws.nx)
+    # Only overpricing is allowed at zero.
+    resid = np.where(x > ws.thresh, np.abs(resid), resid)
+    group_mu = np.bincount(ws.b_m, mu, ws.nm)
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which reads as inf
+        blocks = (np.concatenate((-x, -slack, gap)),
+                  np.concatenate((-lam, -mu)),
+                  np.abs(np.concatenate((lam * slack, mu * gap))),
+                  np.concatenate((resid, np.abs(lam[ws.m_link] - group_mu))))
+    peaks = (float(np.max(b)) for b in blocks)
+    return tuple(math.inf if math.isnan(v) else max(0.0, v) for v in peaks)
 
 
 def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
@@ -277,43 +294,16 @@ def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
 def kkt_residuals(instance: NetworkInstance, primal: PrimalSolution,
                   lam: Dict[str, float],
                   mu: Dict[Tuple[AgentId, str], float]) -> KKTReport:
-    """Max-norm residual per optimality block, plus the sharing diagnostic."""
-    primal_feas = 0.0
-    for ki in instance.agents:
-        primal_feas = max(primal_feas, -primal.x[ki])
-    link_slack = {}
-    for lid in instance.link_ids:
-        total = sum(primal.m[(k, lid)] for k in instance.groups_on_link[lid])
-        link_slack[lid] = instance.capacity[lid] - total
-        primal_feas = max(primal_feas, total - instance.capacity[lid])
-    dual_feas = 0.0
-    comp = 0.0
-    for lid in instance.link_ids:
-        dual_feas = max(dual_feas, -lam[lid])
-        comp = max(comp, abs(lam[lid] * link_slack[lid]))
-    stat = 0.0
-    for ki in instance.agents:
-        price = 0.0
-        thresh = RATE_ATOL * max(instance.capacity[lid] for lid in instance.links_of[ki])
-        for lid in instance.links_of[ki]:
-            a = instance.alpha[(ki, lid)]
-            mval = mu[(ki, lid)]
-            dual_feas = max(dual_feas, -mval)
-            gap = a * primal.x[ki] - primal.m[(ki.group, lid)]
-            primal_feas = max(primal_feas, gap)
-            comp = max(comp, abs(mval * gap))
-            price += mval * a
-        resid = instance.valuation(ki).deriv(primal.x[ki]) - price
-        if primal.x[ki] > thresh:
-            stat = max(stat, abs(resid))
-        else:
-            stat = max(stat, resid)  # only overpricing is allowed at zero
-    for lid in instance.link_ids:
-        for k in instance.groups_on_link[lid]:
-            total = sum(mu[(b, lid)] for b in instance.member_agents_on_link[(k, lid)])
-            stat = max(stat, abs(lam[lid] - total))
+    """Max-norm residual per optimality block, plus the sharing diagnostic.
+
+    A NaN or infinite entry in x, m, lam or mu reads as an infinite residual."""
+    ws = _Workspace(instance)
+    blocks = _residual(ws, np.array([primal.x[ki] for ki in ws.agents], dtype=float),
+                       np.array([primal.m[p] for p in ws.mpairs], dtype=float),
+                       np.array([lam[lid] for lid in instance.link_ids], dtype=float),
+                       np.array([mu[p] for p in ws.bnd], dtype=float))
     a4 = check_a4(instance, primal)
-    return KKTReport(primal_feas, dual_feas, comp, stat, a4.holds, a4.s_sizes)
+    return KKTReport(*blocks, a4.holds, a4.s_sizes)
 
 
 def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
@@ -328,8 +318,9 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
         raise ValueError(f"tolerance must be positive, got {tol}")
     require_valid(instance)
     ws = _Workspace(instance)
+    nx, nl = ws.nx, ws.nl
     z = _interior_start(ws, init_seed)
-    x0 = z[:ws.nx]
+    x0 = z[:nx]
     gap0 = max(1.0, float(ws.dvalue(x0) @ x0) / max(1, ws.n))
     s = ws.apply(z) + ws.offset
     y = gap0 / s
@@ -337,11 +328,12 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     best_gap = math.inf
     stale = 0
     for _ in range(MAX_ITERS):
-        primal, lam, mu = _finish(ws, z, y)
-        report = kkt_residuals(instance, primal, lam, mu)
-        improved = best is None or report.max_residual < best[3].max_residual
+        x, m = _finish(ws, z)
+        blocks = _residual(ws, x, m, y[nx:nx + nl], y[nx + nl:])
+        res = max(blocks)
+        improved = best is None or res < best[0]
         if improved:
-            best = (primal, lam, mu, report)
+            best = (res, blocks, x, m, y)
         # Early on the residual can sit at a starved agent's x >= 0 multiplier
         # for many steps while the gap falls steadily; that is progress too.
         gap = float(s @ y)
@@ -349,7 +341,7 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
             best_gap = gap
             improved = True
         stale = 0 if improved else stale + 1
-        if report.max_residual <= RESIDUAL_FLOOR or stale >= PATIENCE:
+        if res <= RESIDUAL_FLOOR or stale >= PATIENCE:
             break
         try:
             z, s, y = _mehrotra_step(ws, z, s, y)
@@ -357,11 +349,17 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
             break
         if not (np.isfinite(z).all() and np.isfinite(s).all() and np.isfinite(y).all()):
             break
-    primal, lam, mu, report = best
-    if report.max_residual > tol:
+    res, blocks, x, m, y = best
+    if res > tol:
         raise SolverError(
-            f"interior point stalled at max residual {report.max_residual:.3e} > tol {tol:.3e}")
-    return primal, DualCertificate(lam, mu, report)
+            f"interior point stalled at max residual {res:.3e} > tol {tol:.3e}")
+    primal = PrimalSolution(
+        x={ki: float(x[j]) for ki, j in ws.aidx.items()},
+        m={p: float(m[j]) for p, j in ws.midx.items()})
+    lam = {lid: float(y[nx + j]) for j, lid in enumerate(instance.link_ids)}
+    mu = {p: float(y[nx + nl + j]) for j, p in enumerate(ws.bnd)}
+    a4 = check_a4(instance, primal)
+    return primal, DualCertificate(lam, mu, KKTReport(*blocks, a4.holds, a4.s_sizes))
 
 
 def argmax_ties(instance: NetworkInstance, primal: PrimalSolution,

@@ -145,8 +145,7 @@ def _certify_single(args: argparse.Namespace) -> int:
     candidate = construct_ne(instance, primal, dual, params)
     epsilon = args.epsilon if args.epsilon is not None else \
         default_epsilon(instance, primal)
-    report = certify_ne(instance, candidate, epsilon, budget=args.budget,
-                        restarts=args.restarts, seed=args.seed)
+    report = certify_ne(instance, candidate, epsilon, budget=args.budget)
     lemmas = lemma_suite(instance, candidate)
     outcome = evaluate(instance, candidate.profile, params)
 
@@ -167,7 +166,6 @@ def _certify_single(args: argparse.Namespace) -> int:
         "instance": args.instance, "variant": args.variant,
         "eta": args.eta, "xi": args.xi, "zeta": args.zeta,
         "tol": args.tol, "epsilon": args.epsilon, "budget": args.budget,
-        "restarts": args.restarts, "seed": args.seed,
         "lemma_tol": args.lemma_tol, "out": args.out,
     })
     worst_lemma = max(lemma_doc.values())
@@ -187,7 +185,7 @@ _SWEEP_TRIES = 25
 def _sweep_one(job: Tuple) -> Dict[str, object]:
     """Worker for one sweep seed: sample an instance until the sharing
     condition holds at the optimum, then construct and certify."""
-    (seed, variant, eta, xi, zeta, tol, epsilon_opt, budget, restarts,
+    (seed, variant, eta, xi, zeta, tol, epsilon_opt, budget,
      groups, members, links, density) = job
     row: Dict[str, object] = {"seed": seed, "status": "ok"}
     instance = primal = dual = None
@@ -214,8 +212,7 @@ def _sweep_one(job: Tuple) -> Dict[str, object]:
         candidate = construct_ne(instance, primal, dual, params)
         epsilon = epsilon_opt if epsilon_opt is not None else \
             default_epsilon(instance, primal)
-        report = certify_ne(instance, candidate, epsilon, budget=budget,
-                            restarts=restarts, seed=seed)
+        report = certify_ne(instance, candidate, epsilon, budget=budget)
         lemmas = lemma_suite(instance, candidate)
         outcome = evaluate(instance, candidate.profile, params)
         drift = max(abs(outcome.x[ki] - primal.x[ki]) for ki in instance.agents)
@@ -247,7 +244,7 @@ _SWEEP_COLUMNS = [
 
 def _certify_sweep(args: argparse.Namespace, seeds: List[int]) -> int:
     jobs = [(seed, args.variant, args.eta, args.xi, args.zeta, args.tol,
-             args.epsilon, args.budget, args.restarts, args.sweep_groups,
+             args.epsilon, args.budget, args.sweep_groups,
              args.sweep_members, args.sweep_links, args.sweep_density)
             for seed in sorted(seeds)]
     workers = _mech_workers(len(jobs))
@@ -270,7 +267,6 @@ def _certify_sweep(args: argparse.Namespace, seeds: List[int]) -> int:
         "seeds": sorted(seeds), "variant": args.variant,
         "eta": args.eta, "xi": args.xi, "zeta": args.zeta,
         "tol": args.tol, "epsilon": args.epsilon, "budget": args.budget,
-        "restarts": args.restarts,
         "sweep_groups": args.sweep_groups, "sweep_members": args.sweep_members,
         "sweep_links": args.sweep_links, "sweep_density": args.sweep_density,
         "out": args.out,
@@ -333,8 +329,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     epsilon = args.epsilon if args.epsilon is not None else 1e-8
     result = br_dynamics(instance, initial, params, rounds=args.rounds,
                          schedule=args.schedule, epsilon=epsilon,
-                         budget=args.budget, restarts=args.restarts,
-                         seed=args.seed)
+                         budget=args.budget)
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectory.csv")
     with open(traj_path, "w", encoding="utf-8", newline="") as fh:
@@ -354,7 +349,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         "instance": args.instance, "variant": args.variant,
         "eta": args.eta, "xi": args.xi, "zeta": args.zeta,
         "tol": args.tol, "epsilon": args.epsilon, "budget": args.budget,
-        "restarts": args.restarts, "seed": args.seed, "rounds": args.rounds,
+        "rounds": args.rounds,
         "schedule": args.schedule, "start": args.start, "out": args.out,
     })
     print(f"dynamics: rounds_run={result.rounds_run} "
@@ -373,6 +368,18 @@ def _positive(name: str):
             raise argparse.ArgumentTypeError(f"{name} must be a number")
         if not v > 0.0:
             raise argparse.ArgumentTypeError(f"{name} must be positive")
+        return v
+    return convert
+
+
+def _at_least(name: str, low: int):
+    def convert(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer")
+        if v < low:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {low}")
         return v
     return convert
 
@@ -400,16 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=_positive("epsilon"), default=None,
                        help="certification threshold (default 1e-6 * max "
                             "valuation at the optimum)")
-        p.add_argument("--budget", type=int, default=1000,
+        p.add_argument("--budget", type=_at_least("budget", 1), default=1000,
                        help="cap on utility evaluations per agent best response")
-        p.add_argument("--restarts", type=int, default=8,
-                       help="recorded in the reports; no longer steers anything")
-        p.add_argument("--seed", type=int, default=0,
-                       help="recorded in the reports; no longer steers anything")
 
     p_solve = sub.add_parser("solve", help="welfare optimum + dual certificate")
     common(p_solve)
-    p_solve.add_argument("--seed", type=int, default=None,
+    p_solve.add_argument("--seed", type=_at_least("seed", 0), default=None,
                          help="jitter the interior starting point")
     p_solve.add_argument("--require-a4", action="store_true",
                          help="exit 4 unless every link has two demanding "
@@ -427,16 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--lemma-tol", type=_positive("lemma-tol"),
                         default=DEFAULT_LEMMA_TOL,
                         help="max allowed lemma violation for exit 0")
-    p_cert.add_argument("--sweep-groups", type=int, default=3)
-    p_cert.add_argument("--sweep-members", type=int, default=3)
-    p_cert.add_argument("--sweep-links", type=int, default=3)
+    p_cert.add_argument("--sweep-groups", type=_at_least("sweep-groups", 2), default=3)
+    p_cert.add_argument("--sweep-members", type=_at_least("sweep-members", 1), default=3)
+    p_cert.add_argument("--sweep-links", type=_at_least("sweep-links", 1), default=3)
     p_cert.add_argument("--sweep-density", type=float, default=0.7)
     p_cert.set_defaults(func=cmd_certify)
 
     p_dyn = sub.add_parser("dynamics", help="iterated best-response rounds")
     common(p_dyn)
     mech(p_dyn)
-    p_dyn.add_argument("--rounds", type=int, default=50)
+    p_dyn.add_argument("--rounds", type=_at_least("rounds", 1), default=50)
     p_dyn.add_argument("--schedule", choices=["gauss-seidel", "jacobi"],
                        default="gauss-seidel")
     p_dyn.add_argument("--start", default="ne",

@@ -300,12 +300,10 @@ def certify_ne(instance: NetworkInstance, candidate: CandidateNE, epsilon: float
 def br_dynamics(instance: NetworkInstance, initial: Profile,
                 params: MechanismParams, rounds: int = 50,
                 schedule: str = "gauss-seidel", epsilon: float = 1e-8,
-                budget: int = 300, restarts: int = 4, seed: int = 0
-                ) -> DynamicsResult:
+                budget: int = 300) -> DynamicsResult:
     """Iterated best response; convergence is observed, never presumed.
 
-    Each update is exact_best_response with `budget` evaluations; `restarts`
-    and `seed` are accepted and no longer steer anything. One row per
+    Each update is exact_best_response with `budget` evaluations. One row per
     (round, agent) records demand, rate, tax, and the round's best-response
     gain; the feasible flag certifies the shared constraints after the
     round's updates (the allocation map keeps it true by construction).

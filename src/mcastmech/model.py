@@ -231,18 +231,17 @@ def constraint_violation(instance: NetworkInstance, x: Dict[AgentId, float],
     """Max violation of nonnegativity, capacity, and per-member bounding.
 
     Zero (or a few ulps) means the pair (x, m) is feasible for the shared
-    allocation problem.
+    allocation problem. A NaN or infinite rate or bound reads as infinite.
     """
-    worst = 0.0
-    for ki in instance.agents:
-        worst = max(worst, -x[ki])
+    terms = [-x[ki] for ki in instance.agents]
     for lid in instance.link_ids:
-        total = sum(m[(k, lid)] for k in instance.groups_on_link[lid])
-        worst = max(worst, total - instance.capacity[lid])
+        terms.append(sum(m[(k, lid)] for k in instance.groups_on_link[lid])
+                     - instance.capacity[lid])
         for k in instance.groups_on_link[lid]:
             for ki in instance.member_agents_on_link[(k, lid)]:
-                worst = max(worst, instance.alpha[(ki, lid)] * x[ki] - m[(k, lid)])
-    return worst
+                terms.append(instance.alpha[(ki, lid)] * x[ki] - m[(k, lid)])
+    # An infinite entry leaves a +inf or a NaN term, and max() can pass over a NaN.
+    return math.inf if any(map(math.isnan, terms)) else max(0.0, *terms)
 
 
 # ---------------------------------------------------------------------------

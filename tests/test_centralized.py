@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mcastmech import (
+    LOG_SAT,
     AgentId,
     PrimalSolution,
     allocate,
@@ -17,9 +20,11 @@ from mcastmech import (
     solve_cp,
     welfare,
 )
+from mcastmech import centralized
 from mcastmech.errors import SolverError
 
-from conftest import batch_shape
+from conftest import batch_shape, make_instance
+from kkt_reference import reference_residuals
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +190,101 @@ def test_zero_point_stationarity_is_max_initial_slope(symmetric_instance):
     report = kkt_residuals(symmetric_instance, zero, lam, mu)
     # v'(0) = 1 for both agents and the inequality branch is violated by 1
     assert report.stationarity == pytest.approx(1.0)
+
+
+BLOCKS = ("primal_feas", "dual_feas", "comp_slack", "stationarity")
+
+
+@pytest.mark.parametrize("name", [
+    "symmetric_instance", "oracle_instance", "slack_instance", "two_member_instance",
+    "chain_instance", "three_group_instance", "saturated_instance",
+    "random-3", "random-41", "acceptance-16144", "ladder-12",
+])
+def test_residual_blocks_match_reference_bitwise(name, request):
+    """At the solved point and with entries of x, m, lambda and mu negated,
+    zeroed or scaled, every block of kkt_residuals is the reference loop's
+    float bit for bit."""
+    if name.startswith("random"):
+        inst = random_instance(int(name.split("-")[1]), n_groups=4, max_group_size=3,
+                               n_links=3)
+    elif name.startswith("acceptance"):
+        inst = _acceptance_draw(int(name.split("-")[1]))
+    elif name.startswith("ladder"):
+        g = int(name.split("-")[1])
+        inst = random_instance(1, n_groups=g, max_group_size=3, n_links=g)
+    else:
+        inst = request.getfixturevalue(name)
+    primal, dual = solve_cp(inst, tol=1e-9)
+    factors = st.one_of(st.sampled_from([0.0, -1.0]), st.floats(-2.0, 2.0))
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def check(data):
+        def perturbed(values):
+            # A few entries, or every entry, so that no single term dominates.
+            out = dict(values)
+            keys = sorted(out, key=repr)
+            if not data.draw(st.booleans()):
+                keys = data.draw(st.lists(st.sampled_from(keys), max_size=3))
+            for key in keys:
+                out[key] *= data.draw(factors)
+            return out
+
+        point = PrimalSolution(perturbed(primal.x), perturbed(primal.m))
+        lam, mu = perturbed(dual.lam), perturbed(dual.mu)
+        try:
+            want = reference_residuals(inst, point, lam, mu)
+        except ArithmeticError:  # v'(x) has a pole at a negative rate
+            assume(False)
+        report = kkt_residuals(inst, point, lam, mu)
+        assert [getattr(report, b).hex() for b in BLOCKS] == [v.hex() for v in want]
+
+    check()
+
+
+def test_group_dual_sums_run_in_member_order():
+    # A three-member group whose duals sum to different floats in member
+    # order and in reverse; with lambda = 0 that sum sets the stationarity
+    # block, which the max norm otherwise hides.
+    inst = make_instance({"l1": 10.0}, [(k, i, LOG_SAT, 1.0, 1.0, {"l1": 1.0})
+                                        for k, i in ((1, 1), (1, 2), (1, 3), (2, 1))])
+    tiny = 4.0 * 0.6 * 2.0 ** -52
+    assert (4.0 + tiny) + tiny != (tiny + tiny) + 4.0
+    zero = PrimalSolution(x={ki: 0.0 for ki in inst.agents},
+                          m={(1, "l1"): 0.0, (2, "l1"): 0.0})
+    lam = {"l1": 0.0}
+    mu = {(ki, "l1"): v for ki, v in zip(inst.agents, (4.0, tiny, tiny, 0.0))}
+    report = kkt_residuals(inst, zero, lam, mu)
+    assert report.stationarity == (4.0 + tiny) + tiny
+    assert report.stationarity.hex() == reference_residuals(inst, zero, lam, mu)[3].hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("target", ["x", "m", "lam", "mu"])
+def test_non_finite_entry_reads_as_infinite(symmetric_instance, solved_symmetric,
+                                            target, bad):
+    primal, dual = solved_symmetric
+    parts = {"x": dict(primal.x), "m": dict(primal.m),
+             "lam": dict(dual.lam), "mu": dict(dual.mu)}
+    parts[target][next(iter(parts[target]))] = bad
+    report = kkt_residuals(symmetric_instance, PrimalSolution(parts["x"], parts["m"]),
+                           parts["lam"], parts["mu"])
+    assert report.max_residual == math.inf
+    if target in ("x", "m"):
+        assert constraint_violation(symmetric_instance, parts["x"], parts["m"]) == math.inf
+
+
+def test_solve_builds_one_certificate(monkeypatch, chain_instance):
+    # The loop measures iterates on arrays; only the returned one gets the
+    # sharing count, and the dict-based kkt_residuals is never called.
+    calls = []
+    real = centralized.check_a4
+    monkeypatch.setattr(centralized, "check_a4",
+                        lambda inst, primal: calls.append(1) or real(inst, primal))
+    monkeypatch.setattr(centralized, "kkt_residuals", None)
+    primal, dual = solve_cp(chain_instance, tol=1e-9)
+    assert len(calls) == 1
+    assert dual.residuals.a4_holds == real(chain_instance, primal).holds
 
 
 # ---------------------------------------------------------------------------

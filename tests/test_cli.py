@@ -261,3 +261,21 @@ def test_missing_subcommand_exits_2():
 def test_bad_seed_range_exits_2(tmp_path):
     proc = run_cli("certify", "--seeds", "5..1", "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--seed", "-1"),
+    ("dynamics", "--rounds", "0"),
+    ("dynamics", "--budget", "-3"),
+    ("certify", "--budget", "0"),
+    ("certify", "--seeds", "1", "--sweep-groups", "1"),
+    ("certify", "--seeds", "1", "--sweep-members", "0"),
+    ("certify", "--seeds", "1", "--sweep-links", "0"),
+    ("certify", "--seeds", "1", "--sweep-links", "two"),
+])
+def test_out_of_range_integer_exits_2(tmp_path, sym_path, args):
+    if "--seeds" not in args:
+        args = args + ("--instance", sym_path)
+    proc = run_cli(*args, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

@@ -507,7 +507,7 @@ def test_dynamics_guards(symmetric_instance, solved_symmetric):
 def test_dynamics_fixed_point_at_ne(symmetric_instance, solved_symmetric):
     cand = constructed(symmetric_instance, solved_symmetric)
     result = br_dynamics(
-        symmetric_instance, cand.profile, WBB, rounds=5, epsilon=1e-7, budget=400, seed=3
+        symmetric_instance, cand.profile, WBB, rounds=5, epsilon=1e-7, budget=400
     )
     assert result.fixed_point
     assert result.rounds_run == 1
@@ -516,7 +516,7 @@ def test_dynamics_fixed_point_at_ne(symmetric_instance, solved_symmetric):
 
 def test_dynamics_rows_schema_and_feasibility(symmetric_instance):
     start = {ki: zero_message(symmetric_instance, ki, "wbb") for ki in symmetric_instance.agents}
-    result = br_dynamics(symmetric_instance, start, WBB, rounds=3, budget=250, seed=5)
+    result = br_dynamics(symmetric_instance, start, WBB, rounds=3, budget=250)
     assert 1 <= result.rounds_run <= 3
     assert len(result.rows) == result.rounds_run * len(symmetric_instance.agents)
     for row in result.rows:
@@ -527,7 +527,7 @@ def test_dynamics_rows_schema_and_feasibility(symmetric_instance):
 def test_dynamics_jacobi_schedule(symmetric_instance):
     start = {ki: zero_message(symmetric_instance, ki, "wbb") for ki in symmetric_instance.agents}
     result = br_dynamics(
-        symmetric_instance, start, WBB, rounds=2, schedule="jacobi", budget=250, seed=5
+        symmetric_instance, start, WBB, rounds=2, schedule="jacobi", budget=250
     )
     assert result.rounds_run >= 1
     assert all(row["feasible"] for row in result.rows)
