@@ -27,15 +27,14 @@ from .centralized import (A4Report, DualCertificate, KKTReport,
 from .mechanism import (AllocationResult, DeviationEvaluator,
                         MechanismParams, Message, Outcome, Profile,
                         TaxBreakdown, VARIANT_SBB, VARIANT_WBB, allocate,
-                        evaluate, group_prices,
-                        outcome_to_json, profile_from_json, profile_to_json,
-                        utilities, utility, zero_message)
+                        evaluate, outcome_to_json, profile_from_json,
+                        profile_to_json, utilities, zero_message)
 from .equilibrium import (BestResponseResult, CandidateNE,
                           CertificationReport, CurvatureReport,
                           DynamicsResult, LemmaReport, br_dynamics,
                           certify_ne, construct_ne, exact_best_response,
                           curvature_check, default_epsilon, lemma_suite,
-                          tune_params, utility_y_slope)
+                          tune_params)
 
 __version__ = "0.1.0"
 
@@ -51,15 +50,13 @@ __all__ = [
     "MechanismParams", "Message", "Profile", "Outcome", "TaxBreakdown",
     "AllocationResult", "DeviationEvaluator",
     "VARIANT_WBB", "VARIANT_SBB", "allocate",
-    "evaluate", "group_prices", "utility",
-    "utilities", "zero_message", "profile_to_json", "profile_from_json",
+    "evaluate", "utilities", "zero_message", "profile_to_json", "profile_from_json",
     "outcome_to_json",
     "CandidateNE", "BestResponseResult", "CertificationReport",
     "LemmaReport", "CurvatureReport", "DynamicsResult",
     "construct_ne", "exact_best_response", "certify_ne",
     "br_dynamics",
     "lemma_suite", "curvature_check", "tune_params", "default_epsilon",
-    "utility_y_slope",
     "MechError", "InstanceFormatError", "ValidationFailure",
     "MessageShapeError", "SharingAssumptionError", "SolverError",
     "EquilibriumError", "DegenerateInstanceError",

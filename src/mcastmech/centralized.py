@@ -362,9 +362,10 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     return primal, DualCertificate(lam, mu, KKTReport(*blocks, a4.holds, a4.s_sizes))
 
 
-def argmax_ties(instance: NetworkInstance, primal: PrimalSolution,
-                rtol: float = 1e-6) -> Dict[Tuple[int, str], List[int]]:
-    """Members attaining the group's weighted peak on each link, within rtol.
+def argmax_ties(instance: NetworkInstance, primal: PrimalSolution
+                ) -> Dict[Tuple[int, str], List[int]]:
+    """Members attaining the group's weighted peak on each link, within a
+    relative 1e-6.
 
     More than one member means the bounding duals on that (group, link) are
     not unique; downstream consumers get the tie set instead of a warning.
@@ -375,7 +376,7 @@ def argmax_ties(instance: NetworkInstance, primal: PrimalSolution,
                 for i in members}
         peak = max(vals.values())
         ties[(k, lid)] = [i for i, v in vals.items()
-                          if v >= peak - rtol * max(1.0, peak)]
+                          if v >= peak - 1e-6 * max(1.0, peak)]
     return ties
 
 

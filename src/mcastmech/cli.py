@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import platform
 import sys
@@ -360,14 +361,16 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _positive(name: str):
+def _positive(name: str, high: float = math.inf):
+    """A finite number in (0, high]."""
     def convert(text: str) -> float:
         try:
             v = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be a number")
-        if not v > 0.0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive")
+        if not (0.0 < v <= high and math.isfinite(v)):
+            bound = "positive" if high == math.inf else f"in (0, {high:g}]"
+            raise argparse.ArgumentTypeError(f"{name} must be finite and {bound}")
         return v
     return convert
 
@@ -433,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--sweep-groups", type=_at_least("sweep-groups", 2), default=3)
     p_cert.add_argument("--sweep-members", type=_at_least("sweep-members", 1), default=3)
     p_cert.add_argument("--sweep-links", type=_at_least("sweep-links", 1), default=3)
-    p_cert.add_argument("--sweep-density", type=float, default=0.7)
+    p_cert.add_argument("--sweep-density", type=_positive("sweep-density", 1.0), default=0.7,
+                        help="route density of swept instances, in (0, 1]")
     p_cert.set_defaults(func=cmd_certify)
 
     p_dyn = sub.add_parser("dynamics", help="iterated best-response rounds")

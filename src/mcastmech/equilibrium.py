@@ -12,7 +12,8 @@ Certification computes each agent's best response. For a fixed own demand
 the allocation is fixed and the best quotes and rho are closed forms, so
 the best response is a one-dimensional maximum over the demand, whose
 kinks are known in closed form: a log grid through them plus golden
-section on the best local maxima finds it. The candidate is an epsilon
+section on the best local maxima, and on each side of a kink where the
+utility rises away from it, finds it. The candidate is an epsilon
 equilibrium when no agent's best response gains more than epsilon (Kakhbod
 and Teneketzis, IEEE JSAC 30(11), 2012, build their multicast game form
 on the same separation of the deviation).
@@ -25,8 +26,8 @@ leaves process-level parallelism to sweep drivers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .centralized import DualCertificate, PrimalSolution, check_a4
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
                         MechanismParams, Message, Profile, VARIANT_SBB, allocate,
-                        evaluate, utilities)
+                        evaluate)
 from .model import AgentId, NetworkInstance, RATE_ATOL, constraint_violation
 
 
@@ -42,7 +43,6 @@ from .model import AgentId, NetworkInstance, RATE_ATOL, constraint_violation
 class CandidateNE:
     profile: Profile
     params: MechanismParams
-    source: str = "kkt"
 
 
 @dataclass
@@ -156,10 +156,12 @@ def default_epsilon(instance: NetworkInstance, primal: PrimalSolution) -> float:
 
 
 def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
-                 dual: DualCertificate, params: MechanismParams,
-                 dual_tol: float = 1e-6, r_tol: float = 1e-6) -> CandidateNE:
-    """Messages that replay the welfare solution through the mechanism."""
-    if dual.residuals.max_residual > dual_tol:
+                 dual: DualCertificate, params: MechanismParams) -> CandidateNE:
+    """Messages that replay the welfare solution through the mechanism.
+
+    Refuses duals whose max KKT residual exceeds 1e-6, and a replay whose
+    scale or rates drift from 1 and the optimum by more than a relative 1e-6."""
+    if dual.residuals.max_residual > 1e-6:
         raise EquilibriumError(
             f"duals too loose for construction: {dual.residuals.max_residual:.3e}")
     a4 = check_a4(instance, primal)
@@ -170,7 +172,7 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
     sbb = params.variant == VARIANT_SBB
     y = {ki: primal.x[ki] for ki in instance.agents}
     alloc = allocate(instance, y)
-    if abs(alloc.r - 1.0) > r_tol:
+    if abs(alloc.r - 1.0) > 1e-6:
         raise EquilibriumError(f"replayed scale {alloc.r} is not 1")
     profile: Profile = {}
     for ki in instance.agents:
@@ -180,7 +182,7 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
             q[lid] = (dual.mu[(ki, lid)], dual.mu[(succ, lid)])
         profile[ki] = Message(y[ki], q, alloc.r if sbb else None)
     err = max(abs(alloc.x[ki] - primal.x[ki]) for ki in instance.agents)
-    if err > r_tol * max(1.0, max(abs(v) for v in primal.x.values())):
+    if err > 1e-6 * max(1.0, max(abs(v) for v in primal.x.values())):
         raise EquilibriumError(f"replayed rates drift from the optimum by {err:.3e}")
     return CandidateNE(profile, params)
 
@@ -191,31 +193,35 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 40  # log-spaced demands across the scales of g, 1e3 beyond each end
 _TAIL = (1e3, 1e6, 1e9, 1e12)  # sparse demands beyond both ends, where g is monotone
-_REFINE = 3  # best local maxima of the samples refined by golden section
+_REFINE = 3  # best candidate brackets refined by golden section
 _WIDTH_TOL = 1e-8  # relative bracket width at which golden section stops
 DEMAND_CAP = 1e300  # largest demand sampled; a best response there is cut off
 
 
-def _demand_grid(y0: float, kinks: List[float], knees: List[float]) -> List[float]:
+def _demand_grid(y0: float, kinks: List[float], knees: List[float]
+                 ) -> Tuple[List[float], List[bool]]:
     """Sorted demands at which g is sampled: 0, the incumbent y0, the
     kinks, a log grid across the scales (knees, kinks, y0) and sparse
     tails out to 1e15 times past them (x is then saturated to a share
     1e-15 on every route link). Points closer than rounding noise in g
-    would fake local maxima, so each cluster keeps one (y0 if in it)."""
+    would fake local maxima, so each cluster keeps one (y0 if in it).
+    Also returns, per point, whether its cluster holds a kink."""
     scales = [*knees, *kinks] + ([y0] if y0 > 0.0 else [])
     lo = max(min(scales) / 1e3, 1e-300)
     hi = max(min(max(scales) * 1e3, DEMAND_CAP), lo)
     step = (hi / lo) ** (1.0 / (_GRID_POINTS - 1))
     points = {0.0, y0, *kinks, *(lo * step ** j for j in range(_GRID_POINTS))}
     points.update(p for t in _TAIL for p in (lo / t, hi * t))
-    grid: List[float] = []
+    grid, kinked = [], []
     for y in sorted(p for p in points if p <= DEMAND_CAP):
         if grid and y - grid[-1] <= KINK_TOL * y:
             if y == y0:
                 grid[-1] = y
+            kinked[-1] = kinked[-1] or y in kinks
             continue
         grid.append(y)
-    return grid
+        kinked.append(y in kinks)
+    return grid, kinked
 
 
 def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId,
@@ -226,13 +232,15 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
     For a fixed own demand y the best quotes and rho are closed forms
     (DeviationEvaluator.best_message), so the best response maximizes
     g(y), the utility of the best message at demand y. g is smooth except
-    at y = 0 and at the kinks of the allocation, all known in closed form
-    (DeviationEvaluator.demand_kinks). g is sampled at those points, at
-    the incumbent demand and on a log grid (_demand_grid); the best local
-    maxima of the samples are refined by golden section. Every value is a
-    DeviationEvaluator.utility call, and `budget` caps their number. The
-    incumbent message is one of the candidates, so the gain is never
-    negative."""
+    at y = 0 and at the kinks of the allocation (demand_kinks); it is
+    sampled there, at the incumbent demand and on a log grid. Golden
+    section, in log y off 0 where samples can lie decades apart, refines
+    the best candidates by sample value: each sampled local maximum off a
+    kink, between its neighbours, and each side of a kink whose neighbour
+    there is no higher and where the exact one-sided slope of g
+    (local_model) rises away from it, up to that neighbour. No bracket
+    holds a kink. `budget` caps the DeviationEvaluator.utility calls. The
+    incumbent is a candidate, so the gain is never negative."""
     if budget <= 0:
         raise ValueError(f"evaluation budget must be positive, got {budget}")
     ev = DeviationEvaluator(instance, profile, params, ki)
@@ -247,25 +255,45 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
             best[:] = [v, msg]
         return v
 
-    grid = _demand_grid(current.y, *ev.demand_kinks())[:max(0, budget - ev.evals)]
+    grid, kinked = _demand_grid(current.y, *ev.demand_kinks())
+    grid = grid[:max(0, budget - ev.evals)]
     vals = [g(y) for y in grid]
-    peaks = [j for j in range(1, len(grid)) if vals[j] >= vals[j - 1]
-             and (j + 1 == len(grid) or vals[j] >= vals[j + 1])]
-    for j in sorted(peaks, key=lambda j: -vals[j])[:_REFINE]:
-        a, b = grid[j - 1], grid[min(j + 1, len(grid) - 1)]
-        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        if ev.evals + 2 > budget:
+    n = len(grid)
+    candidates = []  # (sample value, index, 0 off a kink, else the side of the kink)
+    for j in range(1, n):
+        left, right = vals[j - 1] <= vals[j], j + 1 == n or vals[j + 1] <= vals[j]
+        if not kinked[j]:
+            if left and right:
+                candidates.append((vals[j], j, 0))
+        else:
+            candidates += [(vals[j], j, side) for side, lower in ((-1, left), (1, right))
+                           if lower and 0 <= j + side < n]
+    refined = 0
+    for _, j, side in sorted(candidates, key=lambda c: -c[0]):
+        if refined == _REFINE or ev.evals + 2 > budget:
             break
-        fc, fd = g(c), g(d)
-        while b - a > _WIDTH_TOL * b and ev.evals < budget:
+        if side:
+            slope = ev.local_model(ev.best_message(grid[j], current), side).grad[0]
+            if side * slope <= 0.0:
+                continue  # g falls away from the kink on that side
+            a, b = sorted((grid[j], grid[j + side]))
+        else:
+            a, b = grid[j - 1], grid[min(j + 1, n - 1)]
+        refined += 1
+        # golden section in t = y, or in t = log y when the bracket is off 0
+        y_of = float if a == 0.0 else math.exp
+        ta, tb = (a, b) if a == 0.0 else (math.log(a), math.log(b))
+        tc, td = tb - _GOLDEN * (tb - ta), ta + _GOLDEN * (tb - ta)
+        fc, fd = g(y_of(tc)), g(y_of(td))
+        while y_of(tb) - y_of(ta) > _WIDTH_TOL * y_of(tb) and ev.evals < budget:
             if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = g(c)
+                tb, td, fd = td, tc, fc
+                tc = tb - _GOLDEN * (tb - ta)
+                fc = g(y_of(tc))
             else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = g(d)
+                ta, tc, fc = tc, td, fd
+                td = ta + _GOLDEN * (tb - ta)
+                fd = g(y_of(td))
     best_val, best_msg = best
     return BestResponseResult(best_msg, best_val - base, ev.evals, base, best_val)
 
@@ -334,7 +362,7 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
                 round_gains[ki] = br.gain
                 if br.gain > 0.0:
                     profile[ki] = br.message.copy()
-        out = evaluate(instance, profile, params, check=False)
+        out = evaluate(instance, profile, params)
         feasible = constraint_violation(instance, out.x, out.m) <= 1e-12
         for ki in instance.agents:
             rows.append({
@@ -362,7 +390,6 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
     profile = candidate.profile
     sbb = params.variant == VARIANT_SBB
     out = evaluate(instance, profile, params)
-    u = utilities(instance, profile, params, check=False)
 
     equal_prices = max(abs(out.w[p] - out.w_bar[p]) for p in out.w)
 
@@ -394,8 +421,10 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
                                  for lid in instance.links_of[ki])
         stat = max(stat, abs(resid) if out.x[ki] > thresh else max(0.0, resid))
 
-    ir = max(0.0, max(instance.valuation(ki).value(0.0) - u[ki]
-                      for ki in instance.agents))
+    ir = 0.0
+    for ki in instance.agents:
+        val = instance.valuation(ki)
+        ir = max(ir, val.value(0.0) - (val.value(out.x[ki]) - out.taxes[ki].total))
     wbb_gap = max(0.0, -out.total_tax)
     sbb_gap = abs(out.total_tax) if sbb else 0.0
     rho_gap = 0.0
@@ -451,30 +480,18 @@ def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> Curvat
 
 
 def tune_params(instance: NetworkInstance, primal: PrimalSolution,
-                dual: DualCertificate, params: MechanismParams,
-                floor: float = 1e-8
+                dual: DualCertificate, params: MechanismParams
                 ) -> Tuple[MechanismParams, int, CurvatureReport]:
-    """Halve the coupling weights until local curvature passes everywhere."""
+    """Halve the coupling weights until local curvature passes everywhere;
+    DegenerateInstanceError once eta would fall below 1e-8."""
     shrinks = 0
     while True:
         candidate = construct_ne(instance, primal, dual, params)
         report = curvature_check(instance, candidate)
         if report.all_pass:
             return params, shrinks, report
-        if params.eta / 2.0 < floor:
-            raise DegenerateInstanceError(
-                f"curvature still indefinite at the coupling floor {floor}")
+        if params.eta / 2.0 < 1e-8:
+            raise DegenerateInstanceError("curvature still indefinite at the coupling floor 1e-8")
         params = params.halved()
         shrinks += 1
 
-
-def utility_y_slope(instance: NetworkInstance, profile: Profile,
-                    params: MechanismParams, ki: AgentId, side: int
-                    ) -> Tuple[float, bool]:
-    """One-sided d(own utility)/d(own demand), the demand entry of
-    DeviationEvaluator.local_model's gradient. Returns (slope, jumped).
-
-    jumped means the scale itself is discontinuous on that side (a demand
-    branch boundary, only at y = 0), where no one-sided derivative exists."""
-    model = DeviationEvaluator(instance, profile, params, ki).local_model(profile[ki], side)
-    return (math.nan, True) if model.jumped else (float(model.grad[0]), False)

@@ -6,7 +6,9 @@ the constraint of its cyclic group successor on that link. The strong
 budget balance (SBB) variant adds a scaling estimate rho.
 
 Allocation: per link, each group's weighted peak demand n = max alpha*y is
-computed; a link with two or more demanding groups offers scale c / sum(n),
+computed, and the group demands there when n > 0 (a demand too small to
+survive the weighting does not count); a link with two or more demanding
+groups offers scale c / sum(n),
 a link with exactly one demanding group offers c / (n + 1) (the shaved
 offer keeps a lone group from absorbing the full capacity), and an idle
 link offers no bound. The realized scale r is the smallest finite offer
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -68,6 +70,8 @@ class MechanismParams:
             raise ValueError(f"unknown variant {self.variant!r}")
         if min(self.eta, self.xi) <= 0.0 or (self.variant == VARIANT_SBB and self.zeta <= 0.0):
             raise ValueError("coupling weights must be positive")
+        if not all(map(math.isfinite, (self.eta, self.xi, self.zeta))):
+            raise ValueError("coupling weights must be finite")
 
     def halved(self) -> "MechanismParams":
         return replace(self, eta=self.eta / 2, xi=self.xi / 2, zeta=self.zeta / 2)
@@ -103,12 +107,7 @@ class AllocationResult:
 
 
 @dataclass
-class Outcome:
-    r: float
-    r_per_link: Dict[str, float]
-    n: Dict[Tuple[int, str], float]
-    m: Dict[Tuple[int, str], float]
-    x: Dict[AgentId, float]
+class Outcome(AllocationResult):
     w: Dict[Tuple[int, str], float]
     w_bar: Dict[Tuple[int, str], float]
     rho_bar: Dict[AgentId, float]
@@ -156,30 +155,20 @@ def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) 
 # Allocation
 
 def group_maxima(instance: NetworkInstance, y: Dict[AgentId, float]):
-    """Weighted per-(group, link) peaks and the demanding-group sets."""
+    """Weighted per-(group, link) peaks and the demanding-group sets: the
+    groups whose peak is positive."""
     peaks: Dict[Tuple[int, str], float] = {}
     active: Dict[str, set] = {lid: set() for lid in instance.link_ids}
     for (k, lid), members in instance.member_agents_on_link.items():
         best = 0.0
-        demanding = False
         for ki in members:
-            yv = y[ki]
-            if yv > 0.0:
-                demanding = True
-            v = instance.alpha[(ki, lid)] * yv
+            v = instance.alpha[(ki, lid)] * y[ki]
             if v > best:
                 best = v
         peaks[(k, lid)] = best
-        if demanding:
+        if best > 0.0:
             active[lid].add(k)
     return peaks, active
-
-
-def link_scaling(instance: NetworkInstance, peaks, active, lid: str) -> float:
-    """Scale offered by one link; NO_BOUND when nothing is demanded on it."""
-    return _offer(instance.capacity[lid],
-                  (peaks[(k, lid)] for k in instance.groups_on_link[lid]),
-                  len(active[lid]))
 
 
 def _offer(capacity: float, peaks, n_demanding: int) -> float:
@@ -197,34 +186,15 @@ def _offer(capacity: float, peaks, n_demanding: int) -> float:
 
 def allocate(instance: NetworkInstance, y: Dict[AgentId, float]) -> AllocationResult:
     peaks, active = group_maxima(instance, y)
-    r_per_link = {lid: link_scaling(instance, peaks, active, lid)
+    r_per_link = {lid: _offer(instance.capacity[lid],
+                              (peaks[(k, lid)] for k in instance.groups_on_link[lid]),
+                              len(active[lid]))
                   for lid in instance.link_ids}
     finite = [v for v in r_per_link.values() if v != NO_BOUND]
     r = min(finite) if finite else 0.0  # all-zero demand collapses to x = 0
     x = {ki: r * y[ki] for ki in instance.agents}
     m = {p: r * peaks[p] for p in peaks}
     return AllocationResult(r, r_per_link, peaks, x, m)
-
-
-# ---------------------------------------------------------------------------
-# Prices
-
-def group_prices(instance: NetworkInstance, profile: Profile):
-    """Group price sums w and leave-one-group-out means w_bar, per link."""
-    w: Dict[Tuple[int, str], float] = {}
-    for (k, lid), members in instance.member_agents_on_link.items():
-        w[(k, lid)] = sum(profile[b].q[lid][0] for b in members)
-    w_bar: Dict[Tuple[int, str], float] = {}
-    for lid in instance.link_ids:
-        groups = instance.groups_on_link[lid]
-        if len(groups) < 2:
-            raise MessageShapeError(
-                f"link {lid} carries one group, rival mean undefined; validation should "
-                f"have rejected this instance")
-        total = sum(w[(k, lid)] for k in groups)
-        for k in groups:
-            w_bar[(k, lid)] = (total - w[(k, lid)]) / (len(groups) - 1)
-    return w, w_bar
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +282,28 @@ def agent_tax(instance: NetworkInstance, profile: Profile, params: MechanismPara
     return TaxBreakdown(per_link, zeta_term, total)
 
 
+def _rival_count(instance: NetworkInstance, lid: str) -> int:
+    """The number of rival groups any group on the link has (at least 1)."""
+    if len(instance.groups_on_link[lid]) < 2:
+        raise MessageShapeError(f"link {lid} carries one group, rival mean undefined; "
+                                f"validation should have rejected this instance")
+    return len(instance.groups_on_link[lid]) - 1
+
+
 def _tax_context(instance: NetworkInstance, profile: Profile, params: MechanismParams,
                  alloc: AllocationResult):
-    w, w_bar = group_prices(instance, profile)
+    """Group price sums w, leave-one-group-out means w_bar and link loads,
+    plus the SBB rebate pools and rho means."""
+    w: Dict[Tuple[int, str], float] = {}
+    for (k, lid), members in instance.member_agents_on_link.items():
+        w[(k, lid)] = sum(profile[b].q[lid][0] for b in members)
+    w_bar: Dict[Tuple[int, str], float] = {}
+    for lid in instance.link_ids:
+        n_rivals = _rival_count(instance, lid)
+        groups = instance.groups_on_link[lid]
+        total = sum(w[(k, lid)] for k in groups)
+        for k in groups:
+            w_bar[(k, lid)] = (total - w[(k, lid)]) / n_rivals
     m_sum = {lid: sum(alloc.m[(k, lid)] for k in instance.groups_on_link[lid])
              for lid in instance.link_ids}
     pools = {}
@@ -325,11 +314,9 @@ def _tax_context(instance: NetworkInstance, profile: Profile, params: MechanismP
     return w, w_bar, m_sum, pools, rho_bar
 
 
-def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParams,
-             check: bool = True) -> Outcome:
+def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParams) -> Outcome:
     """Full outcome for a message profile: allocation, prices, all taxes."""
-    if check:
-        validate_profile(instance, profile, params.variant)
+    validate_profile(instance, profile, params.variant)
     y = {ki: profile[ki].y for ki in instance.agents}
     alloc = allocate(instance, y)
     w, w_bar, m_sum, pools, rho_bar = _tax_context(instance, profile, params, alloc)
@@ -340,22 +327,13 @@ def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParam
                        rho_bar.get(ki), pools)
         taxes[ki] = tb
         total_tax += tb.total
-    return Outcome(alloc.r, alloc.r_per_link, alloc.n, alloc.m, alloc.x,
-                   w, w_bar, rho_bar, taxes, total_tax)
-
-
-def utility(instance: NetworkInstance, profile: Profile, params: MechanismParams,
-            ki: AgentId, check: bool = True) -> float:
-    if check:
-        validate_profile(instance, profile, params.variant)
-    return DeviationEvaluator(instance, profile, params, ki).utility(profile[ki])
+    return Outcome(**vars(alloc), w=w, w_bar=w_bar, rho_bar=rho_bar, taxes=taxes,
+                   total_tax=total_tax)
 
 
 def utilities(instance: NetworkInstance, profile: Profile,
-              params: MechanismParams, check: bool = True) -> Dict[AgentId, float]:
-    if check:
-        validate_profile(instance, profile, params.variant)
-    out = evaluate(instance, profile, params, check=False)
+              params: MechanismParams) -> Dict[AgentId, float]:
+    out = evaluate(instance, profile, params)
     return {ki: instance.valuation(ki).value(out.x[ki]) - out.taxes[ki].total
             for ki in instance.agents}
 
@@ -370,13 +348,12 @@ class _RouteLink:
     rival groups' mean price and others_pay the other agents' entries in
     the SBB rebate pool."""
 
-    __slots__ = ("lid", "a", "capacity", "peak_mates", "mates_demand",
-                 "others_demanding", "peaks", "gpos", "q1s", "mpos", "ws",
-                 "n_rivals", "pred_q2", "q1_succ", "others_pay", "n_l",
-                 "s_mates", "wb")
+    __slots__ = ("lid", "a", "capacity", "peak_mates", "others_demanding", "peaks",
+                 "gpos", "q1s", "mpos", "ws", "n_rivals", "pred_q2", "q1_succ",
+                 "others_pay", "n_l", "s_mates", "wb")
 
     def __init__(self, instance: NetworkInstance, profile: Profile, ki: AgentId,
-                 lid: str, peaks, active, w, sbb: bool):
+                 lid: str, peaks, active, sbb: bool):
         k = ki.group
         groups = instance.groups_on_link[lid]
         members = instance.member_agents_on_link[(k, lid)]
@@ -389,16 +366,16 @@ class _RouteLink:
             v = instance.alpha[(b, lid)] * profile[b].y
             if v > self.peak_mates:
                 self.peak_mates = v
-        self.mates_demand = any(profile[b].y > 0.0 for b in mates)
         self.others_demanding = len(active[lid] - {k})
         self.peaks = [peaks[(g, lid)] for g in groups]
         self.gpos = groups.index(k)
         self.q1s = [profile[b].q[lid][0] for b in members]
         self.mpos = members.index(ki)
         self.s_mates = sum(profile[b].q[lid][0] for b in mates)
-        self.ws = [w[(g, lid)] for g in groups]
-        self.n_rivals = len(groups) - 1
-        self.wb = sum(w[(g, lid)] for g in groups if g != k) / self.n_rivals
+        self.n_rivals = _rival_count(instance, lid)
+        self.ws = [sum(profile[b].q[lid][0] for b in instance.member_agents_on_link[(g, lid)])
+                   for g in groups]
+        self.wb = sum(wg for g, wg in zip(groups, self.ws) if g != k) / self.n_rivals
         self.pred_q2 = self.q1_succ = None
         if mates:
             self.pred_q2 = profile[instance.pred_on_link[(ki, lid)]].q[lid][1]
@@ -448,12 +425,13 @@ class DeviationEvaluator:
         self._value, self._deriv, self._second = val.value, val.deriv, val.second
         sbb = params.variant == VARIANT_SBB
         peaks, active = group_maxima(instance, {b: profile[b].y for b in instance.agents})
-        w, _ = group_prices(instance, profile)
         route = instance.links_of[ki]
-        off = [link_scaling(instance, peaks, active, lid)
+        off = [_offer(instance.capacity[lid],
+                      (peaks[(k, lid)] for k in instance.groups_on_link[lid]),
+                      len(active[lid]))
                for lid in instance.link_ids if lid not in route]
         self._r_off = min([v for v in off if v != NO_BOUND], default=NO_BOUND)
-        self._route = [_RouteLink(instance, profile, ki, lid, peaks, active, w, sbb)
+        self._route = [_RouteLink(instance, profile, ki, lid, peaks, active, sbb)
                        for lid in route]
         self._rho_bar = _rho_bars(instance, profile)[ki] if sbb else None
         self._scaled = (math.nan, 0.0)  # the last (y, r) of _scale
@@ -474,8 +452,7 @@ class DeviationEvaluator:
             if own > peak:
                 peak = own
             L.peaks[L.gpos] = peak
-            offer = _offer(L.capacity, L.peaks,
-                           L.others_demanding + (L.mates_demand or y > 0.0))
+            offer = _offer(L.capacity, L.peaks, L.others_demanding + (peak > 0.0))
             if offer < r:
                 r = offer
         if r == NO_BOUND:
@@ -559,7 +536,8 @@ class DeviationEvaluator:
             a = L.a if self._own_peak(L, y, side) else 0.0
             den = sum(L.peaks) + (L.others_demanding == 0)
             offer = L.capacity / den
-            forms.append((offer, -a * offer / den, 2.0 * a * a * offer / den ** 2))
+            # den * den, not den ** 2: a float power overflows past 1.3e154
+            forms.append((offer, -a * offer / den, 2.0 * a * a * offer / (den * den)))
         r_lim = min(f[0] for f in forms)
         _, dr, d2r = min((f for f in forms if f[0] <= r_lim * (1.0 + KINK_TOL)),
                          key=lambda f: side * f[1])

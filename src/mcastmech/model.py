@@ -155,7 +155,6 @@ class NetworkInstance:
                     f"agent {r.agent.label} lists some link twice")
             self.links_of[r.agent] = tuple(sorted(names))
 
-        self.groups: Tuple[int, ...] = tuple(sorted({ki.group for ki in self.agents}))
         members: Dict[Tuple[int, str], List[int]] = {}
         for ki in self.agents:
             for lid in self.links_of[ki]:
@@ -248,8 +247,7 @@ def constraint_violation(instance: NetworkInstance, x: Dict[AgentId, float],
 # Random instances
 
 def random_instance(seed: int, n_groups: int = 3, max_group_size: int = 3,
-                    n_links: int = 3, density: float = 0.7,
-                    max_tries: int = 1000) -> NetworkInstance:
+                    n_links: int = 3, density: float = 0.7) -> NetworkInstance:
     """Seeded random instance generator.
 
     Weights are drawn from U[0.5, 2], capacities from U[5, 50], valuation
@@ -265,7 +263,7 @@ def random_instance(seed: int, n_groups: int = 3, max_group_size: int = 3,
     sizes = [int(rng.integers(1, max_group_size + 1)) for _ in range(n_groups)]
     agents = [AgentId(k + 1, i + 1) for k, size in enumerate(sizes) for i in range(size)]
 
-    for _ in range(max_tries):
+    for _ in range(1000):
         routes_links: Dict[AgentId, List[str]] = {}
         for ki in agents:
             picked = [lid for lid in link_ids if rng.random() < density]
@@ -280,7 +278,7 @@ def random_instance(seed: int, n_groups: int = 3, max_group_size: int = 3,
             break
     else:
         raise ValidationFailure(
-            f"could not sample routes with two groups per link in {max_tries} tries")
+            "could not sample routes with two groups per link in 1000 tries")
 
     links = [Link(lid, caps[lid]) for lid in link_ids]
     routes = []

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from mcastmech import Message, allocate, group_prices, zero_message
+from mcastmech import Message, evaluate, zero_message
 from mcastmech.equilibrium import BestResponseResult
 from mcastmech.mechanism import (COORD_Q1, COORD_Q2, COORD_RHO, COORD_Y, VARIANT_SBB,
                                  DeviationEvaluator)
@@ -44,19 +44,18 @@ def _set(msg: Message, coord, value: float) -> None:
         msg.q[lid] = (value, q2) if kind == COORD_Q1 else (q1, value)
 
 
-def _coord_scales(instance, profile, ki, variant) -> Dict[Tuple[str, Optional[str]], float]:
+def _coord_scales(instance, profile, ki, params) -> Dict[Tuple[str, Optional[str]], float]:
     val = instance.valuation(ki)
-    w, w_bar = group_prices(instance, profile)
+    out = evaluate(instance, profile, params)
     y_cap = max(instance.capacity[lid] / instance.alpha[(ki, lid)]
                 for lid in instance.links_of[ki])
     scales = {(COORD_Y, None): max(1.0, y_cap)}
     for lid in instance.links_of[ki]:
-        q_ref = max(1.0, val.deriv(0.0), 2.0 * w_bar[(ki.group, lid)])
+        q_ref = max(1.0, val.deriv(0.0), 2.0 * out.w_bar[(ki.group, lid)])
         scales[(COORD_Q1, lid)] = q_ref
         scales[(COORD_Q2, lid)] = q_ref
-    if variant == VARIANT_SBB:
-        y = {b: profile[b].y for b in instance.agents}
-        scales[(COORD_RHO, None)] = max(1.0, 2.0 * allocate(instance, y).r)
+    if params.variant == VARIANT_SBB:
+        scales[(COORD_RHO, None)] = max(1.0, 2.0 * out.r)
     return scales
 
 
@@ -156,7 +155,7 @@ def search_best_response(instance, profile, ki, params, budget: int = 1000,
     current = profile[ki].copy()
     base = ev.utility(current)
     coords = ev.coords
-    scales = _coord_scales(instance, profile, ki, params.variant)
+    scales = _coord_scales(instance, profile, ki, params)
     rng = np.random.default_rng(seed)
     starts: List[Message] = [current.copy(), zero_message(instance, ki, params.variant)]
     while len(starts) < max(restarts, 2):

@@ -38,7 +38,6 @@ from mcastmech import (
     solve_cp,
     tune_params,
     utilities,
-    utility_y_slope,
 )
 from mcastmech.errors import SolverError, ValidationFailure
 from mcastmech.mechanism import DeviationEvaluator
@@ -118,7 +117,7 @@ def _variant_record(seed, inst, primal, dual, epsilon, variant):
     lemmas = lemma_suite(inst, candidate)
     out = evaluate(inst, candidate.profile, params)
     drift = max(abs(out.x[ki] - primal.x[ki]) for ki in inst.agents)
-    payoffs = utilities(inst, candidate.profile, params, check=False)
+    payoffs = utilities(inst, candidate.profile, params)
     return VariantRecord(params, shrinks, curvature, candidate, certification,
                          lemmas, out.total_tax, drift, payoffs)
 
@@ -402,12 +401,13 @@ def _slope_errors(inst, profile, rng, stats):
     for ki in inst.agents:
         if profile[ki].y <= 0.0:
             continue
-        sp, jp = utility_y_slope(inst, profile, WBB, ki, +1)
-        sm, jm = utility_y_slope(inst, profile, WBB, ki, -1)
-        if jp or jm or abs(sp - sm) > 1e-6 * (1.0 + abs(sp)):
-            continue  # kink: the one-sided objects differ, nothing to compare
         ev = DeviationEvaluator(inst, profile, WBB, ki)
         msg = profile[ki]
+        right, left = ev.local_model(msg, +1), ev.local_model(msg, -1)
+        sp, jp = right.grad[0], right.jumped
+        sm, jm = left.grad[0], left.jumped
+        if jp or jm or abs(sp - sm) > 1e-6 * (1.0 + abs(sp)):
+            continue  # kink: the one-sided objects differ, nothing to compare
         h = 1e-6 * max(1.0, msg.y)
         fd = (ev.utility(Message(msg.y + h, msg.q))
               - ev.utility(Message(msg.y - h, msg.q))) / (2.0 * h)

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import mcastmech
-from mcastmech import instance_to_json
+from mcastmech import LOG_SAT, instance_to_json
+
+from conftest import make_instance
 
 # The CLI runs in a child process; point it at the package these tests import.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(mcastmech.__file__))
@@ -245,6 +247,57 @@ def test_dynamics_from_zero_start(tmp_path, sym_path):
     assert (out / "final_profile.json").exists()
 
 
+def _write_profile(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_dynamics_from_profile_file_reruns_byte_identical(tmp_path, sym_path):
+    start = _write_profile(tmp_path / "start.json", {
+        "1.1": {"y": 2.0, "q": {"l1": [0.1, 0.1]}},
+        "2.1": {"y": 7.0, "q": {"l1": [0.3, 0.2]}},
+    })
+    out = tmp_path / "dynf"
+    args = ("dynamics", "--instance", sym_path, "--start", start, "--rounds", "3",
+            "--out", str(out))
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    names = ("trajectory.csv", "dynamics.json", "final_profile.json", "manifest.json")
+    first = {n: (out / n).read_bytes() for n in names}
+    assert run_cli(*args).returncode == 0
+    assert {n: (out / n).read_bytes() for n in names} == first
+
+
+def test_dynamics_profile_file_errors(tmp_path, sym_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    proc = run_cli("dynamics", "--instance", sym_path, "--start", str(bad),
+                   "--out", str(tmp_path / "o1"))
+    assert proc.returncode == 2
+    assert error_doc(proc)["kind"] == "input"
+
+    partial = _write_profile(tmp_path / "partial.json",
+                             {"1.1": {"y": 2.0, "q": {"l1": [0.1, 0.1]}}})
+    proc = run_cli("dynamics", "--instance", sym_path, "--start", partial,
+                   "--out", str(tmp_path / "o2"))
+    assert proc.returncode == 3
+    assert error_doc(proc)["kind"] == "validation"
+
+
+def test_dynamics_from_demands_lost_to_weighting(tmp_path):
+    """Demands of 5e-324 under weights 0.4 leave both groups' weighted
+    peaks at 0: no group demands, so the link offers no bound."""
+    inst = make_instance({"l1": 10.0}, [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 0.4}),
+                                        (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 0.4})])
+    inst_path = tmp_path / "tiny.json"
+    inst_path.write_text(instance_to_json(inst))
+    start = _write_profile(tmp_path / "start.json", {
+        ki.label: {"y": 5e-324, "q": {"l1": [0.1, 0.1]}} for ki in inst.agents})
+    proc = run_cli("dynamics", "--instance", str(inst_path), "--start", start,
+                   "--rounds", "2", "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # argparse surface
 
@@ -279,3 +332,23 @@ def test_out_of_range_integer_exits_2(tmp_path, sym_path, args):
     proc = run_cli(*args, "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("certify", "--eta", "inf"),
+    ("certify", "--zeta", "inf", "--variant", "sbb"),
+    ("certify", "--tol", "inf"),
+    ("certify", "--epsilon", "inf"),
+    ("certify", "--lemma-tol", "inf"),
+    ("dynamics", "--xi", "nan"),
+    ("certify", "--seeds", "1", "--sweep-density", "nan"),
+    ("certify", "--seeds", "1", "--sweep-density", "0"),
+    ("certify", "--seeds", "1", "--sweep-density", "1.5"),
+])
+def test_out_of_range_float_exits_2(tmp_path, sym_path, args):
+    if "--seeds" not in args:
+        args = args + ("--instance", sym_path)
+    proc = run_cli(*args, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()

@@ -23,8 +23,6 @@ from mcastmech import (
     solve_cp,
     tune_params,
     utilities,
-    utility,
-    utility_y_slope,
     zero_message,
 )
 from mcastmech.errors import SharingAssumptionError
@@ -58,7 +56,6 @@ def test_construct_symmetric_values(symmetric_instance, solved_symmetric):
         assert msg.rho is None
     alloc = allocate(symmetric_instance, {ki: cand.profile[ki].y for ki in symmetric_instance.agents})
     assert alloc.r == pytest.approx(1.0, abs=1e-8)
-    assert cand.source == "kkt"
 
 
 def test_construct_two_member_quote_chain(two_member_instance, solved_two_member):
@@ -124,7 +121,7 @@ def test_lemma_equal_prices_on_arbitrary_profile(symmetric_instance):
         AgentId(1, 1): Message(1.0, {"l1": (0.9, 0.0)}),
         AgentId(2, 1): Message(1.0, {"l1": (0.4, 0.0)}),
     }
-    cand = CandidateNE(profile=profile, params=WBB, source="user")
+    cand = CandidateNE(profile=profile, params=WBB)
     report = lemma_suite(symmetric_instance, cand)
     assert report.equal_prices == pytest.approx(0.5)
 
@@ -133,9 +130,9 @@ def test_ir_holds_at_constructed(two_member_instance, solved_two_member):
     cand = constructed(two_member_instance, solved_two_member)
     report = lemma_suite(two_member_instance, cand)
     assert report.ir <= 1e-10
+    u = utilities(two_member_instance, cand.profile, WBB)
     for ki in two_member_instance.agents:
-        u = utility(two_member_instance, cand.profile, WBB, ki)
-        assert u >= -1e-10  # v(0) = 0 is the non-participation payoff
+        assert u[ki] >= -1e-10  # v(0) = 0 is the non-participation payoff
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +206,7 @@ def test_perturbed_price_breaks_certification(two_member_instance, solved_two_me
 
 def test_zero_profile_not_an_equilibrium(symmetric_instance):
     profile = {ki: zero_message(symmetric_instance, ki, "wbb") for ki in symmetric_instance.agents}
-    cand = CandidateNE(profile=profile, params=WBB, source="user")
+    cand = CandidateNE(profile=profile, params=WBB)
     report = certify_ne(symmetric_instance, cand, epsilon=1e-6, budget=600, restarts=6, seed=2)
     assert not report.certified
     assert report.max_gain > 0.1  # demanding is free at zero prices
@@ -331,6 +328,44 @@ def test_best_demand_at_an_offer_crossing():
     assert offers[1] == pytest.approx(offers[0], rel=1e-12)  # two links bind
     for y in (res.message.y * (1 - 1e-9), res.message.y * (1 + 1e-9)):
         assert ev.utility(ev.best_message(y, profile[ki])) < res.best_utility
+
+
+def _scan_best(ev, msg, ys):
+    return max(ev.utility(ev.best_message(float(y), msg)) for y in ys)
+
+
+def test_best_demand_in_a_bump_next_to_a_kink(two_member_instance):
+    """Agent 1.2's g rises to a maximum near y = 6.98046, just left of the
+    kink at 6.986328125 where it overtakes its group-mate's peak, and falls
+    into the kink; no sample shows the bump, but the kink's exact left
+    slope does, so [previous sample, kink] is refined."""
+    inst, ki = two_member_instance, AgentId(1, 2)
+    kink = 6.986328125
+    profile = {AgentId(1, 1): Message(kink, {"l1": (0.25, 0.125)}),
+               ki: Message(7.0, {"l1": (0.125, 0.125)}),
+               AgentId(2, 1): Message(3.0, {"l1": (0.25, 0.25)})}
+    ev = DeviationEvaluator(inst, profile, WBB, ki)
+    assert ev.local_model(ev.best_message(kink, profile[ki]), -1).grad[0] < 0.0
+    res = exact_best_response(inst, profile, ki, WBB)
+    scan = _scan_best(ev, profile[ki], np.linspace(6.97, kink, 4001))
+    assert res.message.y < kink
+    assert res.best_utility >= scan - 1e-12 * (1.0 + abs(scan))
+
+
+def test_best_demand_decades_between_samples(a4_fail_instance):
+    """Agent 1.1 at its candidate, agent 2.1 idle with its first quote
+    raised by 1e-6: g peaks near y = 4.1e5, between samples at 1e4, 1e7
+    and 1e10, where golden section in linear y puts every probe in the
+    top decades; in log y it finds the peak."""
+    inst, ki, rival = a4_fail_instance, AgentId(1, 1), AgentId(2, 1)
+    profile = _replayed(inst, WBB)
+    q1, q2 = profile[rival].q["l1"]
+    profile[rival] = Message(0.0, {"l1": (q1 + 1e-6, q2)})
+    ev = DeviationEvaluator(inst, profile, WBB, ki)
+    res = exact_best_response(inst, profile, ki, WBB)
+    scan = _scan_best(ev, profile[ki], np.geomspace(1e5, 1e6, 4001))
+    assert 1e5 < res.message.y < 1e6
+    assert res.best_utility >= scan - 1e-12 * (1.0 + abs(scan))
 
 
 def _drawn_profile(data, candidate):
@@ -583,6 +618,22 @@ def test_curvature_handles_peak_tie_kinks(two_member_instance, solved_two_member
     assert report.agents[AgentId(1, 2)].kinked
 
 
+def test_local_model_at_huge_demands(two_member_instance):
+    """With every demand at 1e200 a route link's peak sum squares past the
+    float range; the scale's second derivative then reads 0, and the
+    one-sided models and the curvature check stay finite."""
+    inst = two_member_instance
+    profile = {ki: Message(1e200, {"l1": (0.1, 0.1)}) for ki in inst.agents}
+    report = curvature_check(inst, CandidateNE(profile, WBB))
+    assert all(np.isfinite(a.max_eig) for a in report.agents.values())
+    for ki in inst.agents:
+        ev = DeviationEvaluator(inst, profile, WBB, ki)
+        for side in (+1, -1):
+            model = ev.local_model(profile[ki], side)
+            assert np.isfinite(model.grad).all() and np.isfinite(model.hess).all()
+            assert not model.jumped
+
+
 def test_tune_params_shrinks_inflated_eta(two_member_instance, solved_two_member):
     primal, dual = solved_two_member
     loud = MechanismParams(eta=10.0, xi=0.01, zeta=0.01, variant="wbb")
@@ -647,12 +698,13 @@ def test_utility_slope_matches_finite_differences(chain_instance):
     for _ in range(120):
         profile = _random_wbb_profile(inst, rng)
         for ki in inst.agents:
-            sp, jp = utility_y_slope(inst, profile, WBB, ki, +1)
-            sm, jm = utility_y_slope(inst, profile, WBB, ki, -1)
-            if jp or jm or abs(sp - sm) > 1e-6 * (1.0 + abs(sp)):
-                continue  # kink: one-sided objects differ, nothing to compare
             ev = DeviationEvaluator(inst, profile, WBB, ki)
             msg = profile[ki]
+            right, left = ev.local_model(msg, +1), ev.local_model(msg, -1)
+            sp, jp = right.grad[0], right.jumped
+            sm, jm = left.grad[0], left.jumped
+            if jp or jm or abs(sp - sm) > 1e-6 * (1.0 + abs(sp)):
+                continue  # kink: one-sided objects differ, nothing to compare
             h = 1e-6 * max(1.0, msg.y)
             up = ev.utility(Message(msg.y + h, msg.q))
             um = ev.utility(Message(msg.y - h, msg.q))
@@ -677,11 +729,12 @@ def test_utility_slope_covers_singleton_branch(chain_instance):
         assert alloc.r == pytest.approx(
             inst.capacity["l2"] / (profile[ki].y + 1.0), rel=1e-12
         )
-        sp, jp = utility_y_slope(inst, profile, WBB, ki, +1)
-        if jp:
-            continue
         ev = DeviationEvaluator(inst, profile, WBB, ki)
         msg = profile[ki]
+        right = ev.local_model(msg, +1)
+        sp, jp = right.grad[0], right.jumped
+        if jp:
+            continue
         h = 1e-6 * max(1.0, msg.y)
         fd = (ev.utility(Message(msg.y + h, msg.q)) - ev.utility(Message(msg.y - h, msg.q))) / (2 * h)
         assert sp == pytest.approx(fd, rel=1e-5, abs=1e-7)
@@ -701,7 +754,7 @@ def test_scaled_demand_equilibrium_same_allocation(symmetric_instance, solved_sy
     scaled_profile = {
         ki: Message(2.0 * m.y, dict(m.q)) for ki, m in cand.profile.items()
     }
-    scaled = CandidateNE(profile=scaled_profile, params=WBB, source="user")
+    scaled = CandidateNE(profile=scaled_profile, params=WBB)
     eps = default_epsilon(symmetric_instance, primal)
     report = certify_ne(symmetric_instance, scaled, eps, budget=800, restarts=8, seed=0)
     assert report.certified

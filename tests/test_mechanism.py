@@ -18,16 +18,15 @@ from mcastmech import (
     Message,
     allocate,
     evaluate,
-    group_prices,
+    exact_best_response,
     profile_from_json,
     profile_to_json,
     random_instance,
     utilities,
-    utility,
     zero_message,
 )
 from mcastmech.errors import MessageShapeError
-from mcastmech.mechanism import NO_BOUND, group_maxima, link_scaling
+from mcastmech.mechanism import NO_BOUND, group_maxima
 
 from conftest import coherent_quotes, make_instance
 
@@ -51,7 +50,7 @@ def _oracle_allocation(inst, profile):
                 ki = AgentId(k, i)
                 best = max(best, inst.alpha[(ki, lid)] * y[ki])
             peaks[(k, lid)] = best
-            if any(y[AgentId(k, i)] > 0.0 for i in inst.members_on_link[(k, lid)]):
+            if best > 0.0:  # a group demands when its weighted peak is positive
                 active.append(k)
         if len(active) >= 2:
             r_links[lid] = cap / sum(peaks[(k, lid)] for k in inst.groups_on_link[lid])
@@ -186,8 +185,8 @@ def test_group_maxima_all_zero(symmetric_instance):
 
 
 def test_link_scaling_two_active(symmetric_instance):
-    peaks = {(1, "l1"): 4.0, (2, "l1"): 6.0}
-    assert link_scaling(symmetric_instance, peaks, {"l1": {1, 2}}, "l1") == pytest.approx(1.0)
+    y = {AgentId(1, 1): 4.0, AgentId(2, 1): 6.0}
+    assert allocate(symmetric_instance, y).r_per_link["l1"] == pytest.approx(1.0)
 
 
 def test_link_scaling_single_active_uses_damped_branch():
@@ -198,14 +197,14 @@ def test_link_scaling_single_active_uses_damped_branch():
             (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
         ],
     )
-    peaks = {(1, "l1"): 3.0, (2, "l1"): 0.0}
+    y = {AgentId(1, 1): 3.0, AgentId(2, 1): 0.0}
     # 12/3 - 12/(3*4) = 3, strictly below the naive 12/3
-    assert link_scaling(inst, peaks, {"l1": {1}}, "l1") == pytest.approx(3.0)
+    assert allocate(inst, y).r_per_link["l1"] == pytest.approx(3.0)
 
 
 def test_link_scaling_no_active_is_unbounded(symmetric_instance):
-    peaks = {(1, "l1"): 0.0, (2, "l1"): 0.0}
-    assert link_scaling(symmetric_instance, peaks, {"l1": set()}, "l1") == NO_BOUND
+    y = {ki: 0.0 for ki in symmetric_instance.agents}
+    assert allocate(symmetric_instance, y).r_per_link["l1"] == NO_BOUND
 
 
 def test_allocate_zero_profile(symmetric_instance):
@@ -233,6 +232,22 @@ def test_allocate_takes_min_across_links(chain_instance):
     assert alloc.r == pytest.approx(0.5)
     assert alloc.x[AgentId(1, 1)] == pytest.approx(2.0)
     assert alloc.x[AgentId(3, 1)] == pytest.approx(5.0)
+
+
+def test_demands_lost_to_weighting_count_as_idle():
+    """Demands of 5e-324 under weights 0.4 leave every weighted peak at 0:
+    no group demands, the link offers no bound and r = 0, on every path."""
+    inst = make_instance({"l1": 10.0}, [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 0.4}),
+                                        (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 0.4})])
+    profile = {ki: Message(5e-324, {"l1": (0.1, 0.1)}) for ki in inst.agents}
+    alloc = allocate(inst, {ki: 5e-324 for ki in inst.agents})
+    assert alloc.r == 0.0 and alloc.r_per_link["l1"] == NO_BOUND
+    out = evaluate(inst, profile, WBB)
+    assert out.r == 0.0
+    for ki in inst.agents:
+        assert DeviationEvaluator(inst, profile, WBB, ki).utility(profile[ki]) == \
+            utilities(inst, profile, WBB)[ki]
+        assert exact_best_response(inst, profile, ki, WBB).gain > 0.0
 
 
 def test_feasible_for_every_profile(chain_instance):
@@ -277,7 +292,8 @@ def test_group_prices_two_groups(symmetric_instance):
         AgentId(1, 1): Message(1.0, {"l1": (3.0, 0.0)}),
         AgentId(2, 1): Message(1.0, {"l1": (5.0, 0.0)}),
     }
-    w, w_bar = group_prices(symmetric_instance, profile)
+    out = evaluate(symmetric_instance, profile, WBB)
+    w, w_bar = out.w, out.w_bar
     assert w[(1, "l1")] == 3.0 and w[(2, "l1")] == 5.0
     assert w_bar[(1, "l1")] == 5.0 and w_bar[(2, "l1")] == 3.0
 
@@ -288,7 +304,7 @@ def test_group_prices_three_group_mean(three_group_instance):
         AgentId(2, 1): Message(0.0, {"l1": (4.0, 0.0)}),
         AgentId(3, 1): Message(0.0, {"l1": (6.0, 0.0)}),
     }
-    _, w_bar = group_prices(three_group_instance, profile)
+    w_bar = evaluate(three_group_instance, profile, WBB).w_bar
     assert w_bar[(1, "l1")] == pytest.approx(5.0)
     assert w_bar[(2, "l1")] == pytest.approx(4.0)
 
@@ -299,10 +315,29 @@ def test_group_prices_sum_members(two_member_instance):
         AgentId(1, 2): Message(0.0, {"l1": (2.5, 0.0)}),
         AgentId(2, 1): Message(0.0, {"l1": (0.0, 0.0)}),
     }
-    w, w_bar = group_prices(two_member_instance, profile)
+    out = evaluate(two_member_instance, profile, WBB)
+    w, w_bar = out.w, out.w_bar
     assert w[(1, "l1")] == pytest.approx(4.0)
     assert w_bar[(2, "l1")] == pytest.approx(4.0)
     assert w_bar[(1, "l1")] == pytest.approx(0.0)
+
+
+def test_single_group_link_is_a_shape_error():
+    """A link crossed by one group has no rival price mean: evaluate and
+    the evaluator of an agent routed over it raise the typed error."""
+    inst = make_instance(
+        {"l1": 10.0, "l2": 5.0},
+        [
+            (1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0, "l2": 1.0}),
+            (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+        ],
+    )
+    profile = {ki: Message(1.0, {lid: (0.5, 0.5) for lid in inst.links_of[ki]})
+               for ki in inst.agents}
+    with pytest.raises(MessageShapeError):
+        evaluate(inst, profile, WBB)
+    with pytest.raises(MessageShapeError):
+        DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +405,7 @@ def test_zero_demand_profile_keeps_only_price_terms(two_member_instance):
     for ki in two_member_instance.agents:
         t1, t2, t3, t4, t5, t6 = out.taxes[ki].per_link["l1"]
         assert t1 == 0.0 and t4 == 0.0 and t6 == 0.0
-        u = utility(two_member_instance, profile, WBB, ki)
+        u = utilities(two_member_instance, profile, WBB)[ki]
         assert u == pytest.approx(-(t2 + t3 + t5))
 
 
@@ -445,18 +480,9 @@ def test_sbb_rebate_ignores_own_messages_bitwise(chain_instance, oracle_instance
 def test_utility_finite_everywhere(seed, chain_instance):
     rng = np.random.default_rng(seed)
     profile = random_profile(chain_instance, rng, "wbb", zero_rate=0.3, q_hi=5.0, y_hi=30.0)
+    u = utilities(chain_instance, profile, WBB)
     for ki in chain_instance.agents:
-        assert np.isfinite(utility(chain_instance, profile, WBB, ki))
-
-
-def test_utilities_match_single_agent_calls(two_member_instance):
-    rng = np.random.default_rng(17)
-    profile = random_profile(two_member_instance, rng, "sbb")
-    all_at_once = utilities(two_member_instance, profile, SBB)
-    for ki in two_member_instance.agents:
-        assert all_at_once[ki] == pytest.approx(
-            utility(two_member_instance, profile, SBB, ki), abs=1e-14
-        )
+        assert np.isfinite(u[ki])
 
 
 def test_deviation_evaluator_agrees_with_evaluate(chain_instance):
@@ -603,6 +629,13 @@ def test_profile_round_trip_byte_stable(chain_instance):
     profile = random_profile(chain_instance, rng, "sbb")
     text = profile_to_json(profile)
     assert profile_to_json(profile_from_json(text, chain_instance)) == text
+
+
+@pytest.mark.parametrize("weight", ["eta", "xi", "zeta"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_params_reject_non_finite_weights(weight, value):
+    with pytest.raises(ValueError):
+        MechanismParams(variant="sbb", **{weight: value})
 
 
 def test_profile_shape_errors(symmetric_instance, two_member_instance):
