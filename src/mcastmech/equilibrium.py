@@ -34,8 +34,8 @@ import numpy as np
 from .centralized import DualCertificate, PrimalSolution, check_a4
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
-                        MechanismParams, Message, Profile, VARIANT_SBB, allocate,
-                        evaluate)
+                        MechanismParams, Message, Profile, VARIANT_SBB, _seq_sum,
+                        allocate, evaluate)
 from .model import AgentId, NetworkInstance, RATE_ATOL, constraint_violation
 
 
@@ -403,8 +403,8 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
 
     comp = 0.0
     for lid in instance.link_ids:
-        slack = instance.capacity[lid] - sum(out.m[(k, lid)]
-                                             for k in instance.groups_on_link[lid])
+        slack = instance.capacity[lid] - _seq_sum(out.m[(k, lid)]
+                                                  for k in instance.groups_on_link[lid])
         for k in instance.groups_on_link[lid]:
             comp = max(comp, abs(out.w[(k, lid)] * slack))
     for ki in instance.agents:
@@ -414,8 +414,8 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
 
     stat = 0.0
     for ki in instance.agents:
-        price = sum(instance.alpha[(ki, lid)] * profile[ki].q[lid][0]
-                    for lid in instance.links_of[ki])
+        price = _seq_sum(instance.alpha[(ki, lid)] * profile[ki].q[lid][0]
+                         for lid in instance.links_of[ki])
         resid = instance.valuation(ki).deriv(out.x[ki]) - price
         thresh = RATE_ATOL * max(instance.capacity[lid]
                                  for lid in instance.links_of[ki])

@@ -30,6 +30,10 @@ Taxes decompose per link into six slots:
      equilibrium q1_b equals b's price factor and rho_bar = r, so the
      rebates return the link's payments exactly and taxes sum to zero.
 SBB adds a per-agent zeta*(rho - r)^2 consensus term on top.
+
+Each instance is compiled once into flat index tables (_Tables); evaluate()
+is one pass over them, its sums in fixed orders and its slots from
+_link_slots, so it agrees with DeviationEvaluator bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -120,81 +125,145 @@ def zero_message(instance: NetworkInstance, ki: AgentId, variant: str) -> Messag
     return Message(0.0, q, 0.0 if variant == VARIANT_SBB else None)
 
 
+class _Tables:
+    """An instance compiled into flat index lists, kept with it (_tables).
+
+    A slot is a (group, link) pair in member_agents_on_link order, a pair an
+    (agent, route link) pair, agent by agent along each route. Per pair: its
+    agent, link, slot, weight and group predecessor's and successor's pairs
+    (-1 when alone in its group there). Per slot: its members' pairs. Per
+    link: its slots in group order, its agents' pairs, capacity and rivals."""
+
+    def __init__(self, instance: NetworkInstance):
+        self.agents = instance.agents
+        self.link_ids = instance.link_ids
+        self.routes = [instance.links_of[ki] for ki in self.agents]
+        self.route_keys = [frozenset(route) for route in self.routes]
+        # per agent, the first route link no other agent crosses (SBB rejects it)
+        self.solo_links = [next((l for l in route if len(instance.agents_on_link[l]) < 2), None)
+                           for route in self.routes]
+        self.slot_keys = list(instance.member_agents_on_link)
+        slot_ix = {key: s for s, key in enumerate(self.slot_keys)}
+        link_ix = {lid: l for l, lid in enumerate(self.link_ids)}
+        pair_ix = {(ki, lid): p for p, (ki, lid) in enumerate(
+            (ki, lid) for ki, route in zip(self.agents, self.routes) for lid in route)}
+        self.starts = [0, *accumulate(len(route) for route in self.routes)]
+        self.pairs = []
+        for ki, lid in pair_ix:
+            alone = len(instance.members_on_link[(ki.group, lid)]) == 1
+            self.pairs.append((
+                self.agents.index(ki), link_ix[lid], slot_ix[(ki.group, lid)],
+                instance.alpha[(ki, lid)],
+                -1 if alone else pair_ix[(instance.pred_on_link[(ki, lid)], lid)],
+                -1 if alone else pair_ix[(instance.succ_on_link[(ki, lid)], lid)]))
+        self.slot_pairs = [[pair_ix[(b, lid)] for b in members]
+                           for (_, lid), members in instance.member_agents_on_link.items()]
+        self.link_slots = [[slot_ix[(k, lid)] for k in instance.groups_on_link[lid]]
+                           for lid in self.link_ids]
+        self.link_pairs = [[pair_ix[(b, lid)] for b in instance.agents_on_link[lid]]
+                           for lid in self.link_ids]
+        self.n_on_link = [len(pairs) for pairs in self.link_pairs]
+        self.capacity = [instance.capacity[lid] for lid in self.link_ids]
+        self.rivals = [len(instance.groups_on_link[lid]) - 1 for lid in self.link_ids]
+        self.lone = next((lid for lid, n in zip(self.link_ids, self.rivals) if n < 1), None)
+
+
+def _tables(instance: NetworkInstance) -> _Tables:
+    if not hasattr(instance, "_mech_tables"):
+        instance._mech_tables = _Tables(instance)
+    return instance._mech_tables
+
+
+def _seq_sum(values) -> float:
+    """Left-to-right float sum from 0.0. Builtin sum() compensates float sums
+    from Python 3.12 on, which would break the bit-for-bit agreements here."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) -> None:
     if variant not in VARIANTS:
         raise MessageShapeError(f"unknown variant {variant!r}")
-    missing = set(instance.agents) - set(profile)
+    T = _tables(instance)
+    missing = [ki for ki in T.agents if ki not in profile]
     if missing:
         raise MessageShapeError(
-            "profile missing agents: " + ", ".join(ki.label for ki in sorted(missing)))
-    for ki in instance.agents:
+            "profile missing agents: " + ", ".join(ki.label for ki in missing))
+    sbb = variant == VARIANT_SBB
+    for ki, want, solo in zip(T.agents, T.route_keys, T.solo_links):
         msg = profile[ki]
-        want = set(instance.links_of[ki])
-        got = set(msg.q)
-        if want != got:
+        if msg.q.keys() != want:
             raise MessageShapeError(
-                f"agent {ki.label}: quotes keyed by {sorted(got)}, route is {sorted(want)}")
+                f"agent {ki.label}: quotes keyed by {sorted(msg.q)}, route is {sorted(want)}")
         if not (msg.y >= 0.0 and math.isfinite(msg.y)):
             raise MessageShapeError(f"agent {ki.label}: demand {msg.y} invalid")
         for lid, pair in msg.q.items():
             if len(pair) != 2 or not (pair[0] >= 0.0 and math.isfinite(pair[0])
                                       and pair[1] >= 0.0 and math.isfinite(pair[1])):
                 raise MessageShapeError(f"agent {ki.label}: bad quote pair on {lid}")
-        if variant == VARIANT_SBB:
+        if sbb:
             if msg.rho is None or not (msg.rho >= 0.0 and math.isfinite(msg.rho)):
                 raise MessageShapeError(f"agent {ki.label}: SBB requires rho >= 0")
-            for lid in instance.links_of[ki]:
-                if len(instance.agents_on_link[lid]) < 2:
-                    raise MessageShapeError(
-                        f"link {lid} carries a single agent, SBB rebate undefined")
+            if solo is not None:
+                raise MessageShapeError(
+                    f"link {solo} carries a single agent, SBB rebate undefined")
         elif msg.rho is not None:
             raise MessageShapeError(f"agent {ki.label}: rho present under WBB")
 
 
+def _read(T: _Tables, profile: Profile):
+    """The messages in agent order, their demands, and each pair's quotes."""
+    msgs = [profile[ki] for ki in T.agents]
+    quotes = [msg.q[lid] for msg, route in zip(msgs, T.routes) for lid in route]
+    return msgs, [msg.y for msg in msgs], [q[0] for q in quotes], [q[1] for q in quotes]
+
+
 # ---------------------------------------------------------------------------
 # Allocation
-
-def group_maxima(instance: NetworkInstance, y: Dict[AgentId, float]):
-    """Weighted per-(group, link) peaks and the demanding-group sets: the
-    groups whose peak is positive."""
-    peaks: Dict[Tuple[int, str], float] = {}
-    active: Dict[str, set] = {lid: set() for lid in instance.link_ids}
-    for (k, lid), members in instance.member_agents_on_link.items():
-        best = 0.0
-        for ki in members:
-            v = instance.alpha[(ki, lid)] * y[ki]
-            if v > best:
-                best = v
-        peaks[(k, lid)] = best
-        if best > 0.0:
-            active[lid].add(k)
-    return peaks, active
-
 
 def _offer(capacity: float, peaks, n_demanding: int) -> float:
     """A link's offer from its groups' peaks (in group order) and the number
     of groups demanding on it."""
     if not n_demanding:
         return NO_BOUND
-    total = 0.0
-    for p in peaks:
-        total += p
+    total = _seq_sum(peaks)
     if n_demanding >= 2:
         return capacity / total
     return capacity / (total + 1.0)
 
 
-def allocate(instance: NetworkInstance, y: Dict[AgentId, float]) -> AllocationResult:
-    peaks, active = group_maxima(instance, y)
-    r_per_link = {lid: _offer(instance.capacity[lid],
-                              (peaks[(k, lid)] for k in instance.groups_on_link[lid]),
-                              len(active[lid]))
-                  for lid in instance.link_ids}
-    finite = [v for v in r_per_link.values() if v != NO_BOUND]
+def _peaks_offers(T: _Tables, ys: List[float]):
+    """Per slot the weighted peak of demands ys (agent order), and per link
+    the offer. A group demands on a link when its peak is positive."""
+    ay = [alpha * ys[a] for a, _, _, alpha, _, _ in T.pairs]
+    peaks = []
+    for pairs in T.slot_pairs:
+        best = 0.0
+        for p in pairs:
+            if ay[p] > best:
+                best = ay[p]
+        peaks.append(best)
+    offers = []
+    for c, slots in zip(T.capacity, T.link_slots):
+        link_peaks = [peaks[s] for s in slots]
+        offers.append(_offer(c, link_peaks, sum(p > 0.0 for p in link_peaks)))
+    return peaks, offers
+
+
+def _allocate(T: _Tables, ys: List[float]) -> AllocationResult:
+    peaks, offers = _peaks_offers(T, ys)
+    finite = [v for v in offers if v != NO_BOUND]
     r = min(finite) if finite else 0.0  # all-zero demand collapses to x = 0
-    x = {ki: r * y[ki] for ki in instance.agents}
-    m = {p: r * peaks[p] for p in peaks}
-    return AllocationResult(r, r_per_link, peaks, x, m)
+    return AllocationResult(r, dict(zip(T.link_ids, offers)), dict(zip(T.slot_keys, peaks)),
+                            {ki: r * y for ki, y in zip(T.agents, ys)},
+                            {key: r * p for key, p in zip(T.slot_keys, peaks)})
+
+
+def allocate(instance: NetworkInstance, y: Dict[AgentId, float]) -> AllocationResult:
+    T = _tables(instance)
+    return _allocate(T, [y[ki] for ki in T.agents])
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +274,22 @@ def _others_sums(entries: List[float]) -> List[float]:
     in order plus those after it added in reverse. An entry never enters
     its own sum, so that sum is independent of it bit for bit (the total
     minus the entry would carry a rounding error of the size of the entry)."""
-    before, after = [0.0] * len(entries), [0.0] * len(entries)
-    for j in range(1, len(entries)):
-        before[j] = before[j - 1] + entries[j - 1]
-        after[-j - 1] = after[-j] + entries[-j]
-    return [b + a for b, a in zip(before, after)]
+    after = list(accumulate(reversed(entries), initial=0.0))
+    after.pop()
+    after.reverse()
+    return [b + a for b, a in zip(accumulate(entries, initial=0.0), after)]
 
 
-def _rebate_pool(instance: NetworkInstance, profile: Profile, lid: str) -> Dict[AgentId, float]:
-    """Per-link SBB rebate pool: each agent's self-quoted payment
-    alpha * q1 * y. Returns, per agent on the link, the sum of the other
-    agents' entries."""
-    agents = instance.agents_on_link[lid]
-    entries = [instance.alpha[(b, lid)] * profile[b].q[lid][0] * profile[b].y for b in agents]
-    return dict(zip(agents, _others_sums(entries)))
-
-
-def _rho_bars(instance: NetworkInstance, profile: Profile) -> Dict[AgentId, float]:
-    """SBB: per agent, the mean of the other agents' rhos."""
-    sums = _others_sums([profile[b].rho for b in instance.agents])
-    return {b: s / (len(sums) - 1) for b, s in zip(instance.agents, sums)}
+def _rebates(T: _Tables, ys: List[float], q1s: List[float], rhos: List[float]):
+    """SBB: per pair, the other agents' entries in its link's rebate pool
+    (self-quoted payments alpha * q1 * y, summed in agents_on_link order),
+    and per agent the mean of the other agents' rhos."""
+    pay = [alpha * q1 * ys[a] for (a, _, _, alpha, _, _), q1 in zip(T.pairs, q1s)]
+    others = [0.0] * len(pay)
+    for pairs in T.link_pairs:
+        for p, total in zip(pairs, _others_sums([pay[p] for p in pairs])):
+            others[p] = total
+    return others, [total / (len(rhos) - 1) for total in _others_sums(rhos)]
 
 
 def _link_slots(params: MechanismParams, a: float, y: float, x: float, r: float,
@@ -240,46 +305,14 @@ def _link_slots(params: MechanismParams, a: float, y: float, x: float, r: float,
     through here, so their results agree bit for bit."""
     # = x * alpha * pf, multiplied in this order so outputs stay byte-stable
     t1 = r * (a * pf * y)
-    t2 = 0.0 if q1_succ is None else (q2 - q1_succ) ** 2
-    t3 = (wk - wb) ** 2
+    # d * d, not d ** 2: a float power overflows past 1.3e154
+    t2 = 0.0 if q1_succ is None else (q2 - q1_succ) * (q2 - q1_succ)
+    dw = wk - wb
+    t3 = dw * dw
     t4 = params.eta * pf * (q1 - pf) * (m_k - a * x)
-    t5 = params.xi * wb * (wk - wb) * slack
+    t5 = params.xi * wb * dw * slack
     t6 = 0.0 if rho_bar is None else -(rho_bar / (n_l - 1)) * others_pay
     return t1, t2, t3, t4, t5, t6
-
-
-def agent_tax(instance: NetworkInstance, profile: Profile, params: MechanismParams,
-              ki: AgentId, alloc: AllocationResult, w, w_bar,
-              m_sum: Dict[str, float], rho_bar_ki: Optional[float],
-              pools: Dict[str, Dict[AgentId, float]]) -> TaxBreakdown:
-    k = ki.group
-    msg = profile[ki]
-    y, x, r = msg.y, alloc.x[ki], alloc.r
-    per_link = {}
-    total = 0.0
-    for lid in instance.links_of[ki]:
-        q1, q2 = msg.q[lid]
-        wb = w_bar[(k, lid)]
-        if len(instance.members_on_link[(k, lid)]) == 1:
-            pf, q1_succ = wb, None
-        else:
-            pf = profile[instance.pred_on_link[(ki, lid)]].q[lid][1]
-            q1_succ = profile[instance.succ_on_link[(ki, lid)]].q[lid][0]
-        n_l = others_pay = 0
-        if rho_bar_ki is not None:
-            n_l = len(instance.agents_on_link[lid])
-            others_pay = pools[lid][ki]
-        slots = _link_slots(params, instance.alpha[(ki, lid)], y, x, r, q1, q2, pf, q1_succ,
-                            alloc.m[(k, lid)], w[(k, lid)], wb,
-                            instance.capacity[lid] - m_sum[lid], rho_bar_ki, n_l, others_pay)
-        per_link[lid] = slots
-        t1, t2, t3, t4, t5, t6 = slots
-        total += t1 + t2 + t3 + t4 + t5 + t6
-    zeta_term = 0.0
-    if params.variant == VARIANT_SBB:
-        zeta_term = params.zeta * (msg.rho - alloc.r) ** 2
-        total += zeta_term
-    return TaxBreakdown(per_link, zeta_term, total)
 
 
 def _rival_count(instance: NetworkInstance, lid: str) -> int:
@@ -290,44 +323,56 @@ def _rival_count(instance: NetworkInstance, lid: str) -> int:
     return len(instance.groups_on_link[lid]) - 1
 
 
-def _tax_context(instance: NetworkInstance, profile: Profile, params: MechanismParams,
-                 alloc: AllocationResult):
-    """Group price sums w, leave-one-group-out means w_bar and link loads,
-    plus the SBB rebate pools and rho means."""
-    w: Dict[Tuple[int, str], float] = {}
-    for (k, lid), members in instance.member_agents_on_link.items():
-        w[(k, lid)] = sum(profile[b].q[lid][0] for b in members)
-    w_bar: Dict[Tuple[int, str], float] = {}
-    for lid in instance.link_ids:
-        n_rivals = _rival_count(instance, lid)
-        groups = instance.groups_on_link[lid]
-        total = sum(w[(k, lid)] for k in groups)
-        for k in groups:
-            w_bar[(k, lid)] = (total - w[(k, lid)]) / n_rivals
-    m_sum = {lid: sum(alloc.m[(k, lid)] for k in instance.groups_on_link[lid])
-             for lid in instance.link_ids}
-    pools = {}
-    rho_bar: Dict[AgentId, float] = {}
-    if params.variant == VARIANT_SBB:
-        pools = {lid: _rebate_pool(instance, profile, lid) for lid in instance.link_ids}
-        rho_bar = _rho_bars(instance, profile)
-    return w, w_bar, m_sum, pools, rho_bar
-
-
 def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParams) -> Outcome:
-    """Full outcome for a message profile: allocation, prices, all taxes."""
+    """Full outcome for a message profile: allocation, prices, all taxes.
+
+    One pass over the compiled tables: w sums in member order, w_bar and link
+    loads in group order, each total along the route, total_tax by agent."""
     validate_profile(instance, profile, params.variant)
-    y = {ki: profile[ki].y for ki in instance.agents}
-    alloc = allocate(instance, y)
-    w, w_bar, m_sum, pools, rho_bar = _tax_context(instance, profile, params, alloc)
+    T = _tables(instance)
+    if T.lone is not None:
+        _rival_count(instance, T.lone)  # raises: a lone group has no rival mean
+    msgs, ys, q1s, q2s = _read(T, profile)
+    alloc = _allocate(T, ys)
+    r, xs, ms = alloc.r, list(alloc.x.values()), list(alloc.m.values())
+    ws = []  # summed inline like _seq_sum: a call per slot would cost more than its sum
+    for pairs in T.slot_pairs:
+        w = 0.0
+        for p in pairs:
+            w += q1s[p]
+        ws.append(w)
+    wbs, slack, w_bar = [0.0] * len(ws), [], {}
+    for link_slots, n_rivals, c in zip(T.link_slots, T.rivals, T.capacity):
+        total = _seq_sum([ws[s] for s in link_slots])
+        for s in link_slots:
+            wbs[s] = w_bar[T.slot_keys[s]] = (total - ws[s]) / n_rivals
+        slack.append(c - _seq_sum([ms[s] for s in link_slots]))
+    sbb = params.variant == VARIANT_SBB
+    others, rho_bars = (_rebates(T, ys, q1s, [msg.rho for msg in msgs]) if sbb
+                        else ([0.0] * len(q1s), [None] * len(ys)))
+    pair_slots, n_on_link = [], T.n_on_link
+    for (a, l, s, alpha, pred, succ), q1, q2, pay in zip(T.pairs, q1s, q2s, others):
+        wb = wbs[s]
+        pair_slots.append(_link_slots(params, alpha, ys[a], xs[a], r, q1, q2,
+                                      wb if succ < 0 else q2s[pred],
+                                      None if succ < 0 else q1s[succ], ms[s], ws[s], wb,
+                                      slack[l], rho_bars[a], n_on_link[l], pay))
     taxes = {}
     total_tax = 0.0
-    for ki in instance.agents:
-        tb = agent_tax(instance, profile, params, ki, alloc, w, w_bar, m_sum,
-                       rho_bar.get(ki), pools)
-        taxes[ki] = tb
-        total_tax += tb.total
-    return Outcome(**vars(alloc), w=w, w_bar=w_bar, rho_bar=rho_bar, taxes=taxes,
+    for a, (ki, route) in enumerate(zip(T.agents, T.routes)):
+        own = pair_slots[T.starts[a]:T.starts[a + 1]]
+        total = 0.0
+        for t1, t2, t3, t4, t5, t6 in own:
+            total += t1 + t2 + t3 + t4 + t5 + t6
+        zeta_term = 0.0
+        if sbb:
+            dev = msgs[a].rho - r
+            zeta_term = params.zeta * (dev * dev)
+            total += zeta_term
+        taxes[ki] = TaxBreakdown(dict(zip(route, own)), zeta_term, total)
+        total_tax += total
+    return Outcome(**vars(alloc), w=dict(zip(T.slot_keys, ws)), w_bar=w_bar,
+                   rho_bar=dict(zip(T.agents, rho_bars)) if sbb else {}, taxes=taxes,
                    total_tax=total_tax)
 
 
@@ -353,7 +398,7 @@ class _RouteLink:
                  "others_pay", "n_l", "s_mates", "wb")
 
     def __init__(self, instance: NetworkInstance, profile: Profile, ki: AgentId,
-                 lid: str, peaks, active, sbb: bool):
+                 lid: str, peaks: List[float], others_pay: float):
         k = ki.group
         groups = instance.groups_on_link[lid]
         members = instance.member_agents_on_link[(k, lid)]
@@ -366,22 +411,22 @@ class _RouteLink:
             v = instance.alpha[(b, lid)] * profile[b].y
             if v > self.peak_mates:
                 self.peak_mates = v
-        self.others_demanding = len(active[lid] - {k})
-        self.peaks = [peaks[(g, lid)] for g in groups]
+        self.peaks = peaks
         self.gpos = groups.index(k)
+        self.others_demanding = sum(p > 0.0 for g, p in enumerate(peaks) if g != self.gpos)
         self.q1s = [profile[b].q[lid][0] for b in members]
         self.mpos = members.index(ki)
-        self.s_mates = sum(profile[b].q[lid][0] for b in mates)
+        self.s_mates = _seq_sum(profile[b].q[lid][0] for b in mates)
         self.n_rivals = _rival_count(instance, lid)
-        self.ws = [sum(profile[b].q[lid][0] for b in instance.member_agents_on_link[(g, lid)])
+        self.ws = [_seq_sum(profile[b].q[lid][0] for b in instance.member_agents_on_link[(g, lid)])
                    for g in groups]
-        self.wb = sum(wg for g, wg in zip(groups, self.ws) if g != k) / self.n_rivals
+        self.wb = _seq_sum(wg for g, wg in zip(groups, self.ws) if g != k) / self.n_rivals
         self.pred_q2 = self.q1_succ = None
         if mates:
             self.pred_q2 = profile[instance.pred_on_link[(ki, lid)]].q[lid][1]
             self.q1_succ = profile[instance.succ_on_link[(ki, lid)]].q[lid][0]
         self.n_l = len(instance.agents_on_link[lid])
-        self.others_pay = _rebate_pool(instance, profile, lid)[ki] if sbb else 0.0
+        self.others_pay = others_pay
 
 
 class LocalModel(NamedTuple):
@@ -424,16 +469,19 @@ class DeviationEvaluator:
         val = instance.valuation(ki)
         self._value, self._deriv, self._second = val.value, val.deriv, val.second
         sbb = params.variant == VARIANT_SBB
-        peaks, active = group_maxima(instance, {b: profile[b].y for b in instance.agents})
+        T = _tables(instance)
+        msgs, ys, q1s, _ = _read(T, profile)
+        peaks, offers = _peaks_offers(T, ys)
         route = instance.links_of[ki]
-        off = [_offer(instance.capacity[lid],
-                      (peaks[(k, lid)] for k in instance.groups_on_link[lid]),
-                      len(active[lid]))
-               for lid in instance.link_ids if lid not in route]
-        self._r_off = min([v for v in off if v != NO_BOUND], default=NO_BOUND)
-        self._route = [_RouteLink(instance, profile, ki, lid, peaks, active, sbb)
-                       for lid in route]
-        self._rho_bar = _rho_bars(instance, profile)[ki] if sbb else None
+        self._r_off = min([v for lid, v in zip(T.link_ids, offers)
+                           if lid not in route and v != NO_BOUND], default=NO_BOUND)
+        a = T.agents.index(ki)
+        others, rho_bars = (_rebates(T, ys, q1s, [msg.rho for msg in msgs]) if sbb
+                            else ([0.0] * len(q1s), None))
+        self._route = [_RouteLink(instance, profile, ki, lid,
+                                  [peaks[s] for s in T.link_slots[T.pairs[p][1]]], others[p])
+                       for p, lid in zip(range(T.starts[a], T.starts[a + 1]), route)]
+        self._rho_bar = rho_bars[a] if sbb else None
         self._scaled = (math.nan, 0.0)  # the last (y, r) of _scale
         self.coords = ([(COORD_Y, None)] + [(COORD_Q1, L.lid) for L in self._route]
                        + [(COORD_Q2, L.lid) for L in self._route if L.q1_succ is not None]
@@ -470,18 +518,19 @@ class DeviationEvaluator:
         for L in self._route:
             q1, q2 = msg.q[L.lid]
             L.q1s[L.mpos] = q1
-            wk = sum(L.q1s)
+            wk = _seq_sum(L.q1s)
             L.ws[L.gpos] = wk
-            wb = (sum(L.ws) - wk) / L.n_rivals
+            wb = (_seq_sum(L.ws) - wk) / L.n_rivals
             t1, t2, t3, t4, t5, t6 = _link_slots(
                 self.params, L.a, y, x, r, q1, q2,
                 wb if L.pred_q2 is None else L.pred_q2, L.q1_succ,
                 r * L.peaks[L.gpos], wk, wb,
-                L.capacity - sum([r * p for p in L.peaks]),
+                L.capacity - _seq_sum([r * p for p in L.peaks]),
                 rho_bar, L.n_l, L.others_pay)
             total += t1 + t2 + t3 + t4 + t5 + t6
         if rho_bar is not None:
-            total += self.params.zeta * (msg.rho - r) ** 2
+            dev = msg.rho - r
+            total += self.params.zeta * (dev * dev)
         return self._value(x) - total
 
     def best_message(self, y: float, msg: Message) -> Message:
@@ -501,7 +550,7 @@ class DeviationEvaluator:
         for L in self._route:
             pf = L.wb if L.pred_q2 is None else L.pred_q2
             gap = r * L.peaks[L.gpos] - L.a * x
-            slack = L.capacity - sum([r * p for p in L.peaks])
+            slack = L.capacity - _seq_sum([r * p for p in L.peaks])
             q1 = max(0.0, L.wb - L.s_mates - 0.5 * (eta * pf * gap + xi * L.wb * slack))
             q[L.lid] = (q1, msg.q[L.lid][1] if L.q1_succ is None else L.q1_succ)
         return Message(y, q, None if self._rho_bar is None else r)
@@ -534,7 +583,7 @@ class DeviationEvaluator:
         forms = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, 0.0)]
         for L in self._route:
             a = L.a if self._own_peak(L, y, side) else 0.0
-            den = sum(L.peaks) + (L.others_demanding == 0)
+            den = _seq_sum(L.peaks) + (L.others_demanding == 0)
             offer = L.capacity / den
             # den * den, not den ** 2: a float power overflows past 1.3e154
             forms.append((offer, -a * offer / den, 2.0 * a * a * offer / (den * den)))
@@ -570,7 +619,7 @@ class DeviationEvaluator:
         for L in self._route:
             q1 = msg.q[L.lid][0]
             pf = L.wb if L.pred_q2 is None else L.pred_q2
-            peak, total = L.peaks[L.gpos], sum(L.peaks)
+            peak, total = L.peaks[L.gpos], _seq_sum(L.peaks)
             dpeak = L.a if self._own_peak(L, y, side) else 0.0
             gap = (r * peak - L.a * x,
                    dr * peak + r * dpeak - L.a * dx,
@@ -618,7 +667,7 @@ class DeviationEvaluator:
         forms = [] if self._r_off == NO_BOUND else [(self._r_off, 1.0, 0.0)]
         kinks, knees = [], []
         for L in self._route:
-            base = sum(p for j, p in enumerate(L.peaks) if j != L.gpos) \
+            base = _seq_sum(p for j, p in enumerate(L.peaks) if j != L.gpos) \
                 + (L.others_demanding == 0)
             knees.append(base / L.a)
             forms.append((L.capacity, base, L.a))  # own peak a*y

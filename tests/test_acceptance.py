@@ -258,7 +258,7 @@ def test_criterion_3_sbb_certification(capsys, certified_batch):
         f"({n_cert}/{len(records)} certified). SBB utility is WBB utility plus "
         "a rebate the agent cannot move plus the zeta consensus term, so a "
         "gain here that WBB does not show means some message of the agent "
-        "prices its own redistribution rebate (slot 6 of agent_tax).")
+        "prices its own redistribution rebate (slot 6 of _link_slots).")
 
 
 # ---------------------------------------------------------------------------

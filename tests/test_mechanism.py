@@ -5,6 +5,8 @@ loops and the published algebra, sharing no code with the package, so a
 bookkeeping slip in either implementation shows up as a mismatch.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,9 +28,10 @@ from mcastmech import (
     zero_message,
 )
 from mcastmech.errors import MessageShapeError
-from mcastmech.mechanism import NO_BOUND, group_maxima
+from mcastmech.mechanism import NO_BOUND, _seq_sum
 
 from conftest import coherent_quotes, make_instance
+from evaluate_reference import reference_evaluate
 
 WBB = MechanismParams(variant="wbb")
 SBB = MechanismParams(variant="sbb")
@@ -156,10 +159,19 @@ def random_profile(inst, rng, variant, zero_rate=0.0, q_hi=2.0, y_hi=2.0):
 # allocation map
 
 
+def _peaks_and_active(inst, y):
+    """Per-(group, link) weighted peaks, as allocate reports them in n, and
+    per link the demanding groups: those whose peak is positive."""
+    peaks = allocate(inst, y).n
+    active = {lid: {k for k in inst.groups_on_link[lid] if peaks[(k, lid)] > 0.0}
+              for lid in inst.link_ids}
+    return peaks, active
+
+
 def test_group_maxima_plain_and_weighted(two_member_instance):
     inst = two_member_instance
     y = {AgentId(1, 1): 4.0, AgentId(1, 2): 6.0, AgentId(2, 1): 0.0}
-    peaks, active = group_maxima(inst, y)
+    peaks, active = _peaks_and_active(inst, y)
     assert peaks[(1, "l1")] == 6.0
     assert active["l1"] == {1}
 
@@ -172,14 +184,14 @@ def test_group_maxima_plain_and_weighted(two_member_instance):
         ],
     )
     y = {AgentId(1, 1): 3.0, AgentId(1, 2): 5.0, AgentId(2, 1): 1.0}
-    peaks, active = group_maxima(weighted, y)
+    peaks, active = _peaks_and_active(weighted, y)
     assert peaks[(1, "l1")] == 6.0
     assert active["l1"] == {1, 2}
 
 
 def test_group_maxima_all_zero(symmetric_instance):
     y = {ki: 0.0 for ki in symmetric_instance.agents}
-    peaks, active = group_maxima(symmetric_instance, y)
+    peaks, active = _peaks_and_active(symmetric_instance, y)
     assert all(v == 0.0 for v in peaks.values())
     assert active["l1"] == set()
 
@@ -664,3 +676,153 @@ def test_profile_shape_errors(symmetric_instance, two_member_instance):
     negative[AgentId(1, 1)] = Message(-1.0, {"l1": (0.0, 0.0)})
     with pytest.raises(MessageShapeError):
         evaluate(inst, negative, WBB)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluate vs the dict-walking reference
+
+
+def _reference_profile(inst, rng, variant):
+    """Demands and quotes across the float range: exact zeros, the smallest
+    subnormal, log-uniform magnitudes from 1e-300 to 1e300 and plain
+    U[0, 40] demands; quotes zero, U[0, 3] or log-uniform up to 1e5."""
+    def demand():
+        u = rng.random()
+        if u < 0.15:
+            return 0.0
+        if u < 0.2:
+            return 5e-324
+        if u < 0.6:
+            return float(10.0 ** rng.uniform(-300.0, 300.0))
+        return float(rng.uniform(0.0, 40.0))
+
+    def quote():
+        u = rng.random()
+        if u < 0.1:
+            return 0.0
+        if u < 0.3:
+            return float(10.0 ** rng.uniform(-5.0, 5.0))
+        return float(rng.uniform(0.0, 3.0))
+
+    return {ki: Message(demand(), {lid: (quote(), quote()) for lid in inst.links_of[ki]},
+                        float(rng.uniform(0.0, 2.0)) if variant == "sbb" else None)
+            for ki in inst.agents}
+
+
+@pytest.mark.parametrize("variant", ["wbb", "sbb"])
+def test_evaluate_matches_reference_bitwise(variant):
+    """The compiled pass equals the dict-walking reference field by field
+    (repr equality, so every float to the last bit and every dict in the
+    same key order) on random instances, singleton groups included."""
+    params = MechanismParams(variant=variant)
+    rng = np.random.default_rng(17)
+    n_checked = 0
+    for seed in range(1, 41):
+        inst = random_instance(seed, n_groups=2 + seed % 4, max_group_size=1 + seed % 3,
+                               n_links=1 + seed % 4, density=0.7)
+        for _ in range(8):
+            profile = _reference_profile(inst, rng, variant)
+            assert repr(evaluate(inst, profile, params)) == \
+                repr(reference_evaluate(inst, profile, params))
+            n_checked += 1
+    assert n_checked == 320
+
+
+def _raised(fn, *args):
+    with pytest.raises(MessageShapeError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_invalid_profiles_raise_as_reference(symmetric_instance, two_member_instance,
+                                             chain_instance):
+    """Each malformed profile raises the reference's error type and message,
+    the first fault in agent order winning."""
+    nan, inf = float("nan"), float("inf")
+    one_agent_link = make_instance(
+        {"l1": 10.0, "l2": 5.0},
+        [
+            (1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0, "l2": 1.0}),
+            (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+        ],
+    )
+    cases = []
+    for inst in (symmetric_instance, two_member_instance, chain_instance, one_agent_link):
+        for variant in ("wbb", "sbb"):
+            good = {ki: Message(1.0, {lid: (0.5, 0.5) for lid in inst.links_of[ki]},
+                                0.5 if variant == "sbb" else None)
+                    for ki in inst.agents}
+            first, last = inst.agents[0], inst.agents[-1]
+            route = inst.links_of[first]
+
+            def edit(ki, **change):
+                profile = dict(good)
+                msg = good[ki]
+                profile[ki] = Message(change.get("y", msg.y), change.get("q", msg.q),
+                                      change.get("rho", msg.rho))
+                return profile
+
+            cases.append((inst, variant, good))
+            missing = dict(good)
+            del missing[last]
+            cases.append((inst, variant, missing))
+            cases.append((inst, variant, edit(first, q={"nope": (0.0, 0.0)})))
+            cases.append((inst, variant, edit(first, q={lid: (0.5, 0.5) for lid in route[1:]})))
+            cases.append((inst, variant, edit(first, q={**good[first].q, "zz": (0.0, 0.0)})))
+            for bad in (-1.0, nan, inf):
+                cases.append((inst, variant, edit(first, y=bad)))
+                cases.append((inst, variant, edit(last, q={**good[last].q,
+                                                           inst.links_of[last][0]: (bad, 0.5)})))
+                cases.append((inst, variant, edit(last, q={**good[last].q,
+                                                           inst.links_of[last][-1]: (0.5, bad)})))
+                if variant == "sbb":
+                    cases.append((inst, variant, edit(last, rho=bad)))
+            cases.append((inst, variant, edit(first, rho=None if variant == "sbb" else 1.0)))
+            both = edit(last, y=-1.0)
+            both[first] = Message(1.0, {lid: (nan, 0.5) for lid in route}, good[first].rho)
+            cases.append((inst, variant, both))
+
+    n_errors = 0
+    for inst, variant, profile in cases:
+        params = MechanismParams(variant=variant)
+        try:
+            expected = repr(reference_evaluate(inst, profile, params))
+        except MessageShapeError:
+            expected = _raised(reference_evaluate, inst, profile, params)
+            assert _raised(evaluate, inst, profile, params) == expected
+            n_errors += 1
+        else:
+            assert repr(evaluate(inst, profile, params)) == expected
+    # every case but the unedited good profiles of the three valid instances fails
+    assert n_errors == len(cases) - 6
+
+
+@pytest.mark.parametrize("variant", ["wbb", "sbb"])
+def test_huge_quote_and_rho_gaps_price_to_inf(variant, symmetric_instance,
+                                              two_member_instance):
+    """A quote or rho gap past 1.3e154 squares to inf instead of raising
+    OverflowError from a float power: validation accepts every finite quote,
+    so the tax is +inf and the utility -inf, in evaluate and the evaluator."""
+    params = MechanismParams(variant=variant)
+    rho = 0.5 if variant == "sbb" else None
+    for inst in (symmetric_instance, two_member_instance):
+        ki = AgentId(1, 1)
+        profile = {b: Message(1.0, {lid: (0.5, 0.5) for lid in inst.links_of[b]}, rho)
+                   for b in inst.agents}
+        profile[ki] = Message(1.0, {"l1": (1e160, 1e160)}, 1e160 if rho else None)
+        out = evaluate(inst, profile, params)
+        assert out.taxes[ki].total == math.inf
+        assert DeviationEvaluator(inst, profile, params, ki).utility(profile[ki]) == -math.inf
+    assert out.taxes[AgentId(1, 2)].per_link["l1"][1] == math.inf  # (q2 - 1e160)^2
+
+
+def test_seq_sum_adds_left_to_right():
+    """The sum every bit-for-bit agreement rests on: left to right from 0.0,
+    with no compensation (builtin sum compensates from Python 3.12 on)."""
+    assert _seq_sum([0.1] * 10) == 0.9999999999999999
+    assert _seq_sum([1e100, 1.0, -1e100]) == 0.0
+    assert _seq_sum([]) == 0.0
+    total = 0.0
+    for v in np.random.default_rng(3).uniform(-1e3, 1e3, 200).tolist():
+        total += v
+    assert _seq_sum(np.random.default_rng(3).uniform(-1e3, 1e3, 200).tolist()) == total
