@@ -1,0 +1,88 @@
+"""Solve the fixed 766-draw corpus and print the solver's numbers.
+
+    PYTHONPATH=src python tests/solve_corpus.py
+
+The corpus is every acceptance-shaped draw of batch seeds 1-150 at
+attempts 0-3 (instance seed = batch seed * 1009 + attempt) plus the
+benchmark's ``solve_large`` chains 101-136 (8 or 12 groups and links;
+chains 101-112 at attempts 0-5, the rest at attempts 0-3). Draws the
+generator rejects are skipped. Each draw is solved at the default tol;
+the script prints the solved and failed counts, the worst final residual,
+the total solve time (also per family: acceptance-shaped draws and
+chains) and a histogram of interior-point steps per solve.
+
+Not collected by pytest (the name does not start with ``test_``); it is
+the shared yardstick for changes to ``solve_cp``.
+"""
+
+import collections
+import time
+
+from mcastmech import random_instance, solve_cp
+from mcastmech import centralized
+from mcastmech.errors import SolverError, ValidationFailure
+
+from conftest import batch_shape
+
+
+def corpus():
+    """(label, instance) for every draw the generator accepts."""
+    draws = []
+    for seed in range(1, 151):
+        groups, members, links, density = batch_shape(seed)
+        for attempt in range(4):
+            draws.append((f"acceptance-{seed * 1009 + attempt}", seed * 1009 + attempt,
+                          dict(n_groups=groups, max_group_size=members,
+                               n_links=links, density=density)))
+    for chain in range(101, 137):
+        size = 8 if chain % 2 else 12
+        for attempt in range(6 if chain <= 112 else 4):
+            draws.append((f"chain-{chain * 1009 + attempt}", chain * 1009 + attempt,
+                          dict(n_groups=size, max_group_size=3, n_links=size)))
+    out = []
+    for label, seed, shape in draws:
+        try:
+            out.append((label, random_instance(seed, **shape)))
+        except ValidationFailure:
+            continue
+    return out
+
+
+def main():
+    steps = [0]
+    real_step = centralized._mehrotra_step
+
+    def counted(*args):
+        steps[0] += 1
+        return real_step(*args)
+
+    centralized._mehrotra_step = counted
+    solved, failed, worst = 0, [], (0.0, None)
+    times = collections.Counter()
+    step_counts = []
+    for label, inst in corpus():
+        steps[0] = 0
+        start = time.perf_counter()
+        try:
+            _, dual = solve_cp(inst)
+        except SolverError as exc:
+            failed.append(f"{label}: {exc}")
+            continue
+        finally:
+            times[label.split("-")[0]] += time.perf_counter() - start
+        solved += 1
+        step_counts.append(steps[0])
+        worst = max(worst, (dual.residuals.max_residual, label))
+    print(f"solved {solved}, failed {len(failed)}")
+    for line in failed:
+        print(f"  {line}")
+    print(f"worst residual {worst[0]:.2e} ({worst[1]})")
+    print(f"total solve time {sum(times.values()):.2f} s ("
+          + ", ".join(f"{family} {t:.2f} s" for family, t in sorted(times.items())) + ")")
+    histogram = collections.Counter(n // 5 * 5 for n in step_counts)
+    print(f"steps per solve (mean {sum(step_counts) / max(1, solved):.2f}):",
+          ", ".join(f"{lo}-{lo + 4}: {n}" for lo, n in sorted(histogram.items())))
+
+
+if __name__ == "__main__":
+    main()

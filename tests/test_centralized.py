@@ -24,7 +24,7 @@ from mcastmech import centralized
 from mcastmech.errors import SolverError
 
 from conftest import batch_shape, make_instance
-from kkt_reference import reference_residuals
+from kkt_reference import dense_direction, normal_matrix, reference_residuals
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def _acceptance_draw(instance_seed):
                            n_links=links, density=density)
 
 
-@pytest.mark.parametrize("instance", [
+DEGENERATE_DRAWS = [
     pytest.param(lambda: _acceptance_draw(1009), id="acceptance-1009"),
     pytest.param(lambda: _acceptance_draw(16144), id="acceptance-16144"),
     pytest.param(lambda: _acceptance_draw(41369), id="acceptance-41369"),
@@ -139,7 +139,10 @@ def _acceptance_draw(instance_seed):
                  id="large-109981"),
     pytest.param(lambda: random_instance(131172, n_groups=12, max_group_size=3, n_links=12),
                  id="large-131172"),
-])
+]
+
+
+@pytest.mark.parametrize("instance", DEGENERATE_DRAWS)
 def test_degenerate_draws_solve_to_the_residual_floor(instance):
     # On the first four a primal log-barrier's extracted duals stall: one
     # link's shadow price is orders of magnitude below another's. On 131172
@@ -150,6 +153,43 @@ def test_degenerate_draws_solve_to_the_residual_floor(instance):
     primal, dual = solve_cp(inst, tol=1e-9)
     assert dual.residuals.max_residual <= 1e-12
     assert check_a4(inst, primal).holds
+
+
+def test_ladder_top_solves_to_the_residual_floor():
+    # 50 agents on 25 links: the largest rung of the size ladder.
+    inst = random_instance(1, n_groups=25, max_group_size=3, n_links=25)
+    primal, dual = solve_cp(inst, tol=1e-9)
+    assert dual.residuals.max_residual <= 1e-12
+    assert check_a4(inst, primal).holds
+
+
+@pytest.mark.parametrize("instance", DEGENERATE_DRAWS + [
+    pytest.param(lambda: random_instance(1, n_groups=12, max_group_size=3, n_links=12),
+                 id="ladder-12")])
+def test_structured_direction_solves_the_dense_system(instance, monkeypatch):
+    """Every predictor and corrector direction of a solve, from the
+    eliminated m-block, solves the dense normal equations N dz = rhs to a
+    relative residual of 1e-9, as the dense equilibrated solve does."""
+    calls = []
+    real = centralized._newton_solver
+
+    def recording(ws, x, d):
+        solve = real(ws, x, d)
+
+        def recorded(rhs):
+            dz = solve(rhs)
+            calls.append((ws, x, d, rhs, dz))
+            return dz
+        return recorded
+
+    monkeypatch.setattr(centralized, "_newton_solver", recording)
+    solve_cp(instance(), tol=1e-9)
+    assert calls
+    for ws, x, d, rhs, dz in calls:
+        N = normal_matrix(ws, x, d)
+        bound = 1e-9 * np.max(np.abs(rhs))
+        assert np.max(np.abs(N @ dz - rhs)) <= bound
+        assert np.max(np.abs(N @ dense_direction(N, rhs) - rhs)) <= bound
 
 
 def test_saturated_draw_replays_exactly():

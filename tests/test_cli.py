@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import mcastmech
-from mcastmech import LOG_SAT, instance_to_json
+from mcastmech import LOG_SAT, instance_to_json, random_instance
 
 from conftest import make_instance
 
@@ -17,8 +17,8 @@ from conftest import make_instance
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(mcastmech.__file__))
 
 
-def run_cli(*args, threads="1"):
-    env = dict(os.environ)
+def run_cli(*args, threads="1", **extra_env):
+    env = dict(os.environ, **extra_env)
     env["MECH_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -98,6 +98,22 @@ def test_solve_reruns_byte_identical(tmp_path, sym_path):
     assert run_cli("solve", "--instance", sym_path, "--out", str(out)).returncode == 0
     second = {f: (out / f).read_bytes() for f in os.listdir(out)}
     assert first == second
+
+
+@pytest.mark.parametrize("groups", [12, 25])
+def test_solution_independent_of_blas_threads(tmp_path, groups):
+    # The 22- and 50-agent ladder instances, where a dense factorisation
+    # of the full normal matrix rounded differently under two BLAS threads.
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(random_instance(1, groups, 3, groups)))
+    written = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}"
+        proc = run_cli("solve", "--instance", str(path), "--out", str(out),
+                       OPENBLAS_NUM_THREADS=blas)
+        assert proc.returncode == 0, proc.stderr
+        written.append((out / "solution.json").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_solve_missing_file_is_input_error(tmp_path):
