@@ -10,26 +10,29 @@ Solves, for a validated instance,
 by a primal-dual interior-point method with Mehrotra's predictor-corrector
 steps. The three inequality families (x >= 0, capacity, bounding) carry
 slacks and multipliers as iterates next to z = [x; m], so the link duals
-lambda_l and the member duals mu_{ki,l} are iterates, not values read off a
-barrier parameter. Each step eliminates the m-block of its Newton system in
-closed form (per link it is diagonal plus one rank-one capacity term) and
-solves one n_x square Schur complement for the predictor and the corrector.
-The centring target is floored at min(gap, 0.1 * max|dual residual|), so
-complementarity cannot outrun stationarity on saturated valuations.
+lambda_l and the member duals mu_{ki,l} are iterates themselves, not values
+read off a barrier parameter. Each step eliminates the m-block of its Newton
+system in closed form and solves the agents-only Schur complement that is
+left for a predictor and a corrector direction. The centring target is floored
+at min(gap, 0.1 * max|dual residual|), so complementarity cannot outrun
+stationarity on saturated valuations, where Newton steps in x are short.
 
-Each iterate gets a closed-form finishing step: x is scaled by the
-mechanism's own r = min_l c_l / sum_k max_i alpha * x, so the tightest link
-binds exactly (a slack of gap / lambda, with lambda near 1e-8, would show as
-allocation drift when the mechanism replays x), and each m is refit under
-its link. Then it is measured by the KKT residual of its arrays
-(`_residual`, which backs kkt_residuals). The loop keeps the best iterate
-and stops at RESIDUAL_FLOOR or once it stops improving; only that iterate
-becomes dicts and a KKTReport, and the solve raises SolverError if it
-misses tol.
+Every iterate is measured after one closed-form finishing step: x is scaled
+by the mechanism's own scale r = min_l c_l / sum_k max_i alpha * x, which
+makes the tightest link bind exactly, and each m is refit under its link.
+Without it an iterate leaves a binding link slack by about gap / lambda,
+which on saturated instances (lambda near 1e-8) shows as allocation drift
+when the mechanism replays x. The loop measures each iterate by the KKT
+residual of its arrays (the `_residual` behind kkt_residuals), keeps the
+best and stops at RESIDUAL_FLOOR or once it stops improving. Only the
+returned iterate becomes dicts, a KKTReport and a sharing count; the solve
+fails with SolverError only when that best iterate misses tol.
 
-Stationarity: v'(x) = sum_l mu * alpha for every positive rate, and
-lambda_l = sum_{members} mu for each group on each link. The residual
-report holds both, plus the sharing count |S_l| per link.
+Stationarity ties the duals together: for every positive rate
+v'(x) = sum_l mu * alpha, and on every link the per-group dual sums match
+the link dual, lambda_l = sum_{members} mu. Both are part of the residual
+report, as is the sharing diagnostic |S_l| (number of groups with a
+positive member rate on each link).
 """
 
 from __future__ import annotations
@@ -118,8 +121,10 @@ class _Workspace:
         self.mpairs: List[Tuple[int, str]] = [
             (k, lid) for lid in inst.link_ids for k in inst.groups_on_link[lid]]
         self.midx = {p: j for j, p in enumerate(self.mpairs)}
-        self.nx, self.nm, self.nl = len(self.agents), len(self.mpairs), len(inst.link_ids)
+        self.nx = len(self.agents)
+        self.nm = len(self.mpairs)
         self.n = self.nx + self.nm
+        self.nl = len(inst.link_ids)
         # Bounding constraints, one per (agent, link on its route).
         self.bnd: List[Tuple[AgentId, str]] = [
             (ki, lid) for ki in self.agents for lid in inst.links_of[ki]]
@@ -128,21 +133,10 @@ class _Workspace:
         self.b_al = np.array([inst.alpha[p] for p in self.bnd])
         lpos = {lid: j for j, lid in enumerate(inst.link_ids)}
         self.m_link = np.array([lpos[lid] for _, lid in self.mpairs], dtype=int)
-        # Ordered pairs (p, q) of bounding rows on one link, p == q included,
-        # and those of two rows on one m: the Schur complement's entries.
-        b_link = self.m_link[self.b_m]
-        rows_on = [np.flatnonzero(b_link == j) for j in range(self.nl)]
-        self.lp = np.concatenate([np.repeat(rows, len(rows)) for rows in rows_on])
-        self.lq = np.concatenate([np.tile(rows, len(rows)) for rows in rows_on])
-        self.lp_link = b_link[self.lp]
-        same_m = (self.b_m[self.lp] == self.b_m[self.lq]) & (self.lp != self.lq)
-        self.mp, self.mq = self.lp[same_m], self.lq[same_m]
-        # Flat positions in the n_x square Schur complement: each agent's
-        # and each row's diagonal, then the link pairs and the m pairs.
-        nx = self.nx
-        self.s_idx = np.concatenate((np.arange(nx) * (nx + 1), self.b_ix * (nx + 1),
-                                     self.b_ix[self.lp] * nx + self.b_ix[self.lq],
-                                     self.b_ix[self.mp] * nx + self.b_ix[self.mq]))
+        # Each bounding row's flat (agent, link) position, and peers i != j.
+        self.b_xl = self.b_ix * self.nl + self.m_link[self.b_m]
+        group = np.array([ki.group for ki in self.agents])
+        self.peers = np.equal.outer(group, group) - np.eye(self.nx)
         self.caps = np.array([inst.capacity[lid] for lid in inst.link_ids])
         self.offset = np.concatenate((np.zeros(self.nx), self.caps,
                                       np.zeros(len(self.bnd))))
@@ -189,36 +183,30 @@ def _interior_start(ws: _Workspace, seed: Optional[int]) -> np.ndarray:
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest step in (0, 1] keeping v + step * dv nonnegative."""
     neg = dv < 0.0
-    return min(1.0, float((-v[neg] / dv[neg]).min(initial=1.0)))
+    return float((-v[neg] / dv[neg]).min(initial=1.0))
 
 
 def _newton_solver(ws: _Workspace, x: np.ndarray, d: np.ndarray):
-    """Solver for N dz = rhs, N = -welfare Hessian + A^T diag(d) A, d = y / s.
-
-    On each link N's m-block M is diagonal, Dm (each m's bounding-row d
-    summed), plus d_l * 11^T, which Sherman-Morrison inverts in O(n_m). The
-    x-m block C holds -d_b * alpha_b per bounding row, so eliminating m
-    leaves S = N_xx - C M^-1 C^T. A row's two diagonal terms d_b * alpha^2
-    and -(d_b * alpha)^2 / Dm enter as d_b * alpha^2 * (the other rows' d
-    on that m) / Dm, so nothing cancels. S is solved on its symmetric
-    diagonal scaling, as d spans many orders of magnitude near the optimum."""
+    """Solver for N dz = rhs, N = -welfare Hessian + A^T diag(d) A, d = y / s:
+    Sherman-Morrison on each link's m-block (diagonal Dm plus d_l * 11^T)
+    leaves an n_x square S on x. A row's d * alpha^2 - (d * alpha)^2 / Dm
+    enters S as d * alpha^2 * (its group peers' d) / Dm, so nothing cancels."""
     nx, nl = ws.nx, ws.nl
     d_b = d[nx + nl:]
     c = d_b * ws.b_al
     inv_dm = 1.0 / np.bincount(ws.b_m, d_b, ws.nm)
     u = c * inv_dm[ws.b_m]
     w = d[nx:nx + nl] / (1.0 + d[nx:nx + nl] * ws.link_sums(inv_dm))
-    w_m = w[ws.m_link] * inv_dm
-    others = np.bincount(ws.mp, d_b[ws.mq], len(d_b))
-    S = np.bincount(ws.s_idx, np.concatenate((
-        d[:nx] - ws.d2value(x), u * ws.b_al * others,
-        w[ws.lp_link] * u[ws.lp] * u[ws.lq], -c[ws.mp] * u[ws.mq])), nx * nx).reshape(nx, nx)
-    scale = 1.0 / np.sqrt(np.diag(S))
+    D, C, U = (np.bincount(ws.b_xl, v, nx * nl).reshape(nx, nl) for v in (d_b, c, u))
+    others = np.einsum("ij,jl->il", ws.peers, D).ravel()[ws.b_xl]
+    S = np.einsum("il,l,jl->ij", U, w, U) - ws.peers * np.einsum("il,jl->ij", C, U)
+    S.flat[::nx + 1] += d[:nx] - ws.d2value(x) + np.bincount(ws.b_ix, u * ws.b_al * others, nx)
+    scale = 1.0 / np.sqrt(np.diag(S))  # d spans many orders of magnitude
     S *= scale[:, None] * scale[None, :]
 
-    def m_solve(v):  # M^-1 v, by Sherman-Morrison on each link
+    def m_solve(v):  # the m-block's inverse times v
         t = v * inv_dm
-        return t - w_m * ws.link_sums(t)[ws.m_link]
+        return t - inv_dm * (w * ws.link_sums(t))[ws.m_link]
 
     def solve(rhs):
         rx, rm = rhs[:nx], rhs[nx:]
@@ -231,8 +219,7 @@ def _newton_solver(ws: _Workspace, x: np.ndarray, d: np.ndarray):
 
 def _mehrotra_step(ws: _Workspace, z: np.ndarray, s: np.ndarray, y: np.ndarray):
     """One predictor-corrector step on the KKT system of
-    min -welfare(z) s.t. A z + offset = s >= 0, with multipliers y >= 0.
-    Both directions solve with one Schur complement."""
+    min -welfare(z) s.t. A z + offset = s >= 0, with multipliers y >= 0."""
     x = z[:ws.nx]
     r_dual = -ws.transpose(y)
     r_dual[:ws.nx] -= ws.dvalue(x)
@@ -247,25 +234,29 @@ def _mehrotra_step(ws: _Workspace, z: np.ndarray, s: np.ndarray, y: np.ndarray):
 
     dz, ds, dy = direction(-s * y)
     gap_aff = float((s + _max_step(s, ds) * ds) @ (y + _max_step(y, dy) * dy)) / len(s)
-    target = max((gap_aff / gap) ** 3 * gap, min(gap, 0.1 * float(np.abs(r_dual).max())))
+    target = max((gap_aff / gap) ** 3 * gap,
+                 min(gap, 0.1 * float(np.abs(r_dual).max())))
     dz, ds, dy = direction(target - s * y - ds * dy)
     step = STEP_TO_BOUNDARY * min(_max_step(s, ds), _max_step(y, dy))
     return z + step * dz, s + step * ds, y + step * dy
 
 
 def _finish(ws: _Workspace, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Scale an iterate's (x, m) onto the mechanism's allocation: x by
-    r = min_l c_l / sum_k peak_{k,l}, which makes the tightest link bind
-    exactly; each m keeps the scaled peak plus the largest share of its
-    interior excess that still fits its link."""
-    x, m = z[:ws.nx], z[ws.nx:]
+    """Scale an iterate's (x, m) onto the mechanism's allocation.
+
+    x is scaled by r = min_l c_l / sum_k peak_{k,l}, which makes the
+    tightest link binding exactly; each m keeps the scaled peak plus the
+    largest share of its interior excess that still fits its link.
+    """
+    nx, nl = ws.nx, ws.nl
+    x, m = z[:nx], z[nx:]
     peak = np.zeros(ws.nm)
     np.maximum.at(peak, ws.b_m, ws.b_al * x[ws.b_ix])
     load = ws.link_sums(peak)
     r = float(np.min(ws.caps / load))
     excess = m - peak
     room = ws.link_sums(excess)
-    t = np.clip(np.divide(ws.caps - r * load, room, out=np.ones(ws.nl), where=room > 0.0),
+    t = np.clip(np.divide(ws.caps - r * load, room, out=np.ones(nl), where=room > 0.0),
                 0.0, 1.0)
     return r * x, r * peak + t[ws.m_link] * excess
 
@@ -293,9 +284,14 @@ def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
 
 def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
     """Count groups with a meaningfully positive member rate on each link."""
-    sizes = {lid: len({b.group for b in instance.agents_on_link[lid]
-                       if primal.x[b] > RATE_ATOL * instance.capacity[lid]})
-             for lid in instance.link_ids}
+    sizes = {}
+    for lid in instance.link_ids:
+        thresh = RATE_ATOL * instance.capacity[lid]
+        count = 0
+        for k in instance.groups_on_link[lid]:
+            if any(primal.x[b] > thresh for b in instance.member_agents_on_link[(k, lid)]):
+                count += 1
+        sizes[lid] = count
     return A4Report(sizes, all(c >= 2 for c in sizes.values()))
 
 
@@ -328,10 +324,13 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     ws = _Workspace(instance)
     nx, nl = ws.nx, ws.nl
     z = _interior_start(ws, init_seed)
-    gap0 = max(1.0, float(ws.dvalue(z[:nx]) @ z[:nx]) / max(1, ws.n))
+    x0 = z[:nx]
+    gap0 = max(1.0, float(ws.dvalue(x0) @ x0) / max(1, ws.n))
     s = ws.apply(z) + ws.offset
     y = gap0 / s
-    best, best_gap, stale = None, math.inf, 0
+    best = None
+    best_gap = math.inf
+    stale = 0
     for _ in range(MAX_ITERS):
         x, m = _finish(ws, z)
         blocks = _residual(ws, x, m, y[nx:nx + nl], y[nx + nl:])
@@ -342,8 +341,9 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
         # Early on the residual can sit at a starved agent's x >= 0 multiplier
         # for many steps while the gap falls steadily; that is progress too.
         gap = float(s @ y)
-        improved |= gap < best_gap
-        best_gap = min(best_gap, gap)
+        if gap < best_gap:
+            best_gap = gap
+            improved = True
         stale = 0 if improved else stale + 1
         if res <= RESIDUAL_FLOOR or stale >= PATIENCE:
             break
@@ -357,9 +357,11 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     if res > tol:
         raise SolverError(
             f"interior point stalled at max residual {res:.3e} > tol {tol:.3e}")
-    primal = PrimalSolution(dict(zip(ws.agents, x.tolist())), dict(zip(ws.mpairs, m.tolist())))
-    lam = dict(zip(instance.link_ids, y[nx:nx + nl].tolist()))
-    mu = dict(zip(ws.bnd, y[nx + nl:].tolist()))
+    primal = PrimalSolution(
+        x={ki: float(x[j]) for ki, j in ws.aidx.items()},
+        m={p: float(m[j]) for p, j in ws.midx.items()})
+    lam = {lid: float(y[nx + j]) for j, lid in enumerate(instance.link_ids)}
+    mu = {p: float(y[nx + nl + j]) for j, p in enumerate(ws.bnd)}
     a4 = check_a4(instance, primal)
     return primal, DualCertificate(lam, mu, KKTReport(*blocks, a4.holds, a4.s_sizes))
 
@@ -367,8 +369,11 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
 def argmax_ties(instance: NetworkInstance, primal: PrimalSolution
                 ) -> Dict[Tuple[int, str], List[int]]:
     """Members attaining the group's weighted peak on each link, within a
-    relative 1e-6. More than one member means the bounding duals on that
-    (group, link) are not unique; consumers get the tie set, not a warning."""
+    relative 1e-6.
+
+    More than one member means the bounding duals on that (group, link) are
+    not unique; downstream consumers get the tie set instead of a warning.
+    """
     ties = {}
     for (k, lid), members in instance.members_on_link.items():
         vals = {i: instance.alpha[(AgentId(k, i), lid)] * primal.x[AgentId(k, i)]
@@ -383,7 +388,8 @@ def solution_to_dict(instance: NetworkInstance, primal: PrimalSolution,
                      dual: DualCertificate) -> Dict[str, object]:
     return {
         "x": {ki.label: primal.x[ki] for ki in instance.agents},
-        "m": {f"{k}|{lid}": v for (k, lid), v in sorted(primal.m.items())},
+        "m": {f"{k}|{lid}": primal.m[(k, lid)]
+              for (k, lid) in sorted(primal.m)},
         "lambda": {lid: dual.lam[lid] for lid in instance.link_ids},
         "mu": {f"{ki.label}|{lid}": dual.mu[(ki, lid)]
                for (ki, lid) in sorted(dual.mu, key=lambda p: (p[0], p[1]))},
