@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import SolverError
-from .model import AgentId, NetworkInstance, RATE_ATOL, require_valid
+from .model import AgentId, NetworkInstance, RATE_ATOL, require_valid, welfare
 
 #: Default target for the max KKT residual across all blocks.
 DEFAULT_TOL = 1e-9
@@ -394,8 +394,7 @@ def solution_to_dict(instance: NetworkInstance, primal: PrimalSolution,
         "mu": {f"{ki.label}|{lid}": dual.mu[(ki, lid)]
                for (ki, lid) in sorted(dual.mu, key=lambda p: (p[0], p[1]))},
         "residuals": dual.residuals.as_dict(),
-        "welfare": sum(instance.valuation(ki).value(primal.x[ki])
-                       for ki in instance.agents),
+        "welfare": welfare(instance, primal.x),
         "peak_ties": {f"{k}|{lid}": v
                       for (k, lid), v in sorted(argmax_ties(instance, primal).items())},
     }

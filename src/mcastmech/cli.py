@@ -227,6 +227,7 @@ def _sweep_one(job: Tuple) -> Dict[str, object]:
         "epsilon": epsilon,
         "max_gain": report.max_gain,
         "certified": report.certified,
+        "incomplete": len(report.incomplete),
         "auto_shrink": shrinks,
         "allocation_drift": drift,
         "total_tax": outcome.total_tax,
@@ -237,7 +238,7 @@ def _sweep_one(job: Tuple) -> Dict[str, object]:
 
 _SWEEP_COLUMNS = [
     "seed", "instance_seed", "resample_tries", "status", "agents", "links",
-    "welfare", "epsilon", "max_gain", "certified", "auto_shrink",
+    "welfare", "epsilon", "max_gain", "certified", "incomplete", "auto_shrink",
     "allocation_drift", "total_tax", "equal_prices", "dual_feas",
     "comp_slack", "stationarity", "ir", "wbb", "sbb", "rho_consensus",
 ]
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certification threshold (default 1e-6 * max "
                             "valuation at the optimum)")
         p.add_argument("--budget", type=_at_least("budget", 1), default=1000,
-                       help="cap on utility evaluations per agent best response")
+                       help="cap on utility and slope evaluations per agent best response")
 
     p_solve = sub.add_parser("solve", help="welfare optimum + dual certificate")
     common(p_solve)

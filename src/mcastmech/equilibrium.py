@@ -11,9 +11,9 @@ welfare-optimal rates exactly.
 Certification computes each agent's best response. For a fixed own demand
 the allocation is fixed and the best quotes and rho are closed forms, so
 the best response is a one-dimensional maximum over the demand, whose
-kinks are known in closed form: a log grid through them plus golden
-section on the best local maxima, and on each side of a kink where the
-utility rises away from it, finds it. The candidate is an epsilon
+kinks are known in closed form; between two kinks the exact slopes of the
+demand's payoff at the ends locate its maximum, and Newton steps on that
+slope find it. The candidate is an epsilon
 equilibrium when no agent's best response gains more than epsilon (Kakhbod
 and Teneketzis, IEEE JSAC 30(11), 2012, build their multicast game form
 on the same separation of the deviation).
@@ -34,9 +34,9 @@ import numpy as np
 from .centralized import DualCertificate, PrimalSolution, check_a4
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
-                        MechanismParams, Message, Profile, VARIANT_SBB, _seq_sum,
+                        MechanismParams, Message, Profile, VARIANT_SBB,
                         allocate, evaluate)
-from .model import AgentId, NetworkInstance, RATE_ATOL, constraint_violation
+from .model import AgentId, NetworkInstance, RATE_ATOL, constraint_violation, seq_sum
 
 
 @dataclass
@@ -47,11 +47,16 @@ class CandidateNE:
 
 @dataclass
 class BestResponseResult:
+    """`evals` counts utility and slope evaluations; `complete` is False if
+    the budget cut the search short; `pieces` holds (a, b, g'(a+), g'(b-))."""
+
     message: Message
     gain: float
     evals: int
     base_utility: float
     best_utility: float
+    complete: bool
+    pieces: List[Tuple[float, float, float, float]]
 
 
 @dataclass
@@ -63,6 +68,7 @@ class CertificationReport:
     gains: Dict[AgentId, float]
     evals: Dict[AgentId, int]
     deviations: Dict[AgentId, Message]
+    incomplete: List[AgentId]
     certified: bool
 
     @property
@@ -78,6 +84,7 @@ class CertificationReport:
             "gains": {ki.label: self.gains[ki] for ki in sorted(self.gains)},
             "evals": {ki.label: self.evals[ki] for ki in sorted(self.evals)},
             "max_gain": self.max_gain,
+            "incomplete": [ki.label for ki in sorted(self.incomplete)],
             "certified": self.certified,
         }
 
@@ -190,112 +197,147 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
 # ---------------------------------------------------------------------------
 # Best response
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GRID_POINTS = 40  # log-spaced demands across the scales of g, 1e3 beyond each end
-_TAIL = (1e3, 1e6, 1e9, 1e12)  # sparse demands beyond both ends, where g is monotone
-_REFINE = 3  # best candidate brackets refined by golden section
-_WIDTH_TOL = 1e-8  # relative bracket width at which golden section stops
-DEMAND_CAP = 1e300  # largest demand sampled; a best response there is cut off
+_WIDTH_TOL = 1e-8  # relative width at which a root or turn counts as found
+DEMAND_CAP = 1e300  # largest demand tried; a best response there is cut off
+_ZERO_PROBE = 1e-15  # past a jump of r at 0, g's right limit is read at this share of the scales
 
 
-def _demand_grid(y0: float, kinks: List[float], knees: List[float]
-                 ) -> Tuple[List[float], List[bool]]:
-    """Sorted demands at which g is sampled: 0, the incumbent y0, the
-    kinks, a log grid across the scales (knees, kinks, y0) and sparse
-    tails out to 1e15 times past them (x is then saturated to a share
-    1e-15 on every route link). Points closer than rounding noise in g
-    would fake local maxima, so each cluster keeps one (y0 if in it).
-    Also returns, per point, whether its cluster holds a kink."""
-    scales = [*knees, *kinks] + ([y0] if y0 > 0.0 else [])
-    lo = max(min(scales) / 1e3, 1e-300)
-    hi = max(min(max(scales) * 1e3, DEMAND_CAP), lo)
-    step = (hi / lo) ** (1.0 / (_GRID_POINTS - 1))
-    points = {0.0, y0, *kinks, *(lo * step ** j for j in range(_GRID_POINTS))}
-    points.update(p for t in _TAIL for p in (lo / t, hi * t))
-    grid, kinked = [], []
-    for y in sorted(p for p in points if p <= DEMAND_CAP):
-        if grid and y - grid[-1] <= KINK_TOL * y:
-            if y == y0:
-                grid[-1] = y
-            kinked[-1] = kinked[-1] or y in kinks
-            continue
-        grid.append(y)
-        kinked.append(y in kinks)
-    return grid, kinked
+class _Truncated(Exception):
+    """The evaluation budget ran out before every piece was certified."""
 
 
 def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId,
                         params: MechanismParams, budget: int = 1000
                         ) -> BestResponseResult:
-    """Agent ki's best response to the rest of the profile.
+    """Agent ki's best response to the rest of the profile, certified piece
+    by piece.
 
-    For a fixed own demand y the best quotes and rho are closed forms
-    (DeviationEvaluator.best_message), so the best response maximizes
-    g(y), the utility of the best message at demand y. g is smooth except
-    at y = 0 and at the kinks of the allocation (demand_kinks); it is
-    sampled there, at the incumbent demand and on a log grid. Golden
-    section, in log y off 0 where samples can lie decades apart, refines
-    the best candidates by sample value: each sampled local maximum off a
-    kink, between its neighbours, and each side of a kink whose neighbour
-    there is no higher and where the exact one-sided slope of g
-    (local_model) rises away from it, up to that neighbour. No bracket
-    holds a kink. `budget` caps the DeviationEvaluator.utility calls. The
-    incumbent is a candidate, so the gain is never negative."""
+    It maximizes g(y), the utility of best_message(y): the best quotes and
+    rho at a demand are closed forms. The kinks of the allocation
+    (demand_kinks, merged within KINK_TOL) and the demands where a best
+    first quote reaches 0 split y >= 0 into pieces. On a piece r, m and the
+    slack are affine in x = r*y, so g(x) is V(x) plus a convex quadratic
+    and an affine term, and V''' > 0: g is concave, then convex, and g'
+    falls, then rises. The exact end slopes g'(a+) and g'(b-) (demand_slope)
+    thus place the maximum on a piece [a, b]: at a if g'(a+) <= 0, and at b
+    too if g'(b-) > 0; else at b if g'(b-) >= 0, unless g' is not positive
+    where the curvature in x turns (bisected for); else, or before such a
+    turn, at the root of g', by Newton steps on g' safeguarded by bisection,
+    in log y off 0, to a relative width of 1e-8. The last piece ends where
+    g' turns negative, stepping out from max(a, knees) by squared factors,
+    or at DEMAND_CAP; g' may rise again past that end, so g is also read at
+    DEMAND_CAP, where x has saturated. g is evaluated at every piece end and
+    root, and just past 0 if r jumps there. `pieces` keeps each
+    (a, b, g'(a+), g'(b-)).
+
+    `budget` caps the utility and slope evaluations together. A search it
+    cuts short returns the best value seen with complete=False, which is
+    no maximum. The incumbent is a candidate, so the gain is never negative."""
     if budget <= 0:
         raise ValueError(f"evaluation budget must be positive, got {budget}")
     ev = DeviationEvaluator(instance, profile, params, ki)
     current = profile[ki].copy()
     base = ev.utility(current)
     best = [base, current]
+    pieces: List[Tuple[float, float, float, float]] = []
 
-    def g(y: float) -> float:
+    def g(y: float) -> None:
+        if ev.evals >= budget:
+            raise _Truncated
         msg = ev.best_message(y, current)
         v = ev.utility(msg)
         if v > best[0]:
             best[:] = [v, msg]
-        return v
 
-    grid, kinked = _demand_grid(current.y, *ev.demand_kinks())
-    grid = grid[:max(0, budget - ev.evals)]
-    vals = [g(y) for y in grid]
-    n = len(grid)
-    candidates = []  # (sample value, index, 0 off a kink, else the side of the kink)
-    for j in range(1, n):
-        left, right = vals[j - 1] <= vals[j], j + 1 == n or vals[j + 1] <= vals[j]
-        if not kinked[j]:
-            if left and right:
-                candidates.append((vals[j], j, 0))
-        else:
-            candidates += [(vals[j], j, side) for side, lower in ((-1, left), (1, right))
-                           if lower and 0 <= j + side < n]
-    refined = 0
-    for _, j, side in sorted(candidates, key=lambda c: -c[0]):
-        if refined == _REFINE or ev.evals + 2 > budget:
-            break
-        if side:
-            slope = ev.local_model(ev.best_message(grid[j], current), side).grad[0]
-            if side * slope <= 0.0:
-                continue  # g falls away from the kink on that side
-            a, b = sorted((grid[j], grid[j + side]))
-        else:
-            a, b = grid[j - 1], grid[min(j + 1, n - 1)]
-        refined += 1
-        # golden section in t = y, or in t = log y when the bracket is off 0
-        y_of = float if a == 0.0 else math.exp
-        ta, tb = (a, b) if a == 0.0 else (math.log(a), math.log(b))
-        tc, td = tb - _GOLDEN * (tb - ta), ta + _GOLDEN * (tb - ta)
-        fc, fd = g(y_of(tc)), g(y_of(td))
-        while y_of(tb) - y_of(ta) > _WIDTH_TOL * y_of(tb) and ev.evals < budget:
-            if fc >= fd:
-                tb, td, fd = td, tc, fc
-                tc = tb - _GOLDEN * (tb - ta)
-                fc = g(y_of(tc))
-            else:
-                ta, tc, fc = tc, td, fd
-                td = ta + _GOLDEN * (tb - ta)
-                fd = g(y_of(td))
+    def slope(y: float, side: int) -> Tuple[float, float]:
+        if ev.evals >= budget:
+            raise _Truncated
+        return ev.demand_slope(y, side)
+
+    def mid(lo: float, hi: float) -> float:
+        return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
+
+    def bisect(lo: float, hi: float, past) -> float:
+        """Where past(y) turns true in (lo, hi), to a relative width of 1e-8."""
+        while hi - lo > _WIDTH_TOL * hi:
+            y = mid(lo, hi)
+            lo, hi = (lo, y) if past(y) else (y, hi)
+        return hi
+
+    def inward(y: float, a: float, b: float) -> int:
+        """The side of y facing the middle of (a, b): within KINK_TOL of an
+        end, slopes read on the other side would be the next piece's."""
+        return +1 if y - a < b - y else -1
+
+    def root(lo: float, hi: float) -> None:
+        """g at the root of g' in (lo, hi), where g'(lo+) > 0 > g'(hi-)."""
+        a, b = lo, hi
+        y = current.y if lo < current.y < hi else mid(lo, hi)
+        while True:
+            d1, d2 = slope(y, inward(y, a, b))
+            lo, hi = (y, hi) if d1 > 0.0 else (lo, y)
+            step = -d1 / d2 if d2 < 0.0 else math.nan  # in t = log y: step / y
+            nxt = y * math.exp(min(step / y, 700.0)) if lo > 0.0 else y + step
+            nxt = nxt if lo < nxt < hi else mid(lo, hi)
+            if d1 == 0.0 or abs(nxt - y) <= _WIDTH_TOL * nxt or hi - lo <= _WIDTH_TOL * hi:
+                break
+            y = nxt
+        g(y)
+
+    def bend(y: float, side: int, d1: float, d2: float) -> float:
+        """g's curvature in x = r*y, up to a positive factor: g''x' - g'x''."""
+        r, dr, d2r, _ = ev.scale_slopes(y, side)
+        return d2 * (r + y * dr) - d1 * (2.0 * dr + y * d2r)
+
+    def clipped(y: float) -> List[bool]:
+        return [q1 == 0.0 for q1, _ in ev.best_message(y, current).q.values()]
+
+    kinks, knees = ev.demand_kinks()
+    jump = ev.scale_slopes(0.0, +1)[3]
+    ends = [_ZERO_PROBE * min(kinks + knees) if jump else 0.0]
+    for y in sorted(kinks):
+        if y - ends[-1] > KINK_TOL * y and y < DEMAND_CAP:
+            ends.append(y)
+    ends.append(DEMAND_CAP)
+    marks = [clipped(y) for y in ends]
+    cuts = []  # left ends of the pieces; a best first quote clips at most once between kinks
+    for a, b, ca, cb in zip(ends, ends[1:], marks, marks[1:]):
+        turns = {bisect(a, b, lambda y, j=j: clipped(y)[j] != ca[j])
+                 for j in range(len(ca)) if ca[j] != cb[j]}
+        cuts += [a, *sorted(turns - {b})]
+    complete = True
+    try:
+        if jump:
+            g(0.0)
+        for a, b in zip(cuts, cuts[1:] + [math.inf]):
+            g(a)
+            sa = slope(a, +1)
+            lo = a
+            if b < math.inf:
+                sb = slope(b, -1)
+                if sa[0] > 0.0 <= sb[0] and bend(a, +1, *sa) < 0.0 < bend(b, -1, *sb):
+                    turn = bisect(a, b, lambda y: bend(y, inward(y, a, b),
+                                                       *slope(y, inward(y, a, b))) >= 0.0)
+                    if slope(turn, inward(turn, a, b))[0] <= 0.0:
+                        root(a, turn)
+            else:  # step out until g' <= 0 or the cap
+                b, factor = min(max(a, *knees), DEMAND_CAP), 10.0
+                while True:
+                    if b > lo:
+                        sb = slope(b, +1)  # no kink past a
+                        if sb[0] <= 0.0 or b == DEMAND_CAP:
+                            break
+                        lo = b
+                    b, factor = min(b * factor, DEMAND_CAP), factor * factor
+                g(DEMAND_CAP)
+            pieces.append((a, b, sa[0], sb[0]))
+            if sa[0] > 0.0 and sb[0] < 0.0:
+                root(lo, b)
+    except _Truncated:
+        complete = False
     best_val, best_msg = best
-    return BestResponseResult(best_msg, best_val - base, ev.evals, base, best_val)
+    return BestResponseResult(best_msg, best_val - base, ev.evals, base, best_val,
+                              complete, pieces)
 
 
 def certify_ne(instance: NetworkInstance, candidate: CandidateNE, epsilon: float,
@@ -304,22 +346,25 @@ def certify_ne(instance: NetworkInstance, candidate: CandidateNE, epsilon: float
     """Epsilon-equilibrium check: no agent's best response may gain more
     than epsilon over its candidate message.
 
-    Each gain is exact_best_response's, so the verdict rests on a maximum
-    of the deviation gain, not on a search that found nothing. `budget`
-    caps the utility evaluations per agent; `restarts` and `seed` are
-    recorded in the report and no longer steer anything."""
+    Each gain is exact_best_response's maximum, certified by exact slopes.
+    `budget` caps the utility and slope evaluations per agent; an agent it
+    cuts short is listed in `incomplete`, and then the candidate is not
+    certified. `restarts` and `seed` are recorded and steer nothing."""
     gains: Dict[AgentId, float] = {}
     evals: Dict[AgentId, int] = {}
     deviations: Dict[AgentId, Message] = {}
+    incomplete: List[AgentId] = []
     for ki in instance.agents:
         br = exact_best_response(instance, candidate.profile, ki, candidate.params,
                                  budget)
         gains[ki] = br.gain
         evals[ki] = br.evals
         deviations[ki] = br.message
-    certified = max(gains.values()) <= epsilon
+        if not br.complete:
+            incomplete.append(ki)
+    certified = not incomplete and max(gains.values()) <= epsilon
     return CertificationReport(epsilon, budget, restarts, seed, gains, evals,
-                               deviations, certified)
+                               deviations, incomplete, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +381,8 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
     gain; the feasible flag certifies the shared constraints after the
     round's updates (the allocation map keeps it true by construction).
     The run stops once no gain exceeds epsilon. That is a fixed point
-    only while every demand stays below the grid cap: the best response
+    only if every best response of the round ran to completion within
+    `budget` and every demand stays below DEMAND_CAP: the best response
     of an agent at the cap is cut off there, not a maximum."""
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
@@ -349,17 +395,18 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
     for rnd in range(1, rounds + 1):
         rounds_run = rnd
         round_gains: Dict[AgentId, float] = {}
+        complete = True
         if schedule == "jacobi":
             responses = {}
             for ki in instance.agents:
                 br = exact_best_response(instance, profile, ki, params, budget)
-                round_gains[ki] = br.gain
+                round_gains[ki], complete = br.gain, complete and br.complete
                 responses[ki] = br.message if br.gain > 0.0 else profile[ki]
             profile = {ki: responses[ki].copy() for ki in instance.agents}
         else:
             for ki in instance.agents:
                 br = exact_best_response(instance, profile, ki, params, budget)
-                round_gains[ki] = br.gain
+                round_gains[ki], complete = br.gain, complete and br.complete
                 if br.gain > 0.0:
                     profile[ki] = br.message.copy()
         out = evaluate(instance, profile, params)
@@ -375,8 +422,8 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
                 "feasible": feasible,
             })
         if max(round_gains.values()) <= epsilon:
-            fixed_point = all(profile[ki].y < DEMAND_CAP * (1.0 - KINK_TOL)
-                              for ki in instance.agents)
+            fixed_point = complete and all(profile[ki].y < DEMAND_CAP * (1.0 - KINK_TOL)
+                                           for ki in instance.agents)
             break
     return DynamicsResult(rows, fixed_point, rounds_run, profile)
 
@@ -403,7 +450,7 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
 
     comp = 0.0
     for lid in instance.link_ids:
-        slack = instance.capacity[lid] - _seq_sum(out.m[(k, lid)]
+        slack = instance.capacity[lid] - seq_sum(out.m[(k, lid)]
                                                   for k in instance.groups_on_link[lid])
         for k in instance.groups_on_link[lid]:
             comp = max(comp, abs(out.w[(k, lid)] * slack))
@@ -414,7 +461,7 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
 
     stat = 0.0
     for ki in instance.agents:
-        price = _seq_sum(instance.alpha[(ki, lid)] * profile[ki].q[lid][0]
+        price = seq_sum(instance.alpha[(ki, lid)] * profile[ki].q[lid][0]
                          for lid in instance.links_of[ki])
         resid = instance.valuation(ki).deriv(out.x[ki]) - price
         thresh = RATE_ATOL * max(instance.capacity[lid]

@@ -47,7 +47,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import MessageShapeError
-from .model import AgentId, NetworkInstance
+from .model import AgentId, NetworkInstance, seq_sum
 
 VARIANT_WBB = "wbb"
 VARIANT_SBB = "sbb"
@@ -174,15 +174,6 @@ def _tables(instance: NetworkInstance) -> _Tables:
     return instance._mech_tables
 
 
-def _seq_sum(values) -> float:
-    """Left-to-right float sum from 0.0. Builtin sum() compensates float sums
-    from Python 3.12 on, which would break the bit-for-bit agreements here."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) -> None:
     if variant not in VARIANTS:
         raise MessageShapeError(f"unknown variant {variant!r}")
@@ -228,7 +219,7 @@ def _offer(capacity: float, peaks, n_demanding: int) -> float:
     of groups demanding on it."""
     if not n_demanding:
         return NO_BOUND
-    total = _seq_sum(peaks)
+    total = seq_sum(peaks)
     if n_demanding >= 2:
         return capacity / total
     return capacity / (total + 1.0)
@@ -335,7 +326,7 @@ def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParam
     msgs, ys, q1s, q2s = _read(T, profile)
     alloc = _allocate(T, ys)
     r, xs, ms = alloc.r, list(alloc.x.values()), list(alloc.m.values())
-    ws = []  # summed inline like _seq_sum: a call per slot would cost more than its sum
+    ws = []  # summed inline like seq_sum: a call per slot would cost more than its sum
     for pairs in T.slot_pairs:
         w = 0.0
         for p in pairs:
@@ -343,10 +334,10 @@ def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParam
         ws.append(w)
     wbs, slack, w_bar = [0.0] * len(ws), [], {}
     for link_slots, n_rivals, c in zip(T.link_slots, T.rivals, T.capacity):
-        total = _seq_sum([ws[s] for s in link_slots])
+        total = seq_sum([ws[s] for s in link_slots])
         for s in link_slots:
             wbs[s] = w_bar[T.slot_keys[s]] = (total - ws[s]) / n_rivals
-        slack.append(c - _seq_sum([ms[s] for s in link_slots]))
+        slack.append(c - seq_sum([ms[s] for s in link_slots]))
     sbb = params.variant == VARIANT_SBB
     others, rho_bars = (_rebates(T, ys, q1s, [msg.rho for msg in msgs]) if sbb
                         else ([0.0] * len(q1s), [None] * len(ys)))
@@ -390,8 +381,8 @@ class _RouteLink:
     (q1s), in the order evaluate() sums them; the deviator's slot (gpos,
     mpos) is rewritten on every evaluation and the others are never
     touched. s_mates is the sum of the group-mates' first quotes, wb the
-    rival groups' mean price and others_pay the other agents' entries in
-    the SBB rebate pool."""
+    rival groups' mean price (all sums less the own, as utility() prices)
+    and others_pay the other agents' entries in the SBB rebate pool."""
 
     __slots__ = ("lid", "a", "capacity", "peak_mates", "others_demanding", "peaks",
                  "gpos", "q1s", "mpos", "ws", "n_rivals", "pred_q2", "q1_succ",
@@ -416,11 +407,11 @@ class _RouteLink:
         self.others_demanding = sum(p > 0.0 for g, p in enumerate(peaks) if g != self.gpos)
         self.q1s = [profile[b].q[lid][0] for b in members]
         self.mpos = members.index(ki)
-        self.s_mates = _seq_sum(profile[b].q[lid][0] for b in mates)
+        self.s_mates = seq_sum(profile[b].q[lid][0] for b in mates)
         self.n_rivals = _rival_count(instance, lid)
-        self.ws = [_seq_sum(profile[b].q[lid][0] for b in instance.member_agents_on_link[(g, lid)])
+        self.ws = [seq_sum(profile[b].q[lid][0] for b in instance.member_agents_on_link[(g, lid)])
                    for g in groups]
-        self.wb = _seq_sum(wg for g, wg in zip(groups, self.ws) if g != k) / self.n_rivals
+        self.wb = (seq_sum(self.ws) - self.ws[self.gpos]) / self.n_rivals
         self.pred_q2 = self.q1_succ = None
         if mates:
             self.pred_q2 = profile[instance.pred_on_link[(ki, lid)]].q[lid][1]
@@ -443,7 +434,8 @@ class LocalModel(NamedTuple):
 
 class DeviationEvaluator:
     """Utility of one agent's candidate messages while the rest of the
-    profile stays fixed, with a count of evaluations in `evals`.
+    profile stays fixed, with a count of utility and demand_slope calls in
+    `evals`.
 
     The constructor snapshots everything the other agents' messages fix:
     the smallest finite offer among links off ki's route and, per route
@@ -518,14 +510,14 @@ class DeviationEvaluator:
         for L in self._route:
             q1, q2 = msg.q[L.lid]
             L.q1s[L.mpos] = q1
-            wk = _seq_sum(L.q1s)
+            wk = seq_sum(L.q1s)
             L.ws[L.gpos] = wk
-            wb = (_seq_sum(L.ws) - wk) / L.n_rivals
+            wb = (seq_sum(L.ws) - wk) / L.n_rivals
             t1, t2, t3, t4, t5, t6 = _link_slots(
                 self.params, L.a, y, x, r, q1, q2,
                 wb if L.pred_q2 is None else L.pred_q2, L.q1_succ,
                 r * L.peaks[L.gpos], wk, wb,
-                L.capacity - _seq_sum([r * p for p in L.peaks]),
+                L.capacity - seq_sum([r * p for p in L.peaks]),
                 rho_bar, L.n_l, L.others_pay)
             total += t1 + t2 + t3 + t4 + t5 + t6
         if rho_bar is not None:
@@ -544,16 +536,18 @@ class DeviationEvaluator:
         max(0, wb - s_mates - (eta*pf*(m_k - a*x) + xi*wb*slack) / 2).
         A q2 that enters no slot (ki alone in its group) is copied from msg."""
         r = self._scale(y)
-        x = r * y
-        eta, xi = self.params.eta, self.params.xi
-        q = {}
-        for L in self._route:
-            pf = L.wb if L.pred_q2 is None else L.pred_q2
-            gap = r * L.peaks[L.gpos] - L.a * x
-            slack = L.capacity - _seq_sum([r * p for p in L.peaks])
-            q1 = max(0.0, L.wb - L.s_mates - 0.5 * (eta * pf * gap + xi * L.wb * slack))
-            q[L.lid] = (q1, msg.q[L.lid][1] if L.q1_succ is None else L.q1_succ)
+        q = {L.lid: (self._best_q1(L, r, r * y),
+                     msg.q[L.lid][1] if L.q1_succ is None else L.q1_succ)
+             for L in self._route}
         return Message(y, q, None if self._rho_bar is None else r)
+
+    def _best_q1(self, L: _RouteLink, r: float, x: float) -> float:
+        """ki's best first quote on L at scale r and rate x (best_message)."""
+        pf = L.wb if L.pred_q2 is None else L.pred_q2
+        gap = r * L.peaks[L.gpos] - L.a * x
+        slack = L.capacity - seq_sum([r * p for p in L.peaks])
+        return max(0.0, L.wb - L.s_mates - 0.5 * (self.params.eta * pf * gap
+                                                  + self.params.xi * L.wb * slack))
 
     @staticmethod
     def _own_peak(L: _RouteLink, y: float, side: int) -> bool:
@@ -574,7 +568,7 @@ class DeviationEvaluator:
         sets its group's peak on that side, else 0. r is the smallest offer,
         and of the offers tied at it the one falling fastest (right) or
         slowest (left) binds. Peaks and offers within KINK_TOL of each other
-        are ties, the tolerance at which the demand grid merges kinks."""
+        are ties, the tolerance at which exact_best_response merges kinks."""
         if side not in (+1, -1):
             raise ValueError("side must be +1 or -1")
         if side == -1 and y <= 0.0:
@@ -583,7 +577,7 @@ class DeviationEvaluator:
         forms = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, 0.0)]
         for L in self._route:
             a = L.a if self._own_peak(L, y, side) else 0.0
-            den = _seq_sum(L.peaks) + (L.others_demanding == 0)
+            den = seq_sum(L.peaks) + (L.others_demanding == 0)
             offer = L.capacity / den
             # den * den, not den ** 2: a float power overflows past 1.3e154
             forms.append((offer, -a * offer / den, 2.0 * a * a * offer / (den * den)))
@@ -592,6 +586,37 @@ class DeviationEvaluator:
                          key=lambda f: side * f[1])
         jumped = abs(r_lim - r) > KINK_TOL * r_lim
         return (r_lim if jumped else r), dr, d2r, jumped
+
+    def _y_row(self, y: float, side: int, q1s: Optional[List[float]]):
+        """local_model's demand row without the consensus term: r, r', r'',
+        whether r jumps, the y-gradient, the yy entry and per route link
+        (q1, its gradient, its y coupling), at first quotes q1s (route
+        order) or, for None, at the best ones (_best_q1)."""
+        r, dr, d2r, jumped = self.scale_slopes(y, side)
+        x, dx, d2x = r * y, r + y * dr, 2.0 * dr + y * d2r
+        eta, xi = self.params.eta, self.params.xi
+        v1 = self._deriv(x)
+        gy = v1 * dx
+        hyy = self._second(x) * dx * dx + v1 * d2x
+        links = []
+        for j, L in enumerate(self._route):
+            pf = L.wb if L.pred_q2 is None else L.pred_q2
+            peak, total = L.peaks[L.gpos], seq_sum(L.peaks)
+            dpeak = L.a if self._own_peak(L, y, side) else 0.0
+            gap = (r * peak - L.a * x,
+                   dr * peak + r * dpeak - L.a * dx,
+                   d2r * peak + 2.0 * dr * dpeak - L.a * d2x)
+            slack = (L.capacity - r * total,
+                     -(dr * total + r * dpeak),
+                     -(d2r * total + 2.0 * dr * dpeak))
+            q1 = self._best_q1(L, r, x) if q1s is None else q1s[j]
+            dw = L.s_mates + q1 - L.wb
+            t4, t5 = eta * pf * (q1 - pf), xi * L.wb * dw
+            gy -= L.a * pf * dx + t4 * gap[1] + t5 * slack[1]
+            hyy -= L.a * pf * d2x + t4 * gap[2] + t5 * slack[2]
+            links.append((q1, -(2.0 * dw + eta * pf * gap[0] + xi * L.wb * slack[0]),
+                          -(eta * pf * gap[1] + xi * L.wb * slack[1])))
+        return r, dr, d2r, jumped, gy, hyy, links
 
     def local_model(self, msg: Message, side: int) -> LocalModel:
         """ki's own utility at msg to second order on `side` of its demand.
@@ -606,36 +631,14 @@ class DeviationEvaluator:
         + xi*wb*(w_k - wb)*slack''] + 2*zeta*((rho - r)*r'' - r'^2).
         No other entry couples: slots 1 and 6 and every rival price hold no
         quote or rho of ki."""
-        y = msg.y
-        r, dr, d2r, jumped = self.scale_slopes(y, side)
-        x, dx, d2x = r * y, r + y * dr, 2.0 * dr + y * d2r
-        eta, xi = self.params.eta, self.params.xi
+        r, dr, d2r, jumped, gy, hyy, links = self._y_row(
+            msg.y, side, [msg.q[L.lid][0] for L in self._route])
         n = len(self.coords)
-        point, grad, hess = [y], np.zeros(n), np.zeros((n, n))
-        v1 = self._deriv(x)
-        gy = v1 * dx
-        hyy = self._second(x) * dx * dx + v1 * d2x
-        j = 1
-        for L in self._route:
-            q1 = msg.q[L.lid][0]
-            pf = L.wb if L.pred_q2 is None else L.pred_q2
-            peak, total = L.peaks[L.gpos], _seq_sum(L.peaks)
-            dpeak = L.a if self._own_peak(L, y, side) else 0.0
-            gap = (r * peak - L.a * x,
-                   dr * peak + r * dpeak - L.a * dx,
-                   d2r * peak + 2.0 * dr * dpeak - L.a * d2x)
-            slack = (L.capacity - r * total,
-                     -(dr * total + r * dpeak),
-                     -(d2r * total + 2.0 * dr * dpeak))
-            dw = L.s_mates + q1 - L.wb
-            t4, t5 = eta * pf * (q1 - pf), xi * L.wb * dw
-            gy -= L.a * pf * dx + t4 * gap[1] + t5 * slack[1]
-            hyy -= L.a * pf * d2x + t4 * gap[2] + t5 * slack[2]
+        point, grad, hess = [msg.y], np.zeros(n), np.zeros((n, n))
+        for j, (q1, g1, coupling) in enumerate(links, 1):
             point.append(q1)
-            grad[j] = -(2.0 * dw + eta * pf * gap[0] + xi * L.wb * slack[0])
-            hess[0, j] = hess[j, 0] = -(eta * pf * gap[1] + xi * L.wb * slack[1])
-            hess[j, j] = -2.0
-            j += 1
+            grad[j], hess[0, j], hess[j, 0], hess[j, j] = g1, coupling, coupling, -2.0
+        j = len(links) + 1
         for L in self._route:
             if L.q1_succ is not None:
                 q2 = msg.q[L.lid][1]
@@ -654,6 +657,20 @@ class DeviationEvaluator:
         grad[0], hess[0, 0] = gy, hyy
         return LocalModel(point, grad, hess, jumped)
 
+    def demand_slope(self, y: float, side: int) -> Tuple[float, float]:
+        """g' and g'' on `side` of y, g(y) being ki's utility at
+        best_message(y); counted in evals. By the envelope theorem g' is
+        local_model's demand gradient at the best message; g'' is the Schur
+        complement of its quote block, the yy entry plus c^2/2 for each
+        y-q1 coupling c with q1 > 0. The best rho is r, so the consensus
+        term and its rho block cancel (2*zeta*r'^2 each way)."""
+        self.evals += 1
+        _, _, _, _, gy, hyy, links = self._y_row(y, side, None)
+        for q1, _, coupling in links:
+            if q1 > 0.0:
+                hyy += 0.5 * coupling * coupling
+        return gy, hyy
+
     def demand_kinks(self) -> Tuple[List[float], List[float]]:
         """Where ki's own demand bends the allocation, and where it saturates.
 
@@ -667,7 +684,7 @@ class DeviationEvaluator:
         forms = [] if self._r_off == NO_BOUND else [(self._r_off, 1.0, 0.0)]
         kinks, knees = [], []
         for L in self._route:
-            base = _seq_sum(p for j, p in enumerate(L.peaks) if j != L.gpos) \
+            base = seq_sum(p for j, p in enumerate(L.peaks) if j != L.gpos) \
                 + (L.others_demanding == 0)
             knees.append(base / L.a)
             forms.append((L.capacity, base, L.a))  # own peak a*y

@@ -221,8 +221,17 @@ def require_valid(instance: NetworkInstance) -> None:
             violations=report.violations)
 
 
+def seq_sum(values) -> float:
+    """Left-to-right float sum from 0.0. Builtin sum() compensates float sums
+    from Python 3.12 on, so its last bits would depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def welfare(instance: NetworkInstance, x: Dict[AgentId, float]) -> float:
-    return sum(instance.valuation(ki).value(x[ki]) for ki in instance.agents)
+    return seq_sum(instance.valuation(ki).value(x[ki]) for ki in instance.agents)
 
 
 def constraint_violation(instance: NetworkInstance, x: Dict[AgentId, float],
@@ -234,7 +243,7 @@ def constraint_violation(instance: NetworkInstance, x: Dict[AgentId, float],
     """
     terms = [-x[ki] for ki in instance.agents]
     for lid in instance.link_ids:
-        terms.append(sum(m[(k, lid)] for k in instance.groups_on_link[lid])
+        terms.append(seq_sum(m[(k, lid)] for k in instance.groups_on_link[lid])
                      - instance.capacity[lid])
         for k in instance.groups_on_link[lid]:
             for ki in instance.member_agents_on_link[(k, lid)]:

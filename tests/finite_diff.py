@@ -1,5 +1,6 @@
-"""Finite-difference Hessian of one agent's own utility, kept as the
-independent reference for ``DeviationEvaluator.local_model``.
+"""Finite differences of one agent's own utility, kept as the independent
+reference for ``DeviationEvaluator.local_model`` (the Hessian over the
+message) and ``DeviationEvaluator.demand_slope`` (the slopes of a scalar).
 
 It reads the utility only through ``DeviationEvaluator.utility``, so it
 shares no derivative formula with the library.
@@ -65,3 +66,9 @@ def fd_hessian(ev, msg0: Message, coords, h_of, dirs) -> np.ndarray:
                      - single(i, di) - single(j, dj) + f0) / (di * hi * dj * hj)
             H[i, j] = H[j, i] = v
     return H
+
+
+def fd_slopes(f, y: float, h: float) -> Tuple[float, float]:
+    """Central first and second differences of a scalar f at y."""
+    fp, f0, fm = f(y + h), f(y), f(y - h)
+    return (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / h ** 2

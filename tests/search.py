@@ -175,4 +175,5 @@ def search_best_response(instance, profile, ki, params, budget: int = 1000,
         msg, val = _descend(ev, start, coords, scales, budget)
         if val > best_val:
             best_msg, best_val = msg, val
-    return BestResponseResult(best_msg, best_val - base, ev.evals, base, best_val)
+    return BestResponseResult(best_msg, best_val - base, ev.evals, base, best_val,
+                              ev.evals < budget, [])

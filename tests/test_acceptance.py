@@ -43,11 +43,12 @@ from mcastmech.errors import SolverError, ValidationFailure
 from mcastmech.mechanism import DeviationEvaluator
 
 from conftest import batch_shape, coherent_quotes
+from grid_reference import grid_best_response
 
 WBB = MechanismParams(variant="wbb")
 
 N_BATCH = 50
-CERT_BUDGET = 1000  # cap on utility evaluations per agent
+CERT_BUDGET = 1000  # cap on utility and slope evaluations per agent
 CERT_RESTARTS = 8
 SOLVE_TOL = 1e-9
 _RESAMPLE_TRIES = 40
@@ -464,3 +465,126 @@ def test_criterion_8_demand_slope_checks(capsys, certified_batch, chain_instance
              f"{worst:.1e}")
     assert total >= 1000
     assert bad == 0, f"{bad} of {total} slope checks off by more than rel 1e-5"
+
+
+# ---------------------------------------------------------------------------
+# Best-response certificates on the batch: cost, agreement with the sampled
+# reference, and the shape of g between kinks
+
+EVALS_MEAN_CAP = 30  # utility plus slope evaluations per agent, on average
+EVALS_MAX_CAP = 120
+
+
+def _perturbed(profile, rng):
+    """Every demand and first quote scaled by U[0.5, 2], every first quote
+    raised by U[0, 0.2]: an off-equilibrium profile near the candidate."""
+    return {b: Message(m.y * float(rng.uniform(0.5, 2.0)),
+                       {lid: (q1 * float(rng.uniform(0.5, 2.0)) + float(rng.uniform(0.0, 0.2)), q2)
+                        for lid, (q1, q2) in m.q.items()}, m.rho)
+            for b, m in profile.items()}
+
+
+def _batch_profiles(records, seed):
+    """(seed record, variant record, profile) at each candidate and at one
+    perturbed copy of it."""
+    rng = np.random.default_rng(seed)
+    for r in records:
+        for v in (r.wbb, r.sbb):
+            yield r, v, v.candidate.profile
+            yield r, v, _perturbed(v.candidate.profile, rng)
+
+
+def test_certify_evaluation_counts(certified_batch):
+    """A deterministic cost guard: certifying the batch takes at most 30
+    utility and slope evaluations per agent on average and 120 for any
+    agent, and no agent's search is cut short."""
+    records, _ = certified_batch
+    counts = [n for r in records for v in (r.wbb, r.sbb)
+              for n in v.certification.evals.values()]
+    assert all(not v.certification.incomplete for r in records for v in (r.wbb, r.sbb))
+    assert np.mean(counts) <= EVALS_MEAN_CAP, np.mean(counts)
+    assert max(counts) <= EVALS_MAX_CAP, max(counts)
+
+
+def test_best_response_matches_grid_reference(certified_batch):
+    """At each candidate and at a perturbed copy, in both variants, the
+    certified best response is never below the sampled grid-plus-golden
+    search it replaced by more than 1e-12 * (1 + |u|)."""
+    records, _ = certified_batch
+    for r, v, profile in _batch_profiles(records, 17):
+        for ki in r.instance.agents:
+            res = exact_best_response(r.instance, profile, ki, v.params)
+            ref = grid_best_response(r.instance, profile, ki, v.params)
+            assert res.complete
+            tol = 1e-12 * (1.0 + abs(ref.best_utility))
+            assert res.best_utility >= ref.best_utility - tol, (r.seed, v.params.variant, ki)
+
+
+def test_piece_slopes_against_sampled_g(capsys, certified_batch):
+    """On every piece of g searched for the first 16 batch seeds, at the
+    candidates and at perturbed copies, the best first quotes are clipped
+    at 0 alike at both ends, and g sampled on 200 log-spaced demands never
+    beats the best response. Pieces whose samples are not unimodal as the
+    end slopes alone would say are counted and printed, not hidden: g is
+    concave, then convex in the rate, so valleys and dips occur, and
+    exact_best_response covers them."""
+    records, _ = certified_batch
+    n_pieces, shapes = 0, []
+    for r, v, profile in _batch_profiles(records[:16], 23):
+        for ki in r.instance.agents:
+            res = exact_best_response(r.instance, profile, ki, v.params)
+            ev = DeviationEvaluator(r.instance, profile, v.params, ki)
+
+            def g(y):
+                return ev.utility(ev.best_message(float(y), profile[ki]))
+
+            def clipped(y):
+                return [q1 == 0.0 for q1, _ in ev.best_message(y, profile[ki]).q.values()]
+
+            tol = 1e-12 * (1.0 + abs(res.best_utility))
+            for a, b, sa, sb in res.pieces:
+                # just inside the ends, past the 1e-8 to which a clip's turn is found
+                inner = max(a * (1.0 + 2e-8), b * 1e-15), b * (1.0 - 2e-8)
+                if inner[0] < inner[1]:
+                    assert clipped(inner[0]) == clipped(inner[1]), (r.seed, ki, a, b)
+                ys = np.geomspace(a if a > 0.0 else b * 1e-15, b, 202)[1:-1]
+                vals = np.array([g(y) for y in ys])
+                n_pieces += 1
+                assert vals.max() <= res.best_utility + tol, (r.seed, ki, a, b)
+                left = np.maximum.accumulate(vals)
+                right = np.maximum.accumulate(vals[::-1])[::-1]
+                valley = (np.minimum(left, right) - vals).max() > tol
+                if valley or (sa <= 0.0 and vals.max() > g(a) + tol) or \
+                        (sb >= 0.0 and vals.max() > g(b) + tol):
+                    shapes.append(f"seed {r.seed} {v.params.variant} {ki.label} "
+                                  f"[{a:.4g}, {b:.4g}] slopes ({sa:+.1e}, {sb:+.1e})")
+    with capsys.disabled():
+        print(f"[best response] {len(shapes)} of {n_pieces} pieces not unimodal "
+              f"as sampled: " + "; ".join(shapes), flush=True)
+
+
+def test_best_response_beyond_unimodal_pieces(certified_batch):
+    """Two perturbed batch profiles where g is not unimodal between kinks,
+    and the maximum sits where the end slopes alone would not put it: on
+    seed 9, agent 1.1's g rises at both ends of a piece and peaks inside
+    it, before a dip; on seed 41, agent 1.1's g falls from the start of its
+    last piece and then rises again out to saturation. Both are found, and
+    no sample of g on the piece beats them."""
+    records, _ = certified_batch
+    ki = AgentId(1, 1)
+    for seed, last in ((9, False), (41, True)):
+        r = records[seed - 1]
+        for v in (r.wbb, r.sbb):
+            profile = _perturbed(v.candidate.profile, np.random.default_rng(2))
+            res = exact_best_response(r.instance, profile, ki, v.params)
+            if last:
+                a, b, sa, sb = res.pieces[-1]
+                assert sa <= 0.0 and res.message.y > a
+            else:
+                a, b, sa, sb = next(p for p in res.pieces if p[0] < res.message.y < p[1])
+                assert sa > 0.0 and sb > 0.0
+            assert res.gain > 0.05
+            ev = DeviationEvaluator(r.instance, profile, v.params, ki)
+            top = max(ev.utility(ev.best_message(float(y), profile[ki]))
+                      for y in np.geomspace(a, b, 400))
+            assert top <= res.best_utility + 1e-12 * (1.0 + abs(res.best_utility))

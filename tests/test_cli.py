@@ -163,6 +163,7 @@ def test_certify_single_instance(tmp_path, sym_path):
         assert (out / name).exists(), name
     cert = json.loads((out / "certification.json").read_text())
     assert cert["certified"] is True
+    assert cert["incomplete"] == []
     lemmas = json.loads((out / "lemmas.json").read_text())
     assert all(v <= 1e-8 for v in lemmas.values())
     curvature = json.loads((out / "curvature.json").read_text())
@@ -214,6 +215,7 @@ def test_certify_sweep_csv(tmp_path, sym_path):
     assert [r["seed"] for r in rows] == ["1", "2", "3"]
     assert all(r["status"] == "ok" for r in rows)
     assert all(r["certified"] == "True" for r in rows)
+    assert all(r["incomplete"] == "0" for r in rows)
 
 
 def test_certify_seed_list_and_rerun_stable(tmp_path):

@@ -28,7 +28,7 @@ from mcastmech import (
 from mcastmech.errors import SharingAssumptionError
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
 
-from finite_diff import displaced, fd_hessian
+from finite_diff import displaced, fd_hessian, fd_slopes
 from search import search_best_response
 
 WBB = MechanismParams(variant="wbb")
@@ -182,6 +182,29 @@ def test_certify_constructed_wbb(symmetric_instance, solved_symmetric):
     assert set(report.gains) == set(symmetric_instance.agents)
 
 
+def test_truncated_search_is_not_certified(two_member_instance, solved_two_member):
+    """Group 1's members see two pieces of g (their demand kinks where it
+    meets the mate's peak), so certifying them takes at least 7
+    evaluations: the incumbent, then g and both end slopes on each piece.
+    A budget of 6 cuts them short: their gains stay below epsilon, yet the
+    candidate is not certified and the report names them."""
+    primal, _ = solved_two_member
+    cand = constructed(two_member_instance, solved_two_member)
+    eps = default_epsilon(two_member_instance, primal)
+    group_1 = [AgentId(1, 1), AgentId(1, 2)]
+    for ki in group_1:
+        assert len(exact_best_response(two_member_instance, cand.profile, ki, WBB).pieces) == 2
+        assert not exact_best_response(two_member_instance, cand.profile, ki, WBB,
+                                       budget=6).complete
+    report = certify_ne(two_member_instance, cand, eps, budget=6)
+    assert report.max_gain <= eps
+    assert report.certified is False
+    assert set(group_1) <= set(report.incomplete)
+    assert set(report.as_dict()["incomplete"]) >= {"1.1", "1.2"}
+    full = certify_ne(two_member_instance, cand, eps)
+    assert full.certified and full.incomplete == []
+
+
 def test_certify_is_deterministic(symmetric_instance, solved_symmetric):
     primal, _ = solved_symmetric
     cand = constructed(symmetric_instance, solved_symmetric)
@@ -307,9 +330,9 @@ def test_best_message_matches_closed_forms(two_member_instance):
 def test_best_demand_at_an_offer_crossing():
     """On this seeded off-equilibrium profile agent 1.3's best demand is
     where its route's offer crosses the offer of a link off its route, a
-    kink of g where golden section
-    alone stops about 3e-12 short; the kink is one of the samples, so the
-    best response sits on it exactly."""
+    kink of g where a search inside either piece stops about 3e-12 short;
+    the kink is a piece end, where g rises on the left and falls on the
+    right, so the best response sits on it exactly."""
     inst = random_instance(245, n_groups=3, max_group_size=3, n_links=3)
     rng = np.random.default_rng(245)
     cap = max(inst.capacity.values())
@@ -337,8 +360,8 @@ def _scan_best(ev, msg, ys):
 def test_best_demand_in_a_bump_next_to_a_kink(two_member_instance):
     """Agent 1.2's g rises to a maximum near y = 6.98046, just left of the
     kink at 6.986328125 where it overtakes its group-mate's peak, and falls
-    into the kink; no sample shows the bump, but the kink's exact left
-    slope does, so [previous sample, kink] is refined."""
+    into the kink: the exact left slope there is negative, so the root of
+    g' on the piece before the kink is the maximum."""
     inst, ki = two_member_instance, AgentId(1, 2)
     kink = 6.986328125
     profile = {AgentId(1, 1): Message(kink, {"l1": (0.25, 0.125)}),
@@ -354,9 +377,9 @@ def test_best_demand_in_a_bump_next_to_a_kink(two_member_instance):
 
 def test_best_demand_decades_between_samples(a4_fail_instance):
     """Agent 1.1 at its candidate, agent 2.1 idle with its first quote
-    raised by 1e-6: g peaks near y = 4.1e5, between samples at 1e4, 1e7
-    and 1e10, where golden section in linear y puts every probe in the
-    top decades; in log y it finds the peak."""
+    raised by 1e-6: g peaks near y = 4.1e5, decades past the scales of the
+    instance, where a search in linear y would put every probe in the top
+    decades; Newton steps in log y find the peak."""
     inst, ki, rival = a4_fail_instance, AgentId(1, 1), AgentId(2, 1)
     profile = _replayed(inst, WBB)
     q1, q2 = profile[rival].q["l1"]
@@ -471,6 +494,56 @@ def test_local_model_matches_finite_differences(name, variant, request):
     check()
 
 
+@pytest.mark.parametrize("variant", ["wbb", "sbb"])
+@pytest.mark.parametrize("name", XCHECK_INSTANCES)
+def test_demand_slope_matches_finite_differences(name, variant, request):
+    """At the candidate and at perturbed profiles, inside a random piece of
+    g(y) = utility(best_message(y)) and away from its ends, demand_slope's
+    g' and g'' on each side match central differences of g, wherever no
+    first quote crosses its clip at 0 within the stencil (g'' jumps
+    there). g' is local_model's demand gradient at the best message, bit
+    for bit."""
+    if name.startswith("random"):
+        inst = random_instance(int(name.split("-")[1]), n_groups=3, max_group_size=3,
+                               n_links=3)
+    else:
+        inst = request.getfixturevalue(name)
+    params = MechanismParams(variant=variant)
+    candidate = _replayed(inst, params)
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def check(data):
+        ki = data.draw(st.sampled_from(inst.agents))
+        profile = _drawn_profile(data, candidate)
+        pieces = exact_best_response(inst, profile, ki, params).pieces
+        a, b, _, _ = data.draw(st.sampled_from(pieces))
+        lo = a if a > 0.0 else b * 1e-6
+        y = float(np.exp(np.log(lo) + data.draw(st.floats(0.05, 0.95)) * np.log(b / lo)))
+        h = 1e-3 * y
+        assume(lo + 2.0 * h < y < b - 2.0 * h)
+        ev = DeviationEvaluator(inst, profile, params, ki)
+
+        def clipped(z):
+            return [q1 == 0.0 for q1, _ in ev.best_message(z, profile[ki]).q.values()]
+
+        assume(clipped(y - 2.0 * h) == clipped(y + 2.0 * h))
+
+        def g(z):
+            return ev.utility(ev.best_message(z, profile[ki]))
+
+        scale = 1.0 + abs(g(y))
+        fd1, fd2 = fd_slopes(g, y, 1e-5 * y)[0], fd_slopes(g, y, h)[1]
+        for side in (+1, -1):
+            d1, d2 = ev.demand_slope(y, side)
+            assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-9 * scale / y)
+            assert d2 == pytest.approx(fd2, rel=1e-4, abs=1e-7 * scale / y ** 2)
+            model = ev.local_model(ev.best_message(y, profile[ki]), side)
+            assert d1 == model.grad[0]
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # the SBB redistribution rebate is priced by the other agents only
 
@@ -547,6 +620,15 @@ def test_dynamics_fixed_point_at_ne(symmetric_instance, solved_symmetric):
     assert result.fixed_point
     assert result.rounds_run == 1
     assert len(result.rows) == len(symmetric_instance.agents)
+
+
+def test_dynamics_truncated_round_is_no_fixed_point(symmetric_instance, solved_symmetric):
+    """At the candidate no best response gains, but one cut short by its
+    budget certifies nothing, so the run stops without a fixed point."""
+    cand = constructed(symmetric_instance, solved_symmetric)
+    result = br_dynamics(symmetric_instance, cand.profile, WBB, rounds=5, budget=3)
+    assert result.rounds_run == 1
+    assert not result.fixed_point
 
 
 def test_dynamics_rows_schema_and_feasibility(symmetric_instance):

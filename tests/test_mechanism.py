@@ -28,7 +28,8 @@ from mcastmech import (
     zero_message,
 )
 from mcastmech.errors import MessageShapeError
-from mcastmech.mechanism import NO_BOUND, _seq_sum
+from mcastmech.mechanism import NO_BOUND
+from mcastmech.model import seq_sum
 
 from conftest import coherent_quotes, make_instance
 from evaluate_reference import reference_evaluate
@@ -819,10 +820,10 @@ def test_huge_quote_and_rho_gaps_price_to_inf(variant, symmetric_instance,
 def test_seq_sum_adds_left_to_right():
     """The sum every bit-for-bit agreement rests on: left to right from 0.0,
     with no compensation (builtin sum compensates from Python 3.12 on)."""
-    assert _seq_sum([0.1] * 10) == 0.9999999999999999
-    assert _seq_sum([1e100, 1.0, -1e100]) == 0.0
-    assert _seq_sum([]) == 0.0
+    assert seq_sum([0.1] * 10) == 0.9999999999999999
+    assert seq_sum([1e100, 1.0, -1e100]) == 0.0
+    assert seq_sum([]) == 0.0
     total = 0.0
     for v in np.random.default_rng(3).uniform(-1e3, 1e3, 200).tolist():
         total += v
-    assert _seq_sum(np.random.default_rng(3).uniform(-1e3, 1e3, 200).tolist()) == total
+    assert seq_sum(np.random.default_rng(3).uniform(-1e3, 1e3, 200).tolist()) == total

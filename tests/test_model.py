@@ -12,12 +12,16 @@ from mcastmech import (
     LOG_SAT,
     AgentId,
     Valuation,
+    constraint_violation,
     instance_from_json,
     instance_to_json,
     random_instance,
+    solve_cp,
     validate,
     welfare,
 )
+from mcastmech.centralized import solution_to_dict
+from mcastmech.model import seq_sum
 
 from conftest import make_instance
 
@@ -249,3 +253,25 @@ def test_instance_json_preserves_structure():
 def test_welfare_sums_valuations(symmetric_instance):
     x = {ki: 5.0 for ki in symmetric_instance.agents}
     assert welfare(symmetric_instance, x) == pytest.approx(2 * np.log(6.0))
+
+
+def test_float_sums_add_left_to_right(chain_instance):
+    """welfare, the link loads in constraint_violation and the "welfare" of
+    solution.json add left to right from 0.0 (seq_sum), so their last bits
+    do not depend on the interpreter: builtin sum compensates from Python
+    3.12 on, where sum([0.1] * 10) is 1.0."""
+    assert seq_sum([0.1] * 10) == 0.9999999999999999
+    inst = chain_instance
+    x = {ki: 0.1 * (j + 1) for j, ki in enumerate(inst.agents)}
+    want = 0.0
+    for ki in inst.agents:
+        want += inst.valuation(ki).value(x[ki])
+    assert welfare(inst, x) == want
+    primal, dual = solve_cp(inst)
+    assert solution_to_dict(inst, primal, dual)["welfare"] == welfare(inst, primal.x)
+    # ten groups reserving 0.1 each fill a link of capacity 0.9999999999999999
+    ten = make_instance({"l1": 0.9999999999999999}, [(k, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0})
+                                      for k in range(1, 11)])
+    m = {(k, "l1"): 0.1 for k in range(1, 11)}
+    x = {ki: 0.1 for ki in ten.agents}
+    assert constraint_violation(ten, x, m) == 0.0
