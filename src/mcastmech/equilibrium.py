@@ -200,6 +200,10 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
 _WIDTH_TOL = 1e-8  # relative width at which a root or turn counts as found
 DEMAND_CAP = 1e300  # largest demand tried; a best response there is cut off
 _ZERO_PROBE = 1e-15  # past a jump of r at 0, g's right limit is read at this share of the scales
+_EPS = float(np.finfo(float).eps)
+# Gains below this share of 1 + |u| are rounding: a utility sums terms that can outweigh u,
+# and from the acceptance candidates, exact to the KKT residual, no gain reaches 60 eps of it.
+_ROUNDING = 1024.0 * _EPS
 
 
 class _Truncated(Exception):
@@ -215,8 +219,9 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
     It maximizes g(y), the utility of best_message(y): the best quotes and
     rho at a demand are closed forms. The kinks of the allocation
     (demand_kinks, merged within KINK_TOL) and the demands where a best
-    first quote reaches 0 split y >= 0 into pieces. On a piece r, m and the
-    slack are affine in x = r*y, so g(x) is V(x) plus a convex quadratic
+    first quote reaches 0 (clip_points, in closed form; one within KINK_TOL
+    of a kink merges with it) split y >= 0 into pieces. On a piece r, m and
+    the slack are affine in x = r*y, so g(x) is V(x) plus a convex quadratic
     and an affine term, and V''' > 0: g is concave, then convex, and g'
     falls, then rises. The exact end slopes g'(a+) and g'(b-) (demand_slope)
     thus place the maximum on a piece [a, b]: at a if g'(a+) <= 0, and at b
@@ -257,13 +262,6 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
     def mid(lo: float, hi: float) -> float:
         return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
 
-    def bisect(lo: float, hi: float, past) -> float:
-        """Where past(y) turns true in (lo, hi), to a relative width of 1e-8."""
-        while hi - lo > _WIDTH_TOL * hi:
-            y = mid(lo, hi)
-            lo, hi = (lo, y) if past(y) else (y, hi)
-        return hi
-
     def inward(y: float, a: float, b: float) -> int:
         """The side of y facing the middle of (a, b): within KINK_TOL of an
         end, slopes read on the other side would be the next piece's."""
@@ -285,12 +283,10 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
         g(y)
 
     def bend(y: float, side: int, d1: float, d2: float) -> float:
-        """g's curvature in x = r*y, up to a positive factor: g''x' - g'x''."""
-        r, dr, d2r, _ = ev.scale_slopes(y, side)
-        return d2 * (r + y * dr) - d1 * (2.0 * dr + y * d2r)
-
-    def clipped(y: float) -> List[bool]:
-        return [q1 == 0.0 for q1, _ in ev.best_message(y, current).q.values()]
+        """The sign of g's curvature in x = r*y: g''x' - g'x'' divided by
+        x'/r > 0, with x' = r*(x'/r) and x'' = 2r'*(x'/r) (scale_slopes)."""
+        r, dr = ev.scale_slopes(y, side)[:2]
+        return d2 * r - 2.0 * d1 * dr
 
     kinks, knees = ev.demand_kinks()
     jump = ev.scale_slopes(0.0, +1)[3]
@@ -299,25 +295,30 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
         if y - ends[-1] > KINK_TOL * y and y < DEMAND_CAP:
             ends.append(y)
     ends.append(DEMAND_CAP)
-    marks = [clipped(y) for y in ends]
-    cuts = []  # left ends of the pieces; a best first quote clips at most once between kinks
-    for a, b, ca, cb in zip(ends, ends[1:], marks, marks[1:]):
-        turns = {bisect(a, b, lambda y, j=j: clipped(y)[j] != ca[j])
-                 for j in range(len(ca)) if ca[j] != cb[j]}
-        cuts += [a, *sorted(turns - {b})]
+
+    def split():
+        """The pieces (a, b), the last one open; a best first quote clips at
+        most once between kinks, and a clip within KINK_TOL of one merges."""
+        for a, b in zip(ends, ends[1:]):
+            clips = sorted({y for y in ev.clip_points(a) if min(y - a, b - y) > KINK_TOL * y})
+            yield from zip([a, *clips], [*clips, b if b < DEMAND_CAP else math.inf])
+
     complete = True
     try:
         if jump:
             g(0.0)
-        for a, b in zip(cuts, cuts[1:] + [math.inf]):
+        for a, b in split():
             g(a)
             sa = slope(a, +1)
             lo = a
             if b < math.inf:
                 sb = slope(b, -1)
                 if sa[0] > 0.0 <= sb[0] and bend(a, +1, *sa) < 0.0 < bend(b, -1, *sb):
-                    turn = bisect(a, b, lambda y: bend(y, inward(y, a, b),
-                                                       *slope(y, inward(y, a, b))) >= 0.0)
+                    t0, turn = a, b  # bisect for where the curvature in x turns
+                    while turn - t0 > _WIDTH_TOL * turn:
+                        y = mid(t0, turn)
+                        side = inward(y, a, b)
+                        t0, turn = (t0, y) if bend(y, side, *slope(y, side)) >= 0.0 else (y, turn)
                     if slope(turn, inward(turn, a, b))[0] <= 0.0:
                         root(a, turn)
             else:  # step out until g' <= 0 or the cap
@@ -376,7 +377,8 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
                 budget: int = 300) -> DynamicsResult:
     """Iterated best response; convergence is observed, never presumed.
 
-    Each update is exact_best_response with `budget` evaluations. One row per
+    Each update is exact_best_response with `budget` evaluations, adopted
+    only when it gains more than the utility's rounding. One row per
     (round, agent) records demand, rate, tax, and the round's best-response
     gain; the feasible flag certifies the shared constraints after the
     round's updates (the allocation map keeps it true by construction).
@@ -396,19 +398,15 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
         rounds_run = rnd
         round_gains: Dict[AgentId, float] = {}
         complete = True
-        if schedule == "jacobi":
-            responses = {}
-            for ki in instance.agents:
-                br = exact_best_response(instance, profile, ki, params, budget)
-                round_gains[ki], complete = br.gain, complete and br.complete
-                responses[ki] = br.message if br.gain > 0.0 else profile[ki]
-            profile = {ki: responses[ki].copy() for ki in instance.agents}
-        else:
-            for ki in instance.agents:
-                br = exact_best_response(instance, profile, ki, params, budget)
-                round_gains[ki], complete = br.gain, complete and br.complete
-                if br.gain > 0.0:
-                    profile[ki] = br.message.copy()
+        updates = {}  # Jacobi applies them after the round, Gauss-Seidel at once
+        for ki in instance.agents:
+            br = exact_best_response(instance, profile, ki, params, budget)
+            round_gains[ki], complete = br.gain, complete and br.complete
+            if br.gain > _ROUNDING * (1.0 + abs(br.base_utility)):
+                updates[ki] = br.message.copy()
+                if schedule == "gauss-seidel":
+                    profile[ki] = updates[ki]
+        profile.update(updates)
         out = evaluate(instance, profile, params)
         feasible = constraint_violation(instance, out.x, out.m) <= 1e-12
         for ki in instance.agents:
@@ -483,8 +481,6 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
 
 # ---------------------------------------------------------------------------
 # Local curvature (exact one-sided Hessians of own utility)
-
-_EPS = float(np.finfo(float).eps)
 
 def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> CurvatureReport:
     """Negative definiteness of every agent's own-utility Hessian.

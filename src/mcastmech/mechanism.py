@@ -214,12 +214,11 @@ def _read(T: _Tables, profile: Profile):
 # ---------------------------------------------------------------------------
 # Allocation
 
-def _offer(capacity: float, peaks, n_demanding: int) -> float:
-    """A link's offer from its groups' peaks (in group order) and the number
-    of groups demanding on it."""
+def _offer(capacity: float, total: float, n_demanding: int) -> float:
+    """A link's offer from its groups' peak total (summed in group order) and
+    the number of groups demanding on it."""
     if not n_demanding:
         return NO_BOUND
-    total = seq_sum(peaks)
     if n_demanding >= 2:
         return capacity / total
     return capacity / (total + 1.0)
@@ -239,7 +238,7 @@ def _peaks_offers(T: _Tables, ys: List[float]):
     offers = []
     for c, slots in zip(T.capacity, T.link_slots):
         link_peaks = [peaks[s] for s in slots]
-        offers.append(_offer(c, link_peaks, sum(p > 0.0 for p in link_peaks)))
+        offers.append(_offer(c, seq_sum(link_peaks), sum(p > 0.0 for p in link_peaks)))
     return peaks, offers
 
 
@@ -381,12 +380,14 @@ class _RouteLink:
     (q1s), in the order evaluate() sums them; the deviator's slot (gpos,
     mpos) is rewritten on every evaluation and the others are never
     touched. s_mates is the sum of the group-mates' first quotes, wb the
-    rival groups' mean price (all sums less the own, as utility() prices)
-    and others_pay the other agents' entries in the SBB rebate pool."""
+    rival groups' mean price (all sums less the own, as utility() prices),
+    rest the other groups' peak total and others_pay the other agents'
+    entries in the SBB rebate pool. total, load and own hold what
+    DeviationEvaluator._scale derives from the last demand."""
 
     __slots__ = ("lid", "a", "capacity", "peak_mates", "others_demanding", "peaks",
                  "gpos", "q1s", "mpos", "ws", "n_rivals", "pred_q2", "q1_succ",
-                 "others_pay", "n_l", "s_mates", "wb")
+                 "others_pay", "n_l", "s_mates", "wb", "rest", "total", "load", "own")
 
     def __init__(self, instance: NetworkInstance, profile: Profile, ki: AgentId,
                  lid: str, peaks: List[float], others_pay: float):
@@ -405,6 +406,7 @@ class _RouteLink:
         self.peaks = peaks
         self.gpos = groups.index(k)
         self.others_demanding = sum(p > 0.0 for g, p in enumerate(peaks) if g != self.gpos)
+        self.rest = seq_sum(p for g, p in enumerate(peaks) if g != self.gpos)
         self.q1s = [profile[b].q[lid][0] for b in members]
         self.mpos = members.index(ki)
         self.s_mates = seq_sum(profile[b].q[lid][0] for b in mates)
@@ -480,23 +482,29 @@ class DeviationEvaluator:
                        + ([(COORD_RHO, None)] if sbb else []))
 
     def _scale(self, y: float) -> float:
-        """The realized scale when ki demands y; leaves ki's group peak in
-        each route link's peaks. A repeat of the last demand returns the
-        last scale (the peaks already hold it)."""
+        """The realized scale when ki demands y. Leaves in each route link
+        ki's group peak, the peak total, the load (sum of r*peaks) and
+        whether ki's own peak sets its group's just (left, right) of y, a
+        tie within KINK_TOL on the right only. A repeat of the last demand
+        returns the last scale (the links already hold it)."""
         if y == self._scaled[0]:
             return self._scaled[1]
         r = self._r_off
         for L in self._route:
-            peak = L.peak_mates
             own = L.a * y
-            if own > peak:
-                peak = own
+            above = own > L.peak_mates
+            peak = own if above else L.peak_mates
             L.peaks[L.gpos] = peak
-            offer = _offer(L.capacity, L.peaks, L.others_demanding + (peak > 0.0))
+            L.total = total = seq_sum(L.peaks)
+            tie = abs(own - L.peak_mates) <= KINK_TOL * own
+            L.own = (above and not tie, above or tie)
+            offer = _offer(L.capacity, total, L.others_demanding + (peak > 0.0))
             if offer < r:
                 r = offer
         if r == NO_BOUND:
             r = 0.0  # all-zero demand collapses to x = 0
+        for L in self._route:
+            L.load = seq_sum([r * p for p in L.peaks])
         self._scaled = (y, r)
         return r
 
@@ -516,8 +524,7 @@ class DeviationEvaluator:
             t1, t2, t3, t4, t5, t6 = _link_slots(
                 self.params, L.a, y, x, r, q1, q2,
                 wb if L.pred_q2 is None else L.pred_q2, L.q1_succ,
-                r * L.peaks[L.gpos], wk, wb,
-                L.capacity - seq_sum([r * p for p in L.peaks]),
+                r * L.peaks[L.gpos], wk, wb, L.capacity - L.load,
                 rho_bar, L.n_l, L.others_pay)
             total += t1 + t2 + t3 + t4 + t5 + t6
         if rho_bar is not None:
@@ -544,56 +551,81 @@ class DeviationEvaluator:
     def _best_q1(self, L: _RouteLink, r: float, x: float) -> float:
         """ki's best first quote on L at scale r and rate x (best_message)."""
         pf = L.wb if L.pred_q2 is None else L.pred_q2
-        gap = r * L.peaks[L.gpos] - L.a * x
-        slack = L.capacity - seq_sum([r * p for p in L.peaks])
+        gap, slack = r * L.peaks[L.gpos] - L.a * x, L.capacity - L.load
         return max(0.0, L.wb - L.s_mates - 0.5 * (self.params.eta * pf * gap
                                                   + self.params.xi * L.wb * slack))
 
-    @staticmethod
-    def _own_peak(L: _RouteLink, y: float, side: int) -> bool:
-        """Whether ki's own peak a*y sets its group's peak on L just to
-        `side` of y; at a tie with the mates' peak it does on the right."""
-        own = L.a * y
-        if abs(own - L.peak_mates) <= KINK_TOL * own:
-            return side > 0
-        return own > L.peak_mates
-
-    def scale_slopes(self, y: float, side: int) -> Tuple[float, float, float, bool]:
+    def scale_slopes(self, y: float, side: int
+                     ) -> Tuple[float, float, float, bool, Tuple[float, float, float]]:
         """The realized scale r at demand y, its one-sided first and second
-        derivatives in y on `side` (+1 right, -1 left), and whether r jumps
-        there (only at y = 0; r is then the right-hand limit).
+        derivatives in y on `side` (+1 right, -1 left), whether r jumps
+        there (only at y = 0; r is then the right-hand limit), and the
+        binding offer's form (c, rest, a_e): near y it is c / (rest + a_e*y').
 
-        Just to one side of y > 0, route link l offers c / (D + a_e*(y' - y))
-        with D = B + max(pm, a*y) (demand_kinks): a_e = a where ki's own peak
-        sets its group's peak on that side, else 0. r is the smallest offer,
-        and of the offers tied at it the one falling fastest (right) or
-        slowest (left) binds. Peaks and offers within KINK_TOL of each other
-        are ties, the tolerance at which exact_best_response merges kinks."""
+        Route link l offers c / (B + max(pm, a*y)) (demand_kinks): a_e = a
+        where ki's own peak sets its group's peak on that side, else 0. r
+        is the smallest offer, and of the offers tied at it the one falling
+        fastest (right) or slowest (left) binds. Peaks and offers within
+        KINK_TOL of each other are ties, the tolerance at which
+        exact_best_response merges kinks."""
         if side not in (+1, -1):
             raise ValueError("side must be +1 or -1")
         if side == -1 and y <= 0.0:
             raise ValueError("left slope undefined at y = 0")
         r = self._scale(y)
-        forms = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, 0.0)]
+        forms = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, 1.0, self._r_off, 1.0, 0.0)]
         for L in self._route:
-            a = L.a if self._own_peak(L, y, side) else 0.0
-            den = seq_sum(L.peaks) + (L.others_demanding == 0)
+            a = L.a if L.own[side > 0] else 0.0
+            lone = L.others_demanding == 0
+            den = L.total + lone
             offer = L.capacity / den
-            # den * den, not den ** 2: a float power overflows past 1.3e154
-            forms.append((offer, -a * offer / den, 2.0 * a * a * offer / (den * den)))
+            forms.append((offer, -a * offer / den, den, L.capacity, L.rest + lone if a else den, a))
         r_lim = min(f[0] for f in forms)
-        _, dr, d2r = min((f for f in forms if f[0] <= r_lim * (1.0 + KINK_TOL)),
-                         key=lambda f: side * f[1])
+        offer, dr, den, c, rest, a = min((f for f in forms if f[0] <= r_lim * (1.0 + KINK_TOL)),
+                                         key=lambda f: side * f[1])
         jumped = abs(r_lim - r) > KINK_TOL * r_lim
-        return (r_lim if jumped else r), dr, d2r, jumped
+        # den * den, not den ** 2: a float power overflows past 1.3e154
+        return ((r_lim if jumped else r), dr, 2.0 * a * a * offer / (den * den), jumped,
+                (c, rest, a))
+
+    def clip_points(self, y: float) -> List[float]:
+        """Where ki's best first quotes turn 0 if the allocation keeps its
+        form just right of y, at most one per route link: one offer
+        c / (rest + a_e*y) binds and the group peak is peak0 + dpeak*y
+        (_peak_form), so the quote before its max(0, .) (_best_q1) is
+        K + r*(u + v*y), 0 where K*(rest + a_e*y) + c*(u + v*y) is."""
+        _, _, _, _, (c, rest, a_e) = self.scale_slopes(y, +1)
+        eta, xi = self.params.eta, self.params.xi
+        points = []
+        for L in self._route:
+            pf = L.wb if L.pred_q2 is None else L.pred_q2
+            dpeak, peak0, fixed = self._peak_form(L, +1)
+            k = L.wb - L.s_mates - 0.5 * xi * L.wb * L.capacity
+            u = -0.5 * (eta * pf * peak0 - xi * L.wb * fixed)
+            v = -0.5 * (eta * pf * (dpeak - L.a) - xi * L.wb * dpeak)
+            den = k * a_e + c * v
+            if den:
+                points.append(-(k * rest + c * u) / den)
+        return points
+
+    @staticmethod
+    def _peak_form(L: _RouteLink, side: int) -> Tuple[float, float, float]:
+        """(dpeak, peak0, fixed): just to `side` of the last demand y, ki's
+        group peak on L is peak0 + dpeak*y and L's peaks sum to
+        fixed + dpeak*y."""
+        return (L.a, 0.0, L.rest) if L.own[side > 0] else (0.0, L.peaks[L.gpos], L.total)
 
     def _y_row(self, y: float, side: int, q1s: Optional[List[float]]):
         """local_model's demand row without the consensus term: r, r', r'',
         whether r jumps, the y-gradient, the yy entry and per route link
         (q1, its gradient, its y coupling), at first quotes q1s (route
-        order) or, for None, at the best ones (_best_q1)."""
-        r, dr, d2r, jumped = self.scale_slopes(y, side)
-        x, dx, d2x = r * y, r + y * dr, 2.0 * dr + y * d2r
+        order) or, for None, at the best ones (_best_q1). x' = r + y*r' and
+        x'' = 2r' + y*r'' are taken as r*rest/den and 2r'*rest/den, and the
+        gap and load slopes from _peak_form, so that none is a difference
+        that cancels far past the knees."""
+        r, dr, d2r, jumped, (_, rest, a_e) = self.scale_slopes(y, side)
+        share = rest / (rest + a_e * y)
+        x, dx, d2x = r * y, r * share, 2.0 * dr * share
         eta, xi = self.params.eta, self.params.xi
         v1 = self._deriv(x)
         gy = v1 * dx
@@ -601,14 +633,13 @@ class DeviationEvaluator:
         links = []
         for j, L in enumerate(self._route):
             pf = L.wb if L.pred_q2 is None else L.pred_q2
-            peak, total = L.peaks[L.gpos], seq_sum(L.peaks)
-            dpeak = L.a if self._own_peak(L, y, side) else 0.0
-            gap = (r * peak - L.a * x,
-                   dr * peak + r * dpeak - L.a * dx,
-                   d2r * peak + 2.0 * dr * dpeak - L.a * d2x)
-            slack = (L.capacity - r * total,
-                     -(dr * total + r * dpeak),
-                     -(d2r * total + 2.0 * dr * dpeak))
+            dpeak, peak0, fixed = self._peak_form(L, side)
+            gap = (r * L.peaks[L.gpos] - L.a * x,
+                   dr * peak0 + (dpeak - L.a) * dx,
+                   d2r * peak0 + (dpeak - L.a) * d2x)
+            slack = (L.capacity - r * L.total,
+                     -(dr * fixed + dpeak * dx),
+                     -(d2r * fixed + dpeak * d2x))
             q1 = self._best_q1(L, r, x) if q1s is None else q1s[j]
             dw = L.s_mates + q1 - L.wb
             t4, t5 = eta * pf * (q1 - pf), xi * L.wb * dw
@@ -662,12 +693,15 @@ class DeviationEvaluator:
         best_message(y); counted in evals. By the envelope theorem g' is
         local_model's demand gradient at the best message; g'' is the Schur
         complement of its quote block, the yy entry plus c^2/2 for each
-        y-q1 coupling c with q1 > 0. The best rho is r, so the consensus
-        term and its rho block cancel (2*zeta*r'^2 each way)."""
+        y-q1 coupling c whose best q1 = max(0, E) is positive KINK_TOL*y to
+        `side` of y (E = q1 + g1/2 for q1's gradient g1, and E' = c/2), so
+        that at a clip point each side reads its own piece. The best rho is
+        r, so the consensus term and its rho block cancel (2*zeta*r'^2
+        each way)."""
         self.evals += 1
         _, _, _, _, gy, hyy, links = self._y_row(y, side, None)
-        for q1, _, coupling in links:
-            if q1 > 0.0:
+        for q1, g1, coupling in links:
+            if 2.0 * q1 + g1 + side * KINK_TOL * y * coupling > 0.0:
                 hyy += 0.5 * coupling * coupling
         return gy, hyy
 
@@ -684,8 +718,7 @@ class DeviationEvaluator:
         forms = [] if self._r_off == NO_BOUND else [(self._r_off, 1.0, 0.0)]
         kinks, knees = [], []
         for L in self._route:
-            base = seq_sum(p for j, p in enumerate(L.peaks) if j != L.gpos) \
-                + (L.others_demanding == 0)
+            base = L.rest + (L.others_demanding == 0)
             knees.append(base / L.a)
             forms.append((L.capacity, base, L.a))  # own peak a*y
             if L.peak_mates > 0.0:

@@ -1,0 +1,92 @@
+"""Certify the acceptance batch and print what the best response costs.
+
+    PYTHONPATH=src python tests/certify_corpus.py
+
+The corpus is batch seeds 1-50 in both variants, drawn as the acceptance
+batch draws them (``test_acceptance._sample_sharing_instance``). Each draw
+is tuned, constructed and certified. The script prints, per agent:
+utility and slope evaluations; kink-free pieces of g and clip points
+(piece ends where a best first quote reaches 0, not at a kink); and
+``best_message`` calls, split into evaluations of g and probes of the clip
+state (any other call). It also prints the wall time of ``certify_ne`` and
+of ``curvature_check`` on the tuned candidates, summed over the corpus
+(the fastest of five passes).
+
+Not collected by pytest (the name does not start with ``test_``); it is
+the yardstick for changes to ``exact_best_response``.
+"""
+
+import time
+
+from mcastmech import (MechanismParams, certify_ne, construct_ne, curvature_check,
+                       default_epsilon, exact_best_response, tune_params)
+from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
+
+from test_acceptance import CERT_BUDGET, N_BATCH, _sample_sharing_instance
+
+REPEATS = 5  # timing passes over the corpus; the fastest is printed
+
+
+def counted(name, counts):
+    """Wrap DeviationEvaluator.<name> so each call adds 1 to counts[name]."""
+    real = getattr(DeviationEvaluator, name)
+
+    def wrapper(self, *args):
+        counts[name] += 1
+        return real(self, *args)
+
+    setattr(DeviationEvaluator, name, wrapper)
+    return real
+
+
+def main():
+    candidates = []
+    for seed in range(1, N_BATCH + 1):
+        _, inst, primal, dual = _sample_sharing_instance(seed)
+        epsilon = default_epsilon(inst, primal)
+        for variant in ("wbb", "sbb"):
+            params, _, _ = tune_params(inst, primal, dual, MechanismParams(variant=variant))
+            candidates.append((inst, construct_ne(inst, primal, dual, params), epsilon))
+
+    certify_s, curvature_s = [], []
+    for _ in range(REPEATS):
+        certify_s.append(0.0)
+        curvature_s.append(0.0)
+        for inst, cand, epsilon in candidates:
+            start = time.perf_counter()
+            report = certify_ne(inst, cand, epsilon, budget=CERT_BUDGET)
+            certify_s[-1] += time.perf_counter() - start
+            start = time.perf_counter()
+            curvature_check(inst, cand)
+            curvature_s[-1] += time.perf_counter() - start
+            assert report.certified and not report.incomplete
+
+    counts = dict.fromkeys(("utility", "demand_slope", "best_message"), 0)
+    reals = {name: counted(name, counts) for name in counts}
+    agents = pieces = clips = 0
+    try:
+        for inst, cand, _ in candidates:
+            for ki in inst.agents:
+                res = exact_best_response(inst, cand.profile, ki, cand.params, CERT_BUDGET)
+                kinks = DeviationEvaluator(inst, cand.profile, cand.params, ki).demand_kinks()[0]
+                agents += 1
+                pieces += len(res.pieces)
+                clips += sum(all(abs(a - k) > KINK_TOL * a for k in kinks)
+                             for a, _, _, _ in res.pieces[1:])
+    finally:
+        for name, real in reals.items():
+            setattr(DeviationEvaluator, name, real)
+    g_evals = counts["utility"] - agents  # one utility call per agent prices the incumbent
+    print(f"{len(candidates)} candidates, {agents} agents")
+    print(f"per agent: utility {counts['utility'] / agents:.2f}, "
+          f"slope {counts['demand_slope'] / agents:.2f}, "
+          f"pieces {pieces / agents:.2f}, clip points {clips / agents:.2f}")
+    print(f"per agent: best_message {counts['best_message'] / agents:.2f} "
+          f"(g {g_evals / agents:.2f}, clip probes "
+          f"{(counts['best_message'] - g_evals) / agents:.2f})")
+    print(f"certify_ne {min(certify_s):.3f} s, curvature_check {min(curvature_s):.3f} s "
+          f"(fastest of {REPEATS} passes)")
+
+
+if __name__ == "__main__":
+    main()

@@ -71,4 +71,5 @@ def fd_hessian(ev, msg0: Message, coords, h_of, dirs) -> np.ndarray:
 def fd_slopes(f, y: float, h: float) -> Tuple[float, float]:
     """Central first and second differences of a scalar f at y."""
     fp, f0, fm = f(y + h), f(y), f(y - h)
-    return (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / h ** 2
+    # h * h, not h ** 2: a float power overflows past 1.3e154
+    return (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)

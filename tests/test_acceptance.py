@@ -43,7 +43,7 @@ from mcastmech.errors import SolverError, ValidationFailure
 from mcastmech.mechanism import DeviationEvaluator
 
 from conftest import batch_shape, coherent_quotes
-from grid_reference import grid_best_response
+from grid_reference import bisected_cuts, grid_best_response
 
 WBB = MechanismParams(variant="wbb")
 
@@ -520,6 +520,28 @@ def test_best_response_matches_grid_reference(certified_batch):
             assert res.best_utility >= ref.best_utility - tol, (r.seed, v.params.variant, ki)
 
 
+def test_clip_points_match_bisection(certified_batch):
+    """At each candidate and at a perturbed copy, in both variants, the
+    pieces' left ends (kinks and closed-form clip points) and the split
+    found by bisecting on the clip state (grid_reference.bisected_cuts)
+    lie within 2e-8 relative of each other, both ways. A clip within
+    KINK_TOL of a kink merges with it; the bisection, which starts from
+    the clip state read at the kink, finds it within 1e-8 past the kink."""
+    records, _ = certified_batch
+    n_clips = 0
+    for r, v, profile in _batch_profiles(records, 29):
+        for ki in r.instance.agents:
+            cuts = [a for a, _, _, _ in exact_best_response(r.instance, profile, ki,
+                                                             v.params).pieces]
+            ev = DeviationEvaluator(r.instance, profile, v.params, ki)
+            ref = bisected_cuts(ev, profile[ki])
+            n_clips += len(set(cuts) - set(ev.demand_kinks()[0])) - 1
+            for ys, others in ((cuts, ref), (ref, cuts)):
+                for y in ys:
+                    assert min(abs(y - z) for z in others) <= 2e-8 * y, (r.seed, ki, y)
+    assert n_clips > 0
+
+
 def test_piece_slopes_against_sampled_g(capsys, certified_batch):
     """On every piece of g searched for the first 16 batch seeds, at the
     candidates and at perturbed copies, the best first quotes are clipped
@@ -543,7 +565,7 @@ def test_piece_slopes_against_sampled_g(capsys, certified_batch):
 
             tol = 1e-12 * (1.0 + abs(res.best_utility))
             for a, b, sa, sb in res.pieces:
-                # just inside the ends, past the 1e-8 to which a clip's turn is found
+                # just inside the ends, past the KINK_TOL within which a clip merges with a kink
                 inner = max(a * (1.0 + 2e-8), b * 1e-15), b * (1.0 - 2e-8)
                 if inner[0] < inner[1]:
                     assert clipped(inner[0]) == clipped(inner[1]), (r.seed, ki, a, b)

@@ -11,7 +11,7 @@ import pytest
 import mcastmech
 from mcastmech import LOG_SAT, instance_to_json, random_instance
 
-from conftest import make_instance
+from conftest import batch_shape, make_instance
 
 # The CLI runs in a child process; point it at the package these tests import.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(mcastmech.__file__))
@@ -249,6 +249,24 @@ def test_dynamics_from_constructed_start(tmp_path, sym_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2  # one round, two agents
     assert set(rows[0]) == {"round", "agent", "y", "x", "tax", "gain", "feasible"}
+
+
+def test_dynamics_keeps_a_certified_candidate(tmp_path):
+    """On batch seed 1 (instance seed 1009) no best response from the
+    certified candidate gains more than rounding, so the dynamics adopt
+    none: they stop in round 1 at a fixed point, and the final profile is
+    the candidate, byte for byte."""
+    path = tmp_path / "seed1.json"
+    path.write_text(instance_to_json(random_instance(1009, *batch_shape(1))))
+    cert, dyn = tmp_path / "cert", tmp_path / "dyn"
+    proc = run_cli("certify", "--instance", str(path), "--out", str(cert))
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    proc = run_cli("dynamics", "--instance", str(path), "--start", "ne", "--out", str(dyn))
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    doc = json.loads((dyn / "dynamics.json").read_text())
+    assert doc["fixed_point"] is True and doc["rounds_run"] == 1
+    assert (dyn / "final_profile.json").read_bytes() == \
+        (cert / "equilibrium_profile.json").read_bytes()
 
 
 def test_dynamics_from_zero_start(tmp_path, sym_path):

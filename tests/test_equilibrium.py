@@ -1,5 +1,7 @@
 """Equilibrium construction, certification, deviations, curvature, slopes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -452,14 +454,44 @@ def test_exact_best_response_cross_check(name, variant, request):
     check()
 
 
+@pytest.mark.parametrize("name", XCHECK_INSTANCES)
+def test_best_response_calls_best_message_only_for_g(name, request, monkeypatch):
+    """Inside exact_best_response every best_message call is an evaluation
+    of g, priced by the next utility call: the pieces end at closed-form
+    clip points, so no call only reads whether a quote clips."""
+    if name.startswith("random"):
+        inst = random_instance(int(name.split("-")[1]), n_groups=3, max_group_size=3,
+                               n_links=3)
+    else:
+        inst = request.getfixturevalue(name)
+    calls = []
+    for method in ("best_message", "utility"):
+        real = getattr(DeviationEvaluator, method)
+        monkeypatch.setattr(DeviationEvaluator, method,
+                            lambda self, *args, real=real, method=method:
+                            calls.append(method) or real(self, *args))
+    rng = np.random.default_rng(5)
+    for variant in ("wbb", "sbb"):
+        params = MechanismParams(variant=variant)
+        candidate = _replayed(inst, params)
+        for profile in (candidate, {b: Message(m.y * float(rng.uniform(0.5, 2.0)), m.q, m.rho)
+                                    for b, m in candidate.items()}):
+            for ki in inst.agents:
+                del calls[:]
+                exact_best_response(inst, profile, ki, params)
+                assert calls[0] == "utility"  # the incumbent
+                assert calls[1:] == ["best_message", "utility"] * (len(calls) // 2)
+
+
 @pytest.mark.parametrize("variant", ["wbb", "sbb"])
 @pytest.mark.parametrize("name", XCHECK_INSTANCES)
 def test_local_model_matches_finite_differences(name, variant, request):
     """At the candidate and at perturbed profiles, on each side of the
     demand, local_model's gradient and Hessian match finite differences
-    of DeviationEvaluator.utility (one-sided in the demand, central in
-    the quotes and rho), wherever no kink of the allocation lies within
-    the demand stencil."""
+    of DeviationEvaluator.utility (the Hessian's one-sided in the demand
+    and central in the quotes and rho, the gradient's one-sided to third
+    order), wherever no kink of the allocation lies within the demand
+    stencil."""
     if name.startswith("random"):
         inst = random_instance(int(name.split("-")[1]), n_groups=3, max_group_size=3,
                                n_links=3)
@@ -486,9 +518,12 @@ def test_local_model_matches_finite_differences(name, variant, request):
         f0 = ev.utility(msg)
         H = fd_hessian(ev, msg, ev.coords, h, [side] + [0] * (len(h) - 1))
         assert np.allclose(model.hess, H, rtol=1e-4, atol=1e-5 * (1.0 + abs(f0)))
-        grad = [(4.0 * ev.utility(displaced(msg, [(c, side * hj)]))
-                 - ev.utility(displaced(msg, [(c, 2.0 * side * hj)])) - 3.0 * f0)
-                / (2.0 * side * hj) for c, hj in zip(ev.coords, h)]
+        # third-order one-sided differences: a second-order stencil's error
+        # reached the rtol at y = 0, where the demand curves the most
+        grad = [(18.0 * ev.utility(displaced(msg, [(c, side * hj)]))
+                 - 9.0 * ev.utility(displaced(msg, [(c, 2.0 * side * hj)]))
+                 + 2.0 * ev.utility(displaced(msg, [(c, 3.0 * side * hj)])) - 11.0 * f0)
+                / (6.0 * side * hj) for c, hj in zip(ev.coords, h)]
         assert np.allclose(model.grad, grad, rtol=1e-5, atol=1e-7 * (1.0 + abs(f0)))
 
     check()
@@ -537,11 +572,29 @@ def test_demand_slope_matches_finite_differences(name, variant, request):
         for side in (+1, -1):
             d1, d2 = ev.demand_slope(y, side)
             assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-9 * scale / y)
-            assert d2 == pytest.approx(fd2, rel=1e-4, abs=1e-7 * scale / y ** 2)
+            assert d2 == pytest.approx(fd2, rel=1e-4, abs=1e-7 * scale / (y * y))
             model = ev.local_model(ev.best_message(y, profile[ki]), side)
             assert d1 == model.grad[0]
 
     check()
+
+
+def test_demand_slope_far_past_the_knees(symmetric_instance):
+    """From the zero profile, agent 1.1 is the lone demanding group, so
+    r = 10/(y + 1) and x' = 10/(y + 1)^2, a sliver of r once y is far past
+    the knee at 1; the rival quotes nothing, so pf = wb = 0 and
+    g' = V'(x)*x' with V'(x) = 1/(1 + x). Written as r + y*r', x' read 0.0
+    at 1e31 and -1.8e-170 at 1e155; demand_slope's g' matches the exact
+    value to 1e-12 (at 1e155 it is subnormal, exact to 5e-14)."""
+    inst = symmetric_instance
+    profile = {ki: zero_message(inst, ki, "wbb") for ki in inst.agents}
+    ev = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
+    for y in (1e31, 1e155):
+        d1, _ = ev.demand_slope(y, +1)
+        r = Fraction(10) / (Fraction(y) + 1)
+        exact = r / (Fraction(y) + 1) / (1 + r * Fraction(y))
+        assert d1 > 0.0
+        assert d1 == pytest.approx(float(exact), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +810,8 @@ def _random_wbb_profile(inst, rng, y_hi=3.0):
 
 def test_allocation_slope_positive_everywhere(chain_instance, two_member_instance):
     """The own rate rises with the own demand on both sides: the
-    evaluator's one-sided x' = r + y*r' is positive."""
+    evaluator's one-sided x' = r*rest/(rest + a_e*y) is positive, and
+    equals r + y*r' where that difference cannot cancel."""
     count = 0
     rng = np.random.default_rng(23)
     for inst in (chain_instance, two_member_instance):
@@ -767,8 +821,10 @@ def test_allocation_slope_positive_everywhere(chain_instance, two_member_instanc
             for ki in inst.agents:
                 ev = DeviationEvaluator(inst, profile, WBB, ki)
                 for side in (+1, -1):
-                    r, dr, _, jumped = ev.scale_slopes(y[ki], side)
-                    assert not jumped and r + y[ki] * dr > 0.0, (ki, side)
+                    r, dr, _, jumped, (_, rest, a) = ev.scale_slopes(y[ki], side)
+                    dx = r * rest / (rest + a * y[ki])
+                    assert not jumped and dx > 0.0, (ki, side)
+                    assert dx == pytest.approx(r + y[ki] * dr, rel=1e-12)
                     count += 1
     assert count >= 1000
 
