@@ -18,9 +18,11 @@ equilibrium when no agent's best response gains more than epsilon (Kakhbod
 and Teneketzis, IEEE JSAC 30(11), 2012, build their multicast game form
 on the same separation of the deviation).
 
-The agents share a read-only profile during certification, so per-agent
-best responses are independent; this module runs them sequentially and
-leaves process-level parallelism to sweep drivers.
+Certification reads the profile once: certify_ne and curvature_check
+build every agent's DeviationEvaluator from one read of it, which no
+evaluator writes, so per-agent best responses are independent; this
+module runs them sequentially and leaves process-level parallelism to
+sweep drivers.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .centralized import DualCertificate, PrimalSolution, check_a4
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
                         MechanismParams, Message, Profile, VARIANT_SBB,
-                        allocate, evaluate)
+                        _evaluators, allocate, evaluate)
 from .model import AgentId, NetworkInstance, RATE_ATOL, constraint_violation, seq_sum
 
 
@@ -238,10 +240,15 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
     `budget` caps the utility and slope evaluations together. A search it
     cuts short returns the best value seen with complete=False, which is
     no maximum. The incumbent is a candidate, so the gain is never negative."""
+    return _best_response(DeviationEvaluator(instance, profile, params, ki), profile[ki], budget)
+
+
+def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
+                   ) -> BestResponseResult:
+    """exact_best_response on ev, from ki's message incumbent."""
     if budget <= 0:
         raise ValueError(f"evaluation budget must be positive, got {budget}")
-    ev = DeviationEvaluator(instance, profile, params, ki)
-    current = profile[ki].copy()
+    current = incumbent.copy()
     base = ev.utility(current)
     best = [base, current]
     pieces: List[Tuple[float, float, float, float]] = []
@@ -355,9 +362,9 @@ def certify_ne(instance: NetworkInstance, candidate: CandidateNE, epsilon: float
     evals: Dict[AgentId, int] = {}
     deviations: Dict[AgentId, Message] = {}
     incomplete: List[AgentId] = []
-    for ki in instance.agents:
-        br = exact_best_response(instance, candidate.profile, ki, candidate.params,
-                                 budget)
+    for ev in _evaluators(instance, candidate.profile, candidate.params):
+        ki = ev.ki
+        br = _best_response(ev, candidate.profile[ki], budget)
         gains[ki] = br.gain
         evals[ki] = br.evals
         deviations[ki] = br.message
@@ -496,8 +503,8 @@ def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> Curvat
     (a saturated agent's demand) passes, and no coupling-weight shrink is
     spent on it."""
     agents_out: Dict[AgentId, AgentCurvature] = {}
-    for ki in instance.agents:
-        ev = DeviationEvaluator(instance, candidate.profile, candidate.params, ki)
+    for ev in _evaluators(instance, candidate.profile, candidate.params):
+        ki = ev.ki
         msg = candidate.profile[ki]
         models = [ev.local_model(msg, +1)]
         if msg.y > 0.0:
@@ -511,12 +518,10 @@ def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> Curvat
                       if ev.coords[j][0] in (COORD_Q1, COORD_Q2)}
         max_eig, passed = 0.0, True  # no coordinate left: every direction descends
         if keep:
-            max_eig = -math.inf
-            for m in models:
-                H = m.hess[np.ix_(keep, keep)]
-                top = float(np.linalg.eigvalsh(H)[-1])
-                max_eig = max(max_eig, top)
-                passed = passed and top <= len(keep) * _EPS * float(np.abs(H).max())
+            Hs = np.stack([m.hess[keep][:, keep] for m in models])
+            tops = np.linalg.eigvalsh(Hs)[:, -1]  # one LAPACK call per matrix, as alone
+            max_eig = float(tops.max())
+            passed = all(top <= len(keep) * _EPS * np.abs(H).max() for top, H in zip(tops, Hs))
         agents_out[ki] = AgentCurvature(ki, passed, max_eig, price_diag,
                                         kinked, locked, len(keep))
     return CurvatureReport(agents_out)

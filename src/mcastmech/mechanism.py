@@ -42,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -131,8 +131,10 @@ class _Tables:
     A slot is a (group, link) pair in member_agents_on_link order, a pair an
     (agent, route link) pair, agent by agent along each route. Per pair: its
     agent, link, slot, weight and group predecessor's and successor's pairs
-    (-1 when alone in its group there). Per slot: its members' pairs. Per
-    link: its slots in group order, its agents' pairs, capacity and rivals."""
+    (-1 when alone in its group there), and its slot's place among its
+    link's slots and its own among the slot's members. Per slot: its
+    members' pairs. Per link: its slots in group order, its agents' pairs,
+    capacity and rivals."""
 
     def __init__(self, instance: NetworkInstance):
         self.agents = instance.agents
@@ -156,6 +158,9 @@ class _Tables:
                 instance.alpha[(ki, lid)],
                 -1 if alone else pair_ix[(instance.pred_on_link[(ki, lid)], lid)],
                 -1 if alone else pair_ix[(instance.succ_on_link[(ki, lid)], lid)]))
+        self.places = [(instance.groups_on_link[lid].index(ki.group),
+                        instance.member_agents_on_link[(ki.group, lid)].index(ki))
+                       for ki, lid in pair_ix]
         self.slot_pairs = [[pair_ix[(b, lid)] for b in members]
                            for (_, lid), members in instance.member_agents_on_link.items()]
         self.link_slots = [[slot_ix[(k, lid)] for k in instance.groups_on_link[lid]]
@@ -165,7 +170,7 @@ class _Tables:
         self.n_on_link = [len(pairs) for pairs in self.link_pairs]
         self.capacity = [instance.capacity[lid] for lid in self.link_ids]
         self.rivals = [len(instance.groups_on_link[lid]) - 1 for lid in self.link_ids]
-        self.lone = next((lid for lid, n in zip(self.link_ids, self.rivals) if n < 1), None)
+        self.lone = next((l for l, n in enumerate(self.rivals) if n < 1), None)
 
 
 def _tables(instance: NetworkInstance) -> _Tables:
@@ -224,10 +229,14 @@ def _offer(capacity: float, total: float, n_demanding: int) -> float:
     return capacity / (total + 1.0)
 
 
-def _peaks_offers(T: _Tables, ys: List[float]):
-    """Per slot the weighted peak of demands ys (agent order), and per link
+def _weighted(T: _Tables, ys: List[float]) -> List[float]:
+    """Per pair, its agent's demand (ys in agent order) times its weight."""
+    return [alpha * ys[a] for a, _, _, alpha, _, _ in T.pairs]
+
+
+def _peaks_offers(T: _Tables, ay: List[float]):
+    """Per slot the peak of the weighted demands ay (_weighted), and per link
     the offer. A group demands on a link when its peak is positive."""
-    ay = [alpha * ys[a] for a, _, _, alpha, _, _ in T.pairs]
     peaks = []
     for pairs in T.slot_pairs:
         best = 0.0
@@ -243,7 +252,7 @@ def _peaks_offers(T: _Tables, ys: List[float]):
 
 
 def _allocate(T: _Tables, ys: List[float]) -> AllocationResult:
-    peaks, offers = _peaks_offers(T, ys)
+    peaks, offers = _peaks_offers(T, _weighted(T, ys))
     finite = [v for v in offers if v != NO_BOUND]
     r = min(finite) if finite else 0.0  # all-zero demand collapses to x = 0
     return AllocationResult(r, dict(zip(T.link_ids, offers)), dict(zip(T.slot_keys, peaks)),
@@ -305,12 +314,23 @@ def _link_slots(params: MechanismParams, a: float, y: float, x: float, r: float,
     return t1, t2, t3, t4, t5, t6
 
 
-def _rival_count(instance: NetworkInstance, lid: str) -> int:
-    """The number of rival groups any group on the link has (at least 1)."""
-    if len(instance.groups_on_link[lid]) < 2:
-        raise MessageShapeError(f"link {lid} carries one group, rival mean undefined; "
-                                f"validation should have rejected this instance")
-    return len(instance.groups_on_link[lid]) - 1
+def _rival_count(T: _Tables, l: int) -> int:
+    """The number of rival groups any group on link l has (at least 1)."""
+    if T.rivals[l] < 1:
+        raise MessageShapeError(f"link {T.link_ids[l]} carries one group, rival mean "
+                                f"undefined; validation should have rejected this instance")
+    return T.rivals[l]
+
+
+def _quote_sums(T: _Tables, q1s: List[float]) -> List[float]:
+    """Per slot, its members' first quotes summed in member order."""
+    ws = []  # summed inline like seq_sum: a call per slot would cost more than its sum
+    for pairs in T.slot_pairs:
+        w = 0.0
+        for p in pairs:
+            w += q1s[p]
+        ws.append(w)
+    return ws
 
 
 def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParams) -> Outcome:
@@ -321,16 +341,11 @@ def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParam
     validate_profile(instance, profile, params.variant)
     T = _tables(instance)
     if T.lone is not None:
-        _rival_count(instance, T.lone)  # raises: a lone group has no rival mean
+        _rival_count(T, T.lone)  # raises: a lone group has no rival mean
     msgs, ys, q1s, q2s = _read(T, profile)
     alloc = _allocate(T, ys)
     r, xs, ms = alloc.r, list(alloc.x.values()), list(alloc.m.values())
-    ws = []  # summed inline like seq_sum: a call per slot would cost more than its sum
-    for pairs in T.slot_pairs:
-        w = 0.0
-        for p in pairs:
-            w += q1s[p]
-        ws.append(w)
+    ws = _quote_sums(T, q1s)
     wbs, slack, w_bar = [0.0] * len(ws), [], {}
     for link_slots, n_rivals, c in zip(T.link_slots, T.rivals, T.capacity):
         total = seq_sum([ws[s] for s in link_slots])
@@ -373,6 +388,26 @@ def utilities(instance: NetworkInstance, profile: Profile,
             for ki in instance.agents}
 
 
+class _ProfileRead:
+    """One read of a profile, from which every agent's DeviationEvaluator
+    is built (_evaluators): per pair the weighted demand and the quotes, per slot the peak and the first-quote
+    sum, per link the offer and, under SBB, per pair the other agents'
+    entries in its link's rebate pool and per agent the others' rho mean
+    (None under WBB). The evaluators copy what they rewrite, so the read
+    is never written after it is made."""
+
+    def __init__(self, instance: NetworkInstance, profile: Profile, variant: str):
+        self.instance = instance
+        self.T = T = _tables(instance)
+        msgs, ys, self.q1s, self.q2s = _read(T, profile)
+        self.ay = _weighted(T, ys)
+        self.peaks, self.offers = _peaks_offers(T, self.ay)
+        self.ws = _quote_sums(T, self.q1s)
+        self.others, self.rho_bars = (
+            _rebates(T, ys, self.q1s, [msg.rho for msg in msgs])
+            if variant == VARIANT_SBB else ([0.0] * len(self.q1s), None))
+
+
 class _RouteLink:
     """What the other agents fix on one link of the deviator's route.
 
@@ -389,37 +424,37 @@ class _RouteLink:
                  "gpos", "q1s", "mpos", "ws", "n_rivals", "pred_q2", "q1_succ",
                  "others_pay", "n_l", "s_mates", "wb", "rest", "total", "load", "own")
 
-    def __init__(self, instance: NetworkInstance, profile: Profile, ki: AgentId,
-                 lid: str, peaks: List[float], others_pay: float):
-        k = ki.group
-        groups = instance.groups_on_link[lid]
-        members = instance.member_agents_on_link[(k, lid)]
-        self.lid = lid
-        self.a = instance.alpha[(ki, lid)]
-        self.capacity = instance.capacity[lid]
-        mates = [b for b in members if b != ki]
-        self.peak_mates = 0.0
-        for b in mates:
-            v = instance.alpha[(b, lid)] * profile[b].y
-            if v > self.peak_mates:
-                self.peak_mates = v
-        self.peaks = peaks
-        self.gpos = groups.index(k)
-        self.others_demanding = sum(p > 0.0 for g, p in enumerate(peaks) if g != self.gpos)
-        self.rest = seq_sum(p for g, p in enumerate(peaks) if g != self.gpos)
-        self.q1s = [profile[b].q[lid][0] for b in members]
-        self.mpos = members.index(ki)
-        self.s_mates = seq_sum(profile[b].q[lid][0] for b in mates)
-        self.n_rivals = _rival_count(instance, lid)
-        self.ws = [seq_sum(profile[b].q[lid][0] for b in instance.member_agents_on_link[(g, lid)])
-                   for g in groups]
+    def __init__(self, read: _ProfileRead, p: int):
+        """The snapshot of pair p (ki and one of its route links) in read."""
+        T = read.T
+        _, l, s, self.a, pred, succ = T.pairs[p]
+        self.gpos, self.mpos = T.places[p]
+        self.lid = T.link_ids[l]
+        self.capacity = T.capacity[l]
+        self.n_rivals = _rival_count(T, l)
+        # sums in seq_sum's order, inline: this runs once per pair and agent
+        members = T.slot_pairs[s]
+        self.q1s = [read.q1s[b] for b in members]
+        peak_mates = s_mates = 0.0
+        for b, q1 in zip(members, self.q1s):
+            if b != p:
+                s_mates += q1
+                if read.ay[b] > peak_mates:
+                    peak_mates = read.ay[b]
+        self.peak_mates, self.s_mates = peak_mates, s_mates
+        self.peaks = [read.peaks[t] for t in T.link_slots[l]]
+        rest, others_demanding = 0.0, 0
+        for g, v in enumerate(self.peaks):
+            if g != self.gpos:
+                rest += v
+                others_demanding += v > 0.0
+        self.rest, self.others_demanding = rest, others_demanding
+        self.ws = [read.ws[t] for t in T.link_slots[l]]
         self.wb = (seq_sum(self.ws) - self.ws[self.gpos]) / self.n_rivals
-        self.pred_q2 = self.q1_succ = None
-        if mates:
-            self.pred_q2 = profile[instance.pred_on_link[(ki, lid)]].q[lid][1]
-            self.q1_succ = profile[instance.succ_on_link[(ki, lid)]].q[lid][0]
-        self.n_l = len(instance.agents_on_link[lid])
-        self.others_pay = others_pay
+        self.pred_q2 = None if succ < 0 else read.q2s[pred]
+        self.q1_succ = None if succ < 0 else read.q1s[succ]
+        self.n_l = T.n_on_link[l]
+        self.others_pay = read.others[p]
 
 
 class LocalModel(NamedTuple):
@@ -439,14 +474,16 @@ class DeviationEvaluator:
     profile stays fixed, with a count of utility and demand_slope calls in
     `evals`.
 
-    The constructor snapshots everything the other agents' messages fix:
-    the smallest finite offer among links off ki's route and, per route
-    link, the other groups' peaks and price sums, the group-mates' peaks,
-    first quotes and demands, the predecessor's second and the successor's
-    first quote, and under SBB the sum of the others' rebate-pool entries
-    and the mean of the others' rhos.
-    Later edits to the profile dict or to the other agents' Message objects
-    do not reach the evaluator. utility(msg) re-prices only ki's route
+    The constructor reads the profile once (_ProfileRead) and snapshots
+    from that read everything the other agents' messages fix: the smallest
+    finite offer among links off ki's route and, per route link, the other
+    groups' peaks and price sums, the group-mates' peaks, first quotes and
+    demands, the predecessor's second and the successor's first quote, and
+    under SBB the sum of the others' rebate-pool entries and the mean of
+    the others' rhos. certify_ne and curvature_check build every agent's
+    evaluator from one shared read (_evaluators), which gives the same
+    evaluators. Later edits to the profile dict or to the other agents'
+    Message objects do not reach the evaluator. utility(msg) re-prices only ki's route
     links, in the operation order of evaluate(), so it equals
     utilities(instance, patched, params)[ki] bit for bit, where patched is
     the snapshot profile with ki's message replaced by msg.
@@ -457,29 +494,29 @@ class DeviationEvaluator:
 
     def __init__(self, instance: NetworkInstance, profile: Profile,
                  params: MechanismParams, ki: AgentId):
+        self._setup(_ProfileRead(instance, profile, params.variant), params,
+                    _tables(instance).agents.index(ki))
+
+    def _setup(self, read: _ProfileRead, params: MechanismParams, a: int) -> None:
+        """Build the evaluator of the a-th agent from read, which was made
+        under params.variant."""
+        T = read.T
         self.params = params
-        self.ki = ki
+        self.ki = ki = T.agents[a]
         self.evals = 0
-        val = instance.valuation(ki)
+        val = read.instance.valuation(ki)
         self._value, self._deriv, self._second = val.value, val.deriv, val.second
-        sbb = params.variant == VARIANT_SBB
-        T = _tables(instance)
-        msgs, ys, q1s, _ = _read(T, profile)
-        peaks, offers = _peaks_offers(T, ys)
-        route = instance.links_of[ki]
-        self._r_off = min([v for lid, v in zip(T.link_ids, offers)
-                           if lid not in route and v != NO_BOUND], default=NO_BOUND)
-        a = T.agents.index(ki)
-        others, rho_bars = (_rebates(T, ys, q1s, [msg.rho for msg in msgs]) if sbb
-                            else ([0.0] * len(q1s), None))
-        self._route = [_RouteLink(instance, profile, ki, lid,
-                                  [peaks[s] for s in T.link_slots[T.pairs[p][1]]], others[p])
-                       for p, lid in zip(range(T.starts[a], T.starts[a + 1]), route)]
-        self._rho_bar = rho_bars[a] if sbb else None
+        pairs = range(T.starts[a], T.starts[a + 1])
+        route = {T.pairs[p][1] for p in pairs}
+        self._r_off = min([v for l, v in enumerate(read.offers)
+                           if l not in route and v != NO_BOUND], default=NO_BOUND)
+        self._route = [_RouteLink(read, p) for p in pairs]
+        self._rho_bar = None if read.rho_bars is None else read.rho_bars[a]
         self._scaled = (math.nan, 0.0)  # the last (y, r) of _scale
+        self._slopes = {}  # scale_slopes by (y, side)
         self.coords = ([(COORD_Y, None)] + [(COORD_Q1, L.lid) for L in self._route]
                        + [(COORD_Q2, L.lid) for L in self._route if L.q1_succ is not None]
-                       + ([(COORD_RHO, None)] if sbb else []))
+                       + ([(COORD_RHO, None)] if self._rho_bar is not None else []))
 
     def _scale(self, y: float) -> float:
         """The realized scale when ki demands y. Leaves in each route link
@@ -567,7 +604,17 @@ class DeviationEvaluator:
         is the smallest offer, and of the offers tied at it the one falling
         fastest (right) or slowest (left) binds. Peaks and offers within
         KINK_TOL of each other are ties, the tolerance at which
-        exact_best_response merges kinks."""
+        exact_best_response merges kinks. Each (y, side) is computed once:
+        the result depends on nothing else, so repeats come from a cache
+        and leave the route links as they are."""
+        key = (y, side)
+        if key not in self._slopes:
+            self._slopes[key] = self._scale_slopes(y, side)
+        return self._slopes[key]
+
+    def _scale_slopes(self, y: float, side: int
+                      ) -> Tuple[float, float, float, bool, Tuple[float, float, float]]:
+        """scale_slopes, computed."""
         if side not in (+1, -1):
             raise ValueError("side must be +1 or -1")
         if side == -1 and y <= 0.0:
@@ -595,6 +642,7 @@ class DeviationEvaluator:
         (_peak_form), so the quote before its max(0, .) (_best_q1) is
         K + r*(u + v*y), 0 where K*(rest + a_e*y) + c*(u + v*y) is."""
         _, _, _, _, (c, rest, a_e) = self.scale_slopes(y, +1)
+        self._scale(y)  # the route links at y, which a cached scale_slopes may not leave
         eta, xi = self.params.eta, self.params.xi
         points = []
         for L in self._route:
@@ -624,6 +672,7 @@ class DeviationEvaluator:
         gap and load slopes from _peak_form, so that none is a difference
         that cancels far past the knees."""
         r, dr, d2r, jumped, (_, rest, a_e) = self.scale_slopes(y, side)
+        self._scale(y)  # the route links at y, which a cached scale_slopes may not leave
         share = rest / (rest + a_e * y)
         x, dx, d2x = r * y, r * share, 2.0 * dr * share
         eta, xi = self.params.eta, self.params.xi
@@ -734,6 +783,18 @@ class DeviationEvaluator:
                 if max(c1 / (p1 + a1 * y), c2 / (p2 + a2 * y)) <= r * (1.0 + KINK_TOL):
                     kinks.append(y)
         return kinks, knees
+
+
+def _evaluators(instance: NetworkInstance, profile: Profile,
+                params: MechanismParams) -> Iterator[DeviationEvaluator]:
+    """Every agent's DeviationEvaluator, in agent order, from one read of
+    the profile; each is built when the iteration reaches it, so an agent
+    whose route crosses a one-group link raises only there."""
+    read = _ProfileRead(instance, profile, params.variant)
+    for a in range(len(read.T.agents)):
+        ev = DeviationEvaluator.__new__(DeviationEvaluator)
+        ev._setup(read, params, a)
+        yield ev
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ is tuned, constructed and certified. The script prints, per agent:
 utility and slope evaluations; kink-free pieces of g and clip points
 (piece ends where a best first quote reaches 0, not at a kink); and
 ``best_message`` calls, split into evaluations of g and probes of the clip
-state (any other call). It also prints the wall time of ``certify_ne`` and
-of ``curvature_check`` on the tuned candidates, summed over the corpus
-(the fastest of five passes).
+state (any other call); and ``scale_slopes`` calls, split into results
+computed and results served from the evaluator's cache. It also prints the
+wall time of ``certify_ne``, of ``curvature_check`` and of building every
+agent's ``DeviationEvaluator`` from one read of each candidate (the
+evaluator set-up both of them do) on the tuned candidates, summed over the
+corpus (the fastest of five passes).
 
 Not collected by pytest (the name does not start with ``test_``); it is
 the yardstick for changes to ``exact_best_response``.
@@ -20,7 +23,7 @@ import time
 
 from mcastmech import (MechanismParams, certify_ne, construct_ne, curvature_check,
                        default_epsilon, exact_best_response, tune_params)
-from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
+from mcastmech.mechanism import KINK_TOL, DeviationEvaluator, _evaluators
 
 from test_acceptance import CERT_BUDGET, N_BATCH, _sample_sharing_instance
 
@@ -48,11 +51,16 @@ def main():
             params, _, _ = tune_params(inst, primal, dual, MechanismParams(variant=variant))
             candidates.append((inst, construct_ne(inst, primal, dual, params), epsilon))
 
-    certify_s, curvature_s = [], []
+    certify_s, curvature_s, setup_s = [], [], []
     for _ in range(REPEATS):
         certify_s.append(0.0)
         curvature_s.append(0.0)
+        setup_s.append(0.0)
         for inst, cand, epsilon in candidates:
+            start = time.perf_counter()
+            for _ in _evaluators(inst, cand.profile, cand.params):
+                pass
+            setup_s[-1] += time.perf_counter() - start
             start = time.perf_counter()
             report = certify_ne(inst, cand, epsilon, budget=CERT_BUDGET)
             certify_s[-1] += time.perf_counter() - start
@@ -61,7 +69,8 @@ def main():
             curvature_s[-1] += time.perf_counter() - start
             assert report.certified and not report.incomplete
 
-    counts = dict.fromkeys(("utility", "demand_slope", "best_message"), 0)
+    counts = dict.fromkeys(("utility", "demand_slope", "best_message", "scale_slopes",
+                            "_scale_slopes"), 0)
     reals = {name: counted(name, counts) for name in counts}
     agents = pieces = clips = 0
     try:
@@ -84,8 +93,12 @@ def main():
     print(f"per agent: best_message {counts['best_message'] / agents:.2f} "
           f"(g {g_evals / agents:.2f}, clip probes "
           f"{(counts['best_message'] - g_evals) / agents:.2f})")
-    print(f"certify_ne {min(certify_s):.3f} s, curvature_check {min(curvature_s):.3f} s "
-          f"(fastest of {REPEATS} passes)")
+    computed = counts["_scale_slopes"]
+    print(f"per agent: scale_slopes {counts['scale_slopes'] / agents:.2f} "
+          f"(computed {computed / agents:.2f}, "
+          f"cached {(counts['scale_slopes'] - computed) / agents:.2f})")
+    print(f"certify_ne {min(certify_s):.3f} s, curvature_check {min(curvature_s):.3f} s, "
+          f"evaluator set-up {min(setup_s):.3f} s (fastest of {REPEATS} passes)")
 
 
 if __name__ == "__main__":

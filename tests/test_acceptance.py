@@ -30,6 +30,7 @@ from mcastmech import (
     check_a4,
     constraint_violation,
     construct_ne,
+    curvature_check,
     default_epsilon,
     evaluate,
     exact_best_response,
@@ -40,7 +41,7 @@ from mcastmech import (
     utilities,
 )
 from mcastmech.errors import SolverError, ValidationFailure
-from mcastmech.mechanism import DeviationEvaluator
+from mcastmech.mechanism import DeviationEvaluator, _evaluators
 
 from conftest import batch_shape, coherent_quotes
 from grid_reference import bisected_cuts, grid_best_response
@@ -610,3 +611,119 @@ def test_best_response_beyond_unimodal_pieces(certified_batch):
             top = max(ev.utility(ev.best_message(float(y), profile[ki]))
                       for y in np.geomspace(a, b, 400))
             assert top <= res.best_utility + 1e-12 * (1.0 + abs(res.best_utility))
+
+
+def _same_evaluator(ev, fresh, msg, rng):
+    """ev and fresh agree bit for bit on every view of ki's own utility:
+    demand kinks, utility at msg and at perturbed copies, the slopes of g
+    on both sides, the local models and the clip points."""
+    assert ev.ki == fresh.ki and ev.coords == fresh.coords
+    assert ev.demand_kinks() == fresh.demand_kinks()
+    trials = [msg] + [Message(msg.y * float(rng.uniform(0.5, 2.0)),
+                              {lid: (q1 * float(rng.uniform(0.0, 2.0)), q2 + float(rng.uniform()))
+                               for lid, (q1, q2) in msg.q.items()},
+                              None if msg.rho is None else msg.rho * float(rng.uniform(0.5, 2.0)))
+                      for _ in range(3)]
+    for trial in trials:
+        assert ev.utility(trial) == fresh.utility(trial)
+        assert ev.clip_points(trial.y) == fresh.clip_points(trial.y)
+        for side in ((+1, -1) if trial.y > 0.0 else (+1,)):
+            assert ev.demand_slope(trial.y, side) == fresh.demand_slope(trial.y, side)
+            mine, theirs = ev.local_model(trial, side), fresh.local_model(trial, side)
+            assert mine.point == theirs.point and mine.jumped == theirs.jumped
+            assert np.array_equal(mine.grad, theirs.grad)
+            assert np.array_equal(mine.hess, theirs.hess)
+
+
+def test_shared_read_matches_fresh_evaluators(certified_batch):
+    """At each candidate and at a perturbed copy, in both variants, every
+    agent's evaluator built from one shared read of the profile (as
+    certify_ne and curvature_check build them) equals one built alone by
+    DeviationEvaluator, compared with ==; the shared ones are all built
+    before any is used, so none disturbs another through the read."""
+    records, _ = certified_batch
+    rng = np.random.default_rng(43)
+    for r, v, profile in _batch_profiles(records, 41):
+        shared = list(_evaluators(r.instance, profile, v.params))
+        assert [ev.ki for ev in shared] == list(r.instance.agents)
+        for ev in shared:
+            fresh = DeviationEvaluator(r.instance, profile, v.params, ev.ki)
+            _same_evaluator(ev, fresh, profile[ev.ki], rng)
+
+
+def test_slope_cache_is_safe(certified_batch):
+    """An evaluator's cached scale_slopes, and the slopes, clip points and
+    local models that read the route links after it, match a fresh
+    evaluator's after utility and best_message have run at other demands
+    (first 16 batch seeds, candidates and perturbed copies, both variants)."""
+    records, _ = certified_batch
+    rng = np.random.default_rng(47)
+    for r, v, profile in _batch_profiles(records[:16], 53):
+        for ki in r.instance.agents:
+            msg = profile[ki]
+            ev = DeviationEvaluator(r.instance, profile, v.params, ki)
+            ys = [y for y in (msg.y, *ev.demand_kinks()[0]) if 0.0 < y < 1e30]
+            ys += [ys[0] * float(f) for f in rng.uniform(0.2, 3.0, 2)]
+            for _ in range(8):
+                y, z = (ys[int(i)] for i in rng.integers(len(ys), size=2))
+                side = int(rng.choice([+1, -1]))
+                ev.scale_slopes(y, side)
+                ev.utility(ev.best_message(z, msg))  # the route links now hold z
+                fresh = DeviationEvaluator(r.instance, profile, v.params, ki)
+                assert ev.scale_slopes(y, side) == fresh.scale_slopes(y, side)
+                assert ev.demand_slope(y, side) == fresh.demand_slope(y, side)
+                ev.best_message(z, msg)
+                assert ev.clip_points(y) == fresh.clip_points(y)
+                ev.best_message(z, msg)
+                trial = Message(y, msg.q, msg.rho)
+                assert np.array_equal(ev.local_model(trial, side).hess,
+                                      fresh.local_model(trial, side).hess)
+
+
+def test_certify_matches_per_agent_best_responses(certified_batch):
+    """certify_ne, which builds every evaluator from one read of the
+    candidate, reports for each agent the gain, evaluation count and
+    deviation of exact_best_response run on that agent alone."""
+    records, _ = certified_batch
+    for r in records:
+        for v in (r.wbb, r.sbb):
+            cert = v.certification
+            for ki in r.instance.agents:
+                br = exact_best_response(r.instance, v.candidate.profile, ki, v.params,
+                                         CERT_BUDGET)
+                assert (br.gain, br.evals, br.message) == \
+                    (cert.gains[ki], cert.evals[ki], cert.deviations[ki]), (r.seed, ki)
+
+
+def _separate_max_eigs(inst, candidate):
+    """curvature_check's max_eig and verdict per agent, each one-sided
+    Hessian sliced with np.ix_ and given to eigvalsh on its own."""
+    out = {}
+    for ki in inst.agents:
+        ev = DeviationEvaluator(inst, candidate.profile, candidate.params, ki)
+        msg = candidate.profile[ki]
+        models = [ev.local_model(msg, +1)] + ([ev.local_model(msg, -1)] if msg.y > 0.0 else [])
+        right = models[0]
+        keep = [j for j, v in enumerate(right.point) if not (v == 0.0 and right.grad[j] < 0.0)]
+        max_eig, passed = 0.0, True
+        if keep:
+            max_eig = -math.inf
+            for m in models:
+                H = m.hess[np.ix_(keep, keep)]
+                top = float(np.linalg.eigvalsh(H)[-1])
+                max_eig = max(max_eig, top)
+                passed = passed and top <= len(keep) * np.finfo(float).eps * float(np.abs(H).max())
+        out[ki] = (max_eig, passed)
+    return out
+
+
+def test_curvature_eigenvalues_match_separate_calls(certified_batch):
+    """curvature_check's one eigvalsh call on the stacked one-sided
+    Hessians gives each agent's max_eig and verdict bit for bit as one call
+    per matrix did (first 16 batch seeds, both variants)."""
+    records, _ = certified_batch
+    for r in records[:16]:
+        for v in (r.wbb, r.sbb):
+            report = curvature_check(r.instance, v.candidate)
+            ref = _separate_max_eigs(r.instance, v.candidate)
+            assert {ki: (a.max_eig, a.passed) for ki, a in report.agents.items()} == ref

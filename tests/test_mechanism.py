@@ -28,7 +28,7 @@ from mcastmech import (
     zero_message,
 )
 from mcastmech.errors import MessageShapeError
-from mcastmech.mechanism import NO_BOUND
+from mcastmech.mechanism import NO_BOUND, _evaluators
 from mcastmech.model import seq_sum
 
 from conftest import coherent_quotes, make_instance
@@ -351,6 +351,35 @@ def test_single_group_link_is_a_shape_error():
         evaluate(inst, profile, WBB)
     with pytest.raises(MessageShapeError):
         DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
+
+
+def test_shared_read_raises_only_for_agents_on_a_one_group_link():
+    """Evaluators built from one shared read raise the typed error for an
+    agent whose route crosses a one-group link, as a lone evaluator does,
+    and only there: the agent before it, off that link, gets the same
+    evaluator as one built alone."""
+    inst = make_instance(
+        {"l1": 10.0, "l2": 5.0},
+        [
+            (1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+            (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0, "l2": 1.0}),
+        ],
+    )
+    profile = {ki: Message(1.0, {lid: (0.5, 0.5) for lid in inst.links_of[ki]})
+               for ki in inst.agents}
+    shared = _evaluators(inst, profile, WBB)
+    ev = next(shared)
+    with pytest.raises(MessageShapeError):
+        next(shared)
+    with pytest.raises(MessageShapeError):
+        DeviationEvaluator(inst, profile, WBB, AgentId(2, 1))
+    fresh = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
+    assert ev.ki == AgentId(1, 1) and ev.coords == fresh.coords
+    for y in (0.0, 0.5, 1.0, 4.0):
+        msg = Message(y, {"l1": (0.3, 0.5)})
+        assert ev.utility(msg) == fresh.utility(msg)
+        assert ev.demand_slope(y, +1) == fresh.demand_slope(y, +1)
+        assert ev.clip_points(y) == fresh.clip_points(y)
 
 
 # ---------------------------------------------------------------------------
