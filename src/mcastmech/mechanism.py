@@ -604,7 +604,11 @@ class DeviationEvaluator:
         is the smallest offer, and of the offers tied at it the one falling
         fastest (right) or slowest (left) binds. Peaks and offers within
         KINK_TOL of each other are ties, the tolerance at which
-        exact_best_response merges kinks. Each (y, side) is computed once:
+        exact_best_response merges kinks. A form where ki's own peak binds
+        reads that peak even where a tied mate's peak is the realized one,
+        and r is the binding form's offer unless r jumps, so that
+        r + y*r' = r*rest/(rest + a_e*y) to rounding also at ties. Each
+        (y, side) is computed once:
         the result depends on nothing else, so repeats come from a cache
         and leave the route links as they are."""
         key = (y, side)
@@ -623,17 +627,20 @@ class DeviationEvaluator:
         forms = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, 1.0, self._r_off, 1.0, 0.0)]
         for L in self._route:
             a = L.a if L.own[side > 0] else 0.0
+            total = L.total
+            if a and a * y != L.peaks[L.gpos]:  # a peak tie, the mates' peak realized
+                total = seq_sum([a * y if g == L.gpos else v for g, v in enumerate(L.peaks)])
             lone = L.others_demanding == 0
-            den = L.total + lone
+            den = total + lone
             offer = L.capacity / den
             forms.append((offer, -a * offer / den, den, L.capacity, L.rest + lone if a else den, a))
         r_lim = min(f[0] for f in forms)
-        offer, dr, den, c, rest, a = min((f for f in forms if f[0] <= r_lim * (1.0 + KINK_TOL)),
-                                         key=lambda f: side * f[1])
+        offer, dr, den, c, rest, a = min(
+            (f for f in forms if f[0] <= r_lim * (1.0 + KINK_TOL)), key=lambda f: side * f[1])
         jumped = abs(r_lim - r) > KINK_TOL * r_lim
         # den * den, not den ** 2: a float power overflows past 1.3e154
-        return ((r_lim if jumped else r), dr, 2.0 * a * a * offer / (den * den), jumped,
-                (c, rest, a))
+        return ((r_lim if jumped else offer), dr, 2.0 * a * a * offer / (den * den),
+                jumped, (c, rest, a))
 
     def clip_points(self, y: float) -> List[float]:
         """Where ki's best first quotes turn 0 if the allocation keeps its

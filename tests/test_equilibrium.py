@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcastmech import (
+    LOG_SAT,
     AgentId,
     CandidateNE,
     MechanismParams,
@@ -30,6 +31,7 @@ from mcastmech import (
 from mcastmech.errors import SharingAssumptionError
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
 
+from conftest import make_instance
 from finite_diff import displaced, fd_hessian, fd_slopes
 from search import search_best_response
 
@@ -900,3 +902,49 @@ def test_scaled_demand_equilibrium_same_allocation(symmetric_instance, solved_sy
     assert out.r == pytest.approx(0.5, abs=1e-9)
     for ki in symmetric_instance.agents:
         assert out.x[ki] == pytest.approx(primal.x[ki], abs=1e-5)
+
+
+def _binding_form_checks(ev, y):
+    """On each side of y, r is the offer of the binding form (c, rest, a_e)
+    that scale_slopes reports, and r + y*r' = r*rest/(rest + a_e*y), both to
+    rounding; returns the right-hand form."""
+    eps = np.finfo(float).eps
+    for side in (+1, -1):
+        r, dr, _, jumped, (c, rest, a_e) = ev.scale_slopes(y, side)
+        assert not jumped
+        assert r == pytest.approx(c / (rest + a_e * y), rel=4 * eps)
+        assert r + y * dr == pytest.approx(r * rest / (rest + a_e * y), rel=4 * eps)
+    return ev.scale_slopes(y, +1)[4]
+
+
+def test_scale_slopes_read_r_from_the_binding_form(two_member_instance):
+    """r, r' and x'/r come from one form on each side of the demand, also
+    at ties within KINK_TOL. Peak tie: agent 1.1's own peak within 3e-10
+    of its group-mate's, below or above it; on the right its own peak
+    binds, and r is c/(rival + a*y), not the realized c/(rival + pm).
+    Offer tie: the faster falling of two offers 1e-11 apart binds on the
+    right, and r is its offer, not the smaller one. Taking r from the
+    realized peaks and the smallest offer put r + y*r' and r*rest/den up
+    to 1.2e-10 apart relative."""
+    inst, ki = two_member_instance, AgentId(1, 1)
+    c, pm, rival = inst.capacity["l1"], 2.0, 3.0
+    for gap in (-3e-10, 3e-10):
+        y = pm * (1.0 + gap)
+        profile = {ki: Message(y, {"l1": (0.1, 0.2)}),
+                   AgentId(1, 2): Message(pm, {"l1": (0.2, 0.1)}),
+                   AgentId(2, 1): Message(rival, {"l1": (0.3, 0.3)})}
+        ev = DeviationEvaluator(inst, profile, WBB, ki)
+        assert set(ev.demand_kinks()[0]) == {pm}
+        _binding_form_checks(ev, y)
+        r = ev.scale_slopes(y, +1)[0]
+        assert r == pytest.approx(c / (rival + y), rel=4 * np.finfo(float).eps)
+
+    inst = make_instance({"l1": 10.0, "l2": 10.0 * (1.0 + 1e-11)},
+                         [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0, "l2": 2.0}),
+                          (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                          (3, 1, LOG_SAT, 1.0, 1.0, {"l2": 1.0})])
+    profile = {ki: Message(1.0, {"l1": (0.1, 0.1), "l2": (0.1, 0.1)}),
+               AgentId(2, 1): Message(4.0, {"l1": (0.2, 0.2)}),
+               AgentId(3, 1): Message(3.0, {"l2": (0.2, 0.2)})}
+    ev = DeviationEvaluator(inst, profile, WBB, ki)
+    assert _binding_form_checks(ev, 1.0) == (inst.capacity["l2"], 3.0, 2.0)
