@@ -483,8 +483,8 @@ class DeviationEvaluator:
     the others' rhos. certify_ne and curvature_check build every agent's
     evaluator from one shared read (_evaluators), which gives the same
     evaluators. Later edits to the profile dict or to the other agents'
-    Message objects do not reach the evaluator. utility(msg) re-prices only ki's route
-    links, in the operation order of evaluate(), so it equals
+    Message objects do not reach the evaluator. utility(msg) re-prices only
+    ki's route links, in the operation order of evaluate(), so it equals
     utilities(instance, patched, params)[ki] bit for bit, where patched is
     the snapshot profile with ki's message replaced by msg.
 
@@ -608,9 +608,8 @@ class DeviationEvaluator:
         reads that peak even where a tied mate's peak is the realized one,
         and r is the binding form's offer unless r jumps, so that
         r + y*r' = r*rest/(rest + a_e*y) to rounding also at ties. Each
-        (y, side) is computed once:
-        the result depends on nothing else, so repeats come from a cache
-        and leave the route links as they are."""
+        (y, side) is computed once: the result depends on nothing else, so
+        repeats come from a cache and leave the route links as they are."""
         key = (y, side)
         if key not in self._slopes:
             self._slopes[key] = self._scale_slopes(y, side)
