@@ -390,11 +390,12 @@ def utilities(instance: NetworkInstance, profile: Profile,
 
 class _ProfileRead:
     """One read of a profile, from which every agent's DeviationEvaluator
-    is built (_evaluators): per pair the weighted demand and the quotes, per slot the peak and the first-quote
-    sum, per link the offer and, under SBB, per pair the other agents'
-    entries in its link's rebate pool and per agent the others' rho mean
-    (None under WBB). The evaluators copy what they rewrite, so the read
-    is never written after it is made."""
+    is built (_evaluators): per pair the weighted demand and the quotes,
+    per slot the peak and the first-quote sum, per link the offer and,
+    under SBB, per pair the other agents' entries in its link's rebate
+    pool and per agent the others' rho mean (None under WBB). The
+    evaluators copy what they rewrite, so the read is never written after
+    it is made."""
 
     def __init__(self, instance: NetworkInstance, profile: Profile, variant: str):
         self.instance = instance
