@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import SolverError
-from .model import AgentId, NetworkInstance, RATE_ATOL, require_valid, welfare
+from .model import LOG_SAT, AgentId, NetworkInstance, RATE_ATOL, require_valid, welfare
 
 #: Default target for the max KKT residual across all blocks.
 DEFAULT_TOL = 1e-9
@@ -116,23 +116,25 @@ class _Workspace:
 
     def __init__(self, inst: NetworkInstance):
         self.agents = list(inst.agents)
-        self.aidx = {ki: j for j, ki in enumerate(self.agents)}
         self.vals = [inst.valuation(ki) for ki in self.agents]
-        self.mpairs: List[Tuple[int, str]] = [
-            (k, lid) for lid in inst.link_ids for k in inst.groups_on_link[lid]]
+        # v'' = -v' * (k_b + v' / k_a): -v' * v' / a for log_sat, -b * v' for exp_sat
+        self.k_b, self.k_a = np.array([(0.0, v.a) if v.family == LOG_SAT else (v.b, math.inf)
+                                       for v in self.vals]).T
+        self.mpairs = [(k, lid) for lid in inst.link_ids for k in inst.groups_on_link[lid]]
         self.midx = {p: j for j, p in enumerate(self.mpairs)}
         self.nx = len(self.agents)
         self.nm = len(self.mpairs)
-        self.n = self.nx + self.nm
         self.nl = len(inst.link_ids)
-        # Bounding constraints, one per (agent, link on its route).
-        self.bnd: List[Tuple[AgentId, str]] = [
-            (ki, lid) for ki in self.agents for lid in inst.links_of[ki]]
-        self.b_ix = np.array([self.aidx[ki] for ki, _ in self.bnd], dtype=int)
-        self.b_m = np.array([self.midx[(ki.group, lid)] for ki, lid in self.bnd], dtype=int)
-        self.b_al = np.array([inst.alpha[p] for p in self.bnd])
-        lpos = {lid: j for j, lid in enumerate(inst.link_ids)}
-        self.m_link = np.array([lpos[lid] for _, lid in self.mpairs], dtype=int)
+        self.m_link = np.repeat(np.arange(self.nl), [len(g) for g in inst.groups_on_link.values()])
+        # One pass over the routes (agent order): a bounding row per (agent, route
+        # link) with its agent, m entry and weight, and each agent's top capacity.
+        self.bnd, rows, top = [], [], []
+        for j, route in enumerate(inst.routes):
+            for lid, a in sorted(route.weights):
+                self.bnd.append((route.agent, lid))
+                rows.append((j, self.midx[(route.agent.group, lid)], a))
+            top.append(max(inst.capacity[lid] for lid, _ in route.weights))
+        self.b_ix, self.b_m, self.b_al = (np.array(col) for col in zip(*rows))
         # Each bounding row's flat (agent, link) position, and peers i != j.
         self.b_xl = self.b_ix * self.nl + self.m_link[self.b_m]
         group = np.array([ki.group for ki in self.agents])
@@ -141,14 +143,15 @@ class _Workspace:
         self.offset = np.concatenate((np.zeros(self.nx), self.caps,
                                       np.zeros(len(self.bnd))))
         # Rates at or below this count as zero in the stationarity block.
-        self.thresh = RATE_ATOL * np.array(
-            [max(inst.capacity[lid] for lid in inst.links_of[ki]) for ki in self.agents])
+        self.thresh = RATE_ATOL * np.array(top)
 
     def dvalue(self, x: np.ndarray) -> np.ndarray:
         return np.array([v.deriv(xj) for v, xj in zip(self.vals, x.tolist())])
 
-    def d2value(self, x: np.ndarray) -> np.ndarray:
-        return np.array([v.second(xj) for v, xj in zip(self.vals, x.tolist())])
+    def slopes(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """v'(x) from each valuation's deriv, and v''(x) from v' elementwise."""
+        dv = self.dvalue(x)
+        return dv, -dv * (self.k_b + dv / self.k_a)
 
     def link_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-link sums of an m-indexed vector."""
@@ -180,14 +183,15 @@ def _interior_start(ws: _Workspace, seed: Optional[int]) -> np.ndarray:
     return np.concatenate((lo * frac, m))
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest step in (0, 1] keeping v + step * dv nonnegative."""
-    neg = dv < 0.0
-    return float((-v[neg] / dv[neg]).min(initial=1.0))
+def _max_steps(s: np.ndarray, ds: np.ndarray, y: np.ndarray, dy: np.ndarray) -> List[float]:
+    """Largest steps in (0, 1] keeping s + step * ds and y + step * dy nonnegative."""
+    v, dv = np.concatenate((s, y)), np.concatenate((ds, dy))
+    ratio = np.divide(v, dv, out=np.full(len(v), -1.0), where=dv < 0.0)
+    return [min(1.0, -hi) for hi in np.maximum.reduceat(ratio, (0, len(s))).tolist()]
 
 
-def _newton_solver(ws: _Workspace, x: np.ndarray, d: np.ndarray):
-    """Solver for N dz = rhs, N = -welfare Hessian + A^T diag(d) A, d = y / s:
+def _newton_solver(ws: _Workspace, d: np.ndarray, d2v: np.ndarray):
+    """Solver for N dz = rhs, N = -diag(d2v) + A^T diag(d) A, d2v = v''(x), d = y / s:
     Sherman-Morrison on each link's m-block (diagonal Dm plus d_l * 11^T)
     leaves an n_x square S on x. A row's d * alpha^2 - (d * alpha)^2 / Dm
     enters S as d * alpha^2 * (its group peers' d) / Dm, so nothing cancels."""
@@ -198,10 +202,10 @@ def _newton_solver(ws: _Workspace, x: np.ndarray, d: np.ndarray):
     u = c * inv_dm[ws.b_m]
     w = d[nx:nx + nl] / (1.0 + d[nx:nx + nl] * ws.link_sums(inv_dm))
     D, C, U = (np.bincount(ws.b_xl, v, nx * nl).reshape(nx, nl) for v in (d_b, c, u))
-    others = np.einsum("ij,jl->il", ws.peers, D).ravel()[ws.b_xl]
-    S = np.einsum("il,l,jl->ij", U, w, U) - ws.peers * np.einsum("il,jl->ij", C, U)
-    S.flat[::nx + 1] += d[:nx] - ws.d2value(x) + np.bincount(ws.b_ix, u * ws.b_al * others, nx)
-    scale = 1.0 / np.sqrt(np.diag(S))  # d spans many orders of magnitude
+    others = (ws.peers @ D).ravel()[ws.b_xl]
+    S = (U * w) @ U.T - ws.peers * (C @ U.T)
+    S.flat[::nx + 1] += d[:nx] - d2v + np.bincount(ws.b_ix, u * ws.b_al * others, nx)
+    scale = 1.0 / np.sqrt(S.diagonal())  # d spans many orders of magnitude
     S *= scale[:, None] * scale[None, :]
 
     def m_solve(v):  # the m-block's inverse times v
@@ -220,44 +224,42 @@ def _newton_solver(ws: _Workspace, x: np.ndarray, d: np.ndarray):
 def _mehrotra_step(ws: _Workspace, z: np.ndarray, s: np.ndarray, y: np.ndarray):
     """One predictor-corrector step on the KKT system of
     min -welfare(z) s.t. A z + offset = s >= 0, with multipliers y >= 0."""
-    x = z[:ws.nx]
+    dv, d2v = ws.slopes(z[:ws.nx])
     r_dual = -ws.transpose(y)
-    r_dual[:ws.nx] -= ws.dvalue(x)
+    r_dual[:ws.nx] -= dv
     r_primal = ws.apply(z) + ws.offset - s
+    inv_s, sy, y_rp = 1.0 / s, s * y, y * r_primal
     gap = float(s @ y) / len(s)
-    solve = _newton_solver(ws, x, y / s)
+    solve = _newton_solver(ws, y * inv_s, d2v)
 
     def direction(r_comp):
-        dz = solve(ws.transpose((r_comp - y * r_primal) / s) - r_dual)
+        dz = solve(ws.transpose((r_comp - y_rp) * inv_s) - r_dual)
         ds = ws.apply(dz) + r_primal
-        return dz, ds, (r_comp - y * ds) / s
+        return dz, ds, (r_comp - y * ds) * inv_s
 
-    dz, ds, dy = direction(-s * y)
-    gap_aff = float((s + _max_step(s, ds) * ds) @ (y + _max_step(y, dy) * dy)) / len(s)
+    dz, ds, dy = direction(-sy)
+    step_s, step_y = _max_steps(s, ds, y, dy)
+    gap_aff = float((s + step_s * ds) @ (y + step_y * dy)) / len(s)
     target = max((gap_aff / gap) ** 3 * gap,
                  min(gap, 0.1 * float(np.abs(r_dual).max())))
-    dz, ds, dy = direction(target - s * y - ds * dy)
-    step = STEP_TO_BOUNDARY * min(_max_step(s, ds), _max_step(y, dy))
+    dz, ds, dy = direction(target - sy - ds * dy)
+    step = STEP_TO_BOUNDARY * min(_max_steps(s, ds, y, dy))
     return z + step * dz, s + step * ds, y + step * dy
 
 
 def _finish(ws: _Workspace, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Scale an iterate's (x, m) onto the mechanism's allocation.
-
-    x is scaled by r = min_l c_l / sum_k peak_{k,l}, which makes the
-    tightest link binding exactly; each m keeps the scaled peak plus the
-    largest share of its interior excess that still fits its link.
-    """
+    """Scale an iterate's (x, m) onto the mechanism's allocation (see the
+    module docstring): each m keeps the scaled peak plus the largest share
+    of its interior excess that still fits its link."""
     nx, nl = ws.nx, ws.nl
     x, m = z[:nx], z[nx:]
     peak = np.zeros(ws.nm)
     np.maximum.at(peak, ws.b_m, ws.b_al * x[ws.b_ix])
     load = ws.link_sums(peak)
-    r = float(np.min(ws.caps / load))
+    r = float((ws.caps / load).min())
     excess = m - peak
     room = ws.link_sums(excess)
-    t = np.clip(np.divide(ws.caps - r * load, room, out=np.ones(nl), where=room > 0.0),
-                0.0, 1.0)
+    t = np.divide(ws.caps - r * load, room, out=np.ones(nl), where=room > 0.0).clip(0.0, 1.0)
     return r * x, r * peak + t[ws.m_link] * excess
 
 
@@ -284,14 +286,13 @@ def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
 
 def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
     """Count groups with a meaningfully positive member rate on each link."""
-    sizes = {}
-    for lid in instance.link_ids:
+    sizes = dict.fromkeys(instance.link_ids, 0)
+    for (_, lid), members in instance.member_agents_on_link.items():
         thresh = RATE_ATOL * instance.capacity[lid]
-        count = 0
-        for k in instance.groups_on_link[lid]:
-            if any(primal.x[b] > thresh for b in instance.member_agents_on_link[(k, lid)]):
-                count += 1
-        sizes[lid] = count
+        for b in members:
+            if primal.x[b] > thresh:
+                sizes[lid] += 1
+                break
     return A4Report(sizes, all(c >= 2 for c in sizes.values()))
 
 
@@ -325,7 +326,7 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     nx, nl = ws.nx, ws.nl
     z = _interior_start(ws, init_seed)
     x0 = z[:nx]
-    gap0 = max(1.0, float(ws.dvalue(x0) @ x0) / max(1, ws.n))
+    gap0 = max(1.0, float(ws.dvalue(x0) @ x0) / (ws.nx + ws.nm))
     s = ws.apply(z) + ws.offset
     y = gap0 / s
     best = None
@@ -357,11 +358,9 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     if res > tol:
         raise SolverError(
             f"interior point stalled at max residual {res:.3e} > tol {tol:.3e}")
-    primal = PrimalSolution(
-        x={ki: float(x[j]) for ki, j in ws.aidx.items()},
-        m={p: float(m[j]) for p, j in ws.midx.items()})
-    lam = {lid: float(y[nx + j]) for j, lid in enumerate(instance.link_ids)}
-    mu = {p: float(y[nx + nl + j]) for j, p in enumerate(ws.bnd)}
+    primal = PrimalSolution(dict(zip(ws.agents, x.tolist())), dict(zip(ws.mpairs, m.tolist())))
+    lam = dict(zip(instance.link_ids, y[nx:nx + nl].tolist()))
+    mu = dict(zip(ws.bnd, y[nx + nl:].tolist()))
     a4 = check_a4(instance, primal)
     return primal, DualCertificate(lam, mu, KKTReport(*blocks, a4.holds, a4.s_sizes))
 
@@ -374,13 +373,15 @@ def argmax_ties(instance: NetworkInstance, primal: PrimalSolution
     More than one member means the bounding duals on that (group, link) are
     not unique; downstream consumers get the tie set instead of a warning.
     """
+    rates = {key: [] for key in instance.members_on_link}
+    for route in instance.routes:  # agent order, so each list is in member order
+        x = primal.x[route.agent]
+        for lid, a in route.weights:
+            rates[(route.agent.group, lid)].append((route.agent.member, a * x))
     ties = {}
-    for (k, lid), members in instance.members_on_link.items():
-        vals = {i: instance.alpha[(AgentId(k, i), lid)] * primal.x[AgentId(k, i)]
-                for i in members}
-        peak = max(vals.values())
-        ties[(k, lid)] = [i for i, v in vals.items()
-                          if v >= peak - 1e-6 * max(1.0, peak)]
+    for key, vals in rates.items():
+        peak = max(v for _, v in vals)
+        ties[key] = [i for i, v in vals if v >= peak - 1e-6 * max(1.0, peak)]
     return ties
 
 
@@ -391,8 +392,7 @@ def solution_to_dict(instance: NetworkInstance, primal: PrimalSolution,
         "m": {f"{k}|{lid}": primal.m[(k, lid)]
               for (k, lid) in sorted(primal.m)},
         "lambda": {lid: dual.lam[lid] for lid in instance.link_ids},
-        "mu": {f"{ki.label}|{lid}": dual.mu[(ki, lid)]
-               for (ki, lid) in sorted(dual.mu, key=lambda p: (p[0], p[1]))},
+        "mu": {f"{ki.label}|{lid}": dual.mu[(ki, lid)] for (ki, lid) in sorted(dual.mu)},
         "residuals": dual.residuals.as_dict(),
         "welfare": welfare(instance, primal.x),
         "peak_ties": {f"{k}|{lid}": v

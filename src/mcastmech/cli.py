@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .centralized import DEFAULT_TOL, check_a4, solution_to_dict, solve_cp
+from .centralized import DEFAULT_TOL, solution_to_dict, solve_cp
 from .equilibrium import (br_dynamics, certify_ne, construct_ne,
                           default_epsilon, lemma_suite, tune_params)
 from .errors import (DegenerateInstanceError, EquilibriumError,
@@ -108,24 +108,23 @@ def _mech_workers(n_jobs: int) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    require_valid(instance)
-    primal, dual = solve_cp(instance, tol=args.tol, init_seed=args.seed)
-    a4 = check_a4(instance, primal)
-    if args.require_a4 and not a4.holds:
+    primal, dual = solve_cp(instance, tol=args.tol, init_seed=args.seed)  # validates first
+    report = dual.residuals
+    if args.require_a4 and not report.a4_holds:
         raise SharingAssumptionError(
             "optimum has a link with fewer than two demanding groups: "
-            + ", ".join(sorted(l for l, c in a4.s_sizes.items() if c < 2)))
+            + ", ".join(sorted(l for l, c in report.s_sizes.items() if c < 2)))
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "solution.json"),
            _dump(solution_to_dict(instance, primal, dual)))
     _write(os.path.join(args.out, "kkt_report.json"),
-           _dump(dual.residuals.as_dict()))
+           _dump(report.as_dict()))
     _write_manifest(args.out, "solve", {
         "instance": args.instance, "tol": args.tol, "seed": args.seed,
         "require_a4": args.require_a4, "out": args.out,
     })
     print(f"solve ok: welfare={welfare(instance, primal.x):.12g} "
-          f"max_residual={dual.residuals.max_residual:.3e} a4={a4.holds}")
+          f"max_residual={report.max_residual:.3e} a4={report.a4_holds}")
     return EXIT_OK
 
 
@@ -199,7 +198,7 @@ def _sweep_one(job: Tuple) -> Dict[str, object]:
             cand_primal, cand_dual = solve_cp(cand_inst, tol=tol)
         except (ValidationFailure, SolverError):
             continue
-        if check_a4(cand_inst, cand_primal).holds:
+        if cand_dual.residuals.a4_holds:
             instance, primal, dual = cand_inst, cand_primal, cand_dual
             row["instance_seed"] = instance_seed
             row["resample_tries"] = attempt

@@ -37,7 +37,7 @@ from .centralized import DualCertificate, PrimalSolution, check_a4
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
                         MechanismParams, Message, Profile, VARIANT_SBB,
-                        _evaluators, allocate, evaluate)
+                        _allocate, _evaluators, _read, _tables, evaluate)
 from .model import AgentId, NetworkInstance, RATE_ATOL, constraint_violation, seq_sum
 
 
@@ -178,19 +178,20 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
         bad = sorted(l for l, c in a4.s_sizes.items() if c < 2)
         raise SharingAssumptionError(
             f"single demanding group at the optimum on: {', '.join(bad)}")
-    sbb = params.variant == VARIANT_SBB
-    y = {ki: primal.x[ki] for ki in instance.agents}
-    alloc = allocate(instance, y)
+    T = _tables(instance)
+    ys = [primal.x[ki] for ki in T.agents]
+    alloc = _allocate(T, ys)
     if abs(alloc.r - 1.0) > 1e-6:
         raise EquilibriumError(f"replayed scale {alloc.r} is not 1")
-    profile: Profile = {}
-    for ki in instance.agents:
-        q = {}
-        for lid in instance.links_of[ki]:
-            succ = instance.succ_on_link[(ki, lid)]
-            q[lid] = (dual.mu[(ki, lid)], dual.mu[(succ, lid)])
-        profile[ki] = Message(y[ki], q, alloc.r if sbb else None)
-    err = max(abs(alloc.x[ki] - primal.x[ki]) for ki in instance.agents)
+    # Per pair: its own dual, then its successor's (its own when alone in its group there).
+    mus = [dual.mu[(ki, lid)] for ki, route in zip(T.agents, T.routes) for lid in route]
+    quotes = [(mu, mu if succ < 0 else mus[succ])
+              for mu, (_, _, _, _, _, succ) in zip(mus, T.pairs)]
+    rho = alloc.r if params.variant == VARIANT_SBB else None
+    profile: Profile = {
+        ki: Message(y, dict(zip(route, quotes[lo:hi])), rho)
+        for ki, route, y, lo, hi in zip(T.agents, T.routes, ys, T.starts, T.starts[1:])}
+    err = max(abs(x - y) for x, y in zip(alloc.x.values(), ys))
     if err > 1e-6 * max(1.0, max(abs(v) for v in primal.x.values())):
         raise EquilibriumError(f"replayed rates drift from the optimum by {err:.3e}")
     return CandidateNE(profile, params)
@@ -437,51 +438,40 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
 # Lemma suite
 
 def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaReport:
-    """Numeric residual of every equilibrium property at the given profile."""
-    params = candidate.params
+    """Numeric residual of every equilibrium property at the given profile.
+
+    Read through the instance tables, in the order of a loop over links
+    and groups, then agents and their route links."""
     profile = candidate.profile
-    sbb = params.variant == VARIANT_SBB
-    out = evaluate(instance, profile, params)
+    sbb = candidate.params.variant == VARIANT_SBB
+    out = evaluate(instance, profile, candidate.params)
+    T = _tables(instance)
+    msgs, _, q1s, q2s = _read(T, profile)
+    # evaluate keys x and taxes in agent order, w and m in slot order
+    xs, ws, ms = list(out.x.values()), list(out.w.values()), list(out.m.values())
 
-    equal_prices = max(abs(out.w[p] - out.w_bar[p]) for p in out.w)
-
-    dual_feas = 0.0
-    for ki in instance.agents:
-        msg = profile[ki]
-        for pair in msg.q.values():
-            dual_feas = max(dual_feas, -min(pair))
-        if sbb:
-            dual_feas = max(dual_feas, -msg.rho)
+    equal_prices = max([abs(w - out.w_bar[key]) for key, w in out.w.items()])
+    # the most negative quote or rho; -min(q) is max(-q) bit for bit
+    dual_feas = max(0.0, -min(q1s), -min(q2s), -min([msg.rho for msg in msgs]) if sbb else 0.0)
 
     comp = 0.0
-    for lid in instance.link_ids:
-        slack = instance.capacity[lid] - seq_sum(out.m[(k, lid)]
-                                                  for k in instance.groups_on_link[lid])
-        for k in instance.groups_on_link[lid]:
-            comp = max(comp, abs(out.w[(k, lid)] * slack))
-    for ki in instance.agents:
-        for lid in instance.links_of[ki]:
-            gap = instance.alpha[(ki, lid)] * out.x[ki] - out.m[(ki.group, lid)]
-            comp = max(comp, abs(profile[ki].q[lid][0] * gap))
+    for c, slots in zip(T.capacity, T.link_slots):
+        slack = c - seq_sum([ms[s] for s in slots])
+        comp = max(comp, *[abs(ws[s] * slack) for s in slots])
+    comp = max(comp, *[abs(q1 * (alpha * xs[a] - ms[s]))
+                       for (a, _, s, alpha, _, _), q1 in zip(T.pairs, q1s)])
 
-    stat = 0.0
-    for ki in instance.agents:
-        price = seq_sum(instance.alpha[(ki, lid)] * profile[ki].q[lid][0]
-                         for lid in instance.links_of[ki])
-        resid = instance.valuation(ki).deriv(out.x[ki]) - price
-        thresh = RATE_ATOL * max(instance.capacity[lid]
-                                 for lid in instance.links_of[ki])
-        stat = max(stat, abs(resid) if out.x[ki] > thresh else max(0.0, resid))
-
-    ir = 0.0
-    for ki in instance.agents:
+    prices = [alpha * q1 for (_, _, _, alpha, _, _), q1 in zip(T.pairs, q1s)]
+    caps = [T.capacity[l] for _, l, _, _, _, _ in T.pairs]
+    stat = ir = 0.0
+    for ki, x, tax, lo, hi in zip(T.agents, xs, out.taxes.values(), T.starts, T.starts[1:]):
         val = instance.valuation(ki)
-        ir = max(ir, val.value(0.0) - (val.value(out.x[ki]) - out.taxes[ki].total))
+        resid = val.deriv(x) - seq_sum(prices[lo:hi])
+        stat = max(stat, abs(resid) if x > RATE_ATOL * max(caps[lo:hi]) else max(0.0, resid))
+        ir = max(ir, val.value(0.0) - (val.value(x) - tax.total))
     wbb_gap = max(0.0, -out.total_tax)
     sbb_gap = abs(out.total_tax) if sbb else 0.0
-    rho_gap = 0.0
-    if sbb:
-        rho_gap = max(abs(profile[ki].rho - out.r) for ki in instance.agents)
+    rho_gap = max(abs(msg.rho - out.r) for msg in msgs) if sbb else 0.0
     return LemmaReport(equal_prices, dual_feas, comp, stat, ir, wbb_gap,
                        sbb_gap, rho_gap)
 

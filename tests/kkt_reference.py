@@ -10,14 +10,23 @@ so it is a reference for finite inputs only.
 interior-point direction: the full (n_x + n_m) square normal matrix and
 its diagonally equilibrated solve, which the library's step replaces by
 eliminating the m-block.
+
+``reference_a4``, ``reference_ties``, ``reference_quotes`` and
+``reference_lemmas`` are the dict-walk forms of ``check_a4``,
+``argmax_ties``, ``construct_ne``'s quotes and ``lemma_suite``: they look
+every entry up by its (agent, link) or (group, link) key, where the
+library makes single passes over the routes and the mechanism's
+instance tables.
 """
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from mcastmech import AgentId, NetworkInstance, PrimalSolution
-from mcastmech.model import RATE_ATOL
+from mcastmech import (AgentId, CandidateNE, DualCertificate, LemmaReport, NetworkInstance,
+                       PrimalSolution, evaluate)
+from mcastmech.mechanism import VARIANT_SBB
+from mcastmech.model import RATE_ATOL, seq_sum
 
 
 def reference_residuals(instance: NetworkInstance, primal: PrimalSolution,
@@ -69,8 +78,9 @@ def normal_matrix(ws, x: np.ndarray, d: np.ndarray) -> np.ndarray:
     nx, nl = ws.nx, ws.nl
     d_b = d[nx + nl:]
     b_im = ws.b_m + nx
-    N = np.zeros((ws.n, ws.n))
-    N[np.arange(nx), np.arange(nx)] = d[:nx] - ws.d2value(x)
+    N = np.zeros((nx + ws.nm, nx + ws.nm))
+    second = [v.second(xj) for v, xj in zip(ws.vals, x.tolist())]
+    N[np.arange(nx), np.arange(nx)] = d[:nx] - np.array(second)
     np.add.at(N, (ws.b_ix, ws.b_ix), d_b * ws.b_al ** 2)
     np.add.at(N, (b_im, b_im), d_b)
     np.add.at(N, (ws.b_ix, b_im), -d_b * ws.b_al)
@@ -84,3 +94,78 @@ def dense_direction(N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """N^-1 rhs, solved on N's symmetric diagonal equilibration."""
     scale = 1.0 / np.sqrt(np.diag(N))
     return scale * np.linalg.solve(N * scale[:, None] * scale[None, :], scale * rhs)
+
+
+def reference_a4(instance: NetworkInstance, primal: PrimalSolution
+                 ) -> Tuple[Dict[str, int], bool]:
+    """(s_sizes, holds) of check_a4, link by link and group by group."""
+    sizes = {}
+    for lid in instance.link_ids:
+        thresh = RATE_ATOL * instance.capacity[lid]
+        count = 0
+        for k in instance.groups_on_link[lid]:
+            if any(primal.x[b] > thresh for b in instance.member_agents_on_link[(k, lid)]):
+                count += 1
+        sizes[lid] = count
+    return sizes, all(c >= 2 for c in sizes.values())
+
+
+def reference_ties(instance: NetworkInstance, primal: PrimalSolution
+                   ) -> Dict[Tuple[int, str], List[int]]:
+    """argmax_ties from the weights and rates looked up per member."""
+    ties = {}
+    for (k, lid), members in instance.members_on_link.items():
+        vals = {i: instance.alpha[(AgentId(k, i), lid)] * primal.x[AgentId(k, i)]
+                for i in members}
+        peak = max(vals.values())
+        ties[(k, lid)] = [i for i, v in vals.items()
+                          if v >= peak - 1e-6 * max(1.0, peak)]
+    return ties
+
+
+def reference_quotes(instance: NetworkInstance, dual: DualCertificate
+                     ) -> Dict[AgentId, Dict[str, Tuple[float, float]]]:
+    """construct_ne's quotes: each agent's own bounding dual and its group
+    successor's on every route link."""
+    return {ki: {lid: (dual.mu[(ki, lid)], dual.mu[(instance.succ_on_link[(ki, lid)], lid)])
+                 for lid in instance.links_of[ki]}
+            for ki in instance.agents}
+
+
+def reference_lemmas(instance: NetworkInstance, candidate: CandidateNE) -> LemmaReport:
+    """lemma_suite's blocks, each read from the outcome's and the profile's dicts."""
+    profile = candidate.profile
+    sbb = candidate.params.variant == VARIANT_SBB
+    out = evaluate(instance, profile, candidate.params)
+    equal_prices = max(abs(out.w[p] - out.w_bar[p]) for p in out.w)
+    dual_feas = 0.0
+    for ki in instance.agents:
+        msg = profile[ki]
+        for pair in msg.q.values():
+            dual_feas = max(dual_feas, -min(pair))
+        if sbb:
+            dual_feas = max(dual_feas, -msg.rho)
+    comp = 0.0
+    for lid in instance.link_ids:
+        slack = instance.capacity[lid] - seq_sum(out.m[(k, lid)]
+                                                  for k in instance.groups_on_link[lid])
+        for k in instance.groups_on_link[lid]:
+            comp = max(comp, abs(out.w[(k, lid)] * slack))
+    for ki in instance.agents:
+        for lid in instance.links_of[ki]:
+            gap = instance.alpha[(ki, lid)] * out.x[ki] - out.m[(ki.group, lid)]
+            comp = max(comp, abs(profile[ki].q[lid][0] * gap))
+    stat = 0.0
+    for ki in instance.agents:
+        price = seq_sum(instance.alpha[(ki, lid)] * profile[ki].q[lid][0]
+                        for lid in instance.links_of[ki])
+        resid = instance.valuation(ki).deriv(out.x[ki]) - price
+        thresh = RATE_ATOL * max(instance.capacity[lid] for lid in instance.links_of[ki])
+        stat = max(stat, abs(resid) if out.x[ki] > thresh else max(0.0, resid))
+    ir = 0.0
+    for ki in instance.agents:
+        val = instance.valuation(ki)
+        ir = max(ir, val.value(0.0) - (val.value(out.x[ki]) - out.taxes[ki].total))
+    rho_gap = max(abs(profile[ki].rho - out.r) for ki in instance.agents) if sbb else 0.0
+    return LemmaReport(equal_prices, dual_feas, comp, stat, ir, max(0.0, -out.total_tax),
+                       abs(out.total_tax) if sbb else 0.0, rho_gap)

@@ -9,7 +9,11 @@ chains 101-112 at attempts 0-5, the rest at attempts 0-3). Draws the
 generator rejects are skipped. Each draw is solved at the default tol;
 the script prints the solved and failed counts, the worst final residual,
 the total solve time (also per family: acceptance-shaped draws and
-chains) and a histogram of interior-point steps per solve.
+chains), a histogram of interior-point steps per solve, and the mean cost
+of one interior-point step (``_mehrotra_step``) and of one iterate
+measurement (``_finish`` plus ``_residual``) in microseconds. The timers
+wrap those functions, so they add a few microseconds per call; compare
+the figures between runs of this script, not with a profiler's.
 
 Not collected by pytest (the name does not start with ``test_``); it is
 the shared yardstick for changes to ``solve_cp``.
@@ -48,20 +52,31 @@ def corpus():
     return out
 
 
+def timed(name, spent, calls):
+    """Wrap centralized.<name> so that each call adds its wall time to
+    spent[name] and one to calls[name]."""
+    real = getattr(centralized, name)
+
+    def wrapper(*args):
+        start = time.perf_counter()
+        try:
+            return real(*args)
+        finally:
+            spent[name] += time.perf_counter() - start
+            calls[name] += 1
+
+    setattr(centralized, name, wrapper)
+
+
 def main():
-    steps = [0]
-    real_step = centralized._mehrotra_step
-
-    def counted(*args):
-        steps[0] += 1
-        return real_step(*args)
-
-    centralized._mehrotra_step = counted
+    spent, calls = collections.Counter(), collections.Counter()
+    for name in ("_mehrotra_step", "_finish", "_residual"):
+        timed(name, spent, calls)
     solved, failed, worst = 0, [], (0.0, None)
     times = collections.Counter()
     step_counts = []
     for label, inst in corpus():
-        steps[0] = 0
+        before = calls["_mehrotra_step"]
         start = time.perf_counter()
         try:
             _, dual = solve_cp(inst)
@@ -71,7 +86,7 @@ def main():
         finally:
             times[label.split("-")[0]] += time.perf_counter() - start
         solved += 1
-        step_counts.append(steps[0])
+        step_counts.append(calls["_mehrotra_step"] - before)
         worst = max(worst, (dual.residuals.max_residual, label))
     print(f"solved {solved}, failed {len(failed)}")
     for line in failed:
@@ -82,6 +97,9 @@ def main():
     histogram = collections.Counter(n // 5 * 5 for n in step_counts)
     print(f"steps per solve (mean {sum(step_counts) / max(1, solved):.2f}):",
           ", ".join(f"{lo}-{lo + 4}: {n}" for lo, n in sorted(histogram.items())))
+    measure = (spent["_finish"] + spent["_residual"]) / max(1, calls["_finish"])
+    print(f"per step {1e6 * spent['_mehrotra_step'] / max(1, calls['_mehrotra_step']):.0f} us, "
+          f"per iterate measurement (_finish + _residual) {1e6 * measure:.0f} us")
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from mcastmech.mechanism import DeviationEvaluator, _evaluators
 
 from conftest import batch_shape, coherent_quotes
 from grid_reference import bisected_cuts, grid_best_response
+from kkt_reference import reference_lemmas, reference_quotes
 
 WBB = MechanismParams(variant="wbb")
 
@@ -727,3 +728,19 @@ def test_curvature_eigenvalues_match_separate_calls(certified_batch):
             report = curvature_check(r.instance, v.candidate)
             ref = _separate_max_eigs(r.instance, v.candidate)
             assert {ki: (a.max_eig, a.passed) for ki, a in report.agents.items()} == ref
+
+
+def test_table_walks_match_dict_walks(certified_batch):
+    """construct_ne's quotes and lemma_suite's blocks, read through the
+    mechanism's instance tables, equal the per-key dict walks bit for bit,
+    quote order included, on batch seeds 1-50 in both variants."""
+    records, _ = certified_batch
+    for r in records:
+        quotes = reference_quotes(r.instance, r.dual)
+        for v in (r.wbb, r.sbb):
+            profile = v.candidate.profile
+            assert {ki: list(m.q.items()) for ki, m in profile.items()} == \
+                {ki: list(q.items()) for ki, q in quotes.items()}, r.seed
+            ref = reference_lemmas(r.instance, v.candidate).as_dict()
+            assert {k: float.hex(b) for k, b in v.lemmas.as_dict().items()} == \
+                {k: float.hex(b) for k, b in ref.items()}, r.seed

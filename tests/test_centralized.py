@@ -8,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcastmech import (
+    EXP_SAT,
     LOG_SAT,
     AgentId,
     PrimalSolution,
     allocate,
+    argmax_ties,
     check_a4,
     constraint_violation,
     kkt_residuals,
@@ -24,7 +26,9 @@ from mcastmech import centralized
 from mcastmech.errors import SolverError
 
 from conftest import batch_shape, make_instance
-from kkt_reference import dense_direction, normal_matrix, reference_residuals
+from kkt_reference import (dense_direction, normal_matrix, reference_a4, reference_residuals,
+                           reference_ties)
+from solve_corpus import corpus
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +174,15 @@ def test_structured_direction_solves_the_dense_system(instance, monkeypatch):
     """Every predictor and corrector direction of a solve, from the
     eliminated m-block, solves the dense normal equations N dz = rhs to a
     relative residual of 1e-9, as the dense equilibrated solve does."""
-    calls = []
-    real = centralized._newton_solver
+    calls, iterate = [], []
+    real, real_step = centralized._newton_solver, centralized._mehrotra_step
 
-    def recording(ws, x, d):
-        solve = real(ws, x, d)
+    def stepping(ws, z, s, y):  # the solver takes v''(x), not x: record x here
+        iterate[:] = [z[:ws.nx]]
+        return real_step(ws, z, s, y)
+
+    def recording(ws, d, d2v):
+        solve, x = real(ws, d, d2v), iterate[0]
 
         def recorded(rhs):
             dz = solve(rhs)
@@ -182,6 +190,7 @@ def test_structured_direction_solves_the_dense_system(instance, monkeypatch):
             return dz
         return recorded
 
+    monkeypatch.setattr(centralized, "_mehrotra_step", stepping)
     monkeypatch.setattr(centralized, "_newton_solver", recording)
     solve_cp(instance(), tol=1e-9)
     assert calls
@@ -190,6 +199,56 @@ def test_structured_direction_solves_the_dense_system(instance, monkeypatch):
         bound = 1e-9 * np.max(np.abs(rhs))
         assert np.max(np.abs(N @ dz - rhs)) <= bound
         assert np.max(np.abs(N @ dense_direction(N, rhs) - rhs)) <= bound
+
+
+@pytest.mark.parametrize("bx", [0.0, 1.7, 30.0, 41.5],
+                         ids=["zero", "mid", "saturated", "deep"])
+def test_step_slopes_match_the_valuations(bx):
+    """The step's v' is each valuation's deriv, and its v'', derived from
+    v' elementwise, is each valuation's second to 4e-15 relative, for both
+    families at b * x = bx."""
+    inst = make_instance({"l1": 10.0}, [
+        (1, 1, LOG_SAT, 2.7, 1.9, {"l1": 1.0}), (1, 2, LOG_SAT, 0.6, 4.3, {"l1": 1.0}),
+        (2, 1, EXP_SAT, 3.1, 0.7, {"l1": 1.0}), (2, 2, EXP_SAT, 0.9, 4.9, {"l1": 1.0})])
+    ws = centralized._Workspace(inst)
+    x = np.array([bx / v.b for v in ws.vals])
+    dv, d2v = ws.slopes(x)
+    for v, xj, first, second in zip(ws.vals, x.tolist(), dv.tolist(), d2v.tolist()):
+        assert first == v.deriv(xj)
+        assert abs(second - v.second(xj)) <= 4e-15 * abs(v.second(xj))
+
+
+def test_step_lengths_match_per_vector_minimum():
+    """One call's two step lengths are, bit for bit, the smallest -v / dv
+    over the negative entries of (s, ds) and of (y, dy), capped at 1."""
+    rng = np.random.default_rng(5)
+
+    def alone(v, dv):
+        return min([1.0] + [-a / b for a, b in zip(v.tolist(), dv.tolist()) if b < 0.0])
+
+    for n in (1, 3, 40):
+        for _ in range(50):
+            s, y = rng.uniform(1e-6, 2.0, (2, n))
+            ds, dy = rng.normal(size=(2, n)) * rng.choice([0.0, 1e-3, 1.0, 1e3], (2, n))
+            assert centralized._max_steps(s, ds, y, dy) == [alone(s, ds), alone(y, dy)]
+
+
+def test_single_pass_scans_match_dict_walks(two_member_instance, a4_fail_instance):
+    """check_a4 and argmax_ties equal the link-by-link dict walks, key order
+    included, on every fifth corpus draw, on a peak tie and on a starved
+    group; the solver's own sharing report is check_a4's."""
+    cases = [inst for _, inst in corpus()[::5]] + [two_member_instance, a4_fail_instance]
+    for inst in cases:
+        primal, dual = solve_cp(inst)
+        a4 = check_a4(inst, primal)
+        assert (a4.s_sizes, a4.holds) == reference_a4(inst, primal)
+        assert list(a4.s_sizes) == list(inst.link_ids)
+        assert (dual.residuals.s_sizes, dual.residuals.a4_holds) == (a4.s_sizes, a4.holds)
+        ties = argmax_ties(inst, primal)
+        assert list(ties.items()) == list(reference_ties(inst, primal).items())
+    assert argmax_ties(two_member_instance, solve_cp(two_member_instance)[0]) == {
+        (1, "l1"): [1, 2], (2, "l1"): [1]}
+    assert not check_a4(a4_fail_instance, solve_cp(a4_fail_instance)[0]).holds
 
 
 def test_saturated_draw_replays_exactly():
