@@ -37,7 +37,6 @@ positive member rate on each link).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -45,7 +44,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import SolverError
-from .model import LOG_SAT, AgentId, NetworkInstance, RATE_ATOL, require_valid, welfare
+from .model import (LOG_SAT, AgentId, NetworkInstance, RATE_ATOL, _tables, canonical_json,
+                    require_valid, welfare)
 
 #: Default target for the max KKT residual across all blocks.
 DEFAULT_TOL = 1e-9
@@ -106,44 +106,38 @@ class A4Report:
 
 
 class _Workspace:
-    """Index bookkeeping for the stacked variable vector z = [x..., m...] and
-    the stacked slack vector s = [x..., capacity slacks..., bounding slacks...].
+    """The stacked variable vector z = [x..., m...] and the stacked slack
+    vector s = [x..., capacity slacks..., bounding slacks...] as arrays over
+    the instance's compiled tables (model._tables).
 
-    Bounding rows run agent-major with each agent's links sorted, m runs
-    link-major in groups_on_link order. Agents are sorted too, so a
-    bincount over bounding rows or m adds in the order of a loop over
-    links_of, member_agents_on_link or groups_on_link."""
+    m runs over the tables' slots (mpairs: link by link, groups ascending)
+    and the bounding rows over their pairs (bnd: agent by agent along each
+    sorted route), so a bincount over bounding rows or m adds in the order
+    of a loop over links_of, member_agents_on_link or groups_on_link."""
 
     def __init__(self, inst: NetworkInstance):
-        self.agents = list(inst.agents)
+        T = _tables(inst)
+        self.agents, self.mpairs, self.bnd = T.agents, T.slot_keys, T.pair_keys
         self.vals = [inst.valuation(ki) for ki in self.agents]
         # v'' = -v' * (k_b + v' / k_a): -v' * v' / a for log_sat, -b * v' for exp_sat
         self.k_b, self.k_a = np.array([(0.0, v.a) if v.family == LOG_SAT else (v.b, math.inf)
                                        for v in self.vals]).T
-        self.mpairs = [(k, lid) for lid in inst.link_ids for k in inst.groups_on_link[lid]]
-        self.midx = {p: j for j, p in enumerate(self.mpairs)}
         self.nx = len(self.agents)
         self.nm = len(self.mpairs)
-        self.nl = len(inst.link_ids)
-        self.m_link = np.repeat(np.arange(self.nl), [len(g) for g in inst.groups_on_link.values()])
-        # One pass over the routes (agent order): a bounding row per (agent, route
-        # link) with its agent, m entry and weight, and each agent's top capacity.
-        self.bnd, rows, top = [], [], []
-        for j, route in enumerate(inst.routes):
-            for lid, a in sorted(route.weights):
-                self.bnd.append((route.agent, lid))
-                rows.append((j, self.midx[(route.agent.group, lid)], a))
-            top.append(max(inst.capacity[lid] for lid, _ in route.weights))
-        self.b_ix, self.b_m, self.b_al = (np.array(col) for col in zip(*rows))
+        self.nl = len(T.link_ids)
+        self.m_link = np.array(T.slot_link)
+        # A bounding row per table pair: its agent, link, m entry and weight.
+        b_ix, b_link, b_m, b_al, _, _ = zip(*T.pairs)
+        self.b_ix, self.b_m, self.b_al = np.array(b_ix), np.array(b_m), np.array(b_al)
         # Each bounding row's flat (agent, link) position, and peers i != j.
-        self.b_xl = self.b_ix * self.nl + self.m_link[self.b_m]
+        self.b_xl = self.b_ix * self.nl + np.array(b_link)
         group = np.array([ki.group for ki in self.agents])
         self.peers = np.equal.outer(group, group) - np.eye(self.nx)
-        self.caps = np.array([inst.capacity[lid] for lid in inst.link_ids])
+        self.caps = np.array(T.capacity)
         self.offset = np.concatenate((np.zeros(self.nx), self.caps,
                                       np.zeros(len(self.bnd))))
         # Rates at or below this count as zero in the stationarity block.
-        self.thresh = RATE_ATOL * np.array(top)
+        self.thresh = RATE_ATOL * np.array(T.top_capacity)
 
     def dvalue(self, x: np.ndarray) -> np.ndarray:
         return np.array([v.deriv(xj) for v, xj in zip(self.vals, x.tolist())])
@@ -402,5 +396,4 @@ def solution_to_dict(instance: NetworkInstance, primal: PrimalSolution,
 
 def solution_to_json(instance: NetworkInstance, primal: PrimalSolution,
                      dual: DualCertificate) -> str:
-    return json.dumps(solution_to_dict(instance, primal, dual),
-                      indent=2, sort_keys=True) + "\n"
+    return canonical_json(solution_to_dict(instance, primal, dual))

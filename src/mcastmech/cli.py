@@ -44,7 +44,7 @@ from .errors import (DegenerateInstanceError, EquilibriumError,
 from .mechanism import (MechanismParams, VARIANT_SBB, VARIANTS, evaluate,
                         outcome_to_dict, profile_from_json, profile_to_json,
                         validate_profile, zero_message)
-from .model import load_instance, random_instance, require_valid, welfare
+from .model import canonical_json, load_instance, random_instance, require_valid, welfare
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -78,10 +78,6 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _dump(doc: Dict[str, object]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _write_manifest(out_dir: str, command: str, config: Dict[str, object]) -> None:
     doc = {
         "command": command,
@@ -91,7 +87,7 @@ def _write_manifest(out_dir: str, command: str, config: Dict[str, object]) -> No
         "numpy": np.__version__,
         "config": config,
     }
-    _write(os.path.join(out_dir, "manifest.json"), _dump(doc))
+    _write(os.path.join(out_dir, "manifest.json"), canonical_json(doc))
 
 
 def _mech_workers(n_jobs: int) -> int:
@@ -116,9 +112,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             + ", ".join(sorted(l for l, c in report.s_sizes.items() if c < 2)))
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "solution.json"),
-           _dump(solution_to_dict(instance, primal, dual)))
+           canonical_json(solution_to_dict(instance, primal, dual)))
     _write(os.path.join(args.out, "kkt_report.json"),
-           _dump(report.as_dict()))
+           canonical_json(report.as_dict()))
     _write_manifest(args.out, "solve", {
         "instance": args.instance, "tol": args.tol, "seed": args.seed,
         "require_a4": args.require_a4, "out": args.out,
@@ -138,9 +134,8 @@ def _params_from(args: argparse.Namespace) -> MechanismParams:
 
 def _certify_single(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    require_valid(instance)
     params = _params_from(args)
-    primal, dual = solve_cp(instance, tol=args.tol)
+    primal, dual = solve_cp(instance, tol=args.tol)  # validates first
     params, shrinks, curv = tune_params(instance, primal, dual, params)
     candidate = construct_ne(instance, primal, dual, params)
     epsilon = args.epsilon if args.epsilon is not None else \
@@ -153,15 +148,15 @@ def _certify_single(args: argparse.Namespace) -> int:
     _write(os.path.join(args.out, "equilibrium_profile.json"),
            profile_to_json(candidate.profile))
     _write(os.path.join(args.out, "outcome.json"),
-           _dump(outcome_to_dict(instance, outcome)))
-    _write(os.path.join(args.out, "certification.json"), _dump(report.as_dict()))
+           canonical_json(outcome_to_dict(instance, outcome)))
+    _write(os.path.join(args.out, "certification.json"), canonical_json(report.as_dict()))
     lemma_doc = lemmas.as_dict()
-    _write(os.path.join(args.out, "lemmas.json"), _dump(lemma_doc))
+    _write(os.path.join(args.out, "lemmas.json"), canonical_json(lemma_doc))
     curv_doc = {"agents": curv.as_dict(), "all_pass": curv.all_pass,
                 "auto_shrink_iterations": shrinks,
                 "params": {"eta": params.eta, "xi": params.xi,
                            "zeta": params.zeta, "variant": params.variant}}
-    _write(os.path.join(args.out, "curvature.json"), _dump(curv_doc))
+    _write(os.path.join(args.out, "curvature.json"), canonical_json(curv_doc))
     _write_manifest(args.out, "certify", {
         "instance": args.instance, "variant": args.variant,
         "eta": args.eta, "xi": args.xi, "zeta": args.zeta,
@@ -182,20 +177,19 @@ def _certify_single(args: argparse.Namespace) -> int:
 _SWEEP_TRIES = 25
 
 
-def _sweep_one(job: Tuple) -> Dict[str, object]:
+def _sweep_one(job: Tuple[int, argparse.Namespace]) -> Dict[str, object]:
     """Worker for one sweep seed: sample an instance until the sharing
     condition holds at the optimum, then construct and certify."""
-    (seed, variant, eta, xi, zeta, tol, epsilon_opt, budget,
-     groups, members, links, density) = job
+    seed, args = job
     row: Dict[str, object] = {"seed": seed, "status": "ok"}
     instance = primal = dual = None
     for attempt in range(_SWEEP_TRIES):
         instance_seed = seed * 1009 + attempt
         try:
-            cand_inst = random_instance(instance_seed, n_groups=groups,
-                                        max_group_size=members, n_links=links,
-                                        density=density)
-            cand_primal, cand_dual = solve_cp(cand_inst, tol=tol)
+            cand_inst = random_instance(instance_seed, n_groups=args.sweep_groups,
+                                        max_group_size=args.sweep_members,
+                                        n_links=args.sweep_links, density=args.sweep_density)
+            cand_primal, cand_dual = solve_cp(cand_inst, tol=args.tol)
         except (ValidationFailure, SolverError):
             continue
         if cand_dual.residuals.a4_holds:
@@ -207,12 +201,11 @@ def _sweep_one(job: Tuple) -> Dict[str, object]:
         row["status"] = "skipped"
         return row
     try:
-        params = MechanismParams(eta=eta, xi=xi, zeta=zeta, variant=variant)
-        params, shrinks, _ = tune_params(instance, primal, dual, params)
+        params, shrinks, _ = tune_params(instance, primal, dual, _params_from(args))
         candidate = construct_ne(instance, primal, dual, params)
-        epsilon = epsilon_opt if epsilon_opt is not None else \
+        epsilon = args.epsilon if args.epsilon is not None else \
             default_epsilon(instance, primal)
-        report = certify_ne(instance, candidate, epsilon, budget=budget)
+        report = certify_ne(instance, candidate, epsilon, budget=args.budget)
         lemmas = lemma_suite(instance, candidate)
         outcome = evaluate(instance, candidate.profile, params)
         drift = max(abs(outcome.x[ki] - primal.x[ki]) for ki in instance.agents)
@@ -244,10 +237,7 @@ _SWEEP_COLUMNS = [
 
 
 def _certify_sweep(args: argparse.Namespace, seeds: List[int]) -> int:
-    jobs = [(seed, args.variant, args.eta, args.xi, args.zeta, args.tol,
-             args.epsilon, args.budget, args.sweep_groups,
-             args.sweep_members, args.sweep_links, args.sweep_density)
-            for seed in sorted(seeds)]
+    jobs = [(seed, args) for seed in sorted(seeds)]
     workers = _mech_workers(len(jobs))
     if workers == 1:
         rows = [_sweep_one(job) for job in jobs]
@@ -339,7 +329,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         writer.writeheader()
         for row in result.rows:
             writer.writerow(row)
-    _write(os.path.join(args.out, "dynamics.json"), _dump({
+    _write(os.path.join(args.out, "dynamics.json"), canonical_json({
         "fixed_point": result.fixed_point,
         "rounds_run": result.rounds_run,
         "schedule": args.schedule,

@@ -28,7 +28,7 @@ sweep drivers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -37,8 +37,9 @@ from .centralized import DualCertificate, PrimalSolution, check_a4
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
                         MechanismParams, Message, Profile, VARIANT_SBB,
-                        _allocate, _evaluators, _read, _tables, evaluate)
-from .model import AgentId, NetworkInstance, RATE_ATOL, constraint_violation, seq_sum
+                        _evaluate, _evaluators, allocate, evaluate)
+from .model import (AgentId, NetworkInstance, RATE_ATOL, _tables, constraint_violation,
+                    seq_sum)
 
 
 @dataclass
@@ -103,16 +104,7 @@ class LemmaReport:
     rho_consensus: float
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "equal_prices": self.equal_prices,
-            "dual_feas": self.dual_feas,
-            "comp_slack": self.comp_slack,
-            "stationarity": self.stationarity,
-            "ir": self.ir,
-            "wbb": self.wbb,
-            "sbb": self.sbb,
-            "rho_consensus": self.rho_consensus,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -180,7 +172,7 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
             f"single demanding group at the optimum on: {', '.join(bad)}")
     T = _tables(instance)
     ys = [primal.x[ki] for ki in T.agents]
-    alloc = _allocate(T, ys)
+    alloc = allocate(instance, primal.x)
     if abs(alloc.r - 1.0) > 1e-6:
         raise EquilibriumError(f"replayed scale {alloc.r} is not 1")
     # Per pair: its own dual, then its successor's (its own when alone in its group there).
@@ -440,19 +432,18 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
 def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaReport:
     """Numeric residual of every equilibrium property at the given profile.
 
-    Read through the instance tables, in the order of a loop over links
+    Read from the outcome and the read of the profile that evaluate
+    priced, through the instance tables, in the order of a loop over links
     and groups, then agents and their route links."""
-    profile = candidate.profile
     sbb = candidate.params.variant == VARIANT_SBB
-    out = evaluate(instance, profile, candidate.params)
-    T = _tables(instance)
-    msgs, _, q1s, q2s = _read(T, profile)
-    # evaluate keys x and taxes in agent order, w and m in slot order
-    xs, ws, ms = list(out.x.values()), list(out.w.values()), list(out.m.values())
+    read, out = _evaluate(instance, candidate.profile, candidate.params)
+    T, q1s, ws, rhos = read.T, read.q1s, read.ws, read.rhos
+    # evaluate keys x and taxes in agent order, m in slot order
+    xs, ms = list(out.x.values()), list(out.m.values())
 
     equal_prices = max([abs(w - out.w_bar[key]) for key, w in out.w.items()])
     # the most negative quote or rho; -min(q) is max(-q) bit for bit
-    dual_feas = max(0.0, -min(q1s), -min(q2s), -min([msg.rho for msg in msgs]) if sbb else 0.0)
+    dual_feas = max(0.0, -min(q1s), -min(read.q2s), -min(rhos) if sbb else 0.0)
 
     comp = 0.0
     for c, slots in zip(T.capacity, T.link_slots):
@@ -462,16 +453,16 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
                        for (a, _, s, alpha, _, _), q1 in zip(T.pairs, q1s)])
 
     prices = [alpha * q1 for (_, _, _, alpha, _, _), q1 in zip(T.pairs, q1s)]
-    caps = [T.capacity[l] for _, l, _, _, _, _ in T.pairs]
     stat = ir = 0.0
-    for ki, x, tax, lo, hi in zip(T.agents, xs, out.taxes.values(), T.starts, T.starts[1:]):
+    for ki, x, tax, top, lo, hi in zip(T.agents, xs, out.taxes.values(), T.top_capacity,
+                                       T.starts, T.starts[1:]):
         val = instance.valuation(ki)
         resid = val.deriv(x) - seq_sum(prices[lo:hi])
-        stat = max(stat, abs(resid) if x > RATE_ATOL * max(caps[lo:hi]) else max(0.0, resid))
+        stat = max(stat, abs(resid) if x > RATE_ATOL * top else max(0.0, resid))
         ir = max(ir, val.value(0.0) - (val.value(x) - tax.total))
     wbb_gap = max(0.0, -out.total_tax)
     sbb_gap = abs(out.total_tax) if sbb else 0.0
-    rho_gap = max(abs(msg.rho - out.r) for msg in msgs) if sbb else 0.0
+    rho_gap = max(abs(rho - out.r) for rho in rhos) if sbb else 0.0
     return LemmaReport(equal_prices, dual_feas, comp, stat, ir, wbb_gap,
                        sbb_gap, rho_gap)
 

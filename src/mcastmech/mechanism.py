@@ -31,9 +31,11 @@ Taxes decompose per link into six slots:
      rebates return the link's payments exactly and taxes sum to zero.
 SBB adds a per-agent zeta*(rho - r)^2 consensus term on top.
 
-Each instance is compiled once into flat index tables (_Tables); evaluate()
-is one pass over them, its sums in fixed orders and its slots from
-_link_slots, so it agrees with DeviationEvaluator bit for bit.
+Each instance is compiled once into flat index tables that the solver
+reads too (model._tables), and each profile is read once (_ProfileRead).
+evaluate() prices that read in one pass, its sums in fixed orders and its
+slots from _link_slots, and every DeviationEvaluator is built from a read,
+so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import MessageShapeError
-from .model import AgentId, NetworkInstance, seq_sum
+from .model import AgentId, NetworkInstance, _Tables, _tables, canonical_json, seq_sum
 
 VARIANT_WBB = "wbb"
 VARIANT_SBB = "sbb"
@@ -125,60 +127,6 @@ def zero_message(instance: NetworkInstance, ki: AgentId, variant: str) -> Messag
     return Message(0.0, q, 0.0 if variant == VARIANT_SBB else None)
 
 
-class _Tables:
-    """An instance compiled into flat index lists, kept with it (_tables).
-
-    A slot is a (group, link) pair in member_agents_on_link order, a pair an
-    (agent, route link) pair, agent by agent along each route. Per pair: its
-    agent, link, slot, weight and group predecessor's and successor's pairs
-    (-1 when alone in its group there), and its slot's place among its
-    link's slots and its own among the slot's members. Per slot: its
-    members' pairs. Per link: its slots in group order, its agents' pairs,
-    capacity and rivals."""
-
-    def __init__(self, instance: NetworkInstance):
-        self.agents = instance.agents
-        self.link_ids = instance.link_ids
-        self.routes = [instance.links_of[ki] for ki in self.agents]
-        self.route_keys = [frozenset(route) for route in self.routes]
-        # per agent, the first route link no other agent crosses (SBB rejects it)
-        self.solo_links = [next((l for l in route if len(instance.agents_on_link[l]) < 2), None)
-                           for route in self.routes]
-        self.slot_keys = list(instance.member_agents_on_link)
-        slot_ix = {key: s for s, key in enumerate(self.slot_keys)}
-        link_ix = {lid: l for l, lid in enumerate(self.link_ids)}
-        pair_ix = {(ki, lid): p for p, (ki, lid) in enumerate(
-            (ki, lid) for ki, route in zip(self.agents, self.routes) for lid in route)}
-        self.starts = [0, *accumulate(len(route) for route in self.routes)]
-        self.pairs = []
-        for ki, lid in pair_ix:
-            alone = len(instance.members_on_link[(ki.group, lid)]) == 1
-            self.pairs.append((
-                self.agents.index(ki), link_ix[lid], slot_ix[(ki.group, lid)],
-                instance.alpha[(ki, lid)],
-                -1 if alone else pair_ix[(instance.pred_on_link[(ki, lid)], lid)],
-                -1 if alone else pair_ix[(instance.succ_on_link[(ki, lid)], lid)]))
-        self.places = [(instance.groups_on_link[lid].index(ki.group),
-                        instance.member_agents_on_link[(ki.group, lid)].index(ki))
-                       for ki, lid in pair_ix]
-        self.slot_pairs = [[pair_ix[(b, lid)] for b in members]
-                           for (_, lid), members in instance.member_agents_on_link.items()]
-        self.link_slots = [[slot_ix[(k, lid)] for k in instance.groups_on_link[lid]]
-                           for lid in self.link_ids]
-        self.link_pairs = [[pair_ix[(b, lid)] for b in instance.agents_on_link[lid]]
-                           for lid in self.link_ids]
-        self.n_on_link = [len(pairs) for pairs in self.link_pairs]
-        self.capacity = [instance.capacity[lid] for lid in self.link_ids]
-        self.rivals = [len(instance.groups_on_link[lid]) - 1 for lid in self.link_ids]
-        self.lone = next((l for l, n in enumerate(self.rivals) if n < 1), None)
-
-
-def _tables(instance: NetworkInstance) -> _Tables:
-    if not hasattr(instance, "_mech_tables"):
-        instance._mech_tables = _Tables(instance)
-    return instance._mech_tables
-
-
 def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) -> None:
     if variant not in VARIANTS:
         raise MessageShapeError(f"unknown variant {variant!r}")
@@ -207,13 +155,6 @@ def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) 
                     f"link {solo} carries a single agent, SBB rebate undefined")
         elif msg.rho is not None:
             raise MessageShapeError(f"agent {ki.label}: rho present under WBB")
-
-
-def _read(T: _Tables, profile: Profile):
-    """The messages in agent order, their demands, and each pair's quotes."""
-    msgs = [profile[ki] for ki in T.agents]
-    quotes = [msg.q[lid] for msg, route in zip(msgs, T.routes) for lid in route]
-    return msgs, [msg.y for msg in msgs], [q[0] for q in quotes], [q[1] for q in quotes]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +192,10 @@ def _peaks_offers(T: _Tables, ay: List[float]):
     return peaks, offers
 
 
-def _allocate(T: _Tables, ys: List[float]) -> AllocationResult:
-    peaks, offers = _peaks_offers(T, _weighted(T, ys))
+def _allocation(T: _Tables, ys: List[float], peaks: List[float],
+                offers: List[float]) -> AllocationResult:
+    """The allocation of demands ys (agent order) from their peaks and
+    offers (_peaks_offers)."""
     finite = [v for v in offers if v != NO_BOUND]
     r = min(finite) if finite else 0.0  # all-zero demand collapses to x = 0
     return AllocationResult(r, dict(zip(T.link_ids, offers)), dict(zip(T.slot_keys, peaks)),
@@ -262,7 +205,8 @@ def _allocate(T: _Tables, ys: List[float]) -> AllocationResult:
 
 def allocate(instance: NetworkInstance, y: Dict[AgentId, float]) -> AllocationResult:
     T = _tables(instance)
-    return _allocate(T, [y[ki] for ki in T.agents])
+    ys = [y[ki] for ki in T.agents]
+    return _allocation(T, ys, *_peaks_offers(T, _weighted(T, ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +280,21 @@ def _quote_sums(T: _Tables, q1s: List[float]) -> List[float]:
 def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParams) -> Outcome:
     """Full outcome for a message profile: allocation, prices, all taxes.
 
-    One pass over the compiled tables: w sums in member order, w_bar and link
+    One pass over the profile's read: w sums in member order, w_bar and link
     loads in group order, each total along the route, total_tax by agent."""
+    return _evaluate(instance, profile, params)[1]
+
+
+def _evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParams
+              ) -> Tuple[_ProfileRead, Outcome]:
+    """evaluate(), with the read of the profile that it priced."""
     validate_profile(instance, profile, params.variant)
-    T = _tables(instance)
+    read = _ProfileRead(instance, profile, params.variant)
+    T, ys, q1s, q2s, ws = read.T, read.ys, read.q1s, read.q2s, read.ws
     if T.lone is not None:
         _rival_count(T, T.lone)  # raises: a lone group has no rival mean
-    msgs, ys, q1s, q2s = _read(T, profile)
-    alloc = _allocate(T, ys)
+    alloc = _allocation(T, ys, read.peaks, read.offers)
     r, xs, ms = alloc.r, list(alloc.x.values()), list(alloc.m.values())
-    ws = _quote_sums(T, q1s)
     wbs, slack, w_bar = [0.0] * len(ws), [], {}
     for link_slots, n_rivals, c in zip(T.link_slots, T.rivals, T.capacity):
         total = seq_sum([ws[s] for s in link_slots])
@@ -353,10 +302,9 @@ def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParam
             wbs[s] = w_bar[T.slot_keys[s]] = (total - ws[s]) / n_rivals
         slack.append(c - seq_sum([ms[s] for s in link_slots]))
     sbb = params.variant == VARIANT_SBB
-    others, rho_bars = (_rebates(T, ys, q1s, [msg.rho for msg in msgs]) if sbb
-                        else ([0.0] * len(q1s), [None] * len(ys)))
+    rho_bars = read.rho_bars if sbb else [None] * len(ys)
     pair_slots, n_on_link = [], T.n_on_link
-    for (a, l, s, alpha, pred, succ), q1, q2, pay in zip(T.pairs, q1s, q2s, others):
+    for (a, l, s, alpha, pred, succ), q1, q2, pay in zip(T.pairs, q1s, q2s, read.others):
         wb = wbs[s]
         pair_slots.append(_link_slots(params, alpha, ys[a], xs[a], r, q1, q2,
                                       wb if succ < 0 else q2s[pred],
@@ -371,14 +319,14 @@ def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParam
             total += t1 + t2 + t3 + t4 + t5 + t6
         zeta_term = 0.0
         if sbb:
-            dev = msgs[a].rho - r
+            dev = read.rhos[a] - r
             zeta_term = params.zeta * (dev * dev)
             total += zeta_term
         taxes[ki] = TaxBreakdown(dict(zip(route, own)), zeta_term, total)
         total_tax += total
-    return Outcome(**vars(alloc), w=dict(zip(T.slot_keys, ws)), w_bar=w_bar,
-                   rho_bar=dict(zip(T.agents, rho_bars)) if sbb else {}, taxes=taxes,
-                   total_tax=total_tax)
+    return read, Outcome(**vars(alloc), w=dict(zip(T.slot_keys, ws)), w_bar=w_bar,
+                         rho_bar=dict(zip(T.agents, rho_bars)) if sbb else {}, taxes=taxes,
+                         total_tax=total_tax)
 
 
 def utilities(instance: NetworkInstance, profile: Profile,
@@ -389,23 +337,26 @@ def utilities(instance: NetworkInstance, profile: Profile,
 
 
 class _ProfileRead:
-    """One read of a profile, from which every agent's DeviationEvaluator
-    is built (_evaluators): per pair the weighted demand and the quotes,
-    per slot the peak and the first-quote sum, per link the offer and,
-    under SBB, per pair the other agents' entries in its link's rebate
-    pool and per agent the others' rho mean (None under WBB). The
-    evaluators copy what they rewrite, so the read is never written after
-    it is made."""
+    """One read of a profile, which evaluate() prices and from which every
+    agent's DeviationEvaluator is built (_evaluators): per agent the
+    demand and rho, per pair the quotes and the weighted demand, per slot
+    the peak and the first-quote sum, per link the offer and, under SBB,
+    per pair the other agents' entries in its link's rebate pool and per
+    agent the others' rho mean (None under WBB). The evaluators copy what
+    they rewrite, so the read is never written after it is made."""
 
     def __init__(self, instance: NetworkInstance, profile: Profile, variant: str):
         self.instance = instance
         self.T = T = _tables(instance)
-        msgs, ys, self.q1s, self.q2s = _read(T, profile)
-        self.ay = _weighted(T, ys)
+        msgs = [profile[ki] for ki in T.agents]
+        self.ys, self.rhos = [msg.y for msg in msgs], [msg.rho for msg in msgs]
+        quotes = [msg.q[lid] for msg, route in zip(msgs, T.routes) for lid in route]
+        self.q1s, self.q2s = [q[0] for q in quotes], [q[1] for q in quotes]
+        self.ay = _weighted(T, self.ys)
         self.peaks, self.offers = _peaks_offers(T, self.ay)
         self.ws = _quote_sums(T, self.q1s)
         self.others, self.rho_bars = (
-            _rebates(T, ys, self.q1s, [msg.rho for msg in msgs])
+            _rebates(T, self.ys, self.q1s, self.rhos)
             if variant == VARIANT_SBB else ([0.0] * len(self.q1s), None))
 
 
@@ -417,12 +368,14 @@ class _RouteLink:
     mpos) is rewritten on every evaluation and the others are never
     touched. s_mates is the sum of the group-mates' first quotes, wb the
     rival groups' mean price (all sums less the own, as utility() prices),
-    rest the other groups' peak total and others_pay the other agents'
-    entries in the SBB rebate pool. total, load and own hold what
-    DeviationEvaluator._scale derives from the last demand."""
+    pf the price factor (the predecessor's second quote, or wb when ki is
+    alone in its group, where utility() reads its live wb), rest the other
+    groups' peak total and others_pay the other agents' entries in the SBB
+    rebate pool. total, load and own hold what DeviationEvaluator._scale
+    derives from the last demand."""
 
     __slots__ = ("lid", "a", "capacity", "peak_mates", "others_demanding", "peaks",
-                 "gpos", "q1s", "mpos", "ws", "n_rivals", "pred_q2", "q1_succ",
+                 "gpos", "q1s", "mpos", "ws", "n_rivals", "pf", "q1_succ",
                  "others_pay", "n_l", "s_mates", "wb", "rest", "total", "load", "own")
 
     def __init__(self, read: _ProfileRead, p: int):
@@ -452,7 +405,7 @@ class _RouteLink:
         self.rest, self.others_demanding = rest, others_demanding
         self.ws = [read.ws[t] for t in T.link_slots[l]]
         self.wb = (seq_sum(self.ws) - self.ws[self.gpos]) / self.n_rivals
-        self.pred_q2 = None if succ < 0 else read.q2s[pred]
+        self.pf = self.wb if succ < 0 else read.q2s[pred]
         self.q1_succ = None if succ < 0 else read.q1s[succ]
         self.n_l = T.n_on_link[l]
         self.others_pay = read.others[p]
@@ -479,7 +432,7 @@ class DeviationEvaluator:
     from that read everything the other agents' messages fix: the smallest
     finite offer among links off ki's route and, per route link, the other
     groups' peaks and price sums, the group-mates' peaks, first quotes and
-    demands, the predecessor's second and the successor's first quote, and
+    demands, the price factor and the successor's first quote, and
     under SBB the sum of the others' rebate-pool entries and the mean of
     the others' rhos. certify_ne and curvature_check build every agent's
     evaluator from one shared read (_evaluators), which gives the same
@@ -561,7 +514,7 @@ class DeviationEvaluator:
             wb = (seq_sum(L.ws) - wk) / L.n_rivals
             t1, t2, t3, t4, t5, t6 = _link_slots(
                 self.params, L.a, y, x, r, q1, q2,
-                wb if L.pred_q2 is None else L.pred_q2, L.q1_succ,
+                wb if L.q1_succ is None else L.pf, L.q1_succ,
                 r * L.peaks[L.gpos], wk, wb, L.capacity - L.load,
                 rho_bar, L.n_l, L.others_pay)
             total += t1 + t2 + t3 + t4 + t5 + t6
@@ -588,9 +541,8 @@ class DeviationEvaluator:
 
     def _best_q1(self, L: _RouteLink, r: float, x: float) -> float:
         """ki's best first quote on L at scale r and rate x (best_message)."""
-        pf = L.wb if L.pred_q2 is None else L.pred_q2
         gap, slack = r * L.peaks[L.gpos] - L.a * x, L.capacity - L.load
-        return max(0.0, L.wb - L.s_mates - 0.5 * (self.params.eta * pf * gap
+        return max(0.0, L.wb - L.s_mates - 0.5 * (self.params.eta * L.pf * gap
                                                   + self.params.xi * L.wb * slack))
 
     def scale_slopes(self, y: float, side: int
@@ -653,11 +605,10 @@ class DeviationEvaluator:
         eta, xi = self.params.eta, self.params.xi
         points = []
         for L in self._route:
-            pf = L.wb if L.pred_q2 is None else L.pred_q2
             dpeak, peak0, fixed = self._peak_form(L, +1)
             k = L.wb - L.s_mates - 0.5 * xi * L.wb * L.capacity
-            u = -0.5 * (eta * pf * peak0 - xi * L.wb * fixed)
-            v = -0.5 * (eta * pf * (dpeak - L.a) - xi * L.wb * dpeak)
+            u = -0.5 * (eta * L.pf * peak0 - xi * L.wb * fixed)
+            v = -0.5 * (eta * L.pf * (dpeak - L.a) - xi * L.wb * dpeak)
             den = k * a_e + c * v
             if den:
                 points.append(-(k * rest + c * u) / den)
@@ -688,7 +639,7 @@ class DeviationEvaluator:
         hyy = self._second(x) * dx * dx + v1 * d2x
         links = []
         for j, L in enumerate(self._route):
-            pf = L.wb if L.pred_q2 is None else L.pred_q2
+            pf = L.pf
             dpeak, peak0, fixed = self._peak_form(L, side)
             gap = (r * L.peaks[L.gpos] - L.a * x,
                    dr * peak0 + (dpeak - L.a) * dx,
@@ -816,8 +767,7 @@ def message_to_dict(msg: Message) -> Dict[str, object]:
 
 
 def profile_to_json(profile: Profile) -> str:
-    doc = {ki.label: message_to_dict(profile[ki]) for ki in sorted(profile)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return canonical_json({ki.label: message_to_dict(profile[ki]) for ki in sorted(profile)})
 
 
 def profile_from_json(text: str, instance: NetworkInstance) -> Profile:
@@ -868,4 +818,4 @@ def outcome_to_dict(instance: NetworkInstance, out: Outcome) -> Dict[str, object
 
 
 def outcome_to_json(instance: NetworkInstance, out: Outcome) -> str:
-    return json.dumps(outcome_to_dict(instance, out), indent=2, sort_keys=True) + "\n"
+    return canonical_json(outcome_to_dict(instance, out))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
@@ -159,15 +160,19 @@ class NetworkInstance:
         for ki in self.agents:
             for lid in self.links_of[ki]:
                 members.setdefault((ki.group, lid), []).append(ki.member)
+        # The one slot order: (group, link) slots link by link, groups
+        # ascending. The solver's m, the compiled tables (_tables) and every
+        # per-slot dict of the mechanism run in it.
         self.members_on_link: Dict[Tuple[int, str], Tuple[int, ...]] = {
-            key: tuple(sorted(v)) for key, v in members.items()}
+            key: tuple(sorted(members[key]))
+            for key in sorted(members, key=lambda key: (key[1], key[0]))}
         # The same members as AgentIds, so hot loops need not build them.
         self.member_agents_on_link: Dict[Tuple[int, str], Tuple[AgentId, ...]] = {
             (k, lid): tuple(AgentId(k, i) for i in mem)
             for (k, lid), mem in self.members_on_link.items()}
-        self.groups_on_link: Dict[str, Tuple[int, ...]] = {
-            lid: tuple(sorted({k for (k, l2) in self.members_on_link if l2 == lid}))
-            for lid in self.link_ids}
+        self.groups_on_link: Dict[str, Tuple[int, ...]] = dict.fromkeys(self.link_ids, ())
+        for k, lid in self.members_on_link:
+            self.groups_on_link[lid] += (k,)
         self.agents_on_link: Dict[str, Tuple[AgentId, ...]] = {
             lid: tuple(b for k in self.groups_on_link[lid]
                        for b in self.member_agents_on_link[(k, lid)])
@@ -184,6 +189,69 @@ class NetworkInstance:
 
     def valuation(self, ki: AgentId) -> Valuation:
         return self.valuations[ki]
+
+
+class _Tables:
+    """An instance compiled into flat index lists, built on first use and
+    kept with it (_tables); the solver and the mechanism both read it.
+
+    A slot is a (group, link) pair in member_agents_on_link order (link by
+    link, groups ascending), a pair an (agent, route link) pair, agent by
+    agent along each sorted route. Per pair: its agent, link, slot, weight
+    and group predecessor's and successor's pairs (-1 when alone in its
+    group there), and its slot's place among its link's slots and its own
+    among the slot's members. Per slot: its link and its members' pairs.
+    Per link: its slots in group order, its agents' pairs, capacity and
+    rivals. Per agent: its route and the largest capacity on it."""
+
+    def __init__(self, instance: NetworkInstance):
+        self.agents = instance.agents
+        self.link_ids = instance.link_ids
+        self.routes = [instance.links_of[ki] for ki in self.agents]
+        self.route_keys = [frozenset(route) for route in self.routes]
+        self.slot_keys = list(instance.member_agents_on_link)
+        self.pair_keys = [(ki, lid) for ki, route in zip(self.agents, self.routes)
+                          for lid in route]
+        self.starts = [0, *accumulate(len(route) for route in self.routes)]
+        link_ix = {lid: l for l, lid in enumerate(self.link_ids)}
+        slot_ix = {key: s for s, key in enumerate(self.slot_keys)}
+        self.slot_link = [link_ix[lid] for _, lid in self.slot_keys]
+        self.link_slots = [[] for _ in self.link_ids]
+        for s, l in enumerate(self.slot_link):
+            self.link_slots[l].append(s)
+        # Agents run in (group, member) order, so each slot gathers its pairs in member order.
+        rows, self.slot_pairs = [], [[] for _ in self.slot_keys]
+        for a, (ki, route) in enumerate(zip(self.agents, self.routes)):
+            for lid in route:
+                s = slot_ix[(ki.group, lid)]
+                self.slot_pairs[s].append(len(rows))
+                rows.append([a, link_ix[lid], s, instance.alpha[(ki, lid)], -1, -1])
+        self.places = [(0, 0)] * len(rows)
+        for slots in self.link_slots:
+            for g, s in enumerate(slots):
+                members = self.slot_pairs[s]
+                for i, p in enumerate(members):
+                    self.places[p] = (g, i)
+                    if len(members) > 1:  # cyclic neighbours within the group on the link
+                        rows[p][4], rows[p][5] = members[i - 1], members[(i + 1) % len(members)]
+        self.pairs = [tuple(row) for row in rows]
+        self.link_pairs = [[p for s in slots for p in self.slot_pairs[s]]
+                           for slots in self.link_slots]
+        self.n_on_link = [len(pairs) for pairs in self.link_pairs]
+        self.capacity = [instance.capacity[lid] for lid in self.link_ids]
+        self.rivals = [len(slots) - 1 for slots in self.link_slots]
+        self.lone = next((l for l, n in enumerate(self.rivals) if n < 1), None)
+        # per agent, the first route link no other agent crosses (SBB rejects it)
+        self.solo_links = [next((lid for lid in route if self.n_on_link[link_ix[lid]] < 2), None)
+                           for route in self.routes]
+        self.top_capacity = [max(instance.capacity[lid] for lid in route)
+                             for route in self.routes]
+
+
+def _tables(instance: NetworkInstance) -> _Tables:
+    if not hasattr(instance, "_compiled"):
+        instance._compiled = _Tables(instance)
+    return instance._compiled
 
 
 def validate(instance: NetworkInstance) -> ValidationReport:
@@ -324,8 +392,14 @@ def instance_to_dict(instance: NetworkInstance) -> Dict[str, object]:
     }
 
 
+def canonical_json(doc: object) -> str:
+    """The text of every JSON document the package writes: sorted keys,
+    two-space indent and a final newline, so reruns are byte-identical."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def instance_to_json(instance: NetworkInstance) -> str:
-    return json.dumps(instance_to_dict(instance), indent=2, sort_keys=True) + "\n"
+    return canonical_json(instance_to_dict(instance))
 
 
 def instance_from_dict(data: Dict[str, object]) -> NetworkInstance:

@@ -11,15 +11,19 @@ from mcastmech import (
     EXP_SAT,
     LOG_SAT,
     AgentId,
+    MechanismParams,
     Valuation,
     constraint_violation,
+    evaluate,
     instance_from_json,
     instance_to_json,
     random_instance,
     solve_cp,
     validate,
     welfare,
+    zero_message,
 )
+from mcastmech import model
 from mcastmech.centralized import solution_to_dict
 from mcastmech.model import seq_sum
 
@@ -119,6 +123,45 @@ def test_two_member_wraparound(two_member_instance):
     inst = two_member_instance
     assert inst.pred_on_link[(AgentId(1, 1), "l1")] == AgentId(1, 2)
     assert inst.succ_on_link[(AgentId(1, 2), "l1")] == AgentId(1, 1)
+
+
+def _assert_one_slot_order(inst):
+    """The solver's m and evaluate's n, m, w and w_bar are keyed in
+    member_agents_on_link's order, which runs link by link, groups ascending."""
+    slots = list(inst.member_agents_on_link)
+    assert slots == sorted(slots, key=lambda key: (key[1], key[0]))
+    primal, _ = solve_cp(inst)
+    profile = {ki: zero_message(inst, ki, "wbb") for ki in inst.agents}
+    for ki in inst.agents:
+        profile[ki].y = primal.x[ki]
+    out = evaluate(inst, profile, MechanismParams())
+    assert list(primal.m) == list(out.n) == list(out.m) == list(out.w) == slots
+    assert list(out.w_bar) == slots
+
+
+@pytest.mark.parametrize("name", ["symmetric_instance", "oracle_instance", "slack_instance",
+                                  "two_member_instance", "chain_instance",
+                                  "three_group_instance", "a4_fail_instance",
+                                  "saturated_instance"])
+def test_fixture_slots_share_one_order(name, request):
+    _assert_one_slot_order(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 2, 2), (4, 3, 3, 3), (7, 4, 3, 5), (9, 2, 3, 6),
+                                   (12, 3, 3, 4)])
+def test_fresh_draw_is_compiled_once_for_solver_and_mechanism(shape, monkeypatch):
+    """A fresh instance's solve and evaluate build one compiled table, the
+    instance's cached one, and key their slots alike."""
+    builds, build = [], model._Tables.__init__
+
+    def counted(tables, instance):
+        builds.append(tables)
+        build(tables, instance)
+
+    monkeypatch.setattr(model._Tables, "__init__", counted)
+    inst = random_instance(*shape)
+    _assert_one_slot_order(inst)
+    assert len(builds) == 1 and builds[0] is model._tables(inst)
 
 
 # ---------------------------------------------------------------------------
