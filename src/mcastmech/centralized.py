@@ -280,12 +280,14 @@ def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
 
 def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
     """Count groups with a meaningfully positive member rate on each link."""
-    sizes = dict.fromkeys(instance.link_ids, 0)
-    for (_, lid), members in instance.member_agents_on_link.items():
-        thresh = RATE_ATOL * instance.capacity[lid]
-        for b in members:
-            if primal.x[b] > thresh:
-                sizes[lid] += 1
+    T = _tables(instance)
+    xs = [primal.x[ki] for ki in T.agents]
+    sizes = dict.fromkeys(T.link_ids, 0)
+    for members, l in zip(T.slot_pairs, T.slot_link):
+        thresh = RATE_ATOL * T.capacity[l]
+        for p in members:
+            if xs[T.pairs[p][0]] > thresh:
+                sizes[T.link_ids[l]] += 1
                 break
     return A4Report(sizes, all(c >= 2 for c in sizes.values()))
 
@@ -367,15 +369,14 @@ def argmax_ties(instance: NetworkInstance, primal: PrimalSolution
     More than one member means the bounding duals on that (group, link) are
     not unique; downstream consumers get the tie set instead of a warning.
     """
-    rates = {key: [] for key in instance.members_on_link}
-    for route in instance.routes:  # agent order, so each list is in member order
-        x = primal.x[route.agent]
-        for lid, a in route.weights:
-            rates[(route.agent.group, lid)].append((route.agent.member, a * x))
+    T = _tables(instance)
+    xs = [primal.x[ki] for ki in T.agents]
+    rates = [alpha * xs[a] for a, _, _, alpha, _, _ in T.pairs]
     ties = {}
-    for key, vals in rates.items():
-        peak = max(v for _, v in vals)
-        ties[key] = [i for i, v in vals if v >= peak - 1e-6 * max(1.0, peak)]
+    for key, members in zip(T.slot_keys, T.slot_pairs):  # each slot's pairs in member order
+        peak = max([rates[p] for p in members])
+        cut = peak - 1e-6 * max(1.0, peak)
+        ties[key] = [T.agents[T.pairs[p][0]].member for p in members if rates[p] >= cut]
     return ties
 
 

@@ -10,13 +10,12 @@ welfare-optimal rates exactly.
 
 Certification computes each agent's best response. For a fixed own demand
 the allocation is fixed and the best quotes and rho are closed forms, so
-the best response is a one-dimensional maximum over the demand, whose
-kinks are known in closed form; between two kinks the exact slopes of the
-demand's payoff at the ends locate its maximum, and Newton steps on that
-slope find it. The candidate is an epsilon
-equilibrium when no agent's best response gains more than epsilon (Kakhbod
-and Teneketzis, IEEE JSAC 30(11), 2012, build their multicast game form
-on the same separation of the deviation).
+the best response is a one-dimensional maximum over the demand; between
+two of its kinks (closed forms) the payoff is the valuation plus a
+quadratic in the rate, with a closed-form maximum that utility prices.
+The candidate is an epsilon equilibrium when no agent's best response
+gains more than epsilon (Kakhbod and Teneketzis, IEEE JSAC 30(11), 2012,
+build their multicast game form on the same separation of the deviation).
 
 Certification reads the profile once: certify_ne and curvature_check
 build every agent's DeviationEvaluator from one read of it, which no
@@ -38,8 +37,8 @@ from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumption
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
                         MechanismParams, Message, Profile, VARIANT_SBB,
                         _evaluate, _evaluators, allocate, evaluate)
-from .model import (AgentId, NetworkInstance, RATE_ATOL, _tables, constraint_violation,
-                    seq_sum)
+from .model import (LOG_SAT, AgentId, NetworkInstance, RATE_ATOL, Valuation, _tables,
+                    constraint_violation, seq_sum)
 
 
 @dataclass
@@ -50,8 +49,9 @@ class CandidateNE:
 
 @dataclass
 class BestResponseResult:
-    """`evals` counts utility and slope evaluations; `complete` is False if
-    the budget cut the search short; `pieces` holds (a, b, g'(a+), g'(b-))."""
+    """The best priced message, its gain and both utilities; `evals` counts
+    utility and slope evaluations; `complete` is False if the budget cut the
+    search short; `pieces` holds (a, b, g'(a+), g'(b-)) per piece of g."""
 
     message: Message
     gain: float
@@ -160,8 +160,11 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
                  dual: DualCertificate, params: MechanismParams) -> CandidateNE:
     """Messages that replay the welfare solution through the mechanism.
 
-    Refuses duals whose max KKT residual exceeds 1e-6, and a replay whose
-    scale or rates drift from 1 and the optimum by more than a relative 1e-6."""
+    An agent shut out at the optimum (a rate within the solver's zero-rate
+    threshold, RATE_ATOL times its route's largest capacity) demands 0, not
+    the solver's residue. Refuses duals whose max KKT residual exceeds 1e-6,
+    and a replay whose scale or rates drift from 1 and the optimum by more
+    than a relative 1e-6."""
     if dual.residuals.max_residual > 1e-6:
         raise EquilibriumError(
             f"duals too loose for construction: {dual.residuals.max_residual:.3e}")
@@ -171,8 +174,9 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
         raise SharingAssumptionError(
             f"single demanding group at the optimum on: {', '.join(bad)}")
     T = _tables(instance)
-    ys = [primal.x[ki] for ki in T.agents]
-    alloc = allocate(instance, primal.x)
+    xs = [primal.x[ki] for ki in T.agents]
+    ys = [x if x > RATE_ATOL * top else 0.0 for x, top in zip(xs, T.top_capacity)]
+    alloc = allocate(instance, dict(zip(T.agents, ys)))
     if abs(alloc.r - 1.0) > 1e-6:
         raise EquilibriumError(f"replayed scale {alloc.r} is not 1")
     # Per pair: its own dual, then its successor's (its own when alone in its group there).
@@ -183,8 +187,8 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
     profile: Profile = {
         ki: Message(y, dict(zip(route, quotes[lo:hi])), rho)
         for ki, route, y, lo, hi in zip(T.agents, T.routes, ys, T.starts, T.starts[1:])}
-    err = max(abs(x - y) for x, y in zip(alloc.x.values(), ys))
-    if err > 1e-6 * max(1.0, max(abs(v) for v in primal.x.values())):
+    err = max(abs(x - y) for x, y in zip(alloc.x.values(), xs))
+    if err > 1e-6 * max(1.0, max(abs(v) for v in xs)):
         raise EquilibriumError(f"replayed rates drift from the optimum by {err:.3e}")
     return CandidateNE(profile, params)
 
@@ -192,13 +196,13 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
 # ---------------------------------------------------------------------------
 # Best response
 
-_WIDTH_TOL = 1e-8  # relative width at which a root or turn counts as found
 DEMAND_CAP = 1e300  # largest demand tried; a best response there is cut off
 _ZERO_PROBE = 1e-15  # past a jump of r at 0, g's right limit is read at this share of the scales
 _EPS = float(np.finfo(float).eps)
 # Gains below this share of 1 + |u| are rounding: a utility sums terms that can outweigh u,
 # and from the acceptance candidates, exact to the KKT residual, no gain reaches 60 eps of it.
 _ROUNDING = 1024.0 * _EPS
+_NEAR_BEST = 1e-9  # model values within this share of 1 + |u| of the model's best are priced
 
 
 class _Truncated(Exception):
@@ -208,32 +212,91 @@ class _Truncated(Exception):
 def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId,
                         params: MechanismParams, budget: int = 1000
                         ) -> BestResponseResult:
-    """Agent ki's best response to the rest of the profile, certified piece
-    by piece.
+    """Agent ki's best response: the maximum of g(y), the utility of
+    best_message(y), from a closed-form model of each piece of g.
 
-    It maximizes g(y), the utility of best_message(y): the best quotes and
-    rho at a demand are closed forms. The kinks of the allocation
-    (demand_kinks, merged within KINK_TOL) and the demands where a best
-    first quote reaches 0 (clip_points, in closed form; one within KINK_TOL
-    of a kink merges with it) split y >= 0 into pieces. On a piece r, m and
-    the slack are affine in x = r*y, so g(x) is V(x) plus a convex quadratic
-    and an affine term, and V''' > 0: g is concave, then convex, and g'
-    falls, then rises. The exact end slopes g'(a+) and g'(b-) (demand_slope)
-    thus place the maximum on a piece [a, b]: at a if g'(a+) <= 0, and at b
-    too if g'(b-) > 0; else at b if g'(b-) >= 0, unless g' is not positive
-    where the curvature in x turns (bisected for); else, or before such a
-    turn, at the root of g', by Newton steps on g' safeguarded by bisection,
-    in log y off 0, to a relative width of 1e-8. The last piece ends where
-    g' turns negative, stepping out from max(a, knees) by squared factors,
-    or at DEMAND_CAP; g' may rise again past that end, so g is also read at
-    DEMAND_CAP, where x has saturated. g is evaluated at every piece end and
-    root, and just past 0 if r jumps there. `pieces` keeps each
-    (a, b, g'(a+), g'(b-)).
+    The kinks of the allocation (demand_kinks, merged within KINK_TOL) and
+    the demands where a best first quote reaches 0 (clip_points; one within
+    KINK_TOL of a kink merges with it) split y >= 0 into pieces. On a piece
+    g = V(x) + A*x^2 + B*x + C in x = r*y, and one demand_slope read gives
+    A, B and the maximisers (_piece). C is chained across pieces by the
+    continuity of g and anchored at g(DEMAND_CAP), where x has saturated.
+    Every piece end and root whose model value lies within 1e-9 of 1 + |u|
+    of the model's best is priced by utility, as are the incumbent,
+    g(DEMAND_CAP) and g(0) if r jumps there; the best priced message wins.
 
     `budget` caps the utility and slope evaluations together. A search it
     cuts short returns the best value seen with complete=False, which is
     no maximum. The incumbent is a candidate, so the gain is never negative."""
     return _best_response(DeviationEvaluator(instance, profile, params, ki), profile[ki], budget)
+
+
+def _turn(val: Valuation, A: float) -> float:
+    """Where V + A*x^2 turns from concave to convex, V''(x) = -2A (inf if A <= 0)."""
+    if A <= 0.0:
+        return math.inf
+    if val.family == LOG_SAT:  # a*b^2 / (1 + b*x)^2 = 2A
+        return math.sqrt(val.a / (2.0 * A)) - 1.0 / val.b
+    return math.log(val.a * val.b * val.b / (2.0 * A)) / val.b  # a*b^2 * exp(-b*x) = 2A
+
+
+def _crest(val: Valuation, A: float, B: float, lo: float, hi: float) -> float:
+    """The root of h' = V' + 2A*x + B in [lo, hi]: h'(lo) > 0 > h'(hi), h concave."""
+    k, b = val.a, val.b
+    if val.family == LOG_SAT:  # (1 + b*x) * h'(x) = p2*x^2 + p1*x + p0 falls through the root
+        p2, p1, p0 = 2.0 * A * b, 2.0 * A + B * b, B + k * b
+        d = math.sqrt(max(p1 * p1 - 4.0 * p2 * p0, 0.0))
+        # the root (-p1 - d) / (2*p2), where p' = -d, in a form free of cancellation
+        return min(max(-0.5 * (p1 + d) / p2 if p1 >= 0.0 else 2.0 * p0 / (d - p1), lo), hi)
+    x = lo  # h' is convex and falls here: Newton steps from lo rise to the root
+    while True:
+        e = k * b * math.exp(-b * x)
+        fall = e * b - 2.0 * A  # -h''(x)
+        step = (e + 2.0 * A * x + B) / fall if fall > 0.0 else 0.0
+        if not step > _EPS * x:
+            return min(x, hi)
+        x += step
+
+
+def _piece(ev: DeviationEvaluator, a: float, b: float):
+    """Piece [a, b] of g from one demand_slope read at a: its record (a, b,
+    g'(a+), g'(b-)), candidates (demand, model value above a's) and rise.
+
+    One offer c / (rest + a_e*y) binds (scale_slopes); with x' = r*rest/den
+    and x'' = 2r'*rest/den, den = rest + a_e*a, g's slopes in y give those
+    in x, hence A and B. As V''' > 0, h = V + A*x^2 + B*x is concave up to
+    _turn and convex past it, so it peaks at an end or at the root of h' on
+    the concave part (_crest), mapped back by y = x*rest / (c - a_e*x). The
+    last piece ends where x reaches c/a_e to rounding; g'(b-) is modelled."""
+    val, top = ev.valuation, b
+    d1, d2 = ev.demand_slope(a, +1)
+    r, dr, _, _, (c, rest, a_e) = ev.scale_slopes(a, +1)
+    if b == DEMAND_CAP and a_e * a < rest / _EPS < a_e * DEMAND_CAP:
+        b = rest / _EPS / a_e
+    den_a, den_b = rest + a_e * a, rest + a_e * b
+    xa, xb = r * a, c * b / den_b
+    dx, d2x = r * rest / den_a, 2.0 * dr * rest / den_a
+    A = B = math.inf
+    if dx * dx > 0.0:
+        gx1 = d1 / dx
+        A = 0.5 * ((d2 - gx1 * d2x) / (dx * dx) - val.second(xa))
+        B = gx1 - val.deriv(xa) - 2.0 * A * xa
+    if not (math.isfinite(A) and math.isfinite(B)):  # x' underflows: x, so g, is flat
+        return (a, b, d1, 0.0), [(a, 0.0), (top, 0.0)], 0.0
+
+    def h(x: float) -> float:
+        return val.value(x) + (A * x + B) * x - val.value(xa) - (A * xa + B) * xa
+
+    def dh(x: float) -> float:
+        return val.deriv(x) + 2.0 * A * x + B
+
+    cands = [(a, 0.0), (top, h(xb))]
+    end = min(_turn(val, A), xb)
+    if d1 > 0.0 and xa < end and dh(end) < 0.0:
+        x = _crest(val, A, B, xa, end)
+        y = x * rest / (c - a_e * x) if c > a_e * x else b
+        cands.append((min(max(y, a), b), h(x)))
+    return (a, b, d1, dh(xb) * (c * rest / den_b / den_b)), cands, cands[1][1]
 
 
 def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
@@ -243,50 +306,15 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
         raise ValueError(f"evaluation budget must be positive, got {budget}")
     current = incumbent.copy()
     base = ev.utility(current)
-    best = [base, current]
+    priced = {}  # demand -> (g, best message)
     pieces: List[Tuple[float, float, float, float]] = []
 
-    def g(y: float) -> None:
+    def g(y: float) -> float:
         if ev.evals >= budget:
             raise _Truncated
         msg = ev.best_message(y, current)
-        v = ev.utility(msg)
-        if v > best[0]:
-            best[:] = [v, msg]
-
-    def slope(y: float, side: int) -> Tuple[float, float]:
-        if ev.evals >= budget:
-            raise _Truncated
-        return ev.demand_slope(y, side)
-
-    def mid(lo: float, hi: float) -> float:
-        return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
-
-    def inward(y: float, a: float, b: float) -> int:
-        """The side of y facing the middle of (a, b): within KINK_TOL of an
-        end, slopes read on the other side would be the next piece's."""
-        return +1 if y - a < b - y else -1
-
-    def root(lo: float, hi: float) -> None:
-        """g at the root of g' in (lo, hi), where g'(lo+) > 0 > g'(hi-)."""
-        a, b = lo, hi
-        y = current.y if lo < current.y < hi else mid(lo, hi)
-        while True:
-            d1, d2 = slope(y, inward(y, a, b))
-            lo, hi = (y, hi) if d1 > 0.0 else (lo, y)
-            step = -d1 / d2 if d2 < 0.0 else math.nan  # in t = log y: step / y
-            nxt = y * math.exp(min(step / y, 700.0)) if lo > 0.0 else y + step
-            nxt = nxt if lo < nxt < hi else mid(lo, hi)
-            if d1 == 0.0 or abs(nxt - y) <= _WIDTH_TOL * nxt or hi - lo <= _WIDTH_TOL * hi:
-                break
-            y = nxt
-        g(y)
-
-    def bend(y: float, side: int, d1: float, d2: float) -> float:
-        """The sign of g's curvature in x = r*y: g''x' - g'x'' divided by
-        x'/r > 0, with x' = r*(x'/r) and x'' = 2r'*(x'/r) (scale_slopes)."""
-        r, dr = ev.scale_slopes(y, side)[:2]
-        return d2 * r - 2.0 * d1 * dr
+        priced[y] = (ev.utility(msg), msg)
+        return priced[y][0]
 
     kinks, knees = ev.demand_kinks()
     jump = ev.scale_slopes(0.0, +1)[3]
@@ -296,47 +324,30 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
             ends.append(y)
     ends.append(DEMAND_CAP)
 
-    def split():
-        """The pieces (a, b), the last one open; a best first quote clips at
-        most once between kinks, and a clip within KINK_TOL of one merges."""
-        for a, b in zip(ends, ends[1:]):
-            clips = sorted({y for y in ev.clip_points(a) if min(y - a, b - y) > KINK_TOL * y})
-            yield from zip([a, *clips], [*clips, b if b < DEMAND_CAP else math.inf])
-
     complete = True
     try:
+        scored, total = [], 0.0  # candidates by model value, C = 0 at the first piece's start
+        for lo, hi in zip(ends, ends[1:]):
+            clips = sorted({y for y in ev.clip_points(lo) if min(y - lo, hi - y) > KINK_TOL * y})
+            for a, b in zip([lo, *clips], [*clips, hi]):
+                if ev.evals >= budget:
+                    raise _Truncated
+                piece, cands, rise = _piece(ev, a, b)
+                pieces.append(piece)
+                scored += [(y, total + v) for y, v in cands]
+                total += rise
         if jump:
             g(0.0)
-        for a, b in split():
-            g(a)
-            sa = slope(a, +1)
-            lo = a
-            if b < math.inf:
-                sb = slope(b, -1)
-                if sa[0] > 0.0 <= sb[0] and bend(a, +1, *sa) < 0.0 < bend(b, -1, *sb):
-                    t0, turn = a, b  # bisect for where the curvature in x turns
-                    while turn - t0 > _WIDTH_TOL * turn:
-                        y = mid(t0, turn)
-                        side = inward(y, a, b)
-                        t0, turn = (t0, y) if bend(y, side, *slope(y, side)) >= 0.0 else (y, turn)
-                    if slope(turn, inward(turn, a, b))[0] <= 0.0:
-                        root(a, turn)
-            else:  # step out until g' <= 0 or the cap
-                b, factor = min(max(a, *knees), DEMAND_CAP), 10.0
-                while True:
-                    if b > lo:
-                        sb = slope(b, +1)  # no kink past a
-                        if sb[0] <= 0.0 or b == DEMAND_CAP:
-                            break
-                        lo = b
-                    b, factor = min(b * factor, DEMAND_CAP), factor * factor
-                g(DEMAND_CAP)
-            pieces.append((a, b, sa[0], sb[0]))
-            if sa[0] > 0.0 and sb[0] < 0.0:
-                root(lo, b)
+        anchor = g(DEMAND_CAP) - total
+        most = max(v for _, v in scored) + anchor
+        near = most - _NEAR_BEST * (1.0 + abs(most)) - anchor
+        for y in sorted({y for y, v in scored if v >= near} - priced.keys()):
+            g(y)
     except _Truncated:
         complete = False
-    best_val, best_msg = best
+    # the first of equal utilities wins: the incumbent, then the least demand
+    best_val, best_msg = max([(base, current)] + [priced[y] for y in sorted(priced)],
+                             key=lambda pair: pair[0])
     return BestResponseResult(best_msg, best_val - base, ev.evals, base, best_val,
                               complete, pieces)
 
@@ -347,7 +358,7 @@ def certify_ne(instance: NetworkInstance, candidate: CandidateNE, epsilon: float
     """Epsilon-equilibrium check: no agent's best response may gain more
     than epsilon over its candidate message.
 
-    Each gain is exact_best_response's maximum, certified by exact slopes.
+    Each gain is exact_best_response's maximum, priced by utility.
     `budget` caps the utility and slope evaluations per agent; an agent it
     cuts short is listed in `incomplete`, and then the candidate is not
     certified. `restarts` and `seed` are recorded and steer nothing."""

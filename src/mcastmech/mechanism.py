@@ -225,7 +225,7 @@ def _others_sums(entries: List[float]) -> List[float]:
 
 def _rebates(T: _Tables, ys: List[float], q1s: List[float], rhos: List[float]):
     """SBB: per pair, the other agents' entries in its link's rebate pool
-    (self-quoted payments alpha * q1 * y, summed in agents_on_link order),
+    (self-quoted payments alpha * q1 * y, summed in link_pairs order),
     and per agent the mean of the other agents' rhos."""
     pay = [alpha * q1 * ys[a] for (a, _, _, alpha, _, _), q1 in zip(T.pairs, q1s)]
     others = [0.0] * len(pay)
@@ -458,7 +458,7 @@ class DeviationEvaluator:
         self.params = params
         self.ki = ki = T.agents[a]
         self.evals = 0
-        val = read.instance.valuation(ki)
+        self.valuation = val = read.instance.valuation(ki)
         self._value, self._deriv, self._second = val.value, val.deriv, val.second
         pairs = range(T.starts[a], T.starts[a + 1])
         route = {T.pairs[p][1] for p in pairs}

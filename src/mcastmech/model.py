@@ -173,19 +173,6 @@ class NetworkInstance:
         self.groups_on_link: Dict[str, Tuple[int, ...]] = dict.fromkeys(self.link_ids, ())
         for k, lid in self.members_on_link:
             self.groups_on_link[lid] += (k,)
-        self.agents_on_link: Dict[str, Tuple[AgentId, ...]] = {
-            lid: tuple(b for k in self.groups_on_link[lid]
-                       for b in self.member_agents_on_link[(k, lid)])
-            for lid in self.link_ids}
-
-        # Cyclic neighbours within a group on a link; singleton maps to itself.
-        self.succ_on_link: Dict[Tuple[AgentId, str], AgentId] = {}
-        self.pred_on_link: Dict[Tuple[AgentId, str], AgentId] = {}
-        for (k, lid), mem in self.member_agents_on_link.items():
-            g = len(mem)
-            for pos, ki in enumerate(mem):
-                self.succ_on_link[(ki, lid)] = mem[(pos + 1) % g]
-                self.pred_on_link[(ki, lid)] = mem[(pos - 1) % g]
 
     def valuation(self, ki: AgentId) -> Valuation:
         return self.valuations[ki]

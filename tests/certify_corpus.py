@@ -6,14 +6,19 @@ The corpus is batch seeds 1-50 in both variants, drawn as the acceptance
 batch draws them (``test_acceptance._sample_sharing_instance``). Each draw
 is tuned, constructed and certified. The script prints, per agent:
 utility and slope evaluations; kink-free pieces of g and clip points
-(piece ends where a best first quote reaches 0, not at a kink); and
+(piece ends where a best first quote reaches 0, not at a kink); slope
+reads per piece (each read gives one piece's model coefficients);
 ``best_message`` calls, split into evaluations of g and probes of the clip
 state (any other call); and ``scale_slopes`` calls, split into results
 computed and results served from the evaluator's cache. It also prints the
 wall time of ``certify_ne``, of ``curvature_check`` and of building every
 agent's ``DeviationEvaluator`` from one read of each candidate (the
 evaluator set-up both of them do) on the tuned candidates, summed over the
-corpus (the fastest of five passes).
+corpus (the fastest of five passes). Last, for the ladder draws
+``random_instance(1, g, 3, g)`` with g = 12 and 25 (22 and 50 agents),
+tuned and constructed in both variants, it prints the auto-shrinks and
+the time of ``certify_ne`` (fastest of five), in total and in µs per agent,
+and its evaluations per agent.
 
 Not collected by pytest (the name does not start with ``test_``); it is
 the yardstick for changes to ``exact_best_response``.
@@ -22,12 +27,14 @@ the yardstick for changes to ``exact_best_response``.
 import time
 
 from mcastmech import (MechanismParams, certify_ne, construct_ne, curvature_check,
-                       default_epsilon, exact_best_response, tune_params)
+                       default_epsilon, exact_best_response, random_instance, solve_cp,
+                       tune_params)
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator, _evaluators
 
 from test_acceptance import CERT_BUDGET, N_BATCH, _sample_sharing_instance
 
 REPEATS = 5  # timing passes over the corpus; the fastest is printed
+LADDER = (12, 25)  # random_instance(1, g, 3, g): 22 and 50 agents
 
 
 def counted(name, counts):
@@ -89,7 +96,8 @@ def main():
     print(f"{len(candidates)} candidates, {agents} agents")
     print(f"per agent: utility {counts['utility'] / agents:.2f}, "
           f"slope {counts['demand_slope'] / agents:.2f}, "
-          f"pieces {pieces / agents:.2f}, clip points {clips / agents:.2f}")
+          f"pieces {pieces / agents:.2f}, clip points {clips / agents:.2f}, "
+          f"slope reads per piece {counts['demand_slope'] / pieces:.2f}")
     print(f"per agent: best_message {counts['best_message'] / agents:.2f} "
           f"(g {g_evals / agents:.2f}, clip probes "
           f"{(counts['best_message'] - g_evals) / agents:.2f})")
@@ -99,6 +107,29 @@ def main():
           f"cached {(counts['scale_slopes'] - computed) / agents:.2f})")
     print(f"certify_ne {min(certify_s):.3f} s, curvature_check {min(curvature_s):.3f} s, "
           f"evaluator set-up {min(setup_s):.3f} s (fastest of {REPEATS} passes)")
+    for g in LADDER:
+        ladder_rung(g)
+
+
+def ladder_rung(g):
+    """Certify the tuned candidates of random_instance(1, g, 3, g) and print
+    the cost per agent."""
+    inst = random_instance(1, g, 3, g)
+    primal, dual = solve_cp(inst)
+    epsilon = default_epsilon(inst, primal)
+    n = len(inst.agents)
+    for variant in ("wbb", "sbb"):
+        params, shrinks, _ = tune_params(inst, primal, dual, MechanismParams(variant=variant))
+        cand = construct_ne(inst, primal, dual, params)
+        times = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            report = certify_ne(inst, cand, epsilon, budget=CERT_BUDGET)
+            times.append(time.perf_counter() - start)
+        assert report.certified and not report.incomplete
+        print(f"ladder g={g} {variant}: {n} agents, {shrinks} auto-shrinks, certify_ne "
+              f"{min(times) * 1e3:.1f} ms ({min(times) / n * 1e6:.0f} us per agent), "
+              f"{sum(report.evals.values()) / n:.2f} evaluations per agent")
 
 
 if __name__ == "__main__":

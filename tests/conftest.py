@@ -20,6 +20,8 @@ from mcastmech import (
     solve_cp,
 )
 
+from evaluate_reference import neighbours
+
 
 def make_instance(caps, agents):
     """Build a NetworkInstance from plain tuples.
@@ -62,9 +64,10 @@ def coherent_quotes(inst, profile, rng):
             split = rng.dirichlet(np.ones(len(members)))
             for i, share in zip(members, split):
                 q1[(AgentId(k, i), lid)] = price * float(share)
+    succ, _ = neighbours(inst)
     out = {}
     for ki in inst.agents:
-        q = {lid: (q1[(ki, lid)], q1[(inst.succ_on_link[(ki, lid)], lid)])
+        q = {lid: (q1[(ki, lid)], q1[(succ[(ki, lid)], lid)])
              for lid in inst.links_of[ki]}
         out[ki] = Message(profile[ki].y, q, profile[ki].rho)
     return out

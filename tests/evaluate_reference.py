@@ -25,6 +25,25 @@ def _sum(values) -> float:
     return total
 
 
+def neighbours(instance: NetworkInstance
+               ) -> Tuple[Dict[Tuple[AgentId, str], AgentId], Dict[Tuple[AgentId, str], AgentId]]:
+    """Each (agent, link) pair's cyclic successor and predecessor among its
+    group's members on the link, in member order; a singleton is its own."""
+    succ, pred = {}, {}
+    for (_, lid), members in instance.member_agents_on_link.items():
+        for pos, ki in enumerate(members):
+            succ[(ki, lid)] = members[(pos + 1) % len(members)]
+            pred[(ki, lid)] = members[pos - 1]
+    return succ, pred
+
+
+def agents_on_link(instance: NetworkInstance) -> Dict[str, Tuple[AgentId, ...]]:
+    """Each link's agents, groups ascending and members in order within each."""
+    return {lid: tuple(b for k in instance.groups_on_link[lid]
+                       for b in instance.member_agents_on_link[(k, lid)])
+            for lid in instance.link_ids}
+
+
 def reference_validate(instance: NetworkInstance, profile: Profile, variant: str) -> None:
     if variant not in VARIANTS:
         raise MessageShapeError(f"unknown variant {variant!r}")
@@ -32,6 +51,7 @@ def reference_validate(instance: NetworkInstance, profile: Profile, variant: str
     if missing:
         raise MessageShapeError(
             "profile missing agents: " + ", ".join(ki.label for ki in sorted(missing)))
+    on_link = agents_on_link(instance)
     for ki in instance.agents:
         msg = profile[ki]
         want = set(instance.links_of[ki])
@@ -49,7 +69,7 @@ def reference_validate(instance: NetworkInstance, profile: Profile, variant: str
             if msg.rho is None or not (msg.rho >= 0.0 and math.isfinite(msg.rho)):
                 raise MessageShapeError(f"agent {ki.label}: SBB requires rho >= 0")
             for lid in instance.links_of[ki]:
-                if len(instance.agents_on_link[lid]) < 2:
+                if len(on_link[lid]) < 2:
                     raise MessageShapeError(
                         f"link {lid} carries a single agent, SBB rebate undefined")
         elif msg.rho is not None:
@@ -111,6 +131,7 @@ def reference_evaluate(instance: NetworkInstance, profile: Profile,
                        params: MechanismParams) -> Outcome:
     reference_validate(instance, profile, params.variant)
     sbb = params.variant == "sbb"
+    succ, pred = neighbours(instance)
     alloc = reference_allocate(instance, {ki: profile[ki].y for ki in instance.agents})
 
     w = {(k, lid): _sum(profile[b].q[lid][0] for b in members)
@@ -129,8 +150,9 @@ def reference_evaluate(instance: NetworkInstance, profile: Profile,
     pools: Dict[str, Dict[AgentId, float]] = {}
     rho_bar: Dict[AgentId, float] = {}
     if sbb:
+        on_link = agents_on_link(instance)
         for lid in instance.link_ids:
-            agents = instance.agents_on_link[lid]
+            agents = on_link[lid]
             entries = [instance.alpha[(b, lid)] * profile[b].q[lid][0] * profile[b].y
                        for b in agents]
             pools[lid] = dict(zip(agents, _others_sums(entries)))
@@ -149,11 +171,11 @@ def reference_evaluate(instance: NetworkInstance, profile: Profile,
             if len(instance.members_on_link[(k, lid)]) == 1:
                 pf, q1_succ = wb, None
             else:
-                pf = profile[instance.pred_on_link[(ki, lid)]].q[lid][1]
-                q1_succ = profile[instance.succ_on_link[(ki, lid)]].q[lid][0]
+                pf = profile[pred[(ki, lid)]].q[lid][1]
+                q1_succ = profile[succ[(ki, lid)]].q[lid][0]
             n_l = others_pay = 0
             if sbb:
-                n_l = len(instance.agents_on_link[lid])
+                n_l = len(on_link[lid])
                 others_pay = pools[lid][ki]
             slots = _link_slots(params, instance.alpha[(ki, lid)], msg.y, alloc.x[ki],
                                 alloc.r, q1, q2, pf, q1_succ, alloc.m[(k, lid)], w[(k, lid)],

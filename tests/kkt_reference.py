@@ -28,6 +28,8 @@ from mcastmech import (AgentId, CandidateNE, DualCertificate, LemmaReport, Netwo
 from mcastmech.mechanism import VARIANT_SBB
 from mcastmech.model import RATE_ATOL, seq_sum
 
+from evaluate_reference import neighbours
+
 
 def reference_residuals(instance: NetworkInstance, primal: PrimalSolution,
                         lam: Dict[str, float],
@@ -127,7 +129,8 @@ def reference_quotes(instance: NetworkInstance, dual: DualCertificate
                      ) -> Dict[AgentId, Dict[str, Tuple[float, float]]]:
     """construct_ne's quotes: each agent's own bounding dual and its group
     successor's on every route link."""
-    return {ki: {lid: (dual.mu[(ki, lid)], dual.mu[(instance.succ_on_link[(ki, lid)], lid)])
+    succ, _ = neighbours(instance)
+    return {ki: {lid: (dual.mu[(ki, lid)], dual.mu[(succ[(ki, lid)], lid)])
                  for lid in instance.links_of[ki]}
             for ki in instance.agents}
 

@@ -44,7 +44,9 @@ from mcastmech.errors import SolverError, ValidationFailure
 from mcastmech.mechanism import DeviationEvaluator, _evaluators
 
 from conftest import batch_shape, coherent_quotes
+from evaluate_reference import agents_on_link
 from grid_reference import bisected_cuts, grid_best_response
+from slope_reference import slope_best_response
 from kkt_reference import reference_lemmas, reference_quotes
 
 WBB = MechanismParams(variant="wbb")
@@ -277,6 +279,7 @@ def _cancellation_residual(records, per_instance, rng):
     count = 0
     for rec in records:
         inst = rec.instance
+        on_link = agents_on_link(inst)
         for _ in range(per_instance):
             y = {ki: 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 2.0))
                  for ki in inst.agents}
@@ -285,10 +288,8 @@ def _cancellation_residual(records, per_instance, rng):
                 inst, {ki: Message(y[ki], {}, r) for ki in inst.agents}, rng)
             out = evaluate(inst, profile, rec.sbb.params)
             for lid in inst.link_ids:
-                t1 = sum(out.taxes[ki].per_link[lid][0]
-                         for ki in inst.agents_on_link[lid])
-                t6 = sum(out.taxes[ki].per_link[lid][5]
-                         for ki in inst.agents_on_link[lid])
+                t1 = sum(out.taxes[ki].per_link[lid][0] for ki in on_link[lid])
+                t6 = sum(out.taxes[ki].per_link[lid][5] for ki in on_link[lid])
                 worst = max(worst, abs(t1 + t6))
             count += 1
     return worst, count
@@ -473,8 +474,10 @@ def test_criterion_8_demand_slope_checks(capsys, certified_batch, chain_instance
 # Best-response certificates on the batch: cost, agreement with the sampled
 # reference, and the shape of g between kinks
 
-EVALS_MEAN_CAP = 30  # utility plus slope evaluations per agent, on average
-EVALS_MAX_CAP = 120
+# Utility plus slope evaluations per agent; measured 7.08 on average and 15 at most,
+# and each cap leaves about a quarter on top.
+EVALS_MEAN_CAP = 9
+EVALS_MAX_CAP = 20
 
 
 def _perturbed(profile, rng):
@@ -497,9 +500,9 @@ def _batch_profiles(records, seed):
 
 
 def test_certify_evaluation_counts(certified_batch):
-    """A deterministic cost guard: certifying the batch takes at most 30
-    utility and slope evaluations per agent on average and 120 for any
-    agent, and no agent's search is cut short."""
+    """A deterministic cost guard: certifying the batch takes at most
+    EVALS_MEAN_CAP utility and slope evaluations per agent on average and
+    EVALS_MAX_CAP for any agent, and no agent's search is cut short."""
     records, _ = certified_batch
     counts = [n for r in records for v in (r.wbb, r.sbb)
               for n in v.certification.evals.values()]
@@ -520,6 +523,38 @@ def test_best_response_matches_grid_reference(certified_batch):
             assert res.complete
             tol = 1e-12 * (1.0 + abs(ref.best_utility))
             assert res.best_utility >= ref.best_utility - tol, (r.seed, v.params.variant, ki)
+
+
+def _ladder_profiles(seed):
+    """(instance, params, profile) on the ladder draws random_instance(1, g,
+    3, g) for g = 6 and 12, at the candidate of the default params in both
+    variants and at one perturbed copy of it."""
+    rng = np.random.default_rng(seed)
+    for g in (6, 12):
+        inst = random_instance(1, g, 3, g)
+        primal, dual = solve_cp(inst, tol=SOLVE_TOL)
+        for variant in ("wbb", "sbb"):
+            params = MechanismParams(variant=variant)
+            profile = construct_ne(inst, primal, dual, params).profile
+            yield inst, params, profile
+            yield inst, params, _perturbed(profile, rng)
+
+
+def test_best_response_matches_slope_reference(certified_batch):
+    """On the batch (each candidate and a perturbed copy, both variants)
+    and on the ladder draws, every agent's gain from the per-piece model
+    lies within 1024 eps * (1 + |u|) of the gain of the slope-driven search
+    it replaced (slope_reference), and both searches run to completion."""
+    records, _ = certified_batch
+    cases = [(r.instance, v.params, profile) for r, v, profile in _batch_profiles(records, 19)]
+    for inst, params, profile in cases + list(_ladder_profiles(31)):
+        for ki in inst.agents:
+            res = exact_best_response(inst, profile, ki, params)
+            ref = slope_best_response(inst, profile, ki, params)
+            assert res.complete and ref.complete
+            assert res.base_utility == ref.base_utility
+            tol = 1024.0 * np.finfo(float).eps * (1.0 + abs(ref.base_utility))
+            assert abs(res.gain - ref.gain) <= tol, (params.variant, ki, res.gain, ref.gain)
 
 
 def test_clip_points_match_bisection(certified_batch):

@@ -192,6 +192,27 @@ def test_certify_sbb_reports_failure_but_writes_files(tmp_path, sym_path):
     assert lemmas["sbb"] <= 1e-9
 
 
+@pytest.mark.parametrize("variant", ["wbb", "sbb"])
+@pytest.mark.parametrize("shape", [(3, 12, 3, 12), (1, 25, 3, 25)])
+def test_certify_replays_shut_out_agents_at_zero(tmp_path, shape, variant):
+    """On these ladder draws (25 and 50 agents) the optimum shuts some
+    agents out, and the interior-point solver leaves them a rate residue of
+    about 1e-16. Replayed as a demand, that residue made the demand's
+    one-sided curvature positive, and tuning the coupling weights down to
+    their floor failed (exit 5). Replayed at demand 0, the candidate passes
+    the curvature check untuned and is certified."""
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(random_instance(*shape)))
+    out = tmp_path / "cert"
+    proc = run_cli("certify", "--instance", str(path), "--variant", variant, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    cert = json.loads((out / "certification.json").read_text())
+    assert cert["certified"] is True
+    assert json.loads((out / "curvature.json").read_text())["auto_shrink_iterations"] == 0
+    profile = json.loads((out / "equilibrium_profile.json").read_text())
+    assert any(msg["y"] == 0.0 for msg in profile.values())
+
+
 def test_certify_sweep_csv(tmp_path, sym_path):
     out = tmp_path / "sweep"
     proc = run_cli(

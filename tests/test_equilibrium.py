@@ -32,6 +32,7 @@ from mcastmech.errors import SharingAssumptionError
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
 
 from conftest import make_instance
+from evaluate_reference import neighbours
 from finite_diff import displaced, fd_hessian, fd_slopes
 from search import search_best_response
 
@@ -188,10 +189,12 @@ def test_certify_constructed_wbb(symmetric_instance, solved_symmetric):
 
 def test_truncated_search_is_not_certified(two_member_instance, solved_two_member):
     """Group 1's members see two pieces of g (their demand kinks where it
-    meets the mate's peak), so certifying them takes at least 7
-    evaluations: the incumbent, then g and both end slopes on each piece.
-    A budget of 6 cuts them short: their gains stay below epsilon, yet the
-    candidate is not certified and the report names them."""
+    meets the mate's peak), so certifying them takes 6 evaluations: the
+    incumbent, one slope read per piece, g at DEMAND_CAP, and g at the two
+    near-best points of the piece models (the kink, at the incumbent
+    demand to rounding, and the root just left of it). A budget of 5 cuts
+    them short: their gains stay below epsilon, yet the candidate is not
+    certified and the report names them."""
     primal, _ = solved_two_member
     cand = constructed(two_member_instance, solved_two_member)
     eps = default_epsilon(two_member_instance, primal)
@@ -199,8 +202,8 @@ def test_truncated_search_is_not_certified(two_member_instance, solved_two_membe
     for ki in group_1:
         assert len(exact_best_response(two_member_instance, cand.profile, ki, WBB).pieces) == 2
         assert not exact_best_response(two_member_instance, cand.profile, ki, WBB,
-                                       budget=6).complete
-    report = certify_ne(two_member_instance, cand, eps, budget=6)
+                                       budget=5).complete
+    report = certify_ne(two_member_instance, cand, eps, budget=5)
     assert report.max_gain <= eps
     assert report.certified is False
     assert set(group_1) <= set(report.incomplete)
@@ -267,8 +270,9 @@ def _replayed(inst, params):
     without its checks, so the instance that fails A4 gets one too."""
     primal, dual = solve_cp(inst, tol=1e-10)
     r = allocate(inst, primal.x).r
+    succ, _ = neighbours(inst)
     return {ki: Message(primal.x[ki],
-                        {lid: (dual.mu[(ki, lid)], dual.mu[(inst.succ_on_link[(ki, lid)], lid)])
+                        {lid: (dual.mu[(ki, lid)], dual.mu[(succ[(ki, lid)], lid)])
                          for lid in inst.links_of[ki]},
                         r if params.variant == "sbb" else None)
             for ki in inst.agents}
@@ -283,17 +287,18 @@ def _closed_form_message(inst, profile, params, ki, msg):
     patched[ki] = msg
     out = evaluate(inst, patched, params)
     k, x = ki.group, out.x[ki]
+    succ, pred = neighbours(inst)
     q, clipped = {}, {}
     for lid in inst.links_of[ki]:
         mates = [b for b in inst.member_agents_on_link[(k, lid)] if b != ki]
         wb = out.w_bar[(k, lid)]
-        pf = profile[inst.pred_on_link[(ki, lid)]].q[lid][1] if mates else wb
+        pf = profile[pred[(ki, lid)]].q[lid][1] if mates else wb
         slack = inst.capacity[lid] - sum(out.m[(g, lid)] for g in inst.groups_on_link[lid])
         raw = (wb - sum(profile[b].q[lid][0] for b in mates)
                - (params.eta * pf * (out.m[(k, lid)] - inst.alpha[(ki, lid)] * x)
                   + params.xi * wb * slack) / 2.0)
         clipped[lid] = raw < 0.0
-        q2 = profile[inst.succ_on_link[(ki, lid)]].q[lid][0] if mates else msg.q[lid][1]
+        q2 = profile[succ[(ki, lid)]].q[lid][0] if mates else msg.q[lid][1]
         q[lid] = (max(0.0, raw), q2)
     return Message(msg.y, q, out.r if params.variant == "sbb" else None), clipped
 

