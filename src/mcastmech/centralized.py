@@ -113,7 +113,7 @@ class _Workspace:
     m runs over the tables' slots (mpairs: link by link, groups ascending)
     and the bounding rows over their pairs (bnd: agent by agent along each
     sorted route), so a bincount over bounding rows or m adds in the order
-    of a loop over links_of, member_agents_on_link or groups_on_link."""
+    of a loop over links_of, members_on_link or groups_on_link."""
 
     def __init__(self, inst: NetworkInstance):
         T = _tables(inst)

@@ -35,16 +35,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .centralized import DEFAULT_TOL, solution_to_dict, solve_cp
+from .centralized import DEFAULT_TOL, DualCertificate, PrimalSolution, solution_to_dict, solve_cp
 from .equilibrium import (br_dynamics, certify_ne, construct_ne,
                           default_epsilon, lemma_suite, tune_params)
 from .errors import (DegenerateInstanceError, EquilibriumError,
                      InstanceFormatError, MechError, MessageShapeError,
                      SharingAssumptionError, SolverError, ValidationFailure)
-from .mechanism import (MechanismParams, VARIANT_SBB, VARIANTS, evaluate,
-                        outcome_to_dict, profile_from_json, profile_to_json,
-                        validate_profile, zero_message)
-from .model import canonical_json, load_instance, random_instance, require_valid, welfare
+from .mechanism import (MechanismParams, VARIANTS, evaluate, outcome_to_dict,
+                        profile_from_json, profile_to_json, validate_profile, zero_message)
+from .model import (NetworkInstance, canonical_json, load_instance, random_instance,
+                    require_valid, welfare)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -132,17 +132,25 @@ def _params_from(args: argparse.Namespace) -> MechanismParams:
                            variant=args.variant)
 
 
-def _certify_single(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
-    params = _params_from(args)
-    primal, dual = solve_cp(instance, tol=args.tol)  # validates first
-    params, shrinks, curv = tune_params(instance, primal, dual, params)
+def _certify(instance: NetworkInstance, primal: PrimalSolution, dual: DualCertificate,
+             args: argparse.Namespace) -> tuple:
+    """Tune, construct, certify (at --epsilon or the default), lemmas and
+    evaluate on a solved instance: (params, shrinks, curvature report,
+    candidate, epsilon, certification report, lemmas, outcome)."""
+    params, shrinks, curvature = tune_params(instance, primal, dual, _params_from(args))
     candidate = construct_ne(instance, primal, dual, params)
     epsilon = args.epsilon if args.epsilon is not None else \
         default_epsilon(instance, primal)
     report = certify_ne(instance, candidate, epsilon, budget=args.budget)
-    lemmas = lemma_suite(instance, candidate)
-    outcome = evaluate(instance, candidate.profile, params)
+    return (params, shrinks, curvature, candidate, epsilon, report,
+            lemma_suite(instance, candidate), evaluate(instance, candidate.profile, params))
+
+
+def _certify_single(args: argparse.Namespace) -> int:
+    instance = load_instance(args.instance)
+    primal, dual = solve_cp(instance, tol=args.tol)  # validates first
+    params, shrinks, curv, candidate, epsilon, report, lemmas, outcome = \
+        _certify(instance, primal, dual, args)
 
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "equilibrium_profile.json"),
@@ -201,14 +209,7 @@ def _sweep_one(job: Tuple[int, argparse.Namespace]) -> Dict[str, object]:
         row["status"] = "skipped"
         return row
     try:
-        params, shrinks, _ = tune_params(instance, primal, dual, _params_from(args))
-        candidate = construct_ne(instance, primal, dual, params)
-        epsilon = args.epsilon if args.epsilon is not None else \
-            default_epsilon(instance, primal)
-        report = certify_ne(instance, candidate, epsilon, budget=args.budget)
-        lemmas = lemma_suite(instance, candidate)
-        outcome = evaluate(instance, candidate.profile, params)
-        drift = max(abs(outcome.x[ki] - primal.x[ki]) for ki in instance.agents)
+        _, shrinks, _, _, epsilon, report, lemmas, outcome = _certify(instance, primal, dual, args)
     except MechError as exc:
         row["status"] = f"error:{type(exc).__name__}"
         return row
@@ -221,7 +222,7 @@ def _sweep_one(job: Tuple[int, argparse.Namespace]) -> Dict[str, object]:
         "certified": report.certified,
         "incomplete": len(report.incomplete),
         "auto_shrink": shrinks,
-        "allocation_drift": drift,
+        "allocation_drift": max(abs(outcome.x[ki] - primal.x[ki]) for ki in instance.agents),
         "total_tax": outcome.total_tax,
     })
     row.update(lemmas.as_dict())

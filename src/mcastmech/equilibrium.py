@@ -258,9 +258,10 @@ def _crest(val: Valuation, A: float, B: float, lo: float, hi: float) -> float:
         x += step
 
 
-def _piece(ev: DeviationEvaluator, a: float, b: float):
-    """Piece [a, b] of g from one demand_slope read at a: its record (a, b,
-    g'(a+), g'(b-)), candidates (demand, model value above a's) and rise.
+def _piece(val: Valuation, a: float, b: float, read):
+    """Piece [a, b] of g from one slope read right of a (_slope_read): its
+    record (a, b, g'(a+), g'(b-)), candidates (demand, model value above
+    a's) and rise.
 
     One offer c / (rest + a_e*y) binds (scale_slopes); with x' = r*rest/den
     and x'' = 2r'*rest/den, den = rest + a_e*a, g's slopes in y give those
@@ -268,9 +269,8 @@ def _piece(ev: DeviationEvaluator, a: float, b: float):
     _turn and convex past it, so it peaks at an end or at the root of h' on
     the concave part (_crest), mapped back by y = x*rest / (c - a_e*x). The
     last piece ends where x reaches c/a_e to rounding; g'(b-) is modelled."""
-    val, top = ev.valuation, b
-    d1, d2 = ev.demand_slope(a, +1)
-    r, dr, _, _, (c, rest, a_e) = ev.scale_slopes(a, +1)
+    top = b
+    d1, d2, r, dr, (c, rest, a_e) = read
     if b == DEMAND_CAP and a_e * a < rest / _EPS < a_e * DEMAND_CAP:
         b = rest / _EPS / a_e
     den_a, den_b = rest + a_e * a, rest + a_e * b
@@ -309,10 +309,13 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
     priced = {}  # demand -> (g, best message)
     pieces: List[Tuple[float, float, float, float]] = []
 
-    def g(y: float) -> float:
+    def within_budget(y: float) -> float:  # y, if the budget allows one more evaluation
         if ev.evals >= budget:
             raise _Truncated
-        msg = ev.best_message(y, current)
+        return y
+
+    def g(y: float) -> float:
+        msg = ev.best_message(within_budget(y), current)
         priced[y] = (ev.utility(msg), msg)
         return priced[y][0]
 
@@ -328,11 +331,12 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
     try:
         scored, total = [], 0.0  # candidates by model value, C = 0 at the first piece's start
         for lo, hi in zip(ends, ends[1:]):
-            clips = sorted({y for y in ev.clip_points(lo) if min(y - lo, hi - y) > KINK_TOL * y})
+            read = ev._slope_read(within_budget(lo), +1)  # the first piece's; gives the clip points
+            clips = sorted({y for y in ev.clip_points(lo, read[4])
+                            if min(y - lo, hi - y) > KINK_TOL * y})
             for a, b in zip([lo, *clips], [*clips, hi]):
-                if ev.evals >= budget:
-                    raise _Truncated
-                piece, cands, rise = _piece(ev, a, b)
+                read = read if a == lo else ev._slope_read(within_budget(a), +1)
+                piece, cands, rise = _piece(ev.valuation, a, b, read)
                 pieces.append(piece)
                 scored += [(y, total + v) for y, v in cands]
                 total += rise

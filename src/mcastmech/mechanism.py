@@ -364,19 +364,21 @@ class _RouteLink:
     """What the other agents fix on one link of the deviator's route.
 
     The lists hold one entry per group (peaks, ws) or per group member
-    (q1s), in the order evaluate() sums them; the deviator's slot (gpos,
-    mpos) is rewritten on every evaluation and the others are never
-    touched. s_mates is the sum of the group-mates' first quotes, wb the
-    rival groups' mean price (all sums less the own, as utility() prices),
-    pf the price factor (the predecessor's second quote, or wb when ki is
-    alone in its group, where utility() reads its live wb), rest the other
-    groups' peak total and others_pay the other agents' entries in the SBB
-    rebate pool. total, load and own hold what DeviationEvaluator._scale
-    derives from the last demand."""
+    (q1s), in the order evaluate() sums them; the pricing layer of
+    DeviationEvaluator rewrites the deviator's slot (gpos, mpos) and load,
+    the sum of r*peaks at the last demand. The model layer reads neither:
+    its offer form is c / (base + max(peak_mates, a*y)), base being rest,
+    the other groups' peak total, plus 1 when no other group demands there,
+    and its prices are the fixed fields that follow. s_mates
+    is the sum of the group-mates' first quotes, wb the rival groups' mean
+    price (all sums less the own, as utility() prices), pf the price
+    factor (the predecessor's second quote, or wb when ki is alone in its
+    group, where utility() reads its live wb) and others_pay the other
+    agents' entries in the SBB rebate pool."""
 
     __slots__ = ("lid", "a", "capacity", "peak_mates", "others_demanding", "peaks",
                  "gpos", "q1s", "mpos", "ws", "n_rivals", "pf", "q1_succ",
-                 "others_pay", "n_l", "s_mates", "wb", "rest", "total", "load", "own")
+                 "others_pay", "n_l", "s_mates", "wb", "rest", "base", "load")
 
     def __init__(self, read: _ProfileRead, p: int):
         """The snapshot of pair p (ki and one of its route links) in read."""
@@ -403,6 +405,7 @@ class _RouteLink:
                 rest += v
                 others_demanding += v > 0.0
         self.rest, self.others_demanding = rest, others_demanding
+        self.base = rest + (others_demanding == 0)  # plus the lone-group offer's 1
         self.ws = [read.ws[t] for t in T.link_slots[l]]
         self.wb = (seq_sum(self.ws) - self.ws[self.gpos]) / self.n_rivals
         self.pf = self.wb if succ < 0 else read.q2s[pred]
@@ -428,19 +431,21 @@ class DeviationEvaluator:
     profile stays fixed, with a count of utility and demand_slope calls in
     `evals`.
 
-    The constructor reads the profile once (_ProfileRead) and snapshots
-    from that read everything the other agents' messages fix: the smallest
-    finite offer among links off ki's route and, per route link, the other
-    groups' peaks and price sums, the group-mates' peaks, first quotes and
-    demands, the price factor and the successor's first quote, and
-    under SBB the sum of the others' rebate-pool entries and the mean of
-    the others' rhos. certify_ne and curvature_check build every agent's
-    evaluator from one shared read (_evaluators), which gives the same
-    evaluators. Later edits to the profile dict or to the other agents'
-    Message objects do not reach the evaluator. utility(msg) re-prices only
-    ki's route links, in the operation order of evaluate(), so it equals
-    utilities(instance, patched, params)[ki] bit for bit, where patched is
-    the snapshot profile with ki's message replaced by msg.
+    It snapshots what the other agents' messages fix from one read of the
+    profile (_ProfileRead; certify_ne and curvature_check build every
+    agent's evaluator from one shared read, _evaluators): the smallest
+    finite offer off ki's route, a _RouteLink per route link and, under
+    SBB, the others' rho mean. Later edits to the profile dict or to the
+    other agents' Message objects do not reach the evaluator.
+
+    The pricing layer (_scale, utility, best_message) re-prices only ki's
+    route links, in the operation order of evaluate(), so utility(msg)
+    equals utilities(instance, patched, params)[ki] bit for bit, where
+    patched is the snapshot profile with ki's message replaced by msg. The
+    model layer (scale_slopes down to demand_kinks) holds functions of the
+    snapshot and their arguments that read nothing the pricing layer
+    leaves: route link l offers c / (base + max(pm, a*y)), so 1/r(y) is
+    the upper envelope of a few lines in y.
 
     `coords` lists ki's message coordinates as (kind, link) pairs: the
     demand, q1 on each route link, q2 on each route link it shares with
@@ -467,29 +472,23 @@ class DeviationEvaluator:
         self._route = [_RouteLink(read, p) for p in pairs]
         self._rho_bar = None if read.rho_bars is None else read.rho_bars[a]
         self._scaled = (math.nan, 0.0)  # the last (y, r) of _scale
-        self._slopes = {}  # scale_slopes by (y, side)
         self.coords = ([(COORD_Y, None)] + [(COORD_Q1, L.lid) for L in self._route]
                        + [(COORD_Q2, L.lid) for L in self._route if L.q1_succ is not None]
                        + ([(COORD_RHO, None)] if self._rho_bar is not None else []))
 
     def _scale(self, y: float) -> float:
-        """The realized scale when ki demands y. Leaves in each route link
-        ki's group peak, the peak total, the load (sum of r*peaks) and
-        whether ki's own peak sets its group's just (left, right) of y, a
-        tie within KINK_TOL on the right only. A repeat of the last demand
-        returns the last scale (the links already hold it)."""
+        """The realized scale when ki demands y, summed as evaluate() sums
+        it. Leaves in each route link ki's group peak and the load (sum of
+        r*peaks). A repeat of the last demand returns the last scale (the
+        links already hold it)."""
         if y == self._scaled[0]:
             return self._scaled[1]
         r = self._r_off
         for L in self._route:
             own = L.a * y
-            above = own > L.peak_mates
-            peak = own if above else L.peak_mates
+            peak = own if own > L.peak_mates else L.peak_mates
             L.peaks[L.gpos] = peak
-            L.total = total = seq_sum(L.peaks)
-            tie = abs(own - L.peak_mates) <= KINK_TOL * own
-            L.own = (above and not tie, above or tie)
-            offer = _offer(L.capacity, total, L.others_demanding + (peak > 0.0))
+            offer = _offer(L.capacity, seq_sum(L.peaks), L.others_demanding + (peak > 0.0))
             if offer < r:
                 r = offer
         if r == NO_BOUND:
@@ -534,16 +533,28 @@ class DeviationEvaluator:
         max(0, wb - s_mates - (eta*pf*(m_k - a*x) + xi*wb*slack) / 2).
         A q2 that enters no slot (ki alone in its group) is copied from msg."""
         r = self._scale(y)
-        q = {L.lid: (self._best_q1(L, r, r * y),
+        x = r * y
+        q = {L.lid: (self._best_q1(L, r * L.peaks[L.gpos] - L.a * x, L.capacity - L.load),
                      msg.q[L.lid][1] if L.q1_succ is None else L.q1_succ)
              for L in self._route}
         return Message(y, q, None if self._rho_bar is None else r)
 
-    def _best_q1(self, L: _RouteLink, r: float, x: float) -> float:
-        """ki's best first quote on L at scale r and rate x (best_message)."""
-        gap, slack = r * L.peaks[L.gpos] - L.a * x, L.capacity - L.load
+    def _best_q1(self, L: _RouteLink, gap: float, slack: float) -> float:
+        """ki's best first quote on L at reservation gap m_k - a*x and slack."""
         return max(0.0, L.wb - L.s_mates - 0.5 * (self.params.eta * L.pf * gap
                                                   + self.params.xi * L.wb * slack))
+
+    @staticmethod
+    def _peak_form(L: _RouteLink, y: float, side: int) -> Tuple[float, float, float]:
+        """(dpeak, peak0, fixed): just to `side` of demand y, ki's group peak
+        on L is peak0 + dpeak*y and L's peaks sum to fixed + dpeak*y. ki's
+        own peak a*y sets it above the mates' peak pm, and on the right also
+        at a tie within KINK_TOL (at which exact_best_response merges kinks)."""
+        own = L.a * y
+        above, tie = own > L.peak_mates, abs(own - L.peak_mates) <= KINK_TOL * own
+        if (above or tie) if side > 0 else (above and not tie):
+            return L.a, 0.0, L.rest
+        return 0.0, L.peak_mates, L.rest + L.peak_mates
 
     def scale_slopes(self, y: float, side: int
                      ) -> Tuple[float, float, float, bool, Tuple[float, float, float]]:
@@ -552,60 +563,43 @@ class DeviationEvaluator:
         there (only at y = 0; r is then the right-hand limit), and the
         binding offer's form (c, rest, a_e): near y it is c / (rest + a_e*y').
 
-        Route link l offers c / (B + max(pm, a*y)) (demand_kinks): a_e = a
-        where ki's own peak sets its group's peak on that side, else 0. r
-        is the smallest offer, and of the offers tied at it the one falling
-        fastest (right) or slowest (left) binds. Peaks and offers within
-        KINK_TOL of each other are ties, the tolerance at which
-        exact_best_response merges kinks. A form where ki's own peak binds
-        reads that peak even where a tied mate's peak is the realized one,
-        and r is the binding form's offer unless r jumps, so that
-        r + y*r' = r*rest/(rest + a_e*y) to rounding also at ties. Each
-        (y, side) is computed once: the result depends on nothing else, so
-        repeats come from a cache and leave the route links as they are."""
-        key = (y, side)
-        if key not in self._slopes:
-            self._slopes[key] = self._scale_slopes(y, side)
-        return self._slopes[key]
-
-    def _scale_slopes(self, y: float, side: int
-                      ) -> Tuple[float, float, float, bool, Tuple[float, float, float]]:
-        """scale_slopes, computed."""
+        Just to `side` of y route link l has the form (c, base + peak0,
+        dpeak) (_peak_form), the links off the route (r_off, 1, 0). Of the
+        offers within KINK_TOL of the smallest, the one falling fastest
+        (right) or slowest (left) binds, and r is its offer unless r jumps
+        (to the realized _scale(0) at y = 0, where a link ki's group leaves
+        idle or lone offers more), so r + y*r' = r*rest/(rest + a_e*y)."""
         if side not in (+1, -1):
             raise ValueError("side must be +1 or -1")
         if side == -1 and y <= 0.0:
             raise ValueError("left slope undefined at y = 0")
-        r = self._scale(y)
-        forms = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, 1.0, self._r_off, 1.0, 0.0)]
+        offers = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, 1.0, self._r_off, 1.0, 0.0)]
         for L in self._route:
-            a = L.a if L.own[side > 0] else 0.0
-            total = L.total
-            if a and a * y != L.peaks[L.gpos]:  # a peak tie, the mates' peak realized
-                total = seq_sum([a * y if g == L.gpos else v for g, v in enumerate(L.peaks)])
-            lone = L.others_demanding == 0
-            den = total + lone
+            dpeak, peak0, _ = self._peak_form(L, y, side)
+            rest = L.base + peak0
+            den = rest + dpeak * y
             offer = L.capacity / den
-            forms.append((offer, -a * offer / den, den, L.capacity, L.rest + lone if a else den, a))
-        r_lim = min(f[0] for f in forms)
+            offers.append((offer, -dpeak * offer / den, den, L.capacity, rest, dpeak))
+        r_lim = min(f[0] for f in offers)
         offer, dr, den, c, rest, a = min(
-            (f for f in forms if f[0] <= r_lim * (1.0 + KINK_TOL)), key=lambda f: side * f[1])
-        jumped = abs(r_lim - r) > KINK_TOL * r_lim
+            (f for f in offers if f[0] <= r_lim * (1.0 + KINK_TOL)), key=lambda f: side * f[1])
+        jumped = y == 0.0 and abs(r_lim - self._scale(0.0)) > KINK_TOL * r_lim
         # den * den, not den ** 2: a float power overflows past 1.3e154
         return ((r_lim if jumped else offer), dr, 2.0 * a * a * offer / (den * den),
                 jumped, (c, rest, a))
 
-    def clip_points(self, y: float) -> List[float]:
+    def clip_points(self, y: float, form: Optional[tuple] = None) -> List[float]:
         """Where ki's best first quotes turn 0 if the allocation keeps its
         form just right of y, at most one per route link: one offer
-        c / (rest + a_e*y) binds and the group peak is peak0 + dpeak*y
-        (_peak_form), so the quote before its max(0, .) (_best_q1) is
-        K + r*(u + v*y), 0 where K*(rest + a_e*y) + c*(u + v*y) is."""
-        _, _, _, _, (c, rest, a_e) = self.scale_slopes(y, +1)
-        self._scale(y)  # the route links at y, which a cached scale_slopes may not leave
+        c / (rest + a_e*y) binds (scale_slopes, or `form` when the caller
+        has read it) and the group peak is peak0 + dpeak*y (_peak_form), so
+        the quote before its max(0, .) (_best_q1) is K + r*(u + v*y), 0
+        where K*(rest + a_e*y) + c*(u + v*y) is."""
+        c, rest, a_e = self.scale_slopes(y, +1)[4] if form is None else form
         eta, xi = self.params.eta, self.params.xi
         points = []
         for L in self._route:
-            dpeak, peak0, fixed = self._peak_form(L, +1)
+            dpeak, peak0, fixed = self._peak_form(L, y, +1)
             k = L.wb - L.s_mates - 0.5 * xi * L.wb * L.capacity
             u = -0.5 * (eta * L.pf * peak0 - xi * L.wb * fixed)
             v = -0.5 * (eta * L.pf * (dpeak - L.a) - xi * L.wb * dpeak)
@@ -614,23 +608,16 @@ class DeviationEvaluator:
                 points.append(-(k * rest + c * u) / den)
         return points
 
-    @staticmethod
-    def _peak_form(L: _RouteLink, side: int) -> Tuple[float, float, float]:
-        """(dpeak, peak0, fixed): just to `side` of the last demand y, ki's
-        group peak on L is peak0 + dpeak*y and L's peaks sum to
-        fixed + dpeak*y."""
-        return (L.a, 0.0, L.rest) if L.own[side > 0] else (0.0, L.peaks[L.gpos], L.total)
-
     def _y_row(self, y: float, side: int, q1s: Optional[List[float]]):
         """local_model's demand row without the consensus term: r, r', r'',
-        whether r jumps, the y-gradient, the yy entry and per route link
-        (q1, its gradient, its y coupling), at first quotes q1s (route
-        order) or, for None, at the best ones (_best_q1). x' = r + y*r' and
-        x'' = 2r' + y*r'' are taken as r*rest/den and 2r'*rest/den, and the
-        gap and load slopes from _peak_form, so that none is a difference
-        that cancels far past the knees."""
-        r, dr, d2r, jumped, (_, rest, a_e) = self.scale_slopes(y, side)
-        self._scale(y)  # the route links at y, which a cached scale_slopes may not leave
+        whether r jumps, the binding form, the y-gradient, the yy entry and
+        per route link (q1, its gradient, its y coupling), at first quotes
+        q1s (route order) or, for None, at the best ones (_best_q1). x' =
+        r + y*r' and x'' = 2r' + y*r'' are taken as r*rest/den and
+        2r'*rest/den, and the peak, gap and load from _peak_form, so that
+        none is a difference that cancels far past the knees."""
+        r, dr, d2r, jumped, form = self.scale_slopes(y, side)
+        _, rest, a_e = form
         share = rest / (rest + a_e * y)
         x, dx, d2x = r * y, r * share, 2.0 * dr * share
         eta, xi = self.params.eta, self.params.xi
@@ -640,21 +627,21 @@ class DeviationEvaluator:
         links = []
         for j, L in enumerate(self._route):
             pf = L.pf
-            dpeak, peak0, fixed = self._peak_form(L, side)
-            gap = (r * L.peaks[L.gpos] - L.a * x,
+            dpeak, peak0, fixed = self._peak_form(L, y, side)
+            gap = (r * (peak0 + dpeak * y) - L.a * x,
                    dr * peak0 + (dpeak - L.a) * dx,
                    d2r * peak0 + (dpeak - L.a) * d2x)
-            slack = (L.capacity - r * L.total,
+            slack = (L.capacity - r * (fixed + dpeak * y),
                      -(dr * fixed + dpeak * dx),
                      -(d2r * fixed + dpeak * d2x))
-            q1 = self._best_q1(L, r, x) if q1s is None else q1s[j]
+            q1 = self._best_q1(L, gap[0], slack[0]) if q1s is None else q1s[j]
             dw = L.s_mates + q1 - L.wb
             t4, t5 = eta * pf * (q1 - pf), xi * L.wb * dw
             gy -= L.a * pf * dx + t4 * gap[1] + t5 * slack[1]
             hyy -= L.a * pf * d2x + t4 * gap[2] + t5 * slack[2]
             links.append((q1, -(2.0 * dw + eta * pf * gap[0] + xi * L.wb * slack[0]),
                           -(eta * pf * gap[1] + xi * L.wb * slack[1])))
-        return r, dr, d2r, jumped, gy, hyy, links
+        return r, dr, d2r, jumped, form, gy, hyy, links
 
     def local_model(self, msg: Message, side: int) -> LocalModel:
         """ki's own utility at msg to second order on `side` of its demand.
@@ -669,7 +656,7 @@ class DeviationEvaluator:
         + xi*wb*(w_k - wb)*slack''] + 2*zeta*((rho - r)*r'' - r'^2).
         No other entry couples: slots 1 and 6 and every rival price hold no
         quote or rho of ki."""
-        r, dr, d2r, jumped, gy, hyy, links = self._y_row(
+        r, dr, d2r, jumped, _, gy, hyy, links = self._y_row(
             msg.y, side, [msg.q[L.lid][0] for L in self._route])
         n = len(self.coords)
         point, grad, hess = [msg.y], np.zeros(n), np.zeros((n, n))
@@ -705,12 +692,16 @@ class DeviationEvaluator:
         that at a clip point each side reads its own piece. The best rho is
         r, so the consensus term and its rho block cancel (2*zeta*r'^2
         each way)."""
+        return self._slope_read(y, side)[:2]
+
+    def _slope_read(self, y: float, side: int):
+        """demand_slope's (g', g''), then the r, r' and binding form it read."""
         self.evals += 1
-        _, _, _, _, gy, hyy, links = self._y_row(y, side, None)
+        r, dr, _, _, form, gy, hyy, links = self._y_row(y, side, None)
         for q1, g1, coupling in links:
             if 2.0 * q1 + g1 + side * KINK_TOL * y * coupling > 0.0:
                 hyy += 0.5 * coupling * coupling
-        return gy, hyy
+        return gy, hyy, r, dr, form
 
     def demand_kinks(self) -> Tuple[List[float], List[float]]:
         """Where ki's own demand bends the allocation, and where it saturates.
@@ -718,28 +709,35 @@ class DeviationEvaluator:
         For y > 0, route link l offers c / (B + max(pm, a*y)): pm is the
         group-mates' peak and B the other groups' peaks, plus 1 when no
         other group demands there (the lone-group offer). r is the smallest
-        offer (and the offer off the route). Returns the kinks of r and of
-        the group peaks in y > 0 (pm/a, and the demands where two offers
-        cross at the minimum), and per route link the knee B/a: x = r*y
-        lies within a share B/(B + a*y) of its limit c/a on that link."""
+        offer (and the offer off the route), so 1/r is the upper envelope of
+        the lines (p + a*y)/c of the forms (c, p, a), swept in slope order
+        (de Berg et al., Computational Geometry, ch. 11) in O(F log F).
+        Returns the kinks of r and of the group peaks in y > 0 (pm/a, and
+        where consecutive envelope lines cross), and per route link the
+        knee B/a: x = r*y lies within a share B/(B + a*y) of its limit c/a
+        on that link."""
         forms = [] if self._r_off == NO_BOUND else [(self._r_off, 1.0, 0.0)]
         kinks, knees = [], []
         for L in self._route:
-            base = L.rest + (L.others_demanding == 0)
-            knees.append(base / L.a)
-            forms.append((L.capacity, base, L.a))  # own peak a*y
+            knees.append(L.base / L.a)
+            forms.append((L.capacity, L.base, L.a))  # own peak a*y
             if L.peak_mates > 0.0:
                 kinks.append(L.peak_mates / L.a)
-                forms.append((L.capacity, base + L.peak_mates, 0.0))  # mates' peak
-        for i, (c1, p1, a1) in enumerate(forms):
-            for c2, p2, a2 in forms[:i]:
-                den = c1 * a2 - c2 * a1
-                y = (c2 * p1 - c1 * p2) / den if den else 0.0
-                if not 0.0 < y < math.inf:
-                    continue
-                r = min(c / (p + a * y) for c, p, a in forms)
-                if max(c1 / (p1 + a1 * y), c2 / (p2 + a2 * y)) <= r * (1.0 + KINK_TOL):
-                    kinks.append(y)
+                forms.append((L.capacity, L.base + L.peak_mates, 0.0))  # mates' peak
+
+        def cross(f, g):  # where the offers of forms f and g are equal (NaN: parallel)
+            (c1, p1, a1), (c2, p2, a2) = f, g
+            den = c1 * a2 - c2 * a1
+            return (c2 * p1 - c1 * p2) / den if den else math.nan
+
+        hull = []  # the envelope's lines by rising slope, so their crossings rise
+        for f in sorted(forms, key=lambda f: (f[2] / f[0], f[1] / f[0])):
+            if hull and math.isnan(cross(hull[-1], f)):
+                hull.pop()  # parallel, and f lies no lower
+            while len(hull) > 1 and cross(hull[-2], f) <= cross(hull[-2], hull[-1]):
+                hull.pop()
+            hull.append(f)
+        kinks += [y for y in map(cross, hull, hull[1:]) if 0.0 < y < math.inf]
         return kinks, knees
 
 

@@ -166,10 +166,6 @@ class NetworkInstance:
         self.members_on_link: Dict[Tuple[int, str], Tuple[int, ...]] = {
             key: tuple(sorted(members[key]))
             for key in sorted(members, key=lambda key: (key[1], key[0]))}
-        # The same members as AgentIds, so hot loops need not build them.
-        self.member_agents_on_link: Dict[Tuple[int, str], Tuple[AgentId, ...]] = {
-            (k, lid): tuple(AgentId(k, i) for i in mem)
-            for (k, lid), mem in self.members_on_link.items()}
         self.groups_on_link: Dict[str, Tuple[int, ...]] = dict.fromkeys(self.link_ids, ())
         for k, lid in self.members_on_link:
             self.groups_on_link[lid] += (k,)
@@ -182,7 +178,7 @@ class _Tables:
     """An instance compiled into flat index lists, built on first use and
     kept with it (_tables); the solver and the mechanism both read it.
 
-    A slot is a (group, link) pair in member_agents_on_link order (link by
+    A slot is a (group, link) pair in members_on_link order (link by
     link, groups ascending), a pair an (agent, route link) pair, agent by
     agent along each sorted route. Per pair: its agent, link, slot, weight
     and group predecessor's and successor's pairs (-1 when alone in its
@@ -196,7 +192,7 @@ class _Tables:
         self.link_ids = instance.link_ids
         self.routes = [instance.links_of[ki] for ki in self.agents]
         self.route_keys = [frozenset(route) for route in self.routes]
-        self.slot_keys = list(instance.member_agents_on_link)
+        self.slot_keys = list(instance.members_on_link)
         self.pair_keys = [(ki, lid) for ki, route in zip(self.agents, self.routes)
                           for lid in route]
         self.starts = [0, *accumulate(len(route) for route in self.routes)]
@@ -262,9 +258,9 @@ def validate(instance: NetworkInstance) -> ValidationReport:
     for (ki, lid), a in sorted(instance.alpha.items()):
         if not (a > 0.0 and math.isfinite(a)):
             report.add("positivity", f"agent {ki.label} on {lid}: weight {a} not positive")
-    for lid in instance.link_ids:
-        if len(instance.groups_on_link[lid]) < 2:
-            report.add("A3", f"link {lid}: only {len(instance.groups_on_link[lid])} group(s) cross it")
+    for lid, rivals in zip(instance.link_ids, _tables(instance).rivals):
+        if rivals < 1:
+            report.add("A3", f"link {lid}: only {rivals + 1} group(s) cross it")
     return report
 
 
@@ -296,13 +292,13 @@ def constraint_violation(instance: NetworkInstance, x: Dict[AgentId, float],
     Zero (or a few ulps) means the pair (x, m) is feasible for the shared
     allocation problem. A NaN or infinite rate or bound reads as infinite.
     """
-    terms = [-x[ki] for ki in instance.agents]
-    for lid in instance.link_ids:
-        terms.append(seq_sum(m[(k, lid)] for k in instance.groups_on_link[lid])
-                     - instance.capacity[lid])
-        for k in instance.groups_on_link[lid]:
-            for ki in instance.member_agents_on_link[(k, lid)]:
-                terms.append(instance.alpha[(ki, lid)] * x[ki] - m[(k, lid)])
+    T = _tables(instance)
+    xs, ms = [x[ki] for ki in T.agents], [m[key] for key in T.slot_keys]
+    terms = [-v for v in xs]
+    for slots, c in zip(T.link_slots, T.capacity):
+        terms.append(seq_sum(ms[s] for s in slots) - c)
+        terms += [T.pairs[p][3] * xs[T.pairs[p][0]] - ms[s]
+                  for s in slots for p in T.slot_pairs[s]]
     # An infinite entry leaves a +inf or a NaN term, and max() can pass over a NaN.
     return math.inf if any(map(math.isnan, terms)) else max(0.0, *terms)
 

@@ -9,16 +9,17 @@ utility and slope evaluations; kink-free pieces of g and clip points
 (piece ends where a best first quote reaches 0, not at a kink); slope
 reads per piece (each read gives one piece's model coefficients);
 ``best_message`` calls, split into evaluations of g and probes of the clip
-state (any other call); and ``scale_slopes`` calls, split into results
-computed and results served from the evaluator's cache. It also prints the
-wall time of ``certify_ne``, of ``curvature_check`` and of building every
-agent's ``DeviationEvaluator`` from one read of each candidate (the
-evaluator set-up both of them do) on the tuned candidates, summed over the
-corpus (the fastest of five passes). Last, for the ladder draws
+state (any other call); and the binding-form reads (``scale_slopes``
+calls, each computed: nothing caches them). It also prints the wall time
+of ``certify_ne``, of ``curvature_check`` and of building every agent's
+``DeviationEvaluator`` from one read of each candidate (the evaluator
+set-up both of them do) on the tuned candidates, summed over the corpus
+(the fastest of five passes). Last, for the ladder draws
 ``random_instance(1, g, 3, g)`` with g = 12 and 25 (22 and 50 agents),
-tuned and constructed in both variants, it prints the auto-shrinks and
-the time of ``certify_ne`` (fastest of five), in total and in µs per agent,
-and its evaluations per agent.
+tuned and constructed in both variants, it prints the auto-shrinks, the
+time of ``certify_ne`` (fastest of five) in total and in µs per agent, its
+evaluations per agent, and the time of ``demand_kinks`` in µs per agent
+(fastest of five).
 
 Not collected by pytest (the name does not start with ``test_``); it is
 the yardstick for changes to ``exact_best_response``.
@@ -76,8 +77,7 @@ def main():
             curvature_s[-1] += time.perf_counter() - start
             assert report.certified and not report.incomplete
 
-    counts = dict.fromkeys(("utility", "demand_slope", "best_message", "scale_slopes",
-                            "_scale_slopes"), 0)
+    counts = dict.fromkeys(("utility", "_slope_read", "best_message", "scale_slopes"), 0)
     reals = {name: counted(name, counts) for name in counts}
     agents = pieces = clips = 0
     try:
@@ -95,16 +95,14 @@ def main():
     g_evals = counts["utility"] - agents  # one utility call per agent prices the incumbent
     print(f"{len(candidates)} candidates, {agents} agents")
     print(f"per agent: utility {counts['utility'] / agents:.2f}, "
-          f"slope {counts['demand_slope'] / agents:.2f}, "
+          f"slope {counts['_slope_read'] / agents:.2f}, "
           f"pieces {pieces / agents:.2f}, clip points {clips / agents:.2f}, "
-          f"slope reads per piece {counts['demand_slope'] / pieces:.2f}")
+          f"slope reads per piece {counts['_slope_read'] / pieces:.2f}")
     print(f"per agent: best_message {counts['best_message'] / agents:.2f} "
           f"(g {g_evals / agents:.2f}, clip probes "
           f"{(counts['best_message'] - g_evals) / agents:.2f})")
-    computed = counts["_scale_slopes"]
-    print(f"per agent: scale_slopes {counts['scale_slopes'] / agents:.2f} "
-          f"(computed {computed / agents:.2f}, "
-          f"cached {(counts['scale_slopes'] - computed) / agents:.2f})")
+    print(f"per agent: binding-form reads (scale_slopes, computed) "
+          f"{counts['scale_slopes'] / agents:.2f}")
     print(f"certify_ne {min(certify_s):.3f} s, curvature_check {min(curvature_s):.3f} s, "
           f"evaluator set-up {min(setup_s):.3f} s (fastest of {REPEATS} passes)")
     for g in LADDER:
@@ -113,7 +111,7 @@ def main():
 
 def ladder_rung(g):
     """Certify the tuned candidates of random_instance(1, g, 3, g) and print
-    the cost per agent."""
+    the cost per agent, and that of demand_kinks."""
     inst = random_instance(1, g, 3, g)
     primal, dual = solve_cp(inst)
     epsilon = default_epsilon(inst, primal)
@@ -127,9 +125,17 @@ def ladder_rung(g):
             report = certify_ne(inst, cand, epsilon, budget=CERT_BUDGET)
             times.append(time.perf_counter() - start)
         assert report.certified and not report.incomplete
+        evaluators = list(_evaluators(inst, cand.profile, cand.params))
+        kink_times = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            for ev in evaluators:
+                ev.demand_kinks()
+            kink_times.append(time.perf_counter() - start)
         print(f"ladder g={g} {variant}: {n} agents, {shrinks} auto-shrinks, certify_ne "
               f"{min(times) * 1e3:.1f} ms ({min(times) / n * 1e6:.0f} us per agent), "
-              f"{sum(report.evals.values()) / n:.2f} evaluations per agent")
+              f"{sum(report.evals.values()) / n:.2f} evaluations per agent, "
+              f"demand_kinks {min(kink_times) / n * 1e6:.1f} us per agent")
 
 
 if __name__ == "__main__":

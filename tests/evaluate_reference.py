@@ -25,12 +25,19 @@ def _sum(values) -> float:
     return total
 
 
+def member_agents_on_link(instance: NetworkInstance
+                          ) -> Dict[Tuple[int, str], Tuple[AgentId, ...]]:
+    """Each (group, link) slot's members as AgentIds, in members_on_link order."""
+    return {(k, lid): tuple(AgentId(k, i) for i in members)
+            for (k, lid), members in instance.members_on_link.items()}
+
+
 def neighbours(instance: NetworkInstance
                ) -> Tuple[Dict[Tuple[AgentId, str], AgentId], Dict[Tuple[AgentId, str], AgentId]]:
     """Each (agent, link) pair's cyclic successor and predecessor among its
     group's members on the link, in member order; a singleton is its own."""
     succ, pred = {}, {}
-    for (_, lid), members in instance.member_agents_on_link.items():
+    for (_, lid), members in member_agents_on_link(instance).items():
         for pos, ki in enumerate(members):
             succ[(ki, lid)] = members[(pos + 1) % len(members)]
             pred[(ki, lid)] = members[pos - 1]
@@ -39,8 +46,8 @@ def neighbours(instance: NetworkInstance
 
 def agents_on_link(instance: NetworkInstance) -> Dict[str, Tuple[AgentId, ...]]:
     """Each link's agents, groups ascending and members in order within each."""
-    return {lid: tuple(b for k in instance.groups_on_link[lid]
-                       for b in instance.member_agents_on_link[(k, lid)])
+    slots = member_agents_on_link(instance)
+    return {lid: tuple(b for k in instance.groups_on_link[lid] for b in slots[(k, lid)])
             for lid in instance.link_ids}
 
 
@@ -88,7 +95,7 @@ def _offer(capacity: float, peaks, n_demanding: int) -> float:
 def reference_allocate(instance: NetworkInstance, y: Dict[AgentId, float]) -> AllocationResult:
     peaks: Dict[Tuple[int, str], float] = {}
     active: Dict[str, set] = {lid: set() for lid in instance.link_ids}
-    for (k, lid), members in instance.member_agents_on_link.items():
+    for (k, lid), members in member_agents_on_link(instance).items():
         best = 0.0
         for ki in members:
             v = instance.alpha[(ki, lid)] * y[ki]
@@ -135,7 +142,7 @@ def reference_evaluate(instance: NetworkInstance, profile: Profile,
     alloc = reference_allocate(instance, {ki: profile[ki].y for ki in instance.agents})
 
     w = {(k, lid): _sum(profile[b].q[lid][0] for b in members)
-         for (k, lid), members in instance.member_agents_on_link.items()}
+         for (k, lid), members in member_agents_on_link(instance).items()}
     w_bar: Dict[Tuple[int, str], float] = {}
     for lid in instance.link_ids:
         groups = instance.groups_on_link[lid]

@@ -28,7 +28,7 @@ from mcastmech import (AgentId, CandidateNE, DualCertificate, LemmaReport, Netwo
 from mcastmech.mechanism import VARIANT_SBB
 from mcastmech.model import RATE_ATOL, seq_sum
 
-from evaluate_reference import neighbours
+from evaluate_reference import member_agents_on_link, neighbours
 
 
 def reference_residuals(instance: NetworkInstance, primal: PrimalSolution,
@@ -67,9 +67,10 @@ def reference_residuals(instance: NetworkInstance, primal: PrimalSolution,
             stat = max(stat, abs(resid))
         else:
             stat = max(stat, resid)  # only overpricing is allowed at zero
+    slots = member_agents_on_link(instance)
     for lid in instance.link_ids:
         for k in instance.groups_on_link[lid]:
-            total = sum(mu[(b, lid)] for b in instance.member_agents_on_link[(k, lid)])
+            total = sum(mu[(b, lid)] for b in slots[(k, lid)])
             stat = max(stat, abs(lam[lid] - total))
     return primal_feas, dual_feas, comp, stat
 
@@ -101,12 +102,12 @@ def dense_direction(N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def reference_a4(instance: NetworkInstance, primal: PrimalSolution
                  ) -> Tuple[Dict[str, int], bool]:
     """(s_sizes, holds) of check_a4, link by link and group by group."""
-    sizes = {}
+    sizes, slots = {}, member_agents_on_link(instance)
     for lid in instance.link_ids:
         thresh = RATE_ATOL * instance.capacity[lid]
         count = 0
         for k in instance.groups_on_link[lid]:
-            if any(primal.x[b] > thresh for b in instance.member_agents_on_link[(k, lid)]):
+            if any(primal.x[b] > thresh for b in slots[(k, lid)]):
                 count += 1
         sizes[lid] = count
     return sizes, all(c >= 2 for c in sizes.values())

@@ -41,11 +41,12 @@ from mcastmech import (
     utilities,
 )
 from mcastmech.errors import SolverError, ValidationFailure
-from mcastmech.mechanism import DeviationEvaluator, _evaluators
+from mcastmech.mechanism import KINK_TOL, DeviationEvaluator, _evaluators
 
 from conftest import batch_shape, coherent_quotes
 from evaluate_reference import agents_on_link
 from grid_reference import bisected_cuts, grid_best_response
+from kinks_reference import pairwise_kinks
 from slope_reference import slope_best_response
 from kkt_reference import reference_lemmas, reference_quotes
 
@@ -579,6 +580,38 @@ def test_clip_points_match_bisection(certified_batch):
     assert n_clips > 0
 
 
+def test_envelope_kinks_match_pairwise_scan(capsys, certified_batch):
+    """demand_kinks' upper-envelope sweep against the pairwise scan
+    (kinks_reference) at the candidates of batch seeds 1-50 and of
+    random_instance(1, g, 3, g) for g = 6, 12 and 25, both variants: the
+    knees agree, every envelope kink is a scan kink bit for bit, and every
+    scan kink not within KINK_TOL of an envelope kink lies below 1e-9 of
+    the agent's smallest knee (offers within KINK_TOL of the minimum as y
+    nears 0, crossing off the envelope)."""
+    records, _ = certified_batch
+    cases = [(r.instance, v.candidate) for r in records for v in (r.wbb, r.sbb)]
+    for g in (6, 12, 25):
+        inst = random_instance(1, g, 3, g)
+        primal, dual = solve_cp(inst)
+        for variant in ("wbb", "sbb"):
+            params, _, _ = tune_params(inst, primal, dual, MechanismParams(variant=variant))
+            cases.append((inst, construct_ne(inst, primal, dual, params)))
+    agents = off = 0
+    for inst, cand in cases:
+        for ev in _evaluators(inst, cand.profile, cand.params):
+            kinks, knees = ev.demand_kinks()
+            ref, ref_knees = pairwise_kinks(ev)
+            assert knees == ref_knees and set(kinks) <= set(ref), ev.ki
+            for y in ref:
+                if all(abs(y - k) > KINK_TOL * y for k in kinks):
+                    assert y < 1e-9 * min(knees), (ev.ki, y, min(knees))
+                    off += 1
+            agents += 1
+    with capsys.disabled():
+        print(f"\n[kinks] {agents} agents: envelope kinks all among the pairwise scan's; "
+              f"{off} scan kinks off the envelope, all below 1e-9 of the smallest knee")
+
+
 def test_piece_slopes_against_sampled_g(capsys, certified_batch):
     """On every piece of g searched for the first 16 batch seeds, at the
     candidates and at perturbed copies, the best first quotes are clipped
@@ -688,10 +721,11 @@ def test_shared_read_matches_fresh_evaluators(certified_batch):
 
 
 def test_slope_cache_is_safe(certified_batch):
-    """An evaluator's cached scale_slopes, and the slopes, clip points and
-    local models that read the route links after it, match a fresh
-    evaluator's after utility and best_message have run at other demands
-    (first 16 batch seeds, candidates and perturbed copies, both variants)."""
+    """The model layer reads no state the pricing layer leaves: an
+    evaluator's scale_slopes, slopes, clip points and local models match a
+    fresh evaluator's after utility and best_message have run at other
+    demands (first 16 batch seeds, candidates and perturbed copies, both
+    variants)."""
     records, _ = certified_batch
     rng = np.random.default_rng(47)
     for r, v, profile in _batch_profiles(records[:16], 53):

@@ -32,8 +32,9 @@ from mcastmech.errors import SharingAssumptionError
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
 
 from conftest import make_instance
-from evaluate_reference import neighbours
+from evaluate_reference import member_agents_on_link, neighbours
 from finite_diff import displaced, fd_hessian, fd_slopes
+from kinks_reference import pairwise_kinks
 from search import search_best_response
 
 WBB = MechanismParams(variant="wbb")
@@ -290,7 +291,7 @@ def _closed_form_message(inst, profile, params, ki, msg):
     succ, pred = neighbours(inst)
     q, clipped = {}, {}
     for lid in inst.links_of[ki]:
-        mates = [b for b in inst.member_agents_on_link[(k, lid)] if b != ki]
+        mates = [b for b in member_agents_on_link(inst)[(k, lid)] if b != ki]
         wb = out.w_bar[(k, lid)]
         pf = profile[pred[(ki, lid)]].q[lid][1] if mates else wb
         slack = inst.capacity[lid] - sum(out.m[(g, lid)] for g in inst.groups_on_link[lid])
@@ -953,3 +954,42 @@ def test_scale_slopes_read_r_from_the_binding_form(two_member_instance):
                AgentId(3, 1): Message(3.0, {"l2": (0.2, 0.2)})}
     ev = DeviationEvaluator(inst, profile, WBB, ki)
     assert _binding_form_checks(ev, 1.0) == (inst.capacity["l2"], 3.0, 2.0)
+
+
+def test_envelope_drops_the_lower_parallel_form():
+    """Agent 1.1 crosses l1 and l2 (c = 10, a = 1), so its own peaks give
+    1/r the parallel lines (3 + y)/10 and (5 + y)/10, and its group-mate's
+    peak 4 on l1 the flat line 7/10. The envelope is max(7/10, (5 + y)/10):
+    r bends at y = 2 only, and the lower parallel line meets the flat one at
+    y = 4 = pm/a off the envelope. The kinks equal the pairwise scan's, and
+    the flat form binds below 2, l2's above."""
+    inst = make_instance({"l1": 10.0, "l2": 10.0},
+                         [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0, "l2": 1.0}),
+                          (1, 2, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                          (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                          (3, 1, LOG_SAT, 1.0, 1.0, {"l2": 1.0})])
+    ys = {AgentId(1, 1): 1.0, AgentId(1, 2): 4.0, AgentId(2, 1): 3.0, AgentId(3, 1): 5.0}
+    profile = {ki: Message(y, zero_message(inst, ki, "wbb").q) for ki, y in ys.items()}
+    ev = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
+    assert ev.demand_kinks() == pairwise_kinks(ev) == ([4.0, 2.0], [3.0, 5.0])
+    assert ev.scale_slopes(1.0, +1)[4] == (10.0, 7.0, 0.0)
+    assert ev.scale_slopes(3.0, +1)[4] == (10.0, 5.0, 1.0)
+
+
+def test_envelope_kink_where_the_off_route_offer_binds():
+    """Agent 1.1 crosses l1 only; l2 (c = 6), off its route, offers
+    6 / (2 + 4) = 1, and l1 offers 10 / (2 + y). The off-route offer binds
+    up to y = 8, l1's past it: one kink, equal to the pairwise scan's, and
+    at the kink the faster falling form binds on the right, the flat one on
+    the left."""
+    inst = make_instance({"l1": 10.0, "l2": 6.0},
+                         [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                          (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0, "l2": 1.0}),
+                          (3, 1, LOG_SAT, 1.0, 1.0, {"l2": 1.0})])
+    ys = {AgentId(1, 1): 1.0, AgentId(2, 1): 2.0, AgentId(3, 1): 4.0}
+    profile = {ki: Message(y, zero_message(inst, ki, "wbb").q) for ki, y in ys.items()}
+    ev = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
+    assert ev.demand_kinks() == pairwise_kinks(ev) == ([8.0], [2.0])
+    assert ev.scale_slopes(4.0, +1)[:2] == (1.0, 0.0)
+    assert ev.scale_slopes(4.0, +1)[4] == ev.scale_slopes(8.0, -1)[4] == (1.0, 1.0, 0.0)
+    assert ev.scale_slopes(8.0, +1)[4] == ev.scale_slopes(9.0, -1)[4] == (10.0, 2.0, 1.0)

@@ -28,7 +28,7 @@ from mcastmech.centralized import solution_to_dict
 from mcastmech.model import seq_sum
 
 from conftest import make_instance
-from evaluate_reference import neighbours
+from evaluate_reference import member_agents_on_link, neighbours
 
 
 def codes(report):
@@ -129,7 +129,7 @@ def test_two_member_wraparound(two_member_instance):
 def _assert_one_slot_order(inst):
     """The solver's m and evaluate's n, m, w and w_bar are keyed in
     member_agents_on_link's order, which runs link by link, groups ascending."""
-    slots = list(inst.member_agents_on_link)
+    slots = list(member_agents_on_link(inst))
     assert slots == sorted(slots, key=lambda key: (key[1], key[0]))
     primal, _ = solve_cp(inst)
     profile = {ki: zero_message(inst, ki, "wbb") for ki in inst.agents}
