@@ -137,7 +137,7 @@ class _Workspace:
         self.offset = np.concatenate((np.zeros(self.nx), self.caps,
                                       np.zeros(len(self.bnd))))
         # Rates at or below this count as zero in the stationarity block.
-        self.thresh = RATE_ATOL * np.array(T.top_capacity)
+        self.thresh = np.array(T.zero_rate)
 
     def dvalue(self, x: np.ndarray) -> np.ndarray:
         return np.array([v.deriv(xj) for v, xj in zip(self.vals, x.tolist())])

@@ -35,13 +35,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .centralized import DEFAULT_TOL, DualCertificate, PrimalSolution, solution_to_dict, solve_cp
+from .centralized import DEFAULT_TOL, DualCertificate, PrimalSolution, solution_to_json, solve_cp
 from .equilibrium import (br_dynamics, certify_ne, construct_ne,
                           default_epsilon, lemma_suite, tune_params)
 from .errors import (DegenerateInstanceError, EquilibriumError,
                      InstanceFormatError, MechError, MessageShapeError,
                      SharingAssumptionError, SolverError, ValidationFailure)
-from .mechanism import (MechanismParams, VARIANTS, evaluate, outcome_to_dict,
+from .mechanism import (MechanismParams, VARIANTS, evaluate, outcome_to_json,
                         profile_from_json, profile_to_json, validate_profile, zero_message)
 from .model import (NetworkInstance, canonical_json, load_instance, random_instance,
                     require_valid, welfare)
@@ -78,16 +78,18 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_manifest(out_dir: str, command: str, config: Dict[str, object]) -> None:
+def _write_manifest(args: argparse.Namespace, command: str) -> None:
+    """manifest.json in args.out: the command, the versions and, as config,
+    every parsed option with its parsed value."""
     doc = {
         "command": command,
         "package": "mcastmech",
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
     }
-    _write(os.path.join(out_dir, "manifest.json"), canonical_json(doc))
+    _write(os.path.join(args.out, "manifest.json"), canonical_json(doc))
 
 
 def _mech_workers(n_jobs: int) -> int:
@@ -111,14 +113,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "optimum has a link with fewer than two demanding groups: "
             + ", ".join(sorted(l for l, c in report.s_sizes.items() if c < 2)))
     os.makedirs(args.out, exist_ok=True)
-    _write(os.path.join(args.out, "solution.json"),
-           canonical_json(solution_to_dict(instance, primal, dual)))
-    _write(os.path.join(args.out, "kkt_report.json"),
-           canonical_json(report.as_dict()))
-    _write_manifest(args.out, "solve", {
-        "instance": args.instance, "tol": args.tol, "seed": args.seed,
-        "require_a4": args.require_a4, "out": args.out,
-    })
+    _write(os.path.join(args.out, "solution.json"), solution_to_json(instance, primal, dual))
+    _write(os.path.join(args.out, "kkt_report.json"), canonical_json(report.as_dict()))
+    _write_manifest(args, "solve")
     print(f"solve ok: welfare={welfare(instance, primal.x):.12g} "
           f"max_residual={report.max_residual:.3e} a4={report.a4_holds}")
     return EXIT_OK
@@ -155,8 +152,7 @@ def _certify_single(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "equilibrium_profile.json"),
            profile_to_json(candidate.profile))
-    _write(os.path.join(args.out, "outcome.json"),
-           canonical_json(outcome_to_dict(instance, outcome)))
+    _write(os.path.join(args.out, "outcome.json"), outcome_to_json(instance, outcome))
     _write(os.path.join(args.out, "certification.json"), canonical_json(report.as_dict()))
     lemma_doc = lemmas.as_dict()
     _write(os.path.join(args.out, "lemmas.json"), canonical_json(lemma_doc))
@@ -165,12 +161,7 @@ def _certify_single(args: argparse.Namespace) -> int:
                 "params": {"eta": params.eta, "xi": params.xi,
                            "zeta": params.zeta, "variant": params.variant}}
     _write(os.path.join(args.out, "curvature.json"), canonical_json(curv_doc))
-    _write_manifest(args.out, "certify", {
-        "instance": args.instance, "variant": args.variant,
-        "eta": args.eta, "xi": args.xi, "zeta": args.zeta,
-        "tol": args.tol, "epsilon": args.epsilon, "budget": args.budget,
-        "lemma_tol": args.lemma_tol, "out": args.out,
-    })
+    _write_manifest(args, "certify")
     worst_lemma = max(lemma_doc.values())
     print(f"certify: certified={report.certified} max_gain={report.max_gain:.6e} "
           f"epsilon={epsilon:.6e} worst_lemma={worst_lemma:.3e} "
@@ -255,14 +246,7 @@ def _certify_sweep(args: argparse.Namespace, seeds: List[int]) -> int:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-    _write_manifest(args.out, "certify-sweep", {
-        "seeds": sorted(seeds), "variant": args.variant,
-        "eta": args.eta, "xi": args.xi, "zeta": args.zeta,
-        "tol": args.tol, "epsilon": args.epsilon, "budget": args.budget,
-        "sweep_groups": args.sweep_groups, "sweep_members": args.sweep_members,
-        "sweep_links": args.sweep_links, "sweep_density": args.sweep_density,
-        "out": args.out,
-    })
+    _write_manifest(args, "certify-sweep")
     n_cert = sum(1 for r in rows if r.get("certified") is True)
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"sweep: {len(rows)} seeds, {n_ok} solved, {n_cert} certified "
@@ -337,13 +321,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     }))
     _write(os.path.join(args.out, "final_profile.json"),
            profile_to_json(result.final_profile))
-    _write_manifest(args.out, "dynamics", {
-        "instance": args.instance, "variant": args.variant,
-        "eta": args.eta, "xi": args.xi, "zeta": args.zeta,
-        "tol": args.tol, "epsilon": args.epsilon, "budget": args.budget,
-        "rounds": args.rounds,
-        "schedule": args.schedule, "start": args.start, "out": args.out,
-    })
+    _write_manifest(args, "dynamics")
     print(f"dynamics: rounds_run={result.rounds_run} "
           f"fixed_point={result.fixed_point} -> {traj_path}")
     return EXIT_OK
@@ -393,14 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solver KKT residual target")
         p.add_argument("--out", default=".", help="output directory")
 
-    def mech(p):
+    def mech(p, epsilon_help):
         p.add_argument("--variant", choices=list(VARIANTS), default="wbb")
         p.add_argument("--eta", type=_positive("eta"), default=1e-2)
         p.add_argument("--xi", type=_positive("xi"), default=1e-2)
         p.add_argument("--zeta", type=_positive("zeta"), default=1e-2)
-        p.add_argument("--epsilon", type=_positive("epsilon"), default=None,
-                       help="certification threshold (default 1e-6 * max "
-                            "valuation at the optimum)")
+        p.add_argument("--epsilon", type=_positive("epsilon"), default=None, help=epsilon_help)
         p.add_argument("--budget", type=_at_least("budget", 1), default=1000,
                        help="cap on utility and slope evaluations per agent best response")
 
@@ -420,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--seeds", help="sweep seeds: '7', '1..50', or '1,4,9'")
     p_cert.add_argument("--tol", type=_positive("tol"), default=DEFAULT_TOL)
     p_cert.add_argument("--out", default=".")
-    mech(p_cert)
+    mech(p_cert, "certification threshold (default 1e-6 * max valuation at the optimum)")
     p_cert.add_argument("--lemma-tol", type=_positive("lemma-tol"),
                         default=DEFAULT_LEMMA_TOL,
                         help="max allowed lemma violation for exit 0")
@@ -433,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dyn = sub.add_parser("dynamics", help="iterated best-response rounds")
     common(p_dyn)
-    mech(p_dyn)
+    mech(p_dyn, "stop once no best-response gain of a round exceeds this (default 1e-8)")
     p_dyn.add_argument("--rounds", type=_at_least("rounds", 1), default=50)
     p_dyn.add_argument("--schedule", choices=["gauss-seidel", "jacobi"],
                        default="gauss-seidel")

@@ -32,12 +32,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .centralized import DualCertificate, PrimalSolution, check_a4
+from .centralized import DualCertificate, PrimalSolution
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
                         MechanismParams, Message, Profile, VARIANT_SBB,
                         _evaluate, _evaluators, allocate, evaluate)
-from .model import (LOG_SAT, AgentId, NetworkInstance, RATE_ATOL, Valuation, _tables,
+from .model import (LOG_SAT, AgentId, NetworkInstance, Valuation, _tables,
                     constraint_violation, seq_sum)
 
 
@@ -161,21 +161,22 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
     """Messages that replay the welfare solution through the mechanism.
 
     An agent shut out at the optimum (a rate within the solver's zero-rate
-    threshold, RATE_ATOL times its route's largest capacity) demands 0, not
-    the solver's residue. Refuses duals whose max KKT residual exceeds 1e-6,
-    and a replay whose scale or rates drift from 1 and the optimum by more
-    than a relative 1e-6."""
-    if dual.residuals.max_residual > 1e-6:
+    threshold, _Tables.zero_rate) demands 0, not the solver's residue.
+    Refuses duals whose max KKT residual exceeds 1e-6 or whose sharing
+    count (dual.residuals, which the solve computed from primal) has a link
+    with fewer than two demanding groups, and a replay whose scale or rates
+    drift from 1 and the optimum by more than a relative 1e-6."""
+    residuals = dual.residuals
+    if residuals.max_residual > 1e-6:
         raise EquilibriumError(
-            f"duals too loose for construction: {dual.residuals.max_residual:.3e}")
-    a4 = check_a4(instance, primal)
-    if not a4.holds:
-        bad = sorted(l for l, c in a4.s_sizes.items() if c < 2)
+            f"duals too loose for construction: {residuals.max_residual:.3e}")
+    if not residuals.a4_holds:
+        bad = sorted(l for l, c in residuals.s_sizes.items() if c < 2)
         raise SharingAssumptionError(
             f"single demanding group at the optimum on: {', '.join(bad)}")
     T = _tables(instance)
     xs = [primal.x[ki] for ki in T.agents]
-    ys = [x if x > RATE_ATOL * top else 0.0 for x, top in zip(xs, T.top_capacity)]
+    ys = [x if x > zero else 0.0 for x, zero in zip(xs, T.zero_rate)]
     alloc = allocate(instance, dict(zip(T.agents, ys)))
     if abs(alloc.r - 1.0) > 1e-6:
         raise EquilibriumError(f"replayed scale {alloc.r} is not 1")
@@ -259,7 +260,7 @@ def _crest(val: Valuation, A: float, B: float, lo: float, hi: float) -> float:
 
 
 def _piece(val: Valuation, a: float, b: float, read):
-    """Piece [a, b] of g from one slope read right of a (_slope_read): its
+    """Piece [a, b] of g from one slope read right of a (demand_slope): its
     record (a, b, g'(a+), g'(b-)), candidates (demand, model value above
     a's) and rise.
 
@@ -331,11 +332,11 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
     try:
         scored, total = [], 0.0  # candidates by model value, C = 0 at the first piece's start
         for lo, hi in zip(ends, ends[1:]):
-            read = ev._slope_read(within_budget(lo), +1)  # the first piece's; gives the clip points
+            read = ev.demand_slope(within_budget(lo), +1)  # the first piece's; gives the clip points
             clips = sorted({y for y in ev.clip_points(lo, read[4])
                             if min(y - lo, hi - y) > KINK_TOL * y})
             for a, b in zip([lo, *clips], [*clips, hi]):
-                read = read if a == lo else ev._slope_read(within_budget(a), +1)
+                read = read if a == lo else ev.demand_slope(within_budget(a), +1)
                 piece, cands, rise = _piece(ev.valuation, a, b, read)
                 pieces.append(piece)
                 scored += [(y, total + v) for y, v in cands]
@@ -469,11 +470,11 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
 
     prices = [alpha * q1 for (_, _, _, alpha, _, _), q1 in zip(T.pairs, q1s)]
     stat = ir = 0.0
-    for ki, x, tax, top, lo, hi in zip(T.agents, xs, out.taxes.values(), T.top_capacity,
-                                       T.starts, T.starts[1:]):
+    for ki, x, tax, zero, lo, hi in zip(T.agents, xs, out.taxes.values(), T.zero_rate,
+                                        T.starts, T.starts[1:]):
         val = instance.valuation(ki)
         resid = val.deriv(x) - seq_sum(prices[lo:hi])
-        stat = max(stat, abs(resid) if x > RATE_ATOL * top else max(0.0, resid))
+        stat = max(stat, abs(resid) if x > zero else max(0.0, resid))
         ir = max(ir, val.value(0.0) - (val.value(x) - tax.total))
     wbb_gap = max(0.0, -out.total_tax)
     sbb_gap = abs(out.total_tax) if sbb else 0.0

@@ -48,8 +48,9 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import MessageShapeError
-from .model import AgentId, NetworkInstance, _Tables, _tables, canonical_json, seq_sum
+from .errors import InstanceFormatError, MessageShapeError
+from .model import (AgentId, NetworkInstance, _Tables, _number, _tables, canonical_json,
+                    seq_sum)
 
 VARIANT_WBB = "wbb"
 VARIANT_SBB = "sbb"
@@ -682,20 +683,18 @@ class DeviationEvaluator:
         grad[0], hess[0, 0] = gy, hyy
         return LocalModel(point, grad, hess, jumped)
 
-    def demand_slope(self, y: float, side: int) -> Tuple[float, float]:
-        """g' and g'' on `side` of y, g(y) being ki's utility at
-        best_message(y); counted in evals. By the envelope theorem g' is
-        local_model's demand gradient at the best message; g'' is the Schur
-        complement of its quote block, the yy entry plus c^2/2 for each
-        y-q1 coupling c whose best q1 = max(0, E) is positive KINK_TOL*y to
-        `side` of y (E = q1 + g1/2 for q1's gradient g1, and E' = c/2), so
-        that at a clip point each side reads its own piece. The best rho is
-        r, so the consensus term and its rho block cancel (2*zeta*r'^2
-        each way)."""
-        return self._slope_read(y, side)[:2]
-
-    def _slope_read(self, y: float, side: int):
-        """demand_slope's (g', g''), then the r, r' and binding form it read."""
+    def demand_slope(self, y: float, side: int
+                     ) -> Tuple[float, float, float, float, Tuple[float, float, float]]:
+        """(g', g'', r, r', form) on `side` of y, g(y) being ki's utility at
+        best_message(y), with the scale r, its slope r' and the binding
+        offer's form (scale_slopes) that they were read from; counted in
+        evals. By the envelope theorem g' is local_model's demand gradient
+        at the best message; g'' is the Schur complement of its quote
+        block, the yy entry plus c^2/2 for each y-q1 coupling c whose best
+        q1 = max(0, E) is positive KINK_TOL*y to `side` of y (E = q1 + g1/2
+        for q1's gradient g1, and E' = c/2), so that at a clip point each
+        side reads its own piece. The best rho is r, so the consensus term
+        and its rho block cancel (2*zeta*r'^2 each way)."""
         self.evals += 1
         r, dr, _, _, form, gy, hyy, links = self._y_row(y, side, None)
         for q1, g1, coupling in links:
@@ -768,8 +767,14 @@ def profile_to_json(profile: Profile) -> str:
     return canonical_json({ki.label: message_to_dict(profile[ki]) for ki in sorted(profile)})
 
 
+def _quote(pair: object) -> Tuple[float, float]:
+    """A quote pair from JSON: a list of exactly two numbers."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise InstanceFormatError(f"a quote must be a list of two numbers, got {pair!r}")
+    return _number(pair[0], "quote"), _number(pair[1], "quote")
+
+
 def profile_from_json(text: str, instance: NetworkInstance) -> Profile:
-    from .errors import InstanceFormatError
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -778,10 +783,9 @@ def profile_from_json(text: str, instance: NetworkInstance) -> Profile:
     try:
         for label, entry in doc.items():
             ki = AgentId.from_label(label)
-            q = {str(lid): (float(pair[0]), float(pair[1]))
-                 for lid, pair in entry["q"].items()}
-            rho = float(entry["rho"]) if "rho" in entry else None
-            profile[ki] = Message(float(entry["y"]), q, rho)
+            q = {str(lid): _quote(pair) for lid, pair in entry["q"].items()}
+            rho = _number(entry["rho"], "rho") if "rho" in entry else None
+            profile[ki] = Message(_number(entry["y"], "demand"), q, rho)
     except InstanceFormatError:
         raise
     except Exception as exc:

@@ -185,7 +185,9 @@ class _Tables:
     group there), and its slot's place among its link's slots and its own
     among the slot's members. Per slot: its link and its members' pairs.
     Per link: its slots in group order, its agents' pairs, capacity and
-    rivals. Per agent: its route and the largest capacity on it."""
+    rivals. Per agent: its route and its zero-rate threshold, RATE_ATOL
+    times the largest capacity on the route (a rate at or below it counts
+    as 0 in the solver's stationarity, the replay and the lemmas)."""
 
     def __init__(self, instance: NetworkInstance):
         self.agents = instance.agents
@@ -227,8 +229,8 @@ class _Tables:
         # per agent, the first route link no other agent crosses (SBB rejects it)
         self.solo_links = [next((lid for lid in route if self.n_on_link[link_ix[lid]] < 2), None)
                            for route in self.routes]
-        self.top_capacity = [max(instance.capacity[lid] for lid in route)
-                             for route in self.routes]
+        self.zero_rate = [RATE_ATOL * max(instance.capacity[lid] for lid in route)
+                          for route in self.routes]
 
 
 def _tables(instance: NetworkInstance) -> _Tables:
@@ -385,18 +387,33 @@ def instance_to_json(instance: NetworkInstance) -> str:
     return canonical_json(instance_to_dict(instance))
 
 
+def _number(v: object, what: str) -> float:
+    """v as a float if it is a JSON number (an int or a float, not a bool)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise InstanceFormatError(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
+def _integer(v: object, what: str) -> int:
+    """v if it is a JSON integer (not a bool)."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InstanceFormatError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def instance_from_dict(data: Dict[str, object]) -> NetworkInstance:
     try:
-        links = [Link(str(d["id"]), float(d["capacity"])) for d in data["links"]]
+        links = [Link(str(d["id"]), _number(d["capacity"], "capacity")) for d in data["links"]]
         routes = []
         valuations = {}
         for d in data["agents"]:
-            ki = AgentId(int(d["group"]), int(d["member"]))
-            weights = tuple(sorted((str(e["link"]), float(e["alpha"]))
+            ki = AgentId(_integer(d["group"], "group"), _integer(d["member"], "member"))
+            weights = tuple(sorted((str(e["link"]), _number(e["alpha"], "alpha"))
                                    for e in d["route"]))
             routes.append(Route(ki, weights))
             v = d["valuation"]
-            valuations[ki] = Valuation(str(v["family"]), float(v["a"]), float(v["b"]))
+            valuations[ki] = Valuation(str(v["family"]), _number(v["a"], "a"),
+                                       _number(v["b"], "b"))
     except InstanceFormatError:
         raise
     except Exception as exc:

@@ -77,7 +77,7 @@ def main():
             curvature_s[-1] += time.perf_counter() - start
             assert report.certified and not report.incomplete
 
-    counts = dict.fromkeys(("utility", "_slope_read", "best_message", "scale_slopes"), 0)
+    counts = dict.fromkeys(("utility", "demand_slope", "best_message", "scale_slopes"), 0)
     reals = {name: counted(name, counts) for name in counts}
     agents = pieces = clips = 0
     try:
@@ -95,9 +95,9 @@ def main():
     g_evals = counts["utility"] - agents  # one utility call per agent prices the incumbent
     print(f"{len(candidates)} candidates, {agents} agents")
     print(f"per agent: utility {counts['utility'] / agents:.2f}, "
-          f"slope {counts['_slope_read'] / agents:.2f}, "
+          f"slope {counts['demand_slope'] / agents:.2f}, "
           f"pieces {pieces / agents:.2f}, clip points {clips / agents:.2f}, "
-          f"slope reads per piece {counts['_slope_read'] / pieces:.2f}")
+          f"slope reads per piece {counts['demand_slope'] / pieces:.2f}")
     print(f"per agent: best_message {counts['best_message'] / agents:.2f} "
           f"(g {g_evals / agents:.2f}, clip probes "
           f"{(counts['best_message'] - g_evals) / agents:.2f})")

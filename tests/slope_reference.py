@@ -48,7 +48,7 @@ def slope_best_response(instance, profile, ki, params, budget: int = 1000
     def slope(y: float, side: int) -> Tuple[float, float]:
         if ev.evals >= budget:
             raise _Truncated
-        return ev.demand_slope(y, side)
+        return ev.demand_slope(y, side)[:2]
 
     def mid(lo: float, hi: float) -> float:
         return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi

@@ -10,6 +10,7 @@ import pytest
 
 import mcastmech
 from mcastmech import LOG_SAT, instance_to_json, random_instance
+from mcastmech.cli import build_parser
 
 from conftest import batch_shape, make_instance
 
@@ -341,6 +342,28 @@ def test_dynamics_profile_file_errors(tmp_path, sym_path):
     assert error_doc(proc)["kind"] == "validation"
 
 
+def test_coerced_input_values_exit_2(tmp_path, sym_path, symmetric_instance):
+    """A member of 1.9 in an instance file is not agent 1.1, and a quote of
+    three numbers in a start profile does not lose its third: both are
+    unreadable input."""
+    doc = json.loads(instance_to_json(symmetric_instance))
+    doc["agents"][0]["member"] = 1.9
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proc = run_cli("solve", "--instance", str(bad), "--out", str(tmp_path / "o1"))
+    assert proc.returncode == 2
+    assert error_doc(proc)["kind"] == "input"
+
+    start = _write_profile(tmp_path / "start.json", {
+        "1.1": {"y": 2.0, "q": {"l1": [0.1, 0.1, 7.0]}},
+        "2.1": {"y": 7.0, "q": {"l1": [0.3, 0.2]}},
+    })
+    proc = run_cli("dynamics", "--instance", sym_path, "--start", start,
+                   "--out", str(tmp_path / "o2"))
+    assert proc.returncode == 2
+    assert error_doc(proc)["kind"] == "input"
+
+
 def test_dynamics_from_demands_lost_to_weighting(tmp_path):
     """Demands of 5e-324 under weights 0.4 leave both groups' weighted
     peaks at 0: no group demands, so the link offers no bound."""
@@ -409,3 +432,24 @@ def test_out_of_range_float_exits_2(tmp_path, sym_path, args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--tol", "1e-10", "--seed", "3", "--require-a4"),
+    ("certify", "--eta", "0.005", "--budget", "600", "--lemma-tol", "1e-7"),
+    ("certify", "--seeds", "1..2", "--sweep-groups", "2", "--sweep-links", "2",
+     "--epsilon", "1e-5"),
+    ("dynamics", "--start", "zero", "--rounds", "2", "--schedule", "jacobi", "--xi", "0.02"),
+])
+def test_manifest_echoes_every_parsed_option(tmp_path, sym_path, argv):
+    """manifest.json's config is every option the command parsed, with its
+    parsed value (defaults included), for each kind of run."""
+    if "--seeds" not in argv:
+        argv += ("--instance", sym_path)
+    argv += ("--out", str(tmp_path / "o"))
+    proc = run_cli(*argv)
+    assert proc.returncode in (0, 5), proc.stderr + proc.stdout
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["command"], parsed["func"]
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"] == parsed

@@ -1,5 +1,6 @@
 """Equilibrium construction, certification, deviations, curvature, slopes."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +94,28 @@ def test_construct_refuses_without_a4(a4_fail_instance):
     primal, dual = solve_cp(a4_fail_instance, tol=1e-9)
     with pytest.raises(SharingAssumptionError):
         construct_ne(a4_fail_instance, primal, dual, WBB)
+
+
+def test_construct_names_the_links_short_of_two_groups(symmetric_instance, solved_symmetric):
+    """The refusal names exactly the links whose sharing count in
+    dual.residuals is below 2: group 2's agent, starved at the optimum,
+    leaves l2 and l3 with one demanding group while groups 1 and 3 share
+    l1; and a count edited into the solve's report is the one read."""
+    inst = make_instance({"l1": 10.0, "l2": 5.0, "l3": 4.0},
+                         [(1, 1, LOG_SAT, 5.0, 1.0, {"l1": 1.0, "l2": 1.0, "l3": 1.0}),
+                          (2, 1, LOG_SAT, 0.5, 0.1, {"l2": 1.0, "l3": 1.0}),
+                          (3, 1, LOG_SAT, 5.0, 1.0, {"l1": 1.0})])
+    primal, dual = solve_cp(inst, tol=1e-9)
+    assert dual.residuals.s_sizes == {"l1": 2, "l2": 1, "l3": 1}
+    with pytest.raises(SharingAssumptionError) as info:
+        construct_ne(inst, primal, dual, WBB)
+    assert str(info.value).endswith(" on: l2, l3")
+
+    primal, dual = solved_symmetric
+    edited = replace(dual, residuals=replace(dual.residuals, a4_holds=False, s_sizes={"l1": 1}))
+    with pytest.raises(SharingAssumptionError) as info:
+        construct_ne(symmetric_instance, primal, edited, WBB)
+    assert str(info.value).endswith(" on: l1")
 
 
 def test_default_epsilon_scales_with_value(symmetric_instance, solved_symmetric):
@@ -578,7 +601,7 @@ def test_demand_slope_matches_finite_differences(name, variant, request):
         scale = 1.0 + abs(g(y))
         fd1, fd2 = fd_slopes(g, y, 1e-5 * y)[0], fd_slopes(g, y, h)[1]
         for side in (+1, -1):
-            d1, d2 = ev.demand_slope(y, side)
+            d1, d2 = ev.demand_slope(y, side)[:2]
             assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-9 * scale / y)
             assert d2 == pytest.approx(fd2, rel=1e-4, abs=1e-7 * scale / (y * y))
             model = ev.local_model(ev.best_message(y, profile[ki]), side)
@@ -598,7 +621,7 @@ def test_demand_slope_far_past_the_knees(symmetric_instance):
     profile = {ki: zero_message(inst, ki, "wbb") for ki in inst.agents}
     ev = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
     for y in (1e31, 1e155):
-        d1, _ = ev.demand_slope(y, +1)
+        d1 = ev.demand_slope(y, +1)[0]
         r = Fraction(10) / (Fraction(y) + 1)
         exact = r / (Fraction(y) + 1) / (1 + r * Fraction(y))
         assert d1 > 0.0

@@ -5,6 +5,7 @@ loops and the published algebra, sharing no code with the package, so a
 bookkeeping slip in either implementation shows up as a mismatch.
 """
 
+import json
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from mcastmech import (
     utilities,
     zero_message,
 )
-from mcastmech.errors import MessageShapeError
+from mcastmech.errors import InstanceFormatError, MessageShapeError
 from mcastmech.mechanism import NO_BOUND, _evaluators
 from mcastmech.model import seq_sum
 
@@ -672,6 +673,25 @@ def test_profile_round_trip_byte_stable(chain_instance):
     profile = random_profile(chain_instance, rng, "sbb")
     text = profile_to_json(profile)
     assert profile_to_json(profile_from_json(text, chain_instance)) == text
+
+
+@pytest.mark.parametrize("entry", [
+    {"y": 2.0, "q": {"l1": [0.1, 0.1, 7.0]}},
+    {"y": 2.0, "q": {"l1": [0.1]}},
+    {"y": 2.0, "q": {"l1": "ab"}},
+    {"y": 2.0, "q": {"l1": [0.1, True]}},
+    {"y": 2.0, "q": {"l1": ["0.1", 0.1]}},
+    {"y": True, "q": {"l1": [0.1, 0.1]}},
+    {"y": "2.0", "q": {"l1": [0.1, 0.1]}},
+    {"y": 2.0, "q": {"l1": [0.1, 0.1]}, "rho": False},
+])
+def test_profile_reader_rejects_coerced_values(symmetric_instance, entry):
+    """A quote is a list of exactly two JSON numbers, and the demand and
+    rho are JSON numbers that are not booleans: a third number in a quote
+    is not dropped, nor true read as 1.0."""
+    text = json.dumps({"1.1": entry, "2.1": {"y": 1.0, "q": {"l1": [0.1, 0.1]}}})
+    with pytest.raises(InstanceFormatError):
+        profile_from_json(text, symmetric_instance)
 
 
 @pytest.mark.parametrize("weight", ["eta", "xi", "zeta"])

@@ -24,6 +24,7 @@ from mcastmech import (
     zero_message,
 )
 from mcastmech import model
+from mcastmech.errors import InstanceFormatError
 from mcastmech.centralized import solution_to_dict
 from mcastmech.model import seq_sum
 
@@ -277,6 +278,29 @@ def test_instance_json_round_trip_is_byte_stable(chain_instance):
     assert text == again
     doc = json.loads(text)
     assert set(doc) == {"links", "agents"}
+
+
+@pytest.mark.parametrize("path, value", [
+    (("agents", 0, "member"), 1.9),
+    (("agents", 0, "group"), True),
+    (("agents", 1, "member"), "1"),
+    (("links", 0, "capacity"), True),
+    (("links", 0, "capacity"), "10.0"),
+    (("agents", 0, "route", 0, "alpha"), False),
+    (("agents", 1, "valuation", "a"), "1.0"),
+    (("agents", 1, "valuation", "b"), None),
+])
+def test_instance_reader_rejects_coerced_values(symmetric_instance, path, value):
+    """Group and member must be JSON integers and every numeric field a
+    JSON number that is not a boolean: a member of 1.9 is not agent 1.1,
+    nor a capacity of true 1.0."""
+    doc = json.loads(instance_to_json(symmetric_instance))
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    with pytest.raises(InstanceFormatError):
+        instance_from_json(json.dumps(doc))
 
 
 def test_instance_json_preserves_structure():
