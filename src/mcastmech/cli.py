@@ -42,7 +42,7 @@ from .errors import (DegenerateInstanceError, EquilibriumError,
                      InstanceFormatError, MechError, MessageShapeError,
                      SharingAssumptionError, SolverError, ValidationFailure)
 from .mechanism import (MechanismParams, VARIANTS, evaluate, outcome_to_json,
-                        profile_from_json, profile_to_json, validate_profile, zero_message)
+                        profile_from_json, profile_to_json, zero_message)
 from .model import (NetworkInstance, canonical_json, load_instance, random_instance,
                     require_valid, welfare)
 
@@ -268,7 +268,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _parse_seeds(spec: str) -> List[int]:
-    """Seed list syntax: '7', '1..50', or '1,4,9'."""
+    """Seed list syntax: '7', '1..50', or '1,4,9'; seeds are at least 0."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
@@ -281,6 +281,8 @@ def _parse_seeds(spec: str) -> List[int]:
         raise InstanceFormatError(f"bad --seeds value {spec!r}") from exc
     if not seeds:
         raise InstanceFormatError(f"empty --seeds value {spec!r}")
+    if min(seeds) < 0:
+        raise InstanceFormatError(f"negative seed in --seeds value {spec!r}")
     return seeds
 
 
@@ -300,7 +302,6 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     else:
         with open(args.start, "r", encoding="utf-8") as fh:
             initial = profile_from_json(fh.read(), instance)
-        validate_profile(instance, initial, params.variant)
 
     epsilon = args.epsilon if args.epsilon is not None else 1e-8
     result = br_dynamics(instance, initial, params, rounds=args.rounds,
@@ -394,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "compute every agent's best response")
     p_cert.add_argument("--instance", help="instance JSON file")
     p_cert.add_argument("--seeds", help="sweep seeds: '7', '1..50', or '1,4,9'")
-    p_cert.add_argument("--tol", type=_positive("tol"), default=DEFAULT_TOL)
-    p_cert.add_argument("--out", default=".")
+    common(p_cert, needs_instance=False)
     mech(p_cert, "certification threshold (default 1e-6 * max valuation at the optimum)")
     p_cert.add_argument("--lemma-tol", type=_positive("lemma-tol"),
                         default=DEFAULT_LEMMA_TOL,

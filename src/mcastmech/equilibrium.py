@@ -36,7 +36,7 @@ from .centralized import DualCertificate, PrimalSolution
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
                         MechanismParams, Message, Profile, VARIANT_SBB,
-                        _evaluate, _evaluators, allocate, evaluate)
+                        _evaluate, _evaluators, allocate, evaluate, validate_profile)
 from .model import (LOG_SAT, AgentId, NetworkInstance, Valuation, _tables,
                     constraint_violation, seq_sum)
 
@@ -406,6 +406,7 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     if schedule not in ("gauss-seidel", "jacobi"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    validate_profile(instance, initial, params.variant)
     profile = {ki: initial[ki].copy() for ki in instance.agents}
     rows: List[Dict[str, object]] = []
     fixed_point = False

@@ -32,7 +32,8 @@ Taxes decompose per link into six slots:
 SBB adds a per-agent zeta*(rho - r)^2 consensus term on top.
 
 Each instance is compiled once into flat index tables that the solver
-reads too (model._tables), and each profile is read once (_ProfileRead).
+reads too (model._tables), and each profile is read once, and checked in
+the same pass (validate_profile).
 evaluate() prices that read in one pass, its sums in fixed orders and its
 slots from _link_slots, and every DeviationEvaluator is built from a read,
 so the two agree bit for bit.
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -126,36 +128,6 @@ class Outcome(AllocationResult):
 def zero_message(instance: NetworkInstance, ki: AgentId, variant: str) -> Message:
     q = {lid: (0.0, 0.0) for lid in instance.links_of[ki]}
     return Message(0.0, q, 0.0 if variant == VARIANT_SBB else None)
-
-
-def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) -> None:
-    if variant not in VARIANTS:
-        raise MessageShapeError(f"unknown variant {variant!r}")
-    T = _tables(instance)
-    missing = [ki for ki in T.agents if ki not in profile]
-    if missing:
-        raise MessageShapeError(
-            "profile missing agents: " + ", ".join(ki.label for ki in missing))
-    sbb = variant == VARIANT_SBB
-    for ki, want, solo in zip(T.agents, T.route_keys, T.solo_links):
-        msg = profile[ki]
-        if msg.q.keys() != want:
-            raise MessageShapeError(
-                f"agent {ki.label}: quotes keyed by {sorted(msg.q)}, route is {sorted(want)}")
-        if not (msg.y >= 0.0 and math.isfinite(msg.y)):
-            raise MessageShapeError(f"agent {ki.label}: demand {msg.y} invalid")
-        for lid, pair in msg.q.items():
-            if len(pair) != 2 or not (pair[0] >= 0.0 and math.isfinite(pair[0])
-                                      and pair[1] >= 0.0 and math.isfinite(pair[1])):
-                raise MessageShapeError(f"agent {ki.label}: bad quote pair on {lid}")
-        if sbb:
-            if msg.rho is None or not (msg.rho >= 0.0 and math.isfinite(msg.rho)):
-                raise MessageShapeError(f"agent {ki.label}: SBB requires rho >= 0")
-            if solo is not None:
-                raise MessageShapeError(
-                    f"link {solo} carries a single agent, SBB rebate undefined")
-        elif msg.rho is not None:
-            raise MessageShapeError(f"agent {ki.label}: rho present under WBB")
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +261,7 @@ def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParam
 def _evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParams
               ) -> Tuple[_ProfileRead, Outcome]:
     """evaluate(), with the read of the profile that it priced."""
-    validate_profile(instance, profile, params.variant)
-    read = _ProfileRead(instance, profile, params.variant)
+    read = validate_profile(instance, profile, params.variant)
     T, ys, q1s, q2s, ws = read.T, read.ys, read.q1s, read.q2s, read.ws
     if T.lone is not None:
         _rival_count(T, T.lone)  # raises: a lone group has no rival mean
@@ -337,28 +308,55 @@ def utilities(instance: NetworkInstance, profile: Profile,
             for ki in instance.agents}
 
 
-class _ProfileRead:
-    """One read of a profile, which evaluate() prices and from which every
-    agent's DeviationEvaluator is built (_evaluators): per agent the
-    demand and rho, per pair the quotes and the weighted demand, per slot
-    the peak and the first-quote sum, per link the offer and, under SBB,
-    per pair the other agents' entries in its link's rebate pool and per
-    agent the others' rho mean (None under WBB). The evaluators copy what
-    they rewrite, so the read is never written after it is made."""
+class _ProfileRead(namedtuple("_ProfileRead", "instance T ys rhos q1s q2s ay peaks offers "
+                                               "ws others rho_bars")):
+    """One read of a profile (validate_profile), which evaluate() prices and
+    from which every agent's DeviationEvaluator is built (_evaluators): per
+    agent the demand and rho, per pair the quotes and the weighted demand,
+    per slot the peak and the first-quote sum, per link the offer and,
+    under SBB, per pair the other agents' entries in its link's rebate pool
+    and per agent the others' rho mean (None under WBB). The evaluators
+    copy what they rewrite, so the read is never written after it is made."""
 
-    def __init__(self, instance: NetworkInstance, profile: Profile, variant: str):
-        self.instance = instance
-        self.T = T = _tables(instance)
-        msgs = [profile[ki] for ki in T.agents]
-        self.ys, self.rhos = [msg.y for msg in msgs], [msg.rho for msg in msgs]
-        quotes = [msg.q[lid] for msg, route in zip(msgs, T.routes) for lid in route]
-        self.q1s, self.q2s = [q[0] for q in quotes], [q[1] for q in quotes]
-        self.ay = _weighted(T, self.ys)
-        self.peaks, self.offers = _peaks_offers(T, self.ay)
-        self.ws = _quote_sums(T, self.q1s)
-        self.others, self.rho_bars = (
-            _rebates(T, self.ys, self.q1s, self.rhos)
-            if variant == VARIANT_SBB else ([0.0] * len(self.q1s), None))
+
+def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) -> _ProfileRead:
+    """The read of profile under variant, checked in the same pass: every
+    entry point that takes a profile reads it here, and MessageShapeError
+    names the first fault in agent order (missing agents first)."""
+    if variant not in VARIANTS:
+        raise MessageShapeError(f"unknown variant {variant!r}")
+    T = _tables(instance)
+    missing = [ki for ki in T.agents if ki not in profile]
+    if missing:
+        raise MessageShapeError(
+            "profile missing agents: " + ", ".join(ki.label for ki in missing))
+    sbb = variant == VARIANT_SBB
+    msgs = [profile[ki] for ki in T.agents]
+    for ki, msg, want, solo in zip(T.agents, msgs, T.route_keys, T.solo_links):
+        if msg.q.keys() != want:
+            raise MessageShapeError(
+                f"agent {ki.label}: quotes keyed by {sorted(msg.q)}, route is {sorted(want)}")
+        if not (msg.y >= 0.0 and math.isfinite(msg.y)):
+            raise MessageShapeError(f"agent {ki.label}: demand {msg.y} invalid")
+        for lid, pair in msg.q.items():
+            if len(pair) != 2 or not (pair[0] >= 0.0 and math.isfinite(pair[0])
+                                      and pair[1] >= 0.0 and math.isfinite(pair[1])):
+                raise MessageShapeError(f"agent {ki.label}: bad quote pair on {lid}")
+        if sbb:
+            if msg.rho is None or not (msg.rho >= 0.0 and math.isfinite(msg.rho)):
+                raise MessageShapeError(f"agent {ki.label}: SBB requires rho >= 0")
+            if solo is not None:
+                raise MessageShapeError(
+                    f"link {solo} carries a single agent, SBB rebate undefined")
+        elif msg.rho is not None:
+            raise MessageShapeError(f"agent {ki.label}: rho present under WBB")
+    ys, rhos = [msg.y for msg in msgs], [msg.rho for msg in msgs]
+    quotes = [msg.q[lid] for msg, route in zip(msgs, T.routes) for lid in route]
+    q1s, q2s = [q[0] for q in quotes], [q[1] for q in quotes]
+    ay = _weighted(T, ys)
+    others, rho_bars = _rebates(T, ys, q1s, rhos) if sbb else ([0.0] * len(q1s), None)
+    return _ProfileRead(instance, T, ys, rhos, q1s, q2s, ay, *_peaks_offers(T, ay),
+                        _quote_sums(T, q1s), others, rho_bars)
 
 
 class _RouteLink:
@@ -366,11 +364,13 @@ class _RouteLink:
 
     The lists hold one entry per group (peaks, ws) or per group member
     (q1s), in the order evaluate() sums them; the pricing layer of
-    DeviationEvaluator rewrites the deviator's slot (gpos, mpos) and load,
-    the sum of r*peaks at the last demand. The model layer reads neither:
-    its offer form is c / (base + max(peak_mates, a*y)), base being rest,
-    the other groups' peak total, plus 1 when no other group demands there,
-    and its prices are the fixed fields that follow. s_mates
+    DeviationEvaluator rewrites the deviator's slot (gpos, mpos) in them,
+    and every value at a demand (r, the group peak, the load) is their
+    realized sum (_scale). The model layer reads no list and supplies
+    only slopes in the demand: its offer form is
+    c / (base + max(peak_mates, a*y)), base being rest, the other groups'
+    peak total, plus 1 when no other group demands there. The prices are
+    the fixed fields that follow: s_mates
     is the sum of the group-mates' first quotes, wb the rival groups' mean
     price (all sums less the own, as utility() prices), pf the price
     factor (the predecessor's second quote, or wb when ki is alone in its
@@ -379,7 +379,7 @@ class _RouteLink:
 
     __slots__ = ("lid", "a", "capacity", "peak_mates", "others_demanding", "peaks",
                  "gpos", "q1s", "mpos", "ws", "n_rivals", "pf", "q1_succ",
-                 "others_pay", "n_l", "s_mates", "wb", "rest", "base", "load")
+                 "others_pay", "n_l", "s_mates", "wb", "rest", "base")
 
     def __init__(self, read: _ProfileRead, p: int):
         """The snapshot of pair p (ki and one of its route links) in read."""
@@ -442,11 +442,17 @@ class DeviationEvaluator:
     The pricing layer (_scale, utility, best_message) re-prices only ki's
     route links, in the operation order of evaluate(), so utility(msg)
     equals utilities(instance, patched, params)[ki] bit for bit, where
-    patched is the snapshot profile with ki's message replaced by msg. The
-    model layer (scale_slopes down to demand_kinks) holds functions of the
-    snapshot and their arguments that read nothing the pricing layer
-    leaves: route link l offers c / (base + max(pm, a*y)), so 1/r(y) is
-    the upper envelope of a few lines in y.
+    patched is the snapshot profile with ki's message replaced by msg.
+    _scale is the one producer of the allocation at a demand: utility,
+    best_message and local_model and demand_slope (through _y_row) all
+    take r, x, the reservation gaps and the slacks from it. The model
+    layer (scale_slopes down to demand_kinks) supplies only what values at
+    one demand cannot: the one-sided slopes in the demand, and the
+    right-hand limit at y = 0 where r jumps. Route link l offers
+    c / (base + max(pm, a*y)), so 1/r(y) is the upper envelope of a few
+    lines in y. So g'(y) = demand_slope(y, side)[0] is local_model's
+    demand gradient at best_message(y) bit for bit (the envelope theorem,
+    Milgrom and Segal, Econometrica 70(2), 2002).
 
     `coords` lists ki's message coordinates as (kind, link) pairs: the
     demand, q1 on each route link, q2 on each route link it shares with
@@ -454,7 +460,7 @@ class DeviationEvaluator:
 
     def __init__(self, instance: NetworkInstance, profile: Profile,
                  params: MechanismParams, ki: AgentId):
-        self._setup(_ProfileRead(instance, profile, params.variant), params,
+        self._setup(validate_profile(instance, profile, params.variant), params,
                     _tables(instance).agents.index(ki))
 
     def _setup(self, read: _ProfileRead, params: MechanismParams, a: int) -> None:
@@ -472,16 +478,17 @@ class DeviationEvaluator:
                            if l not in route and v != NO_BOUND], default=NO_BOUND)
         self._route = [_RouteLink(read, p) for p in pairs]
         self._rho_bar = None if read.rho_bars is None else read.rho_bars[a]
-        self._scaled = (math.nan, 0.0)  # the last (y, r) of _scale
+        self._scaled = (math.nan, None)  # the last demand and result of _scale
         self.coords = ([(COORD_Y, None)] + [(COORD_Q1, L.lid) for L in self._route]
                        + [(COORD_Q2, L.lid) for L in self._route if L.q1_succ is not None]
                        + ([(COORD_RHO, None)] if self._rho_bar is not None else []))
 
-    def _scale(self, y: float) -> float:
-        """The realized scale when ki demands y, summed as evaluate() sums
-        it. Leaves in each route link ki's group peak and the load (sum of
-        r*peaks). A repeat of the last demand returns the last scale (the
-        links already hold it)."""
+    def _scale(self, y: float) -> Tuple[float, List[Tuple[float, float]]]:
+        """The realized allocation when ki demands y, summed as evaluate()
+        sums it: the scale r and, per route link, ki's group peak and the
+        load (sum of r*peaks), ki's slot of each link's peaks rewritten to y.
+        It is the one producer of values at a demand; a repeat of the last
+        demand returns the last result."""
         if y == self._scaled[0]:
             return self._scaled[1]
         r = self._r_off
@@ -494,19 +501,23 @@ class DeviationEvaluator:
                 r = offer
         if r == NO_BOUND:
             r = 0.0  # all-zero demand collapses to x = 0
+        links = []
         for L in self._route:
-            L.load = seq_sum([r * p for p in L.peaks])
-        self._scaled = (y, r)
-        return r
+            load = 0.0  # seq_sum of r * peaks, inline: every slope read and utility runs it
+            for p in L.peaks:
+                load += r * p
+            links.append((L.peaks[L.gpos], load))
+        self._scaled = (y, (r, links))
+        return r, links
 
     def utility(self, msg: Message) -> float:
         self.evals += 1
         y = msg.y
-        r = self._scale(y)
+        r, links = self._scale(y)
         x = r * y
         rho_bar = self._rho_bar
         total = 0.0
-        for L in self._route:
+        for L, (peak, load) in zip(self._route, links):
             q1, q2 = msg.q[L.lid]
             L.q1s[L.mpos] = q1
             wk = seq_sum(L.q1s)
@@ -515,7 +526,7 @@ class DeviationEvaluator:
             t1, t2, t3, t4, t5, t6 = _link_slots(
                 self.params, L.a, y, x, r, q1, q2,
                 wb if L.q1_succ is None else L.pf, L.q1_succ,
-                r * L.peaks[L.gpos], wk, wb, L.capacity - L.load,
+                r * peak, wk, wb, L.capacity - load,
                 rho_bar, L.n_l, L.others_pay)
             total += t1 + t2 + t3 + t4 + t5 + t6
         if rho_bar is not None:
@@ -533,11 +544,11 @@ class DeviationEvaluator:
         convex quadratic with curvature 2 whose minimum over q1 >= 0 is
         max(0, wb - s_mates - (eta*pf*(m_k - a*x) + xi*wb*slack) / 2).
         A q2 that enters no slot (ki alone in its group) is copied from msg."""
-        r = self._scale(y)
+        r, links = self._scale(y)
         x = r * y
-        q = {L.lid: (self._best_q1(L, r * L.peaks[L.gpos] - L.a * x, L.capacity - L.load),
+        q = {L.lid: (self._best_q1(L, r * peak - L.a * x, L.capacity - load),
                      msg.q[L.lid][1] if L.q1_succ is None else L.q1_succ)
-             for L in self._route}
+             for L, (peak, load) in zip(self._route, links)}
         return Message(y, q, None if self._rho_bar is None else r)
 
     def _best_q1(self, L: _RouteLink, gap: float, slack: float) -> float:
@@ -559,7 +570,9 @@ class DeviationEvaluator:
 
     def scale_slopes(self, y: float, side: int
                      ) -> Tuple[float, float, float, bool, Tuple[float, float, float]]:
-        """The realized scale r at demand y, its one-sided first and second
+        """The binding offer's scale r at demand y (the realized one to
+        rounding, or to KINK_TOL at a tie; values at a demand come from
+        _scale), its one-sided first and second
         derivatives in y on `side` (+1 right, -1 left), whether r jumps
         there (only at y = 0; r is then the right-hand limit), and the
         binding offer's form (c, rest, a_e): near y it is c / (rest + a_e*y').
@@ -584,7 +597,7 @@ class DeviationEvaluator:
         r_lim = min(f[0] for f in offers)
         offer, dr, den, c, rest, a = min(
             (f for f in offers if f[0] <= r_lim * (1.0 + KINK_TOL)), key=lambda f: side * f[1])
-        jumped = y == 0.0 and abs(r_lim - self._scale(0.0)) > KINK_TOL * r_lim
+        jumped = y == 0.0 and abs(r_lim - self._scale(0.0)[0]) > KINK_TOL * r_lim
         # den * den, not den ** 2: a float power overflows past 1.3e154
         return ((r_lim if jumped else offer), dr, 2.0 * a * a * offer / (den * den),
                 jumped, (c, rest, a))
@@ -613,14 +626,21 @@ class DeviationEvaluator:
         """local_model's demand row without the consensus term: r, r', r'',
         whether r jumps, the binding form, the y-gradient, the yy entry and
         per route link (q1, its gradient, its y coupling), at first quotes
-        q1s (route order) or, for None, at the best ones (_best_q1). x' =
-        r + y*r' and x'' = 2r' + y*r'' are taken as r*rest/den and
-        2r'*rest/den, and the peak, gap and load from _peak_form, so that
-        none is a difference that cancels far past the knees."""
+        q1s (route order) or, for None, at the best ones (_best_q1).
+
+        r, x = r*y, the reservation gap and the slack are the realized ones
+        (_scale), which utility and best_message price, except where r jumps
+        (y = 0): there they are the binding form's right-hand limits. Only
+        the slopes come from the binding form (scale_slopes, _peak_form):
+        x' = r + y*r' and x'' = 2r' + y*r'' are taken as r*rest/den and
+        2r'*rest/den, so that neither is a difference that cancels far past
+        the knees."""
         r, dr, d2r, jumped, form = self.scale_slopes(y, side)
         _, rest, a_e = form
         share = rest / (rest + a_e * y)
-        x, dx, d2x = r * y, r * share, 2.0 * dr * share
+        dx, d2x = r * share, 2.0 * dr * share
+        r, realized = (r, None) if jumped else self._scale(y)
+        x = r * y
         eta, xi = self.params.eta, self.params.xi
         v1 = self._deriv(x)
         gy = v1 * dx
@@ -629,10 +649,11 @@ class DeviationEvaluator:
         for j, L in enumerate(self._route):
             pf = L.pf
             dpeak, peak0, fixed = self._peak_form(L, y, side)
-            gap = (r * (peak0 + dpeak * y) - L.a * x,
+            peak, load = (peak0, r * fixed) if jumped else realized[j]  # a jump is at y = 0
+            gap = (r * peak - L.a * x,
                    dr * peak0 + (dpeak - L.a) * dx,
                    d2r * peak0 + (dpeak - L.a) * d2x)
-            slack = (L.capacity - r * (fixed + dpeak * y),
+            slack = (L.capacity - load,
                      -(dr * fixed + dpeak * dx),
                      -(d2r * fixed + dpeak * d2x))
             q1 = self._best_q1(L, gap[0], slack[0]) if q1s is None else q1s[j]
@@ -686,7 +707,8 @@ class DeviationEvaluator:
     def demand_slope(self, y: float, side: int
                      ) -> Tuple[float, float, float, float, Tuple[float, float, float]]:
         """(g', g'', r, r', form) on `side` of y, g(y) being ki's utility at
-        best_message(y), with the scale r, its slope r' and the binding
+        best_message(y), with the scale r (_y_row's: the realized one, or
+        the right-hand limit where r jumps), its slope r' and the binding
         offer's form (scale_slopes) that they were read from; counted in
         evals. By the envelope theorem g' is local_model's demand gradient
         at the best message; g'' is the Schur complement of its quote
@@ -745,7 +767,7 @@ def _evaluators(instance: NetworkInstance, profile: Profile,
     """Every agent's DeviationEvaluator, in agent order, from one read of
     the profile; each is built when the iteration reaches it, so an agent
     whose route crosses a one-group link raises only there."""
-    read = _ProfileRead(instance, profile, params.variant)
+    read = validate_profile(instance, profile, params.variant)
     for a in range(len(read.T.agents)):
         ev = DeviationEvaluator.__new__(DeviationEvaluator)
         ev._setup(read, params, a)
@@ -775,14 +797,19 @@ def _quote(pair: object) -> Tuple[float, float]:
 
 
 def profile_from_json(text: str, instance: NetworkInstance) -> Profile:
+    """A profile of instance's agents, each keyed by its label "k.i"
+    (AgentId.label); any other key raises InstanceFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"profile not valid JSON: {exc}") from exc
+    agents = {ki.label: ki for ki in instance.agents}
     profile: Profile = {}
     try:
         for label, entry in doc.items():
-            ki = AgentId.from_label(label)
+            if label not in agents:
+                raise InstanceFormatError(f"profile key {label!r} is no agent label")
+            ki = agents[label]
             q = {str(lid): _quote(pair) for lid, pair in entry["q"].items()}
             rho = _number(entry["rho"], "rho") if "rho" in entry else None
             profile[ki] = Message(_number(entry["y"], "demand"), q, rho)

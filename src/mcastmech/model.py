@@ -42,14 +42,6 @@ class AgentId(NamedTuple):
     def label(self) -> str:
         return f"{self.group}.{self.member}"
 
-    @staticmethod
-    def from_label(text: str) -> "AgentId":
-        try:
-            k, i = text.split(".")
-            return AgentId(int(k), int(i))
-        except Exception as exc:
-            raise InstanceFormatError(f"bad agent label {text!r}") from exc
-
 
 @dataclass(frozen=True)
 class Link:
@@ -93,10 +85,6 @@ class Route:
     agent: AgentId
     weights: Tuple[Tuple[str, float], ...]  # ((link_id, alpha), ...) sorted by link
 
-    @property
-    def links(self) -> Tuple[str, ...]:
-        return tuple(l for l, _ in self.weights)
-
 
 @dataclass
 class ValidationReport:
@@ -108,9 +96,6 @@ class ValidationReport:
 
     def add(self, code: str, message: str) -> None:
         self.violations.append((code, message))
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
 class NetworkInstance:
@@ -401,19 +386,27 @@ def _integer(v: object, what: str) -> int:
     return v
 
 
+def _string(v: object, what: str) -> str:
+    """v if it is a JSON string."""
+    if not isinstance(v, str):
+        raise InstanceFormatError(f"{what} must be a string, got {v!r}")
+    return v
+
+
 def instance_from_dict(data: Dict[str, object]) -> NetworkInstance:
     try:
-        links = [Link(str(d["id"]), _number(d["capacity"], "capacity")) for d in data["links"]]
+        links = [Link(_string(d["id"], "link id"), _number(d["capacity"], "capacity"))
+                 for d in data["links"]]
         routes = []
         valuations = {}
         for d in data["agents"]:
             ki = AgentId(_integer(d["group"], "group"), _integer(d["member"], "member"))
-            weights = tuple(sorted((str(e["link"]), _number(e["alpha"], "alpha"))
+            weights = tuple(sorted((_string(e["link"], "route link"), _number(e["alpha"], "alpha"))
                                    for e in d["route"]))
             routes.append(Route(ki, weights))
             v = d["valuation"]
-            valuations[ki] = Valuation(str(v["family"]), _number(v["a"], "a"),
-                                       _number(v["b"], "b"))
+            valuations[ki] = Valuation(_string(v["family"], "valuation family"),
+                                       _number(v["a"], "a"), _number(v["b"], "b"))
     except InstanceFormatError:
         raise
     except Exception as exc:

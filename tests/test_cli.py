@@ -364,6 +364,32 @@ def test_coerced_input_values_exit_2(tmp_path, sym_path, symmetric_instance):
     assert error_doc(proc)["kind"] == "input"
 
 
+def test_noncanonical_input_exits_2(tmp_path, sym_path, symmetric_instance):
+    """An aliased agent label "01.1" or an unknown agent in a start profile
+    and a numeric link id in an instance file are unreadable input: each
+    prints the error document and exits 2, where each ran to exit 0 when
+    the readers coerced labels and ids with int() and str()."""
+    procs = []
+    for extra in ("01.1", "9.9"):
+        start = _write_profile(tmp_path / f"start{extra}.json", {
+            "1.1": {"y": 2.0, "q": {"l1": [0.1, 0.1]}},
+            "2.1": {"y": 7.0, "q": {"l1": [0.3, 0.2]}},
+            extra: {"y": 9.0, "q": {"l1": [0.3, 0.2]}},
+        })
+        procs.append(run_cli("dynamics", "--instance", sym_path, "--start", start,
+                             "--rounds", "1", "--out", str(tmp_path / f"o{extra}")))
+    doc = json.loads(instance_to_json(symmetric_instance))
+    doc["links"][0]["id"] = 1
+    for agent in doc["agents"]:
+        agent["route"][0]["link"] = 1
+    bad = tmp_path / "numeric_link.json"
+    bad.write_text(json.dumps(doc))
+    procs.append(run_cli("solve", "--instance", str(bad), "--out", str(tmp_path / "o3")))
+    for proc in procs:
+        assert proc.returncode == 2, proc.stderr + proc.stdout
+        assert error_doc(proc)["kind"] == "input"
+
+
 def test_dynamics_from_demands_lost_to_weighting(tmp_path):
     """Demands of 5e-324 under weights 0.4 leave both groups' weighted
     peaks at 0: no group demands, so the link offers no bound."""
@@ -405,6 +431,8 @@ def test_bad_seed_range_exits_2(tmp_path):
     ("certify", "--seeds", "1", "--sweep-members", "0"),
     ("certify", "--seeds", "1", "--sweep-links", "0"),
     ("certify", "--seeds", "1", "--sweep-links", "two"),
+    ("certify", "--seeds", "-3"),
+    ("certify", "--seeds", "0,-1"),
 ])
 def test_out_of_range_integer_exits_2(tmp_path, sym_path, args):
     if "--seeds" not in args:

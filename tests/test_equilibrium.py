@@ -29,7 +29,7 @@ from mcastmech import (
     utilities,
     zero_message,
 )
-from mcastmech.errors import SharingAssumptionError
+from mcastmech.errors import MessageShapeError, SharingAssumptionError
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
 
 from conftest import make_instance
@@ -172,6 +172,44 @@ def test_best_response_rejects_empty_budget(symmetric_instance, solved_symmetric
     cand = constructed(symmetric_instance, solved_symmetric)
     with pytest.raises(ValueError):
         exact_best_response(symmetric_instance, cand.profile, AgentId(1, 1), WBB, budget=0)
+
+
+@pytest.mark.parametrize("fault", ["missing agent", "wrong link", "sbb without rho",
+                                   "nan demand", "negative quote", "rho under wbb"])
+def test_every_profile_reader_raises_as_evaluate(two_member_instance, fault):
+    """certify_ne, curvature_check, exact_best_response, DeviationEvaluator
+    and br_dynamics check the profile they read as evaluate does, raising
+    its MessageShapeError with its message, where a missing agent or a
+    wrong link key raised KeyError, a missing SBB rho TypeError, and a NaN
+    demand, a negative quote or a rho under WBB ran to a result."""
+    inst, ki, last = two_member_instance, AgentId(1, 1), AgentId(2, 1)
+    params = SBB if fault == "sbb without rho" else WBB
+    rho = 0.5 if params is SBB else None
+    profile = {b: Message(1.0, {"l1": (0.5, 0.5)}, rho) for b in inst.agents}
+    if fault == "missing agent":
+        del profile[last]
+    elif fault == "wrong link":
+        profile[last] = Message(1.0, {"l2": (0.5, 0.5)})
+    elif fault == "sbb without rho":
+        profile[last] = Message(1.0, {"l1": (0.5, 0.5)})
+    elif fault == "nan demand":
+        profile[last] = Message(float("nan"), {"l1": (0.5, 0.5)})
+    elif fault == "negative quote":
+        profile[last] = Message(1.0, {"l1": (-0.5, 0.5)})
+    else:
+        profile[last] = Message(1.0, {"l1": (0.5, 0.5)}, 1.0)
+    with pytest.raises(MessageShapeError) as info:
+        evaluate(inst, profile, params)
+    expected = str(info.value)
+    candidate = CandidateNE(profile, params)
+    for read in (lambda: certify_ne(inst, candidate, 1e-6),
+                 lambda: curvature_check(inst, candidate),
+                 lambda: exact_best_response(inst, profile, ki, params),
+                 lambda: DeviationEvaluator(inst, profile, params, ki),
+                 lambda: br_dynamics(inst, profile, params, rounds=1)):
+        with pytest.raises(MessageShapeError) as info:
+            read()
+        assert str(info.value) == expected
 
 
 def test_quote_mismatch_deviation_gain(two_member_instance, solved_two_member):

@@ -694,6 +694,16 @@ def test_profile_reader_rejects_coerced_values(symmetric_instance, entry):
         profile_from_json(text, symmetric_instance)
 
 
+@pytest.mark.parametrize("extra", ["01.1", " 1.1", "1.1.0", "1", "9.9"])
+def test_profile_reader_takes_only_agent_labels(symmetric_instance, extra):
+    """Each key is an agent's label "k.i": "01.1" does not silently replace
+    agent 1.1, nor is an entry for an agent the instance lacks ignored."""
+    entry = {"y": 9.0, "q": {"l1": [0.1, 0.1]}}
+    text = json.dumps({"1.1": {"y": 1.0, "q": {"l1": [0.1, 0.1]}}, "2.1": entry, extra: entry})
+    with pytest.raises(InstanceFormatError, match="no agent label"):
+        profile_from_json(text, symmetric_instance)
+
+
 @pytest.mark.parametrize("weight", ["eta", "xi", "zeta"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_params_reject_non_finite_weights(weight, value):

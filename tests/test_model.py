@@ -289,17 +289,31 @@ def test_instance_json_round_trip_is_byte_stable(chain_instance):
     (("agents", 0, "route", 0, "alpha"), False),
     (("agents", 1, "valuation", "a"), "1.0"),
     (("agents", 1, "valuation", "b"), None),
+    (("agents", 0, "route", 0, "link"), 1.0),
+    (("agents", 1, "valuation", "family"), 7),
+    (("agents", 1, "valuation", "family"), None),
 ])
 def test_instance_reader_rejects_coerced_values(symmetric_instance, path, value):
-    """Group and member must be JSON integers and every numeric field a
-    JSON number that is not a boolean: a member of 1.9 is not agent 1.1,
-    nor a capacity of true 1.0."""
+    """Group and member must be JSON integers, every numeric field a JSON
+    number that is not a boolean, and route links and the valuation family
+    JSON strings: a member of 1.9 is not agent 1.1, nor a capacity of true
+    1.0, nor a family 7 the family "7"."""
     doc = json.loads(instance_to_json(symmetric_instance))
     entry = doc
     for key in path[:-1]:
         entry = entry[key]
     entry[path[-1]] = value
     with pytest.raises(InstanceFormatError):
+        instance_from_json(json.dumps(doc))
+
+
+def test_instance_reader_keeps_no_coerced_link_id(symmetric_instance):
+    """A link id 1 with route links 1 does not load as link "1"."""
+    doc = json.loads(instance_to_json(symmetric_instance))
+    doc["links"][0]["id"] = 1
+    for agent in doc["agents"]:
+        agent["route"][0]["link"] = 1
+    with pytest.raises(InstanceFormatError, match="link id must be a string"):
         instance_from_json(json.dumps(doc))
 
 
