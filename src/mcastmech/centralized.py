@@ -17,16 +17,32 @@ left for a predictor and a corrector direction. The centring target is floored
 at min(gap, 0.1 * max|dual residual|), so complementarity cannot outrun
 stationarity on saturated valuations, where Newton steps in x are short.
 
-Every iterate is measured after one closed-form finishing step: x is scaled
+An iterate is measured after one closed-form finishing step: x is scaled
 by the mechanism's own scale r = min_l c_l / sum_k max_i alpha * x, which
 makes the tightest link bind exactly, and each m is refit under its link.
 Without it an iterate leaves a binding link slack by about gap / lambda,
 which on saturated instances (lambda near 1e-8) shows as allocation drift
-when the mechanism replays x. The loop measures each iterate by the KKT
-residual of its arrays (the `_residual` behind kkt_residuals), keeps the
-best and stops at RESIDUAL_FLOOR or once it stops improving. Only the
-returned iterate becomes dicts, a KKTReport and a sharing count; the solve
-fails with SolverError only when that best iterate misses tol.
+when the mechanism replays x. The measure is the KKT residual of the
+iterate's arrays (the `_residual` behind kkt_residuals). The loop returns
+the first iterate with the least residual; it stops at RESIDUAL_FLOOR, or
+after PATIENCE steps that lowered neither the residual nor the
+complementarity gap s.y. Only the returned iterate becomes dicts, a
+KKTReport and a sharing count; the solve fails with SolverError only when
+that best iterate misses tol.
+
+An iterate needs its residual at once only if it could stop the loop.
+While s.y falls the patience count resets whatever the residual is, so an
+iterate can then stop the loop only at the floor. Two cheap parts of the
+residual bound it from below: the link-dual part of the stationarity
+block, |lambda_l - sum_group mu|, which reads y alone, and the
+complementarity block, which needs the finished (x, m) but not v'. When
+s.y fell and either is above the floor, the iterate is deferred. The
+deferred iterates are measured in order, from the same arrays, before a
+step whose s.y did not fall (the patience count compares with every
+earlier residual) and before an exit other than the floor. At a floor exit
+each deferred iterate is known to lie above the floor, so none is the
+best. The loop therefore returns the same iterate, blocks and error as
+one that measures every iterate, while most solves measure one or two.
 
 Stationarity ties the duals together: for every positive rate
 v'(x) = sum_l mu * alpha, and on every link the per-group dual sums match
@@ -157,12 +173,16 @@ class _Workspace:
         return np.concatenate((x, -self.link_sums(m),
                                m[self.b_m] - self.b_al * x[self.b_ix]))
 
+    def slot_duals(self, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Per m slot, its members' bounding duals summed less its link's dual."""
+        return np.bincount(self.b_m, mu, self.nm) - lam[self.m_link]
+
     def transpose(self, y: np.ndarray) -> np.ndarray:
         """A^T y for y = [nu (x >= 0), lambda (capacity), mu (bounding)]."""
         nx, nl = self.nx, self.nl
         mu = y[nx + nl:]
         return np.concatenate((y[:nx] - np.bincount(self.b_ix, self.b_al * mu, nx),
-                               np.bincount(self.b_m, mu, self.nm) - y[nx:nx + nl][self.m_link]))
+                               self.slot_duals(y[nx:nx + nl], mu)))
 
 
 def _interior_start(ws: _Workspace, seed: Optional[int]) -> np.ndarray:
@@ -257,25 +277,59 @@ def _finish(ws: _Workspace, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return r * x, r * peak + t[ws.m_link] * excess
 
 
-def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
-              mu: np.ndarray) -> Tuple[float, float, float, float]:
-    """Max-norm residual of the primal feasibility, dual feasibility,
-    complementary slackness and stationarity blocks, in that order, for
-    arrays in workspace order (mu per bounding row). A NaN block, which a
-    non-finite entry leaves, reads as infinite."""
+def _slacks(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
+            mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(slack, gap, comp): each link's capacity slack, each bounding row's
+    alpha * x - m, and the products |lam * slack| and |mu * gap| whose max
+    is _residual's complementarity block."""
     slack = ws.caps - ws.link_sums(m)
     gap = ws.b_al * x[ws.b_ix] - m[ws.b_m]
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which reads as inf
+        return slack, gap, np.abs(np.concatenate((lam * slack, mu * gap)))
+
+
+def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
+              mu: np.ndarray, slacks: Optional[tuple] = None
+              ) -> Tuple[float, float, float, float]:
+    """Max-norm residual of the primal feasibility, dual feasibility,
+    complementary slackness and stationarity blocks, in that order, for
+    arrays in workspace order (mu per bounding row); slacks is _slacks of
+    the same arrays when the caller has it. A NaN block, which a non-finite
+    entry leaves, reads as infinite."""
+    slack, gap, comp = _slacks(ws, x, m, lam, mu) if slacks is None else slacks
     resid = ws.dvalue(x) - np.bincount(ws.b_ix, mu * ws.b_al, ws.nx)
     # Only overpricing is allowed at zero.
     resid = np.where(x > ws.thresh, np.abs(resid), resid)
-    group_mu = np.bincount(ws.b_m, mu, ws.nm)
-    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which reads as inf
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which reads as inf
         blocks = (np.concatenate((-x, -slack, gap)),
                   np.concatenate((-lam, -mu)),
-                  np.abs(np.concatenate((lam * slack, mu * gap))),
-                  np.concatenate((resid, np.abs(lam[ws.m_link] - group_mu))))
+                  comp,
+                  np.concatenate((resid, np.abs(ws.slot_duals(lam, mu)))))
     peaks = (float(b.max()) for b in blocks)
     return tuple(math.inf if math.isnan(v) else max(0.0, v) for v in peaks)
+
+
+def _above_floor(block: np.ndarray) -> bool:
+    """Whether entries of a residual block already put the residual above
+    RESIDUAL_FLOOR (a NaN entry shows nothing)."""
+    return float(block.max()) > RESIDUAL_FLOOR
+
+
+def _measure(ws: _Workspace, t: int, z: np.ndarray, y: np.ndarray,
+             finished: Optional[tuple] = None) -> tuple:
+    """(residual, t, blocks, x, m, y) of iterate t, from its (x, m, _slacks)
+    when the loop has finished it already."""
+    x, m, slacks = (*_finish(ws, z), None) if finished is None else finished
+    blocks = _residual(ws, x, m, y[ws.nx:ws.nx + ws.nl], y[ws.nx + ws.nl:], slacks)
+    return max(blocks), t, blocks, x, m, y
+
+
+def _settle(ws: _Workspace, best: tuple, pending: list) -> tuple:
+    """best after measuring every pending iterate, oldest first; empties pending."""
+    for item in pending:
+        best = min(best, _measure(ws, *item))
+    pending.clear()
+    return best
 
 
 def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
@@ -325,32 +379,41 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     gap0 = max(1.0, float(ws.dvalue(x0) @ x0) / (ws.nx + ws.nm))
     s = ws.apply(z) + ws.offset
     y = gap0 / s
-    best = None
-    best_gap = math.inf
-    stale = 0
-    for _ in range(MAX_ITERS):
-        x, m = _finish(ws, z)
-        blocks = _residual(ws, x, m, y[nx:nx + nl], y[nx + nl:])
-        res = max(blocks)
-        improved = best is None or res < best[0]
-        if improved:
-            best = (res, blocks, x, m, y)
+    # Entries (residual, step, blocks, x, m, y) order as "first least
+    # residual", so iterates measured out of turn still pick the same best.
+    best = (math.inf, math.inf)
+    best_gap, stale, pending = math.inf, 0, []  # pending: deferred (t, z, y[, finished])
+    for t in range(MAX_ITERS):
+        lam, mu = y[nx:nx + nl], y[nx + nl:]
+        gap = float(s @ y)
         # Early on the residual can sit at a starved agent's x >= 0 multiplier
         # for many steps while the gap falls steadily; that is progress too.
-        gap = float(s @ y)
-        if gap < best_gap:
-            best_gap = gap
-            improved = True
-        stale = 0 if improved else stale + 1
-        if res <= RESIDUAL_FLOOR or stale >= PATIENCE:
-            break
+        fell = gap < best_gap
+        if fell:
+            best_gap, stale = gap, 0
+        if fell and _above_floor(np.abs(ws.slot_duals(lam, mu))):
+            pending.append((t, z, y))
+        else:
+            x, m = _finish(ws, z)
+            slacks = _slacks(ws, x, m, lam, mu)
+            if fell and _above_floor(slacks[2]):
+                pending.append((t, z, y, (x, m, slacks)))
+            else:
+                entry = _measure(ws, t, z, y, (x, m, slacks))
+                if not fell:  # the patience count compares with every earlier residual
+                    best = _settle(ws, best, pending)
+                    stale = 0 if entry < best else stale + 1
+                best = min(best, entry)
+                if entry[0] <= RESIDUAL_FLOOR or stale >= PATIENCE:
+                    pending.clear()  # each lies above the floor, or was settled
+                    break
         try:
             z, s, y = _mehrotra_step(ws, z, s, y)
         except np.linalg.LinAlgError:
             break
         if not (np.isfinite(z).all() and np.isfinite(s).all() and np.isfinite(y).all()):
             break
-    res, blocks, x, m, y = best
+    res, _, blocks, x, m, y = _settle(ws, best, pending)
     if res > tol:
         raise SolverError(
             f"interior point stalled at max residual {res:.3e} > tol {tol:.3e}")

@@ -321,7 +321,8 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
         return priced[y][0]
 
     kinks, knees = ev.demand_kinks()
-    jump = ev.scale_slopes(0.0, +1)[3]
+    at_zero = ev.scale_slopes(0.0, +1)  # also the first piece's read when r does not jump
+    jump = at_zero[3]
     ends = [_ZERO_PROBE * min(kinks + knees) if jump else 0.0]
     for y in sorted(kinks):
         if y - ends[-1] > KINK_TOL * y and y < DEMAND_CAP:
@@ -332,7 +333,8 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
     try:
         scored, total = [], 0.0  # candidates by model value, C = 0 at the first piece's start
         for lo, hi in zip(ends, ends[1:]):
-            read = ev.demand_slope(within_budget(lo), +1)  # the first piece's; gives the clip points
+            # the first piece's read; gives the clip points
+            read = ev.demand_slope(within_budget(lo), +1, at_zero if lo == 0.0 else None)
             clips = sorted({y for y in ev.clip_points(lo, read[4])
                             if min(y - lo, hi - y) > KINK_TOL * y})
             for a, b in zip([lo, *clips], [*clips, hi]):

@@ -319,10 +319,16 @@ class _ProfileRead(namedtuple("_ProfileRead", "instance T ys rhos q1s q2s ay pea
     copy what they rewrite, so the read is never written after it is made."""
 
 
+def _agent_label(ki) -> str:
+    """ki's label, or its repr if it is no AgentId."""
+    return ki.label if isinstance(ki, AgentId) else repr(ki)
+
+
 def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) -> _ProfileRead:
     """The read of profile under variant, checked in the same pass: every
     entry point that takes a profile reads it here, and MessageShapeError
-    names the first fault in agent order (missing agents first)."""
+    names the first fault in agent order (missing agents first, then
+    entries for agents the instance lacks)."""
     if variant not in VARIANTS:
         raise MessageShapeError(f"unknown variant {variant!r}")
     T = _tables(instance)
@@ -330,6 +336,10 @@ def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) 
     if missing:
         raise MessageShapeError(
             "profile missing agents: " + ", ".join(ki.label for ki in missing))
+    if len(profile) != len(T.agents):  # every agent is in it, so something else is too
+        known = set(T.agents)
+        raise MessageShapeError("profile holds agents not in the instance: " + ", ".join(
+            _agent_label(k) for k in profile if k not in known))
     sbb = variant == VARIANT_SBB
     msgs = [profile[ki] for ki in T.agents]
     for ki, msg, want, solo in zip(T.agents, msgs, T.route_keys, T.solo_links):
@@ -460,8 +470,10 @@ class DeviationEvaluator:
 
     def __init__(self, instance: NetworkInstance, profile: Profile,
                  params: MechanismParams, ki: AgentId):
-        self._setup(validate_profile(instance, profile, params.variant), params,
-                    _tables(instance).agents.index(ki))
+        read = validate_profile(instance, profile, params.variant)
+        if ki not in read.T.agents:
+            raise MessageShapeError(f"agent {_agent_label(ki)} is not in the instance")
+        self._setup(read, params, read.T.agents.index(ki))
 
     def _setup(self, read: _ProfileRead, params: MechanismParams, a: int) -> None:
         """Build the evaluator of the a-th agent from read, which was made
@@ -622,11 +634,13 @@ class DeviationEvaluator:
                 points.append(-(k * rest + c * u) / den)
         return points
 
-    def _y_row(self, y: float, side: int, q1s: Optional[List[float]]):
+    def _y_row(self, y: float, side: int, q1s: Optional[List[float]],
+               slopes: Optional[tuple] = None):
         """local_model's demand row without the consensus term: r, r', r'',
         whether r jumps, the binding form, the y-gradient, the yy entry and
         per route link (q1, its gradient, its y coupling), at first quotes
         q1s (route order) or, for None, at the best ones (_best_q1).
+        slopes is scale_slopes(y, side) when the caller has read it.
 
         r, x = r*y, the reservation gap and the slack are the realized ones
         (_scale), which utility and best_message price, except where r jumps
@@ -635,7 +649,7 @@ class DeviationEvaluator:
         x' = r + y*r' and x'' = 2r' + y*r'' are taken as r*rest/den and
         2r'*rest/den, so that neither is a difference that cancels far past
         the knees."""
-        r, dr, d2r, jumped, form = self.scale_slopes(y, side)
+        r, dr, d2r, jumped, form = self.scale_slopes(y, side) if slopes is None else slopes
         _, rest, a_e = form
         share = rest / (rest + a_e * y)
         dx, d2x = r * share, 2.0 * dr * share
@@ -704,7 +718,7 @@ class DeviationEvaluator:
         grad[0], hess[0, 0] = gy, hyy
         return LocalModel(point, grad, hess, jumped)
 
-    def demand_slope(self, y: float, side: int
+    def demand_slope(self, y: float, side: int, slopes: Optional[tuple] = None
                      ) -> Tuple[float, float, float, float, Tuple[float, float, float]]:
         """(g', g'', r, r', form) on `side` of y, g(y) being ki's utility at
         best_message(y), with the scale r (_y_row's: the realized one, or
@@ -716,9 +730,10 @@ class DeviationEvaluator:
         q1 = max(0, E) is positive KINK_TOL*y to `side` of y (E = q1 + g1/2
         for q1's gradient g1, and E' = c/2), so that at a clip point each
         side reads its own piece. The best rho is r, so the consensus term
-        and its rho block cancel (2*zeta*r'^2 each way)."""
+        and its rho block cancel (2*zeta*r'^2 each way). slopes is
+        scale_slopes(y, side) when the caller has read it."""
         self.evals += 1
-        r, dr, _, _, form, gy, hyy, links = self._y_row(y, side, None)
+        r, dr, _, _, form, gy, hyy, links = self._y_row(y, side, None, slopes)
         for q1, g1, coupling in links:
             if 2.0 * q1 + g1 + side * KINK_TOL * y * coupling > 0.0:
                 hyy += 0.5 * coupling * coupling

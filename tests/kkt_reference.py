@@ -6,6 +6,11 @@ the instance's dicts and tuples one entry at a time and shares no array
 code with the library. Its maxima use Python's ``max``, which skips a NaN,
 so it is a reference for finite inputs only.
 
+``eager_solve`` is ``solve_cp``'s interior-point loop in the form that
+finishes and measures every iterate; the library's loop defers the
+measurement of iterates that a cheap residual block shows cannot stop it,
+and must return what this one returns.
+
 ``normal_matrix`` and ``dense_direction`` are the dense form of one
 interior-point direction: the full (n_x + n_m) square normal matrix and
 its diagonally equilibrated solve, which the library's step replaces by
@@ -19,12 +24,14 @@ library makes single passes over the routes and the mechanism's
 instance tables.
 """
 
-from typing import Dict, List, Tuple
+import math
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from mcastmech import (AgentId, CandidateNE, DualCertificate, LemmaReport, NetworkInstance,
-                       PrimalSolution, evaluate)
+                       PrimalSolution, centralized, evaluate)
+from mcastmech.errors import SolverError
 from mcastmech.mechanism import VARIANT_SBB
 from mcastmech.model import RATE_ATOL, seq_sum
 
@@ -73,6 +80,52 @@ def reference_residuals(instance: NetworkInstance, primal: PrimalSolution,
             total = sum(mu[(b, lid)] for b in slots[(k, lid)])
             stat = max(stat, abs(lam[lid] - total))
     return primal_feas, dual_feas, comp, stat
+
+
+def eager_solve(instance: NetworkInstance, tol: float = centralized.DEFAULT_TOL,
+                init_seed: Optional[int] = None):
+    """(blocks, x, m, y) of the iterate solve_cp returns, in workspace
+    order, from a loop that finishes and measures every iterate and keeps
+    the first with the least residual; it stops at RESIDUAL_FLOOR, after
+    PATIENCE steps that lowered neither the residual nor s.y, or after
+    MAX_ITERS steps, and raises solve_cp's SolverError above tol. It reads
+    the loop constants and the step, finish and residual functions from
+    the library at call time, so a test may patch them for both loops."""
+    ws = centralized._Workspace(instance)
+    nx, nl = ws.nx, ws.nl
+    z = centralized._interior_start(ws, init_seed)
+    x0 = z[:nx]
+    gap0 = max(1.0, float(ws.dvalue(x0) @ x0) / (ws.nx + ws.nm))
+    s = ws.apply(z) + ws.offset
+    y = gap0 / s
+    best = None
+    best_gap = math.inf
+    stale = 0
+    for _ in range(centralized.MAX_ITERS):
+        x, m = centralized._finish(ws, z)
+        blocks = centralized._residual(ws, x, m, y[nx:nx + nl], y[nx + nl:])
+        res = max(blocks)
+        improved = best is None or res < best[0]
+        if improved:
+            best = (res, blocks, x, m, y)
+        gap = float(s @ y)
+        if gap < best_gap:
+            best_gap = gap
+            improved = True
+        stale = 0 if improved else stale + 1
+        if res <= centralized.RESIDUAL_FLOOR or stale >= centralized.PATIENCE:
+            break
+        try:
+            z, s, y = centralized._mehrotra_step(ws, z, s, y)
+        except np.linalg.LinAlgError:
+            break
+        if not (np.isfinite(z).all() and np.isfinite(s).all() and np.isfinite(y).all()):
+            break
+    res, blocks, x, m, y = best
+    if res > tol:
+        raise SolverError(
+            f"interior point stalled at max residual {res:.3e} > tol {tol:.3e}")
+    return blocks, x, m, y
 
 
 def normal_matrix(ws, x: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Solve the fixed 766-draw corpus and print the solver's numbers.
 
-    PYTHONPATH=src python tests/solve_corpus.py
+    PYTHONPATH=src python tests/solve_corpus.py [HASHES]
 
 The corpus is every acceptance-shaped draw of batch seeds 1-150 at
 attempts 0-3 (instance seed = batch seed * 1009 + attempt) plus the
@@ -13,16 +13,27 @@ chains), a histogram of interior-point steps per solve, and the mean cost
 of one interior-point step (``_mehrotra_step``) and of one iterate
 measurement (``_finish`` plus ``_residual``) in microseconds. The timers
 wrap those functions, so they add a few microseconds per call; compare
-the figures between runs of this script, not with a profiler's.
+the figures between runs of this script, not with a profiler's. Per solve
+it prints the mean number of full measurements (``_residual`` calls) and
+of bound-only checks: iterates a cheap residual block showed above the
+floor and that were never measured (``_above_floor``, counted where the
+solver has it).
+
+Last it prints one SHA-256 over every draw's ``solution_to_json`` text
+(or its ``SolverError`` message), so two source trees can be compared by
+running this script on each; with a HASHES path it also writes one
+``label digest`` line per draw there.
 
 Not collected by pytest (the name does not start with ``test_``); it is
 the shared yardstick for changes to ``solve_cp``.
 """
 
 import collections
+import hashlib
+import sys
 import time
 
-from mcastmech import random_instance, solve_cp
+from mcastmech import random_instance, solution_to_json, solve_cp
 from mcastmech import centralized
 from mcastmech.errors import SolverError, ValidationFailure
 
@@ -68,26 +79,49 @@ def timed(name, spent, calls):
     setattr(centralized, name, wrapper)
 
 
+def counted_bounds(calls):
+    """Count in calls the iterates a bound defers ("deferred": the loop
+    checks a bound only to defer) and the deferred iterates measured later
+    ("settled"), by wrapping centralized._above_floor and _settle."""
+    above, settle = centralized._above_floor, centralized._settle
+
+    def above_floor(block):
+        out = above(block)
+        calls["deferred"] += out
+        return out
+
+    def settled(ws, best, pending):
+        calls["settled"] += len(pending)
+        return settle(ws, best, pending)
+
+    centralized._above_floor, centralized._settle = above_floor, settled
+
+
 def main():
     spent, calls = collections.Counter(), collections.Counter()
     for name in ("_mehrotra_step", "_finish", "_residual"):
         timed(name, spent, calls)
+    if hasattr(centralized, "_above_floor"):
+        counted_bounds(calls)
     solved, failed, worst = 0, [], (0.0, None)
     times = collections.Counter()
-    step_counts = []
+    step_counts, digests = [], []
     for label, inst in corpus():
         before = calls["_mehrotra_step"]
         start = time.perf_counter()
         try:
-            _, dual = solve_cp(inst)
+            primal, dual = solve_cp(inst)
         except SolverError as exc:
             failed.append(f"{label}: {exc}")
+            digests.append((label, hashlib.sha256(str(exc).encode()).hexdigest()))
             continue
         finally:
             times[label.split("-")[0]] += time.perf_counter() - start
         solved += 1
         step_counts.append(calls["_mehrotra_step"] - before)
         worst = max(worst, (dual.residuals.max_residual, label))
+        text = solution_to_json(inst, primal, dual)
+        digests.append((label, hashlib.sha256(text.encode()).hexdigest()))
     print(f"solved {solved}, failed {len(failed)}")
     for line in failed:
         print(f"  {line}")
@@ -97,9 +131,20 @@ def main():
     histogram = collections.Counter(n // 5 * 5 for n in step_counts)
     print(f"steps per solve (mean {sum(step_counts) / max(1, solved):.2f}):",
           ", ".join(f"{lo}-{lo + 4}: {n}" for lo, n in sorted(histogram.items())))
-    measure = (spent["_finish"] + spent["_residual"]) / max(1, calls["_finish"])
+    measure = sum(spent[name] / max(1, calls[name]) for name in ("_finish", "_residual"))
     print(f"per step {1e6 * spent['_mehrotra_step'] / max(1, calls['_mehrotra_step']):.0f} us, "
           f"per iterate measurement (_finish + _residual) {1e6 * measure:.0f} us")
+    n = max(1, solved + len(failed))
+    bound_only = calls["deferred"] - calls["settled"]
+    print(f"per solve: {calls['_residual'] / n:.2f} full measurements "
+          f"({calls['_residual']} in all), {bound_only / n:.2f} bound-only checks "
+          f"({bound_only} in all)")
+    lines = "".join(f"{label} {digest}\n" for label, digest in digests)
+    print(f"solution.json sha256 over {len(digests)} draws: "
+          f"{hashlib.sha256(lines.encode()).hexdigest()}")
+    if len(sys.argv) > 1:
+        with open(sys.argv[1], "w") as out:
+            out.write(lines)
 
 
 if __name__ == "__main__":

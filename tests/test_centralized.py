@@ -26,8 +26,8 @@ from mcastmech import centralized
 from mcastmech.errors import SolverError
 
 from conftest import batch_shape, make_instance
-from kkt_reference import (dense_direction, normal_matrix, reference_a4, reference_residuals,
-                           reference_ties)
+from kkt_reference import (dense_direction, eager_solve, normal_matrix, reference_a4,
+                           reference_residuals, reference_ties)
 from solve_corpus import corpus
 
 
@@ -266,6 +266,74 @@ def test_stall_raises_instead_of_returning():
     # No solve reaches a max residual of 1e-16 in double precision.
     with pytest.raises(SolverError, match="stalled"):
         solve_cp(random_instance(1, 3, 2, 2), tol=1e-16)
+
+
+def _chain_109():
+    """solve_large's chain 109 draw: 38 iterates, 18 of them on a residual
+    plateau at 0.82 while s.y falls at some steps and not at others."""
+    return random_instance(109 * 1009, n_groups=8, max_group_size=3, n_links=8)
+
+
+@pytest.mark.parametrize("path", ["floor-0", "max-iters", "linalg-error", "tied-residuals",
+                                  "unreachable-tol", "chain-109"])
+def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
+    """solve_cp measures an iterate only when it can stop the loop, yet
+    returns the x, m, lambda, mu and residual blocks of the loop that
+    measures every iterate (kkt_reference.eager_solve) bit for bit, or
+    raises its SolverError text, on paths that do not end at the floor:
+    RESIDUAL_FLOOR at 0 (patience exits), MAX_ITERS at 9, a step that
+    raises LinAlgError from the seventh on, a residual of 1 at every
+    iterate, where the first iterate is the best (these three at tol 1e300,
+    so that they return), and a tol no solve reaches;
+    and on the chain 109 draw, at the default settings. Both loops take
+    the same number of steps."""
+    tol, steps = centralized.DEFAULT_TOL, [0]
+    if path in ("floor-0", "max-iters"):
+        monkeypatch.setattr(centralized, "RESIDUAL_FLOOR", 0.0)
+    if path == "max-iters":
+        monkeypatch.setattr(centralized, "MAX_ITERS", 9)
+    real = centralized._mehrotra_step
+
+    def counted(ws, z, s, y):
+        steps[0] += 1
+        if path == "linalg-error" and steps[0] > 6:
+            raise np.linalg.LinAlgError("singular")
+        return real(ws, z, s, y)
+    monkeypatch.setattr(centralized, "_mehrotra_step", counted)
+    if path == "tied-residuals":
+        monkeypatch.setattr(centralized, "_residual", lambda *args: (1.0, 0.0, 0.0, 0.0))
+    if path in ("max-iters", "linalg-error", "tied-residuals"):
+        tol = 1e300  # return the best iterate, however far from optimal
+    if path == "unreachable-tol":
+        tol = 1e-16
+    cases = [_chain_109()]
+    if path != "chain-109":
+        cases += [random_instance(seed, 3, 2, 2) for seed in (1, 2, 3)]
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    for inst in cases:
+        ws = centralized._Workspace(inst)
+        steps[0] = 0
+        try:
+            blocks, x, m, y = eager_solve(inst, tol)
+            want = (bits(blocks), bits(x), bits(m), bits(y[ws.nx:]))
+        except SolverError as exc:
+            want = str(exc)
+        eager_steps, steps[0] = steps[0], 0
+        try:
+            primal, dual = solve_cp(inst, tol)
+            r = dual.residuals
+            got = (bits([r.primal_feas, r.dual_feas, r.comp_slack, r.stationarity]),
+                   bits(primal.x[ki] for ki in ws.agents), bits(primal.m[p] for p in ws.mpairs),
+                   bits([dual.lam[lid] for lid in inst.link_ids] + [dual.mu[p] for p in ws.bnd]))
+        except SolverError as exc:
+            got = str(exc)
+        assert got == want
+        assert steps[0] == eager_steps
+        assert isinstance(got, str) == (path == "unreachable-tol")
+        assert path != "linalg-error" or steps[0] == 7
 
 
 def test_perturbed_multiplier_shows_in_comp_slack(slack_instance, solved_slack):

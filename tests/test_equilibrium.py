@@ -175,13 +175,16 @@ def test_best_response_rejects_empty_budget(symmetric_instance, solved_symmetric
 
 
 @pytest.mark.parametrize("fault", ["missing agent", "wrong link", "sbb without rho",
-                                   "nan demand", "negative quote", "rho under wbb"])
+                                   "nan demand", "negative quote", "rho under wbb",
+                                   "extra agent"])
 def test_every_profile_reader_raises_as_evaluate(two_member_instance, fault):
     """certify_ne, curvature_check, exact_best_response, DeviationEvaluator
     and br_dynamics check the profile they read as evaluate does, raising
     its MessageShapeError with its message, where a missing agent or a
     wrong link key raised KeyError, a missing SBB rho TypeError, and a NaN
-    demand, a negative quote or a rho under WBB ran to a result."""
+    demand, a negative quote or a rho under WBB ran to a result. An entry
+    for an agent the instance lacks (with a NaN demand and an unknown link)
+    is refused too, where evaluate priced the instance's agents."""
     inst, ki, last = two_member_instance, AgentId(1, 1), AgentId(2, 1)
     params = SBB if fault == "sbb without rho" else WBB
     rho = 0.5 if params is SBB else None
@@ -196,11 +199,14 @@ def test_every_profile_reader_raises_as_evaluate(two_member_instance, fault):
         profile[last] = Message(float("nan"), {"l1": (0.5, 0.5)})
     elif fault == "negative quote":
         profile[last] = Message(1.0, {"l1": (-0.5, 0.5)})
-    else:
+    elif fault == "rho under wbb":
         profile[last] = Message(1.0, {"l1": (0.5, 0.5)}, 1.0)
+    else:
+        profile[AgentId(9, 9)] = Message(float("nan"), {"zz": (-0.5, 0.5)})
     with pytest.raises(MessageShapeError) as info:
         evaluate(inst, profile, params)
     expected = str(info.value)
+    assert fault != "extra agent" or expected.endswith("not in the instance: 9.9")
     candidate = CandidateNE(profile, params)
     for read in (lambda: certify_ne(inst, candidate, 1e-6),
                  lambda: curvature_check(inst, candidate),
@@ -210,6 +216,18 @@ def test_every_profile_reader_raises_as_evaluate(two_member_instance, fault):
         with pytest.raises(MessageShapeError) as info:
             read()
         assert str(info.value) == expected
+
+
+def test_unknown_deviator_is_a_message_shape_error():
+    """DeviationEvaluator and exact_best_response name a deviator the
+    instance lacks in a MessageShapeError, where index() raised ValueError."""
+    inst, ki = random_instance(3, 2, 1, 1), AgentId(9, 9)
+    profile = {b: Message(1.0, {lid: (0.5, 0.5) for lid in inst.links_of[b]})
+               for b in inst.agents}
+    for read in (lambda: DeviationEvaluator(inst, profile, WBB, ki),
+                 lambda: exact_best_response(inst, profile, ki, WBB)):
+        with pytest.raises(MessageShapeError, match="agent 9.9 is not in the instance"):
+            read()
 
 
 def test_quote_mismatch_deviation_gain(two_member_instance, solved_two_member):
