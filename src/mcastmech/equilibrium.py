@@ -109,6 +109,14 @@ class LemmaReport:
 
 @dataclass
 class AgentCurvature:
+    """One agent's curvature_check verdict: `passed` when each one-sided
+    Hessian, over that side's free coordinates, is negative definite to
+    rounding; `max_eig` the larger of the two sides' largest eigenvalues
+    (0 when no coordinate is free); `kinked` when the two one-sided
+    Hessians differ. `locked` (the coordinates left out), `n_coords` (those
+    kept) and `price_diag` (the kept quotes' Hessian diagonal) are the
+    right side's, the one side that exists at y = 0."""
+
     agent: AgentId
     passed: bool
     max_eig: float
@@ -494,14 +502,17 @@ def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> Curvat
 
     Each Hessian is DeviationEvaluator.local_model's, exact on each side
     of the demand. At y > 0 both one-sided Hessians are read and the agent
-    is kinked when they differ; at y = 0 only the right one exists. A
-    coordinate at exactly 0 whose exact one-sided derivative is negative
-    is a boundary maximum in that direction: it is locked and leaves the
-    matrix. An agent passes when the largest eigenvalue of each remaining
-    one-sided Hessian is at most n * eps * max|H_ij|, the rounding bound
-    of an eigenvalue of an n x n matrix. So a direction flat to rounding
-    (a saturated agent's demand) passes, and no coupling-weight shrink is
-    spent on it."""
+    is kinked when they differ; at y = 0 only the right one exists. Each
+    side keeps the coordinates of its LocalModel.free mask: a first quote
+    whose best value is 0 on that side (the mechanism's one clip rule,
+    which demand_slope reads too) or a demand at 0 with a negative slope
+    is a boundary maximum in that direction and leaves that side's matrix,
+    so the two sides may keep different coordinates. An agent passes when
+    the largest eigenvalue of each side's remaining Hessian is at most
+    n * eps * max|H_ij|, n being that side's coordinate count: the rounding
+    bound of an eigenvalue of an n x n matrix. So a direction flat to
+    rounding (a saturated agent's demand) passes, and no coupling-weight
+    shrink is spent on it."""
     agents_out: Dict[AgentId, AgentCurvature] = {}
     for ev in _evaluators(instance, candidate.profile, candidate.params):
         ki = ev.ki
@@ -511,19 +522,20 @@ def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> Curvat
             models.append(ev.local_model(msg, -1))
         kinked = len(models) == 2 and not np.array_equal(models[0].hess, models[1].hess)
         right = models[0]
-        keep = [j for j, v in enumerate(right.point) if not (v == 0.0 and right.grad[j] < 0.0)]
         labels = [f"{kind}|{lid}" if lid else kind for kind, lid in ev.coords]
-        locked = [labels[j] for j in range(len(labels)) if j not in keep]
-        price_diag = {labels[j]: float(right.hess[j, j]) for j in keep
+        locked = [label for label, free in zip(labels, right.free) if not free]
+        price_diag = {labels[j]: float(right.hess[j, j]) for j in np.flatnonzero(right.free)
                       if ev.coords[j][0] in (COORD_Q1, COORD_Q2)}
-        max_eig, passed = 0.0, True  # no coordinate left: every direction descends
-        if keep:
-            Hs = np.stack([m.hess[keep][:, keep] for m in models])
-            tops = np.linalg.eigvalsh(Hs)[:, -1]  # one LAPACK call per matrix, as alone
-            max_eig = float(tops.max())
-            passed = all(top <= len(keep) * _EPS * np.abs(H).max() for top, H in zip(tops, Hs))
+        tops, passed = [], True
+        for m in models:
+            H = m.hess[m.free][:, m.free]
+            if len(H):
+                top = float(np.linalg.eigvalsh(H)[-1])
+                tops.append(top)
+                passed = passed and top <= len(H) * _EPS * float(np.abs(H).max())
+        max_eig = max(tops, default=0.0)  # no coordinate left: every direction descends
         agents_out[ki] = AgentCurvature(ki, passed, max_eig, price_diag,
-                                        kinked, locked, len(keep))
+                                        kinked, locked, int(right.free.sum()))
     return CurvatureReport(agents_out)
 
 

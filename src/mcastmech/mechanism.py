@@ -425,16 +425,30 @@ class _RouteLink:
         self.others_pay = read.others[p]
 
 
+def _q1_free(q1: float, g1: float, coupling: float, y: float, side: int) -> bool:
+    """Whether ki's best first quote on a route link is positive KINK_TOL*y
+    to `side` of demand y, from a quote q1, its gradient g1 and its y
+    coupling there: the best quote is max(0, E) with E = q1 + g1/2 and
+    E' = coupling/2 (_best_q1). The one clip rule: demand_slope reads a
+    free quote's coupling into g'', and local_model leaves a clipped one
+    out of LocalModel.free."""
+    return 2.0 * q1 + g1 + side * KINK_TOL * y * coupling > 0.0
+
+
 class LocalModel(NamedTuple):
     """ki's own utility to second order on one side of its demand, over
     DeviationEvaluator.coords: the coordinate values, the exact one-sided
-    gradient and Hessian, and whether r jumps there (then both are those
-    of the one-sided limit)."""
+    gradient and Hessian, whether r jumps there (then both are those of
+    the one-sided limit), and per coordinate whether it is free on that
+    side. A q1 is free where _q1_free says its best value is positive,
+    the demand unless it is 0 with a negative slope, and q2 and rho always
+    (at 0 their gradients, 2*q1_succ and 2*zeta*r, are not negative)."""
 
     point: List[float]
     grad: np.ndarray
     hess: np.ndarray
     jumped: bool
+    free: np.ndarray
 
 
 class DeviationEvaluator:
@@ -695,10 +709,11 @@ class DeviationEvaluator:
         r, dr, d2r, jumped, _, gy, hyy, links = self._y_row(
             msg.y, side, [msg.q[L.lid][0] for L in self._route])
         n = len(self.coords)
-        point, grad, hess = [msg.y], np.zeros(n), np.zeros((n, n))
+        point, grad, hess, free = [msg.y], np.zeros(n), np.zeros((n, n)), np.ones(n, dtype=bool)
         for j, (q1, g1, coupling) in enumerate(links, 1):
             point.append(q1)
             grad[j], hess[0, j], hess[j, 0], hess[j, j] = g1, coupling, coupling, -2.0
+            free[j] = _q1_free(q1, g1, coupling, msg.y, side)
         j = len(links) + 1
         for L in self._route:
             if L.q1_succ is not None:
@@ -716,7 +731,8 @@ class DeviationEvaluator:
             hess[0, j] = hess[j, 0] = 2.0 * zeta * dr
             hess[j, j] = -2.0 * zeta
         grad[0], hess[0, 0] = gy, hyy
-        return LocalModel(point, grad, hess, jumped)
+        free[0] = not (msg.y == 0.0 and gy < 0.0)
+        return LocalModel(point, grad, hess, jumped, free)
 
     def demand_slope(self, y: float, side: int, slopes: Optional[tuple] = None
                      ) -> Tuple[float, float, float, float, Tuple[float, float, float]]:
@@ -725,17 +741,17 @@ class DeviationEvaluator:
         the right-hand limit where r jumps), its slope r' and the binding
         offer's form (scale_slopes) that they were read from; counted in
         evals. By the envelope theorem g' is local_model's demand gradient
-        at the best message; g'' is the Schur complement of its quote
-        block, the yy entry plus c^2/2 for each y-q1 coupling c whose best
-        q1 = max(0, E) is positive KINK_TOL*y to `side` of y (E = q1 + g1/2
-        for q1's gradient g1, and E' = c/2), so that at a clip point each
-        side reads its own piece. The best rho is r, so the consensus term
-        and its rho block cancel (2*zeta*r'^2 each way). slopes is
-        scale_slopes(y, side) when the caller has read it."""
+        at the best message; g'' is the Schur complement of its free quote
+        block, the yy entry plus c^2/2 for each y-q1 coupling c whose quote
+        _q1_free keeps on `side` (the quotes local_model's free mask keeps
+        there), so that at a clip point each side reads its own piece. The
+        best rho is r, so the consensus term and its rho block cancel
+        (2*zeta*r'^2 each way). slopes is scale_slopes(y, side) when the
+        caller has read it."""
         self.evals += 1
         r, dr, _, _, form, gy, hyy, links = self._y_row(y, side, None, slopes)
         for q1, g1, coupling in links:
-            if 2.0 * q1 + g1 + side * KINK_TOL * y * coupling > 0.0:
+            if _q1_free(q1, g1, coupling, y, side):
                 hyy += 0.5 * coupling * coupling
         return gy, hyy, r, dr, form
 

@@ -14,9 +14,13 @@ calls, each computed: nothing caches them). It also prints the wall time
 of ``certify_ne``, of ``curvature_check`` and of building every agent's
 ``DeviationEvaluator`` from one read of each candidate (the evaluator
 set-up both of them do) on the tuned candidates, summed over the corpus
-(the fastest of five passes). Last, for the ladder draws
-``random_instance(1, g, 3, g)`` with g = 12 and 25 (22 and 50 agents),
-tuned and constructed in both variants, it prints the auto-shrinks, the
+(the fastest of five passes), the auto-shrinks ``tune_params`` spent
+over the corpus, and the coordinates locked on the right and on the left
+side of the demand (those ``LocalModel.free`` leaves out and
+``curvature_check`` drops) summed over the tuned candidates' agents.
+Last, for the ladder draws ``random_instance(1, g, 3, g)`` with g = 12
+and 25 (22 and 50 agents), tuned and constructed in both variants, it
+prints the auto-shrinks, the right- and left-side locks, the
 time of ``certify_ne`` (fastest of five) in total and in µs per agent, its
 evaluations per agent, and the time of ``demand_kinks`` in µs per agent
 (fastest of five).
@@ -50,13 +54,26 @@ def counted(name, counts):
     return real
 
 
+def locks(inst, cand):
+    """The coordinates LocalModel.free leaves out, summed over the agents
+    of cand: (right side, left side; the left exists only at y > 0)."""
+    right = left = 0
+    for ev in _evaluators(inst, cand.profile, cand.params):
+        msg = cand.profile[ev.ki]
+        right += int((~ev.local_model(msg, +1).free).sum())
+        if msg.y > 0.0:
+            left += int((~ev.local_model(msg, -1).free).sum())
+    return right, left
+
+
 def main():
-    candidates = []
+    candidates, shrinks = [], 0
     for seed in range(1, N_BATCH + 1):
         _, inst, primal, dual = _sample_sharing_instance(seed)
         epsilon = default_epsilon(inst, primal)
         for variant in ("wbb", "sbb"):
-            params, _, _ = tune_params(inst, primal, dual, MechanismParams(variant=variant))
+            params, n, _ = tune_params(inst, primal, dual, MechanismParams(variant=variant))
+            shrinks += n
             candidates.append((inst, construct_ne(inst, primal, dual, params), epsilon))
 
     certify_s, curvature_s, setup_s = [], [], []
@@ -105,6 +122,8 @@ def main():
           f"{counts['scale_slopes'] / agents:.2f}")
     print(f"certify_ne {min(certify_s):.3f} s, curvature_check {min(curvature_s):.3f} s, "
           f"evaluator set-up {min(setup_s):.3f} s (fastest of {REPEATS} passes)")
+    right, left = map(sum, zip(*(locks(inst, cand) for inst, cand, _ in candidates)))
+    print(f"{shrinks} auto-shrinks; locked coordinates: {right} right-side, {left} left-side")
     for g in LADDER:
         ladder_rung(g)
 
@@ -132,7 +151,9 @@ def ladder_rung(g):
             for ev in evaluators:
                 ev.demand_kinks()
             kink_times.append(time.perf_counter() - start)
-        print(f"ladder g={g} {variant}: {n} agents, {shrinks} auto-shrinks, certify_ne "
+        right, left = locks(inst, cand)
+        print(f"ladder g={g} {variant}: {n} agents, {shrinks} auto-shrinks, "
+              f"locks {right} right / {left} left, certify_ne "
               f"{min(times) * 1e3:.1f} ms ({min(times) / n * 1e6:.0f} us per agent), "
               f"{sum(report.evals.values()) / n:.2f} evaluations per agent, "
               f"demand_kinks {min(kink_times) / n * 1e6:.1f} us per agent")

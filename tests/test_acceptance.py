@@ -793,36 +793,85 @@ def test_certify_matches_per_agent_best_responses(certified_batch):
 
 def _separate_max_eigs(inst, candidate):
     """curvature_check's max_eig and verdict per agent, each one-sided
-    Hessian sliced with np.ix_ and given to eigvalsh on its own."""
+    Hessian sliced by that side's LocalModel.free with np.ix_ and given to
+    eigvalsh on its own."""
     out = {}
     for ki in inst.agents:
         ev = DeviationEvaluator(inst, candidate.profile, candidate.params, ki)
         msg = candidate.profile[ki]
         models = [ev.local_model(msg, +1)] + ([ev.local_model(msg, -1)] if msg.y > 0.0 else [])
-        right = models[0]
-        keep = [j for j, v in enumerate(right.point) if not (v == 0.0 and right.grad[j] < 0.0)]
-        max_eig, passed = 0.0, True
-        if keep:
-            max_eig = -math.inf
-            for m in models:
+        max_eig, passed = -math.inf, True
+        for m in models:
+            keep = np.flatnonzero(m.free)
+            if len(keep):
                 H = m.hess[np.ix_(keep, keep)]
                 top = float(np.linalg.eigvalsh(H)[-1])
                 max_eig = max(max_eig, top)
                 passed = passed and top <= len(keep) * np.finfo(float).eps * float(np.abs(H).max())
-        out[ki] = (max_eig, passed)
+        out[ki] = (max_eig if max_eig > -math.inf else 0.0, passed)
     return out
 
 
 def test_curvature_eigenvalues_match_separate_calls(certified_batch):
-    """curvature_check's one eigvalsh call on the stacked one-sided
-    Hessians gives each agent's max_eig and verdict bit for bit as one call
-    per matrix did (first 16 batch seeds, both variants)."""
+    """curvature_check gives each agent's max_eig and verdict bit for bit
+    as one eigvalsh call per one-sided Hessian, each sliced by its own
+    side's free mask, does (first 16 batch seeds, both variants)."""
     records, _ = certified_batch
     for r in records[:16]:
         for v in (r.wbb, r.sbb):
             report = curvature_check(r.instance, v.candidate)
             ref = _separate_max_eigs(r.instance, v.candidate)
             assert {ki: (a.max_eig, a.passed) for ki, a in report.agents.items()} == ref
+
+
+def test_batch_needs_no_coupling_shrink(certified_batch):
+    """tune_params keeps the default coupling weights on every batch seed
+    in both variants. Seed 42 is the draw where curvature_check once kept
+    a first quote that demand_slope clips: agent 2.3 quotes an
+    interior-point residue on l1, which the right side locks and the left
+    side keeps, and the candidate at default params passes."""
+    records, _ = certified_batch
+    assert [(r.seed, v.params.variant) for r in records for v in (r.wbb, r.sbb)
+            if v.shrinks] == []
+    r = records[41]
+    ki = AgentId(2, 3)
+    assert (r.seed, r.instance_seed) == (42, 42378)
+    for variant in ("wbb", "sbb"):
+        params = MechanismParams(variant=variant)
+        candidate = construct_ne(r.instance, r.primal, r.dual, params)
+        report = curvature_check(r.instance, candidate)
+        assert report.all_pass, variant
+        assert report.agents[ki].locked == ["q1|l1"], variant
+        msg = candidate.profile[ki]
+        assert 0.0 < msg.q["l1"][0] < 1e-15, variant
+        ev = DeviationEvaluator(r.instance, candidate.profile, params, ki)
+        assert ev.local_model(msg, -1).free[ev.coords.index(("q1", "l1"))], variant
+
+
+def test_curvature_locks_agree_with_demand_slope(certified_batch):
+    """On each side of every batch candidate's demand (both variants),
+    the Schur complement of local_model's Hessian over its free quote block
+    (the q1, q2 and rho that LocalModel.free keeps) is demand_slope's g''
+    within a relative 1e-12: the certificate and the exact best response
+    clip the same quotes."""
+    records, _ = certified_batch
+    n_reads = 0
+    for r in records:
+        for v in (r.wbb, r.sbb):
+            profile = v.candidate.profile
+            for ev in _evaluators(r.instance, profile, v.params):
+                y = profile[ev.ki].y
+                for side in (+1, -1) if y > 0.0 else (+1,):
+                    model = ev.local_model(profile[ev.ki], side)
+                    quotes = np.flatnonzero(model.free[1:]) + 1
+                    h = model.hess[0, quotes]
+                    schur = model.hess[0, 0] - h @ np.linalg.solve(
+                        model.hess[np.ix_(quotes, quotes)], h)
+                    g2 = ev.demand_slope(y, side)[1]
+                    assert abs(schur - g2) <= 1e-12 * abs(g2), \
+                        (r.seed, v.params.variant, ev.ki, side, schur, g2)
+                    n_reads += 1
+    assert n_reads == 964
 
 
 def test_table_walks_match_dict_walks(certified_batch):
