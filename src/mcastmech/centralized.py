@@ -24,25 +24,21 @@ Without it an iterate leaves a binding link slack by about gap / lambda,
 which on saturated instances (lambda near 1e-8) shows as allocation drift
 when the mechanism replays x. The measure is the KKT residual of the
 iterate's arrays (the `_residual` behind kkt_residuals). The loop returns
-the first iterate with the least residual; it stops at RESIDUAL_FLOOR, or
-after PATIENCE steps that lowered neither the residual nor the
-complementarity gap s.y. Only the returned iterate becomes dicts, a
-KKTReport and a sharing count; the solve fails with SolverError only when
-that best iterate misses tol.
+the first iterate with the least residual. It stops at RESIDUAL_FLOOR, or
+after PATIENCE steps that cut the complementarity gap s.y by less than a
+relative PROGRESS: patience reads s.y alone, never the residual. Only the
+returned iterate becomes dicts, a KKTReport and a sharing count; the solve
+fails with SolverError only when that best iterate misses tol.
 
-An iterate needs its residual at once only if it could stop the loop.
-While s.y falls the patience count resets whatever the residual is, so an
-iterate can then stop the loop only at the floor. Two cheap parts of the
-residual bound it from below: the link-dual part of the stationarity
-block, |lambda_l - sum_group mu|, which reads y alone, and the
+So an iterate needs its residual at once only if it reaches the floor. Two
+cheap parts of the residual bound it from below: the link-dual part of the
+stationarity block, |lambda_l - sum_group mu|, which reads y alone, and the
 complementarity block, which needs the finished (x, m) but not v'. When
-s.y fell and either is above the floor, the iterate is deferred. The
-deferred iterates are measured in order, from the same arrays, before a
-step whose s.y did not fall (the patience count compares with every
-earlier residual) and before an exit other than the floor. At a floor exit
-each deferred iterate is known to lie above the floor, so none is the
-best. The loop therefore returns the same iterate, blocks and error as
-one that measures every iterate, while most solves measure one or two.
+either is above the floor, the iterate is deferred. Deferred iterates are
+measured, from the same arrays, only at an exit other than the floor; at
+the floor each lies above it, so none is the best. The loop therefore
+returns the same iterate, blocks and error as one that measures every
+iterate, while most solves measure one or two.
 
 Stationarity ties the duals together: for every positive rate
 v'(x) = sum_l mu * alpha, and on every link the per-group dual sums match
@@ -60,17 +56,21 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import SolverError
-from .model import (LOG_SAT, AgentId, NetworkInstance, RATE_ATOL, _tables, canonical_json,
+from .model import (LOG_SAT, AgentId, NetworkInstance, _tables, canonical_json,
                     require_valid, welfare)
 
 #: Default target for the max KKT residual across all blocks.
 DEFAULT_TOL = 1e-9
 
 #: The interior-point loop stops once the max KKT residual is at or below
-#: this, whatever tol is, or after PATIENCE steps that lowered neither the
-#: residual nor the complementarity gap, or after MAX_ITERS steps.
+#: this, whatever tol is, or after PATIENCE steps without progress (s.y
+#: below 1 - PROGRESS times its least value so far), or after MAX_ITERS
+#: steps. Before a solve stalls its steps cut s.y by a few percent or more;
+#: a stalled one still shaves s.y in its last digits (1.5e-11 relative per
+#: step at 110 agents), which must not count as progress.
 RESIDUAL_FLOOR = 1e-13
 PATIENCE = 10
+PROGRESS = 1e-3
 MAX_ITERS = 200
 
 #: Fraction of the distance to the boundary that a step may cover.
@@ -324,25 +324,16 @@ def _measure(ws: _Workspace, t: int, z: np.ndarray, y: np.ndarray,
     return max(blocks), t, blocks, x, m, y
 
 
-def _settle(ws: _Workspace, best: tuple, pending: list) -> tuple:
-    """best after measuring every pending iterate, oldest first; empties pending."""
-    for item in pending:
-        best = min(best, _measure(ws, *item))
-    pending.clear()
-    return best
-
-
 def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
-    """Count groups with a meaningfully positive member rate on each link."""
+    """Count groups with a positive member rate on each link; a rate at or
+    below its agent's zero-rate threshold (_Tables.zero_rate) counts as 0,
+    as in the stationarity block, the replay and the lemmas."""
     T = _tables(instance)
-    xs = [primal.x[ki] for ki in T.agents]
+    positive = [primal.x[ki] > zero for ki, zero in zip(T.agents, T.zero_rate)]
     sizes = dict.fromkeys(T.link_ids, 0)
     for members, l in zip(T.slot_pairs, T.slot_link):
-        thresh = RATE_ATOL * T.capacity[l]
-        for p in members:
-            if xs[T.pairs[p][0]] > thresh:
-                sizes[T.link_ids[l]] += 1
-                break
+        if any(positive[T.pairs[p][0]] for p in members):
+            sizes[T.link_ids[l]] += 1
     return A4Report(sizes, all(c >= 2 for c in sizes.values()))
 
 
@@ -386,34 +377,33 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     for t in range(MAX_ITERS):
         lam, mu = y[nx:nx + nl], y[nx + nl:]
         gap = float(s @ y)
-        # Early on the residual can sit at a starved agent's x >= 0 multiplier
-        # for many steps while the gap falls steadily; that is progress too.
-        fell = gap < best_gap
-        if fell:
+        if gap < (1.0 - PROGRESS) * best_gap:
             best_gap, stale = gap, 0
-        if fell and _above_floor(np.abs(ws.slot_duals(lam, mu))):
+        else:
+            stale += 1
+        if _above_floor(np.abs(ws.slot_duals(lam, mu))):
             pending.append((t, z, y))
         else:
             x, m = _finish(ws, z)
             slacks = _slacks(ws, x, m, lam, mu)
-            if fell and _above_floor(slacks[2]):
+            if _above_floor(slacks[2]):
                 pending.append((t, z, y, (x, m, slacks)))
             else:
-                entry = _measure(ws, t, z, y, (x, m, slacks))
-                if not fell:  # the patience count compares with every earlier residual
-                    best = _settle(ws, best, pending)
-                    stale = 0 if entry < best else stale + 1
-                best = min(best, entry)
-                if entry[0] <= RESIDUAL_FLOOR or stale >= PATIENCE:
-                    pending.clear()  # each lies above the floor, or was settled
+                best = min(best, _measure(ws, t, z, y, (x, m, slacks)))
+                if best[0] <= RESIDUAL_FLOOR:
+                    pending.clear()  # each lies above the floor
                     break
+        if stale >= PATIENCE:
+            break
         try:
             z, s, y = _mehrotra_step(ws, z, s, y)
         except np.linalg.LinAlgError:
             break
         if not (np.isfinite(z).all() and np.isfinite(s).all() and np.isfinite(y).all()):
             break
-    res, _, blocks, x, m, y = _settle(ws, best, pending)
+    for item in pending:
+        best = min(best, _measure(ws, *item))
+    res, _, blocks, x, m, y = best
     if res > tol:
         raise SolverError(
             f"interior point stalled at max residual {res:.3e} > tol {tol:.3e}")

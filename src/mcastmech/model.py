@@ -29,8 +29,9 @@ LOG_SAT = "log_sat"
 EXP_SAT = "exp_sat"
 VALUATION_FAMILIES = (LOG_SAT, EXP_SAT)
 
-#: Weighted rates below RATE_ATOL * capacity count as zero when deciding
-#: which groups are active on a link.
+#: A rate at or below RATE_ATOL times the largest capacity on its agent's
+#: route counts as zero (_Tables.zero_rate): in the sharing count, the
+#: solver's stationarity block, the replay and the lemmas.
 RATE_ATOL = 1e-9
 
 
@@ -172,7 +173,8 @@ class _Tables:
     Per link: its slots in group order, its agents' pairs, capacity and
     rivals. Per agent: its route and its zero-rate threshold, RATE_ATOL
     times the largest capacity on the route (a rate at or below it counts
-    as 0 in the solver's stationarity, the replay and the lemmas)."""
+    as 0 in the sharing count, the solver's stationarity, the replay and
+    the lemmas)."""
 
     def __init__(self, instance: NetworkInstance):
         self.agents = instance.agents

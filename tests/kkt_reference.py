@@ -87,10 +87,11 @@ def eager_solve(instance: NetworkInstance, tol: float = centralized.DEFAULT_TOL,
     """(blocks, x, m, y) of the iterate solve_cp returns, in workspace
     order, from a loop that finishes and measures every iterate and keeps
     the first with the least residual; it stops at RESIDUAL_FLOOR, after
-    PATIENCE steps that lowered neither the residual nor s.y, or after
-    MAX_ITERS steps, and raises solve_cp's SolverError above tol. It reads
-    the loop constants and the step, finish and residual functions from
-    the library at call time, so a test may patch them for both loops."""
+    PATIENCE steps that did not bring s.y below (1 - PROGRESS) times its
+    least value so far, or after MAX_ITERS steps, and raises solve_cp's
+    SolverError above tol. It reads the loop constants and the step,
+    finish and residual functions from the library at call time, so a test
+    may patch them for both loops."""
     ws = centralized._Workspace(instance)
     nx, nl = ws.nx, ws.nl
     z = centralized._interior_start(ws, init_seed)
@@ -105,14 +106,13 @@ def eager_solve(instance: NetworkInstance, tol: float = centralized.DEFAULT_TOL,
         x, m = centralized._finish(ws, z)
         blocks = centralized._residual(ws, x, m, y[nx:nx + nl], y[nx + nl:])
         res = max(blocks)
-        improved = best is None or res < best[0]
-        if improved:
+        if best is None or res < best[0]:
             best = (res, blocks, x, m, y)
         gap = float(s @ y)
-        if gap < best_gap:
-            best_gap = gap
-            improved = True
-        stale = 0 if improved else stale + 1
+        if gap < (1.0 - centralized.PROGRESS) * best_gap:
+            best_gap, stale = gap, 0
+        else:
+            stale += 1
         if res <= centralized.RESIDUAL_FLOOR or stale >= centralized.PATIENCE:
             break
         try:
@@ -154,13 +154,17 @@ def dense_direction(N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def reference_a4(instance: NetworkInstance, primal: PrimalSolution
                  ) -> Tuple[Dict[str, int], bool]:
-    """(s_sizes, holds) of check_a4, link by link and group by group."""
+    """(s_sizes, holds) of check_a4, link by link and group by group; a
+    member's rate counts when above RATE_ATOL times the largest capacity on
+    its route."""
+    def positive(b):
+        return primal.x[b] > RATE_ATOL * max(instance.capacity[l] for l in instance.links_of[b])
+
     sizes, slots = {}, member_agents_on_link(instance)
     for lid in instance.link_ids:
-        thresh = RATE_ATOL * instance.capacity[lid]
         count = 0
         for k in instance.groups_on_link[lid]:
-            if any(primal.x[b] > thresh for b in slots[(k, lid)]):
+            if any(positive(b) for b in slots[(k, lid)]):
                 count += 1
         sizes[lid] = count
     return sizes, all(c >= 2 for c in sizes.values())

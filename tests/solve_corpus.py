@@ -17,7 +17,9 @@ the figures between runs of this script, not with a profiler's. Per solve
 it prints the mean number of full measurements (``_residual`` calls) and
 of bound-only checks: iterates a cheap residual block showed above the
 floor and that were never measured (``_above_floor``, counted where the
-solver has it).
+solver has it). It counts how each solve ended (``ending``): at the
+residual floor, on patience, after ``MAX_ITERS`` steps, or otherwise (a
+step raised or left a non-finite iterate).
 
 Last it prints one SHA-256 over every draw's ``solution_to_json`` text
 (or its ``SolverError`` message), so two source trees can be compared by
@@ -30,8 +32,11 @@ the shared yardstick for changes to ``solve_cp``.
 
 import collections
 import hashlib
+import math
 import sys
 import time
+
+import numpy as np
 
 from mcastmech import random_instance, solution_to_json, solve_cp
 from mcastmech import centralized
@@ -80,48 +85,78 @@ def timed(name, spent, calls):
 
 
 def counted_bounds(calls):
-    """Count in calls the iterates a bound defers ("deferred": the loop
-    checks a bound only to defer) and the deferred iterates measured later
-    ("settled"), by wrapping centralized._above_floor and _settle."""
-    above, settle = centralized._above_floor, centralized._settle
+    """Count in calls["deferred"] the iterates a bound defers, by wrapping
+    centralized._above_floor (the loop checks a bound only to defer)."""
+    above = centralized._above_floor
 
     def above_floor(block):
         out = above(block)
         calls["deferred"] += out
         return out
 
-    def settled(ws, best, pending):
-        calls["settled"] += len(pending)
-        return settle(ws, best, pending)
+    centralized._above_floor = above_floor
 
-    centralized._above_floor, centralized._settle = above_floor, settled
+
+def watched_steps(failed):
+    """Wrap centralized._mehrotra_step so that failed[0] says whether the
+    latest step raised or left a non-finite iterate."""
+    real = centralized._mehrotra_step
+
+    def wrapper(*args):
+        failed[0] = True
+        out = real(*args)
+        failed[0] = not all(np.isfinite(v).all() for v in out)
+        return out
+
+    centralized._mehrotra_step = wrapper
+
+
+def ending(residual, steps, failed_step):
+    """How a solve's loop ended, read from outside it. Only the floor exit
+    returns an iterate at or below RESIDUAL_FLOOR; a loop that ends
+    otherwise ends after a failed step, after MAX_ITERS steps, or on
+    patience (before its next step). A failed solve passes residual inf."""
+    if residual <= centralized.RESIDUAL_FLOOR:
+        return "floor"
+    if failed_step:
+        return "other"
+    return "max-iters" if steps == centralized.MAX_ITERS else "patience"
 
 
 def main():
     spent, calls = collections.Counter(), collections.Counter()
+    failed_step = [False]
+    watched_steps(failed_step)
     for name in ("_mehrotra_step", "_finish", "_residual"):
         timed(name, spent, calls)
     if hasattr(centralized, "_above_floor"):
         counted_bounds(calls)
     solved, failed, worst = 0, [], (0.0, None)
-    times = collections.Counter()
-    step_counts, digests = [], []
+    times, endings = collections.Counter(), collections.Counter()
+    step_counts, digests, bound_only = [], [], 0
     for label, inst in corpus():
-        before = calls["_mehrotra_step"]
+        before, deferred = calls["_mehrotra_step"], calls["deferred"]
+        failed_step[0] = False
         start = time.perf_counter()
         try:
             primal, dual = solve_cp(inst)
         except SolverError as exc:
             failed.append(f"{label}: {exc}")
             digests.append((label, hashlib.sha256(str(exc).encode()).hexdigest()))
-            continue
+            residual = math.inf
+        else:
+            solved += 1
+            step_counts.append(calls["_mehrotra_step"] - before)
+            residual = dual.residuals.max_residual
+            worst = max(worst, (residual, label))
+            text = solution_to_json(inst, primal, dual)
+            digests.append((label, hashlib.sha256(text.encode()).hexdigest()))
         finally:
             times[label.split("-")[0]] += time.perf_counter() - start
-        solved += 1
-        step_counts.append(calls["_mehrotra_step"] - before)
-        worst = max(worst, (dual.residuals.max_residual, label))
-        text = solution_to_json(inst, primal, dual)
-        digests.append((label, hashlib.sha256(text.encode()).hexdigest()))
+        end = ending(residual, calls["_mehrotra_step"] - before, failed_step[0])
+        endings[end] += 1
+        if end == "floor":  # a floor exit measures none of its deferred iterates
+            bound_only += calls["deferred"] - deferred
     print(f"solved {solved}, failed {len(failed)}")
     for line in failed:
         print(f"  {line}")
@@ -135,10 +170,11 @@ def main():
     print(f"per step {1e6 * spent['_mehrotra_step'] / max(1, calls['_mehrotra_step']):.0f} us, "
           f"per iterate measurement (_finish + _residual) {1e6 * measure:.0f} us")
     n = max(1, solved + len(failed))
-    bound_only = calls["deferred"] - calls["settled"]
     print(f"per solve: {calls['_residual'] / n:.2f} full measurements "
           f"({calls['_residual']} in all), {bound_only / n:.2f} bound-only checks "
           f"({bound_only} in all)")
+    print("solves ended: " + ", ".join(f"{end} {endings[end]}"
+                                       for end in ("floor", "patience", "max-iters", "other")))
     lines = "".join(f"{label} {digest}\n" for label, digest in digests)
     print(f"solution.json sha256 over {len(digests)} draws: "
           f"{hashlib.sha256(lines.encode()).hexdigest()}")

@@ -24,6 +24,7 @@ from mcastmech import (
 )
 from mcastmech import centralized
 from mcastmech.errors import SolverError
+from mcastmech.model import RATE_ATOL, _tables
 
 from conftest import batch_shape, make_instance
 from kkt_reference import (dense_direction, eager_solve, normal_matrix, reference_a4,
@@ -165,6 +166,23 @@ def test_ladder_top_solves_to_the_residual_floor():
     primal, dual = solve_cp(inst, tol=1e-9)
     assert dual.residuals.max_residual <= 1e-12
     assert check_a4(inst, primal).holds
+
+
+def test_stalled_gap_ends_the_solve_on_patience(monkeypatch):
+    # 110 agents on 50 links: the residual cannot reach RESIDUAL_FLOOR and
+    # stops improving near step 40, while s.y keeps falling in its last
+    # digits. Patience reads s.y against a relative PROGRESS, so the loop
+    # stops PATIENCE steps after s.y last fell by that much (63 steps at
+    # one BLAS thread, 53 at two) instead of running to MAX_ITERS.
+    steps, real = [0], centralized._mehrotra_step
+
+    def counted(ws, z, s, y):
+        steps[0] += 1
+        return real(ws, z, s, y)
+    monkeypatch.setattr(centralized, "_mehrotra_step", counted)
+    _, dual = solve_cp(random_instance(1, n_groups=50, max_group_size=3, n_links=50))
+    assert steps[0] <= 80
+    assert dual.residuals.max_residual <= 1e-11
 
 
 @pytest.mark.parametrize("instance", DEGENERATE_DRAWS + [
@@ -473,6 +491,26 @@ def test_a4_zero_point(symmetric_instance):
     report = check_a4(symmetric_instance, zero)
     assert not report.holds
     assert report.s_sizes["l1"] == 0
+
+
+def test_a4_zeroes_rates_at_the_route_threshold():
+    """A rate above RATE_ATOL times its link's capacity but at or below its
+    agent's zero-rate threshold (RATE_ATOL times the largest capacity on its
+    route) counts as 0 in the sharing count, as the replay reads it, so l1
+    carries one demanding group; the dict walk agrees."""
+    inst = make_instance({"l1": 1.0, "l2": 100.0}, [
+        (1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+        (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0, "l2": 1.0}),
+        (3, 1, LOG_SAT, 1.0, 1.0, {"l2": 1.0}),
+        (4, 1, LOG_SAT, 1.0, 1.0, {"l2": 1.0})])
+    x = dict(zip(inst.agents, [0.5, 5e-8, 50.0, 40.0]))
+    starved = AgentId(2, 1)
+    assert RATE_ATOL * inst.capacity["l1"] < x[starved] <= _tables(inst).zero_rate[1]
+    primal = PrimalSolution(x, {(k, lid): x[AgentId(k, 1)] for k, lid in inst.members_on_link})
+    report = check_a4(inst, primal)
+    assert report.s_sizes == {"l1": 1, "l2": 2}
+    assert not report.holds
+    assert (report.s_sizes, report.holds) == reference_a4(inst, primal)
 
 
 def test_a4_fails_when_one_group_starved(a4_fail_instance):
