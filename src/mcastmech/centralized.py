@@ -33,12 +33,14 @@ fails with SolverError only when that best iterate misses tol.
 So an iterate needs its residual at once only if it reaches the floor. Two
 cheap parts of the residual bound it from below: the link-dual part of the
 stationarity block, |lambda_l - sum_group mu|, which reads y alone, and the
-complementarity block, which needs the finished (x, m) but not v'. When
-either is above the floor, the iterate is deferred. Deferred iterates are
-measured, from the same arrays, only at an exit other than the floor; at
-the floor each lies above it, so none is the best. The loop therefore
-returns the same iterate, blocks and error as one that measures every
-iterate, while most solves measure one or two.
+complementarity block, which needs the finished (x, m) but not v'. The
+loop keeps one record (t, z, y) per iterate and measures an iterate at
+once only when both bounds leave it at or below the floor (_at_floor).
+At the floor it returns that iterate, since every earlier one lies above
+the floor; at any other exit it measures every record and returns the
+first with the least residual. So it returns the same iterate, blocks and
+error as a loop that measures every iterate, while most solves measure
+one or two.
 
 Stationarity ties the duals together: for every positive rate
 v'(x) = sum_l mu * alpha, and on every link the per-group dual sums match
@@ -56,8 +58,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import SolverError
-from .model import (LOG_SAT, AgentId, NetworkInstance, _tables, canonical_json,
-                    require_valid, welfare)
+from .model import (AgentId, NetworkInstance, _tables, canonical_json, require_valid,
+                    welfare)
 
 #: Default target for the max KKT residual across all blocks.
 DEFAULT_TOL = 1e-9
@@ -135,9 +137,8 @@ class _Workspace:
         T = _tables(inst)
         self.agents, self.mpairs, self.bnd = T.agents, T.slot_keys, T.pair_keys
         self.vals = [inst.valuation(ki) for ki in self.agents]
-        # v'' = -v' * (k_b + v' / k_a): -v' * v' / a for log_sat, -b * v' for exp_sat
-        self.k_b, self.k_a = np.array([(0.0, v.a) if v.family == LOG_SAT else (v.b, math.inf)
-                                       for v in self.vals]).T
+        # v'' = -v' * (k_b + v' / k_a), per Valuation.second_terms
+        self.k_b, self.k_a = np.array([v.second_terms() for v in self.vals]).T
         self.nx = len(self.agents)
         self.nm = len(self.mpairs)
         self.nl = len(T.link_ids)
@@ -315,13 +316,29 @@ def _above_floor(block: np.ndarray) -> bool:
     return float(block.max()) > RESIDUAL_FLOOR
 
 
-def _measure(ws: _Workspace, t: int, z: np.ndarray, y: np.ndarray,
-             finished: Optional[tuple] = None) -> tuple:
-    """(residual, t, blocks, x, m, y) of iterate t, from its (x, m, _slacks)
-    when the loop has finished it already."""
-    x, m, slacks = (*_finish(ws, z), None) if finished is None else finished
-    blocks = _residual(ws, x, m, y[ws.nx:ws.nx + ws.nl], y[ws.nx + ws.nl:], slacks)
+def _measure(ws: _Workspace, t: int, z: np.ndarray, y: np.ndarray) -> tuple:
+    """(residual, t, blocks, x, m, y) of iterate t: entries order as "first
+    least residual"."""
+    x, m = _finish(ws, z)
+    blocks = _residual(ws, x, m, y[ws.nx:ws.nx + ws.nl], y[ws.nx + ws.nl:])
     return max(blocks), t, blocks, x, m, y
+
+
+def _at_floor(ws: _Workspace, t: int, z: np.ndarray, y: np.ndarray) -> Optional[tuple]:
+    """_measure's entry of iterate t if its residual is at or below
+    RESIDUAL_FLOOR, else None. The link-dual gaps, then the complementarity
+    products of the finished (x, m), bound the residual from below; only
+    an iterate that both leave at or below the floor is measured, from
+    that same (x, m)."""
+    lam, mu = y[ws.nx:ws.nx + ws.nl], y[ws.nx + ws.nl:]
+    if _above_floor(np.abs(ws.slot_duals(lam, mu))):
+        return None
+    x, m = _finish(ws, z)
+    slacks = _slacks(ws, x, m, lam, mu)
+    if _above_floor(slacks[2]):
+        return None
+    blocks = _residual(ws, x, m, lam, mu, slacks)
+    return (max(blocks), t, blocks, x, m, y) if max(blocks) <= RESIDUAL_FLOOR else None
 
 
 def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
@@ -370,30 +387,16 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     gap0 = max(1.0, float(ws.dvalue(x0) @ x0) / (ws.nx + ws.nm))
     s = ws.apply(z) + ws.offset
     y = gap0 / s
-    # Entries (residual, step, blocks, x, m, y) order as "first least
-    # residual", so iterates measured out of turn still pick the same best.
-    best = (math.inf, math.inf)
-    best_gap, stale, pending = math.inf, 0, []  # pending: deferred (t, z, y[, finished])
+    best_gap, stale, records, entry = math.inf, 0, [], None
     for t in range(MAX_ITERS):
-        lam, mu = y[nx:nx + nl], y[nx + nl:]
         gap = float(s @ y)
         if gap < (1.0 - PROGRESS) * best_gap:
             best_gap, stale = gap, 0
         else:
             stale += 1
-        if _above_floor(np.abs(ws.slot_duals(lam, mu))):
-            pending.append((t, z, y))
-        else:
-            x, m = _finish(ws, z)
-            slacks = _slacks(ws, x, m, lam, mu)
-            if _above_floor(slacks[2]):
-                pending.append((t, z, y, (x, m, slacks)))
-            else:
-                best = min(best, _measure(ws, t, z, y, (x, m, slacks)))
-                if best[0] <= RESIDUAL_FLOOR:
-                    pending.clear()  # each lies above the floor
-                    break
-        if stale >= PATIENCE:
+        records.append((t, z, y))
+        entry = _at_floor(ws, t, z, y)
+        if entry or stale >= PATIENCE:
             break
         try:
             z, s, y = _mehrotra_step(ws, z, s, y)
@@ -401,9 +404,8 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
             break
         if not (np.isfinite(z).all() and np.isfinite(s).all() and np.isfinite(y).all()):
             break
-    for item in pending:
-        best = min(best, _measure(ws, *item))
-    res, _, blocks, x, m, y = best
+    # At the floor no other iterate can be the best: each lies above it.
+    res, _, blocks, x, m, y = entry or min(_measure(ws, *record) for record in records)
     if res > tol:
         raise SolverError(
             f"interior point stalled at max residual {res:.3e} > tol {tol:.3e}")

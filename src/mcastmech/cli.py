@@ -305,8 +305,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 
     epsilon = args.epsilon if args.epsilon is not None else 1e-8
     result = br_dynamics(instance, initial, params, rounds=args.rounds,
-                         schedule=args.schedule, epsilon=epsilon,
-                         budget=args.budget)
+                         epsilon=epsilon, budget=args.budget)
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "trajectory.csv")
     with open(traj_path, "w", encoding="utf-8", newline="") as fh:
@@ -318,7 +317,6 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     _write(os.path.join(args.out, "dynamics.json"), canonical_json({
         "fixed_point": result.fixed_point,
         "rounds_run": result.rounds_run,
-        "schedule": args.schedule,
     }))
     _write(os.path.join(args.out, "final_profile.json"),
            profile_to_json(result.final_profile))
@@ -411,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_dyn)
     mech(p_dyn, "stop once no best-response gain of a round exceeds this (default 1e-8)")
     p_dyn.add_argument("--rounds", type=_at_least("rounds", 1), default=50)
-    p_dyn.add_argument("--schedule", choices=["gauss-seidel", "jacobi"],
-                       default="gauss-seidel")
     p_dyn.add_argument("--start", default="ne",
                        help="'ne', 'zero', or a profile JSON file")
     p_dyn.set_defaults(func=cmd_dynamics)

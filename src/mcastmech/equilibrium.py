@@ -37,7 +37,7 @@ from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumption
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
                         MechanismParams, Message, Profile, VARIANT_SBB,
                         _evaluate, _evaluators, allocate, evaluate, validate_profile)
-from .model import (LOG_SAT, AgentId, NetworkInstance, Valuation, _tables,
+from .model import (AgentId, NetworkInstance, Valuation, _EPS, _tables,
                     constraint_violation, seq_sum)
 
 
@@ -207,7 +207,6 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
 
 DEMAND_CAP = 1e300  # largest demand tried; a best response there is cut off
 _ZERO_PROBE = 1e-15  # past a jump of r at 0, g's right limit is read at this share of the scales
-_EPS = float(np.finfo(float).eps)
 # Gains below this share of 1 + |u| are rounding: a utility sums terms that can outweigh u,
 # and from the acceptance candidates, exact to the KKT residual, no gain reaches 60 eps of it.
 _ROUNDING = 1024.0 * _EPS
@@ -240,33 +239,6 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
     return _best_response(DeviationEvaluator(instance, profile, params, ki), profile[ki], budget)
 
 
-def _turn(val: Valuation, A: float) -> float:
-    """Where V + A*x^2 turns from concave to convex, V''(x) = -2A (inf if A <= 0)."""
-    if A <= 0.0:
-        return math.inf
-    if val.family == LOG_SAT:  # a*b^2 / (1 + b*x)^2 = 2A
-        return math.sqrt(val.a / (2.0 * A)) - 1.0 / val.b
-    return math.log(val.a * val.b * val.b / (2.0 * A)) / val.b  # a*b^2 * exp(-b*x) = 2A
-
-
-def _crest(val: Valuation, A: float, B: float, lo: float, hi: float) -> float:
-    """The root of h' = V' + 2A*x + B in [lo, hi]: h'(lo) > 0 > h'(hi), h concave."""
-    k, b = val.a, val.b
-    if val.family == LOG_SAT:  # (1 + b*x) * h'(x) = p2*x^2 + p1*x + p0 falls through the root
-        p2, p1, p0 = 2.0 * A * b, 2.0 * A + B * b, B + k * b
-        d = math.sqrt(max(p1 * p1 - 4.0 * p2 * p0, 0.0))
-        # the root (-p1 - d) / (2*p2), where p' = -d, in a form free of cancellation
-        return min(max(-0.5 * (p1 + d) / p2 if p1 >= 0.0 else 2.0 * p0 / (d - p1), lo), hi)
-    x = lo  # h' is convex and falls here: Newton steps from lo rise to the root
-    while True:
-        e = k * b * math.exp(-b * x)
-        fall = e * b - 2.0 * A  # -h''(x)
-        step = (e + 2.0 * A * x + B) / fall if fall > 0.0 else 0.0
-        if not step > _EPS * x:
-            return min(x, hi)
-        x += step
-
-
 def _piece(val: Valuation, a: float, b: float, read):
     """Piece [a, b] of g from one slope read right of a (demand_slope): its
     record (a, b, g'(a+), g'(b-)), candidates (demand, model value above
@@ -275,9 +247,10 @@ def _piece(val: Valuation, a: float, b: float, read):
     One offer c / (rest + a_e*y) binds (scale_slopes); with x' = r*rest/den
     and x'' = 2r'*rest/den, den = rest + a_e*a, g's slopes in y give those
     in x, hence A and B. As V''' > 0, h = V + A*x^2 + B*x is concave up to
-    _turn and convex past it, so it peaks at an end or at the root of h' on
-    the concave part (_crest), mapped back by y = x*rest / (c - a_e*x). The
-    last piece ends where x reaches c/a_e to rounding; g'(b-) is modelled."""
+    val.turn and convex past it, so it peaks at an end or at the root of h'
+    on the concave part (val.crest), mapped back by y = x*rest / (c - a_e*x).
+    The last piece ends where x reaches c/a_e to rounding; g'(b-) is
+    modelled."""
     top = b
     d1, d2, r, dr, (c, rest, a_e) = read
     if b == DEMAND_CAP and a_e * a < rest / _EPS < a_e * DEMAND_CAP:
@@ -300,9 +273,9 @@ def _piece(val: Valuation, a: float, b: float, read):
         return val.deriv(x) + 2.0 * A * x + B
 
     cands = [(a, 0.0), (top, h(xb))]
-    end = min(_turn(val, A), xb)
+    end = min(val.turn(A), xb)
     if d1 > 0.0 and xa < end and dh(end) < 0.0:
-        x = _crest(val, A, B, xa, end)
+        x = val.crest(A, B, xa, end)
         y = x * rest / (c - a_e * x) if c > a_e * x else b
         cands.append((min(max(y, a), b), h(x)))
     return (a, b, d1, dh(xb) * (c * rest / den_b / den_b)), cands, cands[1][1]
@@ -398,13 +371,14 @@ def certify_ne(instance: NetworkInstance, candidate: CandidateNE, epsilon: float
 # Best-response dynamics
 
 def br_dynamics(instance: NetworkInstance, initial: Profile,
-                params: MechanismParams, rounds: int = 50,
-                schedule: str = "gauss-seidel", epsilon: float = 1e-8,
+                params: MechanismParams, rounds: int = 50, epsilon: float = 1e-8,
                 budget: int = 300) -> DynamicsResult:
     """Iterated best response; convergence is observed, never presumed.
 
-    Each update is exact_best_response with `budget` evaluations, adopted
-    only when it gains more than the utility's rounding. One row per
+    Agents respond in turn (Gauss-Seidel): each update is
+    exact_best_response with `budget` evaluations against the profile as
+    the round has left it so far, adopted at once and only when it gains
+    more than the utility's rounding. One row per
     (round, agent) records demand, rate, tax, and the round's best-response
     gain; the feasible flag certifies the shared constraints after the
     round's updates (the allocation map keeps it true by construction).
@@ -414,8 +388,6 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
     of an agent at the cap is cut off there, not a maximum."""
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
-    if schedule not in ("gauss-seidel", "jacobi"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     validate_profile(instance, initial, params.variant)
     profile = {ki: initial[ki].copy() for ki in instance.agents}
     rows: List[Dict[str, object]] = []
@@ -425,15 +397,11 @@ def br_dynamics(instance: NetworkInstance, initial: Profile,
         rounds_run = rnd
         round_gains: Dict[AgentId, float] = {}
         complete = True
-        updates = {}  # Jacobi applies them after the round, Gauss-Seidel at once
         for ki in instance.agents:
             br = exact_best_response(instance, profile, ki, params, budget)
             round_gains[ki], complete = br.gain, complete and br.complete
             if br.gain > _ROUNDING * (1.0 + abs(br.base_utility)):
-                updates[ki] = br.message.copy()
-                if schedule == "gauss-seidel":
-                    profile[ki] = updates[ki]
-        profile.update(updates)
+                profile[ki] = br.message.copy()
         out = evaluate(instance, profile, params)
         feasible = constraint_violation(instance, out.x, out.m) <= 1e-12
         for ki in instance.agents:
@@ -543,15 +511,16 @@ def tune_params(instance: NetworkInstance, primal: PrimalSolution,
                 dual: DualCertificate, params: MechanismParams
                 ) -> Tuple[MechanismParams, int, CurvatureReport]:
     """Halve the coupling weights until local curvature passes everywhere;
-    DegenerateInstanceError once eta would fall below 1e-8."""
-    shrinks = 0
+    DegenerateInstanceError once eta would fall below 1e-8. The candidate's
+    profile reads no weight (only the variant), so it is built once and
+    each halving swaps only its params."""
+    candidate, shrinks = construct_ne(instance, primal, dual, params), 0
     while True:
-        candidate = construct_ne(instance, primal, dual, params)
         report = curvature_check(instance, candidate)
         if report.all_pass:
-            return params, shrinks, report
-        if params.eta / 2.0 < 1e-8:
+            return candidate.params, shrinks, report
+        if candidate.params.eta / 2.0 < 1e-8:
             raise DegenerateInstanceError("curvature still indefinite at the coupling floor 1e-8")
-        params = params.halved()
+        candidate.params = candidate.params.halved()
         shrinks += 1
 

@@ -51,8 +51,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import InstanceFormatError, MessageShapeError
-from .model import (AgentId, NetworkInstance, _Tables, _number, _tables, canonical_json,
-                    seq_sum)
+from .model import (AgentId, NetworkInstance, _Tables, _number, _tables, _unique_keys,
+                    canonical_json, seq_sum)
 
 VARIANT_WBB = "wbb"
 VARIANT_SBB = "sbb"
@@ -831,7 +831,7 @@ def profile_from_json(text: str, instance: NetworkInstance) -> Profile:
     """A profile of instance's agents, each keyed by its label "k.i"
     (AgentId.label); any other key raises InstanceFormatError."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"profile not valid JSON: {exc}") from exc
     agents = {ki.label: ki for ki in instance.agents}

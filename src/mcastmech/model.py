@@ -34,6 +34,8 @@ VALUATION_FAMILIES = (LOG_SAT, EXP_SAT)
 #: solver's stationarity block, the replay and the lemmas.
 RATE_ATOL = 1e-9
 
+_EPS = float(np.finfo(float).eps)
+
 
 class AgentId(NamedTuple):
     group: int
@@ -77,6 +79,36 @@ class Valuation:
         if self.family == LOG_SAT:
             return -self.a * self.b * self.b / (1.0 + self.b * x) ** 2
         return -self.a * self.b * self.b * math.exp(-self.b * x)
+
+    def second_terms(self) -> Tuple[float, float]:
+        """(k_b, k_a) with v'' = -v' * (k_b + v' / k_a): (0, a) for log_sat,
+        (b, inf) for exp_sat."""
+        return (0.0, self.a) if self.family == LOG_SAT else (self.b, math.inf)
+
+    def turn(self, A: float) -> float:
+        """Where v + A*x^2 turns from concave to convex, v''(x) = -2A (inf if A <= 0)."""
+        if A <= 0.0:
+            return math.inf
+        if self.family == LOG_SAT:  # a*b^2 / (1 + b*x)^2 = 2A
+            return math.sqrt(self.a / (2.0 * A)) - 1.0 / self.b
+        return math.log(self.a * self.b * self.b / (2.0 * A)) / self.b  # a*b^2 * exp(-b*x) = 2A
+
+    def crest(self, A: float, B: float, lo: float, hi: float) -> float:
+        """The root of h' = v' + 2A*x + B in [lo, hi]: h'(lo) > 0 > h'(hi), h concave."""
+        k, b = self.a, self.b
+        if self.family == LOG_SAT:  # (1 + b*x) * h'(x) = p2*x^2 + p1*x + p0 falls through the root
+            p2, p1, p0 = 2.0 * A * b, 2.0 * A + B * b, B + k * b
+            d = math.sqrt(max(p1 * p1 - 4.0 * p2 * p0, 0.0))
+            # the root (-p1 - d) / (2*p2), where p' = -d, in a form free of cancellation
+            return min(max(-0.5 * (p1 + d) / p2 if p1 >= 0.0 else 2.0 * p0 / (d - p1), lo), hi)
+        x = lo  # h' is convex and falls here: Newton steps from lo rise to the root
+        while True:
+            e = k * b * math.exp(-b * x)
+            fall = e * b - 2.0 * A  # -h''(x)
+            step = (e + 2.0 * A * x + B) / fall if fall > 0.0 else 0.0
+            if not step > _EPS * x:
+                return min(x, hi)
+            x += step
 
 
 @dataclass(frozen=True)
@@ -388,6 +420,17 @@ def _integer(v: object, what: str) -> int:
     return v
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """A JSON object as a dict (json's object_pairs_hook); a key repeated
+    in it raises InstanceFormatError, where json.loads keeps the last."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise InstanceFormatError(
+            f"JSON key {next(k for k in doc if keys.count(k) > 1)!r} repeated in one object")
+    return doc
+
+
 def _string(v: object, what: str) -> str:
     """v if it is a JSON string."""
     if not isinstance(v, str):
@@ -418,7 +461,7 @@ def instance_from_dict(data: Dict[str, object]) -> NetworkInstance:
 
 def instance_from_json(text: str) -> NetworkInstance:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "links" not in data or "agents" not in data:

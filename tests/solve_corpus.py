@@ -85,13 +85,14 @@ def timed(name, spent, calls):
 
 
 def counted_bounds(calls):
-    """Count in calls["deferred"] the iterates a bound defers, by wrapping
-    centralized._above_floor (the loop checks a bound only to defer)."""
+    """Count in calls["bounded"] the iterates a bound shows above the floor,
+    by wrapping centralized._above_floor (the loop checks a bound only to
+    skip measuring)."""
     above = centralized._above_floor
 
     def above_floor(block):
         out = above(block)
-        calls["deferred"] += out
+        calls["bounded"] += out
         return out
 
     centralized._above_floor = above_floor
@@ -135,7 +136,7 @@ def main():
     times, endings = collections.Counter(), collections.Counter()
     step_counts, digests, bound_only = [], [], 0
     for label, inst in corpus():
-        before, deferred = calls["_mehrotra_step"], calls["deferred"]
+        before, bounded = calls["_mehrotra_step"], calls["bounded"]
         failed_step[0] = False
         start = time.perf_counter()
         try:
@@ -155,8 +156,8 @@ def main():
             times[label.split("-")[0]] += time.perf_counter() - start
         end = ending(residual, calls["_mehrotra_step"] - before, failed_step[0])
         endings[end] += 1
-        if end == "floor":  # a floor exit measures none of its deferred iterates
-            bound_only += calls["deferred"] - deferred
+        if end == "floor":  # a floor exit measures none of its bounded iterates
+            bound_only += calls["bounded"] - bounded
     print(f"solved {solved}, failed {len(failed)}")
     for line in failed:
         print(f"  {line}")

@@ -293,19 +293,21 @@ def _chain_109():
 
 
 @pytest.mark.parametrize("path", ["floor-0", "max-iters", "linalg-error", "tied-residuals",
-                                  "unreachable-tol", "chain-109"])
+                                  "unreachable-tol", "chain-109", "patience"])
 def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
     """solve_cp measures an iterate only when it can stop the loop, yet
     returns the x, m, lambda, mu and residual blocks of the loop that
     measures every iterate (kkt_reference.eager_solve) bit for bit, or
     raises its SolverError text, on paths that do not end at the floor:
-    RESIDUAL_FLOOR at 0 (patience exits), MAX_ITERS at 9, a step that
-    raises LinAlgError from the seventh on, a residual of 1 at every
-    iterate, where the first iterate is the best (these three at tol 1e300,
-    so that they return), and a tol no solve reaches;
-    and on the chain 109 draw, at the default settings. Both loops take
-    the same number of steps."""
-    tol, steps = centralized.DEFAULT_TOL, [0]
+    RESIDUAL_FLOOR at 0 (there the chain 109 draw runs to MAX_ITERS, seeds
+    1 and 2 end on a failed step and seed 3 on patience), MAX_ITERS at 9,
+    a step that raises LinAlgError from the seventh on, a residual of 1 at
+    every iterate, where the first iterate is the best (these three at tol
+    1e300, so that they return), and a tol no solve reaches; on the chain
+    109 draw at the default settings; and at the default settings on 110
+    agents, whose solve ends on patience. Both loops take the same number
+    of steps."""
+    tol, steps, finite = centralized.DEFAULT_TOL, [0], [True]
     if path in ("floor-0", "max-iters"):
         monkeypatch.setattr(centralized, "RESIDUAL_FLOOR", 0.0)
     if path == "max-iters":
@@ -316,7 +318,10 @@ def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
         steps[0] += 1
         if path == "linalg-error" and steps[0] > 6:
             raise np.linalg.LinAlgError("singular")
-        return real(ws, z, s, y)
+        finite[0] = False
+        z, s, y = real(ws, z, s, y)
+        finite[0] = all(np.isfinite(v).all() for v in (z, s, y))
+        return z, s, y
     monkeypatch.setattr(centralized, "_mehrotra_step", counted)
     if path == "tied-residuals":
         monkeypatch.setattr(centralized, "_residual", lambda *args: (1.0, 0.0, 0.0, 0.0))
@@ -325,7 +330,9 @@ def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
     if path == "unreachable-tol":
         tol = 1e-16
     cases = [_chain_109()]
-    if path != "chain-109":
+    if path == "patience":
+        cases = [random_instance(1, n_groups=50, max_group_size=3, n_links=50)]
+    elif path != "chain-109":
         cases += [random_instance(seed, 3, 2, 2) for seed in (1, 2, 3)]
 
     def bits(values):
@@ -352,6 +359,9 @@ def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
         assert steps[0] == eager_steps
         assert isinstance(got, str) == (path == "unreachable-tol")
         assert path != "linalg-error" or steps[0] == 7
+        if path == "patience":  # no floor, no failed step, steps to spare
+            assert r.max_residual > centralized.RESIDUAL_FLOOR
+            assert finite[0] and steps[0] < centralized.MAX_ITERS
 
 
 def test_perturbed_multiplier_shows_in_comp_slack(slack_instance, solved_slack):

@@ -295,7 +295,7 @@ def test_dynamics_from_zero_start(tmp_path, sym_path):
     out = tmp_path / "dyn0"
     proc = run_cli(
         "dynamics", "--instance", sym_path, "--start", "zero", "--rounds", "3",
-        "--schedule", "jacobi", "--out", str(out),
+        "--out", str(out),
     )
     assert proc.returncode == 0
     with open(out / "trajectory.csv") as fh:
@@ -303,6 +303,21 @@ def test_dynamics_from_zero_start(tmp_path, sym_path):
     assert 2 <= len(rows) <= 6
     assert all(r["feasible"] == "True" for r in rows)
     assert (out / "final_profile.json").exists()
+
+
+def test_dynamics_has_one_schedule(tmp_path, sym_path):
+    """Best responses are adopted in turn (Gauss-Seidel), the one schedule:
+    --schedule is no option, and dynamics.json records no schedule."""
+    proc = run_cli("dynamics", "--instance", sym_path, "--schedule", "jacobi",
+                   "--out", str(tmp_path / "jacobi"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "jacobi").exists()
+    proc = run_cli("dynamics", "--instance", sym_path, "--rounds", "2",
+                   "--out", str(tmp_path / "dyn"))
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    doc = json.loads((tmp_path / "dyn" / "dynamics.json").read_text())
+    assert set(doc) == {"fixed_point", "rounds_run"}
 
 
 def _write_profile(path, doc):
@@ -368,7 +383,9 @@ def test_noncanonical_input_exits_2(tmp_path, sym_path, symmetric_instance):
     """An aliased agent label "01.1" or an unknown agent in a start profile
     and a numeric link id in an instance file are unreadable input: each
     prints the error document and exits 2, where each ran to exit 0 when
-    the readers coerced labels and ids with int() and str()."""
+    the readers coerced labels and ids with int() and str(). So is a key
+    repeated in one JSON object of either file (a second "y" or
+    "capacity"), which json.loads alone reads as the last."""
     procs = []
     for extra in ("01.1", "9.9"):
         start = _write_profile(tmp_path / f"start{extra}.json", {
@@ -385,6 +402,15 @@ def test_noncanonical_input_exits_2(tmp_path, sym_path, symmetric_instance):
     bad = tmp_path / "numeric_link.json"
     bad.write_text(json.dumps(doc))
     procs.append(run_cli("solve", "--instance", str(bad), "--out", str(tmp_path / "o3")))
+    start = tmp_path / "two_demands.json"
+    start.write_text('{"1.1": {"y": 2.0, "y": 9.0, "q": {"l1": [0.1, 0.1]}}, '
+                     '"2.1": {"y": 7.0, "q": {"l1": [0.3, 0.2]}}}')
+    procs.append(run_cli("dynamics", "--instance", sym_path, "--start", str(start),
+                         "--rounds", "1", "--out", str(tmp_path / "o4")))
+    bad = tmp_path / "two_capacities.json"
+    bad.write_text(instance_to_json(symmetric_instance).replace(
+        '"capacity": ', '"capacity": 99.0, "capacity": ', 1))
+    procs.append(run_cli("solve", "--instance", str(bad), "--out", str(tmp_path / "o5")))
     for proc in procs:
         assert proc.returncode == 2, proc.stderr + proc.stdout
         assert error_doc(proc)["kind"] == "input"
@@ -467,7 +493,7 @@ def test_out_of_range_float_exits_2(tmp_path, sym_path, args):
     ("certify", "--eta", "0.005", "--budget", "600", "--lemma-tol", "1e-7"),
     ("certify", "--seeds", "1..2", "--sweep-groups", "2", "--sweep-links", "2",
      "--epsilon", "1e-5"),
-    ("dynamics", "--start", "zero", "--rounds", "2", "--schedule", "jacobi", "--xi", "0.02"),
+    ("dynamics", "--start", "zero", "--rounds", "2", "--xi", "0.02"),
 ])
 def test_manifest_echoes_every_parsed_option(tmp_path, sym_path, argv):
     """manifest.json's config is every option the command parsed, with its

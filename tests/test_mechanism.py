@@ -704,6 +704,20 @@ def test_profile_reader_takes_only_agent_labels(symmetric_instance, extra):
         profile_from_json(text, symmetric_instance)
 
 
+@pytest.mark.parametrize("first, key", [
+    ('"1.1": {"y": 9.0, "q": {"l1": [0.1, 0.1]}}, ', "1.1"),
+    ('"2.1": {"y": 1.0, "y": 9.0, "q": {"l1": [0.3, 0.2]}}, ', "y"),
+    ('"2.1": {"y": 1.0, "q": {"l1": [0.3, 0.2], "l1": [0.3, 0.2]}}, ', "l1"),
+], ids=["agent", "demand", "quote"])
+def test_profile_reader_rejects_repeated_keys(symmetric_instance, first, key):
+    """A key twice in one JSON object is unreadable input: a second "1.1"
+    or a second "y" does not silently replace the first."""
+    text = ('{' + first + '"1.1": {"y": 1.0, "q": {"l1": [0.1, 0.1]}}, '
+            '"2.1": {"y": 7.0, "q": {"l1": [0.3, 0.2]}}}')
+    with pytest.raises(InstanceFormatError, match=f"JSON key '{key}' repeated"):
+        profile_from_json(text, symmetric_instance)
+
+
 @pytest.mark.parametrize("weight", ["eta", "xi", "zeta"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_params_reject_non_finite_weights(weight, value):

@@ -317,6 +317,16 @@ def test_instance_reader_keeps_no_coerced_link_id(symmetric_instance):
         instance_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key", ["capacity", "alpha", "links"])
+def test_instance_reader_rejects_repeated_keys(symmetric_instance, key):
+    """A key twice in one JSON object is unreadable input: two "capacity"
+    entries do not load as the second, as json.loads alone would have it."""
+    text = instance_to_json(symmetric_instance).replace(
+        f'"{key}": ', f'"{key}": 99.0, "{key}": ', 1)
+    with pytest.raises(InstanceFormatError, match=f"JSON key '{key}' repeated"):
+        instance_from_json(text)
+
+
 def test_instance_json_preserves_structure():
     inst = random_instance(11, n_groups=3, max_group_size=2, n_links=3)
     back = instance_from_json(instance_to_json(inst))
