@@ -35,7 +35,8 @@ cheap parts of the residual bound it from below: the link-dual part of the
 stationarity block, |lambda_l - sum_group mu|, which reads y alone, and the
 complementarity block, which needs the finished (x, m) but not v'. The
 loop keeps one record (t, z, y) per iterate and measures an iterate at
-once only when both bounds leave it at or below the floor (_at_floor).
+once only when both bounds leave it at or below the floor (_measure with
+the floor as its ceiling; an exit measures with none).
 At the floor it returns that iterate, since every earlier one lies above
 the floor; at any other exit it measures every record and returns the
 first with the least residual. So it returns the same iterate, blocks and
@@ -310,35 +311,23 @@ def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
     return tuple(math.inf if math.isnan(v) else max(0.0, v) for v in peaks)
 
 
-def _above_floor(block: np.ndarray) -> bool:
-    """Whether entries of a residual block already put the residual above
-    RESIDUAL_FLOOR (a NaN entry shows nothing)."""
-    return float(block.max()) > RESIDUAL_FLOOR
-
-
-def _measure(ws: _Workspace, t: int, z: np.ndarray, y: np.ndarray) -> tuple:
-    """(residual, t, blocks, x, m, y) of iterate t: entries order as "first
-    least residual"."""
-    x, m = _finish(ws, z)
-    blocks = _residual(ws, x, m, y[ws.nx:ws.nx + ws.nl], y[ws.nx + ws.nl:])
-    return max(blocks), t, blocks, x, m, y
-
-
-def _at_floor(ws: _Workspace, t: int, z: np.ndarray, y: np.ndarray) -> Optional[tuple]:
-    """_measure's entry of iterate t if its residual is at or below
-    RESIDUAL_FLOOR, else None. The link-dual gaps, then the complementarity
-    products of the finished (x, m), bound the residual from below; only
-    an iterate that both leave at or below the floor is measured, from
-    that same (x, m)."""
+def _measure(ws: _Workspace, t: int, z: np.ndarray, y: np.ndarray,
+             ceiling: float = math.inf) -> Optional[tuple]:
+    """(residual, t, blocks, x, m, y) of iterate t, entries ordering as
+    "first least residual", or None if its residual exceeds ceiling. The
+    link-dual gaps, then the complementarity products of the finished
+    (x, m), bound the residual from below, so an iterate either leaves above
+    ceiling is not measured; the measurement reads that same (x, m). A NaN
+    entry shows nothing in a bound and reads as infinite in the residual."""
     lam, mu = y[ws.nx:ws.nx + ws.nl], y[ws.nx + ws.nl:]
-    if _above_floor(np.abs(ws.slot_duals(lam, mu))):
+    if float(np.abs(ws.slot_duals(lam, mu)).max()) > ceiling:
         return None
     x, m = _finish(ws, z)
     slacks = _slacks(ws, x, m, lam, mu)
-    if _above_floor(slacks[2]):
+    if float(slacks[2].max()) > ceiling:
         return None
     blocks = _residual(ws, x, m, lam, mu, slacks)
-    return (max(blocks), t, blocks, x, m, y) if max(blocks) <= RESIDUAL_FLOOR else None
+    return (max(blocks), t, blocks, x, m, y) if max(blocks) <= ceiling else None
 
 
 def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
@@ -395,7 +384,7 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
         else:
             stale += 1
         records.append((t, z, y))
-        entry = _at_floor(ws, t, z, y)
+        entry = _measure(ws, t, z, y, RESIDUAL_FLOOR)
         if entry or stale >= PATIENCE:
             break
         try:

@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--zeta", type=_positive("zeta"), default=1e-2)
         p.add_argument("--epsilon", type=_positive("epsilon"), default=None, help=epsilon_help)
         p.add_argument("--budget", type=_at_least("budget", 1), default=1000,
-                       help="cap on utility and slope evaluations per agent best response")
+                       help="cap on utility calls and rate-model reads per agent best response")
 
     p_solve = sub.add_parser("solve", help="welfare optimum + dual certificate")
     common(p_solve)

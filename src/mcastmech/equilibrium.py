@@ -26,7 +26,6 @@ sweep drivers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
@@ -50,8 +49,9 @@ class CandidateNE:
 @dataclass
 class BestResponseResult:
     """The best priced message, its gain and both utilities; `evals` counts
-    utility and slope evaluations; `complete` is False if the budget cut the
-    search short; `pieces` holds (a, b, g'(a+), g'(b-)) per piece of g."""
+    utility calls and rate-model reads (one per kink piece); `complete` is
+    False if the budget cut the search short; `pieces` holds
+    (a, b, g'(a+), g'(b-)) per piece of g."""
 
     message: Message
     gain: float
@@ -223,48 +223,64 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
     """Agent ki's best response: the maximum of g(y), the utility of
     best_message(y), from a closed-form model of each piece of g.
 
-    The kinks of the allocation (demand_kinks, merged within KINK_TOL) and
-    the demands where a best first quote reaches 0 (clip_points; one within
-    KINK_TOL of a kink merges with it) split y >= 0 into pieces. On a piece
-    g = V(x) + A*x^2 + B*x + C in x = r*y, and one demand_slope read gives
-    A, B and the maximisers (_piece). C is chained across pieces by the
-    continuity of g and anchored at g(DEMAND_CAP), where x has saturated.
-    Every piece end and root whose model value lies within 1e-9 of 1 + |u|
-    of the model's best is priced by utility, as are the incumbent,
-    g(DEMAND_CAP) and g(0) if r jumps there; the best priced message wins.
+    The kinks of the allocation (demand_kinks, merged within KINK_TOL)
+    split y >= 0 into kink pieces, and one rate-model read per kink piece
+    (DeviationEvaluator.rate_model) gives g there in x = r*y. The rates
+    where a best first quote reaches 0, x = (2k - f0)/f1, mapped to the
+    demand (one within KINK_TOL of a piece end merges with it), split it
+    further; on each resulting piece g = V(x) + A*x^2 + B*x + C, with A, B
+    and the maximisers closed forms (_piece). C is chained across pieces by
+    the continuity of g and anchored at g(DEMAND_CAP), where x has
+    saturated. Every piece end and root whose model value lies within 1e-9
+    of 1 + |u| of the model's best is priced by utility, as are the
+    incumbent, g(DEMAND_CAP) and g(0) if r jumps there; the best priced
+    message wins.
 
-    `budget` caps the utility and slope evaluations together. A search it
-    cuts short returns the best value seen with complete=False, which is
-    no maximum. The incumbent is a candidate, so the gain is never negative."""
+    `budget` caps the utility calls and rate-model reads together. A
+    search it cuts short returns the best value seen with complete=False,
+    which is no maximum. The incumbent is a candidate, so the gain is
+    never negative."""
     return _best_response(DeviationEvaluator(instance, profile, params, ki), profile[ki], budget)
 
 
-def _piece(val: Valuation, a: float, b: float, read):
-    """Piece [a, b] of g from one slope read right of a (demand_slope): its
-    record (a, b, g'(a+), g'(b-)), candidates (demand, model value above
-    a's) and rise.
+def _quadratic(links, x: float) -> Tuple[float, float, List[bool]]:
+    """(A, B, free) of g = V(x) + A*x^2 + B*x + C on a piece of one kink
+    piece, from the rate model's links (DeviationEvaluator.rate_model),
+    each first quote free or clipped as it is at rate x: free where
+    k - F/2 > 0. A sums f1^2/4 over the free quotes; B is minus the sum of
+    lin, plus f0*f1/2 over the free quotes and k*f1 over the clipped ones."""
+    A = B = 0.0
+    free = []
+    for k, f0, f1, lin in links:
+        free.append(k - 0.5 * (f0 + f1 * x) > 0.0)
+        B -= lin
+        if free[-1]:
+            A += 0.25 * f1 * f1
+            B += 0.5 * f0 * f1
+        else:
+            B += k * f1
+    return A, B, free
 
-    One offer c / (rest + a_e*y) binds (scale_slopes); with x' = r*rest/den
-    and x'' = 2r'*rest/den, den = rest + a_e*a, g's slopes in y give those
-    in x, hence A and B. As V''' > 0, h = V + A*x^2 + B*x is concave up to
-    val.turn and convex past it, so it peaks at an end or at the root of h'
-    on the concave part (val.crest), mapped back by y = x*rest / (c - a_e*x).
-    The last piece ends where x reaches c/a_e to rounding; g'(b-) is
-    modelled."""
+
+def _piece(val: Valuation, a: float, b: float, model):
+    """Piece [a, b] of g, inside the kink piece whose rate model
+    (DeviationEvaluator.rate_model) is model: its record (a, b, g'(a+),
+    g'(b-)), candidates (demand, model value above a's) and rise.
+
+    One offer c / (rest + a_e*y) binds, so x = c*y / (rest + a_e*y), and
+    no first quote turns 0 inside the piece, so A and B are _quadratic's
+    at the piece's middle rate. As V''' > 0, h = V + A*x^2 + B*x is
+    concave up to val.turn and convex past it, so it peaks at an end or at
+    the root of h' on the concave part (val.crest), mapped back by
+    y = x*rest / (c - a_e*x); g' = h'(x)*c*rest/den^2, den = rest + a_e*y.
+    The last piece ends where x reaches c/a_e to rounding."""
     top = b
-    d1, d2, r, dr, (c, rest, a_e) = read
+    (c, rest, a_e), links = model
     if b == DEMAND_CAP and a_e * a < rest / _EPS < a_e * DEMAND_CAP:
         b = rest / _EPS / a_e
     den_a, den_b = rest + a_e * a, rest + a_e * b
-    xa, xb = r * a, c * b / den_b
-    dx, d2x = r * rest / den_a, 2.0 * dr * rest / den_a
-    A = B = math.inf
-    if dx * dx > 0.0:
-        gx1 = d1 / dx
-        A = 0.5 * ((d2 - gx1 * d2x) / (dx * dx) - val.second(xa))
-        B = gx1 - val.deriv(xa) - 2.0 * A * xa
-    if not (math.isfinite(A) and math.isfinite(B)):  # x' underflows: x, so g, is flat
-        return (a, b, d1, 0.0), [(a, 0.0), (top, 0.0)], 0.0
+    xa, xb = c * a / den_a, c * b / den_b
+    A, B, _ = _quadratic(links, 0.5 * (xa + xb))
 
     def h(x: float) -> float:
         return val.value(x) + (A * x + B) * x - val.value(xa) - (A * xa + B) * xa
@@ -274,11 +290,12 @@ def _piece(val: Valuation, a: float, b: float, read):
 
     cands = [(a, 0.0), (top, h(xb))]
     end = min(val.turn(A), xb)
-    if d1 > 0.0 and xa < end and dh(end) < 0.0:
+    if dh(xa) > 0.0 and xa < end and dh(end) < 0.0:
         x = val.crest(A, B, xa, end)
         y = x * rest / (c - a_e * x) if c > a_e * x else b
         cands.append((min(max(y, a), b), h(x)))
-    return (a, b, d1, dh(xb) * (c * rest / den_b / den_b)), cands, cands[1][1]
+    return ((a, b, dh(xa) * (c * rest / den_a / den_a), dh(xb) * (c * rest / den_b / den_b)),
+            cands, cands[1][1])
 
 
 def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
@@ -302,8 +319,7 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
         return priced[y][0]
 
     kinks, knees = ev.demand_kinks()
-    at_zero = ev.scale_slopes(0.0, +1)  # also the first piece's read when r does not jump
-    jump = at_zero[3]
+    jump = ev.scale_slopes(0.0, +1)[3]
     ends = [_ZERO_PROBE * min(kinks + knees) if jump else 0.0]
     for y in sorted(kinks):
         if y - ends[-1] > KINK_TOL * y and y < DEMAND_CAP:
@@ -314,13 +330,14 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
     try:
         scored, total = [], 0.0  # candidates by model value, C = 0 at the first piece's start
         for lo, hi in zip(ends, ends[1:]):
-            # the first piece's read; gives the clip points
-            read = ev.demand_slope(within_budget(lo), +1, at_zero if lo == 0.0 else None)
-            clips = sorted({y for y in ev.clip_points(lo, read[4])
+            model = ev.rate_model(within_budget(lo))
+            (c, rest, a_e), links = model
+            # where a first quote turns 0, k - F/2 = 0, mapped to the demand
+            roots = [(2.0 * k - f0) / f1 for k, f0, f1, _ in links if f1]
+            clips = sorted({y for y in (x * rest / (c - a_e * x) for x in roots if c > a_e * x)
                             if min(y - lo, hi - y) > KINK_TOL * y})
             for a, b in zip([lo, *clips], [*clips, hi]):
-                read = read if a == lo else ev.demand_slope(within_budget(a), +1)
-                piece, cands, rise = _piece(ev.valuation, a, b, read)
+                piece, cands, rise = _piece(ev.valuation, a, b, model)
                 pieces.append(piece)
                 scored += [(y, total + v) for y, v in cands]
                 total += rise
@@ -347,9 +364,9 @@ def certify_ne(instance: NetworkInstance, candidate: CandidateNE, epsilon: float
     than epsilon over its candidate message.
 
     Each gain is exact_best_response's maximum, priced by utility.
-    `budget` caps the utility and slope evaluations per agent; an agent it
-    cuts short is listed in `incomplete`, and then the candidate is not
-    certified. `restarts` and `seed` are recorded and steer nothing."""
+    `budget` caps the utility calls and rate-model reads per agent; an
+    agent it cuts short is listed in `incomplete`, and then the candidate
+    is not certified. `restarts` and `seed` are recorded and steer nothing."""
     gains: Dict[AgentId, float] = {}
     evals: Dict[AgentId, int] = {}
     deviations: Dict[AgentId, Message] = {}
@@ -473,14 +490,14 @@ def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> Curvat
     is kinked when they differ; at y = 0 only the right one exists. Each
     side keeps the coordinates of its LocalModel.free mask: a first quote
     whose best value is 0 on that side (the mechanism's one clip rule,
-    which demand_slope reads too) or a demand at 0 with a negative slope
-    is a boundary maximum in that direction and leaves that side's matrix,
-    so the two sides may keep different coordinates. An agent passes when
-    the largest eigenvalue of each side's remaining Hessian is at most
-    n * eps * max|H_ij|, n being that side's coordinate count: the rounding
-    bound of an eigenvalue of an n x n matrix. So a direction flat to
-    rounding (a saturated agent's demand) passes, and no coupling-weight
-    shrink is spent on it."""
+    whose roots split the best response's pieces) or a demand at 0 with a
+    negative slope is a boundary maximum in that direction and leaves that
+    side's matrix, so the two sides may keep different coordinates. An
+    agent passes when the largest eigenvalue of each side's remaining
+    Hessian is at most n * eps * max|H_ij|, n being that side's coordinate
+    count: the rounding bound of an eigenvalue of an n x n matrix. So a
+    direction flat to rounding (a saturated agent's demand) passes, and no
+    coupling-weight shrink is spent on it."""
     agents_out: Dict[AgentId, AgentCurvature] = {}
     for ev in _evaluators(instance, candidate.profile, candidate.params):
         ki = ev.ki

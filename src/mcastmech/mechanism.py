@@ -376,16 +376,15 @@ class _RouteLink:
     (q1s), in the order evaluate() sums them; the pricing layer of
     DeviationEvaluator rewrites the deviator's slot (gpos, mpos) in them,
     and every value at a demand (r, the group peak, the load) is their
-    realized sum (_scale). The model layer reads no list and supplies
-    only slopes in the demand: its offer form is
-    c / (base + max(peak_mates, a*y)), base being rest, the other groups'
-    peak total, plus 1 when no other group demands there. The prices are
-    the fixed fields that follow: s_mates
-    is the sum of the group-mates' first quotes, wb the rival groups' mean
-    price (all sums less the own, as utility() prices), pf the price
-    factor (the predecessor's second quote, or wb when ki is alone in its
-    group, where utility() reads its live wb) and others_pay the other
-    agents' entries in the SBB rebate pool."""
+    realized sum (_scale). The model layer reads no list: its offer form
+    is c / (base + max(peak_mates, a*y)), base being rest, the other
+    groups' peak total, plus 1 when no other group demands there. The
+    prices are the fixed fields that follow: s_mates is the sum of the
+    group-mates' first quotes, wb the rival groups' mean price (all sums
+    less the own, as utility() prices), pf the price factor (the
+    predecessor's second quote, or wb when ki is alone in its group, where
+    utility() reads its live wb) and others_pay the other agents' entries
+    in the SBB rebate pool."""
 
     __slots__ = ("lid", "a", "capacity", "peak_mates", "others_demanding", "peaks",
                  "gpos", "q1s", "mpos", "ws", "n_rivals", "pf", "q1_succ",
@@ -429,9 +428,10 @@ def _q1_free(q1: float, g1: float, coupling: float, y: float, side: int) -> bool
     """Whether ki's best first quote on a route link is positive KINK_TOL*y
     to `side` of demand y, from a quote q1, its gradient g1 and its y
     coupling there: the best quote is max(0, E) with E = q1 + g1/2 and
-    E' = coupling/2 (_best_q1). The one clip rule: demand_slope reads a
-    free quote's coupling into g'', and local_model leaves a clipped one
-    out of LocalModel.free."""
+    E' = coupling/2 (_best_q1). 2*q1 + g1 is 2k - F, whose root in the
+    rate the best response splits its pieces at (rate_model), so the
+    quotes local_model leaves out of LocalModel.free are those the best
+    response clips."""
     return 2.0 * q1 + g1 + side * KINK_TOL * y * coupling > 0.0
 
 
@@ -453,7 +453,7 @@ class LocalModel(NamedTuple):
 
 class DeviationEvaluator:
     """Utility of one agent's candidate messages while the rest of the
-    profile stays fixed, with a count of utility and demand_slope calls in
+    profile stays fixed, with a count of utility and rate_model calls in
     `evals`.
 
     It snapshots what the other agents' messages fix from one read of the
@@ -468,15 +468,16 @@ class DeviationEvaluator:
     equals utilities(instance, patched, params)[ki] bit for bit, where
     patched is the snapshot profile with ki's message replaced by msg.
     _scale is the one producer of the allocation at a demand: utility,
-    best_message and local_model and demand_slope (through _y_row) all
-    take r, x, the reservation gaps and the slacks from it. The model
-    layer (scale_slopes down to demand_kinks) supplies only what values at
-    one demand cannot: the one-sided slopes in the demand, and the
-    right-hand limit at y = 0 where r jumps. Route link l offers
+    best_message and local_model all take r, x, the reservation gaps and
+    the slacks from it. The model layer (scale_slopes down to
+    demand_kinks) reads the snapshot alone. Route link l offers
     c / (base + max(pm, a*y)), so 1/r(y) is the upper envelope of a few
-    lines in y. So g'(y) = demand_slope(y, side)[0] is local_model's
-    demand gradient at best_message(y) bit for bit (the envelope theorem,
-    Milgrom and Segal, Econometrica 70(2), 2002).
+    lines in y, and between two kinks one offer binds: scale_slopes gives
+    local_model the one-sided slopes in the demand and the right-hand
+    limit at y = 0 where r jumps, and rate_model gives the best response
+    ki's payoff at the best message on a kink piece in closed form in the
+    rate, where the rate, the reservations and the slacks are affine in
+    one another.
 
     `coords` lists ki's message coordinates as (kind, link) pairs: the
     demand, q1 on each route link, q2 on each route link it shares with
@@ -529,7 +530,7 @@ class DeviationEvaluator:
             r = 0.0  # all-zero demand collapses to x = 0
         links = []
         for L in self._route:
-            load = 0.0  # seq_sum of r * peaks, inline: every slope read and utility runs it
+            load = 0.0  # seq_sum of r * peaks, inline: every local model and utility runs it
             for p in L.peaks:
                 load += r * p
             links.append((L.peaks[L.gpos], load))
@@ -613,6 +614,17 @@ class DeviationEvaluator:
             raise ValueError("side must be +1 or -1")
         if side == -1 and y <= 0.0:
             raise ValueError("left slope undefined at y = 0")
+        r_lim, (offer, dr, den, form) = self._binding(y, side)
+        jumped = y == 0.0 and abs(r_lim - self._scale(0.0)[0]) > KINK_TOL * r_lim
+        a = form[2]
+        # den * den, not den ** 2: a float power overflows past 1.3e154
+        return ((r_lim if jumped else offer), dr, 2.0 * a * a * offer / (den * den),
+                jumped, form)
+
+    def _binding(self, y: float, side: int):
+        """scale_slopes' selection, which reads no value at a demand: the
+        smallest offer just to `side` of y and the binding offer's
+        (offer, r', den, (c, rest, a_e))."""
         offers = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, 1.0, self._r_off, 1.0, 0.0)]
         for L in self._route:
             dpeak, peak0, _ = self._peak_form(L, y, side)
@@ -621,77 +633,40 @@ class DeviationEvaluator:
             offer = L.capacity / den
             offers.append((offer, -dpeak * offer / den, den, L.capacity, rest, dpeak))
         r_lim = min(f[0] for f in offers)
-        offer, dr, den, c, rest, a = min(
+        offer, dr, den, *form = min(
             (f for f in offers if f[0] <= r_lim * (1.0 + KINK_TOL)), key=lambda f: side * f[1])
-        jumped = y == 0.0 and abs(r_lim - self._scale(0.0)[0]) > KINK_TOL * r_lim
-        # den * den, not den ** 2: a float power overflows past 1.3e154
-        return ((r_lim if jumped else offer), dr, 2.0 * a * a * offer / (den * den),
-                jumped, (c, rest, a))
+        return r_lim, (offer, dr, den, tuple(form))
 
-    def clip_points(self, y: float, form: Optional[tuple] = None) -> List[float]:
-        """Where ki's best first quotes turn 0 if the allocation keeps its
-        form just right of y, at most one per route link: one offer
-        c / (rest + a_e*y) binds (scale_slopes, or `form` when the caller
-        has read it) and the group peak is peak0 + dpeak*y (_peak_form), so
-        the quote before its max(0, .) (_best_q1) is K + r*(u + v*y), 0
-        where K*(rest + a_e*y) + c*(u + v*y) is."""
-        c, rest, a_e = self.scale_slopes(y, +1)[4] if form is None else form
+    def rate_model(self, y: float) -> Tuple[Tuple[float, float, float],
+                                            List[Tuple[float, float, float, float]]]:
+        """ki's payoff at best_message on the kink piece right of demand y,
+        in the rate x = r*y, from the binding form alone; counted in evals.
+
+        Returns the binding offer's form (c, rest, a_e) (scale_slopes), in
+        which r = c/(rest + a_e*y) = (c - a_e*x)/rest, and per route link
+        (k, f0, f1, lin). With the group peak peak0 + dpeak*y and the peak
+        total fixed + dpeak*y (_peak_form), the reservation gap
+        r*peak0 + (dpeak - a)*x = G0 + G1*x and the slack
+        cap - r*fixed - dpeak*x are affine in x, and so is
+        F = eta*pf*gap + xi*wb*slack = f0 + f1*x. The best first quote is
+        max(0, k - F/2), k = wb - s_mates (_best_q1), so the quote is free
+        where k - F/2 > 0 and turns 0 at x = (2k - f0)/f1. At the best
+        message the link's taxes are lin*x + const, lin = a*pf +
+        eta*pf*(k - pf)*G1, plus -F^2/4 where the quote is free and
+        k^2 - k*F where it is clipped: the best q2 and rho zero slot 2 and
+        the consensus term, and slot 6 holds no message of ki."""
+        self.evals += 1
+        c, rest, a_e = form = self._binding(y, +1)[1][3]
         eta, xi = self.params.eta, self.params.xi
-        points = []
+        links = []
         for L in self._route:
             dpeak, peak0, fixed = self._peak_form(L, y, +1)
-            k = L.wb - L.s_mates - 0.5 * xi * L.wb * L.capacity
-            u = -0.5 * (eta * L.pf * peak0 - xi * L.wb * fixed)
-            v = -0.5 * (eta * L.pf * (dpeak - L.a) - xi * L.wb * dpeak)
-            den = k * a_e + c * v
-            if den:
-                points.append(-(k * rest + c * u) / den)
-        return points
-
-    def _y_row(self, y: float, side: int, q1s: Optional[List[float]],
-               slopes: Optional[tuple] = None):
-        """local_model's demand row without the consensus term: r, r', r'',
-        whether r jumps, the binding form, the y-gradient, the yy entry and
-        per route link (q1, its gradient, its y coupling), at first quotes
-        q1s (route order) or, for None, at the best ones (_best_q1).
-        slopes is scale_slopes(y, side) when the caller has read it.
-
-        r, x = r*y, the reservation gap and the slack are the realized ones
-        (_scale), which utility and best_message price, except where r jumps
-        (y = 0): there they are the binding form's right-hand limits. Only
-        the slopes come from the binding form (scale_slopes, _peak_form):
-        x' = r + y*r' and x'' = 2r' + y*r'' are taken as r*rest/den and
-        2r'*rest/den, so that neither is a difference that cancels far past
-        the knees."""
-        r, dr, d2r, jumped, form = self.scale_slopes(y, side) if slopes is None else slopes
-        _, rest, a_e = form
-        share = rest / (rest + a_e * y)
-        dx, d2x = r * share, 2.0 * dr * share
-        r, realized = (r, None) if jumped else self._scale(y)
-        x = r * y
-        eta, xi = self.params.eta, self.params.xi
-        v1 = self._deriv(x)
-        gy = v1 * dx
-        hyy = self._second(x) * dx * dx + v1 * d2x
-        links = []
-        for j, L in enumerate(self._route):
-            pf = L.pf
-            dpeak, peak0, fixed = self._peak_form(L, y, side)
-            peak, load = (peak0, r * fixed) if jumped else realized[j]  # a jump is at y = 0
-            gap = (r * peak - L.a * x,
-                   dr * peak0 + (dpeak - L.a) * dx,
-                   d2r * peak0 + (dpeak - L.a) * d2x)
-            slack = (L.capacity - load,
-                     -(dr * fixed + dpeak * dx),
-                     -(d2r * fixed + dpeak * d2x))
-            q1 = self._best_q1(L, gap[0], slack[0]) if q1s is None else q1s[j]
-            dw = L.s_mates + q1 - L.wb
-            t4, t5 = eta * pf * (q1 - pf), xi * L.wb * dw
-            gy -= L.a * pf * dx + t4 * gap[1] + t5 * slack[1]
-            hyy -= L.a * pf * d2x + t4 * gap[2] + t5 * slack[2]
-            links.append((q1, -(2.0 * dw + eta * pf * gap[0] + xi * L.wb * slack[0]),
-                          -(eta * pf * gap[1] + xi * L.wb * slack[1])))
-        return r, dr, d2r, jumped, form, gy, hyy, links
+            g1 = dpeak - L.a - a_e * peak0 / rest
+            f0 = eta * L.pf * (c * peak0 / rest) + xi * L.wb * (L.capacity - c * fixed / rest)
+            f1 = eta * L.pf * g1 + xi * L.wb * (a_e * fixed / rest - dpeak)
+            k = L.wb - L.s_mates
+            links.append((k, f0, f1, L.a * L.pf + eta * L.pf * (k - L.pf) * g1))
+        return form, links
 
     def local_model(self, msg: Message, side: int) -> LocalModel:
         """ki's own utility at msg to second order on `side` of its demand.
@@ -705,16 +680,47 @@ class DeviationEvaluator:
         V''*x'^2 + V'*x'' - sum_l [a*pf*x'' + eta*pf*(q1 - pf)*(m_k - a*x)''
         + xi*wb*(w_k - wb)*slack''] + 2*zeta*((rho - r)*r'' - r'^2).
         No other entry couples: slots 1 and 6 and every rival price hold no
-        quote or rho of ki."""
-        r, dr, d2r, jumped, _, gy, hyy, links = self._y_row(
-            msg.y, side, [msg.q[L.lid][0] for L in self._route])
+        quote or rho of ki.
+
+        r, x, the reservation gaps and the slacks are the realized ones
+        (_scale), which utility prices, except where r jumps (y = 0): there
+        they are the binding form's right-hand limits. Only the slopes come
+        from the binding form (scale_slopes, _peak_form): x' = r + y*r' and
+        x'' = 2r' + y*r'' are taken as r*rest/den and 2r'*rest/den, so that
+        neither is a difference that cancels far past the knees."""
+        y = msg.y
+        r, dr, d2r, jumped, (_, rest, a_e) = self.scale_slopes(y, side)
+        share = rest / (rest + a_e * y)
+        dx, d2x = r * share, 2.0 * dr * share
+        r, realized = (r, None) if jumped else self._scale(y)
+        x = r * y
+        eta, xi = self.params.eta, self.params.xi
+        v1 = self._deriv(x)
+        gy = v1 * dx
+        hyy = self._second(x) * dx * dx + v1 * d2x
         n = len(self.coords)
-        point, grad, hess, free = [msg.y], np.zeros(n), np.zeros((n, n)), np.ones(n, dtype=bool)
-        for j, (q1, g1, coupling) in enumerate(links, 1):
+        point, grad, hess, free = [y], np.zeros(n), np.zeros((n, n)), np.ones(n, dtype=bool)
+        for j, L in enumerate(self._route, 1):
+            pf = L.pf
+            dpeak, peak0, fixed = self._peak_form(L, y, side)
+            peak, load = (peak0, r * fixed) if jumped else realized[j - 1]  # a jump is at y = 0
+            gap = (r * peak - L.a * x,
+                   dr * peak0 + (dpeak - L.a) * dx,
+                   d2r * peak0 + (dpeak - L.a) * d2x)
+            slack = (L.capacity - load,
+                     -(dr * fixed + dpeak * dx),
+                     -(d2r * fixed + dpeak * d2x))
+            q1 = msg.q[L.lid][0]
+            dw = L.s_mates + q1 - L.wb
+            t4, t5 = eta * pf * (q1 - pf), xi * L.wb * dw
+            gy -= L.a * pf * dx + t4 * gap[1] + t5 * slack[1]
+            hyy -= L.a * pf * d2x + t4 * gap[2] + t5 * slack[2]
+            g1 = -(2.0 * dw + eta * pf * gap[0] + xi * L.wb * slack[0])
+            coupling = -(eta * pf * gap[1] + xi * L.wb * slack[1])
             point.append(q1)
             grad[j], hess[0, j], hess[j, 0], hess[j, j] = g1, coupling, coupling, -2.0
-            free[j] = _q1_free(q1, g1, coupling, msg.y, side)
-        j = len(links) + 1
+            free[j] = _q1_free(q1, g1, coupling, y, side)
+        j = len(self._route) + 1
         for L in self._route:
             if L.q1_succ is not None:
                 q2 = msg.q[L.lid][1]
@@ -733,27 +739,6 @@ class DeviationEvaluator:
         grad[0], hess[0, 0] = gy, hyy
         free[0] = not (msg.y == 0.0 and gy < 0.0)
         return LocalModel(point, grad, hess, jumped, free)
-
-    def demand_slope(self, y: float, side: int, slopes: Optional[tuple] = None
-                     ) -> Tuple[float, float, float, float, Tuple[float, float, float]]:
-        """(g', g'', r, r', form) on `side` of y, g(y) being ki's utility at
-        best_message(y), with the scale r (_y_row's: the realized one, or
-        the right-hand limit where r jumps), its slope r' and the binding
-        offer's form (scale_slopes) that they were read from; counted in
-        evals. By the envelope theorem g' is local_model's demand gradient
-        at the best message; g'' is the Schur complement of its free quote
-        block, the yy entry plus c^2/2 for each y-q1 coupling c whose quote
-        _q1_free keeps on `side` (the quotes local_model's free mask keeps
-        there), so that at a clip point each side reads its own piece. The
-        best rho is r, so the consensus term and its rho block cancel
-        (2*zeta*r'^2 each way). slopes is scale_slopes(y, side) when the
-        caller has read it."""
-        self.evals += 1
-        r, dr, _, _, form, gy, hyy, links = self._y_row(y, side, None, slopes)
-        for q1, g1, coupling in links:
-            if _q1_free(q1, g1, coupling, y, side):
-                hyy += 0.5 * coupling * coupling
-        return gy, hyy, r, dr, form
 
     def demand_kinks(self) -> Tuple[List[float], List[float]]:
         """Where ki's own demand bends the allocation, and where it saturates.

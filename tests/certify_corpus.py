@@ -5,12 +5,13 @@
 The corpus is batch seeds 1-50 in both variants, drawn as the acceptance
 batch draws them (``test_acceptance._sample_sharing_instance``). Each draw
 is tuned, constructed and certified. The script prints, per agent:
-utility and slope evaluations; kink-free pieces of g and clip points
-(piece ends where a best first quote reaches 0, not at a kink); slope
-reads per piece (each read gives one piece's model coefficients);
-``best_message`` calls, split into evaluations of g and probes of the clip
-state (any other call); and the binding-form reads (``scale_slopes``
-calls, each computed: nothing caches them). It also prints the wall time
+utility calls and rate-model reads (``rate_model``, one per kink piece:
+each read gives the model coefficients of every piece between two kinks);
+kink-free pieces of g and clip points (piece ends where a best first quote
+reaches 0, not at a kink); rate-model reads per piece; ``best_message``
+calls, split into evaluations of g and probes of the clip state (any other
+call); and the binding-form reads (``_binding`` calls, from ``rate_model``
+and ``scale_slopes``, each computed: nothing caches them). It also prints the wall time
 of ``certify_ne``, of ``curvature_check`` and of building every agent's
 ``DeviationEvaluator`` from one read of each candidate (the evaluator
 set-up both of them do) on the tuned candidates, summed over the corpus
@@ -94,7 +95,7 @@ def main():
             curvature_s[-1] += time.perf_counter() - start
             assert report.certified and not report.incomplete
 
-    counts = dict.fromkeys(("utility", "demand_slope", "best_message", "scale_slopes"), 0)
+    counts = dict.fromkeys(("utility", "rate_model", "best_message", "_binding"), 0)
     reals = {name: counted(name, counts) for name in counts}
     agents = pieces = clips = 0
     try:
@@ -112,14 +113,14 @@ def main():
     g_evals = counts["utility"] - agents  # one utility call per agent prices the incumbent
     print(f"{len(candidates)} candidates, {agents} agents")
     print(f"per agent: utility {counts['utility'] / agents:.2f}, "
-          f"slope {counts['demand_slope'] / agents:.2f}, "
+          f"rate model {counts['rate_model'] / agents:.2f}, "
           f"pieces {pieces / agents:.2f}, clip points {clips / agents:.2f}, "
-          f"slope reads per piece {counts['demand_slope'] / pieces:.2f}")
+          f"rate-model reads per piece {counts['rate_model'] / pieces:.2f}")
     print(f"per agent: best_message {counts['best_message'] / agents:.2f} "
           f"(g {g_evals / agents:.2f}, clip probes "
           f"{(counts['best_message'] - g_evals) / agents:.2f})")
-    print(f"per agent: binding-form reads (scale_slopes, computed) "
-          f"{counts['scale_slopes'] / agents:.2f}")
+    print(f"per agent: binding-form reads (_binding, computed) "
+          f"{counts['_binding'] / agents:.2f}")
     print(f"certify_ne {min(certify_s):.3f} s, curvature_check {min(curvature_s):.3f} s, "
           f"evaluator set-up {min(setup_s):.3f} s (fastest of {REPEATS} passes)")
     right, left = map(sum, zip(*(locks(inst, cand) for inst, cand, _ in candidates)))

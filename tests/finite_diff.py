@@ -1,6 +1,6 @@
 """Finite differences of one agent's own utility, kept as the independent
 reference for ``DeviationEvaluator.local_model`` (the Hessian over the
-message) and ``DeviationEvaluator.demand_slope`` (the slopes of a scalar).
+message).
 
 It reads the utility only through ``DeviationEvaluator.utility``, so it
 shares no derivative formula with the library.
@@ -67,9 +67,3 @@ def fd_hessian(ev, msg0: Message, coords, h_of, dirs) -> np.ndarray:
             H[i, j] = H[j, i] = v
     return H
 
-
-def fd_slopes(f, y: float, h: float) -> Tuple[float, float]:
-    """Central first and second differences of a scalar f at y."""
-    fp, f0, fm = f(y + h), f(y), f(y - h)
-    # h * h, not h ** 2: a float power overflows past 1.3e154
-    return (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)

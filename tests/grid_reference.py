@@ -14,10 +14,11 @@ kink. `budget` caps the utility calls; the incumbent is a candidate, so the
 gain is never negative.
 
 ``bisected_cuts`` is the split of the demand axis into pieces that
-``exact_best_response`` used before its clip points were closed forms
-(``DeviationEvaluator.clip_points``): between two merged kinks, a demand
-where a best first quote turns to or from 0 is bisected for on the clip
-state of ``best_message``.
+``exact_best_response`` used before its clip points were closed forms (the
+roots of ``DeviationEvaluator.rate_model``), and the split that
+``slope_reference`` searches: between two merged kinks, a demand where a
+best first quote turns to or from 0 is bisected for on the clip state of
+``best_message``.
 """
 
 from __future__ import annotations

@@ -2,8 +2,15 @@
 ``exact_best_response`` replaced, kept as an independent reference for it.
 
 It maximizes g(y), the utility of best_message(y), piece by piece over the
-same pieces (kinks merged within KINK_TOL, then clip points). The exact end
-slopes g'(a+) and g'(b-) (demand_slope) place the maximum on a piece
+same pieces (kinks merged within KINK_TOL, then the demands where a best
+first quote turns to or from 0, bisected on the clip state by
+grid_reference.bisected_cuts). Its slopes share no code with the rate
+model (DeviationEvaluator.rate_model) that exact_best_response reads: g'
+on a side of y is local_model's demand gradient at best_message(y) (the
+envelope theorem, Milgrom and Segal, Econometrica 70(2), 2002) and g'' the
+Schur complement of local_model's Hessian over its free quote block.
+
+The exact end slopes g'(a+) and g'(b-) place the maximum on a piece
 [a, b]: at a if g'(a+) <= 0, and at b too if g'(b-) > 0; else at b if
 g'(b-) >= 0, unless g' is not positive where the curvature in x = r*y
 turns (bisected for); else, or before such a turn, at the root of g', by
@@ -11,7 +18,8 @@ Newton steps on g' safeguarded by bisection, in log y off 0, to a relative
 width of 1e-8. The last piece ends where g' turns negative, stepping out
 from max(a, knees) by squared factors, or at DEMAND_CAP, where g is also
 read. g is evaluated at every piece end and root, and at 0 if r jumps
-there. `budget` caps the utility and slope evaluations together.
+there. `budget` caps the utility calls and slope reads together (each read
+adds 1 to the evaluator's count).
 """
 
 from __future__ import annotations
@@ -19,8 +27,12 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from mcastmech.equilibrium import _ZERO_PROBE, DEMAND_CAP, BestResponseResult
-from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
+import numpy as np
+
+from mcastmech.equilibrium import DEMAND_CAP, BestResponseResult
+from mcastmech.mechanism import DeviationEvaluator
+
+from grid_reference import bisected_cuts
 
 WIDTH_TOL = 1e-8  # relative width at which a root or turn counts as found
 
@@ -46,9 +58,17 @@ def slope_best_response(instance, profile, ki, params, budget: int = 1000
             best[:] = [v, msg]
 
     def slope(y: float, side: int) -> Tuple[float, float]:
+        """(g', g'') on `side` of y: the demand gradient and the Schur
+        complement of the free quote block of local_model at the best
+        message."""
         if ev.evals >= budget:
             raise _Truncated
-        return ev.demand_slope(y, side)[:2]
+        ev.evals += 1
+        model = ev.local_model(ev.best_message(y, current), side)
+        quotes = np.flatnonzero(model.free[1:]) + 1
+        h = model.hess[0, quotes]
+        return model.grad[0], model.hess[0, 0] - h @ np.linalg.solve(
+            model.hess[np.ix_(quotes, quotes)], h)
 
     def mid(lo: float, hi: float) -> float:
         return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
@@ -79,24 +99,15 @@ def slope_best_response(instance, profile, ki, params, budget: int = 1000
         r, dr = ev.scale_slopes(y, side)[:2]
         return d2 * r - 2.0 * d1 * dr
 
-    kinks, knees = ev.demand_kinks()
+    knees = ev.demand_kinks()[1]
     jump = ev.scale_slopes(0.0, +1)[3]
-    ends = [_ZERO_PROBE * min(kinks + knees) if jump else 0.0]
-    for y in sorted(kinks):
-        if y - ends[-1] > KINK_TOL * y and y < DEMAND_CAP:
-            ends.append(y)
-    ends.append(DEMAND_CAP)
-
-    def split():
-        for a, b in zip(ends, ends[1:]):
-            clips = sorted({y for y in ev.clip_points(a) if min(y - a, b - y) > KINK_TOL * y})
-            yield from zip([a, *clips], [*clips, b if b < DEMAND_CAP else math.inf])
+    cuts = bisected_cuts(ev, current)
 
     complete = True
     try:
         if jump:
             g(0.0)
-        for a, b in split():
+        for a, b in zip(cuts, cuts[1:] + [math.inf]):
             g(a)
             sa = slope(a, +1)
             lo = a

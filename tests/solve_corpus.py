@@ -16,8 +16,8 @@ wrap those functions, so they add a few microseconds per call; compare
 the figures between runs of this script, not with a profiler's. Per solve
 it prints the mean number of full measurements (``_residual`` calls) and
 of bound-only checks: iterates a cheap residual block showed above the
-floor and that were never measured (``_above_floor``, counted where the
-solver has it). It counts how each solve ended (``ending``): at the
+floor and that were never measured (``_measure`` calls with the floor as
+ceiling that return before ``_residual``). It counts how each solve ended (``ending``): at the
 residual floor, on patience, after ``MAX_ITERS`` steps, or otherwise (a
 step raised or left a non-finite iterate).
 
@@ -86,16 +86,18 @@ def timed(name, spent, calls):
 
 def counted_bounds(calls):
     """Count in calls["bounded"] the iterates a bound shows above the floor,
-    by wrapping centralized._above_floor (the loop checks a bound only to
-    skip measuring)."""
-    above = centralized._above_floor
+    by wrapping centralized._measure: a call with a ceiling (the loop's;
+    an exit passes none) that returns None before any _residual call. Needs
+    _residual wrapped by timed first."""
+    measure = centralized._measure
 
-    def above_floor(block):
-        out = above(block)
-        calls["bounded"] += out
+    def wrapper(*args):
+        before = calls["_residual"]
+        out = measure(*args)
+        calls["bounded"] += len(args) > 4 and out is None and calls["_residual"] == before
         return out
 
-    centralized._above_floor = above_floor
+    centralized._measure = wrapper
 
 
 def watched_steps(failed):
@@ -130,8 +132,7 @@ def main():
     watched_steps(failed_step)
     for name in ("_mehrotra_step", "_finish", "_residual"):
         timed(name, spent, calls)
-    if hasattr(centralized, "_above_floor"):
-        counted_bounds(calls)
+    counted_bounds(calls)
     solved, failed, worst = 0, [], (0.0, None)
     times, endings = collections.Counter(), collections.Counter()
     step_counts, digests, bound_only = [], [], 0

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,17 +30,21 @@ from mcastmech import (
     utilities,
     zero_message,
 )
+from mcastmech.equilibrium import DEMAND_CAP, _piece, _quadratic
 from mcastmech.errors import MessageShapeError, SharingAssumptionError
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
 
 from conftest import make_instance
 from evaluate_reference import member_agents_on_link, neighbours
-from finite_diff import displaced, fd_hessian, fd_slopes
+from finite_diff import displaced, fd_hessian
 from kinks_reference import pairwise_kinks
 from search import search_best_response
 
 WBB = MechanismParams(variant="wbb")
 SBB = MechanismParams(variant="sbb")
+# The rounding share of 1 + |g| within which the rate model prices a rise of g; 150 draws
+# per case of test_demand_slope_matches_finite_differences read at most 2.8e-15.
+RISE_TOL = 1024.0 * np.finfo(float).eps
 
 
 def constructed(instance, solved, params=WBB):
@@ -619,12 +624,12 @@ def test_local_model_matches_finite_differences(name, variant, request):
 @pytest.mark.parametrize("variant", ["wbb", "sbb"])
 @pytest.mark.parametrize("name", XCHECK_INSTANCES)
 def test_demand_slope_matches_finite_differences(name, variant, request):
-    """At the candidate and at perturbed profiles, inside a random piece of
-    g(y) = utility(best_message(y)) and away from its ends, demand_slope's
-    g' and g'' on each side match central differences of g, wherever no
-    first quote crosses its clip at 0 within the stencil (g'' jumps
-    there). g' is local_model's demand gradient at the best message, bit
-    for bit."""
+    """At the candidate and at perturbed profiles, inside a random piece
+    [a, b] of g(y) = utility(best_message(y)) and away from its ends, the
+    rate model read at a (DeviationEvaluator.rate_model) prices the rise of
+    g: g(y) - g(a) equals h(x(y)) - h(x(a)), h = V + A*x^2 + B*x, within
+    RISE_TOL * (1 + |g(y)|), and its free set at x(y) is the set of first
+    quotes that best_message(y) leaves positive."""
     if name.startswith("random"):
         inst = random_instance(int(name.split("-")[1]), n_groups=3, max_group_size=3,
                                n_links=3)
@@ -642,26 +647,20 @@ def test_demand_slope_matches_finite_differences(name, variant, request):
         a, b, _, _ = data.draw(st.sampled_from(pieces))
         lo = a if a > 0.0 else b * 1e-6
         y = float(np.exp(np.log(lo) + data.draw(st.floats(0.05, 0.95)) * np.log(b / lo)))
-        h = 1e-3 * y
-        assume(lo + 2.0 * h < y < b - 2.0 * h)
+        assume(lo + 2e-3 * y < y < b - 2e-3 * y)
         ev = DeviationEvaluator(inst, profile, params, ki)
+        (c, rest, a_e), links = ev.rate_model(a)
+        xa, xy = c * a / (rest + a_e * a), c * y / (rest + a_e * y)
+        A, B, free = _quadratic(links, xy)
+        best = ev.best_message(y, profile[ki])
+        assert free == [q1 > 0.0 for q1, _ in best.q.values()]
 
-        def clipped(z):
-            return [q1 == 0.0 for q1, _ in ev.best_message(z, profile[ki]).q.values()]
+        def h(x):
+            return ev.valuation.value(x) + (A * x + B) * x
 
-        assume(clipped(y - 2.0 * h) == clipped(y + 2.0 * h))
-
-        def g(z):
-            return ev.utility(ev.best_message(z, profile[ki]))
-
-        scale = 1.0 + abs(g(y))
-        fd1, fd2 = fd_slopes(g, y, 1e-5 * y)[0], fd_slopes(g, y, h)[1]
-        for side in (+1, -1):
-            d1, d2 = ev.demand_slope(y, side)[:2]
-            assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-9 * scale / y)
-            assert d2 == pytest.approx(fd2, rel=1e-4, abs=1e-7 * scale / (y * y))
-            model = ev.local_model(ev.best_message(y, profile[ki]), side)
-            assert d1 == model.grad[0]
+        g_y = ev.utility(best)
+        rise = g_y - ev.utility(ev.best_message(a, profile[ki]))
+        assert rise == pytest.approx(h(xy) - h(xa), rel=0.0, abs=RISE_TOL * (1.0 + abs(g_y)))
 
     check()
 
@@ -671,13 +670,14 @@ def test_demand_slope_far_past_the_knees(symmetric_instance):
     r = 10/(y + 1) and x' = 10/(y + 1)^2, a sliver of r once y is far past
     the knee at 1; the rival quotes nothing, so pf = wb = 0 and
     g' = V'(x)*x' with V'(x) = 1/(1 + x). Written as r + y*r', x' read 0.0
-    at 1e31 and -1.8e-170 at 1e155; demand_slope's g' matches the exact
-    value to 1e-12 (at 1e155 it is subnormal, exact to 5e-14)."""
+    at 1e31 and -1.8e-170 at 1e155; the slope g'(a+) of a piece starting
+    there, read from the rate model (_piece), matches the exact value to
+    1e-12 (at 1e155 it is subnormal, exact to 5e-14)."""
     inst = symmetric_instance
     profile = {ki: zero_message(inst, ki, "wbb") for ki in inst.agents}
     ev = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
     for y in (1e31, 1e155):
-        d1 = ev.demand_slope(y, +1)[0]
+        d1 = _piece(ev.valuation, y, DEMAND_CAP, ev.rate_model(y))[0][2]
         r = Fraction(10) / (Fraction(y) + 1)
         exact = r / (Fraction(y) + 1) / (1 + r * Fraction(y))
         assert d1 > 0.0
@@ -1060,3 +1060,17 @@ def test_envelope_kink_where_the_off_route_offer_binds():
     assert ev.scale_slopes(4.0, +1)[:2] == (1.0, 0.0)
     assert ev.scale_slopes(4.0, +1)[4] == ev.scale_slopes(8.0, -1)[4] == (1.0, 1.0, 0.0)
     assert ev.scale_slopes(8.0, +1)[4] == ev.scale_slopes(9.0, -1)[4] == (10.0, 2.0, 1.0)
+
+
+def test_readme_quickstart_runs(capsys):
+    """README's python quickstart runs as written: its candidate certifies,
+    and its rate-model read is one evaluation with one entry per route link."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quickstart = readme.split("## Library quickstart", 1)[1]
+    code = quickstart.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    assert capsys.readouterr().out.startswith("True ")
+    assert names["report"].certified
+    assert names["ev"].evals == 1
+    assert len(names["links"]) == len(names["inst"].links_of[names["inst"].agents[0]])

@@ -380,8 +380,30 @@ def test_shared_read_raises_only_for_agents_on_a_one_group_link():
     for y in (0.0, 0.5, 1.0, 4.0):
         msg = Message(y, {"l1": (0.3, 0.5)})
         assert ev.utility(msg) == fresh.utility(msg)
-        assert ev.demand_slope(y, +1) == fresh.demand_slope(y, +1)
-        assert ev.clip_points(y) == fresh.clip_points(y)
+        assert ev.rate_model(y) == fresh.rate_model(y)
+
+
+def test_rate_model_reads_no_value_at_a_demand(chain_instance):
+    """rate_model reads the binding form alone: with _scale, the producer
+    of values at a demand, disabled it answers as before, at y = 0 and at
+    demands on both sides of a kink, and counts one evaluation per read."""
+    rng = np.random.default_rng(3)
+    profile = {ki: Message(float(rng.uniform(0.5, 3.0)),
+                           {lid: (float(rng.uniform()), float(rng.uniform()))
+                            for lid in chain_instance.links_of[ki]})
+               for ki in chain_instance.agents}
+    for ki in chain_instance.agents:
+        ev = DeviationEvaluator(chain_instance, profile, WBB, ki)
+        ys = [0.0, *ev.demand_kinks()[0], *ev.demand_kinks()[1]]
+        ys += [y * f for y in ys[1:] for f in (0.5, 2.0)]
+        reads = [ev.rate_model(y) for y in ys]
+
+        def no_values(y):
+            raise AssertionError("rate_model read a value at a demand")
+
+        ev._scale = no_values
+        assert [ev.rate_model(y) for y in ys] == reads
+        assert ev.evals == 2 * len(ys)
 
 
 # ---------------------------------------------------------------------------
