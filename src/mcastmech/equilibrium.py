@@ -233,8 +233,10 @@ def exact_best_response(instance: NetworkInstance, profile: Profile, ki: AgentId
     the continuity of g and anchored at g(DEMAND_CAP), where x has
     saturated. Every piece end and root whose model value lies within 1e-9
     of 1 + |u| of the model's best is priced by utility, as are the
-    incumbent, g(DEMAND_CAP) and g(0) if r jumps there; the best priced
-    message wins.
+    incumbent, g(DEMAND_CAP) and g(0) if r jumps there (jumps_at_zero);
+    the best priced message wins. Of such demands within KINK_TOL*y of one
+    another only the least is priced: a crest root a few ulps from a kink
+    differs from it in g at second order, as g' = 0 there.
 
     `budget` caps the utility calls and rate-model reads together. A
     search it cuts short returns the best value seen with complete=False,
@@ -319,7 +321,7 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
         return priced[y][0]
 
     kinks, knees = ev.demand_kinks()
-    jump = ev.scale_slopes(0.0, +1)[3]
+    jump = ev.jumps_at_zero()
     ends = [_ZERO_PROBE * min(kinks + knees) if jump else 0.0]
     for y in sorted(kinks):
         if y - ends[-1] > KINK_TOL * y and y < DEMAND_CAP:
@@ -346,8 +348,9 @@ def _best_response(ev: DeviationEvaluator, incumbent: Message, budget: int
         anchor = g(DEMAND_CAP) - total
         most = max(v for _, v in scored) + anchor
         near = most - _NEAR_BEST * (1.0 + abs(most)) - anchor
-        for y in sorted({y for y, v in scored if v >= near} - priced.keys()):
-            g(y)
+        for y in sorted({y for y, v in scored if v >= near}):
+            if all(abs(y - z) > KINK_TOL * y for z in priced):
+                g(y)
     except _Truncated:
         complete = False
     # the first of equal utilities wins: the incumbent, then the least demand

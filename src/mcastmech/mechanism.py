@@ -424,21 +424,22 @@ class _RouteLink:
         self.others_pay = read.others[p]
 
 
-def _q1_free(q1: float, g1: float, coupling: float, y: float, side: int) -> bool:
+def _q1_free(q1: float, grad: float, coupling: float, y: float, side: int) -> bool:
     """Whether ki's best first quote on a route link is positive KINK_TOL*y
-    to `side` of demand y, from a quote q1, its gradient g1 and its y
-    coupling there: the best quote is max(0, E) with E = q1 + g1/2 and
-    E' = coupling/2 (_best_q1). 2*q1 + g1 is 2k - F, whose root in the
-    rate the best response splits its pieces at (rate_model), so the
-    quotes local_model leaves out of LocalModel.free are those the best
-    response clips."""
-    return 2.0 * q1 + g1 + side * KINK_TOL * y * coupling > 0.0
+    to `side` of demand y, from a quote q1, its gradient there and its y
+    coupling -f1*x' (local_model): the best quote is max(0, E) with
+    E = q1 + grad/2 and E' = coupling/2 (_best_q1). 2*q1 + grad is 2k - F,
+    whose root in the rate the best response splits its pieces at
+    (rate_model), so the quotes local_model leaves out of LocalModel.free
+    are those the best response clips."""
+    return 2.0 * q1 + grad + side * KINK_TOL * y * coupling > 0.0
 
 
 class LocalModel(NamedTuple):
     """ki's own utility to second order on one side of its demand, over
     DeviationEvaluator.coords: the coordinate values, the exact one-sided
-    gradient and Hessian, whether r jumps there (then both are those of
+    gradient and Hessian (the chain rule of the piece form in the rate
+    that rate_model reads), whether r jumps there (then both are those of
     the one-sided limit), and per coordinate whether it is free on that
     side. A q1 is free where _q1_free says its best value is positive,
     the demand unless it is 0 with a negative slope, and q2 and rho always
@@ -469,15 +470,17 @@ class DeviationEvaluator:
     patched is the snapshot profile with ki's message replaced by msg.
     _scale is the one producer of the allocation at a demand: utility,
     best_message and local_model all take r, x, the reservation gaps and
-    the slacks from it. The model layer (scale_slopes down to
+    the slacks from it. The model layer (_rate_form down to
     demand_kinks) reads the snapshot alone. Route link l offers
     c / (base + max(pm, a*y)), so 1/r(y) is the upper envelope of a few
-    lines in y, and between two kinks one offer binds: scale_slopes gives
-    local_model the one-sided slopes in the demand and the right-hand
-    limit at y = 0 where r jumps, and rate_model gives the best response
-    ki's payoff at the best message on a kink piece in closed form in the
-    rate, where the rate, the reservations and the slacks are affine in
-    one another.
+    lines in y, and between two kinks one offer binds. There the rate,
+    the reservations and the slacks are affine in one another, and
+    _rate_form is the one producer of that piece form: rate_model reads
+    from it ki's payoff at the best message on a kink piece in closed form
+    in the rate, which the best response maximizes, and local_model its
+    chain rule, the one-sided gradient and Hessian in ki's message, which
+    the curvature check reads. jumps_at_zero tells where r jumps (only
+    ever at y = 0).
 
     `coords` lists ki's message coordinates as (kind, link) pairs: the
     demand, q1 on each route link, q2 on each route link it shares with
@@ -583,143 +586,131 @@ class DeviationEvaluator:
         return max(0.0, L.wb - L.s_mates - 0.5 * (self.params.eta * L.pf * gap
                                                   + self.params.xi * L.wb * slack))
 
-    @staticmethod
-    def _peak_form(L: _RouteLink, y: float, side: int) -> Tuple[float, float, float]:
-        """(dpeak, peak0, fixed): just to `side` of demand y, ki's group peak
-        on L is peak0 + dpeak*y and L's peaks sum to fixed + dpeak*y. ki's
-        own peak a*y sets it above the mates' peak pm, and on the right also
-        at a tie within KINK_TOL (at which exact_best_response merges kinks)."""
-        own = L.a * y
-        above, tie = own > L.peak_mates, abs(own - L.peak_mates) <= KINK_TOL * own
-        if (above or tie) if side > 0 else (above and not tie):
-            return L.a, 0.0, L.rest
-        return 0.0, L.peak_mates, L.rest + L.peak_mates
+    def _rate_form(self, y: float, side: int) -> Tuple[Tuple[float, float, float],
+                                                       List[Tuple[float, float, float, float]]]:
+        """The piece form just to `side` (+1 right, -1 left) of demand y, in
+        the rate x = r*y, from the snapshot alone: the binding offer's form
+        (c, rest, a_e), in which r = c/(rest + a_e*y) = (c - a_e*x)/rest,
+        and per route link (peak0, fixed, g1, s1).
 
-    def scale_slopes(self, y: float, side: int
-                     ) -> Tuple[float, float, float, bool, Tuple[float, float, float]]:
-        """The binding offer's scale r at demand y (the realized one to
-        rounding, or to KINK_TOL at a tie; values at a demand come from
-        _scale), its one-sided first and second
-        derivatives in y on `side` (+1 right, -1 left), whether r jumps
-        there (only at y = 0; r is then the right-hand limit), and the
-        binding offer's form (c, rest, a_e): near y it is c / (rest + a_e*y').
-
-        Just to `side` of y route link l has the form (c, base + peak0,
-        dpeak) (_peak_form), the links off the route (r_off, 1, 0). Of the
-        offers within KINK_TOL of the smallest, the one falling fastest
-        (right) or slowest (left) binds, and r is its offer unless r jumps
-        (to the realized _scale(0) at y = 0, where a link ki's group leaves
-        idle or lone offers more), so r + y*r' = r*rest/(rest + a_e*y)."""
-        if side not in (+1, -1):
-            raise ValueError("side must be +1 or -1")
-        if side == -1 and y <= 0.0:
-            raise ValueError("left slope undefined at y = 0")
-        r_lim, (offer, dr, den, form) = self._binding(y, side)
-        jumped = y == 0.0 and abs(r_lim - self._scale(0.0)[0]) > KINK_TOL * r_lim
-        a = form[2]
-        # den * den, not den ** 2: a float power overflows past 1.3e154
-        return ((r_lim if jumped else offer), dr, 2.0 * a * a * offer / (den * den),
-                jumped, form)
-
-    def _binding(self, y: float, side: int):
-        """scale_slopes' selection, which reads no value at a demand: the
-        smallest offer just to `side` of y and the binding offer's
-        (offer, r', den, (c, rest, a_e))."""
-        offers = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, 1.0, self._r_off, 1.0, 0.0)]
+        ki's group peak on a route link is peak0 + dpeak*y and the link's
+        peaks sum to fixed + dpeak*y, dpeak being a where ki's own peak a*y
+        sets the group peak (above the mates' peak pm, and on the right
+        also at a tie within KINK_TOL, at which exact_best_response merges
+        kinks), else 0. So the reservation gap r*peak - a*x has the slope
+        g1 = dpeak - a - a_e*peak0/rest in x and the slack
+        c_l - r*(fixed + dpeak*y) the slope s1 = a_e*fixed/rest - dpeak.
+        The link offers c_l / (base + peak0 + dpeak*y), in the form
+        (c_l, base + peak0, dpeak), and the links off the route have the
+        form (r_off, 1, 0); of the offers within KINK_TOL of the smallest,
+        the one falling fastest (right) or slowest (left) binds."""
+        forms = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, self._r_off, 1.0, 0.0)]
+        peaks = []
         for L in self._route:
-            dpeak, peak0, _ = self._peak_form(L, y, side)
+            own = L.a * y
+            above, tie = own > L.peak_mates, abs(own - L.peak_mates) <= KINK_TOL * own
+            if (above or tie) if side > 0 else (above and not tie):
+                dpeak, peak0, fixed = L.a, 0.0, L.rest
+            else:
+                dpeak, peak0, fixed = 0.0, L.peak_mates, L.rest + L.peak_mates
+            peaks.append((dpeak, peak0, fixed))
             rest = L.base + peak0
             den = rest + dpeak * y
             offer = L.capacity / den
-            offers.append((offer, -dpeak * offer / den, den, L.capacity, rest, dpeak))
-        r_lim = min(f[0] for f in offers)
-        offer, dr, den, *form = min(
-            (f for f in offers if f[0] <= r_lim * (1.0 + KINK_TOL)), key=lambda f: side * f[1])
-        return r_lim, (offer, dr, den, tuple(form))
+            forms.append((offer, -dpeak * offer / den, L.capacity, rest, dpeak))
+        r_lim = min(f[0] for f in forms)
+        *_, c, rest, a_e = min((f for f in forms if f[0] <= r_lim * (1.0 + KINK_TOL)),
+                               key=lambda f: side * f[1])
+        return (c, rest, a_e), [(peak0, fixed, dpeak - L.a - a_e * peak0 / rest,
+                                 a_e * fixed / rest - dpeak)
+                                for L, (dpeak, peak0, fixed) in zip(self._route, peaks)]
+
+    def jumps_at_zero(self) -> bool:
+        """Whether r jumps at y = 0: the binding form's right-hand limit
+        c/rest there and the realized _scale(0) differ by more than
+        KINK_TOL (a link that ki's group leaves idle or lone offers more at
+        y = 0)."""
+        c, rest, _ = self._rate_form(0.0, +1)[0]
+        r_lim = c / rest
+        return abs(r_lim - self._scale(0.0)[0]) > KINK_TOL * r_lim
 
     def rate_model(self, y: float) -> Tuple[Tuple[float, float, float],
                                             List[Tuple[float, float, float, float]]]:
         """ki's payoff at best_message on the kink piece right of demand y,
-        in the rate x = r*y, from the binding form alone; counted in evals.
+        in the rate x = r*y, from the piece form alone; counted in evals.
 
-        Returns the binding offer's form (c, rest, a_e) (scale_slopes), in
-        which r = c/(rest + a_e*y) = (c - a_e*x)/rest, and per route link
-        (k, f0, f1, lin). With the group peak peak0 + dpeak*y and the peak
-        total fixed + dpeak*y (_peak_form), the reservation gap
-        r*peak0 + (dpeak - a)*x = G0 + G1*x and the slack
-        cap - r*fixed - dpeak*x are affine in x, and so is
+        Returns the binding offer's form (c, rest, a_e) (_rate_form), and
+        per route link (k, f0, f1, lin). The reservation gap
+        r*peak0 + (dpeak - a)*x = c*peak0/rest + g1*x and the slack
+        cap - c*fixed/rest + s1*x are affine in x, and so is
         F = eta*pf*gap + xi*wb*slack = f0 + f1*x. The best first quote is
         max(0, k - F/2), k = wb - s_mates (_best_q1), so the quote is free
         where k - F/2 > 0 and turns 0 at x = (2k - f0)/f1. At the best
         message the link's taxes are lin*x + const, lin = a*pf +
-        eta*pf*(k - pf)*G1, plus -F^2/4 where the quote is free and
+        eta*pf*(k - pf)*g1, plus -F^2/4 where the quote is free and
         k^2 - k*F where it is clipped: the best q2 and rho zero slot 2 and
         the consensus term, and slot 6 holds no message of ki."""
         self.evals += 1
-        c, rest, a_e = form = self._binding(y, +1)[1][3]
+        (c, rest, a_e), form = self._rate_form(y, +1)
         eta, xi = self.params.eta, self.params.xi
         links = []
-        for L in self._route:
-            dpeak, peak0, fixed = self._peak_form(L, y, +1)
-            g1 = dpeak - L.a - a_e * peak0 / rest
+        for L, (peak0, fixed, g1, s1) in zip(self._route, form):
             f0 = eta * L.pf * (c * peak0 / rest) + xi * L.wb * (L.capacity - c * fixed / rest)
-            f1 = eta * L.pf * g1 + xi * L.wb * (a_e * fixed / rest - dpeak)
             k = L.wb - L.s_mates
-            links.append((k, f0, f1, L.a * L.pf + eta * L.pf * (k - L.pf) * g1))
-        return form, links
+            links.append((k, f0, eta * L.pf * g1 + xi * L.wb * s1,
+                          L.a * L.pf + eta * L.pf * (k - L.pf) * g1))
+        return (c, rest, a_e), links
 
     def local_model(self, msg: Message, side: int) -> LocalModel:
-        """ki's own utility at msg to second order on `side` of its demand.
+        """ki's own utility at msg to second order on `side` (+1 right, -1
+        left) of its demand.
 
-        Gradient and Hessian are exact: with r', r'' from scale_slopes,
-        x = r*y, the group reservation m_k = r*max(pm, a*y) and the slack
-        c - r*sum(peaks) are closed forms in y on each side. The quote
-        block is -2 on each q1 and q2 (slots 3 and 2) and -2*zeta on rho;
-        y couples to q1 by -(eta*pf*(m_k - a*x)' + xi*wb*slack') (slots 4
-        and 5) and to rho by 2*zeta*r', and the yy entry is
-        V''*x'^2 + V'*x'' - sum_l [a*pf*x'' + eta*pf*(q1 - pf)*(m_k - a*x)''
-        + xi*wb*(w_k - wb)*slack''] + 2*zeta*((rho - r)*r'' - r'^2).
-        No other entry couples: slots 1 and 6 and every rival price hold no
-        quote or rho of ki.
+        Gradient and Hessian are exact, the chain rule of the piece form
+        (_rate_form), in which r, the reservation gaps and the slacks are
+        affine in x = r*y: r_x = -a_e/rest, and x' = r*rest/den and
+        x'' = 2*r_x*x'*rest/den with den = rest + a_e*y (neither a
+        difference that cancels far past the knees). In x,
+        U_x = V'(x) - sum_l [a*pf + eta*pf*(q1 - pf)*g1 + xi*wb*(w_k - wb)*s1]
+        + 2*zeta*(rho - r)*r_x and U_xx = V''(x) - 2*zeta*r_x^2, so the
+        demand gradient is U_x*x' and the yy entry U_xx*x'^2 + U_x*x''. The
+        quote block is -2 on each q1 and q2 (slots 3 and 2) and -2*zeta on
+        rho; y couples to q1 by -(eta*pf*g1 + xi*wb*s1)*x' = -f1*x' (slots
+        4 and 5, rate_model's f1) and to rho by 2*zeta*r_x*x'. No other
+        entry couples: slots 1 and 6 and every rival price hold no quote or
+        rho of ki.
 
         r, x, the reservation gaps and the slacks are the realized ones
-        (_scale), which utility prices, except where r jumps (y = 0): there
-        they are the binding form's right-hand limits. Only the slopes come
-        from the binding form (scale_slopes, _peak_form): x' = r + y*r' and
-        x'' = 2r' + y*r'' are taken as r*rest/den and 2r'*rest/den, so that
-        neither is a difference that cancels far past the knees."""
+        (_scale), which utility prices, except where r jumps (y = 0,
+        jumps_at_zero): there they are the piece form's right-hand limits."""
+        if side not in (+1, -1):
+            raise ValueError("side must be +1 or -1")
         y = msg.y
-        r, dr, d2r, jumped, (_, rest, a_e) = self.scale_slopes(y, side)
-        share = rest / (rest + a_e * y)
-        dx, d2x = r * share, 2.0 * dr * share
-        r, realized = (r, None) if jumped else self._scale(y)
+        if side == -1 and y <= 0.0:
+            raise ValueError("left slope undefined at y = 0")
+        (c, rest, a_e), form = self._rate_form(y, side)
+        den = rest + a_e * y
+        share, r_x = rest / den, -a_e / rest
+        dx = c / den * share
+        d2x = 2.0 * r_x * dx * share
+        jumped = y == 0.0 and self.jumps_at_zero()
+        r, realized = (c / den, None) if jumped else self._scale(y)
         x = r * y
         eta, xi = self.params.eta, self.params.xi
-        v1 = self._deriv(x)
-        gy = v1 * dx
-        hyy = self._second(x) * dx * dx + v1 * d2x
+        ux = self._deriv(x)
         n = len(self.coords)
         point, grad, hess, free = [y], np.zeros(n), np.zeros((n, n)), np.ones(n, dtype=bool)
-        for j, L in enumerate(self._route, 1):
+        for j, (L, (peak0, fixed, g1, s1)) in enumerate(zip(self._route, form), 1):
             pf = L.pf
-            dpeak, peak0, fixed = self._peak_form(L, y, side)
             peak, load = (peak0, r * fixed) if jumped else realized[j - 1]  # a jump is at y = 0
-            gap = (r * peak - L.a * x,
-                   dr * peak0 + (dpeak - L.a) * dx,
-                   d2r * peak0 + (dpeak - L.a) * d2x)
-            slack = (L.capacity - load,
-                     -(dr * fixed + dpeak * dx),
-                     -(d2r * fixed + dpeak * d2x))
             q1 = msg.q[L.lid][0]
             dw = L.s_mates + q1 - L.wb
-            t4, t5 = eta * pf * (q1 - pf), xi * L.wb * dw
-            gy -= L.a * pf * dx + t4 * gap[1] + t5 * slack[1]
-            hyy -= L.a * pf * d2x + t4 * gap[2] + t5 * slack[2]
-            g1 = -(2.0 * dw + eta * pf * gap[0] + xi * L.wb * slack[0])
-            coupling = -(eta * pf * gap[1] + xi * L.wb * slack[1])
+            ux -= L.a * pf + eta * pf * (q1 - pf) * g1 + xi * L.wb * dw * s1
+            grad_q1 = -(2.0 * dw + eta * pf * (r * peak - L.a * x)
+                        + xi * L.wb * (L.capacity - load))
+            coupling = -(eta * pf * g1 + xi * L.wb * s1) * dx
             point.append(q1)
-            grad[j], hess[0, j], hess[j, 0], hess[j, j] = g1, coupling, coupling, -2.0
-            free[j] = _q1_free(q1, g1, coupling, y, side)
+            grad[j], hess[0, j], hess[j, 0], hess[j, j] = grad_q1, coupling, coupling, -2.0
+            free[j] = _q1_free(q1, grad_q1, coupling, y, side)
         j = len(self._route) + 1
         for L in self._route:
             if L.q1_succ is not None:
@@ -728,16 +719,17 @@ class DeviationEvaluator:
                 grad[j] = -2.0 * (q2 - L.q1_succ)
                 hess[j, j] = -2.0
                 j += 1
+        uxx = self._second(x)
         if self._rho_bar is not None:
             zeta, dev = self.params.zeta, msg.rho - r
-            gy += 2.0 * zeta * dev * dr
-            hyy += 2.0 * zeta * (dev * d2r - dr * dr)
+            ux += 2.0 * zeta * dev * r_x
+            uxx -= 2.0 * zeta * r_x * r_x
             point.append(msg.rho)
             grad[j] = -2.0 * zeta * dev
-            hess[0, j] = hess[j, 0] = 2.0 * zeta * dr
+            hess[0, j] = hess[j, 0] = 2.0 * zeta * r_x * dx
             hess[j, j] = -2.0 * zeta
-        grad[0], hess[0, 0] = gy, hyy
-        free[0] = not (msg.y == 0.0 and gy < 0.0)
+        grad[0], hess[0, 0] = ux * dx, uxx * dx * dx + ux * d2x
+        free[0] = not (y == 0.0 and grad[0] < 0.0)
         return LocalModel(point, grad, hess, jumped, free)
 
     def demand_kinks(self) -> Tuple[List[float], List[float]]:

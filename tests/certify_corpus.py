@@ -10,8 +10,8 @@ each read gives the model coefficients of every piece between two kinks);
 kink-free pieces of g and clip points (piece ends where a best first quote
 reaches 0, not at a kink); rate-model reads per piece; ``best_message``
 calls, split into evaluations of g and probes of the clip state (any other
-call); and the binding-form reads (``_binding`` calls, from ``rate_model``
-and ``scale_slopes``, each computed: nothing caches them). It also prints the wall time
+call); and the piece-form reads (``_rate_form`` calls, from ``rate_model``
+and from ``jumps_at_zero``, each computed: nothing caches them). It also prints the wall time
 of ``certify_ne``, of ``curvature_check`` and of building every agent's
 ``DeviationEvaluator`` from one read of each candidate (the evaluator
 set-up both of them do) on the tuned candidates, summed over the corpus
@@ -95,7 +95,7 @@ def main():
             curvature_s[-1] += time.perf_counter() - start
             assert report.certified and not report.incomplete
 
-    counts = dict.fromkeys(("utility", "rate_model", "best_message", "_binding"), 0)
+    counts = dict.fromkeys(("utility", "rate_model", "best_message", "_rate_form"), 0)
     reals = {name: counted(name, counts) for name in counts}
     agents = pieces = clips = 0
     try:
@@ -119,8 +119,8 @@ def main():
     print(f"per agent: best_message {counts['best_message'] / agents:.2f} "
           f"(g {g_evals / agents:.2f}, clip probes "
           f"{(counts['best_message'] - g_evals) / agents:.2f})")
-    print(f"per agent: binding-form reads (_binding, computed) "
-          f"{counts['_binding'] / agents:.2f}")
+    print(f"per agent: piece-form reads (_rate_form, computed) "
+          f"{counts['_rate_form'] / agents:.2f}")
     print(f"certify_ne {min(certify_s):.3f} s, curvature_check {min(curvature_s):.3f} s, "
           f"evaluator set-up {min(setup_s):.3f} s (fastest of {REPEATS} passes)")
     right, left = map(sum, zip(*(locks(inst, cand) for inst, cand, _ in candidates)))

@@ -136,7 +136,7 @@ def bisected_cuts(ev: DeviationEvaluator, msg) -> List[float]:
         return hi
 
     kinks, knees = ev.demand_kinks()
-    ends = [_ZERO_PROBE * min(kinks + knees) if ev.scale_slopes(0.0, +1)[3] else 0.0]
+    ends = [_ZERO_PROBE * min(kinks + knees) if ev.jumps_at_zero() else 0.0]
     for y in sorted(kinks):
         if y - ends[-1] > KINK_TOL * y and y < DEMAND_CAP:
             ends.append(y)

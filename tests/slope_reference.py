@@ -4,11 +4,15 @@
 It maximizes g(y), the utility of best_message(y), piece by piece over the
 same pieces (kinks merged within KINK_TOL, then the demands where a best
 first quote turns to or from 0, bisected on the clip state by
-grid_reference.bisected_cuts). Its slopes share no code with the rate
-model (DeviationEvaluator.rate_model) that exact_best_response reads: g'
-on a side of y is local_model's demand gradient at best_message(y) (the
-envelope theorem, Milgrom and Segal, Econometrica 70(2), 2002) and g'' the
-Schur complement of local_model's Hessian over its free quote block.
+grid_reference.bisected_cuts). g' on a side of y is local_model's demand
+gradient at best_message(y) (the envelope theorem, Milgrom and Segal,
+Econometrica 70(2), 2002) and g'' the Schur complement of local_model's
+Hessian over its free quote block. local_model is the chain rule of the
+piece form (DeviationEvaluator._rate_form) from which rate_model, which
+exact_best_response reads, is built too, so this search shares that
+producer with it. The checks of the producer against the priced utility
+are test_local_model_matches_finite_differences and
+test_demand_slope_matches_finite_differences.
 
 The exact end slopes g'(a+) and g'(b-) place the maximum on a piece
 [a, b]: at a if g'(a+) <= 0, and at b too if g'(b-) > 0; else at b if
@@ -95,12 +99,16 @@ def slope_best_response(instance, profile, ki, params, budget: int = 1000
 
     def bend(y: float, side: int, d1: float, d2: float) -> float:
         """The sign of g's curvature in x = r*y: g''x' - g'x'' divided by
-        x'/r > 0, with x' = r*(x'/r) and x'' = 2r'*(x'/r) (scale_slopes)."""
-        r, dr = ev.scale_slopes(y, side)[:2]
-        return d2 * r - 2.0 * d1 * dr
+        x'/r > 0, with x' = r*(x'/r) and x'' = 2r'*(x'/r), where
+        r = c/den and r' = -a_e*r/den in the piece form (c, rest, a_e),
+        den = rest + a_e*y (_rate_form)."""
+        c, rest, a_e = ev._rate_form(y, side)[0]
+        den = rest + a_e * y
+        r = c / den
+        return d2 * r + 2.0 * d1 * a_e * r / den
 
     knees = ev.demand_kinks()[1]
-    jump = ev.scale_slopes(0.0, +1)[3]
+    jump = ev.jumps_at_zero()
     cuts = bisected_cuts(ev, current)
 
     complete = True

@@ -40,7 +40,7 @@ from mcastmech import (
     tune_params,
     utilities,
 )
-from mcastmech.equilibrium import DEMAND_CAP, _quadratic
+from mcastmech.equilibrium import DEMAND_CAP, _best_response, _quadratic
 from mcastmech.errors import SolverError, ValidationFailure
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator, _evaluators
 
@@ -514,6 +514,33 @@ def test_certify_evaluation_counts(certified_batch):
     assert max(counts) <= EVALS_MAX_CAP, max(counts)
 
 
+def test_best_response_prices_one_demand_per_kink_cluster(certified_batch):
+    """At every batch candidate, in both variants, no two demands that one
+    best response prices lie within KINK_TOL*y of each other, so a kink
+    the incumbent sits on and a crest root a few ulps from it are priced
+    once (batch seed 1 WBB, agent 1.1: 13.399198548406526 and
+    13.399198548406666)."""
+    records, _ = certified_batch
+    n_priced = 0
+    for r in records:
+        for v in (r.wbb, r.sbb):
+            profile = v.candidate.profile
+            for ev in _evaluators(r.instance, profile, v.params):
+                priced = []
+
+                def recorded(y, msg, best_message=ev.best_message, priced=priced):
+                    priced.append(y)
+                    return best_message(y, msg)
+
+                ev.best_message = recorded
+                _best_response(ev, profile[ev.ki], CERT_BUDGET)
+                priced.sort()
+                assert all(b - a > KINK_TOL * b for a, b in zip(priced, priced[1:])), \
+                    (r.seed, v.params.variant, ev.ki, priced)
+                n_priced += len(priced)
+    assert n_priced > 482
+
+
 def test_best_response_matches_grid_reference(certified_batch):
     """At each candidate and at a perturbed copy, in both variants, the
     certified best response is never below the sampled grid-plus-golden
@@ -723,7 +750,7 @@ def test_shared_read_matches_fresh_evaluators(certified_batch):
 
 def test_slope_cache_is_safe(certified_batch):
     """The model layer reads no state the pricing layer leaves: an
-    evaluator's scale_slopes, rate models and local models match a
+    evaluator's piece forms, rate models and local models match a
     fresh evaluator's after utility and best_message have run at other
     demands (first 16 batch seeds, candidates and perturbed copies, both
     variants)."""
@@ -738,10 +765,10 @@ def test_slope_cache_is_safe(certified_batch):
             for _ in range(8):
                 y, z = (ys[int(i)] for i in rng.integers(len(ys), size=2))
                 side = int(rng.choice([+1, -1]))
-                ev.scale_slopes(y, side)
+                ev._rate_form(y, side)
                 ev.utility(ev.best_message(z, msg))  # the route links now hold z
                 fresh = DeviationEvaluator(r.instance, profile, v.params, ki)
-                assert ev.scale_slopes(y, side) == fresh.scale_slopes(y, side)
+                assert ev._rate_form(y, side) == fresh._rate_form(y, side)
                 ev.best_message(z, msg)
                 assert ev.rate_model(y) == fresh.rate_model(y)
                 ev.best_message(z, msg)

@@ -274,11 +274,12 @@ def test_certify_constructed_wbb(symmetric_instance, solved_symmetric):
 
 def test_truncated_search_is_not_certified(two_member_instance, solved_two_member):
     """Group 1's members see two pieces of g (their demand kinks where it
-    meets the mate's peak), so certifying them takes 6 evaluations: the
-    incumbent, one slope read per piece, g at DEMAND_CAP, and g at the two
-    near-best points of the piece models (the kink, at the incumbent
-    demand to rounding, and the root just left of it). A budget of 5 cuts
-    them short: their gains stay below epsilon, yet the candidate is not
+    meets the mate's peak), so certifying them takes 5 evaluations: the
+    incumbent, one rate-model read per piece, g at DEMAND_CAP, and g at
+    one near-best point of the piece models (the root just left of the
+    kink; the kink, at the incumbent demand to rounding, lies within
+    KINK_TOL of it and is not priced again). A budget of 4 cuts them
+    short: their gains stay below epsilon, yet the candidate is not
     certified and the report names them."""
     primal, _ = solved_two_member
     cand = constructed(two_member_instance, solved_two_member)
@@ -287,8 +288,8 @@ def test_truncated_search_is_not_certified(two_member_instance, solved_two_membe
     for ki in group_1:
         assert len(exact_best_response(two_member_instance, cand.profile, ki, WBB).pieces) == 2
         assert not exact_best_response(two_member_instance, cand.profile, ki, WBB,
-                                       budget=5).complete
-    report = certify_ne(two_member_instance, cand, eps, budget=5)
+                                       budget=4).complete
+    report = certify_ne(two_member_instance, cand, eps, budget=4)
     assert report.max_gain <= eps
     assert report.certified is False
     assert set(group_1) <= set(report.incomplete)
@@ -829,9 +830,9 @@ def test_curvature_handles_peak_tie_kinks(two_member_instance, solved_two_member
 
 
 def test_local_model_at_huge_demands(two_member_instance):
-    """With every demand at 1e200 a route link's peak sum squares past the
-    float range; the scale's second derivative then reads 0, and the
-    one-sided models and the curvature check stay finite."""
+    """With every demand at 1e200 the rate's second derivative
+    2*r_x*x'*rest/den (about 1e-400) underflows to 0, and the one-sided
+    models and the curvature check stay finite."""
     inst = two_member_instance
     profile = {ki: Message(1e200, {"l1": (0.1, 0.1)}) for ki in inst.agents}
     report = curvature_check(inst, CandidateNE(profile, WBB))
@@ -883,10 +884,25 @@ def _random_wbb_profile(inst, rng, y_hi=3.0):
     return profile
 
 
+def _form_slopes(ev, y, side):
+    """The piece form's one-sided x' = r*rest/den (_rate_form's (c, rest,
+    a_e), r = c/den, den = rest + a_e*y) and a one-sided finite difference
+    of the realized x = r*y over a step of 1e-6*y to `side` of y (None
+    where that step crosses a kink of r or of a group peak)."""
+    (c, rest, a_e), _ = ev._rate_form(y, side)
+    den = rest + a_e * y
+    dx = c / den * (rest / den)
+    h = side * 1e-6 * y
+    if any(min(y, y + h) <= k <= max(y, y + h) for k in ev.demand_kinks()[0]):
+        return dx, None
+    return dx, ((y + h) * ev._scale(y + h)[0] - y * ev._scale(y)[0]) / h
+
+
 def test_allocation_slope_positive_everywhere(chain_instance, two_member_instance):
-    """The own rate rises with the own demand on both sides: the
-    evaluator's one-sided x' = r*rest/(rest + a_e*y) is positive, and
-    equals r + y*r' where that difference cannot cancel."""
+    """The own rate rises with the own demand on both sides: the piece
+    form's one-sided x' = r*rest/(rest + a_e*y) is positive, and matches a
+    one-sided finite difference of the realized x = r*y wherever that
+    difference's step crosses no kink."""
     count = 0
     rng = np.random.default_rng(23)
     for inst in (chain_instance, two_member_instance):
@@ -896,11 +912,11 @@ def test_allocation_slope_positive_everywhere(chain_instance, two_member_instanc
             for ki in inst.agents:
                 ev = DeviationEvaluator(inst, profile, WBB, ki)
                 for side in (+1, -1):
-                    r, dr, _, jumped, (_, rest, a) = ev.scale_slopes(y[ki], side)
-                    dx = r * rest / (rest + a * y[ki])
-                    assert not jumped and dx > 0.0, (ki, side)
-                    assert dx == pytest.approx(r + y[ki] * dr, rel=1e-12)
-                    count += 1
+                    dx, fd = _form_slopes(ev, y[ki], side)
+                    assert dx > 0.0, (ki, side)
+                    if fd is not None:
+                        assert dx == pytest.approx(fd, rel=1e-5), (ki, side)
+                        count += 1
     assert count >= 1000
 
 
@@ -978,27 +994,32 @@ def test_scaled_demand_equilibrium_same_allocation(symmetric_instance, solved_sy
 
 
 def _binding_form_checks(ev, y):
-    """On each side of y, r is the offer of the binding form (c, rest, a_e)
-    that scale_slopes reports, and r + y*r' = r*rest/(rest + a_e*y), both to
-    rounding; returns the right-hand form."""
-    eps = np.finfo(float).eps
+    """On each side of y, the offer c/(rest + a_e*y) of the binding form
+    (c, rest, a_e) that _rate_form reports is the realized r to KINK_TOL,
+    and its x' matches a one-sided finite difference of the realized
+    x = r*y where that difference's step crosses no kink (on one side at
+    least); returns the (right, left) forms."""
+    forms, checked = [], 0
     for side in (+1, -1):
-        r, dr, _, jumped, (c, rest, a_e) = ev.scale_slopes(y, side)
-        assert not jumped
-        assert r == pytest.approx(c / (rest + a_e * y), rel=4 * eps)
-        assert r + y * dr == pytest.approx(r * rest / (rest + a_e * y), rel=4 * eps)
-    return ev.scale_slopes(y, +1)[4]
+        c, rest, a_e = form = ev._rate_form(y, side)[0]
+        assert c / (rest + a_e * y) == pytest.approx(ev._scale(y)[0], rel=KINK_TOL)
+        dx, fd = _form_slopes(ev, y, side)
+        if fd is not None:
+            assert dx == pytest.approx(fd, rel=1e-5), side
+            checked += 1
+        forms.append(form)
+    assert checked
+    return tuple(forms)
 
 
-def test_scale_slopes_read_r_from_the_binding_form(two_member_instance):
-    """r, r' and x'/r come from one form on each side of the demand, also
-    at ties within KINK_TOL. Peak tie: agent 1.1's own peak within 3e-10
-    of its group-mate's, below or above it; on the right its own peak
-    binds, and r is c/(rival + a*y), not the realized c/(rival + pm).
-    Offer tie: the faster falling of two offers 1e-11 apart binds on the
-    right, and r is its offer, not the smaller one. Taking r from the
-    realized peaks and the smallest offer put r + y*r' and r*rest/den up
-    to 1.2e-10 apart relative."""
+def test_rate_form_reads_r_from_the_binding_form(two_member_instance):
+    """r and x' come from one form on each side of the demand, also at
+    ties within KINK_TOL. Peak tie: agent 1.1's own peak within 3e-10 of
+    its group-mate's, below or above it; on the right its own peak binds,
+    so r is c/(rival + a*y), not the realized c/(rival + pm), and on the
+    left the mate's. Offer tie: the faster falling of two offers 1e-11
+    apart binds on the right, the slower on the left, and r is its offer,
+    not the smaller one."""
     inst, ki = two_member_instance, AgentId(1, 1)
     c, pm, rival = inst.capacity["l1"], 2.0, 3.0
     for gap in (-3e-10, 3e-10):
@@ -1008,9 +1029,7 @@ def test_scale_slopes_read_r_from_the_binding_form(two_member_instance):
                    AgentId(2, 1): Message(rival, {"l1": (0.3, 0.3)})}
         ev = DeviationEvaluator(inst, profile, WBB, ki)
         assert set(ev.demand_kinks()[0]) == {pm}
-        _binding_form_checks(ev, y)
-        r = ev.scale_slopes(y, +1)[0]
-        assert r == pytest.approx(c / (rival + y), rel=4 * np.finfo(float).eps)
+        assert _binding_form_checks(ev, y) == ((c, rival, 1.0), (c, rival + pm, 0.0))
 
     inst = make_instance({"l1": 10.0, "l2": 10.0 * (1.0 + 1e-11)},
                          [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0, "l2": 2.0}),
@@ -1020,7 +1039,8 @@ def test_scale_slopes_read_r_from_the_binding_form(two_member_instance):
                AgentId(2, 1): Message(4.0, {"l1": (0.2, 0.2)}),
                AgentId(3, 1): Message(3.0, {"l2": (0.2, 0.2)})}
     ev = DeviationEvaluator(inst, profile, WBB, ki)
-    assert _binding_form_checks(ev, 1.0) == (inst.capacity["l2"], 3.0, 2.0)
+    assert _binding_form_checks(ev, 1.0) == ((inst.capacity["l2"], 3.0, 2.0),
+                                             (inst.capacity["l1"], 4.0, 1.0))
 
 
 def test_envelope_drops_the_lower_parallel_form():
@@ -1039,8 +1059,8 @@ def test_envelope_drops_the_lower_parallel_form():
     profile = {ki: Message(y, zero_message(inst, ki, "wbb").q) for ki, y in ys.items()}
     ev = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
     assert ev.demand_kinks() == pairwise_kinks(ev) == ([4.0, 2.0], [3.0, 5.0])
-    assert ev.scale_slopes(1.0, +1)[4] == (10.0, 7.0, 0.0)
-    assert ev.scale_slopes(3.0, +1)[4] == (10.0, 5.0, 1.0)
+    assert ev._rate_form(1.0, +1)[0] == (10.0, 7.0, 0.0)
+    assert ev._rate_form(3.0, +1)[0] == (10.0, 5.0, 1.0)
 
 
 def test_envelope_kink_where_the_off_route_offer_binds():
@@ -1057,9 +1077,9 @@ def test_envelope_kink_where_the_off_route_offer_binds():
     profile = {ki: Message(y, zero_message(inst, ki, "wbb").q) for ki, y in ys.items()}
     ev = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
     assert ev.demand_kinks() == pairwise_kinks(ev) == ([8.0], [2.0])
-    assert ev.scale_slopes(4.0, +1)[:2] == (1.0, 0.0)
-    assert ev.scale_slopes(4.0, +1)[4] == ev.scale_slopes(8.0, -1)[4] == (1.0, 1.0, 0.0)
-    assert ev.scale_slopes(8.0, +1)[4] == ev.scale_slopes(9.0, -1)[4] == (10.0, 2.0, 1.0)
+    assert ev._scale(4.0)[0] == 1.0
+    assert ev._rate_form(4.0, +1)[0] == ev._rate_form(8.0, -1)[0] == (1.0, 1.0, 0.0)
+    assert ev._rate_form(8.0, +1)[0] == ev._rate_form(9.0, -1)[0] == (10.0, 2.0, 1.0)
 
 
 def test_readme_quickstart_runs(capsys):
