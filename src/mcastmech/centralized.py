@@ -30,18 +30,37 @@ relative PROGRESS: patience reads s.y alone, never the residual. Only the
 returned iterate becomes dicts, a KKTReport and a sharing count; the solve
 fails with SolverError only when that best iterate misses tol.
 
-So an iterate needs its residual at once only if it reaches the floor. Two
-cheap parts of the residual bound it from below: the link-dual part of the
-stationarity block, |lambda_l - sum_group mu|, which reads y alone, and the
-complementarity block, which needs the finished (x, m) but not v'. The
-loop keeps one record (t, z, y) per iterate and measures an iterate at
-once only when both bounds leave it at or below the floor (_measure with
-the floor as its ceiling; an exit measures with none).
-At the floor it returns that iterate, since every earlier one lies above
-the floor; at any other exit it measures every record and returns the
-first with the least residual. So it returns the same iterate, blocks and
-error as a loop that measures every iterate, while most solves measure
-one or two.
+So an iterate needs its residual at once only if it reaches the floor.
+Each pass reads two lower bounds on it from what the step computes anyway
+(_step_terms: v'(x), each agent's price sum(alpha mu), the dual residual
+r_dual = -A^T y - [v'(x); 0] and the primal slacks A z + offset), before any
+finishing step (_bound):
+
+- the link-dual gaps |lambda_l - sum_group mu|, which are |r_dual| on the
+  m rows bit for bit;
+- where no primal slack of z is negative, the overpricing
+  sum(alpha mu) - v'(x) of each agent above its zero-rate threshold. Then
+  x >= 0, each slot's peak alpha x is at most its m and each link's load at
+  most its capacity, in floating point too: the slacks, the peaks and the
+  link sums are formed from the same products in the same order, and
+  rounding is monotone. So the finishing scale r is at least 1, the
+  finished x_f = r x is at least x, and v'(x_f) <= v'(x): exactly for
+  log_sat, whose v' is a product, a sum and a quotient, each rounded
+  monotonically; to a few ulps for exp_sat, since math.exp is faithfully
+  but not monotonically rounded, which OVERPRICE_MARGIN takes off the
+  bound. The agent's stationarity entry |v'(x_f) - sum(alpha mu)| is then
+  at least its overpricing.
+
+Only an iterate that both bounds leave at or below the floor is finished,
+and only one whose finished complementarity block, which needs no v',
+is also at or below it is measured in full. The loop keeps each record
+with what it computed: the measured entry, or (t, z, y) and the finished
+arrays, if any. At the floor it returns that iterate, since every earlier
+one lies above the floor; at any other exit it completes each record once,
+reusing its finished arrays, and returns the first with the least
+residual. So it returns the same iterate, blocks and error as a loop that
+measures every iterate, finishes and measures no iterate twice, and
+decides most iterates without finishing them.
 
 Stationarity ties the duals together: for every positive rate
 v'(x) = sum_l mu * alpha, and on every link the per-group dual sums match
@@ -78,6 +97,13 @@ MAX_ITERS = 200
 
 #: Fraction of the distance to the boundary that a step may cover.
 STEP_TO_BOUNDARY = 0.99
+
+#: Relative margin, in units of v'(x) + |overpricing|, taken off each
+#: agent's overpricing bound (_bound). math.exp is faithfully, not
+#: monotonically, rounded, so exp_sat's v' may rise by a few ulps (at most
+#: 5 eps relative) where x rises; the two subtractions of the bound and of
+#: the residual round by 2 eps relative more. 16 eps covers both.
+OVERPRICE_MARGIN = 16 * 2.0 ** -52
 
 
 @dataclass
@@ -175,6 +201,10 @@ class _Workspace:
         return np.concatenate((x, -self.link_sums(m),
                                m[self.b_m] - self.b_al * x[self.b_ix]))
 
+    def price(self, mu: np.ndarray) -> np.ndarray:
+        """Per agent, sum(alpha mu) over its bounding rows."""
+        return np.bincount(self.b_ix, self.b_al * mu, self.nx)
+
     def slot_duals(self, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Per m slot, its members' bounding duals summed less its link's dual."""
         return np.bincount(self.b_m, mu, self.nm) - lam[self.m_link]
@@ -183,7 +213,7 @@ class _Workspace:
         """A^T y for y = [nu (x >= 0), lambda (capacity), mu (bounding)]."""
         nx, nl = self.nx, self.nl
         mu = y[nx + nl:]
-        return np.concatenate((y[:nx] - np.bincount(self.b_ix, self.b_al * mu, nx),
+        return np.concatenate((y[:nx] - self.price(mu),
                                self.slot_duals(y[nx:nx + nl], mu)))
 
 
@@ -237,13 +267,25 @@ def _newton_solver(ws: _Workspace, d: np.ndarray, d2v: np.ndarray):
     return solve
 
 
-def _mehrotra_step(ws: _Workspace, z: np.ndarray, s: np.ndarray, y: np.ndarray):
+def _step_terms(ws: _Workspace, z: np.ndarray, y: np.ndarray) -> tuple:
+    """(v', v'', price, r_dual, slack) at iterate (z, y): the slopes at x,
+    each agent's sum(alpha mu), the dual residual
+    r_dual = -A^T y - [v'(x); 0] and the primal slacks A z + offset, which
+    the step and the loop's bound (_bound) both read."""
+    nx, nl = ws.nx, ws.nl
+    dv, d2v = ws.slopes(z[:nx])
+    price = ws.price(y[nx + nl:])
+    r_dual = np.concatenate((price - y[:nx] - dv, -ws.slot_duals(y[nx:nx + nl], y[nx + nl:])))
+    return dv, d2v, price, r_dual, ws.apply(z) + ws.offset
+
+
+def _mehrotra_step(ws: _Workspace, z: np.ndarray, s: np.ndarray, y: np.ndarray,
+                   terms: tuple):
     """One predictor-corrector step on the KKT system of
-    min -welfare(z) s.t. A z + offset = s >= 0, with multipliers y >= 0."""
-    dv, d2v = ws.slopes(z[:ws.nx])
-    r_dual = -ws.transpose(y)
-    r_dual[:ws.nx] -= dv
-    r_primal = ws.apply(z) + ws.offset - s
+    min -welfare(z) s.t. A z + offset = s >= 0, with multipliers y >= 0;
+    terms is _step_terms(ws, z, y)."""
+    _, d2v, _, r_dual, slack = terms
+    r_primal = slack - s
     inv_s, sy, y_rp = 1.0 / s, s * y, y * r_primal
     gap = float(s @ y) / len(s)
     solve = _newton_solver(ws, y * inv_s, d2v)
@@ -299,7 +341,7 @@ def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
     the same arrays when the caller has it. A NaN block, which a non-finite
     entry leaves, reads as infinite."""
     slack, gap, comp = _slacks(ws, x, m, lam, mu) if slacks is None else slacks
-    resid = ws.dvalue(x) - np.bincount(ws.b_ix, mu * ws.b_al, ws.nx)
+    resid = ws.dvalue(x) - ws.price(mu)
     # Only overpricing is allowed at zero.
     resid = np.where(x > ws.thresh, np.abs(resid), resid)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which reads as inf
@@ -311,23 +353,35 @@ def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
     return tuple(math.inf if math.isnan(v) else max(0.0, v) for v in peaks)
 
 
-def _measure(ws: _Workspace, t: int, z: np.ndarray, y: np.ndarray,
-             ceiling: float = math.inf) -> Optional[tuple]:
-    """(residual, t, blocks, x, m, y) of iterate t, entries ordering as
-    "first least residual", or None if its residual exceeds ceiling. The
-    link-dual gaps, then the complementarity products of the finished
-    (x, m), bound the residual from below, so an iterate either leaves above
-    ceiling is not measured; the measurement reads that same (x, m). A NaN
-    entry shows nothing in a bound and reads as infinite in the residual."""
-    lam, mu = y[ws.nx:ws.nx + ws.nl], y[ws.nx + ws.nl:]
-    if float(np.abs(ws.slot_duals(lam, mu)).max()) > ceiling:
-        return None
+def _bound(ws: _Workspace, z: np.ndarray, terms: tuple) -> float:
+    """A lower bound on the residual of iterate z once finished, read from
+    its _step_terms: the link-dual gaps |r_dual| on the m rows, which are
+    |slot_duals| bit for bit, alone if they exceed RESIDUAL_FLOOR; else,
+    where no primal slack is negative, also the overpricing
+    sum(alpha mu) - v'(x) of each agent above its zero-rate threshold, less
+    OVERPRICE_MARGIN (see the module docstring). A NaN bound shows nothing."""
+    dv, _, price, r_dual, slack = terms
+    bound = float(np.abs(r_dual[ws.nx:]).max())
+    if bound > RESIDUAL_FLOOR or not slack.min() >= 0.0:
+        return bound
+    over = price - dv
+    over -= OVERPRICE_MARGIN * (dv + np.abs(over))
+    return max(bound, float(over[z[:ws.nx] > ws.thresh].max(initial=-math.inf)))
+
+
+def _finished(ws: _Workspace, z: np.ndarray, y: np.ndarray) -> tuple:
+    """(x, m, slacks): iterate z finished (_finish), and _slacks of the
+    finished arrays with y's duals."""
     x, m = _finish(ws, z)
-    slacks = _slacks(ws, x, m, lam, mu)
-    if float(slacks[2].max()) > ceiling:
-        return None
-    blocks = _residual(ws, x, m, lam, mu, slacks)
-    return (max(blocks), t, blocks, x, m, y) if max(blocks) <= ceiling else None
+    return x, m, _slacks(ws, x, m, y[ws.nx:ws.nx + ws.nl], y[ws.nx + ws.nl:])
+
+
+def _measure(ws: _Workspace, t: int, y: np.ndarray, x: np.ndarray, m: np.ndarray,
+             slacks: tuple) -> tuple:
+    """(residual, t, blocks, x, m, y) of iterate t from its _finished
+    arrays: entries order as "first least residual"."""
+    blocks = _residual(ws, x, m, y[ws.nx:ws.nx + ws.nl], y[ws.nx + ws.nl:], slacks)
+    return max(blocks), t, blocks, x, m, y
 
 
 def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
@@ -376,25 +430,32 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     gap0 = max(1.0, float(ws.dvalue(x0) @ x0) / (ws.nx + ws.nm))
     s = ws.apply(z) + ws.offset
     y = gap0 / s
-    best_gap, stale, records, entry = math.inf, 0, [], None
+    best_gap, stale, measured, pending = math.inf, 0, [], []
     for t in range(MAX_ITERS):
         gap = float(s @ y)
         if gap < (1.0 - PROGRESS) * best_gap:
             best_gap, stale = gap, 0
         else:
             stale += 1
-        records.append((t, z, y))
-        entry = _measure(ws, t, z, y, RESIDUAL_FLOOR)
-        if entry or stale >= PATIENCE:
+        terms = _step_terms(ws, z, y)
+        done = None if _bound(ws, z, terms) > RESIDUAL_FLOOR else _finished(ws, z, y)
+        if done and float(done[2][2].max()) <= RESIDUAL_FLOOR:  # finished comp block
+            measured.append(_measure(ws, t, y, *done))
+        else:
+            pending.append((t, z, y, done))  # a bound shows it above the floor
+        if measured and measured[-1][0] <= RESIDUAL_FLOOR or stale >= PATIENCE:
             break
         try:
-            z, s, y = _mehrotra_step(ws, z, s, y)
+            z, s, y = _mehrotra_step(ws, z, s, y, terms)
         except np.linalg.LinAlgError:
             break
         if not (np.isfinite(z).all() and np.isfinite(s).all() and np.isfinite(y).all()):
             break
     # At the floor no other iterate can be the best: each lies above it.
-    res, _, blocks, x, m, y = entry or min(_measure(ws, *record) for record in records)
+    if not measured or measured[-1][0] > RESIDUAL_FLOOR:
+        measured += [_measure(ws, t, y, *(done or _finished(ws, z, y)))
+                     for t, z, y, done in pending]
+    res, _, blocks, x, m, y = min(measured)
     if res > tol:
         raise SolverError(
             f"interior point stalled at max residual {res:.3e} > tol {tol:.3e}")

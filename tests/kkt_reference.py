@@ -7,9 +7,10 @@ code with the library. Its maxima use Python's ``max``, which skips a NaN,
 so it is a reference for finite inputs only.
 
 ``eager_solve`` is ``solve_cp``'s interior-point loop in the form that
-finishes and measures every iterate; the library's loop defers the
-measurement of iterates that a cheap residual block shows cannot stop it,
-and must return what this one returns.
+finishes and measures every iterate; the library's loop finishes no
+iterate that its step's residuals show cannot stop it, measures none that
+its finished complementarity block shows cannot, and must return what
+this one returns.
 
 ``normal_matrix`` and ``dense_direction`` are the dense form of one
 interior-point direction: the full (n_x + n_m) square normal matrix and
@@ -89,9 +90,9 @@ def eager_solve(instance: NetworkInstance, tol: float = centralized.DEFAULT_TOL,
     the first with the least residual; it stops at RESIDUAL_FLOOR, after
     PATIENCE steps that did not bring s.y below (1 - PROGRESS) times its
     least value so far, or after MAX_ITERS steps, and raises solve_cp's
-    SolverError above tol. It reads the loop constants and the step,
-    finish and residual functions from the library at call time, so a test
-    may patch them for both loops."""
+    SolverError above tol. It reads the loop constants and the step terms,
+    step, finish and residual functions from the library at call time, so a
+    test may patch them for both loops."""
     ws = centralized._Workspace(instance)
     nx, nl = ws.nx, ws.nl
     z = centralized._interior_start(ws, init_seed)
@@ -116,7 +117,8 @@ def eager_solve(instance: NetworkInstance, tol: float = centralized.DEFAULT_TOL,
         if res <= centralized.RESIDUAL_FLOOR or stale >= centralized.PATIENCE:
             break
         try:
-            z, s, y = centralized._mehrotra_step(ws, z, s, y)
+            z, s, y = centralized._mehrotra_step(ws, z, s, y,
+                                                 centralized._step_terms(ws, z, y))
         except np.linalg.LinAlgError:
             break
         if not (np.isfinite(z).all() and np.isfinite(s).all() and np.isfinite(y).all()):

@@ -10,14 +10,18 @@ generator rejects are skipped. Each draw is solved at the default tol;
 the script prints the solved and failed counts, the worst final residual,
 the total solve time (also per family: acceptance-shaped draws and
 chains), a histogram of interior-point steps per solve, and the mean cost
-of one interior-point step (``_mehrotra_step``) and of one iterate
-measurement (``_finish`` plus ``_residual``) in microseconds. The timers
-wrap those functions, so they add a few microseconds per call; compare
-the figures between runs of this script, not with a profiler's. Per solve
-it prints the mean number of full measurements (``_residual`` calls) and
-of bound-only checks: iterates a cheap residual block showed above the
-floor and that were never measured (``_measure`` calls with the floor as
-ceiling that return before ``_residual``). It counts how each solve ended (``ending``): at the
+of one interior-point step (``_step_terms`` plus ``_mehrotra_step``), of
+one step bound (``_bound``) and of one iterate measurement (``_finish``
+plus ``_residual``) in microseconds. The timers wrap those functions, so
+they add a few microseconds per call; compare the figures between runs of
+this script, not with a profiler's. Per solve it prints the mean number of
+iterates the step bound decided (``_bound`` calls less ``_finish`` calls,
+since the loop bounds each iterate once and finishes it at most once:
+iterates whose step residuals showed them above the floor and that were
+never finished), of finishes (``_finish`` calls), of full measurements
+(``_residual`` calls) and of bound-only finishes (finishes less full
+measurements: iterates finished only for their complementarity block to
+show them above the floor). It counts how each solve ended (``ending``): at the
 residual floor, on patience, after ``MAX_ITERS`` steps, or otherwise (a
 step raised or left a non-finite iterate).
 
@@ -84,22 +88,6 @@ def timed(name, spent, calls):
     setattr(centralized, name, wrapper)
 
 
-def counted_bounds(calls):
-    """Count in calls["bounded"] the iterates a bound shows above the floor,
-    by wrapping centralized._measure: a call with a ceiling (the loop's;
-    an exit passes none) that returns None before any _residual call. Needs
-    _residual wrapped by timed first."""
-    measure = centralized._measure
-
-    def wrapper(*args):
-        before = calls["_residual"]
-        out = measure(*args)
-        calls["bounded"] += len(args) > 4 and out is None and calls["_residual"] == before
-        return out
-
-    centralized._measure = wrapper
-
-
 def watched_steps(failed):
     """Wrap centralized._mehrotra_step so that failed[0] says whether the
     latest step raised or left a non-finite iterate."""
@@ -130,14 +118,13 @@ def main():
     spent, calls = collections.Counter(), collections.Counter()
     failed_step = [False]
     watched_steps(failed_step)
-    for name in ("_mehrotra_step", "_finish", "_residual"):
+    for name in ("_mehrotra_step", "_step_terms", "_bound", "_finish", "_residual"):
         timed(name, spent, calls)
-    counted_bounds(calls)
     solved, failed, worst = 0, [], (0.0, None)
     times, endings = collections.Counter(), collections.Counter()
-    step_counts, digests, bound_only = [], [], 0
+    step_counts, digests = [], []
     for label, inst in corpus():
-        before, bounded = calls["_mehrotra_step"], calls["bounded"]
+        before = calls["_mehrotra_step"]
         failed_step[0] = False
         start = time.perf_counter()
         try:
@@ -157,8 +144,6 @@ def main():
             times[label.split("-")[0]] += time.perf_counter() - start
         end = ending(residual, calls["_mehrotra_step"] - before, failed_step[0])
         endings[end] += 1
-        if end == "floor":  # a floor exit measures none of its bounded iterates
-            bound_only += calls["bounded"] - bounded
     print(f"solved {solved}, failed {len(failed)}")
     for line in failed:
         print(f"  {line}")
@@ -168,13 +153,19 @@ def main():
     histogram = collections.Counter(n // 5 * 5 for n in step_counts)
     print(f"steps per solve (mean {sum(step_counts) / max(1, solved):.2f}):",
           ", ".join(f"{lo}-{lo + 4}: {n}" for lo, n in sorted(histogram.items())))
-    measure = sum(spent[name] / max(1, calls[name]) for name in ("_finish", "_residual"))
-    print(f"per step {1e6 * spent['_mehrotra_step'] / max(1, calls['_mehrotra_step']):.0f} us, "
-          f"per iterate measurement (_finish + _residual) {1e6 * measure:.0f} us")
+    def mean_us(*names):
+        return 1e6 * sum(spent[name] / max(1, calls[name]) for name in names)
+    print(f"per step (_step_terms + _mehrotra_step) "
+          f"{mean_us('_step_terms', '_mehrotra_step'):.0f} us, per step bound "
+          f"{mean_us('_bound'):.0f} us, per iterate measurement (_finish + _residual) "
+          f"{mean_us('_finish', '_residual'):.0f} us")
     n = max(1, solved + len(failed))
-    print(f"per solve: {calls['_residual'] / n:.2f} full measurements "
-          f"({calls['_residual']} in all), {bound_only / n:.2f} bound-only checks "
-          f"({bound_only} in all)")
+    decided = calls["_bound"] - calls["_finish"]
+    bound_only = calls["_finish"] - calls["_residual"]
+    print(f"per solve: {decided / n:.2f} iterates decided by the step bound ({decided} in all), "
+          f"{calls['_finish'] / n:.2f} finishes ({calls['_finish']}), "
+          f"{calls['_residual'] / n:.2f} full measurements ({calls['_residual']}), "
+          f"{bound_only / n:.2f} bound-only finishes ({bound_only})")
     print("solves ended: " + ", ".join(f"{end} {endings[end]}"
                                        for end in ("floor", "patience", "max-iters", "other")))
     lines = "".join(f"{label} {digest}\n" for label, digest in digests)

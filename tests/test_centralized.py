@@ -1,5 +1,6 @@
 """Convex solver: analytic optima, an independent oracle, KKT residuals."""
 
+import collections
 import math
 
 import numpy as np
@@ -176,9 +177,9 @@ def test_stalled_gap_ends_the_solve_on_patience(monkeypatch):
     # one BLAS thread, 53 at two) instead of running to MAX_ITERS.
     steps, real = [0], centralized._mehrotra_step
 
-    def counted(ws, z, s, y):
+    def counted(ws, z, s, y, terms):
         steps[0] += 1
-        return real(ws, z, s, y)
+        return real(ws, z, s, y, terms)
     monkeypatch.setattr(centralized, "_mehrotra_step", counted)
     _, dual = solve_cp(random_instance(1, n_groups=50, max_group_size=3, n_links=50))
     assert steps[0] <= 80
@@ -195,9 +196,9 @@ def test_structured_direction_solves_the_dense_system(instance, monkeypatch):
     calls, iterate = [], []
     real, real_step = centralized._newton_solver, centralized._mehrotra_step
 
-    def stepping(ws, z, s, y):  # the solver takes v''(x), not x: record x here
+    def stepping(ws, z, s, y, terms):  # the solver takes v''(x), not x: record x here
         iterate[:] = [z[:ws.nx]]
-        return real_step(ws, z, s, y)
+        return real_step(ws, z, s, y, terms)
 
     def recording(ws, d, d2v):
         solve, x = real(ws, d, d2v), iterate[0]
@@ -251,11 +252,17 @@ def test_step_lengths_match_per_vector_minimum():
             assert centralized._max_steps(s, ds, y, dy) == [alone(s, ds), alone(y, dy)]
 
 
-def test_single_pass_scans_match_dict_walks(two_member_instance, a4_fail_instance):
+@pytest.fixture(scope="module")
+def corpus_draws():
+    return corpus()
+
+
+def test_single_pass_scans_match_dict_walks(two_member_instance, a4_fail_instance,
+                                            corpus_draws):
     """check_a4 and argmax_ties equal the link-by-link dict walks, key order
     included, on every fifth corpus draw, on a peak tie and on a starved
     group; the solver's own sharing report is check_a4's."""
-    cases = [inst for _, inst in corpus()[::5]] + [two_member_instance, a4_fail_instance]
+    cases = [inst for _, inst in corpus_draws[::5]] + [two_member_instance, a4_fail_instance]
     for inst in cases:
         primal, dual = solve_cp(inst)
         a4 = check_a4(inst, primal)
@@ -314,12 +321,12 @@ def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
         monkeypatch.setattr(centralized, "MAX_ITERS", 9)
     real = centralized._mehrotra_step
 
-    def counted(ws, z, s, y):
+    def counted(ws, z, s, y, terms):
         steps[0] += 1
         if path == "linalg-error" and steps[0] > 6:
             raise np.linalg.LinAlgError("singular")
         finite[0] = False
-        z, s, y = real(ws, z, s, y)
+        z, s, y = real(ws, z, s, y, terms)
         finite[0] = all(np.isfinite(v).all() for v in (z, s, y))
         return z, s, y
     monkeypatch.setattr(centralized, "_mehrotra_step", counted)
@@ -362,6 +369,114 @@ def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
         if path == "patience":  # no floor, no failed step, steps to spare
             assert r.max_residual > centralized.RESIDUAL_FLOOR
             assert finite[0] and steps[0] < centralized.MAX_ITERS
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _chain_116035():
+    """solve_large's chain 115 draw: agent 1.3 is saturated, v'(x) = 5.3e-14."""
+    return random_instance(116035, n_groups=8, max_group_size=3, n_links=8)
+
+
+def test_solve_returns_the_eager_iterate_on_the_corpus(corpus_draws):
+    """On every tenth corpus draw, on the saturated chain draw 116035 and on
+    acceptance draw 32288, whose duals are all below 5e-8, solve_cp returns
+    eager_solve's x, m, lambda, mu and residual blocks bit for bit."""
+    cases = [inst for _, inst in corpus_draws[::10]] + [_chain_116035(), _acceptance_draw(32288)]
+    for inst in cases:
+        ws = centralized._Workspace(inst)
+        blocks, x, m, y = eager_solve(inst)
+        primal, dual = solve_cp(inst)
+        r = dual.residuals
+        assert _hex([r.primal_feas, r.dual_feas, r.comp_slack, r.stationarity]) == _hex(blocks)
+        assert _hex(primal.x[ki] for ki in ws.agents) == _hex(x)
+        assert _hex(primal.m[p] for p in ws.mpairs) == _hex(m)
+        assert _hex(dual.lam[lid] for lid in inst.link_ids) == _hex(y[ws.nx:ws.nx + ws.nl])
+        assert _hex(dual.mu[p] for p in ws.bnd) == _hex(y[ws.nx + ws.nl:])
+
+
+def test_step_bound_never_exceeds_the_residual(monkeypatch):
+    """At every iterate of these solves the step bound (_bound) is at most
+    the residual of the finished iterate (_measure): acceptance draws of
+    batch seeds 1-10 (attempt 0), the chain 109 draw, the saturated chain
+    draw 116035 and the 50-agent ladder rung. The overpricing part decides
+    some iterates that the link-dual gaps leave at or below the floor."""
+    seen, real = [], centralized._step_terms
+
+    def recording(ws, z, y):
+        terms = real(ws, z, y)
+        seen.append((ws, z, y, terms))
+        return terms
+    monkeypatch.setattr(centralized, "_step_terms", recording)
+    for inst in ([_acceptance_draw(seed * 1009) for seed in range(1, 11)]
+                 + [_chain_109(), _chain_116035(),
+                    random_instance(1, n_groups=25, max_group_size=3, n_links=25)]):
+        solve_cp(inst)
+    overpriced = 0
+    for ws, z, y, terms in seen:
+        bound = centralized._bound(ws, z, terms)
+        assert bound <= centralized._measure(ws, 0, y, *centralized._finished(ws, z, y))[0]
+        link_gaps = float(np.abs(terms[3][ws.nx:]).max())
+        overpriced += link_gaps <= centralized.RESIDUAL_FLOOR < bound
+    assert len(seen) > 200 and overpriced > 20
+
+
+@pytest.mark.parametrize("case", ["negative-slack", "starved"])
+def test_step_bound_skips_what_the_finish_may_undo(case):
+    """Two agents on one link of capacity 10 priced at v'(5) = 1/6 (duals
+    lambda = mu = 1/6), whose iterate finishes at x = 5 each with a residual
+    below the floor. With x = m = 5 (1 + 1e-9) the link's slack is -1e-8: the
+    finish scales x down, v' rises by 1.4e-10 and the overpricing at the
+    unfinished x is no bound, so it is not used. With x = m = 4.9 and a
+    third agent at x = 0, priced above its v'(0) = 0.1, the third agent's
+    overpricing is allowed at zero and is no bound either."""
+    inst = make_instance({"l1": 10.0}, [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                                        (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                                        (3, 1, LOG_SAT, 0.1, 1.0, {"l1": 1.0})])
+    ws = centralized._Workspace(inst)
+    x = [5.0 * (1.0 + 1e-9)] * 2 + [0.0] if case == "negative-slack" else [4.9, 4.9, 0.0]
+    z = np.array(x + x)
+    y = np.array([0.0] * 3 + [1.0 / 6.0] * 4)
+    terms = centralized._step_terms(ws, z, y)
+    residual = centralized._measure(ws, 0, y, *centralized._finished(ws, z, y))[0]
+    dv, _, price, _, slack = terms
+    assert (slack.min() < 0.0) == (case == "negative-slack")
+    assert residual <= centralized.RESIDUAL_FLOOR < 1e-10 < (price - dv).max()
+    assert centralized._bound(ws, z, terms) <= residual
+
+
+@pytest.mark.parametrize("case", ["patience-110", "floor-1e-15"])
+def test_non_floor_exit_finishes_and_measures_each_iterate_once(case, monkeypatch):
+    """_finish and _residual each run at most once per iterate (steps + 1
+    of them) on a solve that ends above the floor: every finished z and
+    every measured x is a different array. On 110 agents the solve ends on
+    patience. On acceptance draw 9081 with RESIDUAL_FLOOR at 1e-15 some
+    iterates pass the step bound but not the finished complementarity
+    block, and the exit measures them from the arrays the loop finished."""
+    calls = collections.defaultdict(list)
+
+    def counted(name):
+        real = getattr(centralized, name)
+
+        def wrapper(ws, first, *rest):
+            calls[name].append(first)
+            return real(ws, first, *rest)
+        monkeypatch.setattr(centralized, name, wrapper)
+    for name in ("_mehrotra_step", "_finish", "_residual"):
+        counted(name)
+    if case == "patience-110":
+        inst = random_instance(1, n_groups=50, max_group_size=3, n_links=50)
+    else:
+        monkeypatch.setattr(centralized, "RESIDUAL_FLOOR", 1e-15)
+        inst = _acceptance_draw(9081)
+    _, dual = solve_cp(inst)
+    iterates = len(calls["_mehrotra_step"]) + 1
+    assert dual.residuals.max_residual > centralized.RESIDUAL_FLOOR
+    assert iterates <= centralized.MAX_ITERS
+    for name in ("_finish", "_residual"):
+        assert len({id(v) for v in calls[name]}) == len(calls[name]) <= iterates
 
 
 def test_perturbed_multiplier_shows_in_comp_slack(slack_instance, solved_slack):
