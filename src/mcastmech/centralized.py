@@ -431,7 +431,7 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
     s = ws.apply(z) + ws.offset
     y = gap0 / s
     best_gap, stale, measured, pending = math.inf, 0, [], []
-    for t in range(MAX_ITERS):
+    for t in range(MAX_ITERS + 1):
         gap = float(s @ y)
         if gap < (1.0 - PROGRESS) * best_gap:
             best_gap, stale = gap, 0
@@ -443,7 +443,7 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
             measured.append(_measure(ws, t, y, *done))
         else:
             pending.append((t, z, y, done))  # a bound shows it above the floor
-        if measured and measured[-1][0] <= RESIDUAL_FLOOR or stale >= PATIENCE:
+        if measured and measured[-1][0] <= RESIDUAL_FLOOR or stale >= PATIENCE or t == MAX_ITERS:
             break
         try:
             z, s, y = _mehrotra_step(ws, z, s, y, terms)

@@ -12,7 +12,7 @@ Exit codes (fixed for scripting):
   3  instance or profile fails validation
   4  the optimum violates the two-active-groups-per-link sharing condition
   5  numeric failure (solver stall, construction drift, failed
-     certification, curvature stuck at the coupling floor)
+     certification, candidate curvature indefinite)
 
 Failures print one machine-readable JSON object on stdout, e.g.
 {"error": {"code": 3, "kind": "validation", "message": "..."}}.
@@ -131,23 +131,23 @@ def _params_from(args: argparse.Namespace) -> MechanismParams:
 
 def _certify(instance: NetworkInstance, primal: PrimalSolution, dual: DualCertificate,
              args: argparse.Namespace) -> tuple:
-    """Tune, construct, certify (at --epsilon or the default), lemmas and
-    evaluate on a solved instance: (params, shrinks, curvature report,
-    candidate, epsilon, certification report, lemmas, outcome)."""
-    params, shrinks, curvature = tune_params(instance, primal, dual, _params_from(args))
+    """Curvature check (tune_params), construct, certify (at --epsilon or
+    the default), lemmas and evaluate on a solved instance: (curvature
+    report, candidate, epsilon, certification report, lemmas, outcome)."""
+    params, _, curvature = tune_params(instance, primal, dual, _params_from(args))
     candidate = construct_ne(instance, primal, dual, params)
     epsilon = args.epsilon if args.epsilon is not None else \
         default_epsilon(instance, primal)
     report = certify_ne(instance, candidate, epsilon, budget=args.budget)
-    return (params, shrinks, curvature, candidate, epsilon, report,
+    return (curvature, candidate, epsilon, report,
             lemma_suite(instance, candidate), evaluate(instance, candidate.profile, params))
 
 
 def _certify_single(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     primal, dual = solve_cp(instance, tol=args.tol)  # validates first
-    params, shrinks, curv, candidate, epsilon, report, lemmas, outcome = \
-        _certify(instance, primal, dual, args)
+    curv, candidate, epsilon, report, lemmas, outcome = _certify(instance, primal, dual, args)
+    params = candidate.params
 
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "equilibrium_profile.json"),
@@ -157,15 +157,13 @@ def _certify_single(args: argparse.Namespace) -> int:
     lemma_doc = lemmas.as_dict()
     _write(os.path.join(args.out, "lemmas.json"), canonical_json(lemma_doc))
     curv_doc = {"agents": curv.as_dict(), "all_pass": curv.all_pass,
-                "auto_shrink_iterations": shrinks,
                 "params": {"eta": params.eta, "xi": params.xi,
                            "zeta": params.zeta, "variant": params.variant}}
     _write(os.path.join(args.out, "curvature.json"), canonical_json(curv_doc))
     _write_manifest(args, "certify")
     worst_lemma = max(lemma_doc.values())
     print(f"certify: certified={report.certified} max_gain={report.max_gain:.6e} "
-          f"epsilon={epsilon:.6e} worst_lemma={worst_lemma:.3e} "
-          f"auto_shrink={shrinks}")
+          f"epsilon={epsilon:.6e} worst_lemma={worst_lemma:.3e}")
     if not report.certified or worst_lemma > args.lemma_tol:
         return _fail(EXIT_NUMERIC, "certification",
                      f"max deviation gain {report.max_gain:.6e} vs epsilon "
@@ -200,7 +198,7 @@ def _sweep_one(job: Tuple[int, argparse.Namespace]) -> Dict[str, object]:
         row["status"] = "skipped"
         return row
     try:
-        _, shrinks, _, _, epsilon, report, lemmas, outcome = _certify(instance, primal, dual, args)
+        _, _, epsilon, report, lemmas, outcome = _certify(instance, primal, dual, args)
     except MechError as exc:
         row["status"] = f"error:{type(exc).__name__}"
         return row
@@ -212,7 +210,6 @@ def _sweep_one(job: Tuple[int, argparse.Namespace]) -> Dict[str, object]:
         "max_gain": report.max_gain,
         "certified": report.certified,
         "incomplete": len(report.incomplete),
-        "auto_shrink": shrinks,
         "allocation_drift": max(abs(outcome.x[ki] - primal.x[ki]) for ki in instance.agents),
         "total_tax": outcome.total_tax,
     })
@@ -222,7 +219,7 @@ def _sweep_one(job: Tuple[int, argparse.Namespace]) -> Dict[str, object]:
 
 _SWEEP_COLUMNS = [
     "seed", "instance_seed", "resample_tries", "status", "agents", "links",
-    "welfare", "epsilon", "max_gain", "certified", "incomplete", "auto_shrink",
+    "welfare", "epsilon", "max_gain", "certified", "incomplete",
     "allocation_drift", "total_tax", "equal_prices", "dual_feas",
     "comp_slack", "stationarity", "ir", "wbb", "sbb", "rho_consensus",
 ]

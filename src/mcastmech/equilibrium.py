@@ -488,9 +488,14 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
 def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> CurvatureReport:
     """Negative definiteness of every agent's own-utility Hessian.
 
-    Each Hessian is DeviationEvaluator.local_model's, exact on each side
-    of the demand. At y > 0 both one-sided Hessians are read and the agent
-    is kinked when they differ; at y = 0 only the right one exists. Each
+    Each Hessian is DeviationEvaluator.local_model's, on each side of the
+    demand and in the rate x = r*y: its demand entry leaves out U_x*x'',
+    which is 0 at a stationary demand, so its eigenvalue signs are those of
+    the Hessian in (x, q, rho) (Sylvester's law of inertia; Nocedal and
+    Wright, Numerical Optimization, 2nd ed., 2006, ch. 12, for the
+    second-order conditions). At y > 0 both one-sided Hessians are read and
+    the agent is kinked when they differ; at y = 0 only the right one
+    exists. Each
     side keeps the coordinates of its LocalModel.free mask: a first quote
     whose best value is 0 on that side (the mechanism's one clip rule,
     whose roots split the best response's pieces) or a demand at 0 with a
@@ -499,8 +504,7 @@ def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> Curvat
     agent passes when the largest eigenvalue of each side's remaining
     Hessian is at most n * eps * max|H_ij|, n being that side's coordinate
     count: the rounding bound of an eigenvalue of an n x n matrix. So a
-    direction flat to rounding (a saturated agent's demand) passes, and no
-    coupling-weight shrink is spent on it."""
+    direction flat to rounding (a saturated agent's demand) passes."""
     agents_out: Dict[AgentId, AgentCurvature] = {}
     for ev in _evaluators(instance, candidate.profile, candidate.params):
         ki = ev.ki
@@ -530,17 +534,18 @@ def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> Curvat
 def tune_params(instance: NetworkInstance, primal: PrimalSolution,
                 dual: DualCertificate, params: MechanismParams
                 ) -> Tuple[MechanismParams, int, CurvatureReport]:
-    """Halve the coupling weights until local curvature passes everywhere;
-    DegenerateInstanceError once eta would fall below 1e-8. The candidate's
-    profile reads no weight (only the variant), so it is built once and
-    each halving swaps only its params."""
-    candidate, shrinks = construct_ne(instance, primal, dual, params), 0
-    while True:
-        report = curvature_check(instance, candidate)
-        if report.all_pass:
-            return candidate.params, shrinks, report
-        if candidate.params.eta / 2.0 < 1e-8:
-            raise DegenerateInstanceError("curvature still indefinite at the coupling floor 1e-8")
-        candidate.params = candidate.params.halved()
-        shrinks += 1
+    """Check the candidate's local curvature once, at the given params:
+    (params, 0, report) when every agent passes curvature_check, else
+    DegenerateInstanceError naming the agents that fail.
+
+    The weights are never tuned: a smaller coupling that passes would
+    certify a mechanism other than the one asked for, whose candidate may
+    gain by deviating at the given weights. The count in the middle, the
+    coupling-weight shrinks, is always 0."""
+    report = curvature_check(instance, construct_ne(instance, primal, dual, params))
+    failed = [ki.label for ki, agent in report.agents.items() if not agent.passed]
+    if failed:
+        raise DegenerateInstanceError("own-utility curvature indefinite at the candidate for "
+                                      "agents " + ", ".join(failed))
+    return params, 0, report
 

@@ -38,4 +38,4 @@ class EquilibriumError(MechError):
 
 
 class DegenerateInstanceError(MechError):
-    """Coupling-weight auto-shrink hit its floor without passing curvature."""
+    """The candidate fails the local curvature check at the given coupling weights."""

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -82,9 +82,6 @@ class MechanismParams:
             raise ValueError("coupling weights must be positive")
         if not all(map(math.isfinite, (self.eta, self.xi, self.zeta))):
             raise ValueError("coupling weights must be finite")
-
-    def halved(self) -> "MechanismParams":
-        return replace(self, eta=self.eta / 2, xi=self.xi / 2, zeta=self.zeta / 2)
 
 
 @dataclass
@@ -438,9 +435,10 @@ def _q1_free(q1: float, grad: float, coupling: float, y: float, side: int) -> bo
 class LocalModel(NamedTuple):
     """ki's own utility to second order on one side of its demand, over
     DeviationEvaluator.coords: the coordinate values, the exact one-sided
-    gradient and Hessian (the chain rule of the piece form in the rate
-    that rate_model reads), whether r jumps there (then both are those of
-    the one-sided limit), and per coordinate whether it is free on that
+    gradient and the one-sided Hessian in the rate (the chain rule of the
+    piece form that rate_model reads, less U_x*x'' in the demand entry:
+    local_model), whether r jumps there (then both are those of the
+    one-sided limit), and per coordinate whether it is free on that
     side. A q1 is free where _q1_free says its best value is positive,
     the demand unless it is 0 with a negative slope, and q2 and rho always
     (at 0 their gradients, 2*q1_succ and 2*zeta*r, are not negative)."""
@@ -478,9 +476,9 @@ class DeviationEvaluator:
     _rate_form is the one producer of that piece form: rate_model reads
     from it ki's payoff at the best message on a kink piece in closed form
     in the rate, which the best response maximizes, and local_model its
-    chain rule, the one-sided gradient and Hessian in ki's message, which
-    the curvature check reads. jumps_at_zero tells where r jumps (only
-    ever at y = 0).
+    chain rule, the one-sided gradient in ki's message and the Hessian in
+    the rate, which the curvature check reads. jumps_at_zero tells where r
+    jumps (only ever at y = 0).
 
     `coords` lists ki's message coordinates as (kind, link) pairs: the
     demand, q1 on each route link, q2 on each route link it shares with
@@ -627,12 +625,18 @@ class DeviationEvaluator:
 
     def jumps_at_zero(self) -> bool:
         """Whether r jumps at y = 0: the binding form's right-hand limit
-        c/rest there and the realized _scale(0) differ by more than
+        c/rest there and the realized scale at y = 0 differ by more than
         KINK_TOL (a link that ki's group leaves idle or lone offers more at
-        y = 0)."""
+        y = 0). At y = 0 ki's group peaks at the mates' peak, so route link
+        l offers _offer(c_l, rest + peak_mates, ...) from the snapshot; when
+        every link is idle the realized r is 0 and the smallest offer
+        NO_BOUND, and either differs from the finite, positive limit."""
         c, rest, _ = self._rate_form(0.0, +1)[0]
         r_lim = c / rest
-        return abs(r_lim - self._scale(0.0)[0]) > KINK_TOL * r_lim
+        r_0 = min([self._r_off] + [_offer(L.capacity, L.rest + L.peak_mates,
+                                          L.others_demanding + (L.peak_mates > 0.0))
+                                   for L in self._route])
+        return abs(r_lim - r_0) > KINK_TOL * r_lim
 
     def rate_model(self, y: float) -> Tuple[Tuple[float, float, float],
                                             List[Tuple[float, float, float, float]]]:
@@ -665,19 +669,26 @@ class DeviationEvaluator:
         """ki's own utility at msg to second order on `side` (+1 right, -1
         left) of its demand.
 
-        Gradient and Hessian are exact, the chain rule of the piece form
-        (_rate_form), in which r, the reservation gaps and the slacks are
-        affine in x = r*y: r_x = -a_e/rest, and x' = r*rest/den and
-        x'' = 2*r_x*x'*rest/den with den = rest + a_e*y (neither a
+        Both are the chain rule of the piece form (_rate_form), in which r,
+        the reservation gaps and the slacks are affine in x = r*y:
+        r_x = -a_e/rest, and x' = r*rest/den with den = rest + a_e*y (no
         difference that cancels far past the knees). In x,
         U_x = V'(x) - sum_l [a*pf + eta*pf*(q1 - pf)*g1 + xi*wb*(w_k - wb)*s1]
         + 2*zeta*(rho - r)*r_x and U_xx = V''(x) - 2*zeta*r_x^2, so the
-        demand gradient is U_x*x' and the yy entry U_xx*x'^2 + U_x*x''. The
-        quote block is -2 on each q1 and q2 (slots 3 and 2) and -2*zeta on
-        rho; y couples to q1 by -(eta*pf*g1 + xi*wb*s1)*x' = -f1*x' (slots
-        4 and 5, rate_model's f1) and to rho by 2*zeta*r_x*x'. No other
-        entry couples: slots 1 and 6 and every rival price hold no quote or
-        rho of ki.
+        demand gradient is U_x*x' and the yy entry U_xx*x'^2. The quote
+        block is -2 on each q1 and q2 (slots 3 and 2) and -2*zeta on rho; y
+        couples to q1 by -(eta*pf*g1 + xi*wb*s1)*x' = -f1*x' (slots 4 and 5,
+        rate_model's f1) and to rho by 2*zeta*r_x*x'. No other entry
+        couples: slots 1 and 6 and every rival price hold no quote or rho of
+        ki.
+
+        So the Hessian is J^T*H_x*J, H_x being the Hessian in (x, q, rho)
+        and J = diag(x', 1, ..., 1) with x' > 0: by Sylvester's law of
+        inertia it has the eigenvalue signs of H_x. It leaves out the
+        exact Hessian's U_x*x'' in the yy entry, which is 0 at a stationary
+        demand. So the rounding left in U_x is not read as curvature: at a
+        saturated agent U_x*x'' alone can exceed the curvature check's
+        rounding bound.
 
         r, x, the reservation gaps and the slacks are the realized ones
         (_scale), which utility prices, except where r jumps (y = 0,
@@ -689,9 +700,8 @@ class DeviationEvaluator:
             raise ValueError("left slope undefined at y = 0")
         (c, rest, a_e), form = self._rate_form(y, side)
         den = rest + a_e * y
-        share, r_x = rest / den, -a_e / rest
-        dx = c / den * share
-        d2x = 2.0 * r_x * dx * share
+        r_x = -a_e / rest
+        dx = c / den * (rest / den)
         jumped = y == 0.0 and self.jumps_at_zero()
         r, realized = (c / den, None) if jumped else self._scale(y)
         x = r * y
@@ -728,7 +738,7 @@ class DeviationEvaluator:
             grad[j] = -2.0 * zeta * dev
             hess[0, j] = hess[j, 0] = 2.0 * zeta * r_x * dx
             hess[j, j] = -2.0 * zeta
-        grad[0], hess[0, 0] = ux * dx, uxx * dx * dx + ux * d2x
+        grad[0], hess[0, 0] = ux * dx, uxx * dx * dx
         free[0] = not (y == 0.0 and grad[0] < 0.0)
         return LocalModel(point, grad, hess, jumped, free)
 

@@ -4,7 +4,7 @@
 
 The corpus is batch seeds 1-50 in both variants, drawn as the acceptance
 batch draws them (``test_acceptance._sample_sharing_instance``). Each draw
-is tuned, constructed and certified. The script prints, per agent:
+is constructed at the default params and certified. The script prints, per agent:
 utility calls and rate-model reads (``rate_model``, one per kink piece:
 each read gives the model coefficients of every piece between two kinks);
 kink-free pieces of g and clip points (piece ends where a best first quote
@@ -14,14 +14,15 @@ call); and the piece-form reads (``_rate_form`` calls, from ``rate_model``
 and from ``jumps_at_zero``, each computed: nothing caches them). It also prints the wall time
 of ``certify_ne``, of ``curvature_check`` and of building every agent's
 ``DeviationEvaluator`` from one read of each candidate (the evaluator
-set-up both of them do) on the tuned candidates, summed over the corpus
-(the fastest of five passes), the auto-shrinks ``tune_params`` spent
-over the corpus, and the coordinates locked on the right and on the left
-side of the demand (those ``LocalModel.free`` leaves out and
-``curvature_check`` drops) summed over the tuned candidates' agents.
-Last, for the ladder draws ``random_instance(1, g, 3, g)`` with g = 12
-and 25 (22 and 50 agents), tuned and constructed in both variants, it
-prints the auto-shrinks, the right- and left-side locks, the
+set-up both of them do) on the candidates, summed over the corpus
+(the fastest of five passes), the agents that fail the curvature gate
+(``curvature_check``) over the corpus, expected none, and the
+coordinates locked on the right and on the left side of the demand
+(those ``LocalModel.free`` leaves out and ``curvature_check`` drops)
+summed over the candidates' agents. Last, for the ladder draws
+``random_instance(1, g, 3, g)`` with g = 12 and 25 (22 and 50 agents),
+constructed in both variants, it prints the agents failing the gate,
+the right- and left-side locks, the
 time of ``certify_ne`` (fastest of five) in total and in µs per agent, its
 evaluations per agent, and the time of ``demand_kinks`` in µs per agent
 (fastest of five).
@@ -33,8 +34,7 @@ the yardstick for changes to ``exact_best_response``.
 import time
 
 from mcastmech import (MechanismParams, certify_ne, construct_ne, curvature_check,
-                       default_epsilon, exact_best_response, random_instance, solve_cp,
-                       tune_params)
+                       default_epsilon, exact_best_response, random_instance, solve_cp)
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator, _evaluators
 
 from test_acceptance import CERT_BUDGET, N_BATCH, _sample_sharing_instance
@@ -67,15 +67,21 @@ def locks(inst, cand):
     return right, left
 
 
+def gate_failures(inst, cand):
+    """The labels of the agents of cand that curvature_check fails."""
+    return [ki.label for ki, a in sorted(curvature_check(inst, cand).agents.items())
+            if not a.passed]
+
+
 def main():
-    candidates, shrinks = [], 0
+    candidates, failing = [], []
     for seed in range(1, N_BATCH + 1):
         _, inst, primal, dual = _sample_sharing_instance(seed)
         epsilon = default_epsilon(inst, primal)
         for variant in ("wbb", "sbb"):
-            params, n, _ = tune_params(inst, primal, dual, MechanismParams(variant=variant))
-            shrinks += n
-            candidates.append((inst, construct_ne(inst, primal, dual, params), epsilon))
+            cand = construct_ne(inst, primal, dual, MechanismParams(variant=variant))
+            failing += [f"{seed}/{variant}/{label}" for label in gate_failures(inst, cand)]
+            candidates.append((inst, cand, epsilon))
 
     certify_s, curvature_s, setup_s = [], [], []
     for _ in range(REPEATS):
@@ -124,21 +130,21 @@ def main():
     print(f"certify_ne {min(certify_s):.3f} s, curvature_check {min(curvature_s):.3f} s, "
           f"evaluator set-up {min(setup_s):.3f} s (fastest of {REPEATS} passes)")
     right, left = map(sum, zip(*(locks(inst, cand) for inst, cand, _ in candidates)))
-    print(f"{shrinks} auto-shrinks; locked coordinates: {right} right-side, {left} left-side")
+    print(f"curvature gate fails: {', '.join(failing) or 'none'}; "
+          f"locked coordinates: {right} right-side, {left} left-side")
     for g in LADDER:
         ladder_rung(g)
 
 
 def ladder_rung(g):
-    """Certify the tuned candidates of random_instance(1, g, 3, g) and print
+    """Certify the candidates of random_instance(1, g, 3, g) and print
     the cost per agent, and that of demand_kinks."""
     inst = random_instance(1, g, 3, g)
     primal, dual = solve_cp(inst)
     epsilon = default_epsilon(inst, primal)
     n = len(inst.agents)
     for variant in ("wbb", "sbb"):
-        params, shrinks, _ = tune_params(inst, primal, dual, MechanismParams(variant=variant))
-        cand = construct_ne(inst, primal, dual, params)
+        cand = construct_ne(inst, primal, dual, MechanismParams(variant=variant))
         times = []
         for _ in range(REPEATS):
             start = time.perf_counter()
@@ -153,7 +159,8 @@ def ladder_rung(g):
                 ev.demand_kinks()
             kink_times.append(time.perf_counter() - start)
         right, left = locks(inst, cand)
-        print(f"ladder g={g} {variant}: {n} agents, {shrinks} auto-shrinks, "
+        print(f"ladder g={g} {variant}: {n} agents, "
+              f"gate fails {', '.join(gate_failures(inst, cand)) or 'none'}, "
               f"locks {right} right / {left} left, certify_ne "
               f"{min(times) * 1e3:.1f} ms ({min(times) / n * 1e6:.0f} us per agent), "
               f"{sum(report.evals.values()) / n:.2f} evaluations per agent, "

@@ -103,7 +103,7 @@ def eager_solve(instance: NetworkInstance, tol: float = centralized.DEFAULT_TOL,
     best = None
     best_gap = math.inf
     stale = 0
-    for _ in range(centralized.MAX_ITERS):
+    for t in range(centralized.MAX_ITERS + 1):
         x, m = centralized._finish(ws, z)
         blocks = centralized._residual(ws, x, m, y[nx:nx + nl], y[nx + nl:])
         res = max(blocks)
@@ -114,7 +114,8 @@ def eager_solve(instance: NetworkInstance, tol: float = centralized.DEFAULT_TOL,
             best_gap, stale = gap, 0
         else:
             stale += 1
-        if res <= centralized.RESIDUAL_FLOOR or stale >= centralized.PATIENCE:
+        if (res <= centralized.RESIDUAL_FLOOR or stale >= centralized.PATIENCE
+                or t == centralized.MAX_ITERS):
             break
         try:
             z, s, y = centralized._mehrotra_step(ws, z, s, y,

@@ -6,8 +6,9 @@ same pieces (kinks merged within KINK_TOL, then the demands where a best
 first quote turns to or from 0, bisected on the clip state by
 grid_reference.bisected_cuts). g' on a side of y is local_model's demand
 gradient at best_message(y) (the envelope theorem, Milgrom and Segal,
-Econometrica 70(2), 2002) and g'' the Schur complement of local_model's
-Hessian over its free quote block. local_model is the chain rule of the
+Econometrica 70(2), 2002) and g'' the Schur complement of exact_hessian
+(local_model's Hessian with U_x*x'' added to the demand entry) over its
+free quote block. local_model is the chain rule of the
 piece form (DeviationEvaluator._rate_form) from which rate_model, which
 exact_best_response reads, is built too, so this search shares that
 producer with it. The checks of the producer against the priced utility
@@ -41,6 +42,20 @@ from grid_reference import bisected_cuts
 WIDTH_TOL = 1e-8  # relative width at which a root or turn counts as found
 
 
+def exact_hessian(ev: DeviationEvaluator, model, side: int) -> np.ndarray:
+    """The exact one-sided Hessian of ki's utility in its message at
+    model = ev.local_model(msg, side): local_model's Hessian in the rate
+    plus U_x*x'' in the demand entry, which local_model leaves out (0 at a
+    stationary demand). In the piece form (c, rest, a_e) (_rate_form),
+    x'' = 2*r_x*x'*rest/den with r_x = -a_e/rest and den = rest + a_e*y,
+    and U_x = g'/x', so U_x*x'' = -2*a_e*g'/den."""
+    y = model.point[0]
+    _, rest, a_e = ev._rate_form(y, side)[0]
+    hess = model.hess.copy()
+    hess[0, 0] -= 2.0 * a_e * model.grad[0] / (rest + a_e * y)
+    return hess
+
+
 class _Truncated(Exception):
     """The evaluation budget ran out before every piece was searched."""
 
@@ -63,16 +78,16 @@ def slope_best_response(instance, profile, ki, params, budget: int = 1000
 
     def slope(y: float, side: int) -> Tuple[float, float]:
         """(g', g'') on `side` of y: the demand gradient and the Schur
-        complement of the free quote block of local_model at the best
+        complement of the free quote block of exact_hessian at the best
         message."""
         if ev.evals >= budget:
             raise _Truncated
         ev.evals += 1
         model = ev.local_model(ev.best_message(y, current), side)
+        hess = exact_hessian(ev, model, side)
         quotes = np.flatnonzero(model.free[1:]) + 1
-        h = model.hess[0, quotes]
-        return model.grad[0], model.hess[0, 0] - h @ np.linalg.solve(
-            model.hess[np.ix_(quotes, quotes)], h)
+        h = hess[0, quotes]
+        return model.grad[0], hess[0, 0] - h @ np.linalg.solve(hess[np.ix_(quotes, quotes)], h)
 
     def mid(lo: float, hi: float) -> float:
         return math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi

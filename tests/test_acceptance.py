@@ -75,7 +75,6 @@ def _verdict(capsys, num: int, label: str, ok: bool, detail: str = "") -> None:
 @dataclass
 class VariantRecord:
     params: MechanismParams
-    shrinks: int
     curvature: object
     candidate: object
     certification: object
@@ -116,8 +115,7 @@ def _sample_sharing_instance(seed):
 
 
 def _variant_record(seed, inst, primal, dual, epsilon, variant):
-    params, shrinks, curvature = tune_params(inst, primal, dual,
-                                             MechanismParams(variant=variant))
+    params, _, curvature = tune_params(inst, primal, dual, MechanismParams(variant=variant))
     candidate = construct_ne(inst, primal, dual, params)
     certification = certify_ne(inst, candidate, epsilon, budget=CERT_BUDGET,
                                restarts=CERT_RESTARTS, seed=seed)
@@ -125,7 +123,7 @@ def _variant_record(seed, inst, primal, dual, epsilon, variant):
     out = evaluate(inst, candidate.profile, params)
     drift = max(abs(out.x[ki] - primal.x[ki]) for ki in inst.agents)
     payoffs = utilities(inst, candidate.profile, params)
-    return VariantRecord(params, shrinks, curvature, candidate, certification,
+    return VariantRecord(params, curvature, candidate, certification,
                          lemmas, out.total_tax, drift, payoffs)
 
 
@@ -382,10 +380,8 @@ def test_criterion_7_curvature(capsys, certified_batch):
     n_agents = 0
     all_nd = True
     worst_diag = 0.0
-    total_shrinks = 0
     for rec in records:
         for variant_rec in (rec.wbb, rec.sbb):
-            total_shrinks += variant_rec.shrinks
             for agent in variant_rec.curvature.agents.values():
                 n_agents += 1
                 all_nd = all_nd and agent.passed
@@ -394,7 +390,7 @@ def test_criterion_7_curvature(capsys, certified_batch):
     ok = all_nd and worst_diag <= 1e-4
     _verdict(capsys, 7, "negative-definite candidate curvature", ok,
              f"{n_agents} agent Hessians, worst price diagonal error "
-             f"{worst_diag:.1e}, {total_shrinks} auto-shrinks")
+             f"{worst_diag:.1e}")
     assert all_nd
     assert worst_diag <= 1e-4
 
@@ -826,14 +822,13 @@ def test_curvature_eigenvalues_match_separate_calls(certified_batch):
 
 
 def test_batch_needs_no_coupling_shrink(certified_batch):
-    """tune_params keeps the default coupling weights on every batch seed
-    in both variants. Seed 42 is the draw where curvature_check once kept
-    a first quote that the best response clips: agent 2.3 quotes an
-    interior-point residue on l1, which the right side locks and the left
-    side keeps, and the candidate at default params passes."""
+    """Seed 42 is the draw where curvature_check once kept a first quote
+    that the best response clips: agent 2.3 quotes an interior-point
+    residue on l1, which the right side locks and the left side keeps, and
+    the candidate at default params passes. (tune_params never shrinks the
+    coupling weights: it raises where a candidate fails, and the batch
+    fixture would fail with it.)"""
     records, _ = certified_batch
-    assert [(r.seed, v.params.variant) for r in records for v in (r.wbb, r.sbb)
-            if v.shrinks] == []
     r = records[41]
     ki = AgentId(2, 3)
     assert (r.seed, r.instance_seed) == (42, 42378)
@@ -882,6 +877,37 @@ def test_curvature_locks_agree_with_demand_slope(certified_batch):
                 n_reads += 1
                 n_locked += free.count(False)
     assert (n_reads, n_locked) == (482, 64)
+
+
+def test_gate_and_best_response_share_one_curvature(certified_batch):
+    """At every batch candidate's demand (both variants), the right side's
+    curvature in the rate is the best response's: the Schur complement of
+    local_model's free slice over its quote block, divided by x'^2, equals
+    V''(x) + 2A to a relative 1e-12, A summing f1^2/4 from rate_model over
+    the first quotes local_model's mask keeps (_quadratic's free set,
+    decided at the piece's middle rate, differs from it where x sits on a
+    clip root). The rho terms cancel exactly, and q2 does not couple."""
+    records, _ = certified_batch
+    n = 0
+    for r in records:
+        for v in (r.wbb, r.sbb):
+            profile = v.candidate.profile
+            for ev in _evaluators(r.instance, profile, v.params):
+                y = profile[ev.ki].y
+                model = ev.local_model(profile[ev.ki], +1)
+                (c, rest, a_e), links = ev.rate_model(y)
+                den = rest + a_e * y
+                dx = c / den * (rest / den)
+                quotes = np.flatnonzero(model.free[1:]) + 1
+                h = model.hess[0, quotes]
+                schur = model.hess[0, 0] - h @ np.linalg.solve(
+                    model.hess[np.ix_(quotes, quotes)], h)
+                A = sum(0.25 * f1 * f1 for (_, _, f1, _), free in zip(links, model.free[1:])
+                        if free)
+                want = ev.valuation.second(ev._scale(y)[0] * y) + 2.0 * A
+                assert schur / (dx * dx) == pytest.approx(want, rel=1e-12), (r.seed, ev.ki)
+                n += 1
+    assert n == 482
 
 
 def test_table_walks_match_dict_walks(certified_batch):

@@ -313,12 +313,20 @@ def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
     1e300, so that they return), and a tol no solve reaches; on the chain
     109 draw at the default settings; and at the default settings on 110
     agents, whose solve ends on patience. Both loops take the same number
-    of steps."""
-    tol, steps, finite = centralized.DEFAULT_TOL, [0], [True]
+    of steps. At MAX_ITERS both run 9 steps and examine the 10 iterates
+    they reach, the last step's included: solve_cp bounds each once
+    (_bound) and measures each once at the exit, eager_solve measures
+    each (_residual)."""
+    tol, steps, finite, examined = centralized.DEFAULT_TOL, [0], [True], {}
     if path in ("floor-0", "max-iters"):
         monkeypatch.setattr(centralized, "RESIDUAL_FLOOR", 0.0)
     if path == "max-iters":
         monkeypatch.setattr(centralized, "MAX_ITERS", 9)
+        for name in ("_bound", "_residual"):
+            def tally(*args, _name=name, _real=getattr(centralized, name)):
+                examined[_name] = examined.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(centralized, name, tally)
     real = centralized._mehrotra_step
 
     def counted(ws, z, s, y, terms):
@@ -348,12 +356,15 @@ def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
     for inst in cases:
         ws = centralized._Workspace(inst)
         steps[0] = 0
+        examined.clear()
         try:
             blocks, x, m, y = eager_solve(inst, tol)
             want = (bits(blocks), bits(x), bits(m), bits(y[ws.nx:]))
         except SolverError as exc:
             want = str(exc)
+        assert path != "max-iters" or (steps[0], examined) == (9, {"_residual": 10})
         eager_steps, steps[0] = steps[0], 0
+        examined.clear()
         try:
             primal, dual = solve_cp(inst, tol)
             r = dual.residuals
@@ -366,6 +377,7 @@ def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
         assert steps[0] == eager_steps
         assert isinstance(got, str) == (path == "unreachable-tol")
         assert path != "linalg-error" or steps[0] == 7
+        assert path != "max-iters" or examined == {"_bound": 10, "_residual": 10}
         if path == "patience":  # no floor, no failed step, steps to spare
             assert r.max_residual > centralized.RESIDUAL_FLOOR
             assert finite[0] and steps[0] < centralized.MAX_ITERS

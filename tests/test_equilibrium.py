@@ -1,5 +1,6 @@
 """Equilibrium construction, certification, deviations, curvature, slopes."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from mcastmech import (
     default_epsilon,
     evaluate,
     exact_best_response,
+    instance_to_json,
     lemma_suite,
     random_instance,
     solve_cp,
@@ -31,7 +33,8 @@ from mcastmech import (
     zero_message,
 )
 from mcastmech.equilibrium import DEMAND_CAP, _piece, _quadratic
-from mcastmech.errors import MessageShapeError, SharingAssumptionError
+from mcastmech.cli import main as cli_main
+from mcastmech.errors import DegenerateInstanceError, MessageShapeError, SharingAssumptionError
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
 
 from conftest import make_instance
@@ -39,6 +42,7 @@ from evaluate_reference import member_agents_on_link, neighbours
 from finite_diff import displaced, fd_hessian
 from kinks_reference import pairwise_kinks
 from search import search_best_response
+from slope_reference import exact_hessian
 
 WBB = MechanismParams(variant="wbb")
 SBB = MechanismParams(variant="sbb")
@@ -580,8 +584,10 @@ def test_best_response_calls_best_message_only_for_g(name, request, monkeypatch)
 @pytest.mark.parametrize("name", XCHECK_INSTANCES)
 def test_local_model_matches_finite_differences(name, variant, request):
     """At the candidate and at perturbed profiles, on each side of the
-    demand, local_model's gradient and Hessian match finite differences
-    of DeviationEvaluator.utility (the Hessian's one-sided in the demand
+    demand, local_model's gradient and its Hessian with U_x*x'' added
+    (exact_hessian: away from a stationary demand local_model's, in the
+    rate, leaves it out) match finite differences of
+    DeviationEvaluator.utility (the Hessian's one-sided in the demand
     and central in the quotes and rho, the gradient's one-sided to third
     order), wherever no kink of the allocation lies within the demand
     stencil."""
@@ -610,7 +616,8 @@ def test_local_model_matches_finite_differences(name, variant, request):
         assume(not any(KINK_TOL * msg.y < side * (k - msg.y) <= 4.0 * h[0] for k in kinks))
         f0 = ev.utility(msg)
         H = fd_hessian(ev, msg, ev.coords, h, [side] + [0] * (len(h) - 1))
-        assert np.allclose(model.hess, H, rtol=1e-4, atol=1e-5 * (1.0 + abs(f0)))
+        assert np.allclose(exact_hessian(ev, model, side), H, rtol=1e-4,
+                           atol=1e-5 * (1.0 + abs(f0)))
         # third-order one-sided differences: a second-order stencil's error
         # reached the rtol at y = 0, where the demand curves the most
         grad = [(18.0 * ev.utility(displaced(msg, [(c, side * hj)]))
@@ -808,11 +815,12 @@ def test_curvature_passes_with_default_params(symmetric_instance, solved_symmetr
 
 def test_curvature_reads_each_side_of_a_peak_tie(oracle_instance, solved_oracle):
     """Agent 1.1 rides its group's peak at the oracle optimum, so its
-    demand sits on a kink. Right of it r = 6/(1 + y): x' = 1/6,
-    x'' = -1/18, and with q1 = pf and w = w_bar the yy entry is
-    V''x'^2 + V'x'' - pf*x'' = -1/1296 while y decouples from the quotes,
-    so the right-hand Hessian's top eigenvalue is -1/1296 (a central
-    difference averages it with the left side's -1/36)."""
+    demand sits on a kink. Right of it r = 6/(1 + y): x' = 1/6, and with
+    q1 = pf and w = w_bar the yy entry in the rate is V''x'^2 = -1/1296
+    while y decouples from the quotes, so the right-hand Hessian's top
+    eigenvalue is -1/1296 (a central difference averages it with the left
+    side's -1/36). The demand is stationary there, U_x = V' - pf = 0, so
+    the exact yy entry, which adds U_x*x'' (x'' = -1/18), is the same."""
     cand = constructed(oracle_instance, solved_oracle)
     agent = curvature_check(oracle_instance, cand).agents[AgentId(1, 1)]
     assert agent.kinked
@@ -830,9 +838,9 @@ def test_curvature_handles_peak_tie_kinks(two_member_instance, solved_two_member
 
 
 def test_local_model_at_huge_demands(two_member_instance):
-    """With every demand at 1e200 the rate's second derivative
-    2*r_x*x'*rest/den (about 1e-400) underflows to 0, and the one-sided
-    models and the curvature check stay finite."""
+    """With every demand at 1e200, x' is about 1e-200, so the demand
+    entry U_xx*x'^2 underflows to 0, and the one-sided models and the
+    curvature check stay finite."""
     inst = two_member_instance
     profile = {ki: Message(1e200, {"l1": (0.1, 0.1)}) for ki in inst.agents}
     report = curvature_check(inst, CandidateNE(profile, WBB))
@@ -845,13 +853,32 @@ def test_local_model_at_huge_demands(two_member_instance):
             assert not model.jumped
 
 
-def test_tune_params_shrinks_inflated_eta(two_member_instance, solved_two_member):
+def test_inflated_eta_fails_honestly(two_member_instance, solved_two_member, tmp_path, capsys):
+    """At eta = 10 the candidate is no equilibrium of the mechanism asked
+    for: both group-1 members' own-utility Hessians are indefinite (top
+    eigenvalue 0.588) and the best response gains 0.423, far above
+    epsilon. tune_params raises DegenerateInstanceError rather than
+    certifying at smaller weights, and certify --eta 10 exits 5."""
+    inst = two_member_instance
     primal, dual = solved_two_member
     loud = MechanismParams(eta=10.0, xi=0.01, zeta=0.01, variant="wbb")
-    tuned, shrinks, report = tune_params(two_member_instance, primal, dual, loud)
-    assert shrinks >= 1
-    assert tuned.eta < 10.0
-    assert report.all_pass
+    candidate = construct_ne(inst, primal, dual, loud)
+    report = curvature_check(inst, candidate)
+    assert [ki for ki, a in report.agents.items() if not a.passed] == [AgentId(1, 1),
+                                                                       AgentId(1, 2)]
+    for ki in (AgentId(1, 1), AgentId(1, 2)):
+        assert report.agents[ki].max_eig == pytest.approx(0.588, abs=5e-4)
+    cert = certify_ne(inst, candidate, default_epsilon(inst, primal))
+    assert not cert.certified
+    assert cert.max_gain == pytest.approx(0.423, abs=5e-4)
+    with pytest.raises(DegenerateInstanceError, match="agents 1.1, 1.2$"):
+        tune_params(inst, primal, dual, loud)
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(inst))
+    assert cli_main(["certify", "--instance", str(path), "--eta", "10",
+                     "--out", str(tmp_path / "cert")]) == 5
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "numeric" and error["message"].endswith("agents 1.1, 1.2")
 
 
 def test_saturated_instance_passes_without_shrinking(saturated_instance):
@@ -1041,6 +1068,30 @@ def test_rate_form_reads_r_from_the_binding_form(two_member_instance):
     ev = DeviationEvaluator(inst, profile, WBB, ki)
     assert _binding_form_checks(ev, 1.0) == ((inst.capacity["l2"], 3.0, 2.0),
                                              (inst.capacity["l1"], 4.0, 1.0))
+
+
+def test_jump_at_zero_reads_the_realized_scale(request):
+    """jumps_at_zero reads the realized scale at y = 0 from the snapshot
+    (each route link's offer at rest + peak_mates); its verdict is the one
+    the realized _scale(0.0) gives, at each fixture's candidate and at 20
+    profiles per fixture whose demands are 0 half the time, so that r
+    jumps at 0 for some agents and not for others."""
+    rng = np.random.default_rng(41)
+    verdicts = []
+    for name in XCHECK_INSTANCES[:-2]:
+        inst = request.getfixturevalue(name)
+        candidate = _replayed(inst, WBB)
+        profiles = [candidate] + [
+            {b: Message(m.y * float(rng.integers(0, 2) * rng.uniform(0.5, 2.0)), m.q)
+             for b, m in candidate.items()} for _ in range(20)]
+        for profile in profiles:
+            for ki in inst.agents:
+                ev = DeviationEvaluator(inst, profile, WBB, ki)
+                c, rest, _ = ev._rate_form(0.0, +1)[0]
+                r_lim = c / rest
+                verdicts.append(ev.jumps_at_zero())
+                assert verdicts[-1] == (abs(r_lim - ev._scale(0.0)[0]) > KINK_TOL * r_lim)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_envelope_drops_the_lower_parallel_form():
