@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__
 from .centralized import DEFAULT_TOL, DualCertificate, PrimalSolution, solution_to_json, solve_cp
-from .equilibrium import (br_dynamics, certify_ne, construct_ne,
-                          default_epsilon, lemma_suite, tune_params)
+from .equilibrium import (_curvature_gate, br_dynamics, certify_ne, construct_ne,
+                          default_epsilon, lemma_suite)
 from .errors import (DegenerateInstanceError, EquilibriumError,
                      InstanceFormatError, MechError, MessageShapeError,
                      SharingAssumptionError, SolverError, ValidationFailure)
@@ -131,11 +131,13 @@ def _params_from(args: argparse.Namespace) -> MechanismParams:
 
 def _certify(instance: NetworkInstance, primal: PrimalSolution, dual: DualCertificate,
              args: argparse.Namespace) -> tuple:
-    """Curvature check (tune_params), construct, certify (at --epsilon or
-    the default), lemmas and evaluate on a solved instance: (curvature
-    report, candidate, epsilon, certification report, lemmas, outcome)."""
-    params, _, curvature = tune_params(instance, primal, dual, _params_from(args))
+    """Construct, curvature gate (as tune_params checks it), certify (at
+    --epsilon or the default), lemmas and evaluate on a solved instance:
+    (curvature report, candidate, epsilon, certification report, lemmas,
+    outcome)."""
+    params = _params_from(args)
     candidate = construct_ne(instance, primal, dual, params)
+    curvature = _curvature_gate(instance, candidate)
     epsilon = args.epsilon if args.epsilon is not None else \
         default_epsilon(instance, primal)
     report = certify_ne(instance, candidate, epsilon, budget=args.budget)

@@ -542,10 +542,16 @@ def tune_params(instance: NetworkInstance, primal: PrimalSolution,
     certify a mechanism other than the one asked for, whose candidate may
     gain by deviating at the given weights. The count in the middle, the
     coupling-weight shrinks, is always 0."""
-    report = curvature_check(instance, construct_ne(instance, primal, dual, params))
+    return params, 0, _curvature_gate(instance, construct_ne(instance, primal, dual, params))
+
+
+def _curvature_gate(instance: NetworkInstance, candidate: CandidateNE) -> CurvatureReport:
+    """curvature_check's report on candidate when every agent passes, else
+    DegenerateInstanceError naming the agents that fail."""
+    report = curvature_check(instance, candidate)
     failed = [ki.label for ki, agent in report.agents.items() if not agent.passed]
     if failed:
         raise DegenerateInstanceError("own-utility curvature indefinite at the candidate for "
                                       "agents " + ", ".join(failed))
-    return params, 0, report
+    return report
 

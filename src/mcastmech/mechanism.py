@@ -32,20 +32,23 @@ Taxes decompose per link into six slots:
 SBB adds a per-agent zeta*(rho - r)^2 consensus term on top.
 
 Each instance is compiled once into flat index tables that the solver
-reads too (model._tables), and each profile is read once, and checked in
-the same pass (validate_profile).
-evaluate() prices that read in one pass, its sums in fixed orders and its
-slots from _link_slots, and every DeviationEvaluator is built from a read,
-so the two agree bit for bit.
+reads too (model._tables), and each profile is read once, with one sweep
+per table (validate_profile): one over the agents and their route pairs,
+which checks each message as it reads it, one over the links for the
+peaks and offers (_peaks_offers, which allocate() shares) and, under SBB,
+one over the links for the rebate pools. evaluate() prices that read in
+one sweep over the links and one over the agents and their pairs, its
+sums in fixed orders and its slots from _link_slots, and every
+DeviationEvaluator is built from a read, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from math import isfinite
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -140,69 +143,76 @@ def _offer(capacity: float, total: float, n_demanding: int) -> float:
     return capacity / (total + 1.0)
 
 
-def _weighted(T: _Tables, ys: List[float]) -> List[float]:
-    """Per pair, its agent's demand (ys in agent order) times its weight."""
-    return [alpha * ys[a] for a, _, _, alpha, _, _ in T.pairs]
-
-
-def _peaks_offers(T: _Tables, ay: List[float]):
-    """Per slot the peak of the weighted demands ay (_weighted), and per link
-    the offer. A group demands on a link when its peak is positive."""
-    peaks = []
-    for pairs in T.slot_pairs:
-        best = 0.0
-        for p in pairs:
-            if ay[p] > best:
-                best = ay[p]
-        peaks.append(best)
-    offers = []
+def _peaks_offers(T: _Tables, ay: List[float]) -> Tuple[List[float], List[float]]:
+    """Per slot the peak of the weighted demands ay (alpha*y per pair), and
+    per link the offer, in one sweep over the links: a group demands on a
+    link when its peak is positive, and a link's peaks are totalled in
+    group order. allocate() and validate_profile() both read them here."""
+    slot_pairs, peaks, offers = T.slot_pairs, [0.0] * len(T.slot_pairs), []
     for c, slots in zip(T.capacity, T.link_slots):
-        link_peaks = [peaks[s] for s in slots]
-        offers.append(_offer(c, seq_sum(link_peaks), sum(p > 0.0 for p in link_peaks)))
+        total, demanding = 0.0, 0
+        for s in slots:
+            peak = 0.0
+            for p in slot_pairs[s]:
+                if ay[p] > peak:
+                    peak = ay[p]
+            if peak > 0.0:  # an idle group's 0 adds nothing to the total
+                peaks[s] = peak
+                total += peak
+                demanding += 1
+        offers.append(_offer(c, total, demanding))
     return peaks, offers
 
 
-def _allocation(T: _Tables, ys: List[float], peaks: List[float],
-                offers: List[float]) -> AllocationResult:
+def _allocation(T: _Tables, ys: List[float], peaks: List[float], offers: List[float]
+                ) -> Tuple[List[float], List[float], AllocationResult]:
     """The allocation of demands ys (agent order) from their peaks and
-    offers (_peaks_offers)."""
+    offers (_peaks_offers), with its rates (agent order) and reservations
+    (slot order) as the lists its dicts are made from."""
     finite = [v for v in offers if v != NO_BOUND]
     r = min(finite) if finite else 0.0  # all-zero demand collapses to x = 0
-    return AllocationResult(r, dict(zip(T.link_ids, offers)), dict(zip(T.slot_keys, peaks)),
-                            {ki: r * y for ki, y in zip(T.agents, ys)},
-                            {key: r * p for key, p in zip(T.slot_keys, peaks)})
+    xs, ms = [r * y for y in ys], [r * p for p in peaks]
+    return xs, ms, AllocationResult(r, dict(zip(T.link_ids, offers)),
+                                    dict(zip(T.slot_keys, peaks)), dict(zip(T.agents, xs)),
+                                    dict(zip(T.slot_keys, ms)))
 
 
 def allocate(instance: NetworkInstance, y: Dict[AgentId, float]) -> AllocationResult:
     T = _tables(instance)
     ys = [y[ki] for ki in T.agents]
-    return _allocation(T, ys, *_peaks_offers(T, _weighted(T, ys)))
+    ay = [alpha * ys[a] for a, _, _, alpha, _, _ in T.pairs]
+    return _allocation(T, ys, *_peaks_offers(T, ay))[2]
 
 
 # ---------------------------------------------------------------------------
 # Taxes
 
-def _others_sums(entries: List[float]) -> List[float]:
-    """Per entry, the sum of the other entries: the entries before it added
-    in order plus those after it added in reverse. An entry never enters
-    its own sum, so that sum is independent of it bit for bit (the total
-    minus the entry would carry a rounding error of the size of the entry)."""
-    after = list(accumulate(reversed(entries), initial=0.0))
-    after.pop()
-    after.reverse()
-    return [b + a for b, a in zip(accumulate(entries, initial=0.0), after)]
+def _others_sums(out: List[float], index, entries: List[float]) -> None:
+    """For each i in index, set out[i] to the sum of the other entries[j],
+    j in index: those before it added in order plus those after it added
+    in reverse. An entry never enters its own sum, so that sum is
+    independent of it bit for bit (the total minus the entry would carry a
+    rounding error of the size of the entry)."""
+    before = 0.0
+    for i in index:
+        out[i] = before
+        before += entries[i]
+    after = 0.0
+    for i in reversed(index):
+        out[i] += after
+        after += entries[i]
 
 
-def _rebates(T: _Tables, ys: List[float], q1s: List[float], rhos: List[float]):
+def _rebates(T: _Tables, pay: List[float], rhos: List[float]):
     """SBB: per pair, the other agents' entries in its link's rebate pool
-    (self-quoted payments alpha * q1 * y, summed in link_pairs order),
-    and per agent the mean of the other agents' rhos."""
-    pay = [alpha * q1 * ys[a] for (a, _, _, alpha, _, _), q1 in zip(T.pairs, q1s)]
-    others = [0.0] * len(pay)
+    (the self-quoted payments pay, alpha * q1 * y per pair, summed in
+    link_pairs order), and per agent the mean of the other agents' rhos."""
+    others, rho_bars = [0.0] * len(pay), [0.0] * len(rhos)
     for pairs in T.link_pairs:
-        for p, total in zip(pairs, _others_sums([pay[p] for p in pairs])):
-            others[p] = total
-    return others, [total / (len(rhos) - 1) for total in _others_sums(rhos)]
+        _others_sums(others, pairs, pay)
+    _others_sums(rho_bars, range(len(rhos)), rhos)
+    n_others = len(rhos) - 1
+    return others, [total / n_others for total in rho_bars]
 
 
 def _link_slots(params: MechanismParams, a: float, y: float, x: float, r: float,
@@ -236,22 +246,14 @@ def _rival_count(T: _Tables, l: int) -> int:
     return T.rivals[l]
 
 
-def _quote_sums(T: _Tables, q1s: List[float]) -> List[float]:
-    """Per slot, its members' first quotes summed in member order."""
-    ws = []  # summed inline like seq_sum: a call per slot would cost more than its sum
-    for pairs in T.slot_pairs:
-        w = 0.0
-        for p in pairs:
-            w += q1s[p]
-        ws.append(w)
-    return ws
-
-
 def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParams) -> Outcome:
     """Full outcome for a message profile: allocation, prices, all taxes.
 
-    One pass over the profile's read: w sums in member order, w_bar and link
-    loads in group order, each total along the route, total_tax by agent."""
+    It prices the profile's read (validate_profile) in two sweeps: one
+    over the links, summing w and the loads in group order for w_bar and
+    the slacks, and one over the agents and their route pairs, each total
+    along the route, total_tax by agent. The rates and reservations are
+    lists first; the outcome's dicts are made from the lists."""
     return _evaluate(instance, profile, params)[1]
 
 
@@ -262,38 +264,43 @@ def _evaluate(instance: NetworkInstance, profile: Profile, params: MechanismPara
     T, ys, q1s, q2s, ws = read.T, read.ys, read.q1s, read.q2s, read.ws
     if T.lone is not None:
         _rival_count(T, T.lone)  # raises: a lone group has no rival mean
-    alloc = _allocation(T, ys, read.peaks, read.offers)
-    r, xs, ms = alloc.r, list(alloc.x.values()), list(alloc.m.values())
-    wbs, slack, w_bar = [0.0] * len(ws), [], {}
-    for link_slots, n_rivals, c in zip(T.link_slots, T.rivals, T.capacity):
-        total = seq_sum([ws[s] for s in link_slots])
-        for s in link_slots:
-            wbs[s] = w_bar[T.slot_keys[s]] = (total - ws[s]) / n_rivals
-        slack.append(c - seq_sum([ms[s] for s in link_slots]))
+    xs, ms, alloc = _allocation(T, ys, read.peaks, read.offers)
+    r = alloc.r
+    wbs, slack = [0.0] * len(ws), []
+    for slots, n_rivals, c in zip(T.link_slots, T.rivals, T.capacity):
+        total = load = 0.0  # seq_sum's order, inline
+        for s in slots:
+            total += ws[s]
+            load += ms[s]
+        for s in slots:
+            wbs[s] = (total - ws[s]) / n_rivals
+        slack.append(c - load)
     sbb = params.variant == VARIANT_SBB
     rho_bars = read.rho_bars if sbb else [None] * len(ys)
-    pair_slots, n_on_link = [], T.n_on_link
-    for (a, l, s, alpha, pred, succ), q1, q2, pay in zip(T.pairs, q1s, q2s, read.others):
-        wb = wbs[s]
-        pair_slots.append(_link_slots(params, alpha, ys[a], xs[a], r, q1, q2,
-                                      wb if succ < 0 else q2s[pred],
-                                      None if succ < 0 else q1s[succ], ms[s], ws[s], wb,
-                                      slack[l], rho_bars[a], n_on_link[l], pay))
+    n_on_link = T.n_on_link
+    pairs = zip(T.pairs, q1s, q2s, read.others)
     taxes = {}
     total_tax = 0.0
-    for a, (ki, route) in enumerate(zip(T.agents, T.routes)):
-        own = pair_slots[T.starts[a]:T.starts[a + 1]]
+    for ki, route, y, x, rho, rho_bar in zip(T.agents, T.routes, ys, xs, read.rhos, rho_bars):
+        per_link = {}
         total = 0.0
-        for t1, t2, t3, t4, t5, t6 in own:
+        # zip takes the route link first, so it stops at the agent's last pair
+        for lid, ((_, l, s, alpha, pred, succ), q1, q2, pay) in zip(route, pairs):
+            wb = wbs[s]
+            per_link[lid] = t1, t2, t3, t4, t5, t6 = _link_slots(
+                params, alpha, y, x, r, q1, q2, wb if succ < 0 else q2s[pred],
+                None if succ < 0 else q1s[succ], ms[s], ws[s], wb, slack[l], rho_bar,
+                n_on_link[l], pay)
             total += t1 + t2 + t3 + t4 + t5 + t6
         zeta_term = 0.0
         if sbb:
-            dev = read.rhos[a] - r
+            dev = rho - r
             zeta_term = params.zeta * (dev * dev)
             total += zeta_term
-        taxes[ki] = TaxBreakdown(dict(zip(route, own)), zeta_term, total)
+        taxes[ki] = TaxBreakdown(per_link, zeta_term, total)
         total_tax += total
-    return read, Outcome(**vars(alloc), w=dict(zip(T.slot_keys, ws)), w_bar=w_bar,
+    return read, Outcome(**vars(alloc), w=dict(zip(T.slot_keys, ws)),
+                         w_bar=dict(zip(T.slot_keys, wbs)),
                          rho_bar=dict(zip(T.agents, rho_bars)) if sbb else {}, taxes=taxes,
                          total_tax=total_tax)
 
@@ -310,10 +317,12 @@ class _ProfileRead(namedtuple("_ProfileRead", "instance T ys rhos q1s q2s ay pea
     """One read of a profile (validate_profile), which evaluate() prices and
     from which every agent's DeviationEvaluator is built (_evaluators): per
     agent the demand and rho, per pair the quotes and the weighted demand,
-    per slot the peak and the first-quote sum, per link the offer and,
-    under SBB, per pair the other agents' entries in its link's rebate pool
-    and per agent the others' rho mean (None under WBB). The evaluators
-    copy what they rewrite, so the read is never written after it is made."""
+    per slot the first-quote sum (all from the agent pass), the peak and
+    per link the offer (from the link sweep, _peaks_offers) and, under
+    SBB, per pair the other agents' entries in its link's rebate pool and
+    per agent the others' rho mean (None under WBB; _rebates). The
+    evaluators copy what they rewrite, so the read is never written after
+    it is made."""
 
 
 def _agent_label(ki) -> str:
@@ -322,10 +331,19 @@ def _agent_label(ki) -> str:
 
 
 def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) -> _ProfileRead:
-    """The read of profile under variant, checked in the same pass: every
-    entry point that takes a profile reads it here, and MessageShapeError
-    names the first fault in agent order (missing agents first, then
-    entries for agents the instance lacks)."""
+    """The read of profile under variant (_ProfileRead), one sweep per
+    table: every entry point that takes a profile reads it here.
+
+    One pass over the agents, each along its route pairs, checks each
+    message and appends its demand, rho, quotes, weighted demand alpha*y
+    and, under SBB, self-quoted payment alpha*q1*y, and adds q1 to its
+    slot's quote sum: agents run in (group, member) order, so each slot
+    sums in member order. Then one sweep over the links gives the peaks
+    and offers (_peaks_offers) and, under SBB, one more the rebate pools
+    (_rebates). MessageShapeError names the first fault in agent order
+    (missing agents first, then entries for agents the instance lacks);
+    within a message, the keys, the demand, the quotes (the first bad pair
+    in the quote dict's own order, _quote_fault) and then rho."""
     if variant not in VARIANTS:
         raise MessageShapeError(f"unknown variant {variant!r}")
     T = _tables(instance)
@@ -338,32 +356,54 @@ def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) 
         raise MessageShapeError("profile holds agents not in the instance: " + ", ".join(
             _agent_label(k) for k in profile if k not in known))
     sbb = variant == VARIANT_SBB
-    msgs = [profile[ki] for ki in T.agents]
-    for ki, msg, want, solo in zip(T.agents, msgs, T.route_keys, T.solo_links):
-        if msg.q.keys() != want:
+    ys, rhos, q1s, q2s, ay, pay = [], [], [], [], [], []
+    ws = [0.0] * len(T.slot_pairs)
+    pairs = iter(T.pairs)
+    for ki, route, want, solo in zip(T.agents, T.routes, T.route_keys, T.solo_links):
+        msg = profile[ki]
+        q, y, rho = msg.q, msg.y, msg.rho
+        if q.keys() != want:
             raise MessageShapeError(
-                f"agent {ki.label}: quotes keyed by {sorted(msg.q)}, route is {sorted(want)}")
-        if not (msg.y >= 0.0 and math.isfinite(msg.y)):
-            raise MessageShapeError(f"agent {ki.label}: demand {msg.y} invalid")
-        for lid, pair in msg.q.items():
-            if len(pair) != 2 or not (pair[0] >= 0.0 and math.isfinite(pair[0])
-                                      and pair[1] >= 0.0 and math.isfinite(pair[1])):
-                raise MessageShapeError(f"agent {ki.label}: bad quote pair on {lid}")
+                f"agent {ki.label}: quotes keyed by {sorted(q)}, route is {sorted(want)}")
+        if not (y >= 0.0 and isfinite(y)):
+            raise MessageShapeError(f"agent {ki.label}: demand {y} invalid")
+        # zip takes the route link first, so it stops at the agent's last pair
+        for lid, (_, _, s, alpha, _, _) in zip(route, pairs):
+            pair = q[lid]
+            if len(pair) != 2:
+                raise _quote_fault(ki, q)
+            q1, q2 = pair[0], pair[1]
+            if not (q1 >= 0.0 and isfinite(q1) and q2 >= 0.0 and isfinite(q2)):
+                raise _quote_fault(ki, q)
+            q1s.append(q1)
+            q2s.append(q2)
+            ay.append(alpha * y)
+            ws[s] += q1  # agents run in (group, member) order: member order per slot
+            if sbb:
+                pay.append(alpha * q1 * y)
         if sbb:
-            if msg.rho is None or not (msg.rho >= 0.0 and math.isfinite(msg.rho)):
+            if rho is None or not (rho >= 0.0 and isfinite(rho)):
                 raise MessageShapeError(f"agent {ki.label}: SBB requires rho >= 0")
             if solo is not None:
                 raise MessageShapeError(
                     f"link {solo} carries a single agent, SBB rebate undefined")
-        elif msg.rho is not None:
+        elif rho is not None:
             raise MessageShapeError(f"agent {ki.label}: rho present under WBB")
-    ys, rhos = [msg.y for msg in msgs], [msg.rho for msg in msgs]
-    quotes = [msg.q[lid] for msg, route in zip(msgs, T.routes) for lid in route]
-    q1s, q2s = [q[0] for q in quotes], [q[1] for q in quotes]
-    ay = _weighted(T, ys)
-    others, rho_bars = _rebates(T, ys, q1s, rhos) if sbb else ([0.0] * len(q1s), None)
-    return _ProfileRead(instance, T, ys, rhos, q1s, q2s, ay, *_peaks_offers(T, ay),
-                        _quote_sums(T, q1s), others, rho_bars)
+        ys.append(y)
+        rhos.append(rho)
+    others, rho_bars = _rebates(T, pay, rhos) if sbb else ([0.0] * len(q1s), None)
+    return _ProfileRead(instance, T, ys, rhos, q1s, q2s, ay, *_peaks_offers(T, ay), ws,
+                        others, rho_bars)
+
+
+def _quote_fault(ki: AgentId, q: Dict[str, Tuple[float, float]]) -> MessageShapeError:
+    """The error naming the first bad pair of ki's quotes q, which hold one,
+    in q's own order: the read checks the pairs in route order, and names
+    a fault in the order of the message it was given."""
+    return next(MessageShapeError(f"agent {ki.label}: bad quote pair on {lid}")
+                for lid, pair in q.items()
+                if len(pair) != 2 or not (pair[0] >= 0.0 and isfinite(pair[0])
+                                          and pair[1] >= 0.0 and isfinite(pair[1])))
 
 
 class _RouteLink:

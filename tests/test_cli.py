@@ -171,6 +171,27 @@ def test_certify_single_instance(tmp_path, sym_path):
     assert curvature["all_pass"] is True
 
 
+def test_certify_builds_one_candidate(monkeypatch, tmp_path, sym_path, symmetric_instance):
+    """The certify path constructs the candidate once and gates that one:
+    its curvature report is the one tune_params returns at the same params."""
+    from mcastmech import cli, equilibrium, solve_cp, tune_params
+
+    real, built = equilibrium.construct_ne, []
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    args = build_parser().parse_args(["certify", "--instance", sym_path, "--out", str(tmp_path)])
+    primal, dual = solve_cp(symmetric_instance, tol=args.tol)
+    tuned = tune_params(symmetric_instance, primal, dual, cli._params_from(args))[2]
+    for module in (cli, equilibrium):
+        monkeypatch.setattr(module, "construct_ne", counted)
+    curvature, candidate, *_ = cli._certify(symmetric_instance, primal, dual, args)
+    assert len(built) == 1 and candidate is built[0]
+    assert curvature.as_dict() == tuned.as_dict()
+
+
 def test_certify_sbb_reports_failure_but_writes_files(tmp_path, sym_path):
     """SBB certify of the symmetric instance: exit 0, every file written,
     the candidate certified and the budget balanced at it."""

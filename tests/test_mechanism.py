@@ -33,7 +33,7 @@ from mcastmech.mechanism import NO_BOUND, _evaluators
 from mcastmech.model import seq_sum
 
 from conftest import coherent_quotes, make_instance
-from evaluate_reference import agents_on_link, reference_evaluate
+from evaluate_reference import agents_on_link, reference_allocate, reference_evaluate
 
 WBB = MechanismParams(variant="wbb")
 SBB = MechanismParams(variant="sbb")
@@ -806,22 +806,40 @@ def _reference_profile(inst, rng, variant):
             for ki in inst.agents}
 
 
+def _reference_draws(variant):
+    """320 (instance, profile) draws: 40 random instances, singleton groups
+    included, and 8 _reference_profile draws on each."""
+    rng = np.random.default_rng(17)
+    for seed in range(1, 41):
+        inst = random_instance(seed, n_groups=2 + seed % 4, max_group_size=1 + seed % 3,
+                               n_links=1 + seed % 4, density=0.7)
+        for _ in range(8):
+            yield inst, _reference_profile(inst, rng, variant)
+
+
 @pytest.mark.parametrize("variant", ["wbb", "sbb"])
 def test_evaluate_matches_reference_bitwise(variant):
     """The compiled pass equals the dict-walking reference field by field
     (repr equality, so every float to the last bit and every dict in the
     same key order) on random instances, singleton groups included."""
     params = MechanismParams(variant=variant)
-    rng = np.random.default_rng(17)
     n_checked = 0
-    for seed in range(1, 41):
-        inst = random_instance(seed, n_groups=2 + seed % 4, max_group_size=1 + seed % 3,
-                               n_links=1 + seed % 4, density=0.7)
-        for _ in range(8):
-            profile = _reference_profile(inst, rng, variant)
-            assert repr(evaluate(inst, profile, params)) == \
-                repr(reference_evaluate(inst, profile, params))
-            n_checked += 1
+    for inst, profile in _reference_draws(variant):
+        assert repr(evaluate(inst, profile, params)) == \
+            repr(reference_evaluate(inst, profile, params))
+        n_checked += 1
+    assert n_checked == 320
+
+
+def test_allocate_matches_reference_bitwise():
+    """allocate, which construct_ne replays through, equals the reference's
+    allocation field by field (repr equality) at the demands of the draws
+    above: exact zeros, the smallest subnormal, magnitudes 1e-300 to 1e300."""
+    n_checked = 0
+    for inst, profile in _reference_draws("wbb"):
+        y = {ki: msg.y for ki, msg in profile.items()}
+        assert repr(allocate(inst, y)) == repr(reference_allocate(inst, y))
+        n_checked += 1
     assert n_checked == 320
 
 
@@ -834,7 +852,10 @@ def _raised(fn, *args):
 def test_invalid_profiles_raise_as_reference(symmetric_instance, two_member_instance,
                                              chain_instance):
     """Each malformed profile raises the reference's error type and message,
-    the first fault in agent order winning."""
+    the first fault in agent order winning and, within one message, the
+    first bad quote pair in the quote dict's own order: the reverse cases
+    key an agent's quotes against its route order and hold two bad pairs,
+    so a read that named faults in route order would name the other one."""
     nan, inf = float("nan"), float("inf")
     one_agent_link = make_instance(
         {"l1": 10.0, "l2": 5.0},
@@ -843,7 +864,7 @@ def test_invalid_profiles_raise_as_reference(symmetric_instance, two_member_inst
             (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
         ],
     )
-    cases = []
+    cases, reverse_cases = [], []
     for inst in (symmetric_instance, two_member_instance, chain_instance, one_agent_link):
         for variant in ("wbb", "sbb"):
             good = {ki: Message(1.0, {lid: (0.5, 0.5) for lid in inst.links_of[ki]},
@@ -878,6 +899,14 @@ def test_invalid_profiles_raise_as_reference(symmetric_instance, two_member_inst
             both = edit(last, y=-1.0)
             both[first] = Message(1.0, {lid: (nan, 0.5) for lid in route}, good[first].rho)
             cases.append((inst, variant, both))
+            longest = max(inst.agents, key=lambda ki: len(inst.links_of[ki]))
+            long_route = inst.links_of[longest]
+            if len(long_route) > 1:
+                ends = (long_route[0], long_route[-1])
+                reverse = edit(longest, q={lid: (nan, 0.5) if lid in ends else (0.5, 0.5)
+                                           for lid in reversed(long_route)})
+                cases.append((inst, variant, reverse))
+                reverse_cases.append((inst, variant, reverse, long_route[-1]))
 
     n_errors = 0
     for inst, variant, profile in cases:
@@ -892,6 +921,10 @@ def test_invalid_profiles_raise_as_reference(symmetric_instance, two_member_inst
             assert repr(evaluate(inst, profile, params)) == expected
     # every case but the unedited good profiles of the three valid instances fails
     assert n_errors == len(cases) - 6
+    assert len(reverse_cases) == 4  # chain_instance and one_agent_link, both variants
+    for inst, variant, profile, named in reverse_cases:
+        assert _raised(evaluate, inst, profile, MechanismParams(variant=variant))[1].endswith(
+            f"bad quote pair on {named}")
 
 
 @pytest.mark.parametrize("variant", ["wbb", "sbb"])
