@@ -13,7 +13,13 @@ slacks and multipliers as iterates next to z = [x; m], so the link duals
 lambda_l and the member duals mu_{ki,l} are iterates themselves, not values
 read off a barrier parameter. Each step eliminates the m-block of its Newton
 system in closed form and solves the agents-only Schur complement that is
-left for a predictor and a corrector direction. The centring target is floored
+left for a predictor and a corrector direction, each by LAPACK's gesv
+called directly (_lu_solve); numpy cannot reuse an LU factorisation, so
+the complement is factored twice per step. A step costs numpy calls more
+than arithmetic, so its products with A and A^T, its dual residual and
+the complement's per-(agent, link) tables are each one bincount over a
+stacked index (_Workspace), adding the terms of each entry in the order
+of the separate sums they replace. The centring target is floored
 at min(gap, 0.1 * max|dual residual|), so complementarity cannot outrun
 stationarity on saturated valuations, where Newton steps in x are short.
 
@@ -76,10 +82,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import SolverError
-from .model import (AgentId, NetworkInstance, _tables, canonical_json, require_valid,
-                    welfare)
+from .model import (AgentId, NetworkInstance, Valuation, _tables, canonical_json,
+                    require_valid, welfare)
 
 #: Default target for the max KKT residual across all blocks.
 DEFAULT_TOL = 1e-9
@@ -158,7 +165,22 @@ class _Workspace:
     m runs over the tables' slots (mpairs: link by link, groups ascending)
     and the bounding rows over their pairs (bnd: agent by agent along each
     sorted route), so a bincount over bounding rows or m adds in the order
-    of a loop over links_of, members_on_link or groups_on_link."""
+    of a loop over links_of, members_on_link or groups_on_link.
+
+    A is one list of (row of s, column of z, coefficient) entries: each
+    bounding row's m, then its -alpha x; each x; each link's -m, slot by
+    slot. Every product with A reads it: A z is one bincount of the entries
+    by row (apply, which the step's and the measure's slacks both use), A^T
+    y one by column (transpose), and the dual residual with each agent's
+    price one of the negated entries by column plus -v'(x) (dual_sums, which
+    the step and the stationarity block both use). Each output entry adds
+    its terms in the order of the separate sums and differences these
+    replace; a - b is a + (-b) in IEEE arithmetic and a negated sum is the
+    sum of the negated terms, so each entry is the same bits, up to the
+    sign of an exact zero, which the later sums and magnitudes do not carry
+    into a result. The per-row gathers (b_ix, b_m, b_al) are the bounding
+    rows' own indices, which the Newton system's elimination and the
+    finishing step read."""
 
     def __init__(self, inst: NetworkInstance):
         T = _tables(inst)
@@ -166,25 +188,37 @@ class _Workspace:
         self.vals = [inst.valuation(ki) for ki in self.agents]
         # v'' = -v' * (k_b + v' / k_a), per Valuation.second_terms
         self.k_b, self.k_a = np.array([v.second_terms() for v in self.vals]).T
-        self.nx = len(self.agents)
-        self.nm = len(self.mpairs)
-        self.nl = len(T.link_ids)
+        self.nx = nx = len(self.agents)
+        self.nm = nm = len(self.mpairs)
+        self.nl = nl = len(T.link_ids)
+        nb = len(self.bnd)
         self.m_link = np.array(T.slot_link)
         # A bounding row per table pair: its agent, link, m entry and weight.
         b_ix, b_link, b_m, b_al, _, _ = zip(*T.pairs)
-        self.b_ix, self.b_m, self.b_al = np.array(b_ix), np.array(b_m), np.array(b_al)
+        self.b_ix, self.b_m = np.fromiter(b_ix, np.intp, nb), np.fromiter(b_m, np.intp, nb)
+        self.b_al = np.fromiter(b_al, float, nb)
         # Each bounding row's flat (agent, link) position, and peers i != j.
-        self.b_xl = self.b_ix * self.nl + np.array(b_link)
+        self.b_xl = self.b_ix * nl + np.fromiter(b_link, np.intp, nb)
+        # b_xl in each of three stacked n_x by n_l tables (_newton_solver's D, C, U).
+        self.dcu = np.concatenate((self.b_xl, self.b_xl + nx * nl, self.b_xl + 2 * nx * nl))
         group = np.array([ki.group for ki in self.agents])
-        self.peers = np.equal.outer(group, group) - np.eye(self.nx)
+        self.peers = np.equal.outer(group, group) - np.eye(nx)
         self.caps = np.array(T.capacity)
-        self.offset = np.concatenate((np.zeros(self.nx), self.caps,
-                                      np.zeros(len(self.bnd))))
+        self.offset = np.concatenate((np.zeros(nx), self.caps, np.zeros(nb)))
         # Rates at or below this count as zero in the stationarity block.
         self.thresh = np.array(T.zero_rate)
+        x, row = np.arange(nx), nx + nl + np.arange(nb)
+        self.rows = np.concatenate((row, row, x, nx + self.m_link))
+        self.cols = np.concatenate((nx + self.b_m, self.b_ix, x, nx + np.arange(nm)))
+        ones = np.ones(max(nb, nx, nm))
+        self.coef = np.concatenate((ones[:nb], -self.b_al, ones[:nx], -ones[:nm]))
+        # Of [y; v'(x)], r_dual = -A^T y - [v'(x); 0], then each agent's price.
+        self.dual = (np.concatenate((self.cols, x, nx + nm + self.b_ix)),
+                     np.concatenate((self.rows, len(self.offset) + x, row)),
+                     np.concatenate((-self.coef, -ones[:nx], self.b_al)))
 
     def dvalue(self, x: np.ndarray) -> np.ndarray:
-        return np.array([v.deriv(xj) for v, xj in zip(self.vals, x.tolist())])
+        return np.fromiter(map(Valuation.deriv, self.vals, x.tolist()), float, self.nx)
 
     def slopes(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """v'(x) from each valuation's deriv, and v''(x) from v' elementwise."""
@@ -197,24 +231,19 @@ class _Workspace:
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """A z, where the slacks are s = A z + offset."""
-        x, m = z[:self.nx], z[self.nx:]
-        return np.concatenate((x, -self.link_sums(m),
-                               m[self.b_m] - self.b_al * x[self.b_ix]))
-
-    def price(self, mu: np.ndarray) -> np.ndarray:
-        """Per agent, sum(alpha mu) over its bounding rows."""
-        return np.bincount(self.b_ix, self.b_al * mu, self.nx)
-
-    def slot_duals(self, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Per m slot, its members' bounding duals summed less its link's dual."""
-        return np.bincount(self.b_m, mu, self.nm) - lam[self.m_link]
+        return np.bincount(self.rows, z[self.cols] * self.coef, len(self.offset))
 
     def transpose(self, y: np.ndarray) -> np.ndarray:
         """A^T y for y = [nu (x >= 0), lambda (capacity), mu (bounding)]."""
-        nx, nl = self.nx, self.nl
-        mu = y[nx + nl:]
-        return np.concatenate((y[:nx] - self.price(mu),
-                               self.slot_duals(y[nx:nx + nl], mu)))
+        return np.bincount(self.cols, y[self.rows] * self.coef, self.nx + self.nm)
+
+    def dual_sums(self, y: np.ndarray, dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(r_dual, price): r_dual = -A^T y - [v'(x); 0], whose m rows are
+        each slot's link dual less its members' bounding duals, and each
+        agent's sum(alpha mu) over its bounding rows."""
+        n, (out, src, coef) = self.nx + self.nm, self.dual
+        sums = np.bincount(out, np.concatenate((y, dv))[src] * coef, n + self.nx)
+        return sums[:n], sums[n:]
 
 
 def _interior_start(ws: _Workspace, seed: Optional[int]) -> np.ndarray:
@@ -229,11 +258,21 @@ def _interior_start(ws: _Workspace, seed: Optional[int]) -> np.ndarray:
     return np.concatenate((lo * frac, m))
 
 
-def _max_steps(s: np.ndarray, ds: np.ndarray, y: np.ndarray, dy: np.ndarray) -> List[float]:
-    """Largest steps in (0, 1] keeping s + step * ds and y + step * dy nonnegative."""
-    v, dv = np.concatenate((s, y)), np.concatenate((ds, dy))
+def _max_steps(v: np.ndarray, dv: np.ndarray, n: int) -> List[float]:
+    """Largest steps in (0, 1] keeping v + step * dv nonnegative on v[:n] and on v[n:]."""
     ratio = np.divide(v, dv, out=np.full(len(v), -1.0), where=dv < 0.0)
-    return [min(1.0, -hi) for hi in np.maximum.reduceat(ratio, (0, len(s))).tolist()]
+    return [min(1.0, -hi) for hi in np.maximum.reduceat(ratio, (0, n)).tolist()]
+
+
+def _singular(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lu_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """S^-1 b by the LAPACK gesv kernel that np.linalg.solve wraps, called
+    directly under the same error state, so a singular S raises LinAlgError."""
+    return _umath_linalg.solve1(S, b, signature="dd->d")
 
 
 def _newton_solver(ws: _Workspace, d: np.ndarray, d2v: np.ndarray):
@@ -242,16 +281,17 @@ def _newton_solver(ws: _Workspace, d: np.ndarray, d2v: np.ndarray):
     leaves an n_x square S on x. A row's d * alpha^2 - (d * alpha)^2 / Dm
     enters S as d * alpha^2 * (its group peers' d) / Dm, so nothing cancels."""
     nx, nl = ws.nx, ws.nl
-    d_b = d[nx + nl:]
+    d_b, d_l = d[nx + nl:], d[nx:nx + nl]
     c = d_b * ws.b_al
     inv_dm = 1.0 / np.bincount(ws.b_m, d_b, ws.nm)
     u = c * inv_dm[ws.b_m]
-    w = d[nx:nx + nl] / (1.0 + d[nx:nx + nl] * ws.link_sums(inv_dm))
-    D, C, U = (np.bincount(ws.b_xl, v, nx * nl).reshape(nx, nl) for v in (d_b, c, u))
+    w = d_l / (1.0 + d_l * ws.link_sums(inv_dm))
+    D, C, U = np.bincount(ws.dcu, np.concatenate((d_b, c, u)), 3 * nx * nl).reshape(3, nx, nl)
     others = (ws.peers @ D).ravel()[ws.b_xl]
     S = (U * w) @ U.T - ws.peers * (C @ U.T)
-    S.flat[::nx + 1] += d[:nx] - d2v + np.bincount(ws.b_ix, u * ws.b_al * others, nx)
-    scale = 1.0 / np.sqrt(S.diagonal())  # d spans many orders of magnitude
+    diagonal = S.ravel()[::nx + 1]  # a view
+    diagonal += d[:nx] - d2v + np.bincount(ws.b_ix, u * ws.b_al * others, nx)
+    scale = 1.0 / np.sqrt(diagonal)  # d spans many orders of magnitude
     S *= scale[:, None] * scale[None, :]
 
     def m_solve(v):  # the m-block's inverse times v
@@ -260,7 +300,7 @@ def _newton_solver(ws: _Workspace, d: np.ndarray, d2v: np.ndarray):
 
     def solve(rhs):
         rx, rm = rhs[:nx], rhs[nx:]
-        dx = scale * np.linalg.solve(
+        dx = scale * _lu_solve(
             S, scale * (rx + np.bincount(ws.b_ix, c * m_solve(rm)[ws.b_m], nx)))
         return np.concatenate((dx, m_solve(rm + np.bincount(ws.b_m, c * dx[ws.b_ix], ws.nm))))
 
@@ -272,10 +312,8 @@ def _step_terms(ws: _Workspace, z: np.ndarray, y: np.ndarray) -> tuple:
     each agent's sum(alpha mu), the dual residual
     r_dual = -A^T y - [v'(x); 0] and the primal slacks A z + offset, which
     the step and the loop's bound (_bound) both read."""
-    nx, nl = ws.nx, ws.nl
-    dv, d2v = ws.slopes(z[:nx])
-    price = ws.price(y[nx + nl:])
-    r_dual = np.concatenate((price - y[:nx] - dv, -ws.slot_duals(y[nx:nx + nl], y[nx + nl:])))
+    dv, d2v = ws.slopes(z[:ws.nx])
+    r_dual, price = ws.dual_sums(y, dv)
     return dv, d2v, price, r_dual, ws.apply(z) + ws.offset
 
 
@@ -285,9 +323,10 @@ def _mehrotra_step(ws: _Workspace, z: np.ndarray, s: np.ndarray, y: np.ndarray,
     min -welfare(z) s.t. A z + offset = s >= 0, with multipliers y >= 0;
     terms is _step_terms(ws, z, y)."""
     _, d2v, _, r_dual, slack = terms
+    n = len(s)
     r_primal = slack - s
-    inv_s, sy, y_rp = 1.0 / s, s * y, y * r_primal
-    gap = float(s @ y) / len(s)
+    inv_s, sy, y_rp, s_and_y = 1.0 / s, s * y, y * r_primal, np.concatenate((s, y))
+    gap = float(s @ y) / n
     solve = _newton_solver(ws, y * inv_s, d2v)
 
     def direction(r_comp):
@@ -296,12 +335,12 @@ def _mehrotra_step(ws: _Workspace, z: np.ndarray, s: np.ndarray, y: np.ndarray,
         return dz, ds, (r_comp - y * ds) * inv_s
 
     dz, ds, dy = direction(-sy)
-    step_s, step_y = _max_steps(s, ds, y, dy)
-    gap_aff = float((s + step_s * ds) @ (y + step_y * dy)) / len(s)
+    step_s, step_y = _max_steps(s_and_y, np.concatenate((ds, dy)), n)
+    gap_aff = float((s + step_s * ds) @ (y + step_y * dy)) / n
     target = max((gap_aff / gap) ** 3 * gap,
                  min(gap, 0.1 * float(np.abs(r_dual).max())))
     dz, ds, dy = direction(target - sy - ds * dy)
-    step = STEP_TO_BOUNDARY * min(_max_steps(s, ds, y, dy))
+    step = STEP_TO_BOUNDARY * min(_max_steps(s_and_y, np.concatenate((ds, dy)), n))
     return z + step * dz, s + step * ds, y + step * dy
 
 
@@ -322,14 +361,14 @@ def _finish(ws: _Workspace, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _slacks(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
-            mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(slack, gap, comp): each link's capacity slack, each bounding row's
-    alpha * x - m, and the products |lam * slack| and |mu * gap| whose max
-    is _residual's complementarity block."""
-    slack = ws.caps - ws.link_sums(m)
-    gap = ws.b_al * x[ws.b_ix] - m[ws.b_m]
+            mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(s, comp): the slacks A [x; m] + offset (x, each link's capacity
+    slack, each bounding row's m - alpha * x), and the products
+    |lam * slack| and |mu * (m - alpha * x)| whose max is _residual's
+    complementarity block."""
+    s = ws.apply(np.concatenate((x, m))) + ws.offset
     with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which reads as inf
-        return slack, gap, np.abs(np.concatenate((lam * slack, mu * gap)))
+        return s, np.abs(np.concatenate((lam, mu)) * s[ws.nx:])
 
 
 def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
@@ -340,15 +379,16 @@ def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
     arrays in workspace order (mu per bounding row); slacks is _slacks of
     the same arrays when the caller has it. A NaN block, which a non-finite
     entry leaves, reads as infinite."""
-    slack, gap, comp = _slacks(ws, x, m, lam, mu) if slacks is None else slacks
-    resid = ws.dvalue(x) - ws.price(mu)
-    # Only overpricing is allowed at zero.
-    resid = np.where(x > ws.thresh, np.abs(resid), resid)
+    s, comp = _slacks(ws, x, m, lam, mu) if slacks is None else slacks
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which reads as inf
-        blocks = (np.concatenate((-x, -slack, gap)),
+        r_dual, _ = ws.dual_sums(np.concatenate((np.zeros(ws.nx), lam, mu)), ws.dvalue(x))
+        # v'(x) - sum(alpha mu); only overpricing is allowed at zero.
+        resid = -r_dual[:ws.nx]
+        blocks = (-s,
                   np.concatenate((-lam, -mu)),
                   comp,
-                  np.concatenate((resid, np.abs(ws.slot_duals(lam, mu)))))
+                  np.concatenate((np.where(x > ws.thresh, np.abs(resid), resid),
+                                  np.abs(r_dual[ws.nx:]))))
     peaks = (float(b.max()) for b in blocks)
     return tuple(math.inf if math.isnan(v) else max(0.0, v) for v in peaks)
 
@@ -356,7 +396,7 @@ def _residual(ws: _Workspace, x: np.ndarray, m: np.ndarray, lam: np.ndarray,
 def _bound(ws: _Workspace, z: np.ndarray, terms: tuple) -> float:
     """A lower bound on the residual of iterate z once finished, read from
     its _step_terms: the link-dual gaps |r_dual| on the m rows, which are
-    |slot_duals| bit for bit, alone if they exceed RESIDUAL_FLOOR; else,
+    _residual's bit for bit, alone if they exceed RESIDUAL_FLOOR; else,
     where no primal slack is negative, also the overpricing
     sum(alpha mu) - v'(x) of each agent above its zero-rate threshold, less
     OVERPRICE_MARGIN (see the module docstring). A NaN bound shows nothing."""
@@ -389,12 +429,14 @@ def check_a4(instance: NetworkInstance, primal: PrimalSolution) -> A4Report:
     below its agent's zero-rate threshold (_Tables.zero_rate) counts as 0,
     as in the stationarity block, the replay and the lemmas."""
     T = _tables(instance)
-    positive = [primal.x[ki] > zero for ki, zero in zip(T.agents, T.zero_rate)]
-    sizes = dict.fromkeys(T.link_ids, 0)
-    for members, l in zip(T.slot_pairs, T.slot_link):
-        if any(positive[T.pairs[p][0]] for p in members):
-            sizes[T.link_ids[l]] += 1
-    return A4Report(sizes, all(c >= 2 for c in sizes.values()))
+    live = set()  # the slots of each positive agent's pairs
+    for ki, zero, slots in zip(T.agents, T.zero_rate, T.agent_slots):
+        if primal.x[ki] > zero:
+            live.update(slots)
+    sizes = [0] * len(T.link_ids)
+    for s in live:
+        sizes[T.slot_link[s]] += 1
+    return A4Report(dict(zip(T.link_ids, sizes)), all(c >= 2 for c in sizes))
 
 
 def kkt_residuals(instance: NetworkInstance, primal: PrimalSolution,
@@ -419,9 +461,11 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
 
     init_seed jitters the strictly interior start (useful for probing that
     independent runs agree); the path itself is deterministic given the seed.
+    tol must be finite and positive, as the CLI's --tol: a NaN or infinite
+    tol would pass any stalled solve.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     require_valid(instance)
     ws = _Workspace(instance)
     nx, nl = ws.nx, ws.nl
@@ -439,7 +483,7 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
             stale += 1
         terms = _step_terms(ws, z, y)
         done = None if _bound(ws, z, terms) > RESIDUAL_FLOOR else _finished(ws, z, y)
-        if done and float(done[2][2].max()) <= RESIDUAL_FLOOR:  # finished comp block
+        if done and float(done[2][1].max()) <= RESIDUAL_FLOOR:  # finished comp block
             measured.append(_measure(ws, t, y, *done))
         else:
             pending.append((t, z, y, done))  # a bound shows it above the floor
@@ -449,7 +493,7 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
             z, s, y = _mehrotra_step(ws, z, s, y, terms)
         except np.linalg.LinAlgError:
             break
-        if not (np.isfinite(z).all() and np.isfinite(s).all() and np.isfinite(y).all()):
+        if not np.isfinite(np.concatenate((z, s, y))).all():
             break
     # At the floor no other iterate can be the best: each lies above it.
     if not measured or measured[-1][0] > RESIDUAL_FLOOR:
@@ -478,25 +522,26 @@ def argmax_ties(instance: NetworkInstance, primal: PrimalSolution
     xs = [primal.x[ki] for ki in T.agents]
     rates = [alpha * xs[a] for a, _, _, alpha, _, _ in T.pairs]
     ties = {}
-    for key, members in zip(T.slot_keys, T.slot_pairs):  # each slot's pairs in member order
-        peak = max([rates[p] for p in members])
+    for key, pairs, members in zip(T.slot_keys, T.slot_pairs, instance.members_on_link.values()):
+        peak = max([rates[p] for p in pairs])  # each slot's pairs in member order
         cut = peak - 1e-6 * max(1.0, peak)
-        ties[key] = [T.agents[T.pairs[p][0]].member for p in members if rates[p] >= cut]
+        ties[key] = [i for p, i in zip(pairs, members) if rates[p] >= cut]
     return ties
 
 
 def solution_to_dict(instance: NetworkInstance, primal: PrimalSolution,
                      dual: DualCertificate) -> Dict[str, object]:
+    """solution.json's document; keyed by the instance's own slots and
+    pairs, which solve_cp's primal and dual cover exactly."""
+    T = _tables(instance)
     return {
-        "x": {ki.label: primal.x[ki] for ki in instance.agents},
-        "m": {f"{k}|{lid}": primal.m[(k, lid)]
-              for (k, lid) in sorted(primal.m)},
+        "x": dict(zip(T.agent_labels, map(primal.x.__getitem__, T.agents))),
+        "m": dict(zip(T.slot_labels, map(primal.m.__getitem__, T.slot_keys))),
         "lambda": {lid: dual.lam[lid] for lid in instance.link_ids},
-        "mu": {f"{ki.label}|{lid}": dual.mu[(ki, lid)] for (ki, lid) in sorted(dual.mu)},
+        "mu": dict(zip(T.pair_labels, map(dual.mu.__getitem__, T.pair_keys))),
         "residuals": dual.residuals.as_dict(),
         "welfare": welfare(instance, primal.x),
-        "peak_ties": {f"{k}|{lid}": v
-                      for (k, lid), v in sorted(argmax_ties(instance, primal).items())},
+        "peak_ties": dict(zip(T.slot_labels, argmax_ties(instance, primal).values())),
     }
 
 

@@ -203,10 +203,11 @@ class _Tables:
     group there), and its slot's place among its link's slots and its own
     among the slot's members. Per slot: its link and its members' pairs.
     Per link: its slots in group order, its agents' pairs, capacity and
-    rivals. Per agent: its route and its zero-rate threshold, RATE_ATOL
-    times the largest capacity on the route (a rate at or below it counts
-    as 0 in the sharing count, the solver's stationarity, the replay and
-    the lemmas)."""
+    rivals. Per agent: its route, its slots along the route and its
+    zero-rate threshold, RATE_ATOL times the largest capacity on the route
+    (a rate at or below it counts as 0 in the sharing count, the solver's
+    stationarity, the replay and the lemmas). The labels solution.json
+    keys by: "k.i" per agent, "k|lid" per slot and "k.i|lid" per pair."""
 
     def __init__(self, instance: NetworkInstance):
         self.agents = instance.agents
@@ -224,10 +225,10 @@ class _Tables:
         for s, l in enumerate(self.slot_link):
             self.link_slots[l].append(s)
         # Agents run in (group, member) order, so each slot gathers its pairs in member order.
-        rows, self.slot_pairs = [], [[] for _ in self.slot_keys]
+        rows, self.slot_pairs, self.agent_slots = [], [[] for _ in self.slot_keys], []
         for a, (ki, route) in enumerate(zip(self.agents, self.routes)):
-            for lid in route:
-                s = slot_ix[(ki.group, lid)]
+            self.agent_slots.append([slot_ix[(ki.group, lid)] for lid in route])
+            for lid, s in zip(route, self.agent_slots[a]):
                 self.slot_pairs[s].append(len(rows))
                 rows.append([a, link_ix[lid], s, instance.alpha[(ki, lid)], -1, -1])
         self.places = [(0, 0)] * len(rows)
@@ -250,6 +251,10 @@ class _Tables:
                            for route in self.routes]
         self.zero_rate = [RATE_ATOL * max(instance.capacity[lid] for lid in route)
                           for route in self.routes]
+        self.agent_labels = [ki.label for ki in self.agents]
+        self.slot_labels = [f"{k}|{lid}" for k, lid in self.slot_keys]
+        self.pair_labels = [f"{self.agent_labels[a]}|{lid}" for a, route in enumerate(self.routes)
+                            for lid in route]
 
 
 def _tables(instance: NetworkInstance) -> _Tables:

@@ -9,12 +9,18 @@ chains 101-112 at attempts 0-5, the rest at attempts 0-3). Draws the
 generator rejects are skipped. Each draw is solved at the default tol;
 the script prints the solved and failed counts, the worst final residual,
 the total solve time (also per family: acceptance-shaped draws and
-chains), a histogram of interior-point steps per solve, and the mean cost
+chains; it includes each solved draw's ``solution_to_json`` and its
+hash, whose share it prints too), a histogram of interior-point steps per solve, and the mean cost
 of one interior-point step (``_step_terms`` plus ``_mehrotra_step``), of
 one step bound (``_bound``) and of one iterate measurement (``_finish``
-plus ``_residual``) in microseconds. The timers wrap those functions, so
-they add a few microseconds per call; compare the figures between runs of
-this script, not with a profiler's. Per solve it prints the mean number of
+plus ``_residual``) in microseconds. It also prints the mean time per
+``solve_cp`` call spent outside steps, bounds and measurements (its time less
+``_step_terms``, ``_mehrotra_step``, ``_bound``, ``_finished`` and
+``_measure``), and of it ``require_valid``, ``_Workspace``, ``check_a4``
+and the rest (the interior start, the loop's bookkeeping and the result
+dicts). The timers wrap those functions, so they add a few microseconds
+per call, some of it to the time outside; compare the figures between
+runs of this script, not with a profiler's. Per solve it prints the mean number of
 iterates the step bound decided (``_bound`` calls less ``_finish`` calls,
 since the loop bounds each iterate once and finishes it at most once:
 iterates whose step residuals showed them above the floor and that were
@@ -118,11 +124,12 @@ def main():
     spent, calls = collections.Counter(), collections.Counter()
     failed_step = [False]
     watched_steps(failed_step)
-    for name in ("_mehrotra_step", "_step_terms", "_bound", "_finish", "_residual"):
+    for name in ("_mehrotra_step", "_step_terms", "_bound", "_finish", "_residual",
+                 "_finished", "_measure", "require_valid", "_Workspace", "check_a4"):
         timed(name, spent, calls)
     solved, failed, worst = 0, [], (0.0, None)
     times, endings = collections.Counter(), collections.Counter()
-    step_counts, digests = [], []
+    step_counts, digests, exported = [], [], 0.0
     for label, inst in corpus():
         before = calls["_mehrotra_step"]
         failed_step[0] = False
@@ -138,8 +145,10 @@ def main():
             step_counts.append(calls["_mehrotra_step"] - before)
             residual = dual.residuals.max_residual
             worst = max(worst, (residual, label))
+            start_export = time.perf_counter()
             text = solution_to_json(inst, primal, dual)
             digests.append((label, hashlib.sha256(text.encode()).hexdigest()))
+            exported += time.perf_counter() - start_export
         finally:
             times[label.split("-")[0]] += time.perf_counter() - start
         end = ending(residual, calls["_mehrotra_step"] - before, failed_step[0])
@@ -149,7 +158,8 @@ def main():
         print(f"  {line}")
     print(f"worst residual {worst[0]:.2e} ({worst[1]})")
     print(f"total solve time {sum(times.values()):.2f} s ("
-          + ", ".join(f"{family} {t:.2f} s" for family, t in sorted(times.items())) + ")")
+          + ", ".join(f"{family} {t:.2f} s" for family, t in sorted(times.items()))
+          + f"), of it solution_to_json and its hash {exported:.2f} s")
     histogram = collections.Counter(n // 5 * 5 for n in step_counts)
     print(f"steps per solve (mean {sum(step_counts) / max(1, solved):.2f}):",
           ", ".join(f"{lo}-{lo + 4}: {n}" for lo, n in sorted(histogram.items())))
@@ -166,6 +176,16 @@ def main():
           f"{calls['_finish'] / n:.2f} finishes ({calls['_finish']}), "
           f"{calls['_residual'] / n:.2f} full measurements ({calls['_residual']}), "
           f"{bound_only / n:.2f} bound-only finishes ({bound_only})")
+    def per_solve_us(*names):
+        return 1e6 * sum(spent[name] for name in names) / n
+    solve_us = 1e6 * (sum(times.values()) - exported) / n
+    outside = solve_us - per_solve_us(
+        "_step_terms", "_mehrotra_step", "_bound", "_finished", "_measure")
+    setup = ("require_valid", "_Workspace", "check_a4")
+    print(f"per solve_cp call, outside steps, bounds and measurements {outside:.0f} of "
+          f"{solve_us:.0f} us: "
+          + ", ".join(f"{name} {per_solve_us(name):.0f}" for name in setup)
+          + f", the rest {outside - per_solve_us(*setup):.0f}")
     print("solves ended: " + ", ".join(f"{end} {endings[end]}"
                                        for end in ("floor", "patience", "max-iters", "other")))
     lines = "".join(f"{label} {digest}\n" for label, digest in digests)

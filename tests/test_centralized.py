@@ -249,7 +249,37 @@ def test_step_lengths_match_per_vector_minimum():
         for _ in range(50):
             s, y = rng.uniform(1e-6, 2.0, (2, n))
             ds, dy = rng.normal(size=(2, n)) * rng.choice([0.0, 1e-3, 1.0, 1e3], (2, n))
-            assert centralized._max_steps(s, ds, y, dy) == [alone(s, ds), alone(y, dy)]
+            assert (centralized._max_steps(np.concatenate((s, y)), np.concatenate((ds, dy)), n)
+                    == [alone(s, ds), alone(y, dy)])
+
+
+def test_direction_kernel_is_numpys_solve():
+    """The step's LU solve (_lu_solve, LAPACK's gesv called directly) equals
+    np.linalg.solve bit for bit on diagonally equilibrated SPD matrices of
+    1 to 40 rows, the form the step hands it."""
+    rng = np.random.default_rng(29)
+    for n in range(1, 41):
+        for _ in range(3):
+            G = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, n)
+            S = G @ G.T + np.diag(rng.uniform(1e-3, 1.0, n))
+            scale = 1.0 / np.sqrt(S.diagonal())
+            S *= scale[:, None] * scale[None, :]
+            b = rng.normal(size=n)
+            assert _hex(centralized._lu_solve(S, b)) == _hex(np.linalg.solve(S, b))
+
+
+def test_singular_schur_complement_raises_out_of_the_step():
+    """Two one-member groups on one link, with every d = y / s at 1 and
+    v''(x) set to the x rows' d, leave a Schur complement whose entries are
+    all equal: its LU meets an exact zero pivot. The step raises
+    LinAlgError, which solve_cp catches, instead of returning NaNs."""
+    inst = make_instance({"l1": 10.0}, [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                                        (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0})])
+    ws = centralized._Workspace(inst)
+    z, s, y = np.full(ws.nx + ws.nm, 1.0), np.ones(len(ws.offset)), np.ones(len(ws.offset))
+    dv, _, price, r_dual, slack = centralized._step_terms(ws, z, y)
+    with pytest.raises(np.linalg.LinAlgError):
+        centralized._mehrotra_step(ws, z, s, y, (dv, np.ones(ws.nx), price, r_dual, slack))
 
 
 @pytest.fixture(scope="module")
@@ -257,11 +287,25 @@ def corpus_draws():
     return corpus()
 
 
+def _at_the_threshold(inst, primal):
+    """primal with the rate of its first agent alone in its group on some
+    link at its zero-rate threshold, which counts as 0, and its last
+    agent's one ulp above its own."""
+    T = _tables(inst)
+    first = next(a for a, slots in enumerate(T.agent_slots)
+                 if any(len(T.slot_pairs[s]) == 1 for s in slots))
+    x = dict(primal.x)
+    x[T.agents[first]] = T.zero_rate[first]
+    x[T.agents[-1]] = math.nextafter(T.zero_rate[-1], math.inf)
+    return PrimalSolution(x, primal.m)
+
+
 def test_single_pass_scans_match_dict_walks(two_member_instance, a4_fail_instance,
                                             corpus_draws):
     """check_a4 and argmax_ties equal the link-by-link dict walks, key order
-    included, on every fifth corpus draw, on a peak tie and on a starved
-    group; the solver's own sharing report is check_a4's."""
+    included, on every fifth corpus draw, on a peak tie, on a starved group
+    and on a corpus draw with one agent at its zero-rate threshold and one
+    an ulp above its own; the solver's own sharing report is check_a4's."""
     cases = [inst for _, inst in corpus_draws[::5]] + [two_member_instance, a4_fail_instance]
     for inst in cases:
         primal, dual = solve_cp(inst)
@@ -271,6 +315,12 @@ def test_single_pass_scans_match_dict_walks(two_member_instance, a4_fail_instanc
         assert (dual.residuals.s_sizes, dual.residuals.a4_holds) == (a4.s_sizes, a4.holds)
         ties = argmax_ties(inst, primal)
         assert list(ties.items()) == list(reference_ties(inst, primal).items())
+    inst = corpus_draws[-1][1]
+    primal = _at_the_threshold(inst, solve_cp(inst)[0])
+    a4 = check_a4(inst, primal)
+    assert (a4.s_sizes, a4.holds) == reference_a4(inst, primal)
+    assert a4.s_sizes != check_a4(inst, solve_cp(inst)[0]).s_sizes
+    assert list(argmax_ties(inst, primal).items()) == list(reference_ties(inst, primal).items())
     assert argmax_ties(two_member_instance, solve_cp(two_member_instance)[0]) == {
         (1, "l1"): [1, 2], (2, "l1"): [1]}
     assert not check_a4(a4_fail_instance, solve_cp(a4_fail_instance)[0]).holds
@@ -709,3 +759,13 @@ def test_solution_export_deterministic(symmetric_instance, solved_symmetric):
 def test_tolerance_must_be_positive(symmetric_instance):
     with pytest.raises((ValueError, SolverError)):
         solve_cp(symmetric_instance, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_tolerance_must_be_finite(tol):
+    """A NaN tol compares False both ways, so a check for tol <= 0 passes
+    it, and res > tol never holds: a stalled solve would come back as
+    solved. An infinite tol passes any residual. Both are refused before
+    the solve starts, as the CLI's --tol refuses them."""
+    with pytest.raises(ValueError, match="finite and positive"):
+        solve_cp(random_instance(1), tol=tol)
