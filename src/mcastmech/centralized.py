@@ -318,15 +318,16 @@ def _step_terms(ws: _Workspace, z: np.ndarray, y: np.ndarray) -> tuple:
 
 
 def _mehrotra_step(ws: _Workspace, z: np.ndarray, s: np.ndarray, y: np.ndarray,
-                   terms: tuple):
+                   terms: tuple, s_dot_y: float):
     """One predictor-corrector step on the KKT system of
     min -welfare(z) s.t. A z + offset = s >= 0, with multipliers y >= 0;
-    terms is _step_terms(ws, z, y)."""
+    terms is _step_terms(ws, z, y) and s_dot_y is float(s @ y), which the
+    loop has read for patience."""
     _, d2v, _, r_dual, slack = terms
     n = len(s)
     r_primal = slack - s
     inv_s, sy, y_rp, s_and_y = 1.0 / s, s * y, y * r_primal, np.concatenate((s, y))
-    gap = float(s @ y) / n
+    gap = s_dot_y / n
     solve = _newton_solver(ws, y * inv_s, d2v)
 
     def direction(r_comp):
@@ -490,7 +491,7 @@ def solve_cp(instance: NetworkInstance, tol: float = DEFAULT_TOL,
         if measured and measured[-1][0] <= RESIDUAL_FLOOR or stale >= PATIENCE or t == MAX_ITERS:
             break
         try:
-            z, s, y = _mehrotra_step(ws, z, s, y, terms)
+            z, s, y = _mehrotra_step(ws, z, s, y, terms, gap)
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(np.concatenate((z, s, y))).all():

@@ -25,17 +25,23 @@ constructed in both variants, it prints the agents failing the gate,
 the right- and left-side locks, the
 time of ``certify_ne`` (fastest of five) in total and in µs per agent, its
 evaluations per agent, and the time of ``demand_kinks`` in µs per agent
-(fastest of five).
+(fastest of five). Last it prints one SHA-256 over every certification
+report, in corpus order (the batch candidates, then the ladder's): per
+agent, its gain by ``float.hex``, its evaluations and ``message_to_dict``
+of its deviation, so two source trees can be compared by running this
+script on each.
 
 Not collected by pytest (the name does not start with ``test_``); it is
 the yardstick for changes to ``exact_best_response``.
 """
 
+import hashlib
+import json
 import time
 
 from mcastmech import (MechanismParams, certify_ne, construct_ne, curvature_check,
                        default_epsilon, exact_best_response, random_instance, solve_cp)
-from mcastmech.mechanism import KINK_TOL, DeviationEvaluator, _evaluators
+from mcastmech.mechanism import KINK_TOL, DeviationEvaluator, _evaluators, message_to_dict
 
 from test_acceptance import CERT_BUDGET, N_BATCH, _sample_sharing_instance
 
@@ -67,6 +73,14 @@ def locks(inst, cand):
     return right, left
 
 
+def report_text(report) -> str:
+    """A certification report as digest text: per agent, its gain by
+    float.hex, its evaluations and message_to_dict of its deviation."""
+    return "".join(f"{ki.label} {gain.hex()} {report.evals[ki]} "
+                   f"{json.dumps(message_to_dict(report.deviations[ki]))}\n"
+                   for ki, gain in report.gains.items())
+
+
 def gate_failures(inst, cand):
     """The labels of the agents of cand that curvature_check fails."""
     return [ki.label for ki, a in sorted(curvature_check(inst, cand).agents.items())
@@ -84,7 +98,8 @@ def main():
             candidates.append((inst, cand, epsilon))
 
     certify_s, curvature_s, setup_s = [], [], []
-    for _ in range(REPEATS):
+    digest = hashlib.sha256()
+    for repeat in range(REPEATS):
         certify_s.append(0.0)
         curvature_s.append(0.0)
         setup_s.append(0.0)
@@ -100,6 +115,8 @@ def main():
             curvature_check(inst, cand)
             curvature_s[-1] += time.perf_counter() - start
             assert report.certified and not report.incomplete
+            if not repeat:
+                digest.update(report_text(report).encode())
 
     counts = dict.fromkeys(("utility", "rate_model", "best_message", "_rate_form"), 0)
     reals = {name: counted(name, counts) for name in counts}
@@ -133,12 +150,15 @@ def main():
     print(f"curvature gate fails: {', '.join(failing) or 'none'}; "
           f"locked coordinates: {right} right-side, {left} left-side")
     for g in LADDER:
-        ladder_rung(g)
+        ladder_rung(g, digest)
+    print(f"certification sha256 over {len(candidates) + 2 * len(LADDER)} reports: "
+          f"{digest.hexdigest()}")
 
 
-def ladder_rung(g):
-    """Certify the candidates of random_instance(1, g, 3, g) and print
-    the cost per agent, and that of demand_kinks."""
+def ladder_rung(g, digest):
+    """Certify the candidates of random_instance(1, g, 3, g), print the
+    cost per agent and that of demand_kinks, and add the reports to
+    digest."""
     inst = random_instance(1, g, 3, g)
     primal, dual = solve_cp(inst)
     epsilon = default_epsilon(inst, primal)
@@ -151,6 +171,7 @@ def ladder_rung(g):
             report = certify_ne(inst, cand, epsilon, budget=CERT_BUDGET)
             times.append(time.perf_counter() - start)
         assert report.certified and not report.incomplete
+        digest.update(report_text(report).encode())
         evaluators = list(_evaluators(inst, cand.profile, cand.params))
         kink_times = []
         for _ in range(REPEATS):

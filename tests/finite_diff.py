@@ -3,7 +3,9 @@ reference for ``DeviationEvaluator.local_model`` (the Hessian over the
 message).
 
 It reads the utility only through ``DeviationEvaluator.utility``, so it
-shares no derivative formula with the library.
+shares no derivative formula with the library. ``exact_hessian`` adds to
+local_model's Hessian the term it leaves out, so that the two compare away
+from a stationary demand.
 """
 
 from typing import Dict, Tuple
@@ -13,6 +15,20 @@ import numpy as np
 from mcastmech import Message
 
 from search import _get, _set
+
+
+def exact_hessian(ev, model, side: int) -> np.ndarray:
+    """The exact one-sided Hessian of ki's utility in its message at
+    model = ev.local_model(msg, side): local_model's Hessian in the rate
+    plus U_x*x'' in the demand entry, which local_model leaves out (0 at a
+    stationary demand). In the piece form (c, rest, a_e) (_rate_form),
+    x'' = 2*r_x*x'*rest/den with r_x = -a_e/rest and den = rest + a_e*y,
+    and U_x = g'/x', so U_x*x'' = -2*a_e*g'/den."""
+    y = model.point[0]
+    _, rest, a_e = ev._rate_form(y, side)[0]
+    hess = model.hess.copy()
+    hess[0, 0] -= 2.0 * a_e * model.grad[0] / (rest + a_e * y)
+    return hess
 
 
 def displaced(msg: Message, deltas) -> Message:

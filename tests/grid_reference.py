@@ -12,13 +12,6 @@ whose neighbour there is no higher and where the exact one-sided slope of g
 (local_model) rises away from it, up to that neighbour. No bracket holds a
 kink. `budget` caps the utility calls; the incumbent is a candidate, so the
 gain is never negative.
-
-``bisected_cuts`` is the split of the demand axis into pieces that
-``exact_best_response`` used before its clip points were closed forms (the
-roots of ``DeviationEvaluator.rate_model``), and the split that
-``slope_reference`` searches: between two merged kinks, a demand where a
-best first quote turns to or from 0 is bisected for on the clip state of
-``best_message``.
 """
 
 from __future__ import annotations
@@ -26,14 +19,14 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from mcastmech.equilibrium import _ZERO_PROBE, DEMAND_CAP, BestResponseResult
+from mcastmech.equilibrium import DEMAND_CAP, BestResponseResult
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 40  # log-spaced demands across the scales of g, 1e3 beyond each end
 TAIL = (1e3, 1e6, 1e9, 1e12)  # sparse demands beyond both ends, where g is monotone
 REFINE = 3  # best candidate brackets refined by golden section
-WIDTH_TOL = 1e-8  # relative bracket width at which golden section and bisection stop
+WIDTH_TOL = 1e-8  # relative bracket width at which golden section stops
 
 
 def demand_grid(y0: float, kinks: List[float], knees: List[float]
@@ -117,34 +110,3 @@ def grid_best_response(instance, profile, ki, params, budget: int = 1000
     best_val, best_msg = best
     return BestResponseResult(best_msg, best_val - base, ev.evals, base, best_val,
                               ev.evals < budget, [])
-
-
-def bisected_cuts(ev: DeviationEvaluator, msg) -> List[float]:
-    """The left ends of the pieces of g: 0 (or, if r jumps there, 1e-15 of
-    the smallest scale), the kinks merged within KINK_TOL, and per route
-    link the demand between two ends where its best first quote turns to
-    or from 0, bisected on the clip state to a relative width of 1e-8 and
-    reported at the end of its bracket past the turn."""
-
-    def clipped(y: float) -> List[bool]:
-        return [q1 == 0.0 for q1, _ in ev.best_message(y, msg).q.values()]
-
-    def bisect(lo: float, hi: float, past) -> float:
-        while hi - lo > WIDTH_TOL * hi:
-            y = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
-            lo, hi = (lo, y) if past(y) else (y, hi)
-        return hi
-
-    kinks, knees = ev.demand_kinks()
-    ends = [_ZERO_PROBE * min(kinks + knees) if ev.jumps_at_zero() else 0.0]
-    for y in sorted(kinks):
-        if y - ends[-1] > KINK_TOL * y and y < DEMAND_CAP:
-            ends.append(y)
-    ends.append(DEMAND_CAP)
-    marks = [clipped(y) for y in ends]
-    cuts = []
-    for a, b, ca, cb in zip(ends, ends[1:], marks, marks[1:]):
-        turns = {bisect(a, b, lambda y, j=j: clipped(y)[j] != ca[j])
-                 for j in range(len(ca)) if ca[j] != cb[j]}
-        cuts += [a, *sorted(turns - {b})]
-    return cuts

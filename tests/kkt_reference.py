@@ -119,7 +119,7 @@ def eager_solve(instance: NetworkInstance, tol: float = centralized.DEFAULT_TOL,
             break
         try:
             z, s, y = centralized._mehrotra_step(ws, z, s, y,
-                                                 centralized._step_terms(ws, z, y))
+                                                 centralized._step_terms(ws, z, y), gap)
         except np.linalg.LinAlgError:
             break
         if not (np.isfinite(z).all() and np.isfinite(s).all() and np.isfinite(y).all()):

@@ -177,9 +177,9 @@ def test_stalled_gap_ends_the_solve_on_patience(monkeypatch):
     # one BLAS thread, 53 at two) instead of running to MAX_ITERS.
     steps, real = [0], centralized._mehrotra_step
 
-    def counted(ws, z, s, y, terms):
+    def counted(*args):
         steps[0] += 1
-        return real(ws, z, s, y, terms)
+        return real(*args)
     monkeypatch.setattr(centralized, "_mehrotra_step", counted)
     _, dual = solve_cp(random_instance(1, n_groups=50, max_group_size=3, n_links=50))
     assert steps[0] <= 80
@@ -196,9 +196,9 @@ def test_structured_direction_solves_the_dense_system(instance, monkeypatch):
     calls, iterate = [], []
     real, real_step = centralized._newton_solver, centralized._mehrotra_step
 
-    def stepping(ws, z, s, y, terms):  # the solver takes v''(x), not x: record x here
+    def stepping(ws, z, *rest):  # the solver takes v''(x), not x: record x here
         iterate[:] = [z[:ws.nx]]
-        return real_step(ws, z, s, y, terms)
+        return real_step(ws, z, *rest)
 
     def recording(ws, d, d2v):
         solve, x = real(ws, d, d2v), iterate[0]
@@ -279,7 +279,8 @@ def test_singular_schur_complement_raises_out_of_the_step():
     z, s, y = np.full(ws.nx + ws.nm, 1.0), np.ones(len(ws.offset)), np.ones(len(ws.offset))
     dv, _, price, r_dual, slack = centralized._step_terms(ws, z, y)
     with pytest.raises(np.linalg.LinAlgError):
-        centralized._mehrotra_step(ws, z, s, y, (dv, np.ones(ws.nx), price, r_dual, slack))
+        centralized._mehrotra_step(ws, z, s, y, (dv, np.ones(ws.nx), price, r_dual, slack),
+                                   float(s @ y))
 
 
 @pytest.fixture(scope="module")
@@ -379,12 +380,12 @@ def test_deferred_measurement_returns_the_eager_iterate(path, monkeypatch):
             monkeypatch.setattr(centralized, name, tally)
     real = centralized._mehrotra_step
 
-    def counted(ws, z, s, y, terms):
+    def counted(*args):
         steps[0] += 1
         if path == "linalg-error" and steps[0] > 6:
             raise np.linalg.LinAlgError("singular")
         finite[0] = False
-        z, s, y = real(ws, z, s, y, terms)
+        z, s, y = real(*args)
         finite[0] = all(np.isfinite(v).all() for v in (z, s, y))
         return z, s, y
     monkeypatch.setattr(centralized, "_mehrotra_step", counted)

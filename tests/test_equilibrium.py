@@ -39,10 +39,8 @@ from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
 
 from conftest import make_instance
 from evaluate_reference import member_agents_on_link, neighbours
-from finite_diff import displaced, fd_hessian
-from kinks_reference import pairwise_kinks
+from finite_diff import displaced, exact_hessian, fd_hessian
 from search import search_best_response
-from slope_reference import exact_hessian
 
 WBB = MechanismParams(variant="wbb")
 SBB = MechanismParams(variant="sbb")
@@ -1094,13 +1092,36 @@ def test_jump_at_zero_reads_the_realized_scale(request):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def test_best_demand_just_past_a_jump_at_zero():
+    """Agent 1.1 shares group 1 on l1 (c = 10) with 1.2, who demands 0 and
+    quotes 3, above group 2's price 1, so 1.1's best first quote clips at 0
+    and its tax grows with l1's slack. At y = 0 l1 carries one demanding
+    group and offers 10/6, so r jumps at 0 and l1 is slack there only: g
+    jumps up past 0, then falls (price 5 against V'(0) = 1). The best
+    response reads g's right limit at 0, which no sample of g from 1e-13
+    to 1e-1 beats."""
+    inst = make_instance({"l1": 10.0}, [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                                        (1, 2, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                                        (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0})])
+    ki = AgentId(1, 1)
+    profile = {ki: Message(1.0, {"l1": (0.0, 5.0)}),
+               AgentId(1, 2): Message(0.0, {"l1": (3.0, 5.0)}),
+               AgentId(2, 1): Message(5.0, {"l1": (1.0, 5.0)})}
+    ev = DeviationEvaluator(inst, profile, WBB, ki)
+    res = exact_best_response(inst, profile, ki, WBB)
+    assert ev.jumps_at_zero() and res.message.y > 0.0
+    tol = 1e-12 * (1.0 + abs(res.best_utility))
+    for y in np.geomspace(1e-13, 1e-1, 13):
+        assert res.best_utility >= ev.utility(ev.best_message(float(y), profile[ki])) - tol, y
+
+
 def test_envelope_drops_the_lower_parallel_form():
     """Agent 1.1 crosses l1 and l2 (c = 10, a = 1), so its own peaks give
     1/r the parallel lines (3 + y)/10 and (5 + y)/10, and its group-mate's
     peak 4 on l1 the flat line 7/10. The envelope is max(7/10, (5 + y)/10):
     r bends at y = 2 only, and the lower parallel line meets the flat one at
-    y = 4 = pm/a off the envelope. The kinks equal the pairwise scan's, and
-    the flat form binds below 2, l2's above."""
+    y = 4 = pm/a off the envelope. The kinks are pm/a and 2, and the flat
+    form binds below 2, l2's above."""
     inst = make_instance({"l1": 10.0, "l2": 10.0},
                          [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0, "l2": 1.0}),
                           (1, 2, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
@@ -1109,16 +1130,34 @@ def test_envelope_drops_the_lower_parallel_form():
     ys = {AgentId(1, 1): 1.0, AgentId(1, 2): 4.0, AgentId(2, 1): 3.0, AgentId(3, 1): 5.0}
     profile = {ki: Message(y, zero_message(inst, ki, "wbb").q) for ki, y in ys.items()}
     ev = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
-    assert ev.demand_kinks() == pairwise_kinks(ev) == ([4.0, 2.0], [3.0, 5.0])
+    assert ev.demand_kinks() == ([4.0, 2.0], [3.0, 5.0])
     assert ev._rate_form(1.0, +1)[0] == (10.0, 7.0, 0.0)
     assert ev._rate_form(3.0, +1)[0] == (10.0, 5.0, 1.0)
+
+
+def test_envelope_counts_three_offers_meeting_once():
+    """Agent 1.1's group-mate peaks 4 on l1 (the flat line 7/10), its own
+    peak gives l2 the line (5 + y)/10 and, at alpha = 2, l3 the line
+    (3 + 2y)/10: all three meet at y = 2. l2's line touches the envelope
+    max(7/10, (3 + 2y)/10) there only, so it is no envelope line, and the
+    kink at 2 is reported once."""
+    inst = make_instance({"l1": 10.0, "l2": 10.0, "l3": 10.0},
+                         [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0, "l2": 1.0, "l3": 2.0}),
+                          (1, 2, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                          (2, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
+                          (3, 1, LOG_SAT, 1.0, 1.0, {"l2": 1.0}),
+                          (4, 1, LOG_SAT, 1.0, 1.0, {"l3": 1.0})])
+    ys = {AgentId(1, 1): 1.0, AgentId(1, 2): 4.0, AgentId(2, 1): 3.0, AgentId(3, 1): 5.0,
+          AgentId(4, 1): 3.0}
+    profile = {ki: Message(y, zero_message(inst, ki, "wbb").q) for ki, y in ys.items()}
+    ev = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
+    assert ev.demand_kinks() == ([4.0, 2.0], [3.0, 5.0, 1.5])
 
 
 def test_envelope_kink_where_the_off_route_offer_binds():
     """Agent 1.1 crosses l1 only; l2 (c = 6), off its route, offers
     6 / (2 + 4) = 1, and l1 offers 10 / (2 + y). The off-route offer binds
-    up to y = 8, l1's past it: one kink, equal to the pairwise scan's, and
-    at the kink the faster falling form binds on the right, the flat one on
+    up to y = 8, l1's past it: one kink, and at the kink the faster falling form binds on the right, the flat one on
     the left."""
     inst = make_instance({"l1": 10.0, "l2": 6.0},
                          [(1, 1, LOG_SAT, 1.0, 1.0, {"l1": 1.0}),
@@ -1127,7 +1166,7 @@ def test_envelope_kink_where_the_off_route_offer_binds():
     ys = {AgentId(1, 1): 1.0, AgentId(2, 1): 2.0, AgentId(3, 1): 4.0}
     profile = {ki: Message(y, zero_message(inst, ki, "wbb").q) for ki, y in ys.items()}
     ev = DeviationEvaluator(inst, profile, WBB, AgentId(1, 1))
-    assert ev.demand_kinks() == pairwise_kinks(ev) == ([8.0], [2.0])
+    assert ev.demand_kinks() == ([8.0], [2.0])
     assert ev._scale(4.0)[0] == 1.0
     assert ev._rate_form(4.0, +1)[0] == ev._rate_form(8.0, -1)[0] == (1.0, 1.0, 0.0)
     assert ev._rate_form(8.0, +1)[0] == ev._rate_form(9.0, -1)[0] == (10.0, 2.0, 1.0)
