@@ -35,7 +35,7 @@ from .centralized import DualCertificate, PrimalSolution
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
 from .mechanism import (COORD_Q1, COORD_Q2, DeviationEvaluator, KINK_TOL,
                         MechanismParams, Message, Profile, VARIANT_SBB,
-                        _evaluate, _evaluators, allocate, evaluate, validate_profile)
+                        _allocate, _evaluate, _evaluators, evaluate, validate_profile)
 from .model import (AgentId, NetworkInstance, Valuation, _EPS, _tables,
                     constraint_violation, seq_sum)
 
@@ -185,7 +185,7 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
     T = _tables(instance)
     xs = [primal.x[ki] for ki in T.agents]
     ys = [x if x > zero else 0.0 for x, zero in zip(xs, T.zero_rate)]
-    alloc = allocate(instance, dict(zip(T.agents, ys)))
+    alloc = _allocate(T, ys)
     if abs(alloc.r - 1.0) > 1e-6:
         raise EquilibriumError(f"replayed scale {alloc.r} is not 1")
     # Per pair: its own dual, then its successor's (its own when alone in its group there).
@@ -196,7 +196,7 @@ def construct_ne(instance: NetworkInstance, primal: PrimalSolution,
     profile: Profile = {
         ki: Message(y, dict(zip(route, quotes[lo:hi])), rho)
         for ki, route, y, lo, hi in zip(T.agents, T.routes, ys, T.starts, T.starts[1:])}
-    err = max(abs(x - y) for x, y in zip(alloc.x.values(), xs))
+    err = max(abs(x - y) for x, y in zip(alloc.x.column, xs))
     if err > 1e-6 * max(1.0, max(abs(v) for v in xs)):
         raise EquilibriumError(f"replayed rates drift from the optimum by {err:.3e}")
     return CandidateNE(profile, params)
@@ -453,10 +453,10 @@ def lemma_suite(instance: NetworkInstance, candidate: CandidateNE) -> LemmaRepor
     sbb = candidate.params.variant == VARIANT_SBB
     read, out = _evaluate(instance, candidate.profile, candidate.params)
     T, q1s, ws, rhos = read.T, read.q1s, read.ws, read.rhos
-    # evaluate keys x and taxes in agent order, m in slot order
-    xs, ms = list(out.x.values()), list(out.m.values())
+    # the outcome's columns run in table order, and its taxes in agent order
+    xs, ms = out.x.column, out.m.column
 
-    equal_prices = max([abs(w - out.w_bar[key]) for key, w in out.w.items()])
+    equal_prices = max([abs(w - wb) for w, wb in zip(ws, out.w_bar.column)])
     # the most negative quote or rho; -min(q) is max(-q) bit for bit
     dual_feas = max(0.0, -min(q1s), -min(read.q2s), -min(rhos) if sbb else 0.0)
 

@@ -40,6 +40,11 @@ one over the links for the rebate pools. evaluate() prices that read in
 one sweep over the links and one over the agents and their pairs, its
 sums in fixed orders and its slots from _link_slots, and every
 DeviationEvaluator is built from a read, so the two agree bit for bit.
+The allocation and the outcome keep their per-link, per-slot and
+per-agent values as lists in table order: each keyed field but taxes is a
+read-only TableMap that pairs such a list with its table's shared key ->
+position index (model._Tables), built in O(1) per call, and the library's
+own readers (lemma_suite, outcome_to_dict, construct_ne) take the lists.
 """
 
 from __future__ import annotations
@@ -49,13 +54,13 @@ import math
 from math import isfinite
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import InstanceFormatError, MessageShapeError
-from .model import (AgentId, NetworkInstance, _Tables, _number, _tables, _unique_keys,
-                    canonical_json, seq_sum)
+from .model import (AgentId, NetworkInstance, TableMap, _Tables, _number, _tables,
+                    _unique_keys, canonical_json, seq_sum)
 
 VARIANT_WBB = "wbb"
 VARIANT_SBB = "sbb"
@@ -109,18 +114,26 @@ class TaxBreakdown:
 
 @dataclass
 class AllocationResult:
+    """The allocation of a demand profile. Each keyed field is a read-only
+    TableMap over its table (links, slots or agents) when allocate() or
+    evaluate() made it."""
+
     r: float
-    r_per_link: Dict[str, float]
-    n: Dict[Tuple[int, str], float]
-    x: Dict[AgentId, float]
-    m: Dict[Tuple[int, str], float]
+    r_per_link: Mapping[str, float]
+    n: Mapping[Tuple[int, str], float]
+    x: Mapping[AgentId, float]
+    m: Mapping[Tuple[int, str], float]
 
 
 @dataclass
 class Outcome(AllocationResult):
-    w: Dict[Tuple[int, str], float]
-    w_bar: Dict[Tuple[int, str], float]
-    rho_bar: Dict[AgentId, float]
+    """evaluate()'s outcome: the allocation, the per-slot prices w and
+    rival means w_bar and the per-agent rho means rho_bar (TableMaps; rho_bar
+    is empty under WBB), and the taxes, a dict in agent order."""
+
+    w: Mapping[Tuple[int, str], float]
+    w_bar: Mapping[Tuple[int, str], float]
+    rho_bar: Mapping[AgentId, float]
     taxes: Dict[AgentId, TaxBreakdown]
     total_tax: float
 
@@ -165,23 +178,26 @@ def _peaks_offers(T: _Tables, ay: List[float]) -> Tuple[List[float], List[float]
 
 
 def _allocation(T: _Tables, ys: List[float], peaks: List[float], offers: List[float]
-                ) -> Tuple[List[float], List[float], AllocationResult]:
+                ) -> AllocationResult:
     """The allocation of demands ys (agent order) from their peaks and
-    offers (_peaks_offers), with its rates (agent order) and reservations
-    (slot order) as the lists its dicts are made from."""
+    offers (_peaks_offers): the offers, peaks, rates and reservations are
+    lists in table order, which its TableMaps wrap as they are."""
     finite = [v for v in offers if v != NO_BOUND]
     r = min(finite) if finite else 0.0  # all-zero demand collapses to x = 0
-    xs, ms = [r * y for y in ys], [r * p for p in peaks]
-    return xs, ms, AllocationResult(r, dict(zip(T.link_ids, offers)),
-                                    dict(zip(T.slot_keys, peaks)), dict(zip(T.agents, xs)),
-                                    dict(zip(T.slot_keys, ms)))
+    return AllocationResult(r, TableMap(T.link_index, offers), TableMap(T.slot_index, peaks),
+                            TableMap(T.agent_index, [r * y for y in ys]),
+                            TableMap(T.slot_index, [r * p for p in peaks]))
+
+
+def _allocate(T: _Tables, ys: List[float]) -> AllocationResult:
+    """The allocation of demands ys (agent order)."""
+    ay = [alpha * ys[a] for a, _, _, alpha, _, _ in T.pairs]
+    return _allocation(T, ys, *_peaks_offers(T, ay))
 
 
 def allocate(instance: NetworkInstance, y: Dict[AgentId, float]) -> AllocationResult:
     T = _tables(instance)
-    ys = [y[ki] for ki in T.agents]
-    ay = [alpha * ys[a] for a, _, _, alpha, _, _ in T.pairs]
-    return _allocation(T, ys, *_peaks_offers(T, ay))[2]
+    return _allocate(T, [y[ki] for ki in T.agents])
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +268,10 @@ def evaluate(instance: NetworkInstance, profile: Profile, params: MechanismParam
     It prices the profile's read (validate_profile) in two sweeps: one
     over the links, summing w and the loads in group order for w_bar and
     the slacks, and one over the agents and their route pairs, each total
-    along the route, total_tax by agent. The rates and reservations are
-    lists first; the outcome's dicts are made from the lists."""
+    along the route, total_tax by agent. Every per-agent, per-slot and
+    per-link field but taxes is a list in table order that the outcome's
+    TableMaps wrap as they are, so no keyed dict is built per call; taxes
+    is a dict in agent order, each TaxBreakdown.per_link in route order."""
     return _evaluate(instance, profile, params)[1]
 
 
@@ -264,8 +282,8 @@ def _evaluate(instance: NetworkInstance, profile: Profile, params: MechanismPara
     T, ys, q1s, q2s, ws = read.T, read.ys, read.q1s, read.q2s, read.ws
     if T.lone is not None:
         _rival_count(T, T.lone)  # raises: a lone group has no rival mean
-    xs, ms, alloc = _allocation(T, ys, read.peaks, read.offers)
-    r = alloc.r
+    alloc = _allocation(T, ys, read.peaks, read.offers)
+    r, xs, ms = alloc.r, alloc.x.column, alloc.m.column
     wbs, slack = [0.0] * len(ws), []
     for slots, n_rivals, c in zip(T.link_slots, T.rivals, T.capacity):
         total = load = 0.0  # seq_sum's order, inline
@@ -299,10 +317,10 @@ def _evaluate(instance: NetworkInstance, profile: Profile, params: MechanismPara
             total += zeta_term
         taxes[ki] = TaxBreakdown(per_link, zeta_term, total)
         total_tax += total
-    return read, Outcome(**vars(alloc), w=dict(zip(T.slot_keys, ws)),
-                         w_bar=dict(zip(T.slot_keys, wbs)),
-                         rho_bar=dict(zip(T.agents, rho_bars)) if sbb else {}, taxes=taxes,
-                         total_tax=total_tax)
+    return read, Outcome(**vars(alloc), w=TableMap(T.slot_index, ws),
+                         w_bar=TableMap(T.slot_index, wbs),
+                         rho_bar=TableMap(T.agent_index, rho_bars) if sbb else TableMap({}, []),
+                         taxes=taxes, total_tax=total_tax)
 
 
 def utilities(instance: NetworkInstance, profile: Profile,
@@ -352,9 +370,8 @@ def validate_profile(instance: NetworkInstance, profile: Profile, variant: str) 
         raise MessageShapeError(
             "profile missing agents: " + ", ".join(ki.label for ki in missing))
     if len(profile) != len(T.agents):  # every agent is in it, so something else is too
-        known = set(T.agents)
         raise MessageShapeError("profile holds agents not in the instance: " + ", ".join(
-            _agent_label(k) for k in profile if k not in known))
+            _agent_label(k) for k in profile if k not in T.agent_index))
     sbb = variant == VARIANT_SBB
     ys, rhos, q1s, q2s, ay, pay = [], [], [], [], [], []
     ws = [0.0] * len(T.slot_pairs)
@@ -527,9 +544,10 @@ class DeviationEvaluator:
     def __init__(self, instance: NetworkInstance, profile: Profile,
                  params: MechanismParams, ki: AgentId):
         read = validate_profile(instance, profile, params.variant)
-        if ki not in read.T.agents:
+        a = read.T.agent_index.get(ki)
+        if a is None:
             raise MessageShapeError(f"agent {_agent_label(ki)} is not in the instance")
-        self._setup(read, params, read.T.agents.index(ki))
+        self._setup(read, params, a)
 
     def _setup(self, read: _ProfileRead, params: MechanismParams, a: int) -> None:
         """Build the evaluator of the a-th agent from read, which was made
@@ -809,10 +827,13 @@ class DeviationEvaluator:
             den = c1 * a2 - c2 * a1
             return (c2 * p1 - c1 * p2) / den if den else math.nan
 
-        hull = []  # the envelope's lines by rising slope, so their crossings rise
+        # The envelope's lines by rising slope, so their crossings rise. A
+        # line parallel to the last one in the hull lies no lower (the sort
+        # breaks ties by intercept): deeper in the hull the pop below drops
+        # the lower one, and left first it adds only a NaN crossing, which
+        # the 0 < y < inf filter drops.
+        hull = []
         for f in sorted(forms, key=lambda f: (f[2] / f[0], f[1] / f[0])):
-            if hull and math.isnan(cross(hull[-1], f)):
-                hull.pop()  # parallel, and f lies no lower
             while len(hull) > 1 and cross(hull[-2], f) <= cross(hull[-2], hull[-1]):
                 hull.pop()
             hull.append(f)
@@ -879,26 +900,26 @@ def profile_from_json(text: str, instance: NetworkInstance) -> Profile:
 
 
 def outcome_to_dict(instance: NetworkInstance, out: Outcome) -> Dict[str, object]:
+    """outcome.json's document for evaluate()'s out: each TableMap's column
+    labelled with its table's labels (canonical_json sorts the keys)."""
+    T = _tables(instance)
+
     def fin(v: float):
         return "inf" if v == NO_BOUND else v
 
     return {
         "r": fin(out.r),
-        "r_per_link": {lid: fin(out.r_per_link[lid]) for lid in instance.link_ids},
-        "n": {f"{k}|{lid}": out.n[(k, lid)] for (k, lid) in sorted(out.n)},
-        "m": {f"{k}|{lid}": out.m[(k, lid)] for (k, lid) in sorted(out.m)},
-        "x": {ki.label: out.x[ki] for ki in instance.agents},
-        "w": {f"{k}|{lid}": out.w[(k, lid)] for (k, lid) in sorted(out.w)},
-        "w_bar": {f"{k}|{lid}": out.w_bar[(k, lid)] for (k, lid) in sorted(out.w_bar)},
-        "rho_bar": {ki.label: out.rho_bar[ki] for ki in sorted(out.rho_bar)},
+        "r_per_link": dict(zip(T.link_ids, map(fin, out.r_per_link.column))),
+        "n": dict(zip(T.slot_labels, out.n.column)),
+        "m": dict(zip(T.slot_labels, out.m.column)),
+        "x": dict(zip(T.agent_labels, out.x.column)),
+        "w": dict(zip(T.slot_labels, out.w.column)),
+        "w_bar": dict(zip(T.slot_labels, out.w_bar.column)),
+        "rho_bar": dict(zip(T.agent_labels, out.rho_bar.column)),
         "taxes": {
-            ki.label: {
-                "per_link": {lid: list(terms)
-                             for lid, terms in sorted(out.taxes[ki].per_link.items())},
-                "zeta_term": out.taxes[ki].zeta_term,
-                "total": out.taxes[ki].total,
-            }
-            for ki in instance.agents
+            label: {"per_link": {lid: list(terms) for lid, terms in tax.per_link.items()},
+                    "zeta_term": tax.zeta_term, "total": tax.total}
+            for label, tax in zip(T.agent_labels, map(out.taxes.__getitem__, T.agents))
         },
         "total_tax": out.total_tax,
     }

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -180,7 +181,7 @@ class NetworkInstance:
                 members.setdefault((ki.group, lid), []).append(ki.member)
         # The one slot order: (group, link) slots link by link, groups
         # ascending. The solver's m, the compiled tables (_tables) and every
-        # per-slot dict of the mechanism run in it.
+        # per-slot list and TableMap of the mechanism run in it.
         self.members_on_link: Dict[Tuple[int, str], Tuple[int, ...]] = {
             key: tuple(sorted(members[key]))
             for key in sorted(members, key=lambda key: (key[1], key[0]))}
@@ -207,7 +208,10 @@ class _Tables:
     zero-rate threshold, RATE_ATOL times the largest capacity on the route
     (a rate at or below it counts as 0 in the sharing count, the solver's
     stationarity, the replay and the lemmas). The labels solution.json
-    keys by: "k.i" per agent, "k|lid" per slot and "k.i|lid" per pair."""
+    keys by: "k.i" per agent, "k|lid" per slot and "k.i|lid" per pair.
+    Per table of agents, slots and links, one key -> position index
+    (agent_index, slot_index, link_index), which every TableMap over that
+    table shares."""
 
     def __init__(self, instance: NetworkInstance):
         self.agents = instance.agents
@@ -218,19 +222,20 @@ class _Tables:
         self.pair_keys = [(ki, lid) for ki, route in zip(self.agents, self.routes)
                           for lid in route]
         self.starts = [0, *accumulate(len(route) for route in self.routes)]
-        link_ix = {lid: l for l, lid in enumerate(self.link_ids)}
-        slot_ix = {key: s for s, key in enumerate(self.slot_keys)}
-        self.slot_link = [link_ix[lid] for _, lid in self.slot_keys]
+        self.agent_index = {ki: a for a, ki in enumerate(self.agents)}
+        self.link_index = {lid: l for l, lid in enumerate(self.link_ids)}
+        self.slot_index = {key: s for s, key in enumerate(self.slot_keys)}
+        self.slot_link = [self.link_index[lid] for _, lid in self.slot_keys]
         self.link_slots = [[] for _ in self.link_ids]
         for s, l in enumerate(self.slot_link):
             self.link_slots[l].append(s)
         # Agents run in (group, member) order, so each slot gathers its pairs in member order.
         rows, self.slot_pairs, self.agent_slots = [], [[] for _ in self.slot_keys], []
         for a, (ki, route) in enumerate(zip(self.agents, self.routes)):
-            self.agent_slots.append([slot_ix[(ki.group, lid)] for lid in route])
+            self.agent_slots.append([self.slot_index[(ki.group, lid)] for lid in route])
             for lid, s in zip(route, self.agent_slots[a]):
                 self.slot_pairs[s].append(len(rows))
-                rows.append([a, link_ix[lid], s, instance.alpha[(ki, lid)], -1, -1])
+                rows.append([a, self.link_index[lid], s, instance.alpha[(ki, lid)], -1, -1])
         self.places = [(0, 0)] * len(rows)
         for slots in self.link_slots:
             for g, s in enumerate(slots):
@@ -247,7 +252,8 @@ class _Tables:
         self.rivals = [len(slots) - 1 for slots in self.link_slots]
         self.lone = next((l for l, n in enumerate(self.rivals) if n < 1), None)
         # per agent, the first route link no other agent crosses (SBB rejects it)
-        self.solo_links = [next((lid for lid in route if self.n_on_link[link_ix[lid]] < 2), None)
+        self.solo_links = [next((lid for lid in route
+                                 if self.n_on_link[self.link_index[lid]] < 2), None)
                            for route in self.routes]
         self.zero_rate = [RATE_ATOL * max(instance.capacity[lid] for lid in route)
                           for route in self.routes]
@@ -255,6 +261,35 @@ class _Tables:
         self.slot_labels = [f"{k}|{lid}" for k, lid in self.slot_keys]
         self.pair_labels = [f"{self.agent_labels[a]}|{lid}" for a, route in enumerate(self.routes)
                             for lid in route]
+
+
+class TableMap(Mapping):
+    """A read-only mapping over one table of _Tables: a list of values in
+    table order (`column`) and the table's shared key -> position index.
+    It wraps both as they are, so it is built in O(1); it iterates in table
+    order, compares equal to dict(zip(index, column)) and has that dict's
+    repr. Item assignment raises TypeError, as on any Mapping; readers that
+    take the column must not write it either."""
+
+    __slots__ = ("index", "column")
+
+    def __init__(self, index: Dict[Hashable, int], column: list):
+        self.index, self.column = index, column
+
+    def __getitem__(self, key):
+        return self.column[self.index[key]]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.column)
+
+    def __contains__(self, key) -> bool:
+        return key in self.index
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self.index, self.column)))
 
 
 def _tables(instance: NetworkInstance) -> _Tables:

@@ -16,7 +16,7 @@ itself is never written.
 
 For a fault no test catches, the script also runs ``solve_corpus.py``,
 ``profile_corpus.py`` and ``certify_corpus.py`` in the mutated copy and in
-an unmutated one: if all three digests agree, the fault is equivalent on
+an unmutated one: if all their digests agree, the fault is equivalent on
 the corpora (it changes no output there); else it is a missing test.
 
 Per fault it prints the file:line of the fault and the tests that catch
@@ -101,8 +101,6 @@ FAULTS = [Fault(*f) for f in (
     ("demand_kinks' cross negated", MECH,
      "return (c2 * p1 - c1 * p2) / den if den else math.nan",
      "return (c1 * p2 - c2 * p1) / den if den else math.nan"),
-    ("demand_kinks keeps both parallel forms", MECH,
-     "hull.pop()  # parallel, and f lies no lower", "pass  # parallel, and f lies no lower"),
     ("demand_kinks' knees drop the lone-group +1", MECH,
      "knees.append(L.base / L.a)", "knees.append(L.rest / L.a)"),
     # the best response (search, grid_reference)
@@ -185,11 +183,11 @@ def catching(fault):
 
 
 def digests(fault=None):
-    """The last sha256 line of each corpus script under fault."""
+    """The sha256 lines of each corpus script under fault."""
     root = checkout(fault)
     try:
         return [[l for l in run(root, [f"tests/{script}", *args]).splitlines()
-                 if "sha256" in l][-1:] for script, *args in CORPORA]
+                 if "sha256" in l] for script, *args in CORPORA]
     except subprocess.TimeoutExpired:
         return None
     finally:

@@ -15,10 +15,11 @@ calls.
 
 Per rung it prints the agent count, the pair count and the microseconds
 per ``evaluate`` call: the least over REPEATS (default 5) timed sweeps
-over the rung's 512 calls. Last it prints one SHA-256 over every
-``repr(outcome)`` (or ``MessageShapeError`` message), in rung, profile
-and variant order, so two source trees can be compared by running this
-script on each.
+over the rung's 512 calls. Last it prints two SHA-256 digests, each in
+rung, profile and variant order: one over every ``repr(outcome)`` and one
+over every ``outcome_to_json`` text, the bytes of ``outcome.json`` (a
+profile that raises adds its ``MessageShapeError`` message to both). Two
+source trees can be compared by running this script on each.
 
 Not collected by pytest (the name does not start with ``test_``); it is
 the shared yardstick for changes to ``evaluate`` and ``validate_profile``,
@@ -31,7 +32,7 @@ import time
 
 import numpy as np
 
-from mcastmech import MechanismParams, Message, evaluate, random_instance
+from mcastmech import MechanismParams, Message, evaluate, outcome_to_json, random_instance
 from mcastmech.errors import MessageShapeError, ValidationFailure
 
 LADDER = ((6, 3, 2), (8, 4, 3), (12, 6, 4), (16, 8, 5), (20, 10, 7), (24, 12, 8), (30, 15, 10))
@@ -73,19 +74,23 @@ def ladder():
     return rungs
 
 
-def outcome_text(inst, profile, params) -> str:
+def outcome_texts(inst, profile, params):
+    """(repr(outcome), outcome_to_json text), or the error message twice."""
     try:
-        return repr(evaluate(inst, profile, params))
+        out = evaluate(inst, profile, params)
     except MessageShapeError as exc:
-        return f"MessageShapeError: {exc}"
+        return (f"MessageShapeError: {exc}",) * 2
+    return repr(out), outcome_to_json(inst, out)
 
 
 def main() -> None:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 5
-    digest = hashlib.sha256()
+    digest, json_digest = hashlib.sha256(), hashlib.sha256()
     for inst, n_q, calls in ladder():
         for params, profile in calls:
-            digest.update(outcome_text(inst, profile, params).encode())
+            text, json_text = outcome_texts(inst, profile, params)
+            digest.update(text.encode())
+            json_digest.update(json_text.encode())
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
@@ -95,6 +100,7 @@ def main() -> None:
         print(f"agents={len(inst.agents):3d} pairs={n_q:3d} "
               f"evaluate_us={1e6 * best / len(calls):8.1f}")
     print(f"sha256 {digest.hexdigest()}")
+    print(f"outcome_to_json sha256 {json_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

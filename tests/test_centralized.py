@@ -542,6 +542,39 @@ def test_non_floor_exit_finishes_and_measures_each_iterate_once(case, monkeypatc
         assert len({id(v) for v in calls[name]}) == len(calls[name]) <= iterates
 
 
+def test_floor_exit_measures_only_iterates_within_the_comp_floor(monkeypatch):
+    """On a solve that ends at the residual floor, _residual runs once per
+    finished iterate whose finished complementarity block is at or below
+    RESIDUAL_FLOOR, and for no other: on acceptance draw 19172 the step
+    bound passes some iterates whose comp block, once finished, shows them
+    above the floor (bound-only finishes), so _residual runs fewer times
+    than _finish."""
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(centralized, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(centralized, name, wrapper)
+    for name in ("_finish", "_residual"):
+        counted(name)
+    comps = []
+    real_finished = centralized._finished
+
+    def finished(*args):
+        done = real_finished(*args)
+        comps.append(float(done[2][1].max()))
+        return done
+    monkeypatch.setattr(centralized, "_finished", finished)
+    _, dual = solve_cp(_acceptance_draw(19172))
+    assert dual.residuals.max_residual <= centralized.RESIDUAL_FLOOR
+    assert len(comps) == calls["_finish"]
+    assert calls["_residual"] == sum(c <= centralized.RESIDUAL_FLOOR for c in comps)
+    assert calls["_residual"] < calls["_finish"]
+
+
 def test_perturbed_multiplier_shows_in_comp_slack(slack_instance, solved_slack):
     primal, dual = solved_slack
     ki = slack_instance.agents[0]

@@ -30,7 +30,7 @@ from mcastmech import (
 )
 from mcastmech.errors import InstanceFormatError, MessageShapeError
 from mcastmech.mechanism import NO_BOUND, _evaluators
-from mcastmech.model import seq_sum
+from mcastmech.model import AgentId, TableMap, _tables, seq_sum
 
 from conftest import coherent_quotes, make_instance
 from evaluate_reference import agents_on_link, reference_allocate, reference_evaluate
@@ -817,28 +817,59 @@ def _reference_draws(variant):
             yield inst, _reference_profile(inst, rng, variant)
 
 
+def _assert_table_maps(inst, out, ref):
+    """Each keyed field of out (an Outcome or an AllocationResult) but taxes
+    is a read-only TableMap over its table: it iterates in table order as
+    the reference's dict does, equals dict(zip(keys, column)), answers len
+    and in, raises KeyError for a foreign key, refuses item assignment and
+    has the reference dict's repr. Under WBB rho_bar is empty."""
+    T = _tables(inst)
+    tables = {"r_per_link": T.link_ids, "n": T.slot_keys, "m": T.slot_keys, "x": T.agents,
+              "w": T.slot_keys, "w_bar": T.slot_keys, "rho_bar": T.agents}
+    foreign = AgentId(0, 0)
+    for name in tables.keys() & vars(ref).keys():
+        view, want = getattr(out, name), getattr(ref, name)
+        keys = tables[name] if want else ()
+        assert isinstance(view, TableMap)
+        assert list(view) == list(keys) == list(want)
+        assert view == dict(zip(keys, view.column))
+        assert len(view) == len(keys) and all(key in view for key in keys)
+        assert foreign not in view
+        with pytest.raises(KeyError):
+            view[foreign]
+        with pytest.raises(TypeError):
+            view[foreign] = 0.0
+        assert repr(view) == repr(want)
+
+
 @pytest.mark.parametrize("variant", ["wbb", "sbb"])
 def test_evaluate_matches_reference_bitwise(variant):
     """The compiled pass equals the dict-walking reference field by field
-    (repr equality, so every float to the last bit and every dict in the
-    same key order) on random instances, singleton groups included."""
+    (repr equality, so every float to the last bit and every keyed field
+    in the same key order) on random instances, singleton groups included,
+    and its keyed fields are TableMaps that behave as the reference's dicts
+    (_assert_table_maps)."""
     params = MechanismParams(variant=variant)
     n_checked = 0
     for inst, profile in _reference_draws(variant):
-        assert repr(evaluate(inst, profile, params)) == \
-            repr(reference_evaluate(inst, profile, params))
+        out, ref = evaluate(inst, profile, params), reference_evaluate(inst, profile, params)
+        assert repr(out) == repr(ref)
+        _assert_table_maps(inst, out, ref)
         n_checked += 1
     assert n_checked == 320
 
 
 def test_allocate_matches_reference_bitwise():
-    """allocate, which construct_ne replays through, equals the reference's
-    allocation field by field (repr equality) at the demands of the draws
-    above: exact zeros, the smallest subnormal, magnitudes 1e-300 to 1e300."""
+    """allocate, whose list form construct_ne replays through, equals the
+    reference's allocation field by field (repr equality) at the demands of
+    the draws above: exact zeros, the smallest subnormal, magnitudes 1e-300
+    to 1e300. Its keyed fields are TableMaps (_assert_table_maps)."""
     n_checked = 0
     for inst, profile in _reference_draws("wbb"):
         y = {ki: msg.y for ki, msg in profile.items()}
-        assert repr(allocate(inst, y)) == repr(reference_allocate(inst, y))
+        out, ref = allocate(inst, y), reference_allocate(inst, y)
+        assert repr(out) == repr(ref)
+        _assert_table_maps(inst, out, ref)
         n_checked += 1
     assert n_checked == 320
 
