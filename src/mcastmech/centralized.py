@@ -182,12 +182,13 @@ class _Workspace:
     rows' own indices, which the Newton system's elimination and the
     finishing step read."""
 
-    def __init__(self, inst: NetworkInstance):
+    def __init__(self, inst: NetworkInstance, step: bool = True):
+        """The workspace of inst; with step False, only the tables that
+        _residual reads (kkt_residuals measures one iterate and takes no
+        step)."""
         T = _tables(inst)
         self.agents, self.mpairs, self.bnd = T.agents, T.slot_keys, T.pair_keys
         self.vals = [inst.valuation(ki) for ki in self.agents]
-        # v'' = -v' * (k_b + v' / k_a), per Valuation.second_terms
-        self.k_b, self.k_a = np.array([v.second_terms() for v in self.vals]).T
         self.nx = nx = len(self.agents)
         self.nm = nm = len(self.mpairs)
         self.nl = nl = len(T.link_ids)
@@ -197,12 +198,15 @@ class _Workspace:
         b_ix, b_link, b_m, b_al, _, _ = zip(*T.pairs)
         self.b_ix, self.b_m = np.fromiter(b_ix, np.intp, nb), np.fromiter(b_m, np.intp, nb)
         self.b_al = np.fromiter(b_al, float, nb)
-        # Each bounding row's flat (agent, link) position, and peers i != j.
-        self.b_xl = self.b_ix * nl + np.fromiter(b_link, np.intp, nb)
-        # b_xl in each of three stacked n_x by n_l tables (_newton_solver's D, C, U).
-        self.dcu = np.concatenate((self.b_xl, self.b_xl + nx * nl, self.b_xl + 2 * nx * nl))
-        group = np.array([ki.group for ki in self.agents])
-        self.peers = np.equal.outer(group, group) - np.eye(nx)
+        if step:
+            # v'' = -v' * (k_b + v' / k_a), per Valuation.second_terms
+            self.k_b, self.k_a = np.array([v.second_terms() for v in self.vals]).T
+            # Each bounding row's flat (agent, link) position, and peers i != j.
+            self.b_xl = self.b_ix * nl + np.fromiter(b_link, np.intp, nb)
+            # b_xl in each of three stacked n_x by n_l tables (_newton_solver's D, C, U).
+            self.dcu = np.concatenate((self.b_xl, self.b_xl + nx * nl, self.b_xl + 2 * nx * nl))
+            group = np.array([ki.group for ki in self.agents])
+            self.peers = np.equal.outer(group, group) - np.eye(nx)
         self.caps = np.array(T.capacity)
         self.offset = np.concatenate((np.zeros(nx), self.caps, np.zeros(nb)))
         # Rates at or below this count as zero in the stationarity block.
@@ -446,7 +450,7 @@ def kkt_residuals(instance: NetworkInstance, primal: PrimalSolution,
     """Max-norm residual per optimality block, plus the sharing diagnostic.
 
     A NaN or infinite entry in x, m, lam or mu reads as an infinite residual."""
-    ws = _Workspace(instance)
+    ws = _Workspace(instance, step=False)
     blocks = _residual(ws, np.array([primal.x[ki] for ki in ws.agents], dtype=float),
                        np.array([primal.m[p] for p in ws.mpairs], dtype=float),
                        np.array([lam[lid] for lid in instance.link_ids], dtype=float),

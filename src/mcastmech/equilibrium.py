@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .centralized import DualCertificate, PrimalSolution
 from .errors import DegenerateInstanceError, EquilibriumError, SharingAssumptionError
@@ -113,9 +114,10 @@ class AgentCurvature:
     Hessian, over that side's free coordinates, is negative definite to
     rounding; `max_eig` the larger of the two sides' largest eigenvalues
     (0 when no coordinate is free); `kinked` when the two one-sided
-    Hessians differ. `locked` (the coordinates left out), `n_coords` (those
-    kept) and `price_diag` (the kept quotes' Hessian diagonal) are the
-    right side's, the one side that exists at y = 0."""
+    Hessians differ, which takes a tie in the piece form at the demand
+    (curvature_check). `locked` (the coordinates left out), `n_coords`
+    (those kept) and `price_diag` (the kept quotes' Hessian diagonal) are
+    the right side's, the one side that exists at y = 0."""
 
     agent: AgentId
     passed: bool
@@ -495,7 +497,11 @@ def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> Curvat
     Wright, Numerical Optimization, 2nd ed., 2006, ch. 12, for the
     second-order conditions). At y > 0 both one-sided Hessians are read and
     the agent is kinked when they differ; at y = 0 only the right one
-    exists. Each
+    exists. The left model is built only where the piece form has a tie
+    (an own peak within KINK_TOL of the mates' peak, or more than one offer
+    within KINK_TOL of the smallest); elsewhere it is the right one with
+    each first quote's clip test re-read on the left
+    (DeviationEvaluator.local_models), so the agent is not kinked. Each
     side keeps the coordinates of its LocalModel.free mask: a first quote
     whose best value is 0 on that side (the mechanism's one clip rule,
     whose roots split the best response's pieces) or a demand at 0 with a
@@ -504,31 +510,49 @@ def curvature_check(instance: NetworkInstance, candidate: CandidateNE) -> Curvat
     agent passes when the largest eigenvalue of each side's remaining
     Hessian is at most n * eps * max|H_ij|, n being that side's coordinate
     count: the rounding bound of an eigenvalue of an n x n matrix. So a
-    direction flat to rounding (a saturated agent's demand) passes."""
+    direction flat to rounding (a saturated agent's demand) passes. Each
+    distinct (Hessian, free mask) pair is one eigenvalue problem, solved by
+    the LAPACK kernel behind np.linalg.eigvalsh, called directly through
+    numpy's private gufunc (_top_eig): bit for bit eigvalsh's result, tested
+    with numpy 2.4.6."""
     agents_out: Dict[AgentId, AgentCurvature] = {}
     for ev in _evaluators(instance, candidate.profile, candidate.params):
         ki = ev.ki
-        msg = candidate.profile[ki]
-        models = [ev.local_model(msg, +1)]
-        if msg.y > 0.0:
-            models.append(ev.local_model(msg, -1))
-        kinked = len(models) == 2 and not np.array_equal(models[0].hess, models[1].hess)
-        right = models[0]
+        right, *left = ev.local_models(candidate.profile[ki])
+        kinked = bool(left) and not np.array_equal(right.hess, left[0].hess)
+        free = right.free.tolist()
+        sides = [(right.hess, free)] + [(m.hess, m.free.tolist()) for m in left]
+        if left and not kinked and sides[1][1] == free:
+            del sides[1]  # one Hessian and one mask: one eigenvalue problem
         labels = [f"{kind}|{lid}" if lid else kind for kind, lid in ev.coords]
-        locked = [label for label, free in zip(labels, right.free) if not free]
-        price_diag = {labels[j]: float(right.hess[j, j]) for j in np.flatnonzero(right.free)
-                      if ev.coords[j][0] in (COORD_Q1, COORD_Q2)}
+        locked = [label for label, f in zip(labels, free) if not f]
+        price_diag = {label: d for (kind, _), label, f, d
+                      in zip(ev.coords, labels, free, right.hess.diagonal().tolist())
+                      if f and kind in (COORD_Q1, COORD_Q2)}
         tops, passed = [], True
-        for m in models:
-            H = m.hess[m.free][:, m.free]
-            if len(H):
-                top = float(np.linalg.eigvalsh(H)[-1])
+        for hess, mask in sides:
+            keep = [j for j, f in enumerate(mask) if f]
+            if keep:
+                H = hess if len(keep) == len(mask) else hess.take(keep, 0).take(keep, 1)
+                top = _top_eig(H)
                 tops.append(top)
-                passed = passed and top <= len(H) * _EPS * float(np.abs(H).max())
+                passed = passed and top <= len(keep) * _EPS * float(np.abs(H).max())
         max_eig = max(tops, default=0.0)  # no coordinate left: every direction descends
         agents_out[ki] = AgentCurvature(ki, passed, max_eig, price_diag,
-                                        kinked, locked, int(right.free.sum()))
+                                        kinked, locked, free.count(True))
     return CurvatureReport(agents_out)
+
+
+def _nonconvergent(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_nonconvergent, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _top_eig(H: np.ndarray) -> float:
+    """The largest eigenvalue of symmetric H by the LAPACK syevd kernel that
+    np.linalg.eigvalsh wraps (its lower triangle), called directly under the
+    same error state, so a failed solve raises LinAlgError."""
+    return float(_umath_linalg.eigvalsh_lo(H, signature="d->d")[-1])
 
 
 def tune_params(instance: NetworkInstance, primal: PrimalSolution,

@@ -643,11 +643,13 @@ class DeviationEvaluator:
                                                   + self.params.xi * L.wb * slack))
 
     def _rate_form(self, y: float, side: int) -> Tuple[Tuple[float, float, float],
-                                                       List[Tuple[float, float, float, float]]]:
+                                                       List[Tuple[float, float, float, float]],
+                                                       bool]:
         """The piece form just to `side` (+1 right, -1 left) of demand y, in
         the rate x = r*y, from the snapshot alone: the binding offer's form
         (c, rest, a_e), in which r = c/(rest + a_e*y) = (c - a_e*x)/rest,
-        and per route link (peak0, fixed, g1, s1).
+        per route link (peak0, fixed, g1, s1), and whether y meets a tie,
+        the one place where the two sides' forms may differ.
 
         ki's group peak on a route link is peak0 + dpeak*y and the link's
         peaks sum to fixed + dpeak*y, dpeak being a where ki's own peak a*y
@@ -659,12 +661,16 @@ class DeviationEvaluator:
         The link offers c_l / (base + peak0 + dpeak*y), in the form
         (c_l, base + peak0, dpeak), and the links off the route have the
         form (r_off, 1, 0); of the offers within KINK_TOL of the smallest,
-        the one falling fastest (right) or slowest (left) binds."""
+        the one falling fastest (right) or slowest (left) binds. So the tie is
+        an own peak within KINK_TOL of the mates' peak on some route link, or
+        more than one offer within KINK_TOL of the smallest; without one
+        both sides have the same form."""
         forms = [] if self._r_off == NO_BOUND else [(self._r_off, 0.0, self._r_off, 1.0, 0.0)]
-        peaks = []
+        peaks, tied = [], False
         for L in self._route:
             own = L.a * y
             above, tie = own > L.peak_mates, abs(own - L.peak_mates) <= KINK_TOL * own
+            tied = tied or tie
             if (above or tie) if side > 0 else (above and not tie):
                 dpeak, peak0, fixed = L.a, 0.0, L.rest
             else:
@@ -675,11 +681,11 @@ class DeviationEvaluator:
             offer = L.capacity / den
             forms.append((offer, -dpeak * offer / den, L.capacity, rest, dpeak))
         r_lim = min(f[0] for f in forms)
-        *_, c, rest, a_e = min((f for f in forms if f[0] <= r_lim * (1.0 + KINK_TOL)),
-                               key=lambda f: side * f[1])
-        return (c, rest, a_e), [(peak0, fixed, dpeak - L.a - a_e * peak0 / rest,
-                                 a_e * fixed / rest - dpeak)
-                                for L, (dpeak, peak0, fixed) in zip(self._route, peaks)]
+        binding = [f for f in forms if f[0] <= r_lim * (1.0 + KINK_TOL)]
+        *_, c, rest, a_e = min(binding, key=lambda f: side * f[1])
+        links = [(peak0, fixed, dpeak - L.a - a_e * peak0 / rest, a_e * fixed / rest - dpeak)
+                 for L, (dpeak, peak0, fixed) in zip(self._route, peaks)]
+        return (c, rest, a_e), links, tied or len(binding) > 1
 
     def jumps_at_zero(self) -> bool:
         """Whether r jumps at y = 0: the binding form's right-hand limit
@@ -713,7 +719,7 @@ class DeviationEvaluator:
         k^2 - k*F where it is clipped: the best q2 and rho zero slot 2 and
         the consensus term, and slot 6 holds no message of ki."""
         self.evals += 1
-        (c, rest, a_e), form = self._rate_form(y, +1)
+        (c, rest, a_e), form, _ = self._rate_form(y, +1)
         eta, xi = self.params.eta, self.params.xi
         links = []
         for L, (peak0, fixed, g1, s1) in zip(self._route, form):
@@ -753,10 +759,34 @@ class DeviationEvaluator:
         jumps_at_zero): there they are the piece form's right-hand limits."""
         if side not in (+1, -1):
             raise ValueError("side must be +1 or -1")
-        y = msg.y
-        if side == -1 and y <= 0.0:
+        if side == -1 and msg.y <= 0.0:
             raise ValueError("left slope undefined at y = 0")
-        (c, rest, a_e), form = self._rate_form(y, side)
+        return self._local_model(msg, side, self._rate_form(msg.y, side))
+
+    def local_models(self, msg: Message) -> List[LocalModel]:
+        """local_model at msg on the right and, at y > 0, on the left.
+
+        The left model is read only where the piece form has a tie
+        (_rate_form). Elsewhere both sides share the piece form, so the left
+        model is the right one with each first quote's clip test (_q1_free)
+        re-read at side -1: the same Hessian, maybe another free mask."""
+        y = msg.y
+        rate_form = self._rate_form(y, +1)
+        right = self._local_model(msg, +1, rate_form)
+        if y <= 0.0:
+            return [right]
+        if rate_form[2]:
+            return [right, self.local_model(msg, -1)]
+        n = len(self._route) + 1
+        grad, coupling, free = right.grad.tolist(), right.hess[0].tolist(), right.free.copy()
+        free[1:n] = [_q1_free(q1, g, h, y, -1)
+                     for q1, g, h in zip(right.point[1:n], grad[1:n], coupling[1:n])]
+        return [right, right._replace(free=free)]
+
+    def _local_model(self, msg: Message, side: int, rate_form: tuple) -> LocalModel:
+        """local_model on `side` from _rate_form(msg.y, side)."""
+        y = msg.y
+        (c, rest, a_e), form, _ = rate_form
         den = rest + a_e * y
         r_x = -a_e / rest
         dx = c / den * (rest / den)

@@ -25,10 +25,16 @@ constructed in both variants, it prints the agents failing the gate,
 the right- and left-side locks, the
 time of ``certify_ne`` (fastest of five) in total and in µs per agent, its
 evaluations per agent, and the time of ``demand_kinks`` in µs per agent
-(fastest of five). Last it prints one SHA-256 over every certification
-report, in corpus order (the batch candidates, then the ladder's): per
-agent, its gain by ``float.hex``, its evaluations and ``message_to_dict``
-of its deviation, so two source trees can be compared by running this
+(fastest of five). It prints how many agents at a positive demand take
+``curvature_check``'s right-model shortcut (their left model is not read
+but derived from the right one: ``DeviationEvaluator.local_models``).
+Last it prints one SHA-256 over every certification report, in corpus
+order (the batch candidates, then the ladder's): per agent, its gain by
+``float.hex``, its evaluations and ``message_to_dict`` of its deviation;
+and one over every curvature report, in the same order: per agent,
+``passed``, ``max_eig`` by ``float.hex``, ``kinked``, the sorted
+``locked``, ``n_coords`` and the sorted ``price_diag`` (values by
+``float.hex``). So two source trees can be compared by running this
 script on each.
 
 Not collected by pytest (the name does not start with ``test_``); it is
@@ -81,6 +87,34 @@ def report_text(report) -> str:
                    for ki, gain in report.gains.items())
 
 
+def curvature_text(report) -> str:
+    """A curvature report as digest text: per agent, passed, max_eig by
+    float.hex, kinked, the sorted locked, n_coords and the sorted
+    price_diag with its values by float.hex."""
+    return "".join(f"{ki.label} {a.passed} {a.max_eig.hex()} {a.kinked} {sorted(a.locked)} "
+                   f"{a.n_coords} {sorted((k, v.hex()) for k, v in a.price_diag.items())}\n"
+                   for ki, a in report.agents.items())
+
+
+def shortcuts(candidates):
+    """(agents at y > 0, of them those whose left model one curvature_check
+    pass over candidates does not read: local_model calls at side -1)."""
+    real, left_reads = DeviationEvaluator.local_model, [0]
+
+    def wrapper(self, msg, side):
+        left_reads[0] += side < 0
+        return real(self, msg, side)
+
+    DeviationEvaluator.local_model = wrapper
+    try:
+        for inst, cand, _ in candidates:
+            curvature_check(inst, cand)
+    finally:
+        DeviationEvaluator.local_model = real
+    positive = sum(msg.y > 0.0 for _, cand, _ in candidates for msg in cand.profile.values())
+    return positive, positive - left_reads[0]
+
+
 def gate_failures(inst, cand):
     """The labels of the agents of cand that curvature_check fails."""
     return [ki.label for ki, a in sorted(curvature_check(inst, cand).agents.items())
@@ -98,7 +132,7 @@ def main():
             candidates.append((inst, cand, epsilon))
 
     certify_s, curvature_s, setup_s = [], [], []
-    digest = hashlib.sha256()
+    digest, curvature_digest = hashlib.sha256(), hashlib.sha256()
     for repeat in range(REPEATS):
         certify_s.append(0.0)
         curvature_s.append(0.0)
@@ -112,11 +146,12 @@ def main():
             report = certify_ne(inst, cand, epsilon, budget=CERT_BUDGET)
             certify_s[-1] += time.perf_counter() - start
             start = time.perf_counter()
-            curvature_check(inst, cand)
+            curvature = curvature_check(inst, cand)
             curvature_s[-1] += time.perf_counter() - start
             assert report.certified and not report.incomplete
             if not repeat:
                 digest.update(report_text(report).encode())
+                curvature_digest.update(curvature_text(curvature).encode())
 
     counts = dict.fromkeys(("utility", "rate_model", "best_message", "_rate_form"), 0)
     reals = {name: counted(name, counts) for name in counts}
@@ -149,16 +184,20 @@ def main():
     right, left = map(sum, zip(*(locks(inst, cand) for inst, cand, _ in candidates)))
     print(f"curvature gate fails: {', '.join(failing) or 'none'}; "
           f"locked coordinates: {right} right-side, {left} left-side")
+    positive, shortcut = shortcuts(candidates)
+    print(f"curvature_check right-model shortcut: {shortcut} of {positive} agents at y > 0")
     for g in LADDER:
-        ladder_rung(g, digest)
+        ladder_rung(g, digest, curvature_digest)
     print(f"certification sha256 over {len(candidates) + 2 * len(LADDER)} reports: "
           f"{digest.hexdigest()}")
+    print(f"curvature sha256 over {len(candidates) + 2 * len(LADDER)} reports: "
+          f"{curvature_digest.hexdigest()}")
 
 
-def ladder_rung(g, digest):
+def ladder_rung(g, digest, curvature_digest):
     """Certify the candidates of random_instance(1, g, 3, g), print the
-    cost per agent and that of demand_kinks, and add the reports to
-    digest."""
+    cost per agent and that of demand_kinks, and add the certification
+    reports to digest and the curvature reports to curvature_digest."""
     inst = random_instance(1, g, 3, g)
     primal, dual = solve_cp(inst)
     epsilon = default_epsilon(inst, primal)
@@ -172,6 +211,7 @@ def ladder_rung(g, digest):
             times.append(time.perf_counter() - start)
         assert report.certified and not report.incomplete
         digest.update(report_text(report).encode())
+        curvature_digest.update(curvature_text(curvature_check(inst, cand)).encode())
         evaluators = list(_evaluators(inst, cand.profile, cand.params))
         kink_times = []
         for _ in range(REPEATS):

@@ -85,6 +85,9 @@ FAULTS = [Fault(*f) for f in (
      "if (above and not tie) if side > 0 else (above or tie):"),
     ("_rate_form binds the slowest-falling offer on the right", MECH,
      "key=lambda f: side * f[1])", "key=lambda f: -side * f[1])"),
+    ("the gate derives the left model at a peak tie", MECH, "tied = tied or tie", "tied = False"),
+    ("local_models re-reads the clip test on the right", MECH,
+     "[_q1_free(q1, g, h, y, -1)", "[_q1_free(q1, g, h, y, +1)"),
     ("jumps_at_zero never jumps", MECH,
      "return abs(r_lim - r_0) > KINK_TOL * r_lim", "return False"),
     ("rate_model's lin drops the eta term", MECH,

@@ -713,6 +713,29 @@ def test_curvature_eigenvalues_match_separate_calls(certified_batch):
             assert {ki: (a.max_eig, a.passed) for ki, a in report.agents.items()} == ref
 
 
+def test_local_models_are_the_one_sided_models(certified_batch):
+    """At every batch candidate's demand (both variants), local_models
+    returns local_model's right and left models bit for bit, whether it
+    reads the left one (a tie in the piece form) or derives it from the
+    right one. 156 of the 482 agents take the derived left model."""
+    records, _ = certified_batch
+    derived = 0
+    for r in records:
+        for v in (r.wbb, r.sbb):
+            profile = v.candidate.profile
+            for ev in _evaluators(r.instance, profile, v.params):
+                msg = profile[ev.ki]
+                got = ev.local_models(msg)
+                want = [ev.local_model(msg, +1)] + ([ev.local_model(msg, -1)] if msg.y > 0 else [])
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.point == w.point and g.jumped == w.jumped, (r.seed, ev.ki)
+                    for a, b in ((g.grad, w.grad), (g.hess, w.hess), (g.free, w.free)):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (r.seed, ev.ki)
+                derived += len(got) == 2 and got[1].hess is got[0].hess
+    assert derived == 156
+
+
 def test_batch_needs_no_coupling_shrink(certified_batch):
     """Seed 42 is the draw where curvature_check once kept a first quote
     that the best response clips: agent 2.3 quotes an interior-point

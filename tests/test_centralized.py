@@ -25,7 +25,7 @@ from mcastmech import (
 )
 from mcastmech import centralized
 from mcastmech.errors import SolverError
-from mcastmech.model import RATE_ATOL, _tables
+from mcastmech.model import RATE_ATOL, Valuation, _tables
 
 from conftest import batch_shape, make_instance
 from kkt_reference import (dense_direction, eager_solve, normal_matrix, reference_a4,
@@ -507,6 +507,36 @@ def test_step_bound_skips_what_the_finish_may_undo(case):
     dv, _, price, _, slack = terms
     assert (slack.min() < 0.0) == (case == "negative-slack")
     assert residual <= centralized.RESIDUAL_FLOOR < 1e-10 < (price - dv).max()
+    assert centralized._bound(ws, z, terms) <= residual
+
+
+def test_step_bound_allows_a_faithfully_rounded_exp(monkeypatch):
+    """OVERPRICE_MARGIN covers an exp_sat v' that rises by an ulp where x
+    rises. Two exp_sat agents (b = 0.01) on one link of capacity 10 sit at
+    x = m = 5 less an ulp, priced one ulp of v'(x) or less past
+    RESIDUAL_FLOOR above v'(x) (lambda = mu). The finish scales x up to 5,
+    where the correctly rounded v' is the same double. A math.exp that is
+    faithfully but not monotonically rounded may return one ulp more there,
+    which the patched deriv does; a correctly rounded one never does. Then
+    the finished iterate's residual is at or below the floor, and the step
+    bound, which the margin keeps below it, does not skip the iterate."""
+    inst = make_instance({"l1": 10.0}, [(1, 1, EXP_SAT, 1.0, 0.01, {"l1": 1.0}),
+                                        (2, 1, EXP_SAT, 1.0, 0.01, {"l1": 1.0})])
+    ws = centralized._Workspace(inst)
+    x0 = math.nextafter(5.0, 0.0)
+    z = np.full(4, x0)
+    deriv = Valuation.deriv
+    v0 = deriv(inst.valuation(AgentId(1, 1)), x0)
+    assert deriv(inst.valuation(AgentId(1, 1)), 5.0) == v0
+    over = math.ceil(centralized.RESIDUAL_FLOOR / math.ulp(v0)) * math.ulp(v0)
+    y = np.array([0.0, 0.0] + [v0 + over] * 3)
+    monkeypatch.setattr(Valuation, "deriv", lambda val, x: (
+        math.nextafter(deriv(val, x), math.inf) if x > x0 else deriv(val, x)))
+    terms = centralized._step_terms(ws, z, y)
+    x, _, _ = done = centralized._finished(ws, z, y)
+    residual = centralized._measure(ws, 0, y, *done)[0]
+    assert x.tolist() == [5.0, 5.0]
+    assert residual <= centralized.RESIDUAL_FLOOR < (terms[2] - terms[0]).min()
     assert centralized._bound(ws, z, terms) <= residual
 
 

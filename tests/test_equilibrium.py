@@ -32,7 +32,7 @@ from mcastmech import (
     utilities,
     zero_message,
 )
-from mcastmech.equilibrium import DEMAND_CAP, _piece, _quadratic
+from mcastmech.equilibrium import DEMAND_CAP, _piece, _quadratic, _top_eig
 from mcastmech.cli import main as cli_main
 from mcastmech.errors import DegenerateInstanceError, MessageShapeError, SharingAssumptionError
 from mcastmech.mechanism import KINK_TOL, DeviationEvaluator
@@ -826,6 +826,50 @@ def test_curvature_reads_each_side_of_a_peak_tie(oracle_instance, solved_oracle)
     assert agent.max_eig == pytest.approx(-1.0 / 1296.0, rel=1e-9)
 
 
+def test_local_models_reread_the_clip_test_off_a_tie(two_member_instance):
+    """Agent 1.1 demands below its mate's peak on the one link, so the piece
+    form has no tie and local_models derives the left model from the right
+    one. At the demand where its first quote's clip root lies (2k = F on
+    rate_model's piece) the quote is free on the right and locked on the
+    left, and the derived left model is local_model(msg, -1) bit for bit."""
+    profile = {AgentId(1, 1): Message(1.0, {"l1": (0.3, 0.3)}),
+               AgentId(1, 2): Message(2.0, {"l1": (0.295, 0.3)}),
+               AgentId(2, 1): Message(3.0, {"l1": (0.3, 0.3)})}
+    ev = DeviationEvaluator(two_member_instance, profile, WBB, AgentId(1, 1))
+    (c, rest, a_e), [(k, f0, f1, _)] = ev.rate_model(1.0)
+    x = (2.0 * k - f0) / f1
+    msg = Message(x * rest / (c - a_e * x), {"l1": (0.3, 0.3)})
+    assert 0.0 < msg.y < 2.0 and not ev._rate_form(msg.y, +1)[2]
+    right, left = ev.local_models(msg)
+    assert left.hess is right.hess
+    assert right.free.tolist() == [True, True, True] and left.free.tolist() == [True, False, True]
+    assert ([np.asarray(f).tobytes() for f in left]
+            == [np.asarray(f).tobytes() for f in ev.local_model(msg, -1)])
+
+
+def test_eigen_kernel_is_numpys_eigvalsh():
+    """The curvature gate's eigen solve (_top_eig, LAPACK's syevd called
+    directly) equals np.linalg.eigvalsh(H)[-1] bit for bit on symmetric
+    matrices of 1 to 16 rows, three each: a dense one, a semidefinite one
+    and an arrowhead with local_model's quote diagonal (-2, and -2*zeta
+    last, at the default zeta). On a matrix holding a NaN, eigvalsh returns values (numpy
+    2.4.6), and the kernel returns the same; where eigvalsh raises
+    LinAlgError on an infinite entry, so does the kernel."""
+    rng = np.random.default_rng(32)
+    for n in range(1, 17):
+        G = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, n)
+        arrow = np.diag([rng.normal()] + [-2.0] * (n - 2) + [-2.0 * MechanismParams().zeta] * (n > 1))
+        arrow[0, 1:] = arrow[1:, 0] = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-3, 1)
+        for H in (G + G.T, G @ G.T, arrow):
+            assert _top_eig(H).hex() == float(np.linalg.eigvalsh(H)[-1]).hex()
+    H = np.array([[np.nan, 1.0], [1.0, 2.0]])
+    assert _top_eig(H).hex() == float(np.linalg.eigvalsh(H)[-1]).hex()
+    H = np.array([[-2.6, 1.0, -2.4], [1.0, np.inf, -0.4], [-2.4, -0.4, -2.2]])
+    for solve in (np.linalg.eigvalsh, _top_eig):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(H)
+
+
 def test_curvature_handles_peak_tie_kinks(two_member_instance, solved_two_member):
     cand = constructed(two_member_instance, solved_two_member)
     report = curvature_check(two_member_instance, cand)
@@ -914,7 +958,7 @@ def _form_slopes(ev, y, side):
     a_e), r = c/den, den = rest + a_e*y) and a one-sided finite difference
     of the realized x = r*y over a step of 1e-6*y to `side` of y (None
     where that step crosses a kink of r or of a group peak)."""
-    (c, rest, a_e), _ = ev._rate_form(y, side)
+    c, rest, a_e = ev._rate_form(y, side)[0]
     den = rest + a_e * y
     dx = c / den * (rest / den)
     h = side * 1e-6 * y
